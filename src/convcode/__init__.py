@@ -22,7 +22,7 @@ from .encoder import (
     realization_check,
     state_sequence,
 )
-from .errors import LimitError, ParseError
+from .errors import InternalError, LimitError, ParseError
 from .galois import FieldElement, FieldSpec, default_modulus, field_make
 from .invariance import (
     gen_adj_equal,
@@ -52,7 +52,6 @@ from .spectrum import (
     LSeries,
     WeightEnum,
     active_burst_distances,
-    adj_power,
     adjacency,
     default_truncation,
     extend,
@@ -82,6 +81,7 @@ __all__ = [
     "FieldElement",
     "FieldSpec",
     "FreeDistance",
+    "InternalError",
     "LSeries",
     "LimitError",
     "MOLECULAR_TIGHT",
@@ -90,7 +90,6 @@ __all__ = [
     "StateDiagram",
     "WeightEnum",
     "active_burst_distances",
-    "adj_power",
     "adjacency",
     "build",
     "classify",

@@ -10,7 +10,7 @@ File format (UTF-8, '#' starts a comment, blank lines ignored):
 Coefficients are field elements encoded as integers 0..q-1 (base-p digit
 encoding of the polynomial basis).  Exit codes: 0 success, 1 negative
 decision (codes differ, no witness), 2 input error, 3 budget or limit
-exceeded.
+exceeded, 4 internal error (a result failed its own re-check).
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import sys
 from typing import Optional, Sequence
 
 from . import encoder, invariance, oracle, polyalg, spectrum, statediag
-from .errors import LimitError, ParseError
-from .galois import field_make
+from .errors import InternalError, LimitError, ParseError
+from .galois import check_field, field_make
 from .polyalg import PolyMatrix
 
 SCHEMA_VERSION = 1
@@ -263,15 +263,17 @@ def parse_gm(text: str) -> PolyMatrix:
         raise ParseError(f"line {lineno}: field line needs p= and m=")
     p = _int(kv["p"], "p", lineno)
     m = _int(kv["m"], "m", lineno)
-    modulus = None
-    if "modulus" in kv:
-        enc = _int(kv["modulus"], "modulus", lineno)
-        digits = []
-        while enc:
-            enc, d = divmod(enc, p)
-            digits.append(d)
-        modulus = digits
+    enc = _int(kv["modulus"], "modulus", lineno) if "modulus" in kv else None
     try:
+        check_field(p, m)  # bounds p before the digit loop below runs
+        modulus = None
+        if enc is not None:
+            if enc < 0:
+                raise ValueError(f"field modulus={enc} must be nonnegative")
+            modulus = []
+            while enc:
+                enc, d = divmod(enc, p)
+                modulus.append(d)
         fld = field_make(p, m, modulus)
     except ValueError as exc:
         raise ParseError(f"line {lineno}: {exc}") from None
@@ -762,6 +764,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except LimitError as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return 3
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import polyalg
+from .errors import InternalError
 from .galois import FieldSpec
 from .polyalg import Poly, PolyMatrix, coeff, deg
 
@@ -159,8 +160,8 @@ def state_sequence(cf: ControllerForm, u: Sequence[Poly]):
         outputs.append(v)
         states.append(x)
     n_deg = max(t for t, v in enumerate(outputs) if any(v))
-    if cf.minimal:
-        assert not any(states[n_deg + 1])
+    if cf.minimal and any(states[n_deg + 1]):
+        raise InternalError("minimal encoder did not return to the zero state")
     return tuple(states[: n_deg + 2]), tuple(outputs[: n_deg + 1])
 
 

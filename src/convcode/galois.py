@@ -262,6 +262,23 @@ class FieldSpec:
         return f"F{self.q}"
 
 
+def check_field(p: int, m: int, *, max_order: int = MAX_ORDER) -> None:
+    """Reject (p, m) unless p is prime and p^m <= max_order.
+
+    The bounds come before any work that grows with p or m: trial division
+    only sees p <= max_order, and p^m is only computed for m small enough
+    that 2^m <= max_order.
+    """
+    if not 2 <= p <= max_order:
+        raise ValueError(f"field characteristic p={p} is outside 2..{max_order}")
+    if not is_prime(p):
+        raise ValueError(f"p={p} is not prime")
+    if m < 1:
+        raise ValueError(f"extension degree m={m} must be >= 1")
+    if m >= max_order.bit_length() or p**m > max_order:
+        raise ValueError(f"field order {p}^{m} exceeds the ceiling {max_order}")
+
+
 def field_make(
     p: int,
     m: int = 1,
@@ -275,12 +292,7 @@ def field_make(
     low degree first; omitted, the documented default is used.  Rejected:
     non-prime p, q above `max_order`, reducible or non-monic moduli.
     """
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
-    if m < 1:
-        raise ValueError(f"extension degree m={m} must be >= 1")
-    if p**m > max_order:
-        raise ValueError(f"field order {p**m} exceeds the ceiling {max_order}")
+    check_field(p, m, max_order=max_order)
     if m == 1:
         if modulus is not None:
             raise ValueError("prime fields take no modulus")

@@ -18,7 +18,7 @@ import itertools
 from typing import Optional, Sequence
 
 from . import polyalg
-from .errors import LimitError
+from .errors import InternalError, LimitError
 from .galois import FieldSpec
 from .polyalg import PolyMatrix
 from .spectrum import AdjMatrix, WeightEnum, extend, row_iterate
@@ -36,9 +36,9 @@ def _refined_colors(a: AdjMatrix, b: AdjMatrix):
     """Stable joint color refinement; None when histograms separate."""
     s = a.size
 
-    def signature(m: AdjMatrix, i: int, colors) -> tuple:
-        out = tuple(sorted((m.entries[i][j].terms(), colors[j]) for j in range(s)))
-        inn = tuple(sorted((m.entries[j][i].terms(), colors[j]) for j in range(s)))
+    def signature(e, i: int, colors) -> tuple:
+        out = tuple(sorted((e[i][j].terms(), colors[j]) for j in range(s)))
+        inn = tuple(sorted((e[j][i].terms(), colors[j]) for j in range(s)))
         return (colors[i], out, inn)
 
     col_a = [0 if i else -1 for i in range(s)]  # state 0 is pinned
@@ -47,9 +47,9 @@ def _refined_colors(a: AdjMatrix, b: AdjMatrix):
         sig_ids: dict[tuple, int] = {}
         new_a = []
         new_b = []
-        for m, colors, target in ((a, col_a, new_a), (b, col_b, new_b)):
+        for e, colors, target in ((a.entries, col_a, new_a), (b.entries, col_b, new_b)):
             for i in range(s):
-                sig = signature(m, i, colors)
+                sig = signature(e, i, colors)
                 target.append(sig_ids.setdefault(sig, len(sig_ids)))
         if sorted(new_a) != sorted(new_b):
             return None
@@ -85,13 +85,14 @@ def gen_adj_equal(
         return None
     mapping = [-1] * s
     used = [False] * s
+    ea, eb = a.entries, b.entries
 
     def feasible(i: int, j: int) -> bool:
         for i2 in range(i + 1):
             j2 = j if i2 == i else mapping[i2]
-            if a.entries[i][i2].terms() != b.entries[j][j2].terms():
+            if ea[i][i2].terms() != eb[j][j2].terms():
                 return False
-            if a.entries[i2][i].terms() != b.entries[j2][j].terms():
+            if ea[i2][i].terms() != eb[j2][j].terms():
                 return False
         return True
 
@@ -111,10 +112,10 @@ def gen_adj_equal(
     if not search(0):
         return None
     pi = tuple(mapping)
-    assert pi[0] == 0
-    for i in range(s):
-        for j in range(s):
-            assert a.entries[i][j] == b.entries[pi[i]][pi[j]]
+    if pi[0] != 0 or any(
+        ea[i][j] != eb[pi[i]][pi[j]] for i in range(s) for j in range(s)
+    ):
+        raise InternalError("conjugation witness failed re-verification")
     return pi
 
 
@@ -149,7 +150,7 @@ def _power_of(q: int, value: int) -> int:
 def recover_dimension(lam: AdjMatrix) -> int:
     """k from the first row of the extended matrix: its counts sum to q^k."""
     gam = lam if lam.extended else extend(lam)
-    total = sum(e.count() for e in gam.row(0))
+    total = sum(e.count() for _, e in gam.rows[0])
     return _power_of(lam.q, total)
 
 

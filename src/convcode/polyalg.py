@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from .errors import InternalError
 from .galois import FieldSpec
 
 NEG_INF = float("-inf")
@@ -409,7 +410,8 @@ def encoder_info(g: PolyMatrix) -> EncoderInfo:
     basic = deg(g_minor) == 0
     degs = tuple(int(d) for d in row_degrees(g))
     row_reduced = sum(degs) == delta
-    assert row_reduced == (mat_rank(fld, highest_coeff_matrix(g)) == g.k)
+    if row_reduced != (mat_rank(fld, highest_coeff_matrix(g)) == g.k):
+        raise InternalError("row-reducedness criteria disagree: degrees vs rank")
     return EncoderInfo(
         row_degrees=degs,
         delta=delta,
@@ -456,8 +458,10 @@ def minimize(g: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
         u_rows[target] = new_u
     g_min = PolyMatrix(fld, tuple(tuple(r) for r in rows))
     u = PolyMatrix(fld, tuple(tuple(r) for r in u_rows))
-    assert pm_mul(u, g) == g_min
-    assert encoder_info(g_min).is_minimal
+    if pm_mul(u, g) != g_min:
+        raise InternalError("minimize: U * G differs from the reduced matrix")
+    if not encoder_info(g_min).is_minimal:
+        raise InternalError("minimize: the reduced matrix is not minimal")
     return g_min, u
 
 
@@ -581,7 +585,8 @@ def diagonalize(g: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
     s_m = PolyMatrix(fld, tuple(tuple(r) for r in s))
     u_m = PolyMatrix(fld, tuple(tuple(r) for r in u))
     v_m = PolyMatrix(fld, tuple(tuple(r) for r in v))
-    assert pm_mul(pm_mul(u_m, g), v_m) == s_m
+    if pm_mul(pm_mul(u_m, g), v_m) != s_m:
+        raise InternalError("diagonalize: U * G * V differs from the diagonal form")
     return s_m, u_m, v_m
 
 
@@ -591,14 +596,14 @@ def right_inverse(g: PolyMatrix) -> tuple[PolyMatrix, int]:
         raise ValueError("only basic matrices have polynomial right inverses")
     fld = g.field
     s, u, v = diagonalize(g)
-    for t in range(g.k):
-        d = s.rows[t][t]
-        assert len(d) == 1, "diagonal of a basic matrix must be constant"
+    if any(len(s.rows[t][t]) != 1 for t in range(g.k)):
+        raise InternalError("diagonal of a basic matrix must be constant")
     # Ghat = V * [diag(1/d); 0] * U  (diagonal entries are monic, so 1)
     w = [[s.rows[j][j] if i == j else ZERO for j in range(g.k)] for i in range(g.n)]
     w_m = PolyMatrix(fld, tuple(tuple(r) for r in w))
     ghat = pm_mul(pm_mul(v, w_m), u)
-    assert pm_mul(g, ghat) == pm_identity(fld, g.k)
+    if pm_mul(g, ghat) != pm_identity(fld, g.k):
+        raise InternalError("right inverse: G * Ghat is not the identity")
     mhat = int(max(d for d in row_degrees(ghat) if d != NEG_INF))
     return ghat, mhat
 
@@ -619,7 +624,9 @@ def dual_basis(g: PolyMatrix) -> PolyMatrix:
         tuple(v.rows[i][j] for i in range(g.n)) for j in range(g.k, g.n)
     )
     h0 = PolyMatrix(fld, kernel_rows)
-    assert pm_is_zero(pm_mul(g, pm_transpose(h0)))
+    if not pm_is_zero(pm_mul(g, pm_transpose(h0))):
+        raise InternalError("dual basis: kernel columns are not orthogonal to G")
     h, _ = minimize(h0)
-    assert pm_is_zero(pm_mul(g, pm_transpose(h)))
+    if not pm_is_zero(pm_mul(g, pm_transpose(h))):
+        raise InternalError("dual basis: reduced H is not orthogonal to G")
     return h

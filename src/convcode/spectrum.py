@@ -1,18 +1,24 @@
 """Weight enumerators, the adjacency matrix and the weight distribution.
 
 A WeightEnum is a polynomial in the weight marker W with arbitrary
-precision integer coefficients.  The adjacency matrix of a state diagram
-holds one WeightEnum per ordered vertex pair, counting edges by output
-weight (the zero self-transition at the zero state is excluded).  Powers
-of the matrix count paths; the generating series
+precision integer coefficients.  The adjacency matrix Lambda of a state
+diagram counts edges by (source, destination, output weight), the zero
+self-transition at the zero state excluded.  It is stored sparse: per
+source state, the (destination, WeightEnum) pairs of its nonzero cells,
+built in one pass over the edges.  A dense s x s view is materialized
+only on demand (display, JSON, the invariance layer).
+
+Powers of Lambda count paths; the generating series
 
     Phi = 1 + sum_l (Lambda^l)_{0,0} L^l        (molecular codewords)
     Omega = 1 - Phi^{-1}                        (atomic codewords)
 
-are computed as truncated series in L with WeightEnum coefficients, the
-(0,0) entries of the powers obtained by iterating the first row vector so
-no full matrix power is ever materialized.  Free distance, extended row
-distances and active burst distances are read off Omega and Phi.
+are truncated series in L with WeightEnum coefficients.  Phi iterates
+the first row of Lambda^l over the sparse rows with every enumerator
+packed into one integer (Kronecker substitution W -> 2^b), so a step
+costs one integer multiply-add per nonzero cell reached and no matrix
+power is ever materialized.  Free distance, extended row distances and
+active burst distances are read off Omega and Phi.
 """
 
 from __future__ import annotations
@@ -120,19 +126,48 @@ class WeightEnum:
 
 
 class AdjMatrix:
-    """Square matrix of weight enumerators indexed by state."""
+    """Square matrix of weight enumerators indexed by state, stored sparse.
 
-    __slots__ = ("entries", "q", "n", "extended")
+    `rows[i]` lists the nonzero entries of row i as (destination,
+    WeightEnum) pairs in increasing destination order.  The dense view
+    `entries` is built on first access and shares one zero enumerator
+    between all empty cells.
+    """
+
+    __slots__ = ("rows", "q", "n", "extended", "_entries")
 
     def __init__(self, entries, q: int, n: int, extended: bool = False):
-        self.entries = tuple(tuple(row) for row in entries)
+        self.rows = tuple(
+            tuple((j, e) for j, e in enumerate(row) if e) for row in entries
+        )
         self.q = q
         self.n = n
         self.extended = extended
+        self._entries = None
+
+    @classmethod
+    def from_rows(cls, rows, q: int, n: int, extended: bool = False) -> "AdjMatrix":
+        """Wrap sparse rows already in canonical form (sorted, no zeros)."""
+        out = cls((), q, n, extended)
+        out.rows = tuple(rows)
+        return out
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
+
+    @property
+    def entries(self) -> tuple[tuple[WeightEnum, ...], ...]:
+        if self._entries is None:
+            zero = WeightEnum.zero()
+            dense = []
+            for sparse in self.rows:
+                row = [zero] * len(self.rows)
+                for j, e in sparse:
+                    row[j] = e
+                dense.append(tuple(row))
+            self._entries = tuple(dense)
+        return self._entries
 
     def entry(self, i: int, j: int) -> WeightEnum:
         return self.entries[i][j]
@@ -144,7 +179,7 @@ class AdjMatrix:
         return (
             isinstance(other, AdjMatrix)
             and (self.q, self.n, self.extended) == (other.q, other.n, other.extended)
-            and self.entries == other.entries
+            and self.rows == other.rows
         )
 
     def __str__(self) -> str:
@@ -155,14 +190,21 @@ class AdjMatrix:
 
 def adjacency(sd: StateDiagram) -> AdjMatrix:
     """Tally the diagram's edges by (source, destination, output weight)."""
-    s = sd.num_states
-    cells = [[{} for _ in range(s)] for _ in range(s)]
-    for e in sd.edges():
-        cell = cells[e.src][e.dst]
-        cell[e.weight] = cell.get(e.weight, 0) + 1
-    cells[0][0].pop(0, None)  # the zero self-transition is never counted
-    return AdjMatrix(
-        [[WeightEnum(c) for c in row] for row in cells], q=sd.field.q, n=sd.n
+    rows = []
+    for group in sd.edges_by_source:
+        cells: dict[int, dict[int, int]] = {}
+        for e in group:
+            cell = cells.setdefault(e.dst, {})
+            cell[e.weight] = cell.get(e.weight, 0) + 1
+        rows.append(cells)
+    rows[0].get(0, {}).pop(0, None)  # the zero self-transition is never counted
+    return AdjMatrix.from_rows(
+        (
+            tuple((j, WeightEnum(c)) for j, c in sorted(cells.items()) if c)
+            for cells in rows
+        ),
+        q=sd.field.q,
+        n=sd.n,
     )
 
 
@@ -170,52 +212,22 @@ def extend(lam: AdjMatrix) -> AdjMatrix:
     """Gamma = Lambda + E_{0,0}: include the zero self-loop."""
     if lam.extended:
         raise ValueError("matrix is already extended")
-    rows = [list(r) for r in lam.entries]
-    rows[0][0] = rows[0][0] + WeightEnum.one()
-    return AdjMatrix(rows, q=lam.q, n=lam.n, extended=True)
-
-
-def adj_power(lam: AdjMatrix, l: int) -> AdjMatrix:
-    """Naive l-th power; entry (i, j) enumerates length-l paths by weight."""
-    if l < 1:
-        raise ValueError("power must be >= 1")
-    out = lam
-    for _ in range(l - 1):
-        out = _mat_mul(out, lam)
-    return out
-
-
-def _mat_mul(a: AdjMatrix, b: AdjMatrix) -> AdjMatrix:
-    s = a.size
-    zero = WeightEnum.zero()
-    rows = []
-    for i in range(s):
-        acc = [zero] * s
-        for t in range(s):
-            e = a.entries[i][t]
-            if not e:
-                continue
-            brow = b.entries[t]
-            for j in range(s):
-                if brow[j]:
-                    acc[j] = acc[j] + e * brow[j]
-        rows.append(acc)
-    return AdjMatrix(rows, q=a.q, n=a.n, extended=a.extended)
+    first = dict(lam.rows[0])
+    first[0] = first.get(0, WeightEnum.zero()) + WeightEnum.one()
+    rows = (tuple(sorted(first.items())),) + lam.rows[1:]
+    return AdjMatrix.from_rows(rows, q=lam.q, n=lam.n, extended=True)
 
 
 def row_iterate(row: Sequence[WeightEnum], lam: AdjMatrix) -> tuple[WeightEnum, ...]:
-    """One step of r <- r * Lambda."""
-    s = lam.size
-    zero = WeightEnum.zero()
-    acc = [zero] * s
+    """One step of r <- r * Lambda over the sparse rows."""
+    acc: dict[int, WeightEnum] = {}
     for i, e in enumerate(row):
         if not e:
             continue
-        lrow = lam.entries[i]
-        for j in range(s):
-            if lrow[j]:
-                acc[j] = acc[j] + e * lrow[j]
-    return tuple(acc)
+        for j, x in lam.rows[i]:
+            acc[j] = acc[j] + e * x if j in acc else e * x
+    zero = WeightEnum.zero()
+    return tuple(acc.get(j, zero) for j in range(lam.size))
 
 
 class LSeries:
@@ -294,19 +306,69 @@ class LSeries:
 
 
 def phi_series(lam: AdjMatrix, trunc: int) -> LSeries:
-    """Molecular weight distribution: coefficient l is (Lambda^l)_{0,0}."""
+    """Molecular weight distribution: coefficient l is (Lambda^l)_{0,0}.
+
+    Each enumerator is packed into one integer by Kronecker substitution,
+    W^a -> 2^(a*b), and the first row of Lambda^l is iterated as a map
+    state -> packed integer over the sparse rows.  A slot of that row after
+    l steps counts paths of length l, so it is below R^l for the largest
+    row count R, and b = trunc * bit_length(R) + 1 bits keep slots apart.
+    """
     if lam.extended:
         raise ValueError("use the plain adjacency matrix, not the extended one")
     if trunc < 1:
         raise ValueError("truncation must be >= 1")
+    most = max(sum(e.count() for _, e in row) for row in lam.rows)
+    width = trunc * most.bit_length() + 1
+    # per source, cells grouped by the shift of their lowest weight, so one
+    # shifted copy of the source's value serves every cell of the group
+    packed = []
+    for row in lam.rows:
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for j, e in row:
+            w, shift = _pack(e, width)
+            groups.setdefault(shift, []).append((j, w))
+        packed.append(tuple(groups.items()))
     coeffs = [WeightEnum.one()]
-    row: tuple[WeightEnum, ...] = tuple(
-        WeightEnum.one() if j == 0 else WeightEnum.zero() for j in range(lam.size)
-    )
+    vec = {0: 1}
     for _ in range(trunc):
-        row = row_iterate(row, lam)
-        coeffs.append(row[0])
+        nxt: dict[int, int] = {}
+        for i, x in vec.items():
+            for shift, cells in packed[i]:
+                y = x << shift
+                for j, w in cells:
+                    nxt[j] = nxt.get(j, 0) + (y if w == 1 else y * w)
+        vec = nxt
+        coeffs.append(_unpack(vec.get(0, 0), width))
     return LSeries(trunc, coeffs)
+
+
+def _pack(e: WeightEnum, width: int) -> tuple[int, int]:
+    """(e / W^low packed, low * width) for the lowest weight `low` of e.
+
+    Shifting and multiplying by the short quotient (usually 1) is cheaper
+    than multiplying by the long packed e.
+    """
+    low = e.min_weight()
+    out = 0
+    for a, c in e.terms():
+        if c < 0:
+            raise ValueError("adjacency counts must be nonnegative")
+        out += c << ((a - low) * width)
+    return out, low * width
+
+
+def _unpack(value: int, width: int) -> WeightEnum:
+    mask = (1 << width) - 1
+    terms = {}
+    a = 0
+    while value:
+        c = value & mask
+        if c:
+            terms[a] = c
+        value >>= width
+        a += 1
+    return WeightEnum(terms)
 
 
 def omega_series(phi: LSeries) -> LSeries:

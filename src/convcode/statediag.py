@@ -13,7 +13,7 @@ from typing import Iterator, NamedTuple
 
 from . import polyalg
 from .encoder import ControllerForm
-from .errors import LimitError
+from .errors import InternalError, LimitError
 from .galois import FieldSpec
 
 DEFAULT_STATE_CEILING = 1 << 20
@@ -140,7 +140,8 @@ def delay_free_check(sd: StateDiagram) -> bool:
     """
     edge_clean = not any(e.weight == 0 for e in sd.edges_by_source[0])
     rank_full = polyalg.mat_rank(sd.field, sd.form.D) == sd.k
-    assert edge_clean == rank_full
+    if edge_clean != rank_full:
+        raise InternalError("delay-free criteria disagree: edges vs rank of G(0)")
     return edge_clean
 
 

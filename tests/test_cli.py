@@ -1,5 +1,6 @@
 import json
 import pathlib
+import time
 
 import jsonschema
 import pytest
@@ -237,3 +238,40 @@ def test_f16_pipeline(capsys):
     assert "delta=3" in out and "minimal=yes" in out
     rc, payload, _ = run_json(capsys, "ccf", F16)
     assert payload["C"] == [[2, 2, 2], [1, 7, 6], [1, 6, 7]]
+
+
+@pytest.mark.parametrize(
+    "field_line",
+    [
+        "field p=1 m=2 modulus=5",  # the modulus digit loop never ends for p = 1
+        "field p=100000000000000000000000000319 m=1",  # trial division on a 30-digit prime
+        "field p=2 m=100000000",  # 2^(10^8) would be computed and printed
+        "field p=2 m=2 modulus=-7",  # negative encodings never reach zero
+    ],
+    ids=["p-one", "p-huge-prime", "m-huge", "modulus-negative"],
+)
+def test_field_line_bounds_refuse_fast(capsys, tmp_path, field_line):
+    path = tmp_path / "bad.gm"
+    path.write_text(f"{field_line}\nk=1 n=2\n1 ; 1\n")
+    start = time.perf_counter()
+    rc, _, err = run(capsys, "info", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2 and "line 1: field" in err
+    assert "int string" not in err
+
+
+@pytest.mark.parametrize(
+    "command, target, planted",
+    [
+        ("info", "mat_rank", lambda fld, m: -1),  # row-reducedness cross-check
+        ("dual", "pm_is_zero", lambda m: False),  # G * H^T = 0 certificate
+    ],
+    ids=["encoder-info", "dual-basis"],
+)
+def test_failed_certificate_exits_4(capsys, monkeypatch, command, target, planted):
+    from convcode import polyalg
+
+    monkeypatch.setattr(polyalg, target, planted)
+    rc, out, err = run(capsys, command, G1)
+    assert rc == 4 and out == ""
+    assert err.startswith("internal error:")

@@ -17,7 +17,7 @@ from convcode import (
     verify_shift_permutation_lemma,
     weight_preserving_equiv_check,
 )
-from convcode.errors import LimitError
+from convcode.errors import InternalError, LimitError
 from convcode.invariance import apply_monomial, apply_witness, constant_monomial_witness
 from convcode.polyalg import pm_mul
 from convcode.spectrum import AdjMatrix, WeightEnum
@@ -44,6 +44,14 @@ def test_smallest_witness_is_lexicographic_least(g213):
     lam = lam_of(g213)
     wit = gen_adj_equal(lam, lam)
     assert wit == tuple(range(8))
+
+
+def test_witness_reverification_is_not_an_assert(g213, monkeypatch):
+    lam = lam_of(g213)
+    # the search compares terms(); only the final re-check uses ==
+    monkeypatch.setattr(WeightEnum, "__eq__", lambda self, other: False)
+    with pytest.raises(InternalError, match="re-verification"):
+        gen_adj_equal(lam, lam)
 
 
 def test_shifted_pair_not_conjugate(g1, g2):

@@ -1,12 +1,13 @@
+import dataclasses
 import random
 
 import pytest
 
 from convcode import (
+    AdjMatrix,
     LSeries,
     WeightEnum,
     active_burst_distances,
-    adj_power,
     adjacency,
     build,
     controller_form,
@@ -18,9 +19,106 @@ from convcode import (
     pm,
 )
 from convcode.errors import LimitError
-from convcode.spectrum import block_omega, block_weight_enumerator, format_series
+from convcode.galois import field_make
+from convcode.spectrum import (
+    block_omega,
+    block_weight_enumerator,
+    format_series,
+    row_iterate,
+)
+from convcode.statediag import Edge
 
 import genutil
+
+
+# ---------------------------------------------------------------------------
+# dense reference: Lambda as s x s cells and the Phi loop that visits all
+# s^2 of them per step; the sparse packed iteration must agree exactly
+# ---------------------------------------------------------------------------
+
+
+def dense_adjacency(sd):
+    s = sd.num_states
+    cells = [[{} for _ in range(s)] for _ in range(s)]
+    for e in sd.edges():
+        cell = cells[e.src][e.dst]
+        cell[e.weight] = cell.get(e.weight, 0) + 1
+    cells[0][0].pop(0, None)  # the zero self-transition is never counted
+    return AdjMatrix(
+        [[WeightEnum(c) for c in row] for row in cells], q=sd.field.q, n=sd.n
+    )
+
+
+def dense_row_iterate(row, lam):
+    s = lam.size
+    acc = [WeightEnum.zero()] * s
+    for i, e in enumerate(row):
+        if not e:
+            continue
+        lrow = lam.entries[i]
+        for j in range(s):
+            if lrow[j]:
+                acc[j] = acc[j] + e * lrow[j]
+    return tuple(acc)
+
+
+def dense_phi_series(lam, trunc):
+    coeffs = [WeightEnum.one()]
+    row = tuple(
+        WeightEnum.one() if j == 0 else WeightEnum.zero() for j in range(lam.size)
+    )
+    for _ in range(trunc):
+        row = dense_row_iterate(row, lam)
+        coeffs.append(row[0])
+    return LSeries(trunc, coeffs)
+
+
+def adj_power(lam, l):
+    """Naive l-th power; entry (i, j) enumerates length-l paths by weight."""
+    if l < 1:
+        raise ValueError("power must be >= 1")
+    out = lam
+    for _ in range(l - 1):
+        out = mat_mul(out, lam)
+    return out
+
+
+def mat_mul(a, b):
+    s = a.size
+    zero = WeightEnum.zero()
+    rows = []
+    for i in range(s):
+        acc = [zero] * s
+        for t in range(s):
+            e = a.entries[i][t]
+            if not e:
+                continue
+            brow = b.entries[t]
+            for j in range(s):
+                if brow[j]:
+                    acc[j] = acc[j] + e * brow[j]
+        rows.append(acc)
+    return AdjMatrix(rows, q=a.q, n=a.n, extended=a.extended)
+
+
+def assert_matches_dense(sd, trunc):
+    """Sparse and dense Lambda agree in every form, and so do their Phi."""
+    lam = adjacency(sd)
+    ref = dense_adjacency(sd)
+    assert lam == ref
+    assert lam.entries == ref.entries
+    assert AdjMatrix(lam.entries, q=lam.q, n=lam.n) == lam
+    phi = phi_series(lam, trunc)
+    assert phi == dense_phi_series(ref, trunc)
+    assert phi == phi_series(ref, trunc)
+    gam, gam_ref = extend(lam), extend(ref)
+    assert gam == gam_ref and gam.entries == gam_ref.entries
+    row = gam.row(0)
+    for _ in range(3):
+        nxt = row_iterate(row, gam)
+        assert nxt == dense_row_iterate(row, gam_ref)
+        row = nxt
+    return phi
 
 
 def grid(lam):
@@ -208,3 +306,41 @@ def test_format_series(g1):
     omega = omega_series(phi_series(lam_of(g1), 4))
     assert format_series(omega) == "L^2 W^4 + L^3 W^6 + L^4 W^8"
     assert format_series(LSeries.zero(3)) == "0"
+
+
+@pytest.mark.parametrize(
+    "p, m, gamma_max",
+    [(2, 1, 5), (3, 1, 3), (2, 2, 3), (2, 3, 2)],
+    ids=["F2", "F3", "F4", "F8"],
+)
+def test_packed_phi_matches_dense_reference(p, m, gamma_max):
+    fld = field_make(p, m)
+    rng = random.Random(1000 * p + m)
+    for _ in range(8):
+        g = genutil.random_minimal_code(rng, fld, n_max=3, gamma_max=gamma_max)
+        assert_matches_dense(build(controller_form(g)), 10)
+
+
+def test_packed_phi_non_delay_free(f2):
+    gz = pm(f2, [[[0, 1], [0, 1, 1]]])  # G(0) = 0: a weight-0 edge leaves state 0
+    sd = build(controller_form(gz, require_minimal=False))
+    assert any(e.weight == 0 for e in sd.edges_by_source[0])
+    assert_matches_dense(sd, 12)
+    # plant weight-0 and weight-2 edges 0 -> 0: only the weight-0 one is dropped
+    groups = list(sd.edges_by_source)
+    groups[0] = groups[0] + (
+        Edge(0, 0, (1,), (0, 0), 0),
+        Edge(0, 0, (1,), (1, 1), 2),
+    )
+    planted = dataclasses.replace(sd, edges_by_source=tuple(groups))
+    assert adjacency(planted).entry(0, 0) == WeightEnum({2: 1})
+    assert_matches_dense(planted, 12)
+
+
+def test_packed_phi_slots_beyond_64_bits():
+    f8 = field_make(2, 3)
+    # k=2 over F8: 64 edges leave every state, so Lambda^16 counts ~2^96 paths
+    g = pm(f8, [[[1], [0], [1]], [[0], [1, 1], [2, 1]]])
+    sd = build(controller_form(g))
+    phi = assert_matches_dense(sd, 16)
+    assert max(c for _, c in phi.coeff(16).terms()) > 1 << 64
