@@ -1,0 +1,62 @@
+"""Recorded CLI outputs on the bundled codes, compared byte for byte.
+
+`golden/cli.json` holds argv (paths relative to the repository root), exit
+code, stdout and stderr of every call in `calls()`.  A refactor must
+reproduce them exactly.  After a deliberate output change, re-record with
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import contextlib
+import io
+import itertools
+import json
+import os
+import pathlib
+
+from convcode.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden" / "cli.json"
+SMALL = ["block", "g1", "g2", "memory3", "mixed_rows"]
+PER_CODE = ["info", "ccf", "diagram", "adjacency", "spectrum", "distances",
+            "dual", "macwilliams", "recover"]
+
+
+def calls() -> list[list[str]]:
+    paths = [f"demos/codes/{name}.gm" for name in SMALL]
+    out = []
+    for path in paths:
+        for command in PER_CODE:
+            out += [[command, path], [command, path, "--json"]]
+        out += [["diagram", path, "--dot"],
+                ["oracle", path, "--trunc", "6"],
+                ["oracle", path, "--trunc", "6", "--json"]]
+    for a, b in itertools.product(paths, repeat=2):
+        out += [["equal", a, b], ["equal", a, b, "--json"], ["mono-equiv", a, b]]
+    out += [["lemma-a1", "2"], ["lemma-a1", "3", "--json"],
+            ["info", "demos/codes/f16.gm"], ["ccf", "demos/codes/f16.gm"]]
+    return out
+
+
+def run(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(list(argv))
+    return {"argv": argv, "rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def test_cli_outputs_match_recording(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    recorded = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert [r["argv"] for r in recorded] == calls()
+    for expected in recorded:
+        assert run(expected["argv"]) == expected
+
+
+if __name__ == "__main__":
+    os.chdir(ROOT)
+    GOLDEN.parent.mkdir(exist_ok=True)
+    records = [run(argv) for argv in calls()]
+    GOLDEN.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+    print(f"recorded {len(records)} calls to {GOLDEN.relative_to(ROOT)}")
