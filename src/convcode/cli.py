@@ -32,6 +32,22 @@ def _schema_id(name: str) -> str:
     return f"convcode.{name}/{SCHEMA_VERSION}"
 
 
+_SERIES = {
+    "type": "array",
+    "items": {
+        "type": "object",
+        "required": ["l", "terms"],
+        "properties": {
+            "l": {"type": "integer"},
+            "terms": {
+                "type": "object",
+                "patternProperties": {"^[0-9]+$": {"type": "integer"}},
+                "additionalProperties": False,
+            },
+        },
+    },
+}
+
 JSON_SCHEMAS = {
     "info": {
         "type": "object",
@@ -114,23 +130,7 @@ JSON_SCHEMAS = {
             "omega": {"$ref": "#/$defs/series"},
             "phi": {"$ref": "#/$defs/series"},
         },
-        "$defs": {
-            "series": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["l", "terms"],
-                    "properties": {
-                        "l": {"type": "integer"},
-                        "terms": {
-                            "type": "object",
-                            "patternProperties": {"^[0-9]+$": {"type": "integer"}},
-                            "additionalProperties": False,
-                        },
-                    },
-                },
-            }
-        },
+        "$defs": {"series": _SERIES},
     },
     "distances": {
         "type": "object",
@@ -172,19 +172,7 @@ JSON_SCHEMAS = {
             "molecular": {"$ref": "#/$defs/series"},
             "gap_bound_ok": {"type": "boolean"},
         },
-        "$defs": {
-            "series": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["l", "terms"],
-                    "properties": {
-                        "l": {"type": "integer"},
-                        "terms": {"type": "object"},
-                    },
-                },
-            }
-        },
+        "$defs": {"series": _SERIES},
     },
     "gm": {
         "type": "object",
@@ -380,17 +368,31 @@ def _trunc(args, info: polyalg.EncoderInfo) -> int:
     return spectrum.default_truncation(info.delta)
 
 
-def _series_pair(g: PolyMatrix, info: polyalg.EncoderInfo, trunc: int):
-    """(omega, phi) through the diagram, or the block-code degeneration."""
+def _lam(g: PolyMatrix) -> spectrum.AdjMatrix:
+    """Adjacency matrix of the state diagram of g's controller canonical form."""
+    return spectrum.adjacency(statediag.build(encoder.controller_form(g)))
+
+
+def _series_pair(args, what: str, basic_error: str):
+    """(g, info, trunc, omega, phi) for the file in args.
+
+    A register code needs a minimal matrix and goes through the diagram; a
+    block code (delta = 0) needs a basic one and takes the degeneration.
+    """
+    g = _load(args.file)
+    info = polyalg.encoder_info(g)
+    if info.delta > 0:
+        _require_minimal(info, what)
+    elif not info.is_basic:
+        raise ValueError(basic_error)
+    trunc = _trunc(args, info)
     if info.delta == 0:
         omega = spectrum.block_omega(g, trunc)
         phi = (spectrum.LSeries.one(trunc) - omega).inverse()
-        return omega, phi
-    cf = encoder.controller_form(g)
-    lam = spectrum.adjacency(statediag.build(cf))
-    phi = spectrum.phi_series(lam, trunc)
-    omega = spectrum.omega_series(phi)
-    return omega, phi
+    else:
+        phi = spectrum.phi_series(_lam(g), trunc)
+        omega = spectrum.omega_series(phi)
+    return g, info, trunc, omega, phi
 
 
 def _require_minimal(info: polyalg.EncoderInfo, what: str) -> None:
@@ -487,7 +489,7 @@ def _cmd_adjacency(args) -> int:
     g = _load(args.file)
     info = polyalg.encoder_info(g)
     _require_minimal(info, "the adjacency matrix")
-    lam = spectrum.adjacency(statediag.build(encoder.controller_form(g)))
+    lam = _lam(g)
     if args.json:
         _emit_json(_adjacency_json(lam))
     else:
@@ -496,14 +498,9 @@ def _cmd_adjacency(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    g = _load(args.file)
-    info = polyalg.encoder_info(g)
-    if info.delta > 0:
-        _require_minimal(info, "the weight distribution")
-    elif not info.is_basic:
-        raise ValueError("the weight distribution requires a basic matrix")
-    trunc = _trunc(args, info)
-    omega, phi = _series_pair(g, info, trunc)
+    _, _, trunc, omega, phi = _series_pair(
+        args, "the weight distribution", "the weight distribution requires a basic matrix"
+    )
     if args.json:
         _emit_json({
             "schema": _schema_id("series"),
@@ -518,14 +515,9 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_distances(args) -> int:
-    g = _load(args.file)
-    info = polyalg.encoder_info(g)
-    if info.delta > 0:
-        _require_minimal(info, "distance profiles")
-    elif not info.is_basic:
-        raise ValueError("distance profiles require a basic matrix")
-    trunc = _trunc(args, info)
-    omega, phi = _series_pair(g, info, trunc)
+    g, info, trunc, omega, phi = _series_pair(
+        args, "distance profiles", "distance profiles require a basic matrix"
+    )
     _, mhat = polyalg.right_inverse(g)
     fd = spectrum.free_distance(omega, atomic_gap=info.memory + mhat)
     row_d = spectrum.extended_row_distances(omega)
@@ -563,8 +555,7 @@ def _cmd_macwilliams(args) -> int:
     _require_minimal(info, "the duality transform")
     if info.delta != 1:
         raise ValueError("the closed-form transform needs constraint length 1")
-    lam = spectrum.adjacency(statediag.build(encoder.controller_form(g)))
-    dual_gamma = invariance.macwilliams_delta1(spectrum.extend(lam), g.n, g.k)
+    dual_gamma = invariance.macwilliams_delta1(spectrum.extend(_lam(g)), g.n, g.k)
     if args.json:
         _emit_json(_adjacency_json(dual_gamma))
     else:
@@ -584,9 +575,7 @@ def _cmd_equal(args) -> int:
         verdicts.append("codes differ")
         info_g, info_h = polyalg.encoder_info(g), polyalg.encoder_info(h)
         if info_g.is_minimal and info_h.is_minimal and info_g.delta == info_h.delta > 0:
-            lam_g = spectrum.adjacency(statediag.build(encoder.controller_form(g)))
-            lam_h = spectrum.adjacency(statediag.build(encoder.controller_form(h)))
-            witness = invariance.gen_adj_equal(lam_g, lam_h)
+            witness = invariance.gen_adj_equal(_lam(g), _lam(h))
             if witness is None:
                 verdicts.append("generalized adjacency matrices differ")
             else:
@@ -627,7 +616,7 @@ def _cmd_recover(args) -> int:
     g = _load(args.file)
     info = polyalg.encoder_info(g)
     _require_minimal(info, "invariant recovery")
-    lam = spectrum.adjacency(statediag.build(encoder.controller_form(g)))
+    lam = _lam(g)
     k = invariance.recover_dimension(lam)
     indices = invariance.recover_forney(lam)
     if args.json:
@@ -644,7 +633,7 @@ def _cmd_recover(args) -> int:
 def _cmd_oracle(args) -> int:
     g = _load(args.file)
     info = polyalg.encoder_info(g)
-    l_max = args.trunc if args.trunc is not None else spectrum.default_truncation(info.delta)
+    l_max = _trunc(args, info)
     result = oracle.survey(g, l_max, budget=args.budget)
 
     def table_json(table):
@@ -707,14 +696,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("file", help="generator matrix file (.gm)")
         if file2:
             sp.add_argument("file2", help="second generator matrix file (.gm)")
-        sp.add_argument("--trunc", type=int, default=None,
-                        help="series truncation order (default 4*delta + 8)")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
         sp.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET,
                         help="evaluation/search budget")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized operations (current commands "
-                             "are deterministic; accepted for interface stability)")
 
     handlers = {}
     for name, handler, help_text, file2 in (
@@ -733,6 +717,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=help_text)
         common(sp, file2=file2)
+        if name in ("spectrum", "distances", "oracle"):
+            sp.add_argument("--trunc", type=int, default=None,
+                            help="series truncation order (default 4*delta + 8)")
         if name == "diagram":
             sp.add_argument("--dot", action="store_true", help="emit Graphviz text")
             sp.add_argument("--force", action="store_true",
@@ -745,7 +732,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("lemma-a1", help="exhaustively verify the shift-rigidity lemma")
     sp.add_argument("gamma", type=int, help="register length (2 or 3)")
     sp.add_argument("--json", action="store_true")
-    sp.add_argument("--seed", type=int, default=0)
     handlers["lemma-a1"] = _cmd_lemma_a1
 
     parser.set_defaults(_handlers=handlers)

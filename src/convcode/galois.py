@@ -232,9 +232,6 @@ class FieldSpec:
             return pow(a, self.p - 2, self.p)
         return self._exp[(self.q - 1) - self._log[a]]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         self._check(a)
         if a == 0:

@@ -135,15 +135,11 @@ def apply_witness(a: AdjMatrix, pi: Sequence[int]) -> AdjMatrix:
 
 
 def _power_of(q: int, value: int) -> int:
-    orig = value
     e = 0
-    while value > 1:
-        value, r = divmod(value, q)
-        if r:
-            raise ValueError(f"count {orig} is not a power of q = {q}")
+    while q**e < value:
         e += 1
-    if value != 1:
-        raise ValueError(f"count {orig} is not a power of q = {q}")
+    if q**e != value:
+        raise ValueError(f"count {value} is not a power of q = {q}")
     return e
 
 
@@ -242,44 +238,12 @@ def weight_preserving_equiv_check(
     """Whether wt(u m1) == wt(u m2) for every u in F^k (exhaustive)."""
     if len(m1) != len(m2) or len(m1[0]) != len(m2[0]):
         raise ValueError("matrices must have the same shape")
-    k = len(m1)
-    for iu in range(fld.q**k):
-        u = []
-        r = iu
-        for _ in range(k):
-            r, d = divmod(r, fld.q)
-            u.append(d)
+    for u in itertools.product(range(fld.q), repeat=len(m1)):
         w1 = sum(1 for c in polyalg.vec_mat(fld, u, m1) if c)
         w2 = sum(1 for c in polyalg.vec_mat(fld, u, m2) if c)
         if w1 != w2:
             return False
     return True
-
-
-def constant_monomial_witness(
-    fld: FieldSpec,
-    m1: Sequence[Sequence[int]],
-    m2: Sequence[Sequence[int]],
-) -> Optional[MonomialWitness]:
-    """Column permutation/rescaling with m1 P R == m2 exactly, or None."""
-    n = len(m1[0])
-    cols1 = [tuple(row[j] for row in m1) for j in range(n)]
-    cols2 = [tuple(row[j] for row in m2) for j in range(n)]
-    for perm in itertools.permutations(range(n)):
-        scale = []
-        for j in range(n):
-            src = cols1[perm[j]]
-            dst = cols2[j]
-            choice = next(
-                (c for c in fld.units() if tuple(fld.mul(c, x) for x in src) == dst),
-                None,
-            )
-            if choice is None:
-                break
-            scale.append(choice)
-        else:
-            return perm, tuple(scale)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,12 @@ the adjacency matrix or the series machinery.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import polyalg
 from .encoder import controller_form
-from .errors import LimitError
+from .errors import InternalError, LimitError
 from .polyalg import PolyMatrix
 from .statediag import state_index
 
@@ -81,22 +82,20 @@ def survey(g: PolyMatrix, l_max: int, *, budget: int = DEFAULT_BUDGET) -> Oracle
     # register transition table on packed states; single state for gamma = 0
     if gamma > 0:
         cf = controller_form(g)
+        ubs = [polyalg.vec_mat(fld, u, cf.B) for u in itertools.product(range(q), repeat=k)]
         trans = []
-        for si in range(q**gamma):
-            xvec = tuple(_unpack(si, q, gamma))
+        for xvec in itertools.product(range(q), repeat=gamma):
             xa = polyalg.vec_mat(fld, xvec, cf.A)
-            row = []
-            for ui in range(q**k):
-                uvec = _unpack(ui, q, k)
-                ub = polyalg.vec_mat(fld, uvec, cf.B)
-                row.append(state_index(q, tuple(fld.add(a, b) for a, b in zip(xa, ub))))
-            trans.append(row)
+            trans.append([
+                state_index(q, tuple(fld.add(a, b) for a, b in zip(xa, ub))) for ub in ubs
+            ])
     else:
         trans = [[0] * (q**k)]
 
     words = []
     codeword_set = set()
-    for u_rows in _input_box(q, widths):
+    rows = [itertools.product(range(q), repeat=w) for w in widths]
+    for u_rows in itertools.product(*rows):
         if not any(r[0] if r else 0 for r in u_rows):
             continue  # codewords are normalized to start at time 0
         u = tuple(polyalg.poly(r) for r in u_rows)
@@ -135,7 +134,7 @@ def survey(g: PolyMatrix, l_max: int, *, budget: int = DEFAULT_BUDGET) -> Oracle
             if prefix in codeword_set:
                 split_times.append(t)
         if state_times != split_times:
-            raise RuntimeError(
+            raise InternalError(
                 "state and splitting classifications disagree on "
                 f"input {u_rows}: {state_times} vs {split_times}"
             )
@@ -156,30 +155,6 @@ def survey(g: PolyMatrix, l_max: int, *, budget: int = DEFAULT_BUDGET) -> Oracle
         gap_violation=gap_violation,
         words=len(words),
     )
-
-
-def _unpack(value: int, q: int, width: int) -> tuple[int, ...]:
-    out = [0] * width
-    for i in range(width - 1, -1, -1):
-        value, out[i] = divmod(value, q)
-    return tuple(out)
-
-
-def _input_box(q: int, widths: list[int]):
-    """All tuples of coefficient rows, row i of length widths[i]."""
-    def rec(i):
-        if i == len(widths):
-            yield []
-            return
-        for rest in rec(i + 1):
-            for packed in range(q ** widths[i]):
-                row = []
-                val = packed
-                for _ in range(widths[i]):
-                    val, d = divmod(val, q)
-                    row.append(d)
-                yield [row] + rest
-    yield from rec(0)
 
 
 def enumerate_atomic(g: PolyMatrix, l_max: int, *, budget: int = DEFAULT_BUDGET) -> Table:

@@ -130,13 +130,6 @@ def poly_gcd(fld: FieldSpec, a: Poly, b: Poly) -> Poly:
     return monic(fld, a)
 
 
-def poly_eval(fld: FieldSpec, a: Poly, x: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = fld.add(fld.mul(acc, x), c)
-    return acc
-
-
 def poly_str(a: Poly, var: str = "z") -> str:
     if not a:
         return "0"
@@ -290,22 +283,8 @@ def pm_identity(field: FieldSpec, k: int) -> PolyMatrix:
     ))
 
 
-def pm_zero(field: FieldSpec, k: int, n: int) -> PolyMatrix:
-    return PolyMatrix(field, tuple(tuple(ZERO for _ in range(n)) for _ in range(k)))
-
-
 def pm_is_zero(a: PolyMatrix) -> bool:
     return all(not e for row in a.rows for e in row)
-
-
-def pm_add(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    if a.field != b.field or (a.k, a.n) != (b.k, b.n):
-        raise ValueError("shape/field mismatch")
-    fld = a.field
-    return PolyMatrix(fld, tuple(
-        tuple(poly_add(fld, x, y) for x, y in zip(ra, rb))
-        for ra, rb in zip(a.rows, b.rows)
-    ))
 
 
 def pm_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:

@@ -23,11 +23,12 @@ active burst distances are read off Omega and Phi.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import LimitError
-from .polyalg import PolyMatrix, poly_eval
+from .polyalg import PolyMatrix, pm_eval0, vec_mat
 from .statediag import StateDiagram
 
 
@@ -426,22 +427,10 @@ def block_weight_enumerator(g: PolyMatrix) -> WeightEnum:
     fld = g.field
     if any(c for row in g.rows for e in row for c in e[1:]):
         raise ValueError("matrix is not constant")
-    const = [[poly_eval(fld, e, 0) for e in row] for row in g.rows]
+    const = pm_eval0(g)
     out: dict[int, int] = {}
-    k, n = g.k, g.n
-    for iu in range(1, fld.q**k):
-        u = []
-        r = iu
-        for _ in range(k):
-            r, d = divmod(r, fld.q)
-            u.append(d)
-        v = [0] * n
-        for ui, row in zip(u, const):
-            if ui:
-                for j, c in enumerate(row):
-                    if c:
-                        v[j] = fld.add(v[j], fld.mul(ui, c))
-        w = sum(1 for c in v if c)
+    for u in itertools.islice(itertools.product(range(fld.q), repeat=g.k), 1, None):
+        w = sum(1 for c in vec_mat(fld, u, const) if c)
         out[w] = out.get(w, 0) + 1
     return WeightEnum(out)
 

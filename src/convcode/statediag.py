@@ -8,6 +8,7 @@ the all-zero transition and has q^k - 1.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -64,15 +65,13 @@ def build(cf: ControllerForm, *, max_states: int = DEFAULT_STATE_CEILING) -> Sta
     s = q**cf.gamma
     if s > max_states:
         raise LimitError(f"state space of size {s} exceeds the ceiling {max_states}")
-    inputs = []
-    for iu in range(q**cf.k):
-        uvec = state_vector(q, cf.k, iu)
-        inputs.append(
-            (uvec, polyalg.vec_mat(fld, uvec, cf.B), polyalg.vec_mat(fld, uvec, cf.D))
-        )
+    # product() yields F_q^r in index order: its i-th vector is state_vector(q, r, i)
+    inputs = [
+        (uvec, polyalg.vec_mat(fld, uvec, cf.B), polyalg.vec_mat(fld, uvec, cf.D))
+        for uvec in itertools.product(range(q), repeat=cf.k)
+    ]
     groups = []
-    for i in range(s):
-        xvec = state_vector(q, cf.gamma, i)
+    for i, xvec in enumerate(itertools.product(range(q), repeat=cf.gamma)):
         xa = polyalg.vec_mat(fld, xvec, cf.A)
         xc = polyalg.vec_mat(fld, xvec, cf.C)
         group = []

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import time
@@ -5,6 +6,7 @@ import time
 import jsonschema
 import pytest
 
+from convcode import encoder, oracle, polyalg
 from convcode.cli import JSON_SCHEMAS, format_gm, main, parse_gm
 from convcode.errors import ParseError
 
@@ -260,18 +262,41 @@ def test_field_line_bounds_refuse_fast(capsys, tmp_path, field_line):
     assert "int string" not in err
 
 
-@pytest.mark.parametrize(
-    "command, target, planted",
-    [
-        ("info", "mat_rank", lambda fld, m: -1),  # row-reducedness cross-check
-        ("dual", "pm_is_zero", lambda m: False),  # G * H^T = 0 certificate
-    ],
-    ids=["encoder-info", "dual-basis"],
-)
-def test_failed_certificate_exits_4(capsys, monkeypatch, command, target, planted):
-    from convcode import polyalg
+def _zero_input_register(g):
+    # input never reaches the state, so the oracle's state criterion
+    # disagrees with its splitting search
+    cf = encoder.controller_form(g)
+    return dataclasses.replace(cf, B=tuple(tuple(0 for _ in row) for row in cf.B))
 
-    monkeypatch.setattr(polyalg, target, planted)
-    rc, out, err = run(capsys, command, G1)
+
+@pytest.mark.parametrize(
+    "argv, owner, target, planted",
+    [
+        (["info", G1], polyalg, "mat_rank", lambda fld, m: -1),  # row-reducedness cross-check
+        (["dual", G1], polyalg, "pm_is_zero", lambda m: False),  # G * H^T = 0 certificate
+        (["oracle", MEMORY3, "--trunc", "5"], oracle, "controller_form", _zero_input_register),
+    ],
+    ids=["encoder-info", "dual-basis", "oracle"],
+)
+def test_failed_certificate_exits_4(capsys, monkeypatch, argv, owner, target, planted):
+    monkeypatch.setattr(owner, target, planted)
+    rc, out, err = run(capsys, *argv)
     assert rc == 4 and out == ""
     assert err.startswith("internal error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info", MEMORY3, "--seed", "0"],
+        ["spectrum", MEMORY3, "--seed", "0"],
+        ["lemma-a1", "2", "--seed", "0"],
+        ["info", MEMORY3, "--trunc", "5"],
+        ["equal", G1, G2, "--trunc", "5"],
+    ],
+    ids=["seed-info", "seed-spectrum", "seed-lemma-a1", "trunc-info", "trunc-equal"],
+)
+def test_removed_options_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

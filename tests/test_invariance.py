@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from convcode import (
     weight_preserving_equiv_check,
 )
 from convcode.errors import InternalError, LimitError
-from convcode.invariance import apply_monomial, apply_witness, constant_monomial_witness
+from convcode.invariance import apply_monomial, apply_witness
 from convcode.polyalg import pm_mul
 from convcode.spectrum import AdjMatrix, WeightEnum
 
@@ -173,6 +174,28 @@ def test_weight_preserving_check(f2, f3):
     m3 = ((1, 2, 0), (0, 1, 2))
     scaled = tuple(tuple(f3.mul(2, row[j]) if j == 0 else row[j] for j in range(3)) for row in m3)
     assert weight_preserving_equiv_check(f3, m3, scaled)
+
+
+def constant_monomial_witness(fld, m1, m2):
+    """Column permutation/rescaling with m1 P R == m2 exactly, or None."""
+    n = len(m1[0])
+    cols1 = [tuple(row[j] for row in m1) for j in range(n)]
+    cols2 = [tuple(row[j] for row in m2) for j in range(n)]
+    for perm in itertools.permutations(range(n)):
+        scale = []
+        for j in range(n):
+            src = cols1[perm[j]]
+            dst = cols2[j]
+            choice = next(
+                (c for c in fld.units() if tuple(fld.mul(c, x) for x in src) == dst),
+                None,
+            )
+            if choice is None:
+                break
+            scale.append(choice)
+        else:
+            return perm, tuple(scale)
+    return None
 
 
 def test_weight_preserving_implies_monomial_witness(f2, f3, g_mixed):
