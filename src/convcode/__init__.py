@@ -33,7 +33,6 @@ from .invariance import (
     verify_shift_permutation_lemma,
     weight_preserving_equiv_check,
 )
-from .oracle import enumerate_atomic, enumerate_molecular, gap_bound_check
 from .polyalg import (
     EncoderInfo,
     PolyMatrix,
@@ -100,14 +99,11 @@ __all__ = [
     "delay_free_check",
     "dual_basis",
     "encoder_info",
-    "enumerate_atomic",
-    "enumerate_molecular",
     "export_dot",
     "extend",
     "extended_row_distances",
     "field_make",
     "free_distance",
-    "gap_bound_check",
     "gen_adj_equal",
     "hermite_form",
     "k_minors",

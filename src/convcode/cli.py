@@ -373,19 +373,22 @@ def _lam(g: PolyMatrix) -> spectrum.AdjMatrix:
     return spectrum.adjacency(statediag.build(encoder.controller_form(g)))
 
 
-def _series_pair(args, what: str, basic_error: str):
+def _series_pair(args, needs: str):
     """(g, info, trunc, omega, phi) for the file in args.
 
     A register code needs a minimal matrix and goes through the diagram; a
     block code (delta = 0) needs a basic one and takes the degeneration.
+    `needs` opens the refusals, e.g. "distance profiles require".
     """
     g = _load(args.file)
     info = polyalg.encoder_info(g)
-    if info.delta > 0:
-        _require_minimal(info, what)
-    elif not info.is_basic:
-        raise ValueError(basic_error)
+    if info.delta > 0 and not info.is_minimal:
+        raise ValueError(f"{needs} a minimal generator matrix")
+    if info.delta == 0 and not info.is_basic:
+        raise ValueError(f"{needs} a basic matrix")
     trunc = _trunc(args, info)
+    if trunc < 1:
+        raise ValueError("truncation must be >= 1")
     if info.delta == 0:
         omega = spectrum.block_omega(g, trunc)
         phi = (spectrum.LSeries.one(trunc) - omega).inverse()
@@ -498,9 +501,7 @@ def _cmd_adjacency(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    _, _, trunc, omega, phi = _series_pair(
-        args, "the weight distribution", "the weight distribution requires a basic matrix"
-    )
+    _, _, trunc, omega, phi = _series_pair(args, "the weight distribution requires")
     if args.json:
         _emit_json({
             "schema": _schema_id("series"),
@@ -515,9 +516,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_distances(args) -> int:
-    g, info, trunc, omega, phi = _series_pair(
-        args, "distance profiles", "distance profiles require a basic matrix"
-    )
+    g, info, trunc, omega, phi = _series_pair(args, "distance profiles require")
     _, mhat = polyalg.right_inverse(g)
     fd = spectrum.free_distance(omega, atomic_gap=info.memory + mhat)
     row_d = spectrum.extended_row_distances(omega)

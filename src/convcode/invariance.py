@@ -33,23 +33,35 @@ MonomialWitness = tuple  # (column permutation, column scalars)
 
 
 def _refined_colors(a: AdjMatrix, b: AdjMatrix):
-    """Stable joint color refinement; None when histograms separate."""
+    """Stable joint color refinement; None when histograms separate.
+
+    A signature lists a state's nonzero out- and in-cells only.  A round
+    runs only when both matrices share one color histogram, which fixes
+    the colors of a row's zero cells from its nonzero ones, so the sparse
+    signatures split the states exactly as the dense rows would.
+    """
     s = a.size
-
-    def signature(e, i: int, colors) -> tuple:
-        out = tuple(sorted((e[i][j].terms(), colors[j]) for j in range(s)))
-        inn = tuple(sorted((e[j][i].terms(), colors[j]) for j in range(s)))
-        return (colors[i], out, inn)
-
+    cells = []
+    for m in (a, b):
+        out = [[(j, e.terms()) for j, e in row] for row in m.rows]
+        inn = [[] for _ in range(s)]
+        for i, row in enumerate(out):
+            for j, t in row:
+                inn[j].append((i, t))
+        cells.append((out, inn))
     col_a = [0 if i else -1 for i in range(s)]  # state 0 is pinned
     col_b = list(col_a)
     while True:
         sig_ids: dict[tuple, int] = {}
         new_a = []
         new_b = []
-        for e, colors, target in ((a.entries, col_a, new_a), (b.entries, col_b, new_b)):
+        for (out, inn), colors, target in zip(cells, (col_a, col_b), (new_a, new_b)):
             for i in range(s):
-                sig = signature(e, i, colors)
+                sig = (
+                    colors[i],
+                    tuple(sorted((t, colors[j]) for j, t in out[i])),
+                    tuple(sorted((t, colors[j]) for j, t in inn[i])),
+                )
                 target.append(sig_ids.setdefault(sig, len(sig_ids)))
         if sorted(new_a) != sorted(new_b):
             return None
@@ -85,14 +97,15 @@ def gen_adj_equal(
         return None
     mapping = [-1] * s
     used = [False] * s
-    ea, eb = a.entries, b.entries
+    ta = [{j: e.terms() for j, e in row} for row in a.rows]
+    tb = [{j: e.terms() for j, e in row} for row in b.rows]
 
     def feasible(i: int, j: int) -> bool:
         for i2 in range(i + 1):
             j2 = j if i2 == i else mapping[i2]
-            if ea[i][i2].terms() != eb[j][j2].terms():
+            if ta[i].get(i2, ()) != tb[j].get(j2, ()):
                 return False
-            if ea[i2][i].terms() != eb[j2][j].terms():
+            if ta[i2].get(i, ()) != tb[j2].get(j, ()):
                 return False
         return True
 
@@ -112,8 +125,10 @@ def gen_adj_equal(
     if not search(0):
         return None
     pi = tuple(mapping)
+    rb = [dict(row) for row in b.rows]
     if pi[0] != 0 or any(
-        ea[i][j] != eb[pi[i]][pi[j]] for i in range(s) for j in range(s)
+        len(row) != len(rb[pi[i]]) or any(e != rb[pi[i]].get(pi[j]) for j, e in row)
+        for i, row in enumerate(a.rows)
     ):
         raise InternalError("conjugation witness failed re-verification")
     return pi
@@ -121,11 +136,9 @@ def gen_adj_equal(
 
 def apply_witness(a: AdjMatrix, pi: Sequence[int]) -> AdjMatrix:
     """Conjugate by the permutation: entry (i, j) moves to (pi[i], pi[j])."""
-    s = a.size
-    rows = [[WeightEnum.zero()] * s for _ in range(s)]
-    for i in range(s):
-        for j in range(s):
-            rows[pi[i]][pi[j]] = a.entries[i][j]
+    rows = [()] * a.size
+    for i, row in enumerate(a.rows):
+        rows[pi[i]] = sorted((pi[j], e) for j, e in row)
     return AdjMatrix(rows, q=a.q, n=a.n, extended=a.extended)
 
 
@@ -268,7 +281,8 @@ def macwilliams_delta1(gam: AdjMatrix, n: int, k: int) -> AdjMatrix:
         raise ValueError("the transform applies to two-state diagrams only")
     if not gam.extended:
         raise ValueError("pass the extended matrix (zero self-loop included)")
-    e = gam.entries
+    zero = WeightEnum.zero()
+    e = [[dict(row).get(j, zero) for j in (0, 1)] for row in gam.rows]
     srows = ((e[0][0] + e[1][0], e[0][1] + e[1][1]),
              (e[0][0] - e[1][0], e[0][1] - e[1][1]))
     m = ((srows[0][0] + srows[0][1], srows[0][0] - srows[0][1]),
@@ -289,7 +303,7 @@ def macwilliams_delta1(gam: AdjMatrix, n: int, k: int) -> AdjMatrix:
     out_rows = []
     for row in mt:
         out_row = []
-        for entry in row:
+        for j, entry in enumerate(row):
             acc = [0] * (n + 1)
             for alpha, cnt in entry.terms():
                 if alpha > n:
@@ -305,7 +319,8 @@ def macwilliams_delta1(gam: AdjMatrix, n: int, k: int) -> AdjMatrix:
                     raise ValueError("transform yields a negative count: invalid input")
                 if c:
                     terms[i] = c
-            out_row.append(WeightEnum(terms))
+            if terms:
+                out_row.append((j, WeightEnum(terms)))
         out_rows.append(out_row)
     return AdjMatrix(out_rows, q=2, n=n, extended=True)
 

@@ -70,7 +70,7 @@ def survey(g: PolyMatrix, l_max: int, *, budget: int = DEFAULT_BUDGET) -> Oracle
     degs = info.row_degrees
     gamma = sum(degs)
     ghat, mhat = polyalg.right_inverse(g)
-    gap_bound = info.memory + mhat - 1
+    gap_bound = max(info.memory + mhat - 1, 0)  # a block code's words are single-step
 
     widths = [max(l_max - d, 0) for d in degs]  # coefficients per input row
     total = 1
@@ -155,18 +155,3 @@ def survey(g: PolyMatrix, l_max: int, *, budget: int = DEFAULT_BUDGET) -> Oracle
         gap_violation=gap_violation,
         words=len(words),
     )
-
-
-def enumerate_atomic(g: PolyMatrix, l_max: int, *, budget: int = DEFAULT_BUDGET) -> Table:
-    """{(length, weight): count} over atomic codewords, by exhaustion."""
-    return survey(g, l_max, budget=budget).atomic
-
-
-def enumerate_molecular(g: PolyMatrix, l_max: int, *, budget: int = DEFAULT_BUDGET) -> Table:
-    """{(length, weight): count} over molecular codewords, by exhaustion."""
-    return survey(g, l_max, budget=budget).molecular
-
-
-def gap_bound_check(g: PolyMatrix, l_max: int, *, budget: int = DEFAULT_BUDGET) -> bool:
-    """Every atomic word found respects the zero-run bound m + mhat - 1."""
-    return survey(g, l_max, budget=budget).gap_bound_ok

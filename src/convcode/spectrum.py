@@ -5,8 +5,8 @@ precision integer coefficients.  The adjacency matrix Lambda of a state
 diagram counts edges by (source, destination, output weight), the zero
 self-transition at the zero state excluded.  It is stored sparse: per
 source state, the (destination, WeightEnum) pairs of its nonzero cells,
-built in one pass over the edges.  A dense s x s view is materialized
-only on demand (display, JSON, the invariance layer).
+built in one pass over the edges, and every consumer reads those rows.
+A dense s x s view is expanded only for display and JSON.
 
 Powers of Lambda count paths; the generating series
 
@@ -130,28 +130,18 @@ class AdjMatrix:
     """Square matrix of weight enumerators indexed by state, stored sparse.
 
     `rows[i]` lists the nonzero entries of row i as (destination,
-    WeightEnum) pairs in increasing destination order.  The dense view
-    `entries` is built on first access and shares one zero enumerator
-    between all empty cells.
+    WeightEnum) pairs in increasing destination order; the constructor
+    takes them in that form, and they are the only stored form.  `entries`
+    expands a dense view on every access, for rendering only.
     """
 
-    __slots__ = ("rows", "q", "n", "extended", "_entries")
+    __slots__ = ("rows", "q", "n", "extended")
 
-    def __init__(self, entries, q: int, n: int, extended: bool = False):
-        self.rows = tuple(
-            tuple((j, e) for j, e in enumerate(row) if e) for row in entries
-        )
+    def __init__(self, rows, q: int, n: int, extended: bool = False):
+        self.rows = tuple(map(tuple, rows))
         self.q = q
         self.n = n
         self.extended = extended
-        self._entries = None
-
-    @classmethod
-    def from_rows(cls, rows, q: int, n: int, extended: bool = False) -> "AdjMatrix":
-        """Wrap sparse rows already in canonical form (sorted, no zeros)."""
-        out = cls((), q, n, extended)
-        out.rows = tuple(rows)
-        return out
 
     @property
     def size(self) -> int:
@@ -159,22 +149,15 @@ class AdjMatrix:
 
     @property
     def entries(self) -> tuple[tuple[WeightEnum, ...], ...]:
-        if self._entries is None:
-            zero = WeightEnum.zero()
-            dense = []
-            for sparse in self.rows:
-                row = [zero] * len(self.rows)
-                for j, e in sparse:
-                    row[j] = e
-                dense.append(tuple(row))
-            self._entries = tuple(dense)
-        return self._entries
-
-    def entry(self, i: int, j: int) -> WeightEnum:
-        return self.entries[i][j]
-
-    def row(self, i: int) -> tuple[WeightEnum, ...]:
-        return self.entries[i]
+        """Dense s x s view with one shared zero, rebuilt on every access."""
+        zero = WeightEnum.zero()
+        dense = []
+        for sparse in self.rows:
+            row = [zero] * len(self.rows)
+            for j, e in sparse:
+                row[j] = e
+            dense.append(tuple(row))
+        return tuple(dense)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -199,7 +182,7 @@ def adjacency(sd: StateDiagram) -> AdjMatrix:
             cell[e.weight] = cell.get(e.weight, 0) + 1
         rows.append(cells)
     rows[0].get(0, {}).pop(0, None)  # the zero self-transition is never counted
-    return AdjMatrix.from_rows(
+    return AdjMatrix(
         (
             tuple((j, WeightEnum(c)) for j, c in sorted(cells.items()) if c)
             for cells in rows
@@ -216,7 +199,7 @@ def extend(lam: AdjMatrix) -> AdjMatrix:
     first = dict(lam.rows[0])
     first[0] = first.get(0, WeightEnum.zero()) + WeightEnum.one()
     rows = (tuple(sorted(first.items())),) + lam.rows[1:]
-    return AdjMatrix.from_rows(rows, q=lam.q, n=lam.n, extended=True)
+    return AdjMatrix(rows, q=lam.q, n=lam.n, extended=True)
 
 
 def row_iterate(row: Sequence[WeightEnum], lam: AdjMatrix) -> tuple[WeightEnum, ...]:

@@ -13,6 +13,7 @@ from convcode.polyalg import (
     poly_mul,
     shift,
 )
+from convcode.spectrum import AdjMatrix
 
 
 def random_poly(rng: random.Random, fld, max_deg: int):
@@ -118,3 +119,9 @@ def elementary_ops(rng: random.Random, g: PolyMatrix, count: int):
     assert pm_mul(u, g) == transformed
     assert encoder_info(transformed).is_minimal
     return transformed, u
+
+
+def adj_from_dense(cells, q: int, n: int, extended: bool = False) -> AdjMatrix:
+    """AdjMatrix from a dense grid of WeightEnums; zero cells are dropped."""
+    rows = [[(j, e) for j, e in enumerate(row) if e] for row in cells]
+    return AdjMatrix(rows, q=q, n=n, extended=extended)

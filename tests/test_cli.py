@@ -300,3 +300,26 @@ def test_removed_options_are_refused(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", BLOCK, "--trunc", "0"],
+        ["spectrum", BLOCK, "--trunc", "-3"],
+        ["distances", BLOCK, "--trunc", "0"],
+    ],
+    ids=["spectrum-zero", "spectrum-negative", "distances-zero"],
+)
+def test_block_code_truncation_is_checked(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert "truncation must be >= 1" in err
+
+
+def test_distances_refuses_nonminimal(capsys, tmp_path):
+    path = tmp_path / "nonminimal.gm"
+    path.write_text("field p=2 m=1\nk=1 n=2\n1 1 ; 1 1\n")
+    rc, _, err = run(capsys, "distances", str(path))
+    assert rc == 2
+    assert "distance profiles require a minimal generator matrix" in err

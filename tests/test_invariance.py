@@ -19,9 +19,10 @@ from convcode import (
     weight_preserving_equiv_check,
 )
 from convcode.errors import InternalError, LimitError
-from convcode.invariance import apply_monomial, apply_witness
+from convcode.galois import field_make
+from convcode.invariance import _refined_colors, apply_monomial, apply_witness
 from convcode.polyalg import pm_mul
-from convcode.spectrum import AdjMatrix, WeightEnum
+from convcode.spectrum import WeightEnum
 
 import genutil
 
@@ -53,6 +54,111 @@ def test_witness_reverification_is_not_an_assert(g213, monkeypatch):
     monkeypatch.setattr(WeightEnum, "__eq__", lambda self, other: False)
     with pytest.raises(InternalError, match="re-verification"):
         gen_adj_equal(lam, lam)
+
+
+# ---------------------------------------------------------------------------
+# dense reference: refinement and search over all s^2 cells; the sparse
+# implementation must return the same colors and the same witness
+# ---------------------------------------------------------------------------
+
+
+def dense_refined_colors(a, b):
+    s = a.size
+
+    def signature(e, i, colors):
+        out = tuple(sorted((e[i][j].terms(), colors[j]) for j in range(s)))
+        inn = tuple(sorted((e[j][i].terms(), colors[j]) for j in range(s)))
+        return (colors[i], out, inn)
+
+    ea, eb = a.entries, b.entries
+    col_a = [0 if i else -1 for i in range(s)]
+    col_b = list(col_a)
+    while True:
+        sig_ids = {}
+        new_a = []
+        new_b = []
+        for e, colors, target in ((ea, col_a, new_a), (eb, col_b, new_b)):
+            for i in range(s):
+                sig = signature(e, i, colors)
+                target.append(sig_ids.setdefault(sig, len(sig_ids)))
+        if sorted(new_a) != sorted(new_b):
+            return None
+        if new_a == col_a and new_b == col_b:
+            return col_a, col_b
+        col_a, col_b = new_a, new_b
+
+
+def dense_gen_adj_equal(a, b):
+    s = a.size
+    refined = dense_refined_colors(a, b)
+    if refined is None:
+        return None
+    col_a, col_b = refined
+    candidates = [[j for j in range(s) if col_b[j] == col_a[i]] for i in range(s)]
+    if any(not c for c in candidates):
+        return None
+    mapping = [-1] * s
+    used = [False] * s
+    ea, eb = a.entries, b.entries
+
+    def feasible(i, j):
+        for i2 in range(i + 1):
+            j2 = j if i2 == i else mapping[i2]
+            if ea[i][i2].terms() != eb[j][j2].terms():
+                return False
+            if ea[i2][i].terms() != eb[j2][j].terms():
+                return False
+        return True
+
+    def search(i):
+        if i == s:
+            return True
+        for j in candidates[i]:
+            if not used[j] and feasible(i, j):
+                mapping[i] = j
+                used[j] = True
+                if search(i + 1):
+                    return True
+                mapping[i] = -1
+                used[j] = False
+        return False
+
+    if not search(0):
+        return None
+    pi = tuple(mapping)
+    assert all(ea[i][j] == eb[pi[i]][pi[j]] for i in range(s) for j in range(s))
+    return pi
+
+
+def reference_pairs():
+    """Seeded (a, b) pairs: conjugate, identical and different-code."""
+    rng = random.Random(2024)
+    pairs = []
+    for fld in (field_make(2), field_make(3), field_make(2, 2)):
+        pool = {}
+        for _ in range(24):
+            g = genutil.random_minimal_code(rng, fld, n_max=3, k_max=2, gamma_max=3)
+            lam = lam_of(g)
+            pool.setdefault((lam.size, lam.n), []).append(lam)
+            h, _ = genutil.elementary_ops(rng, g, 4)
+            perm = [0] + rng.sample(range(1, lam.size), lam.size - 1)
+            pairs += [(lam, lam), (lam, lam_of(h)), (lam, apply_witness(lam, perm))]
+        for group in pool.values():
+            pairs += [(a, b) for a in group for b in group if a is not b][:20]
+    return pairs
+
+
+def test_sparse_search_matches_dense_reference():
+    pairs = reference_pairs()
+    kinds = {"found": 0, "none": 0, "k2": 0}
+    for a, b in pairs:
+        assert _refined_colors(a, b) == dense_refined_colors(a, b)
+        wit = gen_adj_equal(a, b)
+        assert wit == dense_gen_adj_equal(a, b)
+        kinds["found" if wit is not None else "none"] += 1
+        kinds["k2"] += recover_dimension(a) == 2
+    assert len(pairs) >= 200
+    assert min(kinds.values()) >= 20, kinds
 
 
 def test_shifted_pair_not_conjugate(g1, g2):
@@ -120,7 +226,7 @@ def test_recover_dimension(g1, g_mixed, g213):
     assert recover_dimension(lam_of(g1)) == 1
     assert recover_dimension(lam_of(g_mixed)) == 2
     assert recover_dimension(lam_of(g213)) == 1
-    corrupt = AdjMatrix(
+    corrupt = genutil.adj_from_dense(
         [[WeightEnum.zero(), WeightEnum({2: 2})],
          [WeightEnum({2: 1}), WeightEnum({2: 1})]],
         q=2, n=3,
@@ -256,14 +362,14 @@ def test_macwilliams_guards(g213, g1, f3):
         macwilliams_delta1(extend(lam_of(g213)), 2, 1)  # 8 states
     with pytest.raises(ValueError):
         macwilliams_delta1(lam_of(g1), 3, 1)  # not extended
-    fake = AdjMatrix(
+    fake = genutil.adj_from_dense(
         [[WeightEnum.one(), WeightEnum({1: 1})],
          [WeightEnum({1: 1}), WeightEnum({1: 1})]],
         q=3, n=2, extended=True,
     )
     with pytest.raises(ValueError):
         macwilliams_delta1(fake, 2, 1)  # non-binary
-    corrupt = AdjMatrix(
+    corrupt = genutil.adj_from_dense(
         [[WeightEnum({0: 1, 1: 1}), WeightEnum({2: 1})],
          [WeightEnum({2: 1}), WeightEnum({2: 1})]],
         q=2, n=3, extended=True,

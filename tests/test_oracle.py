@@ -1,4 +1,5 @@
 import dataclasses
+import pathlib
 import random
 
 import pytest
@@ -8,13 +9,11 @@ from convcode import (
     adjacency,
     build,
     controller_form,
-    enumerate_atomic,
-    enumerate_molecular,
-    gap_bound_check,
     omega_series,
     phi_series,
     pm,
 )
+from convcode.cli import parse_gm
 from convcode.errors import LimitError
 from convcode.oracle import _max_zero_run, survey
 
@@ -36,7 +35,7 @@ def spectrum_tables(g, l_max):
 
 
 def test_atomic_matches_displayed_distribution(g213):
-    table = enumerate_atomic(g213, 11)
+    table = survey(g213, 11).atomic
     low = {lw: c for lw, c in table.items() if lw[1] <= 9}
     assert low == {
         (5, 6): 1,
@@ -48,8 +47,9 @@ def test_atomic_matches_displayed_distribution(g213):
 
 def test_single_row_code_tables(g1):
     # single atomic word per length; molecular counts grow like Fibonacci
-    assert enumerate_atomic(g1, 6) == {(l, 2 * l): 1 for l in range(2, 7)}
-    assert enumerate_molecular(g1, 6) == {
+    res = survey(g1, 6)
+    assert res.atomic == {(l, 2 * l): 1 for l in range(2, 7)}
+    assert res.molecular == {
         (2, 4): 1, (3, 6): 1, (4, 8): 2, (5, 10): 3, (6, 12): 5,
     }
 
@@ -80,10 +80,18 @@ def test_tables_equal_series_random(f2, f3):
 
 
 def test_gap_bound(g213, g1):
-    assert gap_bound_check(g213, 11)
-    assert gap_bound_check(g1, 6)
+    assert survey(g213, 11).gap_bound_ok
     res = survey(g1, 6)
+    assert res.gap_bound_ok
     assert res.gap_violation is None
+
+
+def test_gap_bound_block_code():
+    # delta = 0: every word is single-step, so no zero run can occur
+    path = pathlib.Path(__file__).resolve().parent.parent / "demos" / "codes" / "block.gm"
+    res = survey(parse_gm(path.read_text()), 3)
+    assert res.gap_bound == 0
+    assert res.gap_bound_ok
 
 
 def test_max_zero_run_scanner():

@@ -22,7 +22,19 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
-def test_benchmark_tracer_patches_and_restores():
+def test_dense_adjacency_view_is_read_only_for_rendering():
+    # Lambda is stored as sparse rows; only display and JSON expand it
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name not in ("spectrum.py", "cli.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "entries"
+    ]
+    assert found == []
+
+
+def test_benchmark_tracer_patches_and_restores(capsys, tmp_path):
     # `perfbench/run.py --trace 1` wraps module attributes by name, so a
     # renamed function must fail here rather than crash a traced run
     spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
@@ -33,6 +45,15 @@ def test_benchmark_tracer_patches_and_restores():
         tracer.install()
         patched = list(tracer._saved)
         assert patched and all(getattr(o, a) is not orig for o, a, orig in patched)
+        # the stats hooks read the results, so they must run here too
+        memory3 = ROOT / "demos" / "codes" / "memory3.gm"
+        swapped = tmp_path / "swapped.gm"  # columns swapped: conjugate Lambda
+        swapped.write_text("field p=2 m=1\nk=1 n=2\n1 0 1 1 ; 1 1 1 1\n")
+        assert convcode.cli.main(["adjacency", str(memory3)]) == 0
+        assert convcode.cli.main(["equal", str(memory3), str(swapped)]) == 1
+        assert "coincide" in capsys.readouterr().out
+        assert tracer.counts["spectrum.adjacency.nonzero_cells"] > 0
+        assert tracer.counts["invariance.gen_adj_equal.calls"] == 1
     finally:
         tracer.uninstall()
     assert all(getattr(o, a) is orig for o, a, orig in patched)

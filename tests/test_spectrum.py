@@ -4,7 +4,6 @@ import random
 import pytest
 
 from convcode import (
-    AdjMatrix,
     LSeries,
     WeightEnum,
     active_burst_distances,
@@ -44,7 +43,7 @@ def dense_adjacency(sd):
         cell = cells[e.src][e.dst]
         cell[e.weight] = cell.get(e.weight, 0) + 1
     cells[0][0].pop(0, None)  # the zero self-transition is never counted
-    return AdjMatrix(
+    return genutil.adj_from_dense(
         [[WeightEnum(c) for c in row] for row in cells], q=sd.field.q, n=sd.n
     )
 
@@ -52,10 +51,11 @@ def dense_adjacency(sd):
 def dense_row_iterate(row, lam):
     s = lam.size
     acc = [WeightEnum.zero()] * s
+    dense = lam.entries  # rebuilt on every access
     for i, e in enumerate(row):
         if not e:
             continue
-        lrow = lam.entries[i]
+        lrow = dense[i]
         for j in range(s):
             if lrow[j]:
                 acc[j] = acc[j] + e * lrow[j]
@@ -86,19 +86,20 @@ def adj_power(lam, l):
 def mat_mul(a, b):
     s = a.size
     zero = WeightEnum.zero()
+    ea, eb = a.entries, b.entries  # rebuilt on every access
     rows = []
     for i in range(s):
         acc = [zero] * s
         for t in range(s):
-            e = a.entries[i][t]
+            e = ea[i][t]
             if not e:
                 continue
-            brow = b.entries[t]
+            brow = eb[t]
             for j in range(s):
                 if brow[j]:
                     acc[j] = acc[j] + e * brow[j]
         rows.append(acc)
-    return AdjMatrix(rows, q=a.q, n=a.n, extended=a.extended)
+    return genutil.adj_from_dense(rows, q=a.q, n=a.n, extended=a.extended)
 
 
 def assert_matches_dense(sd, trunc):
@@ -107,13 +108,13 @@ def assert_matches_dense(sd, trunc):
     ref = dense_adjacency(sd)
     assert lam == ref
     assert lam.entries == ref.entries
-    assert AdjMatrix(lam.entries, q=lam.q, n=lam.n) == lam
+    assert genutil.adj_from_dense(lam.entries, q=lam.q, n=lam.n) == lam
     phi = phi_series(lam, trunc)
     assert phi == dense_phi_series(ref, trunc)
     assert phi == phi_series(ref, trunc)
     gam, gam_ref = extend(lam), extend(ref)
     assert gam == gam_ref and gam.entries == gam_ref.entries
-    row = gam.row(0)
+    row = gam.entries[0]
     for _ in range(3):
         nxt = row_iterate(row, gam)
         assert nxt == dense_row_iterate(row, gam_ref)
@@ -201,9 +202,9 @@ def test_adj_power(g1):
     lam = lam_of(g1)
     assert adj_power(lam, 1) == lam
     sq = adj_power(lam, 2)
-    assert dict(sq.entry(0, 0).terms()) == {4: 1}
+    assert dict(sq.entries[0][0].terms()) == {4: 1}
     gam_sq = adj_power(extend(lam), 2)
-    assert sum(1 for e in gam_sq.row(0) if e) == 2
+    assert sum(1 for e in gam_sq.entries[0] if e) == 2
     with pytest.raises(ValueError):
         adj_power(lam, 0)
 
@@ -333,7 +334,7 @@ def test_packed_phi_non_delay_free(f2):
         Edge(0, 0, (1,), (1, 1), 2),
     )
     planted = dataclasses.replace(sd, edges_by_source=tuple(groups))
-    assert adjacency(planted).entry(0, 0) == WeightEnum({2: 1})
+    assert adjacency(planted).entries[0][0] == WeightEnum({2: 1})
     assert_matches_dense(planted, 12)
 
 
