@@ -376,26 +376,21 @@ def _lam(g: PolyMatrix) -> spectrum.AdjMatrix:
 def _series_pair(args, needs: str):
     """(g, info, trunc, omega, phi) for the file in args.
 
-    A register code needs a minimal matrix and goes through the diagram; a
-    block code (delta = 0) needs a basic one and takes the degeneration.
-    `needs` opens the refusals, e.g. "distance profiles require".
+    Every code, a block code (delta = 0, one state) included, needs a
+    minimal matrix and goes through the state diagram.  `needs` opens the
+    refusals, e.g. "distance profiles require".
     """
     g = _load(args.file)
     info = polyalg.encoder_info(g)
-    if info.delta > 0 and not info.is_minimal:
-        raise ValueError(f"{needs} a minimal generator matrix")
     if info.delta == 0 and not info.is_basic:
         raise ValueError(f"{needs} a basic matrix")
+    if not info.is_minimal:
+        raise ValueError(f"{needs} a minimal generator matrix")
     trunc = _trunc(args, info)
     if trunc < 1:
         raise ValueError("truncation must be >= 1")
-    if info.delta == 0:
-        omega = spectrum.block_omega(g, trunc)
-        phi = (spectrum.LSeries.one(trunc) - omega).inverse()
-    else:
-        phi = spectrum.phi_series(_lam(g), trunc)
-        omega = spectrum.omega_series(phi)
-    return g, info, trunc, omega, phi
+    phi = spectrum.phi_series(_lam(g), trunc)
+    return g, info, trunc, spectrum.omega_series(phi), phi
 
 
 def _require_minimal(info: polyalg.EncoderInfo, what: str) -> None:
@@ -696,8 +691,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if file2:
             sp.add_argument("file2", help="second generator matrix file (.gm)")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
-        sp.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET,
-                        help="evaluation/search budget")
 
     handlers = {}
     for name, handler, help_text, file2 in (
@@ -716,6 +709,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=help_text)
         common(sp, file2=file2)
+        if name in ("mono-equiv", "oracle"):
+            sp.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET,
+                            help="evaluation/search budget")
         if name in ("spectrum", "distances", "oracle"):
             sp.add_argument("--trunc", type=int, default=None,
                             help="series truncation order (default 4*delta + 8)")

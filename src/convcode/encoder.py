@@ -1,10 +1,11 @@
 """Controller canonical form (A, B, C, D) and shift-register simulation.
 
-For a generator matrix with row degrees g_1..g_k and their sum gamma > 0,
+For a generator matrix with row degrees g_1..g_k and their sum gamma,
 A is the gamma x gamma block matrix of upper-shift blocks (one per nonzero
 row degree), B marks each block's first column (zero rows for degree-0
 rows), C stacks the coefficient rows at powers z^1..z^(g_i), and D is the
-matrix value at z = 0.  The register recursion
+matrix value at z = 0.  A constant matrix (a block code) has gamma = 0:
+A and C have no rows, B has k empty rows and D = G.  The register recursion
 
     x_{t+1} = x_t A + u_t B,   v_t = x_t C + u_t D,   x_0 = 0
 
@@ -58,15 +59,13 @@ def controller_form(g: PolyMatrix, *, require_minimal: bool = True) -> Controlle
 
     With `require_minimal` (the default) the input must be basic and
     minimal; the relaxed form is used for catastrophicity diagnostics on
-    arbitrary full-rank matrices.  Requires gamma > 0.
+    arbitrary full-rank matrices.
     """
     info = polyalg.encoder_info(g)
     if require_minimal and not info.is_minimal:
         raise ValueError("generator matrix is not minimal; row-reduce it first")
     degs = info.row_degrees
     gamma = sum(degs)
-    if gamma == 0:
-        raise ValueError("constant generator matrix (gamma = 0) has no register form")
     k, n = g.k, g.n
     offsets = []
     pos = 0
@@ -110,8 +109,9 @@ def realization_check(cf: ControllerForm, order: int | None = None) -> bool:
     k, n = cf.k, cf.n
     coeff_mats = [cf.D]
     left = cf.B
+    zero = ((0,) * n,) * k  # B A^j C of a gamma = 0 form: mat_mul would give k x 0
     for _ in range(order):
-        coeff_mats.append(polyalg.mat_mul(fld, left, cf.C))
+        coeff_mats.append(polyalg.mat_mul(fld, left, cf.C) if cf.gamma else zero)
         left = polyalg.mat_mul(fld, left, cf.A)
     rows = []
     for i in range(k):
@@ -151,7 +151,7 @@ def state_sequence(cf: ControllerForm, u: Sequence[Poly]):
     x = zero_state
     for t in range(horizon + 1):
         ut = _input_coeff(u, t)
-        v = polyalg.vec_mat(fld, x, cf.C)
+        v = polyalg.vec_mat(fld, x, cf.C) or (0,) * cf.n  # () for gamma = 0
         ud = polyalg.vec_mat(fld, ut, cf.D)
         v = tuple(fld.add(a, b) for a, b in zip(v, ud))
         xa = polyalg.vec_mat(fld, x, cf.A)

@@ -68,7 +68,6 @@ def survey(g: PolyMatrix, l_max: int, *, budget: int = DEFAULT_BUDGET) -> Oracle
     q = fld.q
     k, n = g.k, g.n
     degs = info.row_degrees
-    gamma = sum(degs)
     ghat, mhat = polyalg.right_inverse(g)
     gap_bound = max(info.memory + mhat - 1, 0)  # a block code's words are single-step
 
@@ -79,18 +78,15 @@ def survey(g: PolyMatrix, l_max: int, *, budget: int = DEFAULT_BUDGET) -> Oracle
     if total > budget:
         raise LimitError(f"{total} codeword evaluations exceed the budget {budget}")
 
-    # register transition table on packed states; single state for gamma = 0
-    if gamma > 0:
-        cf = controller_form(g)
-        ubs = [polyalg.vec_mat(fld, u, cf.B) for u in itertools.product(range(q), repeat=k)]
-        trans = []
-        for xvec in itertools.product(range(q), repeat=gamma):
-            xa = polyalg.vec_mat(fld, xvec, cf.A)
-            trans.append([
-                state_index(q, tuple(fld.add(a, b) for a, b in zip(xa, ub))) for ub in ubs
-            ])
-    else:
-        trans = [[0] * (q**k)]
+    # register transition table on packed states; one state for gamma = 0
+    cf = controller_form(g)
+    ubs = [polyalg.vec_mat(fld, u, cf.B) for u in itertools.product(range(q), repeat=k)]
+    trans = []
+    for xvec in itertools.product(range(q), repeat=cf.gamma):
+        xa = polyalg.vec_mat(fld, xvec, cf.A)
+        trans.append([
+            state_index(q, tuple(fld.add(a, b) for a, b in zip(xa, ub))) for ub in ubs
+        ])
 
     words = []
     codeword_set = set()

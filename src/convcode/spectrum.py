@@ -23,12 +23,10 @@ active burst distances are read off Omega and Phi.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import LimitError
-from .polyalg import PolyMatrix, pm_eval0, vec_mat
 from .statediag import StateDiagram
 
 
@@ -280,9 +278,6 @@ class LSeries:
             inv.append(WeightEnum.zero() - acc)
         return LSeries(self.trunc, inv)
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def __str__(self) -> str:
         return format_series(self)
 
@@ -398,32 +393,6 @@ def extended_row_distances(omega: LSeries) -> tuple[Optional[int], ...]:
 def active_burst_distances(phi: LSeries) -> tuple[Optional[int], ...]:
     """Minimum molecular weight by codeword degree; None encodes +infinity."""
     return tuple(phi.coeffs[l + 1].min_weight() for l in range(phi.trunc))
-
-
-# ---------------------------------------------------------------------------
-# degenerate path for constant generator matrices (gamma = 0 block codes)
-# ---------------------------------------------------------------------------
-
-
-def block_weight_enumerator(g: PolyMatrix) -> WeightEnum:
-    """Classical enumerator of the nonzero words of a constant matrix."""
-    fld = g.field
-    if any(c for row in g.rows for e in row for c in e[1:]):
-        raise ValueError("matrix is not constant")
-    const = pm_eval0(g)
-    out: dict[int, int] = {}
-    for u in itertools.islice(itertools.product(range(fld.q), repeat=g.k), 1, None):
-        w = sum(1 for c in vec_mat(fld, u, const) if c)
-        out[w] = out.get(w, 0) + 1
-    return WeightEnum(out)
-
-
-def block_omega(g: PolyMatrix, trunc: int) -> LSeries:
-    """Omega = Lambda * L for a block code (single-step codewords only)."""
-    coeffs = [WeightEnum.zero() for _ in range(trunc + 1)]
-    if trunc >= 1:
-        coeffs[1] = block_weight_enumerator(g)
-    return LSeries(trunc, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ def build(cf: ControllerForm, *, max_states: int = DEFAULT_STATE_CEILING) -> Sta
     groups = []
     for i, xvec in enumerate(itertools.product(range(q), repeat=cf.gamma)):
         xa = polyalg.vec_mat(fld, xvec, cf.A)
-        xc = polyalg.vec_mat(fld, xvec, cf.C)
+        xc = polyalg.vec_mat(fld, xvec, cf.C) or (0,) * cf.n  # () for gamma = 0
         group = []
         for uvec, ub, ud in inputs:
             if i == 0 and not any(uvec):

@@ -293,8 +293,14 @@ def test_failed_certificate_exits_4(capsys, monkeypatch, argv, owner, target, pl
         ["lemma-a1", "2", "--seed", "0"],
         ["info", MEMORY3, "--trunc", "5"],
         ["equal", G1, G2, "--trunc", "5"],
+        ["info", MEMORY3, "--budget", "5"],
+        ["spectrum", MEMORY3, "--budget", "5"],
+        ["equal", G1, G2, "--budget", "5"],
     ],
-    ids=["seed-info", "seed-spectrum", "seed-lemma-a1", "trunc-info", "trunc-equal"],
+    ids=[
+        "seed-info", "seed-spectrum", "seed-lemma-a1", "trunc-info", "trunc-equal",
+        "budget-info", "budget-spectrum", "budget-equal",
+    ],
 )
 def test_removed_options_are_refused(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -323,3 +329,20 @@ def test_distances_refuses_nonminimal(capsys, tmp_path):
     rc, _, err = run(capsys, "distances", str(path))
     assert rc == 2
     assert "distance profiles require a minimal generator matrix" in err
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("spectrum", "the weight distribution requires a minimal generator matrix"),
+        ("distances", "distance profiles require a minimal generator matrix"),
+    ],
+    ids=["spectrum", "distances"],
+)
+def test_basic_nonminimal_block_code_is_refused(capsys, tmp_path, command, message):
+    # delta = 0 and basic, but row degrees (1, 0): not minimal
+    path = tmp_path / "basic_nonminimal.gm"
+    path.write_text("field p=2 m=1\nk=2 n=2\n1 ; 0 1\n0 ; 1\n")
+    rc, out, err = run(capsys, command, str(path))
+    assert rc == 2 and out == ""
+    assert err == f"error: {message}\n"

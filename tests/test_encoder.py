@@ -7,10 +7,15 @@ from convcode import (
     ATOMIC,
     CONCATENATED_LOOSE,
     MOLECULAR_TIGHT,
+    adjacency,
+    build,
     classify,
     controller_form,
+    delay_free_check,
     pm,
     realization_check,
+    recover_dimension,
+    recover_forney,
     state_sequence,
 )
 from convcode.polyalg import mat_rank, pm_mul, poly, PolyMatrix
@@ -49,8 +54,21 @@ def test_ccf_zero_degree_row(g_mixed):
 def test_ccf_rejects_nonminimal_and_block(f2):
     with pytest.raises(ValueError):
         controller_form(pm(f2, [[[1], [1]], [[0, 1], [0, 1]]]))
-    with pytest.raises(ValueError):
-        controller_form(pm(f2, [[[1], [1], [0]], [[0], [1], [1]]]))  # gamma = 0
+    # a block code has the empty register: one state, no A or C rows, D = G
+    g = pm(f2, [[[1], [1], [0]], [[0], [1], [1]]])
+    cf = controller_form(g)
+    assert cf.gamma == 0 and cf.A == () and cf.C == ()
+    assert cf.B == ((), ()) and cf.D == ((1, 1, 0), (0, 1, 1))
+    assert realization_check(cf, order=0) and realization_check(cf, order=2)
+    sd = build(cf)
+    assert sd.num_states == 1
+    assert [e.dst for e in sd.edges_by_source[0]] == [0, 0, 0]  # q^k - 1 self-loops
+    assert delay_free_check(sd)
+    lam = adjacency(sd)
+    assert recover_dimension(lam) == 2 and recover_forney(lam) == (0, 0)
+    assert classify(cf, [poly([1]), poly([0])]).kind == ATOMIC
+    assert classify(cf, [poly([1, 1]), poly([0, 1])]).kind == MOLECULAR_TIGHT
+    assert classify(cf, [poly([1, 0, 1]), poly([0])]).kind == CONCATENATED_LOOSE
 
 
 def test_minimal_forms_have_full_observer_rank(f2, f3, g213, g_mixed, g16):

@@ -34,6 +34,18 @@ def test_dense_adjacency_view_is_read_only_for_rendering():
     assert found == []
 
 
+def test_spectrum_reads_the_diagram_only():
+    # Lambda, Phi and Omega come from the state diagram, never from G itself
+    tree = ast.parse((PACKAGE / "spectrum.py").read_text())
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and any("polyalg" in name for name in [getattr(node, "module", None) or "", *(a.name for a in node.names)])
+    ]
+    assert found == []
+
+
 def test_benchmark_tracer_patches_and_restores(capsys, tmp_path):
     # `perfbench/run.py --trace 1` wraps module attributes by name, so a
     # renamed function must fail here rather than crash a traced run

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -19,12 +20,8 @@ from convcode import (
 )
 from convcode.errors import LimitError
 from convcode.galois import field_make
-from convcode.spectrum import (
-    block_omega,
-    block_weight_enumerator,
-    format_series,
-    row_iterate,
-)
+from convcode.polyalg import mat_rank, pm_eval0, vec_mat
+from convcode.spectrum import format_series, row_iterate
 from convcode.statediag import Edge
 
 import genutil
@@ -292,15 +289,52 @@ def test_active_burst_distances(g213, g1):
     assert active_burst_distances(LSeries.zero(0)) == ()
 
 
+def block_weight_enumerator(g):
+    """Reference: classical enumerator of the nonzero words of a constant matrix."""
+    fld = g.field
+    const = pm_eval0(g)
+    out = {}
+    for u in itertools.islice(itertools.product(range(fld.q), repeat=g.k), 1, None):
+        w = sum(1 for c in vec_mat(fld, u, const) if c)
+        out[w] = out.get(w, 0) + 1
+    return WeightEnum(out)
+
+
 def test_block_code_degeneration(f2):
     g = pm(f2, [[[1], [1], [0]], [[0], [1], [1]]])
-    lam = block_weight_enumerator(g)
-    assert dict(lam.terms()) == {2: 3}
-    omega = block_omega(g, 4)
+    lam = lam_of(g)
+    assert grid(lam) == (({2: 3},),)
+    omega = omega_series(phi_series(lam, 4))
     assert dict(omega.coeff(1).terms()) == {2: 3}
     assert all(not omega.coeff(l) for l in (0, 2, 3, 4))
-    with pytest.raises(ValueError):
-        block_weight_enumerator(pm(f2, [[[1], [0, 1]]]))
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (5, 1)], ids=["F2", "F3", "F4", "F5"])
+def test_block_codes_match_classical_enumerator(p, m):
+    # a block code is the one-state register: Lambda = [[E]], Phi_l = E^l,
+    # Omega = E L, with E the classical enumerator of the nonzero words
+    fld = field_make(p, m)
+    rng = random.Random(100 * p + m)
+    trunc = 4
+    checked = 0
+    while checked < 55:
+        n = rng.randint(1, 4)
+        k = rng.randint(1, min(3, n))
+        cells = [[rng.randrange(fld.q) for _ in range(n)] for _ in range(k)]
+        if mat_rank(fld, cells) < k:
+            continue
+        g = pm(fld, [[[c] for c in row] for row in cells])
+        e = block_weight_enumerator(g)
+        lam = lam_of(g)
+        assert lam.size == 1 and lam.entries == ((e,),)
+        phi = phi_series(lam, trunc)
+        power = WeightEnum.one()
+        for l in range(trunc + 1):
+            assert phi.coeff(l) == power
+            power = power * e
+        omega = omega_series(phi)
+        assert omega == LSeries(trunc, [WeightEnum.zero(), e] + [WeightEnum.zero()] * (trunc - 1))
+        checked += 1
 
 
 def test_format_series(g1):
