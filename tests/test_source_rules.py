@@ -41,7 +41,8 @@ def test_spectrum_reads_the_diagram_only():
         node.lineno
         for node in ast.walk(tree)
         if isinstance(node, (ast.Import, ast.ImportFrom))
-        and any("polyalg" in name for name in [getattr(node, "module", None) or "", *(a.name for a in node.names)])
+        for name in [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+        if "polyalg" in name
     ]
     assert found == []
 
