@@ -64,7 +64,6 @@ from .statediag import (
     build,
     delay_free_check,
     export_dot,
-    zero_label_cycle_exists,
     zero_weight_cycle_exists,
 )
 
@@ -120,6 +119,5 @@ __all__ = [
     "state_sequence",
     "verify_shift_permutation_lemma",
     "weight_preserving_equiv_check",
-    "zero_label_cycle_exists",
     "zero_weight_cycle_exists",
 ]

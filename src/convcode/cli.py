@@ -376,16 +376,12 @@ def _lam(g: PolyMatrix) -> spectrum.AdjMatrix:
 def _series_pair(args, needs: str):
     """(g, info, trunc, omega, phi) for the file in args.
 
-    Every code, a block code (delta = 0, one state) included, needs a
-    minimal matrix and goes through the state diagram.  `needs` opens the
-    refusals, e.g. "distance profiles require".
+    Every code, a block code (delta = 0, one state) included, goes through
+    the state diagram; `needs` opens the refusal, as in _require_minimal.
     """
     g = _load(args.file)
     info = polyalg.encoder_info(g)
-    if info.delta == 0 and not info.is_basic:
-        raise ValueError(f"{needs} a basic matrix")
-    if not info.is_minimal:
-        raise ValueError(f"{needs} a minimal generator matrix")
+    _require_minimal(info, needs)
     trunc = _trunc(args, info)
     if trunc < 1:
         raise ValueError("truncation must be >= 1")
@@ -393,13 +389,10 @@ def _series_pair(args, needs: str):
     return g, info, trunc, spectrum.omega_series(phi), phi
 
 
-def _require_minimal(info: polyalg.EncoderInfo, what: str) -> None:
-    if info.delta == 0:
-        raise ValueError(
-            f"{what} needs a register (gamma > 0); this is a block code"
-        )
+def _require_minimal(info: polyalg.EncoderInfo, needs: str) -> None:
+    """Refuse a non-minimal matrix; `needs` opens the message, e.g. "... requires"."""
     if not info.is_minimal:
-        raise ValueError(f"{what} requires a minimal generator matrix")
+        raise ValueError(f"{needs} a minimal generator matrix")
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +427,7 @@ def _cmd_info(args) -> int:
 def _cmd_ccf(args) -> int:
     g = _load(args.file)
     info = polyalg.encoder_info(g)
-    _require_minimal(info, "the controller canonical form")
+    _require_minimal(info, "the controller canonical form requires")
     cf = encoder.controller_form(g)
     if args.json:
         _emit_json({
@@ -455,11 +448,7 @@ def _cmd_ccf(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
-    g = _load(args.file)
-    info = polyalg.encoder_info(g)
-    if info.delta == 0:
-        raise ValueError("a block code (gamma = 0) has no state diagram")
-    cf = encoder.controller_form(g, require_minimal=False)
+    cf = encoder.controller_form(_load(args.file), require_minimal=False)
     sd = statediag.build(cf, max_states=args.max_states)
     if args.dot:
         sys.stdout.write(statediag.export_dot(sd, force=args.force))
@@ -486,7 +475,7 @@ def _cmd_diagram(args) -> int:
 def _cmd_adjacency(args) -> int:
     g = _load(args.file)
     info = polyalg.encoder_info(g)
-    _require_minimal(info, "the adjacency matrix")
+    _require_minimal(info, "the adjacency matrix requires")
     lam = _lam(g)
     if args.json:
         _emit_json(_adjacency_json(lam))
@@ -546,7 +535,7 @@ def _cmd_dual(args) -> int:
 def _cmd_macwilliams(args) -> int:
     g = _load(args.file)
     info = polyalg.encoder_info(g)
-    _require_minimal(info, "the duality transform")
+    _require_minimal(info, "the duality transform requires")
     if info.delta != 1:
         raise ValueError("the closed-form transform needs constraint length 1")
     dual_gamma = invariance.macwilliams_delta1(spectrum.extend(_lam(g)), g.n, g.k)
@@ -568,7 +557,7 @@ def _cmd_equal(args) -> int:
     else:
         verdicts.append("codes differ")
         info_g, info_h = polyalg.encoder_info(g), polyalg.encoder_info(h)
-        if info_g.is_minimal and info_h.is_minimal and info_g.delta == info_h.delta > 0:
+        if info_g.is_minimal and info_h.is_minimal and info_g.delta == info_h.delta:
             witness = invariance.gen_adj_equal(_lam(g), _lam(h))
             if witness is None:
                 verdicts.append("generalized adjacency matrices differ")
@@ -609,7 +598,7 @@ def _cmd_mono_equiv(args) -> int:
 def _cmd_recover(args) -> int:
     g = _load(args.file)
     info = polyalg.encoder_info(g)
-    _require_minimal(info, "invariant recovery")
+    _require_minimal(info, "invariant recovery requires")
     lam = _lam(g)
     k = invariance.recover_dimension(lam)
     indices = invariance.recover_forney(lam)

@@ -175,9 +175,9 @@ def adjacency(sd: StateDiagram) -> AdjMatrix:
     rows = []
     for group in sd.edges_by_source:
         cells: dict[int, dict[int, int]] = {}
-        for e in group:
-            cell = cells.setdefault(e.dst, {})
-            cell[e.weight] = cell.get(e.weight, 0) + 1
+        for dst, w in group:
+            cell = cells.setdefault(dst, {})
+            cell[w] = cell.get(w, 0) + 1
         rows.append(cells)
     rows[0].get(0, {}).pop(0, None)  # the zero self-transition is never counted
     return AdjMatrix(

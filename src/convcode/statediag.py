@@ -3,7 +3,8 @@
 States are indexed 0..q^gamma-1 by reading the state vector as a base-q
 number, first register coordinate most significant; index 0 is the zero
 state.  Every vertex has q^k outgoing edges except vertex 0, which lacks
-the all-zero transition and has q^k - 1.
+the all-zero transition and has q^k - 1.  Edges are stored as (destination,
+weight) pairs; the labelled `Edge`s for DOT and JSON are rebuilt on demand.
 """
 
 from __future__ import annotations
@@ -50,72 +51,71 @@ class StateDiagram:
     k: int
     n: int
     num_states: int
-    edges_by_source: tuple[tuple[Edge, ...], ...]
+    edges_by_source: tuple[tuple[tuple[int, int], ...], ...]  # (dst, weight) pairs
     form: ControllerForm
 
     def edges(self) -> Iterator[Edge]:
-        for group in self.edges_by_source:
-            yield from group
+        """Labelled edges rebuilt from the form, in the order of edges_by_source."""
+        for src, u, dst, v in _transitions(self.form):
+            yield Edge(src, dst, u, v, len(v) - v.count(0))
 
 
-def build(cf: ControllerForm, *, max_states: int = DEFAULT_STATE_CEILING) -> StateDiagram:
-    """Enumerate all transitions (X, u) except (0, 0)."""
+def _transitions(cf: ControllerForm) -> Iterator[tuple[int, tuple, int, tuple]]:
+    """(src, u, dst, v) for all transitions (X, u) except (0, 0), by source index."""
     fld = cf.field
     q = fld.q
-    s = q**cf.gamma
-    if s > max_states:
-        raise LimitError(f"state space of size {s} exceeds the ceiling {max_states}")
     # product() yields F_q^r in index order: its i-th vector is state_vector(q, r, i)
     inputs = [
         (uvec, polyalg.vec_mat(fld, uvec, cf.B), polyalg.vec_mat(fld, uvec, cf.D))
         for uvec in itertools.product(range(q), repeat=cf.k)
     ]
-    groups = []
     for i, xvec in enumerate(itertools.product(range(q), repeat=cf.gamma)):
         xa = polyalg.vec_mat(fld, xvec, cf.A)
         xc = polyalg.vec_mat(fld, xvec, cf.C) or (0,) * cf.n  # () for gamma = 0
-        group = []
         for uvec, ub, ud in inputs:
             if i == 0 and not any(uvec):
                 continue
             dst = state_index(q, tuple(fld.add(a, b) for a, b in zip(xa, ub)))
-            v = tuple(fld.add(a, b) for a, b in zip(xc, ud))
-            group.append(Edge(i, dst, uvec, v, sum(1 for c in v if c)))
-        groups.append(tuple(group))
+            yield i, uvec, dst, tuple(fld.add(a, b) for a, b in zip(xc, ud))
+
+
+def build(cf: ControllerForm, *, max_states: int = DEFAULT_STATE_CEILING) -> StateDiagram:
+    """Tabulate every transition except (0, 0) as (dst, output weight)."""
+    s = cf.field.q**cf.gamma
+    if s > max_states:
+        raise LimitError(f"state space of size {s} exceeds the ceiling {max_states}")
+    groups = [[] for _ in range(s)]
+    for src, _, dst, v in _transitions(cf):
+        groups[src].append((dst, len(v) - v.count(0)))
     return StateDiagram(
-        field=fld,
+        field=cf.field,
         gamma=cf.gamma,
         k=cf.k,
         n=cf.n,
         num_states=s,
-        edges_by_source=tuple(groups),
+        edges_by_source=tuple(map(tuple, groups)),
         form=cf,
     )
 
 
-def _has_cycle(sd: StateDiagram, keep) -> bool:
-    """Directed cycle detection on the subgraph of edges with keep(e)."""
-    adj = [
-        [e.dst for e in group if keep(e)] for group in sd.edges_by_source
-    ]
-    color = [0] * sd.num_states  # 0 white, 1 on stack, 2 done
-    for start in range(sd.num_states):
+def _has_cycle(succ: list[list[int]]) -> bool:
+    """Directed cycle detection on successor lists."""
+    color = [0] * len(succ)  # 0 white, 1 on stack, 2 done
+    for start in range(len(succ)):
         if color[start]:
             continue
-        stack = [(start, iter(adj[start]))]
+        stack = [(start, iter(succ[start]))]
         color[start] = 1
         while stack:
             node, it = stack[-1]
-            advanced = False
             for nxt in it:
                 if color[nxt] == 1:
                     return True
                 if color[nxt] == 0:
                     color[nxt] = 1
-                    stack.append((nxt, iter(adj[nxt])))
-                    advanced = True
+                    stack.append((nxt, iter(succ[nxt])))
                     break
-            if not advanced:
+            else:
                 color[node] = 2
                 stack.pop()
     return False
@@ -123,12 +123,7 @@ def _has_cycle(sd: StateDiagram, keep) -> bool:
 
 def zero_weight_cycle_exists(sd: StateDiagram) -> bool:
     """Directed cycle using only weight-0 edges; flags catastrophic encoders."""
-    return _has_cycle(sd, lambda e: e.weight == 0)
-
-
-def zero_label_cycle_exists(sd: StateDiagram) -> bool:
-    """Cycle whose edges all carry u = 0 and v = 0; never present."""
-    return _has_cycle(sd, lambda e: not any(e.u) and not any(e.v))
+    return _has_cycle([[d for d, w in group if not w] for group in sd.edges_by_source])
 
 
 def delay_free_check(sd: StateDiagram) -> bool:
@@ -137,7 +132,7 @@ def delay_free_check(sd: StateDiagram) -> bool:
     Equivalent to G(0) having full row rank; both criteria are evaluated
     and must agree.
     """
-    edge_clean = not any(e.weight == 0 for e in sd.edges_by_source[0])
+    edge_clean = all(w for _, w in sd.edges_by_source[0])
     rank_full = polyalg.mat_rank(sd.field, sd.form.D) == sd.k
     if edge_clean != rank_full:
         raise InternalError("delay-free criteria disagree: edges vs rank of G(0)")

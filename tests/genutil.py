@@ -121,6 +121,32 @@ def elementary_ops(rng: random.Random, g: PolyMatrix, count: int):
     return transformed, u
 
 
+def zero_label_cycle_exists(sd) -> bool:
+    """Cycle whose labelled edges all carry u = 0 and v = 0.
+
+    Never present: with u = 0 the register only shifts toward the zero
+    state, and the (0, 0) transition is left out of the diagram.  Peels
+    off vertices without zero-label successors (Kahn's algorithm), a
+    detector independent of the one in statediag.
+    """
+    succ = [[] for _ in range(sd.num_states)]
+    indegree = [0] * sd.num_states
+    for e in sd.edges():
+        if not any(e.u) and not any(e.v):
+            succ[e.src].append(e.dst)
+            indegree[e.dst] += 1
+    ready = [i for i, d in enumerate(indegree) if not d]
+    peeled = 0
+    while ready:
+        i = ready.pop()
+        peeled += 1
+        for j in succ[i]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                ready.append(j)
+    return peeled < sd.num_states
+
+
 def adj_from_dense(cells, q: int, n: int, extended: bool = False) -> AdjMatrix:
     """AdjMatrix from a dense grid of WeightEnums; zero cells are dropped."""
     rows = [[(j, e) for j, e in enumerate(row) if e] for row in cells]

@@ -82,8 +82,12 @@ def test_ccf(capsys):
     assert rc == 0
     validate(payload, "ccf")
     assert payload["B"] == [[1, 0, 0]]
-    rc, _, err = run(capsys, "ccf", BLOCK)
-    assert rc == 2 and "block code" in err
+    # a block code has the empty register
+    rc, payload, _ = run_json(capsys, "ccf", BLOCK)
+    assert rc == 0
+    validate(payload, "ccf")
+    assert payload["A"] == [] and payload["B"] == [[], []] and payload["C"] == []
+    assert payload["block_degrees"] == [0, 0]
 
 
 def test_diagram(capsys):
@@ -94,8 +98,18 @@ def test_diagram(capsys):
     assert payload["delay_free"] and not payload["zero_weight_cycle"]
     rc, out, _ = run(capsys, "diagram", G1, "--dot")
     assert rc == 0 and out.startswith("digraph")
-    rc, _, err = run(capsys, "diagram", BLOCK)
-    assert rc == 2
+    rc, out, _ = run(capsys, "diagram", BLOCK)
+    assert rc == 0
+    assert out.splitlines()[:3] == ["states: 1", "edges: 3", "delay-free: yes"]
+
+
+def test_block_code_answers(capsys):
+    # gamma = 0: Lambda = [[E]] with E the block code's weight enumerator
+    assert run(capsys, "adjacency", BLOCK) == (0, "[3W^2]\n", "")
+    assert run(capsys, "recover", BLOCK) == (0, "k=2 indices=[0, 0]\n", "")
+    rc, out, err = run(capsys, "macwilliams", BLOCK)
+    assert rc == 2 and out == ""
+    assert err == "error: the closed-form transform needs constraint length 1\n"
 
 
 def test_adjacency(capsys):
@@ -173,6 +187,24 @@ def test_equal(capsys):
     assert rc == 1
     validate(payload, "witness")
     assert payload["found"] is False
+
+
+def test_equal_block_codes(capsys, tmp_path):
+    # k=1 n=3 block codes: one state, so Lambda = [[E]] and the only
+    # permutation is [0]
+    paths = {}
+    for name, row in (("a", "1 ; 1 ; 0"), ("b", "1 ; 0 ; 1"), ("c", "1 ; 1 ; 1")):
+        paths[name] = tmp_path / f"{name}.gm"
+        paths[name].write_text(f"field p=2 m=1\nk=1 n=3\n{row}\n")
+    rc, out, _ = run(capsys, "equal", str(paths["a"]), str(paths["b"]))
+    assert rc == 1
+    assert out == (
+        "codes differ; generalized adjacency matrices coincide "
+        "(state permutation [0])\n"
+    )
+    rc, out, _ = run(capsys, "equal", str(paths["a"]), str(paths["c"]))
+    assert rc == 1
+    assert out == "codes differ; generalized adjacency matrices differ\n"
 
 
 def test_mono_equiv(capsys):

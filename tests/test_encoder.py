@@ -62,7 +62,7 @@ def test_ccf_rejects_nonminimal_and_block(f2):
     assert realization_check(cf, order=0) and realization_check(cf, order=2)
     sd = build(cf)
     assert sd.num_states == 1
-    assert [e.dst for e in sd.edges_by_source[0]] == [0, 0, 0]  # q^k - 1 self-loops
+    assert [dst for dst, _ in sd.edges_by_source[0]] == [0, 0, 0]  # q^k - 1 self-loops
     assert delay_free_check(sd)
     lam = adjacency(sd)
     assert recover_dimension(lam) == 2 and recover_forney(lam) == (0, 0)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -93,6 +94,24 @@ def test_encoder_info_examples(f2, g213, g_mixed):
     info = encoder_info(pm(f2, [[[1, 1], [1, 1]]]))
     assert info.delta == 1
     assert not info.is_basic and not info.is_minimal
+
+
+def test_constant_minors_make_a_basic_matrix(f2):
+    # delta = 0: every nonzero maximal minor is a nonzero constant, so their
+    # gcd is 1; exhaustive over F2, k <= 2, n <= 3, entry degree <= 1
+    entries = [poly(c) for c in itertools.product(range(2), repeat=2)]
+    delta_zero = 0
+    for k, n in ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3)):
+        for flat in itertools.product(entries, repeat=k * n):
+            g = pm(f2, [flat[r * n:(r + 1) * n] for r in range(k)])
+            try:
+                info = encoder_info(g)
+            except ValueError:
+                continue  # rank deficient
+            if info.delta == 0:
+                delta_zero += 1
+                assert info.is_basic
+    assert delta_zero > 100  # the property is not vacuous
 
 
 def test_encoder_info_rank_deficient(f2):

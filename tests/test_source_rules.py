@@ -34,6 +34,30 @@ def test_dense_adjacency_view_is_read_only_for_rendering():
     assert found == []
 
 
+def test_labelled_edges_are_built_only_for_rendering():
+    # the diagram stores (dst, weight) pairs; StateDiagram.edges() alone
+    # rebuilds Edge(...) for DOT and JSON, and no other module imports Edge
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "statediag.py":
+            cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "StateDiagram")
+            edges = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "edges")
+            allowed = {id(n) for n in ast.walk(edges)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in allowed:
+                func = node.func
+                if getattr(func, "id", None) == "Edge" or getattr(func, "attr", None) == "Edge":
+                    found.append(f"{path.name}:{node.lineno}")
+            if path.name != "statediag.py":
+                if isinstance(node, ast.ImportFrom) and any(a.name == "Edge" for a in node.names):
+                    found.append(f"{path.name}:{node.lineno}")
+                if isinstance(node, ast.Attribute) and node.attr == "Edge":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_spectrum_reads_the_diagram_only():
     # Lambda, Phi and Omega come from the state diagram, never from G itself
     tree = ast.parse((PACKAGE / "spectrum.py").read_text())

@@ -22,7 +22,6 @@ from convcode.errors import LimitError
 from convcode.galois import field_make
 from convcode.polyalg import mat_rank, pm_eval0, vec_mat
 from convcode.spectrum import format_series, row_iterate
-from convcode.statediag import Edge
 
 import genutil
 
@@ -36,9 +35,10 @@ import genutil
 def dense_adjacency(sd):
     s = sd.num_states
     cells = [[{} for _ in range(s)] for _ in range(s)]
-    for e in sd.edges():
-        cell = cells[e.src][e.dst]
-        cell[e.weight] = cell.get(e.weight, 0) + 1
+    for src, group in enumerate(sd.edges_by_source):
+        for dst, w in group:
+            cell = cells[src][dst]
+            cell[w] = cell.get(w, 0) + 1
     cells[0][0].pop(0, None)  # the zero self-transition is never counted
     return genutil.adj_from_dense(
         [[WeightEnum(c) for c in row] for row in cells], q=sd.field.q, n=sd.n
@@ -359,14 +359,11 @@ def test_packed_phi_matches_dense_reference(p, m, gamma_max):
 def test_packed_phi_non_delay_free(f2):
     gz = pm(f2, [[[0, 1], [0, 1, 1]]])  # G(0) = 0: a weight-0 edge leaves state 0
     sd = build(controller_form(gz, require_minimal=False))
-    assert any(e.weight == 0 for e in sd.edges_by_source[0])
+    assert any(w == 0 for _, w in sd.edges_by_source[0])
     assert_matches_dense(sd, 12)
     # plant weight-0 and weight-2 edges 0 -> 0: only the weight-0 one is dropped
     groups = list(sd.edges_by_source)
-    groups[0] = groups[0] + (
-        Edge(0, 0, (1,), (0, 0), 0),
-        Edge(0, 0, (1,), (1, 1), 2),
-    )
+    groups[0] = groups[0] + ((0, 0), (0, 2))
     planted = dataclasses.replace(sd, edges_by_source=tuple(groups))
     assert adjacency(planted).entries[0][0] == WeightEnum({2: 1})
     assert_matches_dense(planted, 12)

@@ -8,10 +8,10 @@ from convcode import (
     delay_free_check,
     export_dot,
     pm,
-    zero_label_cycle_exists,
     zero_weight_cycle_exists,
 )
 from convcode.errors import LimitError
+from convcode.galois import field_make
 from convcode.polyalg import vec_mat
 from convcode.statediag import edges_json, state_index, state_vector
 
@@ -31,7 +31,8 @@ def test_eight_state_diagram(g213):
     assert sd.num_states == 8
     assert sum(len(g) for g in sd.edges_by_source) == 15
     assert len(sd.edges_by_source[0]) == 1
-    edge = sd.edges_by_source[0][0]
+    assert sd.edges_by_source[0][0] == (4, 2)  # (dst, weight)
+    edge = next(sd.edges())
     assert edge.u == (1,) and edge.v == (1, 1) and edge.weight == 2
     assert edge.dst == 4  # state (1, 0, 0)
     for i in range(1, 8):
@@ -99,7 +100,7 @@ def test_zero_label_cycle_never_exists(f2, f3, g213, g_mixed, g1):
             g = genutil.random_nonbasic_fullrank(rng, fld)
             diagrams.append(build(controller_form(g, require_minimal=False)))
     for sd in diagrams:
-        assert not zero_label_cycle_exists(sd)
+        assert not genutil.zero_label_cycle_exists(sd)
 
 
 def test_planted_zero_weight_cycle_is_detected(g213):
@@ -112,11 +113,11 @@ def test_planted_zero_weight_cycle_is_detected(g213):
     loop_pos = next(
         (i, j)
         for i, g in enumerate(groups)
-        for j, e in enumerate(g)
-        if e.src == e.dst and e.weight > 0
+        for j, (dst, w) in enumerate(g)
+        if i == dst and w > 0
     )
     i, j = loop_pos
-    groups[i][j] = groups[i][j]._replace(weight=0)
+    groups[i][j] = (i, 0)
     mutated = dataclasses.replace(
         sd, edges_by_source=tuple(tuple(g) for g in groups)
     )
@@ -156,3 +157,36 @@ def test_edges_json(g1):
     payload = edges_json(sd)
     assert payload[0] == {"from": 0, "to": 1, "u": [1], "v": [1, 0, 1], "w": 2}
     assert len(payload) == 3
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3)],
+                         ids=["F2", "F3", "F4", "F5", "F8"])
+def test_edge_view_matches_stored_pairs(p, m):
+    # edges() rebuilds the labels from the form; grouped by source it must
+    # give back exactly the stored (dst, weight) pairs
+    fld = field_make(p, m)
+    rng = random.Random(600 + 10 * p + m)
+    forms = [controller_form(pm(fld, [[[1], [1], [0]], [[0], [1], [1]]]))]  # gamma = 0
+    for _ in range(4):
+        g = genutil.random_minimal_code(rng, fld, n_max=3, gamma_max=2)
+        forms.append(controller_form(g))
+    for _ in range(3):  # one row above F3 keeps the relaxed register small
+        g = genutil.random_nonbasic_fullrank(rng, fld, n_max=3, k_max=2 if fld.q < 4 else 1)
+        forms.append(controller_form(g, require_minimal=False))
+    gz = pm(fld, [[[0, 1], [0, 1, 1]]])  # G(0) = 0: not delay-free
+    forms.append(controller_form(gz, require_minimal=False))
+    diagrams = [build(cf) for cf in forms]
+    for sd in diagrams:
+        rebuilt = [[] for _ in range(sd.num_states)]
+        for e in sd.edges():
+            assert e.weight == sum(1 for c in e.v if c)
+            rebuilt[e.src].append((e.dst, e.weight))
+        assert tuple(map(tuple, rebuilt)) == sd.edges_by_source
+        assert all(
+            type(d) is int and type(w) is int
+            for group in sd.edges_by_source
+            for d, w in group
+        )
+    assert diagrams[0].num_states == 1
+    assert any(not delay_free_check(sd) for sd in diagrams)
+    assert any(zero_weight_cycle_exists(sd) for sd in diagrams)
