@@ -440,9 +440,9 @@ def _cmd_ccf(args) -> int:
         })
     else:
         for name, mat in (("A", cf.A), ("B", cf.B), ("C", cf.C), ("D", cf.D)):
-            print(f"{name} =")
+            print(f"{name} =" if mat else f"{name} = []")  # a block code's register is empty
             for row in mat:
-                print("  " + " ".join(str(c) for c in row))
+                print("  " + (" ".join(str(c) for c in row) or "[]"))
         print(f"block degrees: {list(cf.block_degrees)}")
     return 0
 

@@ -5,13 +5,22 @@ number, first register coordinate most significant; index 0 is the zero
 state.  Every vertex has q^k outgoing edges except vertex 0, which lacks
 the all-zero transition and has q^k - 1.  Edges are stored as (destination,
 weight) pairs; the labelled `Edge`s for DOT and JSON are rebuilt on demand.
+
+Transitions are computed on packed vectors, inputs u and outputs v packed
+the same way as states.  Since F_q = F_p^m with base-p element digits, a
+packed vector is a base-p number and x -> xA is F_p-linear, so the tables
+xA, xC (per state) and uB, uD (per input) are filled by a prefix recursion
+over the F_p basis from (gamma + k) * m images.  An edge is then two
+vector sums, dst = xA + uB and v = xC + uD, and a table lookup of wt(v).
+Over F_{2^m} the packing concatenates m-bit digits and the sum is XOR.
 """
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from itertools import repeat
+from typing import Callable, Iterator, NamedTuple
 
 from . import polyalg
 from .encoder import ControllerForm
@@ -56,27 +65,98 @@ class StateDiagram:
 
     def edges(self) -> Iterator[Edge]:
         """Labelled edges rebuilt from the form, in the order of edges_by_source."""
-        for src, u, dst, v in _transitions(self.form):
-            yield Edge(src, dst, u, v, len(v) - v.count(0))
+        q, n = self.field.q, self.n
+        uvecs = [state_vector(q, self.k, u) for u in range(q**self.k)]
+        for src, inputs, dsts, outputs in _transitions(self.form):
+            for u, dst, v in zip(inputs, dsts, outputs):
+                vec = state_vector(q, n, v)
+                yield Edge(src, dst, uvecs[u], vec, n - vec.count(0))
 
 
-def _transitions(cf: ControllerForm) -> Iterator[tuple[int, tuple, int, tuple]]:
-    """(src, u, dst, v) for all transitions (X, u) except (0, 0), by source index."""
+def _vector_add(fld: FieldSpec) -> Callable[[int, int], int]:
+    """Sum of two packed vectors over F_q; the one place that depends on p."""
+    if fld.p == 2:
+        return operator.xor
+    p, q = fld.p, fld.q
+    sums = [0] * (q * q)  # sums[a * q + b] = a + b in F_q, base-p digit by digit
+    for a in range(q):
+        for b in range(q):
+            sums[a * q + b] = sums[a // p * q + b // p] * p + (a + b) % p
+
+    def add(x: int, y: int) -> int:
+        out, scale = 0, 1
+        while x or y:
+            x, a = divmod(x, q)
+            y, b = divmod(y, q)
+            out += sums[a * q + b] * scale
+            scale *= q
+        return out
+
+    return add
+
+
+def _linear_table(
+    fld: FieldSpec, mat: tuple[tuple[int, ...], ...], rows: int, add: Callable[[int, int], int]
+) -> list[int]:
+    """Packed xM for every packed x in F_q^rows, in index order.
+
+    Index digit j (base p, least significant first) is the basis vector
+    p^(j mod m) at coordinate rows - 1 - j // m; each digit multiplies the
+    table by p, appending the previous entries shifted by 1..p-1 times its
+    image.
+    """
+    q, p, m = fld.q, fld.p, fld.m
+    table = [0]
+    for j in range(rows * m):
+        unit = [0] * rows
+        unit[rows - 1 - j // m] = p ** (j % m)
+        image = state_index(q, polyalg.vec_mat(fld, unit, mat))
+        steps = [image]
+        while len(steps) < p - 1:
+            steps.append(add(steps[-1], image))
+        table = table + [add(x, s) for s in steps for x in table]
+    return table
+
+
+def _weigher(q: int, n: int) -> Callable[[int], int]:
+    """Hamming weight of a packed vector of F_q^n from a table of digit chunks."""
+    width = n
+    while q**width > 1 << 16:
+        width -= 1
+    table = [0]
+    for _ in range(width):
+        table = [w + (d != 0) for w in table for d in range(q)]
+    if width == n:
+        return table.__getitem__
+    size = q**width
+
+    def weight(v: int) -> int:
+        w = 0
+        while v:
+            v, low = divmod(v, size)
+            w += table[low]
+        return w
+
+    return weight
+
+
+def _transitions(cf: ControllerForm) -> Iterator[tuple[int, range, Iterator[int], Iterator[int]]]:
+    """(src, inputs, dsts, outputs) per source index, every transition but (0, 0).
+
+    `inputs` is the range of packed inputs u in order; `dsts` and `outputs`
+    yield the packed destination and output v of each.
+    """
     fld = cf.field
-    q = fld.q
-    # product() yields F_q^r in index order: its i-th vector is state_vector(q, r, i)
-    inputs = [
-        (uvec, polyalg.vec_mat(fld, uvec, cf.B), polyalg.vec_mat(fld, uvec, cf.D))
-        for uvec in itertools.product(range(q), repeat=cf.k)
-    ]
-    for i, xvec in enumerate(itertools.product(range(q), repeat=cf.gamma)):
-        xa = polyalg.vec_mat(fld, xvec, cf.A)
-        xc = polyalg.vec_mat(fld, xvec, cf.C) or (0,) * cf.n  # () for gamma = 0
-        for uvec, ub, ud in inputs:
-            if i == 0 and not any(uvec):
-                continue
-            dst = state_index(q, tuple(fld.add(a, b) for a, b in zip(xa, ub)))
-            yield i, uvec, dst, tuple(fld.add(a, b) for a, b in zip(xc, ud))
+    add = _vector_add(fld)
+    xa = _linear_table(fld, cf.A, cf.gamma, add)
+    xc = _linear_table(fld, cf.C, cf.gamma, add)
+    ub = _linear_table(fld, cf.B, cf.k, add)
+    ud = _linear_table(fld, cf.D, cf.k, add)
+    every = range(len(ub))
+    for i, (a, c) in enumerate(zip(xa, xc)):
+        inputs = every if i else every[1:]  # (0, 0) is left out
+        ubs, uds = (ub, ud) if i else (ub[1:], ud[1:])
+        yield i, inputs, map(add, repeat(a), ubs), map(add, repeat(c), uds)
 
 
 def build(cf: ControllerForm, *, max_states: int = DEFAULT_STATE_CEILING) -> StateDiagram:
@@ -84,16 +164,16 @@ def build(cf: ControllerForm, *, max_states: int = DEFAULT_STATE_CEILING) -> Sta
     s = cf.field.q**cf.gamma
     if s > max_states:
         raise LimitError(f"state space of size {s} exceeds the ceiling {max_states}")
-    groups = [[] for _ in range(s)]
-    for src, _, dst, v in _transitions(cf):
-        groups[src].append((dst, len(v) - v.count(0)))
+    weight = _weigher(cf.field.q, cf.n)
     return StateDiagram(
         field=cf.field,
         gamma=cf.gamma,
         k=cf.k,
         n=cf.n,
         num_states=s,
-        edges_by_source=tuple(map(tuple, groups)),
+        edges_by_source=tuple(
+            tuple(zip(dsts, map(weight, outputs))) for _, _, dsts, outputs in _transitions(cf)
+        ),
         form=cf,
     )
 

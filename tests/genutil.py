@@ -1,5 +1,6 @@
 """Seeded random generators for codes and unimodular transformations."""
 
+import itertools
 import random
 
 from convcode import encoder_info, minimize, pm
@@ -12,8 +13,10 @@ from convcode.polyalg import (
     poly_add,
     poly_mul,
     shift,
+    vec_mat,
 )
 from convcode.spectrum import AdjMatrix
+from convcode.statediag import state_index
 
 
 def random_poly(rng: random.Random, fld, max_deg: int):
@@ -145,6 +148,35 @@ def zero_label_cycle_exists(sd) -> bool:
             if not indegree[j]:
                 ready.append(j)
     return peeled < sd.num_states
+
+
+def reference_diagram(cf) -> tuple[tuple, list[tuple]]:
+    """(edges_by_source, labelled edges) of a form, by tuple arithmetic.
+
+    The state diagram as it was computed before packed tables: one vec_mat
+    and one FieldSpec.add per coordinate for every edge.  Labelled edges
+    are (src, dst, u, v, weight) for every transition but (0, 0).
+    """
+    fld = cf.field
+    q = fld.q
+    inputs = [
+        (uvec, vec_mat(fld, uvec, cf.B), vec_mat(fld, uvec, cf.D))
+        for uvec in itertools.product(range(q), repeat=cf.k)
+    ]
+    groups, edges = [], []
+    for i, xvec in enumerate(itertools.product(range(q), repeat=cf.gamma)):
+        xa = vec_mat(fld, xvec, cf.A)
+        xc = vec_mat(fld, xvec, cf.C) or (0,) * cf.n  # () for gamma = 0
+        groups.append([])
+        for uvec, ub, ud in inputs:
+            if i == 0 and not any(uvec):
+                continue
+            dst = state_index(q, tuple(fld.add(a, b) for a, b in zip(xa, ub)))
+            v = tuple(fld.add(a, b) for a, b in zip(xc, ud))
+            w = len(v) - v.count(0)
+            groups[i].append((dst, w))
+            edges.append((i, dst, uvec, v, w))
+    return tuple(map(tuple, groups)), edges
 
 
 def adj_from_dense(cells, q: int, n: int, extended: bool = False) -> AdjMatrix:

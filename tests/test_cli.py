@@ -90,6 +90,17 @@ def test_ccf(capsys):
     assert payload["block_degrees"] == [0, 0]
 
 
+def test_ccf_text_shows_empty_matrices(capsys):
+    # the empty register prints as [] and a zero-width row as a bracketed
+    # blank, so no line of the text form is empty or only spaces
+    rc, out, err = run(capsys, "ccf", BLOCK)
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[:5] == ["A = []", "B =", "  []", "  []", "C = []"]
+    assert all(line.strip() for line in out.splitlines())
+    rc, out, _ = run(capsys, "ccf", G1)
+    assert out.splitlines()[:2] == ["A =", "  0"]
+
+
 def test_diagram(capsys):
     rc, payload, _ = run_json(capsys, "diagram", MEMORY3)
     assert rc == 0

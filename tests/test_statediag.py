@@ -1,3 +1,4 @@
+import pathlib
 import random
 
 import pytest
@@ -6,13 +7,15 @@ from convcode import (
     build,
     controller_form,
     delay_free_check,
+    encoder_info,
     export_dot,
     pm,
     zero_weight_cycle_exists,
 )
+from convcode.cli import parse_gm
 from convcode.errors import LimitError
-from convcode.galois import field_make
-from convcode.polyalg import vec_mat
+from convcode.galois import FieldSpec, field_make
+from convcode.polyalg import PolyMatrix, mat_rank, shift, vec_mat
 from convcode.statediag import edges_json, state_index, state_vector
 
 import genutil
@@ -190,3 +193,71 @@ def test_edge_view_matches_stored_pairs(p, m):
     assert diagrams[0].num_states == 1
     assert any(not delay_free_check(sd) for sd in diagrams)
     assert any(zero_weight_cycle_exists(sd) for sd in diagrams)
+
+
+def _reference_corpus(fld, rng, per_kind: int = 2) -> dict:
+    """Relaxed forms with k <= 3 by kind, at most max(2^12, q^2) transitions each."""
+    budget = max(1 << 12, fld.q**2)
+    kinds = {"block": [], "minimal": [], "non-basic": [], "not delay-free": []}
+    for _ in range(3000):
+        if all(len(forms) >= per_kind for forms in kinds.values()):
+            break
+        k = rng.randint(1, 3)
+        g = genutil.random_matrix(rng, fld, k, rng.randint(k + 1, 4), rng.randint(0, 2))
+        if rng.random() < 0.25:  # a row divisible by z: G(0) loses rank
+            g = PolyMatrix(fld, (tuple(shift(e, 1) for e in g.rows[0]),) + g.rows[1:])
+        try:
+            info = encoder_info(g)
+        except ValueError:  # rank-deficient
+            continue
+        cf = controller_form(g, require_minimal=False)
+        if fld.q ** (cf.gamma + k) > budget:
+            continue
+        if cf.gamma == 0:
+            kind = "block"
+        elif mat_rank(fld, cf.D) < k:
+            kind = "not delay-free"
+        else:
+            kind = "minimal" if info.is_minimal else "non-basic"
+        if len(kinds[kind]) < per_kind:
+            kinds[kind].append(cf)
+    return kinds
+
+
+REFERENCE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (2, 8)]
+
+
+@pytest.mark.parametrize("p, m", REFERENCE_FIELDS, ids=[f"F{p**m}" for p, m in REFERENCE_FIELDS])
+def test_packed_transitions_match_reference(p, m):
+    # the packed tables must give the tuple arithmetic's diagram exactly:
+    # stored (dst, weight) pairs and every (src, dst, u, v, weight) label
+    fld = field_make(p, m)
+    kinds = _reference_corpus(fld, random.Random(700 + 10 * p + m), per_kind=1 if fld.q > 16 else 2)
+    assert all(kinds.values())
+    forms = [cf for group in kinds.values() for cf in group]
+    if fld.q == 256:  # wt(v) over F_256^n with n >= 3 is read from digit chunks
+        assert any(fld.q**cf.n > 1 << 16 for cf in forms)
+    catastrophic = 0
+    for cf in forms:
+        sd = build(cf)
+        pairs, labelled = genutil.reference_diagram(cf)
+        assert sd.edges_by_source == pairs
+        assert list(sd.edges()) == labelled
+        catastrophic += zero_weight_cycle_exists(sd)
+    assert catastrophic
+
+
+def test_build_does_no_field_arithmetic_per_edge(monkeypatch):
+    # the paper's F16 example has about 1M edges; field arithmetic goes only
+    # into the (gamma + k) * m basis images, O((gamma + k) * m * (gamma + n))
+    path = pathlib.Path(__file__).resolve().parent.parent / "demos" / "codes" / "f16.gm"
+    cf = controller_form(parse_gm(path.read_text()))
+    calls = {"add": 0, "mul": 0}
+    for op in calls:
+        def counted(self, a, b, _op=op, _orig=getattr(FieldSpec, op)):
+            calls[_op] += 1
+            return _orig(self, a, b)
+        monkeypatch.setattr(FieldSpec, op, counted)
+    sd = build(cf)
+    assert sum(map(len, sd.edges_by_source)) == 16**5 - 1
+    assert 0 < calls["add"] + calls["mul"] < 10**4
