@@ -35,7 +35,9 @@ def calls() -> list[list[str]]:
     for a, b in itertools.product(paths, repeat=2):
         out += [["equal", a, b], ["equal", a, b, "--json"], ["mono-equiv", a, b]]
     out += [["lemma-a1", "2"], ["lemma-a1", "3", "--json"],
-            ["info", "demos/codes/f16.gm"], ["ccf", "demos/codes/f16.gm"]]
+            ["info", "demos/codes/f16.gm"], ["ccf", "demos/codes/f16.gm"],
+            ["spectrum", "demos/codes/f16.gm"], ["spectrum", "demos/codes/f16.gm", "--json"],
+            ["distances", "demos/codes/f16.gm", "--json"]]
     return out
 
 
