@@ -23,7 +23,7 @@ from .encoder import (
     state_sequence,
 )
 from .errors import InternalError, LimitError, ParseError
-from .galois import FieldElement, FieldSpec, default_modulus, field_make
+from .galois import FieldSpec, default_modulus, field_make
 from .invariance import (
     gen_adj_equal,
     macwilliams_delta1,
@@ -76,7 +76,6 @@ __all__ = [
     "Classification",
     "ControllerForm",
     "EncoderInfo",
-    "FieldElement",
     "FieldSpec",
     "FreeDistance",
     "InternalError",

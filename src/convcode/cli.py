@@ -16,6 +16,7 @@ exceeded, 4 internal error (a result failed its own re-check).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -368,9 +369,13 @@ def _trunc(args, info: polyalg.EncoderInfo) -> int:
     return spectrum.default_truncation(info.delta)
 
 
-def _lam(g: PolyMatrix) -> spectrum.AdjMatrix:
-    """Adjacency matrix of the state diagram of g's controller canonical form."""
-    return spectrum.adjacency(statediag.build(encoder.controller_form(g)))
+def _lam(g: PolyMatrix, *, lumped: bool = False) -> spectrum.AdjMatrix:
+    """Adjacency matrix of the state diagram of g's controller canonical form.
+
+    `lumped` gives the matrix Q of the F_q^* orbit quotient instead, which
+    has the same (Q^l)_{0,0} and serves only the series.
+    """
+    return spectrum.adjacency(statediag.build(encoder.controller_form(g), lumped=lumped))
 
 
 def _series_pair(args, needs: str):
@@ -385,7 +390,7 @@ def _series_pair(args, needs: str):
     trunc = _trunc(args, info)
     if trunc < 1:
         raise ValueError("truncation must be >= 1")
-    phi = spectrum.phi_series(_lam(g), trunc)
+    phi = spectrum.phi_series(_lam(g, lumped=True), trunc)
     return g, info, trunc, spectrum.omega_series(phi), phi
 
 
@@ -668,7 +673,9 @@ def _cmd_lemma_a1(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call of main()."""
     parser = argparse.ArgumentParser(
         prog="convcode",
         description="Analysis of convolutional codes over small finite fields.",

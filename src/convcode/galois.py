@@ -29,9 +29,6 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-# A field element is just an int in 0..q-1 under the encoding above.
-FieldElement = int
-
 MAX_ORDER = 256
 
 

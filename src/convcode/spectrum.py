@@ -17,7 +17,11 @@ are truncated series in L with WeightEnum coefficients.  Phi iterates
 the first row of Lambda^l over the sparse rows with every enumerator
 packed into one integer (Kronecker substitution W -> 2^b), so a step
 costs one integer multiply-add per nonzero cell reached and no matrix
-power is ever materialized.  Free distance, extended row distances and
+power is ever materialized.  Only (Lambda^l)_{0,0} is read, so Phi may
+iterate the lumped matrix Q of the diagram's F_q^* orbit quotient
+(`statediag.build(cf, lumped=True)`) in place of Lambda: `adjacency`
+tallies either.  Omega runs Omega_l = Phi_l - sum_{0<j<l} Omega_j Phi_{l-j}
+on the same packed integers.  Free distance, extended row distances and
 active burst distances are read off Omega and Phi.
 """
 
@@ -265,19 +269,6 @@ class LSeries:
         if self.trunc != other.trunc:
             raise ValueError("truncation orders differ")
 
-    def inverse(self) -> "LSeries":
-        """Series inverse; requires constant coefficient exactly 1."""
-        if self.coeffs[0] != WeightEnum.one():
-            raise ValueError("series inverse requires constant coefficient 1")
-        inv = [WeightEnum.one()]
-        for l in range(1, self.trunc + 1):
-            acc = WeightEnum.zero()
-            for j in range(1, l + 1):
-                if self.coeffs[j]:
-                    acc = acc + self.coeffs[j] * inv[l - j]
-            inv.append(WeightEnum.zero() - acc)
-        return LSeries(self.trunc, inv)
-
     def __str__(self) -> str:
         return format_series(self)
 
@@ -351,8 +342,36 @@ def _unpack(value: int, width: int) -> WeightEnum:
 
 
 def omega_series(phi: LSeries) -> LSeries:
-    """Atomic weight distribution Omega = 1 - Phi^{-1}."""
-    return LSeries.one(phi.trunc) - phi.inverse()
+    """Atomic weight distribution Omega = 1 - Phi^{-1}.
+
+    Phi = 1 + Omega * Phi gives Omega_l = Phi_l - sum_{0<j<l} Omega_j Phi_{l-j},
+    run on enumerators packed as in `phi_series`.  While every Omega_j is
+    nonnegative, so is every term, and 0 <= Omega_j <= Phi_j slot by slot;
+    a slot of the sum is then at most sum_j Phi_j(1) Phi_{l-j}(1), the
+    totals at W = 1, which sets the width.  The subtraction runs with a
+    guard bit on top of every slot, so a slot that would go negative clears
+    its guard instead of borrowing from its neighbour, and is refused.
+    """
+    if phi.coeffs[0] != WeightEnum.one():
+        raise ValueError("series inverse requires constant coefficient 1")
+    if not all(c.is_nonnegative() for c in phi.coeffs):
+        raise ValueError("Phi has a negative coefficient")
+    trunc = phi.trunc
+    totals = [c.count() for c in phi.coeffs]
+    top = max(
+        [*totals, *(sum(totals[j] * totals[l - j] for j in range(1, l)) for l in range(trunc + 1))]
+    )
+    width = top.bit_length() + 1
+    packed = [sum(c << (a * width) for a, c in e.terms()) for e in phi.coeffs]
+    slots = 2 * max(e.max_weight() or 0 for e in phi.coeffs) + 1  # covers any product
+    guards = ((1 << (slots * width)) - 1) // ((1 << width) - 1) << (width - 1)
+    omega = [0] * (trunc + 1)
+    for l in range(1, trunc + 1):
+        rest = packed[l] + guards - sum(omega[j] * packed[l - j] for j in range(1, l))
+        if rest & guards != guards:
+            raise ValueError(f"Omega = 1 - 1/Phi has a negative coefficient at L^{l}")
+        omega[l] = rest - guards
+    return LSeries(trunc, [_unpack(x, width) for x in omega])
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,16 @@ xA, xC (per state) and uB, uD (per input) are filled by a prefix recursion
 over the F_p basis from (gamma + k) * m images.  An edge is then two
 vector sums, dst = xA + uB and v = xC + uD, and a table lookup of wt(v).
 Over F_{2^m} the packing concatenates m-bit digits and the sum is XOR.
+
+The code is F_q-linear and wt(lambda v) = wt(v), so for every lambda != 0
+the map x -> lambda x (edge (x, u) -> (lambda x, lambda u)) is a
+weight-preserving automorphism of the diagram.  Its orbits partition the
+states equitably, with {0} a block of its own, so the lumped matrix Q
+(one row per orbit, its representative's edges tallied by destination
+orbit) has (Q^l)_{0,0} = (Lambda^l)_{0,0}.  `build(cf, lumped=True)`
+expands only the representatives, 0 and the states whose first nonzero
+coordinate is 1 (the smallest member of each orbit in index order): about
+q^gamma / (q - 1) sources instead of q^gamma.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import polyalg
 from .encoder import ControllerForm
@@ -63,8 +73,15 @@ class StateDiagram:
     edges_by_source: tuple[tuple[tuple[int, int], ...], ...]  # (dst, weight) pairs
     form: ControllerForm
 
+    @property
+    def lumped(self) -> bool:
+        """True for the orbit quotient of a diagram, which has fewer states."""
+        return self.num_states < self.field.q**self.gamma
+
     def edges(self) -> Iterator[Edge]:
         """Labelled edges rebuilt from the form, in the order of edges_by_source."""
+        if self.lumped:
+            raise ValueError("the lumped diagram has no labelled edges")
         q, n = self.field.q, self.n
         uvecs = [state_vector(q, self.k, u) for u in range(q**self.k)]
         for src, inputs, dsts, outputs in _transitions(self.form):
@@ -140,9 +157,41 @@ def _weigher(q: int, n: int) -> Callable[[int], int]:
     return weight
 
 
-def _transitions(cf: ControllerForm) -> Iterator[tuple[int, range, Iterator[int], Iterator[int]]]:
+def _orbits(fld: FieldSpec, gamma: int) -> tuple[list[int], list[int]]:
+    """(orbit id of every packed state, smallest member of every orbit) of F_q^*.
+
+    Walks the cycles of x -> alpha x for a generator alpha of F_q^*, read
+    off a table filled digit by digit like `_weigher`'s; scanning in index
+    order meets each orbit first at its smallest member.  Orbit 0 is {0}.
+    """
+    q = fld.q
+    for alpha in range(2, q):  # the generator with the smallest encoding
+        times = [fld.mul(alpha, d) for d in range(q)]
+        x, order = times[1], 1
+        while x != 1:
+            x, order = times[x], order + 1
+        if order == q - 1:
+            break
+    scaled = [0]
+    for _ in range(gamma):
+        scaled = [x * q + times[d] for x in scaled for d in range(q)]
+    orbit, reps = [0] * len(scaled), [0]
+    for start in range(1, len(scaled)):
+        if not orbit[start]:
+            x = start
+            while not orbit[x]:
+                orbit[x] = len(reps)
+                x = scaled[x]
+            reps.append(start)
+    return orbit, reps
+
+
+def _transitions(
+    cf: ControllerForm, sources: Optional[Sequence[int]] = None
+) -> Iterator[tuple[int, range, Iterator[int], Iterator[int]]]:
     """(src, inputs, dsts, outputs) per source index, every transition but (0, 0).
 
+    `sources` lists the packed states to expand, all of them by default.
     `inputs` is the range of packed inputs u in order; `dsts` and `outputs`
     yield the packed destination and output v of each.
     """
@@ -153,26 +202,40 @@ def _transitions(cf: ControllerForm) -> Iterator[tuple[int, range, Iterator[int]
     ub = _linear_table(fld, cf.B, cf.k, add)
     ud = _linear_table(fld, cf.D, cf.k, add)
     every = range(len(ub))
-    for i, (a, c) in enumerate(zip(xa, xc)):
+    for i in range(len(xa)) if sources is None else sources:
+        a, c = xa[i], xc[i]
         inputs = every if i else every[1:]  # (0, 0) is left out
         ubs, uds = (ub, ud) if i else (ub[1:], ud[1:])
         yield i, inputs, map(add, repeat(a), ubs), map(add, repeat(c), uds)
 
 
-def build(cf: ControllerForm, *, max_states: int = DEFAULT_STATE_CEILING) -> StateDiagram:
-    """Tabulate every transition except (0, 0) as (dst, output weight)."""
-    s = cf.field.q**cf.gamma
+def build(
+    cf: ControllerForm, *, max_states: int = DEFAULT_STATE_CEILING, lumped: bool = False
+) -> StateDiagram:
+    """Tabulate every transition except (0, 0) as (dst, output weight).
+
+    With `lumped` the diagram is the F_q^* orbit quotient: vertex o is the
+    o-th orbit in order of its smallest member, and its edges are that
+    member's, with destinations replaced by their orbit.  Over F_2 every
+    orbit is one state and the full diagram is built.
+    """
+    fld = cf.field
+    s = fld.q**cf.gamma
     if s > max_states:
         raise LimitError(f"state space of size {s} exceeds the ceiling {max_states}")
-    weight = _weigher(cf.field.q, cf.n)
+    weight = _weigher(fld.q, cf.n)
+    orbit, sources = _orbits(fld, cf.gamma) if lumped and fld.q > 2 else (None, None)
     return StateDiagram(
-        field=cf.field,
+        field=fld,
         gamma=cf.gamma,
         k=cf.k,
         n=cf.n,
-        num_states=s,
+        num_states=s if sources is None else len(sources),
         edges_by_source=tuple(
-            tuple(zip(dsts, map(weight, outputs))) for _, _, dsts, outputs in _transitions(cf)
+            tuple(zip(
+                dsts if orbit is None else map(orbit.__getitem__, dsts), map(weight, outputs)
+            ))
+            for _, _, dsts, outputs in _transitions(cf, sources)
         ),
         form=cf,
     )

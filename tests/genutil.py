@@ -3,10 +3,11 @@
 import itertools
 import random
 
-from convcode import encoder_info, minimize, pm
+from convcode import controller_form, encoder_info, minimize, pm
 from convcode.polyalg import (
     PolyMatrix,
     constant,
+    mat_rank,
     pm_identity,
     pm_mul,
     poly,
@@ -15,7 +16,7 @@ from convcode.polyalg import (
     shift,
     vec_mat,
 )
-from convcode.spectrum import AdjMatrix
+from convcode.spectrum import AdjMatrix, LSeries, WeightEnum
 from convcode.statediag import state_index
 
 
@@ -183,3 +184,59 @@ def adj_from_dense(cells, q: int, n: int, extended: bool = False) -> AdjMatrix:
     """AdjMatrix from a dense grid of WeightEnums; zero cells are dropped."""
     rows = [[(j, e) for j, e in enumerate(row) if e] for row in cells]
     return AdjMatrix(rows, q=q, n=n, extended=extended)
+
+
+QUOTIENT_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)]
+
+
+def quotient_corpus(fld, rng: random.Random, *, budget: int = 1 << 13, count: int = 6) -> list:
+    """Controller forms of minimal codes with k <= 3 and q^(gamma + k) <= budget
+    for the codes with gamma >= 1.
+
+    The first is a block code (gamma = 0), the next a k = 2 code, then,
+    where the budget admits gamma = 1, a k = 3 code with one row of degree
+    1; the rest are drawn at random.
+    """
+    while True:
+        k = rng.randint(1, 3)
+        n = rng.randint(k, 4)
+        cells = [[rng.randrange(fld.q) for _ in range(n)] for _ in range(k)]
+        if mat_rank(fld, cells) == k:
+            forms = [controller_form(pm(fld, [[[c] for c in row] for row in cells]))]
+            break
+    while len(forms) < 2:
+        g = random_minimal_code(rng, fld, n_max=4, k_max=3, gamma_max=3)
+        cf = controller_form(g)
+        if cf.k == 2 and fld.q ** (cf.gamma + 2) <= budget:
+            forms.append(cf)
+    while fld.q**4 <= budget:
+        g = random_matrix(rng, fld, 3, 4, 0)
+        g = PolyMatrix(fld, (tuple(random_poly(rng, fld, 1) for _ in range(4)),) + g.rows[1:])
+        try:
+            info = encoder_info(g)
+        except ValueError:  # rank-deficient
+            continue
+        if info.is_minimal and info.delta == 1:
+            forms.append(controller_form(g))
+            break
+    while len(forms) < count:
+        g = random_minimal_code(rng, fld, n_max=4, k_max=3, gamma_max=3)
+        cf = controller_form(g)
+        if fld.q ** (cf.gamma + cf.k) <= budget:
+            forms.append(cf)
+    return forms
+
+
+def series_inverse(ls: LSeries) -> LSeries:
+    """Phi^{-1} by the schoolbook recurrence on WeightEnum products, the
+    reference for the packed Omega = 1 - Phi^{-1}."""
+    if ls.coeffs[0] != WeightEnum.one():
+        raise ValueError("series inverse requires constant coefficient 1")
+    inv = [WeightEnum.one()]
+    for l in range(1, ls.trunc + 1):
+        acc = WeightEnum.zero()
+        for j in range(1, l + 1):
+            if ls.coeffs[j]:
+                acc = acc + ls.coeffs[j] * inv[l - j]
+        inv.append(WeightEnum.zero() - acc)
+    return LSeries(ls.trunc, inv)

@@ -1,12 +1,15 @@
 import dataclasses
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import jsonschema
 import pytest
 
-from convcode import encoder, oracle, polyalg
+from convcode import cli, encoder, oracle, polyalg, statediag
 from convcode.cli import JSON_SCHEMAS, format_gm, main, parse_gm
 from convcode.errors import ParseError
 
@@ -283,6 +286,41 @@ def test_f16_pipeline(capsys):
     assert "delta=3" in out and "minimal=yes" in out
     rc, payload, _ = run_json(capsys, "ccf", F16)
     assert payload["C"] == [[2, 2, 2], [1, 7, 6], [1, 6, 7]]
+
+
+def test_f16_series_expand_only_orbit_representatives(capsys, monkeypatch):
+    # spectrum and distances read Phi from the F_16^* orbit quotient: the
+    # 1 + (16^3 - 1) / 15 smallest orbit members, not all 4096 states
+    sources = []
+    transitions = statediag._transitions
+
+    def counted(cf, *args):
+        for item in transitions(cf, *args):
+            sources.append(item[0])
+            yield item
+
+    monkeypatch.setattr(statediag, "_transitions", counted)
+    rc, out, _ = run(capsys, "spectrum", F16)
+    assert rc == 0 and out.startswith("Omega = ")
+    assert len(sources) == 274 and sources == sorted(set(sources))
+
+
+def test_cached_parser_matches_fresh_parsers(capsys, monkeypatch):
+    # main() builds its parser once per process; calls that differ in command
+    # and flags must print what a parser built for each call prints
+    sequence = [("spectrum", MEMORY3, "--json"), ("spectrum", MEMORY3),
+                ("diagram", G1, "--dot"), ("spectrum", G1, "--trunc", "4")]
+    cached = [run(capsys, *argv) for argv in sequence]
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert cli._build_parser() is not cli._build_parser()
+    assert cached == [run(capsys, *argv) for argv in sequence]
+    # importing the CLI builds nothing
+    probe = "import convcode.cli as c; print(c._build_parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(CODES.parent.parent / "src")}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out == "0\n"
 
 
 @pytest.mark.parametrize(

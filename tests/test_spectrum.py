@@ -376,3 +376,48 @@ def test_packed_phi_slots_beyond_64_bits():
     sd = build(controller_form(g))
     phi = assert_matches_dense(sd, 16)
     assert max(c for _, c in phi.coeff(16).terms()) > 1 << 64
+
+
+# ---------------------------------------------------------------------------
+# the F_q^* orbit quotient Q and the packed Omega recurrence
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p, m", genutil.QUOTIENT_FIELDS,
+                         ids=[f"F{p**m}" for p, m in genutil.QUOTIENT_FIELDS])
+def test_lumped_phi_and_packed_omega_match_references(p, m):
+    # Phi from Q equals Phi from the full Lambda, and the packed Omega equals
+    # 1 - Phi^{-1} computed by WeightEnum products, at T = 1 and T = 8
+    fld = field_make(p, m)
+    for cf in genutil.quotient_corpus(fld, random.Random(800 + 10 * p + m)):
+        full, lumped = build(cf), build(cf, lumped=True)
+        assert lumped.num_states == 1 + (fld.q**cf.gamma - 1) // (fld.q - 1)
+        assert lumped.lumped == (fld.q > 2 and cf.gamma > 0)
+        if fld.q == 2:
+            assert lumped == full
+        for trunc in (1, 8):
+            phi = phi_series(adjacency(full), trunc)
+            assert phi_series(adjacency(lumped), trunc) == phi
+            omega = omega_series(phi)
+            assert omega == LSeries.one(trunc) - genutil.series_inverse(phi)
+            assert all(c.is_nonnegative() for c in omega.coeffs)
+
+
+def test_packed_omega_refusals():
+    w = WeightEnum.monomial
+    one, zero = WeightEnum.one(), WeightEnum.zero()
+    with pytest.raises(ValueError, match="constant coefficient 1"):
+        omega_series(LSeries(2, [w(1), zero, zero]))
+    with pytest.raises(ValueError, match="negative coefficient"):
+        omega_series(LSeries(2, [one, WeightEnum({1: 1, 2: -1}), zero]))
+    # Phi_1 = W, Phi_2 = 0: Omega_2 = Phi_2 - Omega_1 Phi_1 = -W^2
+    with pytest.raises(ValueError, match="negative coefficient at L\\^2"):
+        omega_series(LSeries(3, [one, w(1), zero, w(3)]))
+    # a count of Omega_1 Phi_1 in a slot above every weight of Phi_2
+    with pytest.raises(ValueError, match="negative coefficient at L\\^2"):
+        omega_series(LSeries(2, [one, w(5, 3), w(1, 9)]))
+    # the borrow is caught in its own slot, not hidden by the slot above
+    with pytest.raises(ValueError, match="negative coefficient at L\\^2"):
+        omega_series(LSeries(2, [one, w(1), WeightEnum({1: 5, 3: 1})]))
+    ok = LSeries(2, [one, w(1), WeightEnum({2: 1, 3: 4})])
+    assert omega_series(ok) == LSeries.one(2) - genutil.series_inverse(ok)

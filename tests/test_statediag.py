@@ -4,6 +4,8 @@ import random
 import pytest
 
 from convcode import (
+    WeightEnum,
+    adjacency,
     build,
     controller_form,
     delay_free_check,
@@ -16,6 +18,7 @@ from convcode.cli import parse_gm
 from convcode.errors import LimitError
 from convcode.galois import FieldSpec, field_make
 from convcode.polyalg import PolyMatrix, mat_rank, shift, vec_mat
+from convcode import statediag
 from convcode.statediag import edges_json, state_index, state_vector
 
 import genutil
@@ -261,3 +264,40 @@ def test_build_does_no_field_arithmetic_per_edge(monkeypatch):
     sd = build(cf)
     assert sum(map(len, sd.edges_by_source)) == 16**5 - 1
     assert 0 < calls["add"] + calls["mul"] < 10**4
+    # the orbit quotient expands 1 + (16^3 - 1) / 15 sources; its orbit ids
+    # cost one generator search and a digit table, not a field call per state
+    calls.update(add=0, mul=0)
+    sd = build(cf, lumped=True)
+    assert sd.num_states == 274 and sum(map(len, sd.edges_by_source)) == 274 * 16**2 - 1
+    assert 0 < calls["add"] + calls["mul"] < 10**4
+
+
+@pytest.mark.parametrize("p, m", genutil.QUOTIENT_FIELDS[1:],
+                         ids=[f"F{p**m}" for p, m in genutil.QUOTIENT_FIELDS[1:]])
+def test_orbits_lump_lambda_equitably(p, m):
+    # orbit ids are checked against FieldSpec scaling, and on the full Lambda
+    # every member of an orbit has the lumped row of its representative in Q
+    fld = field_make(p, m)
+    for cf in genutil.quotient_corpus(fld, random.Random(900 + 10 * p + m)):
+        orbit, reps = statediag._orbits(fld, cf.gamma)
+        s = fld.q**cf.gamma
+        assert len(orbit) == s and len(reps) == 1 + (s - 1) // (fld.q - 1)
+        assert [orbit[r] for r in reps] == list(range(len(reps)))
+        for o, r in enumerate(reps):
+            vec = state_vector(fld.q, cf.gamma, r)
+            assert o == 0 or next(d for d in vec if d) == 1
+        for x in range(s):
+            vec = state_vector(fld.q, cf.gamma, x)
+            for lam in fld.units():
+                y = state_index(fld.q, tuple(fld.mul(lam, d) for d in vec))
+                assert orbit[y] == orbit[x] and reps[orbit[x]] <= y
+        quotient = build(cf, lumped=True)
+        if quotient.lumped:  # its edges are not labelled by packed states
+            with pytest.raises(ValueError, match="no labelled edges"):
+                next(quotient.edges())
+        q_rows = adjacency(quotient).rows
+        for x, row in enumerate(adjacency(build(cf)).rows):
+            lumped = {}
+            for j, e in row:
+                lumped[orbit[j]] = lumped.get(orbit[j], WeightEnum.zero()) + e
+            assert tuple(sorted(lumped.items())) == q_rows[orbit[x]]
