@@ -369,13 +369,17 @@ def _trunc(args, info: polyalg.EncoderInfo) -> int:
     return spectrum.default_truncation(info.delta)
 
 
-def _lam(g: PolyMatrix, *, lumped: bool = False) -> spectrum.AdjMatrix:
+def _lam(
+    g: PolyMatrix, info: polyalg.EncoderInfo, *, lumped: bool = False
+) -> spectrum.AdjMatrix:
     """Adjacency matrix of the state diagram of g's controller canonical form.
 
+    `info` is encoder_info(g), which every caller has already computed.
     `lumped` gives the matrix Q of the F_q^* orbit quotient instead, which
     has the same (Q^l)_{0,0} and serves only the series.
     """
-    return spectrum.adjacency(statediag.build(encoder.controller_form(g), lumped=lumped))
+    cf = encoder.controller_form(g, info=info)
+    return spectrum.adjacency(statediag.build(cf, lumped=lumped))
 
 
 def _series_pair(args, needs: str):
@@ -390,7 +394,7 @@ def _series_pair(args, needs: str):
     trunc = _trunc(args, info)
     if trunc < 1:
         raise ValueError("truncation must be >= 1")
-    phi = spectrum.phi_series(_lam(g, lumped=True), trunc)
+    phi = spectrum.phi_series(_lam(g, info, lumped=True), trunc)
     return g, info, trunc, spectrum.omega_series(phi), phi
 
 
@@ -433,7 +437,7 @@ def _cmd_ccf(args) -> int:
     g = _load(args.file)
     info = polyalg.encoder_info(g)
     _require_minimal(info, "the controller canonical form requires")
-    cf = encoder.controller_form(g)
+    cf = encoder.controller_form(g, info=info)
     if args.json:
         _emit_json({
             "schema": _schema_id("ccf"),
@@ -481,7 +485,7 @@ def _cmd_adjacency(args) -> int:
     g = _load(args.file)
     info = polyalg.encoder_info(g)
     _require_minimal(info, "the adjacency matrix requires")
-    lam = _lam(g)
+    lam = _lam(g, info)
     if args.json:
         _emit_json(_adjacency_json(lam))
     else:
@@ -506,7 +510,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_distances(args) -> int:
     g, info, trunc, omega, phi = _series_pair(args, "distance profiles require")
-    _, mhat = polyalg.right_inverse(g)
+    _, mhat = polyalg.right_inverse(g, info)
     fd = spectrum.free_distance(omega, atomic_gap=info.memory + mhat)
     row_d = spectrum.extended_row_distances(omega)
     burst_d = spectrum.active_burst_distances(phi)
@@ -543,7 +547,7 @@ def _cmd_macwilliams(args) -> int:
     _require_minimal(info, "the duality transform requires")
     if info.delta != 1:
         raise ValueError("the closed-form transform needs constraint length 1")
-    dual_gamma = invariance.macwilliams_delta1(spectrum.extend(_lam(g)), g.n, g.k)
+    dual_gamma = invariance.macwilliams_delta1(spectrum.extend(_lam(g, info)), g.n, g.k)
     if args.json:
         _emit_json(_adjacency_json(dual_gamma))
     else:
@@ -554,16 +558,17 @@ def _cmd_macwilliams(args) -> int:
 def _cmd_equal(args) -> int:
     g = _load(args.file)
     h = _load(args.file2)
-    same = polyalg.codes_equal(g, h)
+    polyalg.check_same_shape(g, h)
+    info_g, info_h = polyalg.encoder_info(g), polyalg.encoder_info(h)
+    same = polyalg.codes_equal(g, h, (info_g, info_h))
     witness = None
     verdicts = []
     if same:
         verdicts.append("codes are equal")
     else:
         verdicts.append("codes differ")
-        info_g, info_h = polyalg.encoder_info(g), polyalg.encoder_info(h)
         if info_g.is_minimal and info_h.is_minimal and info_g.delta == info_h.delta:
-            witness = invariance.gen_adj_equal(_lam(g), _lam(h))
+            witness = invariance.gen_adj_equal(_lam(g, info_g), _lam(h, info_h))
             if witness is None:
                 verdicts.append("generalized adjacency matrices differ")
             else:
@@ -604,7 +609,7 @@ def _cmd_recover(args) -> int:
     g = _load(args.file)
     info = polyalg.encoder_info(g)
     _require_minimal(info, "invariant recovery requires")
-    lam = _lam(g)
+    lam = _lam(g, info)
     k = invariance.recover_dimension(lam)
     indices = invariance.recover_forney(lam)
     if args.json:

@@ -5,11 +5,18 @@ is the conjugate of the other by a permutation of the states that fixes
 the zero state.  The decision procedure here is a backtracking search
 over vertex matchings pruned by iterated in/out enumerator-multiset color
 refinement, certified by a full conjugation check before a witness is
-returned.  On top of that sit: recovery of the code dimension and row
+returned.  Both read only the nonzero cells: each distinct enumerator is
+interned once per call to a small int, so a refinement round sorts ints,
+O(nonzero cells) in all, and the search, which runs on an explicit stack,
+tests a candidate against the state's neighbours alone, O(degree): it
+looks up a's nonzero cells among the states already placed in b, then
+counts b's nonzero cells there to rule out a nonzero b cell over a zero
+a cell.  On top of that sit: recovery of the code dimension and row
 degrees from the matrix alone, the monomial-equivalence decision for
-generator matrices, the closed-form dual transform for binary codes with
-unit constraint length, and an exhaustive verifier for the shift-
-compatibility rigidity of zero-fixing bijections on F_2^gamma.
+generator matrices (which refuses a minimal pair at once when their
+matrices are not conjugate), the closed-form dual transform for binary
+codes with unit constraint length, and an exhaustive verifier for the
+shift-compatibility rigidity of zero-fixing bijections on F_2^gamma.
 """
 
 from __future__ import annotations
@@ -18,13 +25,17 @@ import itertools
 from typing import Optional, Sequence
 
 from . import polyalg
+from .encoder import controller_form
 from .errors import InternalError, LimitError
 from .galois import FieldSpec
 from .polyalg import PolyMatrix
-from .spectrum import AdjMatrix, WeightEnum, extend, row_iterate
+from .spectrum import AdjMatrix, WeightEnum, adjacency, extend, row_iterate
+from .statediag import build
 
 PermWitness = tuple  # index array pi with pi[0] == 0
 MonomialWitness = tuple  # (column permutation, column scalars)
+
+SEARCH_STATES = 256  # default bound on the states of the conjugation search
 
 
 # ---------------------------------------------------------------------------
@@ -32,36 +43,58 @@ MonomialWitness = tuple  # (column permutation, column scalars)
 # ---------------------------------------------------------------------------
 
 
-def _refined_colors(a: AdjMatrix, b: AdjMatrix):
-    """Stable joint color refinement; None when histograms separate.
+def _cell_graphs(a: AdjMatrix, b: AdjMatrix):
+    """Out- and in-neighbour lists [(state, cell id)] of both matrices.
+
+    Cells are interned on their exact terms(), with ids shared by `a` and
+    `b`, so two cells get one id exactly when their enumerators agree.
+    """
+    ids: dict[tuple, int] = {}
+    graphs = []
+    for m in (a, b):
+        out = [[(j, ids.setdefault(e.terms(), len(ids))) for j, e in row] for row in m.rows]
+        inn: list[list[tuple[int, int]]] = [[] for _ in out]
+        for i, row in enumerate(out):
+            for j, t in row:
+                inn[j].append((i, t))
+        graphs.append((out, inn))
+    return graphs
+
+
+def _refined_colors(graphs):
+    """Stable joint color refinement of `_cell_graphs(a, b)`; None when
+    histograms separate.
 
     A signature lists a state's nonzero out- and in-cells only.  A round
     runs only when both matrices share one color histogram, which fixes
     the colors of a row's zero cells from its nonzero ones, so the sparse
-    signatures split the states exactly as the dense rows would.
+    signatures split the states exactly as the dense rows would.  An
+    out-neighbour j over cell t is the one int t*m + color(j) + 1 with
+    m = s + 1 (colors run from -1, the pinned state 0, to s - 1), an
+    in-neighbour the same int plus a constant above every out-neighbour,
+    so a signature is the state's color and one sorted run of ints.
+    Signature ids are handed out in first-seen order, a's states before
+    b's.
     """
-    s = a.size
-    cells = []
-    for m in (a, b):
-        out = [[(j, e.terms()) for j, e in row] for row in m.rows]
-        inn = [[] for _ in range(s)]
-        for i, row in enumerate(out):
-            for j, t in row:
-                inn[j].append((i, t))
-        cells.append((out, inn))
+    s = len(graphs[0][0])
+    m = s + 1
+    inward = m * (1 + max((t for out, _ in graphs for row in out for _, t in row), default=0))
+    keyed = [
+        [
+            [(t * m + 1, j) for j, t in out[i]] + [(inward + t * m + 1, j) for j, t in inn[i]]
+            for i in range(s)
+        ]
+        for out, inn in graphs
+    ]
     col_a = [0 if i else -1 for i in range(s)]  # state 0 is pinned
     col_b = list(col_a)
     while True:
         sig_ids: dict[tuple, int] = {}
         new_a = []
         new_b = []
-        for (out, inn), colors, target in zip(cells, (col_a, col_b), (new_a, new_b)):
-            for i in range(s):
-                sig = (
-                    colors[i],
-                    tuple(sorted((t, colors[j]) for j, t in out[i])),
-                    tuple(sorted((t, colors[j]) for j, t in inn[i])),
-                )
+        for nbrs, colors, target in zip(keyed, (col_a, col_b), (new_a, new_b)):
+            for c, nb in zip(colors, nbrs):
+                sig = (c, *sorted([k + colors[j] for k, j in nb]))
                 target.append(sig_ids.setdefault(sig, len(sig_ids)))
         if sorted(new_a) != sorted(new_b):
             return None
@@ -71,13 +104,14 @@ def _refined_colors(a: AdjMatrix, b: AdjMatrix):
 
 
 def gen_adj_equal(
-    a: AdjMatrix, b: AdjMatrix, *, max_states: int = 256
+    a: AdjMatrix, b: AdjMatrix, *, max_states: int = SEARCH_STATES
 ) -> Optional[PermWitness]:
     """Zero-fixing permutation pi with b[pi(i)][pi(j)] == a[i][j], or None.
 
     The search assigns states in index order and tries candidates in
     increasing order, so a returned witness is the lexicographically
-    least one.  The witness is re-verified entry by entry before return.
+    least one.  It runs on an explicit stack, one level per state.  The
+    witness is re-verified entry by entry before return.
     """
     if (a.size, a.q, a.n, a.extended) != (b.size, b.q, b.n, b.extended):
         raise ValueError("adjacency matrices have mismatched dimensions")
@@ -86,44 +120,59 @@ def gen_adj_equal(
             f"backtracking over {a.size} states exceeds the bound {max_states}"
         )
     s = a.size
-    refined = _refined_colors(a, b)
+    graphs = _cell_graphs(a, b)
+    refined = _refined_colors(graphs)
     if refined is None:
         return None
     col_a, col_b = refined
-    candidates = [
-        [j for j in range(s) if col_b[j] == col_a[i]] for i in range(s)
-    ]
-    if any(not c for c in candidates):
-        return None
+    # equal histograms leave every color of a with candidates in b
+    by_color: dict[int, list[int]] = {}
+    for j, c in enumerate(col_b):
+        by_color.setdefault(c, []).append(j)
+    (out_a, in_a), (out_b, in_b) = graphs
+    # the cells a[i][i2] and a[i2][i] with i2 <= i that b must match at pi(i)
+    back_out = [[(i2, t) for i2, t in out_a[i] if i2 <= i] for i in range(s)]
+    back_in = [[(i2, t) for i2, t in in_a[i] if i2 <= i] for i in range(s)]
+    cell_b = [dict(row) for row in out_b]
     mapping = [-1] * s
     used = [False] * s
-    ta = [{j: e.terms() for j, e in row} for row in a.rows]
-    tb = [{j: e.terms() for j, e in row} for row in b.rows]
 
     def feasible(i: int, j: int) -> bool:
-        for i2 in range(i + 1):
-            j2 = j if i2 == i else mapping[i2]
-            if ta[i].get(i2, ()) != tb[j].get(j2, ()):
+        """b[j][pi(i2)] == a[i][i2] and b[pi(i2)][j] == a[i2][i] for all
+        i2 <= i, with pi(i) = j: the nonzero cells of a are looked up in b,
+        then the counts of b's nonzero cells between j and the images
+        rule out a nonzero b cell over a zero a cell."""
+        row = cell_b[j]
+        for i2, t in back_out[i]:
+            if row.get(j if i2 == i else mapping[i2]) != t:
                 return False
-            if ta[i2].get(i, ()) != tb[j2].get(j, ()):
+        for i2, t in back_in[i]:
+            if cell_b[j if i2 == i else mapping[i2]].get(j) != t:
                 return False
-        return True
+        return (
+            sum(1 for j2, _ in out_b[j] if used[j2] or j2 == j) == len(back_out[i])
+            and sum(1 for j2, _ in in_b[j] if used[j2] or j2 == j) == len(back_in[i])
+        )
 
-    def search(i: int) -> bool:
-        if i == s:
-            return True
-        for j in candidates[i]:
+    nxt = [0] * s  # per level, the next candidate position to try
+    i = 0
+    while i < s:
+        cands = by_color[col_a[i]]
+        for pos in range(nxt[i], len(cands)):
+            j = cands[pos]
             if not used[j] and feasible(i, j):
+                nxt[i] = pos + 1
                 mapping[i] = j
                 used[j] = True
-                if search(i + 1):
-                    return True
-                mapping[i] = -1
-                used[j] = False
-        return False
-
-    if not search(0):
-        return None
+                i += 1
+                break
+        else:
+            nxt[i] = 0
+            i -= 1
+            if i < 0:
+                return None
+            used[mapping[i]] = False
+            mapping[i] = -1
     pi = tuple(mapping)
     rb = [dict(row) for row in b.rows]
     if pi[0] != 0 or any(
@@ -215,14 +264,43 @@ def apply_monomial(g: PolyMatrix, perm: Sequence[int], scale: Sequence[int]) -> 
     return PolyMatrix(fld, rows)
 
 
+def _adjacency_separates(g: PolyMatrix, h: PolyMatrix) -> bool:
+    """Whether Lambda alone shows that g and h generate monomially
+    inequivalent codes.
+
+    A column permutation and rescaling keeps every edge weight, so it
+    leaves Lambda of a minimal encoder unchanged, and Lambda up to a
+    zero-fixing conjugation is an invariant of the code.  Decided only when
+    both matrices are minimal and Lambda has at most SEARCH_STATES states;
+    otherwise False.
+    """
+    try:
+        info_g = polyalg.encoder_info(g)
+    except ValueError:  # rank deficient: the search refuses every candidate
+        return False
+    info_h = polyalg.encoder_info(h)  # h has a Hermite form, so full rank
+    if not (info_g.is_minimal and info_h.is_minimal):
+        return False
+    if info_g.delta != info_h.delta:
+        return True
+    if g.field.q**info_g.delta > SEARCH_STATES:
+        return False
+    lam_g, lam_h = (
+        adjacency(build(controller_form(m, info=info)))
+        for m, info in ((g, info_g), (h, info_h))
+    )
+    return gen_adj_equal(lam_g, lam_h) is None
+
+
 def monomial_equiv(
     g: PolyMatrix, h: PolyMatrix, *, budget: int = 1_000_000
 ) -> Optional[MonomialWitness]:
     """Exhaustive search for a column permutation and rescaling mapping the
     code of g onto the code of h; returns the lexicographically first
-    witness (permutations in lex order, scalings in value order)."""
-    if g.field != h.field or (g.k, g.n) != (h.k, h.n):
-        raise ValueError("shape/field mismatch")
+    witness (permutations in lex order, scalings in value order).  A pair
+    of minimal matrices whose Lambda are not conjugate is answered None
+    before the search."""
+    polyalg.check_same_shape(g, h)
     fld = g.field
     n = g.n
     total = 1
@@ -232,6 +310,8 @@ def monomial_equiv(
     if total > budget:
         raise LimitError(f"{total} candidates exceed the search budget {budget}")
     target = polyalg.hermite_form(h)
+    if _adjacency_separates(g, h):
+        return None
     for perm in itertools.permutations(range(n)):
         for scale in itertools.product(fld.units(), repeat=n):
             cand = apply_monomial(g, perm, scale)

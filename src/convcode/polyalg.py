@@ -492,12 +492,23 @@ def hermite_form(g: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(fld, tuple(tuple(row) for row in rows))
 
 
-def codes_equal(g: PolyMatrix, h: PolyMatrix) -> bool:
-    """Whether two basic matrices generate the same code (row module)."""
+def check_same_shape(g: PolyMatrix, h: PolyMatrix) -> None:
+    """Refuse two matrices that differ in field, k or n."""
     if g.field != h.field or (g.k, g.n) != (h.k, h.n):
         raise ValueError("shape/field mismatch")
-    for m in (g, h):
-        if not encoder_info(m).is_basic:
+
+
+def codes_equal(
+    g: PolyMatrix, h: PolyMatrix, infos: Optional[tuple[EncoderInfo, EncoderInfo]] = None
+) -> bool:
+    """Whether two basic matrices generate the same code (row module).
+
+    `infos`, when given, are encoder_info(g) and encoder_info(h), computed
+    once by a caller that needs them again.
+    """
+    check_same_shape(g, h)
+    for m, info in zip((g, h), infos or (None, None)):
+        if not (info or encoder_info(m)).is_basic:
             raise ValueError("code equality is decided for basic matrices only")
     return hermite_form(g) == hermite_form(h)
 
@@ -569,9 +580,15 @@ def diagonalize(g: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
     return s_m, u_m, v_m
 
 
-def right_inverse(g: PolyMatrix) -> tuple[PolyMatrix, int]:
-    """Polynomial right inverse of a basic matrix plus its max row degree."""
-    if not encoder_info(g).is_basic:
+def right_inverse(
+    g: PolyMatrix, info: Optional[EncoderInfo] = None
+) -> tuple[PolyMatrix, int]:
+    """Polynomial right inverse of a basic matrix plus its max row degree.
+
+    `info`, when given, is encoder_info(g), computed once by a caller that
+    needs it too.
+    """
+    if not (info or encoder_info(g)).is_basic:
         raise ValueError("only basic matrices have polynomial right inverses")
     fld = g.field
     s, u, v = diagonalize(g)

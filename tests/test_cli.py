@@ -221,6 +221,19 @@ def test_equal_block_codes(capsys, tmp_path):
     assert out == "codes differ; generalized adjacency matrices differ\n"
 
 
+@pytest.mark.parametrize(
+    "argv, calls",
+    [(["equal", G1, G2], 2), (["spectrum", MEMORY3], 1), (["distances", MEMORY3], 1)],
+)
+def test_encoder_info_once_per_matrix(capsys, monkeypatch, argv, calls):
+    seen = []
+    encoder_info = polyalg.encoder_info
+    monkeypatch.setattr(polyalg, "encoder_info", lambda g: seen.append(g) or encoder_info(g))
+    main(argv)
+    capsys.readouterr()
+    assert len(seen) == calls
+
+
 def test_mono_equiv(capsys):
     rc, payload, _ = run_json(capsys, "mono-equiv", G1, G2)
     assert rc == 1

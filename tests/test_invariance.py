@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -18,9 +19,10 @@ from convcode import (
     verify_shift_permutation_lemma,
     weight_preserving_equiv_check,
 )
+from convcode import invariance, polyalg
 from convcode.errors import InternalError, LimitError
 from convcode.galois import field_make
-from convcode.invariance import _refined_colors, apply_monomial, apply_witness
+from convcode.invariance import _cell_graphs, _refined_colors, apply_monomial, apply_witness
 from convcode.polyalg import pm_mul
 from convcode.spectrum import WeightEnum
 
@@ -62,15 +64,20 @@ def test_witness_reverification_is_not_an_assert(g213, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def dense_terms(m):
+    """terms() of every cell of the dense view, zero cells included."""
+    return [[e.terms() for e in row] for row in m.entries]
+
+
 def dense_refined_colors(a, b):
     s = a.size
 
     def signature(e, i, colors):
-        out = tuple(sorted((e[i][j].terms(), colors[j]) for j in range(s)))
-        inn = tuple(sorted((e[j][i].terms(), colors[j]) for j in range(s)))
+        out = tuple(sorted((e[i][j], colors[j]) for j in range(s)))
+        inn = tuple(sorted((e[j][i], colors[j]) for j in range(s)))
         return (colors[i], out, inn)
 
-    ea, eb = a.entries, b.entries
+    ea, eb = dense_terms(a), dense_terms(b)
     col_a = [0 if i else -1 for i in range(s)]
     col_b = list(col_a)
     while True:
@@ -99,14 +106,14 @@ def dense_gen_adj_equal(a, b):
         return None
     mapping = [-1] * s
     used = [False] * s
-    ea, eb = a.entries, b.entries
+    ea, eb = dense_terms(a), dense_terms(b)
 
     def feasible(i, j):
         for i2 in range(i + 1):
             j2 = j if i2 == i else mapping[i2]
-            if ea[i][i2].terms() != eb[j][j2].terms():
+            if ea[i][i2] != eb[j][j2]:
                 return False
-            if ea[i2][i].terms() != eb[j2][j].terms():
+            if ea[i2][i] != eb[j2][j]:
                 return False
         return True
 
@@ -126,6 +133,7 @@ def dense_gen_adj_equal(a, b):
     if not search(0):
         return None
     pi = tuple(mapping)
+    ea, eb = a.entries, b.entries
     assert all(ea[i][j] == eb[pi[i]][pi[j]] for i in range(s) for j in range(s))
     return pi
 
@@ -148,17 +156,117 @@ def reference_pairs():
     return pairs
 
 
+def minimal_f4_k2_gamma4(rng):
+    """A minimal F4 code with k = 2, n = 3 and gamma = 4: 256 states."""
+    f4 = field_make(2, 2)
+    while True:
+        g = genutil.random_minimal_code(rng, f4, n_max=3, k_max=2, gamma_min=4, gamma_max=4)
+        if (g.k, g.n) == (2, 3):
+            return g
+
+
+def states_256_pairs():
+    """A planted conjugate, a row-transformed and column-monomial image,
+    and a different code, each against one 256-state F4 code."""
+    rng = random.Random(256)
+    g = minimal_f4_k2_gamma4(rng)
+    lam = lam_of(g)
+    perm = [0] + rng.sample(range(1, 256), 255)
+    h, _ = genutil.elementary_ops(rng, g, 6)
+    cols = rng.sample(range(3), 3)
+    h = apply_monomial(h, cols, [rng.choice(list(g.field.units())) for _ in cols])
+    other = minimal_f4_k2_gamma4(rng)
+    return [
+        (lam, apply_witness(lam, perm)),
+        (lam, lam_of(h)),
+        (lam, lam_of(other)),
+    ]
+
+
+def cycles_matrix(s, cycles, chords=()):
+    """State 0 has an edge W to and an edge W^2 from every other state;
+    the cycles and chords are edges W + 2W^3 among the others."""
+    cells = [[WeightEnum.zero()] * s for _ in range(s)]
+    for i in range(1, s):
+        cells[0][i] = WeightEnum({1: 1})
+        cells[i][0] = WeightEnum({2: 1})
+    edges = [(x, y) for cyc in cycles for x, y in zip(cyc, cyc[1:] + cyc[:1])]
+    for x, y in edges + list(chords):
+        cells[x][y] = WeightEnum({1: 1, 3: 2})
+    return genutil.adj_from_dense(cells, q=2, n=3)
+
+
+def cycle_pairs():
+    """Pairs whose stable colorings agree but which have no witness: one
+    directed cycle through the 2m states other than 0 against two cycles
+    of m each, and the reverse.  Every state but 0 keeps one color, so
+    only the search can tell them apart."""
+    pairs = []
+    for m in (3, 4):
+        s = 2 * m + 1
+        one = cycles_matrix(s, [list(range(1, s))])
+        two = cycles_matrix(s, [list(range(1, m + 1)), list(range(m + 1, s))])
+        pairs += [(one, two), (two, one)]
+    return pairs
+
+
 def test_sparse_search_matches_dense_reference():
     pairs = reference_pairs()
     kinds = {"found": 0, "none": 0, "k2": 0}
     for a, b in pairs:
-        assert _refined_colors(a, b) == dense_refined_colors(a, b)
+        assert _refined_colors(_cell_graphs(a, b)) == dense_refined_colors(a, b)
         wit = gen_adj_equal(a, b)
         assert wit == dense_gen_adj_equal(a, b)
         kinds["found" if wit is not None else "none"] += 1
         kinds["k2"] += recover_dimension(a) == 2
     assert len(pairs) >= 200
     assert min(kinds.values()) >= 20, kinds
+    found = []
+    for a, b in states_256_pairs() + cycle_pairs():
+        colors = _refined_colors(_cell_graphs(a, b))
+        assert colors == dense_refined_colors(a, b)
+        wit = gen_adj_equal(a, b)
+        assert wit == dense_gen_adj_equal(a, b)
+        found.append(wit is not None)
+        if a.size < 256:
+            assert colors is not None and sorted(colors[0]) == sorted(colors[1])
+    assert found == [True, True, False] + [False] * 4
+
+
+def test_search_is_exact_under_the_trivial_coloring(monkeypatch):
+    # with every state but 0 in one color, the search alone must keep b's
+    # zero cells zero: the lookups of a's nonzero cells are not enough
+    def trivial(graphs):
+        s = len(graphs[0][0])
+        colors = [0 if i else -1 for i in range(s)]
+        return colors, list(colors)
+
+    # b is a plus one chord from a state to a later one, then to an
+    # earlier one: only the in-count, then only the out-count, sees it
+    hexagon = [list(range(1, 7))]
+    chords = [
+        (cycles_matrix(7, hexagon), cycles_matrix(7, hexagon, [chord]))
+        for chord in ((1, 3), (3, 1))
+    ]
+    pairs = [(a, b) for a, b in reference_pairs() if a.size <= 9] + cycle_pairs() + chords
+    expected = [dense_gen_adj_equal(a, b) for a, b in pairs]
+    monkeypatch.setattr(invariance, "_refined_colors", trivial)
+    assert [gen_adj_equal(a, b) for a, b in pairs] == expected
+    assert None in expected and any(expected)
+
+
+def test_search_depth_does_not_grow_with_the_states():
+    g = minimal_f4_k2_gamma4(random.Random(5))
+    lam = lam_of(g)
+    perm = [0] + random.Random(6).sample(range(1, 256), 255)
+    conj = apply_witness(lam, perm)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        wit = gen_adj_equal(lam, conj)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert wit is not None and apply_witness(lam, wit) == conj
 
 
 def test_shifted_pair_not_conjugate(g1, g2):
@@ -253,7 +361,7 @@ def test_recover_matches_encoder_on_random_codes(f2, f3):
             assert recover_forney(lam) == tuple(sorted(info.row_degrees))
 
 
-def test_monomial_equiv_planted(f2, g_mixed):
+def test_monomial_equiv_planted(f2, f3, g_mixed):
     rng = random.Random(13)
     for _ in range(5):
         perm = rng.sample(range(3), 3)
@@ -262,10 +370,26 @@ def test_monomial_equiv_planted(f2, g_mixed):
         wit = monomial_equiv(g_mixed, h)
         assert wit is not None
         assert codes_equal(apply_monomial(g_mixed, wit[0], wit[1]), h)
+    # row-transformed, column-monomial images of minimal codes: the Lambda
+    # check before the search must let every one of them through
+    for fld in (f2, f3):
+        for _ in range(4):
+            g = genutil.random_minimal_code(rng, fld, n_max=3, k_max=2, gamma_max=3)
+            h, _ = genutil.elementary_ops(rng, g, 4)
+            perm = rng.sample(range(g.n), g.n)
+            h = apply_monomial(h, perm, [rng.choice(list(fld.units())) for _ in perm])
+            wit = monomial_equiv(g, h)
+            assert wit is not None
+            assert codes_equal(apply_monomial(g, wit[0], wit[1]), h)
 
 
-def test_monomial_equiv_negative(g1, g2):
+def test_monomial_equiv_negative(g1, g2, monkeypatch):
+    forms = []
+    hermite_form = polyalg.hermite_form
+    monkeypatch.setattr(polyalg, "hermite_form", lambda m: forms.append(m) or hermite_form(m))
     assert monomial_equiv(g1, g2) is None
+    # Lambda differ, so no candidate reaches its Hermite form
+    assert forms == [g2]
 
 
 def test_monomial_equiv_budget(g16):
