@@ -13,7 +13,6 @@ from convcode import (
     classify,
     controller_form,
     delay_free_check,
-    encoder_info,
     export_dot,
     realization_check,
     state_sequence,
@@ -34,7 +33,7 @@ def show_matrix(name, rows):
 def main():
     for fname in ("memory3.gm", "f16.gm"):
         g = parse_gm((CODES / fname).read_text())
-        info = encoder_info(g)
+        info = g.info
         print(f"== {fname}: {g} over {g.field!r}")
         print(
             f"  row degrees {info.row_degrees}, constraint length {info.delta}, "

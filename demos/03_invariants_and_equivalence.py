@@ -14,10 +14,8 @@ import pathlib
 import random
 
 from convcode import (
-    adjacency,
-    build,
+    code_adjacency,
     codes_equal,
-    controller_form,
     gen_adj_equal,
     monomial_equiv,
     omega_series,
@@ -33,14 +31,10 @@ from convcode.spectrum import format_series
 CODES = pathlib.Path(__file__).resolve().parent / "codes"
 
 
-def lam_of(g):
-    return adjacency(build(controller_form(g)))
-
-
 def main():
     g1 = parse_gm((CODES / "g1.gm").read_text())
     g2 = parse_gm((CODES / "g2.gm").read_text())
-    lam1, lam2 = lam_of(g1), lam_of(g2)
+    lam1, lam2 = code_adjacency(g1), code_adjacency(g2)
     om1 = omega_series(phi_series(lam1, 6))
     om2 = omega_series(phi_series(lam2, 6))
     print(f"== {g1}  vs  {g2}")
@@ -56,16 +50,17 @@ def main():
     g = parse_gm((CODES / "mixed_rows.gm").read_text())
     u = pm(g.field, [[[1], [0]], [[0, 1], [1]]])  # row2 += z * row1
     h = pm_mul(u, g)
-    wit = gen_adj_equal(lam_of(g), lam_of(h))
+    lam_g, lam_h = code_adjacency(g), code_adjacency(h)
+    wit = gen_adj_equal(lam_g, lam_h)
     print(f"  transformed encoder: {h}")
     print(f"  witness permutation: {list(wit)}")
-    print(f"  conjugation verified: {apply_witness(lam_of(g), wit) == lam_of(h)}")
+    print(f"  conjugation verified: {apply_witness(lam_g, wit) == lam_h}")
     print()
 
     print("== reading invariants back off the adjacency matrix alone")
     for fname in ("memory3.gm", "mixed_rows.gm", "g1.gm"):
         g = parse_gm((CODES / fname).read_text())
-        lam = lam_of(g)
+        lam = code_adjacency(g)
         print(
             f"  {fname}: dimension {recover_dimension(lam)}, "
             f"row degrees {list(recover_forney(lam))}"

@@ -11,11 +11,8 @@ import pathlib
 import random
 
 from convcode import (
-    adjacency,
-    build,
-    controller_form,
+    code_adjacency,
     dual_basis,
-    encoder_info,
     extend,
     macwilliams_delta1,
     minimize,
@@ -30,10 +27,6 @@ from convcode.spectrum import format_series
 CODES = pathlib.Path(__file__).resolve().parent / "codes"
 
 
-def lam_of(g):
-    return adjacency(build(controller_form(g)))
-
-
 def random_unit_memory_code(rng, fld, n_max=5):
     """Binary code with a one-dimensional state space, by rejection."""
     while True:
@@ -45,13 +38,13 @@ def random_unit_memory_code(rng, fld, n_max=5):
         ]
         try:
             g = pm(fld, rows)
-            info = encoder_info(g)
+            info = g.info
         except ValueError:
             continue
         if not info.is_basic:
             continue
         g, _ = minimize(g)
-        if encoder_info(g).delta == 1:
+        if g.info.delta == 1:
             return g
 
 
@@ -63,10 +56,10 @@ def main():
         print("  dual basis:")
         for line in format_gm(h).splitlines():
             print("    " + line)
-        om = omega_series(phi_series(lam_of(h), 5))
+        om = omega_series(phi_series(code_adjacency(h), 5))
         print(f"  dual atomic distribution: {format_series(om)}")
-        transformed = macwilliams_delta1(extend(lam_of(g)), g.n, g.k)
-        direct = extend(lam_of(h))
+        transformed = macwilliams_delta1(extend(code_adjacency(g)), g.n, g.k)
+        direct = extend(code_adjacency(h))
         print(f"  closed-form transform equals the dual's matrix: {transformed == direct}")
         print()
 
@@ -76,9 +69,9 @@ def main():
     checked = 0
     for _ in range(20):
         g = random_unit_memory_code(rng, f2)
-        gam = extend(lam_of(g))
+        gam = extend(code_adjacency(g))
         fwd = macwilliams_delta1(gam, g.n, g.k)
-        assert fwd == extend(lam_of(dual_basis(g)))
+        assert fwd == extend(code_adjacency(dual_basis(g)))
         assert macwilliams_delta1(fwd, g.n, g.n - g.k) == gam
         checked += 1
     print(f"  verified on {checked} random codes with one memory cell")

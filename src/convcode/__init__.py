@@ -25,6 +25,7 @@ from .encoder import (
 from .errors import InternalError, LimitError, ParseError
 from .galois import FieldSpec, default_modulus, field_make
 from .invariance import (
+    code_adjacency,
     gen_adj_equal,
     macwilliams_delta1,
     monomial_equiv,
@@ -90,6 +91,7 @@ __all__ = [
     "adjacency",
     "build",
     "classify",
+    "code_adjacency",
     "codes_equal",
     "controller_form",
     "default_modulus",

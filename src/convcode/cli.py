@@ -363,44 +363,30 @@ def _gm_json(g: PolyMatrix) -> dict:
     }
 
 
-def _trunc(args, info: polyalg.EncoderInfo) -> int:
+def _trunc(args, g: PolyMatrix) -> int:
     if args.trunc is not None:
         return args.trunc
-    return spectrum.default_truncation(info.delta)
-
-
-def _lam(
-    g: PolyMatrix, info: polyalg.EncoderInfo, *, lumped: bool = False
-) -> spectrum.AdjMatrix:
-    """Adjacency matrix of the state diagram of g's controller canonical form.
-
-    `info` is encoder_info(g), which every caller has already computed.
-    `lumped` gives the matrix Q of the F_q^* orbit quotient instead, which
-    has the same (Q^l)_{0,0} and serves only the series.
-    """
-    cf = encoder.controller_form(g, info=info)
-    return spectrum.adjacency(statediag.build(cf, lumped=lumped))
+    return spectrum.default_truncation(g.info.delta)
 
 
 def _series_pair(args, needs: str):
-    """(g, info, trunc, omega, phi) for the file in args.
+    """(g, trunc, omega, phi) for the file in args.
 
     Every code, a block code (delta = 0, one state) included, goes through
     the state diagram; `needs` opens the refusal, as in _require_minimal.
     """
     g = _load(args.file)
-    info = polyalg.encoder_info(g)
-    _require_minimal(info, needs)
-    trunc = _trunc(args, info)
+    _require_minimal(g, needs)
+    trunc = _trunc(args, g)
     if trunc < 1:
         raise ValueError("truncation must be >= 1")
-    phi = spectrum.phi_series(_lam(g, info, lumped=True), trunc)
-    return g, info, trunc, spectrum.omega_series(phi), phi
+    phi = spectrum.phi_series(invariance.code_adjacency(g, lumped=True), trunc)
+    return g, trunc, spectrum.omega_series(phi), phi
 
 
-def _require_minimal(info: polyalg.EncoderInfo, needs: str) -> None:
+def _require_minimal(g: PolyMatrix, needs: str) -> None:
     """Refuse a non-minimal matrix; `needs` opens the message, e.g. "... requires"."""
-    if not info.is_minimal:
+    if not g.info.is_minimal:
         raise ValueError(f"{needs} a minimal generator matrix")
 
 
@@ -411,7 +397,7 @@ def _require_minimal(info: polyalg.EncoderInfo, needs: str) -> None:
 
 def _cmd_info(args) -> int:
     g = _load(args.file)
-    info = polyalg.encoder_info(g)
+    info = g.info
     if args.json:
         _emit_json({
             "schema": _schema_id("info"),
@@ -435,9 +421,8 @@ def _cmd_info(args) -> int:
 
 def _cmd_ccf(args) -> int:
     g = _load(args.file)
-    info = polyalg.encoder_info(g)
-    _require_minimal(info, "the controller canonical form requires")
-    cf = encoder.controller_form(g, info=info)
+    _require_minimal(g, "the controller canonical form requires")
+    cf = encoder.controller_form(g)
     if args.json:
         _emit_json({
             "schema": _schema_id("ccf"),
@@ -483,9 +468,8 @@ def _cmd_diagram(args) -> int:
 
 def _cmd_adjacency(args) -> int:
     g = _load(args.file)
-    info = polyalg.encoder_info(g)
-    _require_minimal(info, "the adjacency matrix requires")
-    lam = _lam(g, info)
+    _require_minimal(g, "the adjacency matrix requires")
+    lam = invariance.code_adjacency(g)
     if args.json:
         _emit_json(_adjacency_json(lam))
     else:
@@ -494,7 +478,7 @@ def _cmd_adjacency(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    _, _, trunc, omega, phi = _series_pair(args, "the weight distribution requires")
+    _, trunc, omega, phi = _series_pair(args, "the weight distribution requires")
     if args.json:
         _emit_json({
             "schema": _schema_id("series"),
@@ -509,9 +493,9 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_distances(args) -> int:
-    g, info, trunc, omega, phi = _series_pair(args, "distance profiles require")
-    _, mhat = polyalg.right_inverse(g, info)
-    fd = spectrum.free_distance(omega, atomic_gap=info.memory + mhat)
+    g, trunc, omega, phi = _series_pair(args, "distance profiles require")
+    _, mhat = polyalg.right_inverse(g)
+    fd = spectrum.free_distance(omega, atomic_gap=g.info.memory + mhat)
     row_d = spectrum.extended_row_distances(omega)
     burst_d = spectrum.active_burst_distances(phi)
     if args.json:
@@ -543,11 +527,11 @@ def _cmd_dual(args) -> int:
 
 def _cmd_macwilliams(args) -> int:
     g = _load(args.file)
-    info = polyalg.encoder_info(g)
-    _require_minimal(info, "the duality transform requires")
-    if info.delta != 1:
+    _require_minimal(g, "the duality transform requires")
+    if g.info.delta != 1:
         raise ValueError("the closed-form transform needs constraint length 1")
-    dual_gamma = invariance.macwilliams_delta1(spectrum.extend(_lam(g, info)), g.n, g.k)
+    lam = invariance.code_adjacency(g)
+    dual_gamma = invariance.macwilliams_delta1(spectrum.extend(lam), g.n, g.k)
     if args.json:
         _emit_json(_adjacency_json(dual_gamma))
     else:
@@ -559,8 +543,8 @@ def _cmd_equal(args) -> int:
     g = _load(args.file)
     h = _load(args.file2)
     polyalg.check_same_shape(g, h)
-    info_g, info_h = polyalg.encoder_info(g), polyalg.encoder_info(h)
-    same = polyalg.codes_equal(g, h, (info_g, info_h))
+    info_g, info_h = g.info, h.info  # either rank deficiency before codes_equal's basic check
+    same = polyalg.codes_equal(g, h)
     witness = None
     verdicts = []
     if same:
@@ -568,7 +552,9 @@ def _cmd_equal(args) -> int:
     else:
         verdicts.append("codes differ")
         if info_g.is_minimal and info_h.is_minimal and info_g.delta == info_h.delta:
-            witness = invariance.gen_adj_equal(_lam(g, info_g), _lam(h, info_h))
+            witness = invariance.gen_adj_equal(
+                invariance.code_adjacency(g), invariance.code_adjacency(h)
+            )
             if witness is None:
                 verdicts.append("generalized adjacency matrices differ")
             else:
@@ -607,9 +593,8 @@ def _cmd_mono_equiv(args) -> int:
 
 def _cmd_recover(args) -> int:
     g = _load(args.file)
-    info = polyalg.encoder_info(g)
-    _require_minimal(info, "invariant recovery requires")
-    lam = _lam(g, info)
+    _require_minimal(g, "invariant recovery requires")
+    lam = invariance.code_adjacency(g)
     k = invariance.recover_dimension(lam)
     indices = invariance.recover_forney(lam)
     if args.json:
@@ -625,8 +610,7 @@ def _cmd_recover(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = _load(args.file)
-    info = polyalg.encoder_info(g)
-    l_max = _trunc(args, info)
+    l_max = _trunc(args, g)
     result = oracle.survey(g, l_max, budget=args.budget)
 
     def table_json(table):

@@ -17,7 +17,7 @@ the state returns to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import polyalg
 from .errors import InternalError
@@ -54,21 +54,14 @@ class ControllerForm:
         return max(self.block_degrees)
 
 
-def controller_form(
-    g: PolyMatrix,
-    *,
-    require_minimal: bool = True,
-    info: Optional[polyalg.EncoderInfo] = None,
-) -> ControllerForm:
+def controller_form(g: PolyMatrix, *, require_minimal: bool = True) -> ControllerForm:
     """Assemble (A, B, C, D) from a generator matrix.
 
     With `require_minimal` (the default) the input must be basic and
     minimal; the relaxed form is used for catastrophicity diagnostics on
-    arbitrary full-rank matrices.  `info`, when given, is encoder_info(g),
-    computed once by a caller that needs it too.
+    arbitrary full-rank matrices.
     """
-    if info is None:
-        info = polyalg.encoder_info(g)
+    info = g.info
     if require_minimal and not info.is_minimal:
         raise ValueError("generator matrix is not minimal; row-reduce it first")
     degs = info.row_degrees

@@ -256,37 +256,31 @@ class FieldSpec:
         return f"F{self.q}"
 
 
-def check_field(p: int, m: int, *, max_order: int = MAX_ORDER) -> None:
-    """Reject (p, m) unless p is prime and p^m <= max_order.
+def check_field(p: int, m: int) -> None:
+    """Reject (p, m) unless p is prime and p^m <= MAX_ORDER.
 
     The bounds come before any work that grows with p or m: trial division
-    only sees p <= max_order, and p^m is only computed for m small enough
-    that 2^m <= max_order.
+    only sees p <= MAX_ORDER, and p^m is only computed for m small enough
+    that 2^m <= MAX_ORDER.
     """
-    if not 2 <= p <= max_order:
-        raise ValueError(f"field characteristic p={p} is outside 2..{max_order}")
+    if not 2 <= p <= MAX_ORDER:
+        raise ValueError(f"field characteristic p={p} is outside 2..{MAX_ORDER}")
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     if m < 1:
         raise ValueError(f"extension degree m={m} must be >= 1")
-    if m >= max_order.bit_length() or p**m > max_order:
-        raise ValueError(f"field order {p}^{m} exceeds the ceiling {max_order}")
+    if m >= MAX_ORDER.bit_length() or p**m > MAX_ORDER:
+        raise ValueError(f"field order {p}^{m} exceeds the ceiling {MAX_ORDER}")
 
 
-def field_make(
-    p: int,
-    m: int = 1,
-    modulus: Optional[Iterable[int]] = None,
-    *,
-    max_order: int = MAX_ORDER,
-) -> FieldSpec:
+def field_make(p: int, m: int = 1, modulus: Optional[Iterable[int]] = None) -> FieldSpec:
     """Construct F_{p^m}.
 
     `modulus` is a coefficient list of a monic degree-m polynomial over F_p,
     low degree first; omitted, the documented default is used.  Rejected:
-    non-prime p, q above `max_order`, reducible or non-monic moduli.
+    non-prime p, q above MAX_ORDER, reducible or non-monic moduli.
     """
-    check_field(p, m, max_order=max_order)
+    check_field(p, m)
     if m == 1:
         if modulus is not None:
             raise ValueError("prime fields take no modulus")

@@ -1,5 +1,7 @@
 """Code invariants carried by the adjacency matrix.
 
+`code_adjacency` is the one route from a generator matrix to Lambda.
+
 Two adjacency matrices represent the same generalized invariant when one
 is the conjugate of the other by a permutation of the states that fixes
 the zero state.  The decision procedure here is a backtracking search
@@ -24,18 +26,27 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Sequence
 
-from . import polyalg
-from .encoder import controller_form
+from . import encoder, polyalg, spectrum, statediag
 from .errors import InternalError, LimitError
 from .galois import FieldSpec
 from .polyalg import PolyMatrix
-from .spectrum import AdjMatrix, WeightEnum, adjacency, extend, row_iterate
-from .statediag import build
+from .spectrum import AdjMatrix, WeightEnum, extend, row_iterate
 
 PermWitness = tuple  # index array pi with pi[0] == 0
 MonomialWitness = tuple  # (column permutation, column scalars)
 
-SEARCH_STATES = 256  # default bound on the states of the conjugation search
+SEARCH_STATES = 256  # bound on the states of the conjugation search
+
+
+def code_adjacency(g: PolyMatrix, *, lumped: bool = False) -> AdjMatrix:
+    """Adjacency matrix of the state diagram of g's controller canonical form.
+
+    The one route from G to Lambda; g must be minimal.  `lumped` gives the
+    matrix Q of the F_q^* orbit quotient instead, which has the same
+    (Q^l)_{0,0} and serves only the series.
+    """
+    cf = encoder.controller_form(g)
+    return spectrum.adjacency(statediag.build(cf, lumped=lumped))
 
 
 # ---------------------------------------------------------------------------
@@ -103,21 +114,20 @@ def _refined_colors(graphs):
         col_a, col_b = new_a, new_b
 
 
-def gen_adj_equal(
-    a: AdjMatrix, b: AdjMatrix, *, max_states: int = SEARCH_STATES
-) -> Optional[PermWitness]:
+def gen_adj_equal(a: AdjMatrix, b: AdjMatrix) -> Optional[PermWitness]:
     """Zero-fixing permutation pi with b[pi(i)][pi(j)] == a[i][j], or None.
 
     The search assigns states in index order and tries candidates in
     increasing order, so a returned witness is the lexicographically
-    least one.  It runs on an explicit stack, one level per state.  The
-    witness is re-verified entry by entry before return.
+    least one.  It runs on an explicit stack, one level per state, over
+    at most SEARCH_STATES states.  The witness is re-verified entry by
+    entry before return.
     """
     if (a.size, a.q, a.n, a.extended) != (b.size, b.q, b.n, b.extended):
         raise ValueError("adjacency matrices have mismatched dimensions")
-    if a.size > max_states:
+    if a.size > SEARCH_STATES:
         raise LimitError(
-            f"backtracking over {a.size} states exceeds the bound {max_states}"
+            f"backtracking over {a.size} states exceeds the bound {SEARCH_STATES}"
         )
     s = a.size
     graphs = _cell_graphs(a, b)
@@ -272,24 +282,17 @@ def _adjacency_separates(g: PolyMatrix, h: PolyMatrix) -> bool:
     leaves Lambda of a minimal encoder unchanged, and Lambda up to a
     zero-fixing conjugation is an invariant of the code.  Decided only when
     both matrices are minimal and Lambda has at most SEARCH_STATES states;
-    otherwise False.
+    otherwise False.  A rank-deficient g raises here, as h does in
+    hermite_form.
     """
-    try:
-        info_g = polyalg.encoder_info(g)
-    except ValueError:  # rank deficient: the search refuses every candidate
-        return False
-    info_h = polyalg.encoder_info(h)  # h has a Hermite form, so full rank
+    info_g, info_h = g.info, h.info
     if not (info_g.is_minimal and info_h.is_minimal):
         return False
     if info_g.delta != info_h.delta:
         return True
     if g.field.q**info_g.delta > SEARCH_STATES:
         return False
-    lam_g, lam_h = (
-        adjacency(build(controller_form(m, info=info)))
-        for m, info in ((g, info_g), (h, info_h))
-    )
-    return gen_adj_equal(lam_g, lam_h) is None
+    return gen_adj_equal(code_adjacency(g), code_adjacency(h)) is None
 
 
 def monomial_equiv(
@@ -299,7 +302,7 @@ def monomial_equiv(
     code of g onto the code of h; returns the lexicographically first
     witness (permutations in lex order, scalings in value order).  A pair
     of minimal matrices whose Lambda are not conjugate is answered None
-    before the search."""
+    before the search.  A rank-deficient g or h raises ValueError."""
     polyalg.check_same_shape(g, h)
     fld = g.field
     n = g.n
@@ -312,14 +315,11 @@ def monomial_equiv(
     target = polyalg.hermite_form(h)
     if _adjacency_separates(g, h):
         return None
+    # _adjacency_separates read g.info, so g and all its column-monomial images have full rank
     for perm in itertools.permutations(range(n)):
         for scale in itertools.product(fld.units(), repeat=n):
-            cand = apply_monomial(g, perm, scale)
-            try:
-                if polyalg.hermite_form(cand) == target:
-                    return perm, scale
-            except ValueError:
-                continue
+            if polyalg.hermite_form(apply_monomial(g, perm, scale)) == target:
+                return perm, scale
     return None
 
 

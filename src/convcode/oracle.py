@@ -59,7 +59,7 @@ def survey(g: PolyMatrix, l_max: int, *, budget: int = DEFAULT_BUDGET) -> Oracle
     encoders makes the enumeration domain exact: row i of the input runs
     over degrees <= l_max - 1 - (row degree i).
     """
-    info = polyalg.encoder_info(g)
+    info = g.info
     if not info.is_minimal:
         raise ValueError("the enumeration domain is exact for minimal matrices only")
     if l_max < 1:

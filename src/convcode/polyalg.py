@@ -16,6 +16,7 @@ Everything is pure and operates on immutable values.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -130,7 +131,7 @@ def poly_gcd(fld: FieldSpec, a: Poly, b: Poly) -> Poly:
     return monic(fld, a)
 
 
-def poly_str(a: Poly, var: str = "z") -> str:
+def poly_str(a: Poly) -> str:
     if not a:
         return "0"
     parts = []
@@ -141,7 +142,7 @@ def poly_str(a: Poly, var: str = "z") -> str:
             parts.append(str(c))
         else:
             head = "" if c == 1 else f"{c}*"
-            parts.append(f"{head}{var}" + (f"^{i}" if i > 1 else ""))
+            parts.append(f"{head}z" + (f"^{i}" if i > 1 else ""))
     return " + ".join(parts)
 
 
@@ -250,6 +251,12 @@ class PolyMatrix:
 
     def entry(self, i: int, j: int) -> Poly:
         return self.rows[i][j]
+
+    @functools.cached_property
+    def info(self) -> EncoderInfo:
+        """encoder_info(self), computed on first use and kept with the matrix
+        (a rank-deficient matrix raises again on every access)."""
+        return encoder_info(self)
 
     def __str__(self) -> str:
         return "[" + "; ".join(
@@ -408,8 +415,7 @@ def minimize(g: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
     leading coefficient row of the highest-degree participating row (ties
     broken toward the largest row index).
     """
-    info = encoder_info(g)
-    if not info.is_basic:
+    if not g.info.is_basic:
         raise ValueError("row reduction requires a basic matrix")
     fld = g.field
     rows = [list(r) for r in g.rows]
@@ -439,7 +445,7 @@ def minimize(g: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
     u = PolyMatrix(fld, tuple(tuple(r) for r in u_rows))
     if pm_mul(u, g) != g_min:
         raise InternalError("minimize: U * G differs from the reduced matrix")
-    if not encoder_info(g_min).is_minimal:
+    if not g_min.info.is_minimal:
         raise InternalError("minimize: the reduced matrix is not minimal")
     return g_min, u
 
@@ -498,17 +504,11 @@ def check_same_shape(g: PolyMatrix, h: PolyMatrix) -> None:
         raise ValueError("shape/field mismatch")
 
 
-def codes_equal(
-    g: PolyMatrix, h: PolyMatrix, infos: Optional[tuple[EncoderInfo, EncoderInfo]] = None
-) -> bool:
-    """Whether two basic matrices generate the same code (row module).
-
-    `infos`, when given, are encoder_info(g) and encoder_info(h), computed
-    once by a caller that needs them again.
-    """
+def codes_equal(g: PolyMatrix, h: PolyMatrix) -> bool:
+    """Whether two basic matrices generate the same code (row module)."""
     check_same_shape(g, h)
-    for m, info in zip((g, h), infos or (None, None)):
-        if not (info or encoder_info(m)).is_basic:
+    for m in (g, h):
+        if not m.info.is_basic:
             raise ValueError("code equality is decided for basic matrices only")
     return hermite_form(g) == hermite_form(h)
 
@@ -580,15 +580,9 @@ def diagonalize(g: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
     return s_m, u_m, v_m
 
 
-def right_inverse(
-    g: PolyMatrix, info: Optional[EncoderInfo] = None
-) -> tuple[PolyMatrix, int]:
-    """Polynomial right inverse of a basic matrix plus its max row degree.
-
-    `info`, when given, is encoder_info(g), computed once by a caller that
-    needs it too.
-    """
-    if not (info or encoder_info(g)).is_basic:
+def right_inverse(g: PolyMatrix) -> tuple[PolyMatrix, int]:
+    """Polynomial right inverse of a basic matrix plus its max row degree."""
+    if not g.info.is_basic:
         raise ValueError("only basic matrices have polynomial right inverses")
     fld = g.field
     s, u, v = diagonalize(g)
@@ -612,7 +606,7 @@ def dual_basis(g: PolyMatrix) -> PolyMatrix:
     """
     if g.k >= g.n:
         raise ValueError("dual basis requires k < n")
-    if not encoder_info(g).is_basic:
+    if not g.info.is_basic:
         raise ValueError("dual basis requires a basic matrix")
     fld = g.field
     _, _, v = diagonalize(g)

@@ -419,7 +419,7 @@ def active_burst_distances(phi: LSeries) -> tuple[Optional[int], ...]:
 # ---------------------------------------------------------------------------
 
 
-def format_series(ls: LSeries, var: str = "L") -> str:
+def format_series(ls: LSeries) -> str:
     """Weight-major rendering: (L^a + 2L^b) W^alpha + ... + O(trunc)."""
     by_weight: dict[int, dict[int, int]] = {}
     for l, c in enumerate(ls.coeffs):
@@ -432,7 +432,7 @@ def format_series(ls: LSeries, var: str = "L") -> str:
         lterms = []
         for l in sorted(by_weight[alpha]):
             cnt = by_weight[alpha][l]
-            lpow = "1" if l == 0 else (var if l == 1 else f"{var}^{l}")
+            lpow = "1" if l == 0 else ("L" if l == 1 else f"L^{l}")
             lterms.append(lpow if cnt == 1 else f"{cnt}{lpow}")
         inner = " + ".join(lterms)
         if alpha == 0:

@@ -288,16 +288,12 @@ def _label(vec: tuple[int, ...], q: int) -> str:
     return ",".join(str(d) for d in vec)
 
 
-def export_dot(
-    sd: StateDiagram,
-    *,
-    max_render: int = DEFAULT_DOT_CEILING,
-    force: bool = False,
-) -> str:
-    """Graphviz text; edge labels are "u|v (weight)"."""
-    if sd.num_states > max_render and not force:
+def export_dot(sd: StateDiagram, *, force: bool = False) -> str:
+    """Graphviz text; edge labels are "u|v (weight)".  More than
+    DEFAULT_DOT_CEILING states are refused unless `force` is set."""
+    if sd.num_states > DEFAULT_DOT_CEILING and not force:
         raise LimitError(
-            f"{sd.num_states} vertices exceed the rendering guard {max_render}"
+            f"{sd.num_states} vertices exceed the rendering guard {DEFAULT_DOT_CEILING}"
         )
     q = sd.field.q
     lines = ["digraph state_diagram {", "  rankdir=LR;"]

@@ -223,7 +223,14 @@ def test_equal_block_codes(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "argv, calls",
-    [(["equal", G1, G2], 2), (["spectrum", MEMORY3], 1), (["distances", MEMORY3], 1)],
+    [
+        (["equal", G1, G2], 2),
+        (["spectrum", MEMORY3], 1),
+        (["distances", MEMORY3], 1),
+        (["oracle", G1, "--trunc", "4"], 1),
+        (["mono-equiv", G1, G2], 2),
+        (["dual", G1], 3),  # G, the kernel basis and the reduced basis
+    ],
 )
 def test_encoder_info_once_per_matrix(capsys, monkeypatch, argv, calls):
     seen = []
@@ -241,6 +248,17 @@ def test_mono_equiv(capsys):
     rc, payload, _ = run_json(capsys, "mono-equiv", G1, G1)
     assert rc == 0 and payload["found"]
     validate(payload, "witness")
+
+
+def test_mono_equiv_refuses_rank_deficiency_in_either_order(capsys, tmp_path):
+    # rows 2 = 2 * row 1 over F3; the other matrix is minimal
+    deficient = tmp_path / "deficient.gm"
+    deficient.write_text("field p=3 m=1\nk=2 n=5\n1 1 ; 1 ; 2 ; 0 1 ; 1\n2 2 ; 2 ; 1 ; 0 2 ; 2\n")
+    minimal = tmp_path / "minimal.gm"
+    minimal.write_text("field p=3 m=1\nk=2 n=5\n1 1 ; 1 ; 0 ; 1 ; 2\n0 ; 1 ; 1 1 ; 2 ; 1\n")
+    for pair in ((deficient, minimal), (minimal, deficient)):
+        rc, out, err = run(capsys, "mono-equiv", *map(str, pair))
+        assert (rc, out, err) == (2, "", "error: matrix is rank deficient over F(z)\n")
 
 
 def test_recover(capsys):

@@ -71,6 +71,30 @@ def test_spectrum_reads_the_diagram_only():
     assert found == []
 
 
+def test_one_route_from_g_to_lambda_and_no_info_parameters():
+    # invariance.code_adjacency alone turns a generator matrix into Lambda,
+    # and encoder_info is read off the matrix as g.info, never handed on
+    calls, params = [], []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "invariance.py":
+            route = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "code_adjacency")
+            allowed = {id(n) for n in ast.walk(route)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in allowed:
+                func = node.func
+                if getattr(func, "id", None) == "adjacency" or getattr(func, "attr", None) == "adjacency":
+                    calls.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                names = [x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if x]
+                if {"info", "infos"} & set(names):
+                    params.append(f"{path.name}:{node.lineno}")
+    assert calls == []
+    assert params == []
+
+
 def test_benchmark_tracer_patches_and_restores(capsys, tmp_path):
     # `perfbench/run.py --trace 1` wraps module attributes by name, so a
     # renamed function must fail here rather than crash a traced run

@@ -143,7 +143,7 @@ def test_build_ceiling(g213):
         build(controller_form(g213), max_states=4)
 
 
-def test_dot_export(g1, g213):
+def test_dot_export(g1, g213, monkeypatch):
     sd = build(controller_form(g1))
     text = export_dot(sd)
     assert text == export_dot(sd)  # byte stable
@@ -153,9 +153,10 @@ def test_dot_export(g1, g213):
     assert '1 -> 0 [label="0|011 (2)"];' in text
 
     sd8 = build(controller_form(g213))
+    monkeypatch.setattr(statediag, "DEFAULT_DOT_CEILING", 4)
     with pytest.raises(LimitError):
-        export_dot(sd8, max_render=4)
-    assert export_dot(sd8, max_render=4, force=True).count("->") == 15
+        export_dot(sd8)
+    assert export_dot(sd8, force=True).count("->") == 15
 
 
 def test_edges_json(g1):
