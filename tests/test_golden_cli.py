@@ -37,7 +37,9 @@ def calls() -> list[list[str]]:
     out += [["lemma-a1", "2"], ["lemma-a1", "3", "--json"],
             ["info", "demos/codes/f16.gm"], ["ccf", "demos/codes/f16.gm"],
             ["spectrum", "demos/codes/f16.gm"], ["spectrum", "demos/codes/f16.gm", "--json"],
-            ["distances", "demos/codes/f16.gm", "--json"]]
+            ["distances", "demos/codes/f16.gm", "--json"],
+            ["diagram", "demos/codes/f16.gm"],
+            ["diagram", "demos/codes/f16.gm", "--max-states", "100"]]
     return out
 
 
