@@ -10,7 +10,8 @@ File format (UTF-8, '#' starts a comment, blank lines ignored):
 Coefficients are field elements encoded as integers 0..q-1 (base-p digit
 encoding of the polynomial basis).  Exit codes: 0 success, 1 negative
 decision (codes differ, no witness), 2 input error, 3 budget or limit
-exceeded, 4 internal error (a result failed its own re-check).
+exceeded, 4 internal error (a result failed its own re-check), 141 stdout
+closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -443,24 +445,25 @@ def _cmd_ccf(args) -> int:
 
 def _cmd_diagram(args) -> int:
     cf = encoder.controller_form(_load(args.file), require_minimal=False)
-    sd = statediag.build(cf, max_states=args.max_states)
+    states = statediag.state_count(cf, max_states=args.max_states)
     if args.dot:
+        sd = statediag.build(cf, max_states=args.max_states)
         sys.stdout.write(statediag.export_dot(sd, force=args.force))
         return 0
-    delay_free = statediag.delay_free_check(sd)
-    zero_cycle = statediag.zero_weight_cycle_exists(sd)
+    delay_free = statediag.delay_free_check(cf)
+    zero_cycle = statediag.zero_weight_cycle_exists(cf)
     if args.json:
         _emit_json({
             "schema": _schema_id("diagram"),
-            "states": sd.num_states,
-            "edges": statediag.edges_json(sd),
+            "states": states,
+            "edges": statediag.edges_json(statediag.build(cf, max_states=args.max_states)),
             "delay_free": delay_free,
             "zero_weight_cycle": zero_cycle,
         })
     else:
-        n_edges = sum(len(gp) for gp in sd.edges_by_source)
-        print(f"states: {sd.num_states}")
-        print(f"edges: {n_edges}")
+        # every state has q^k transitions, and (0, 0) is left out
+        print(f"states: {states}")
+        print(f"edges: {states * cf.field.q**cf.k - 1}")
         print(f"delay-free: {'yes' if delay_free else 'no'}")
         print(f"zero-weight cycle: {'yes' if zero_cycle else 'no'}")
     return 0
@@ -718,12 +721,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _silence_stdout() -> None:
+    """Point the stdout descriptor at os.devnull, so the final flush of what
+    is still buffered raises nothing."""
+    try:
+        fd = sys.stdout.fileno()
+    except OSError:  # an in-process stream has no descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     handler = args._handlers[args.command]
     try:
-        return handler(args)
+        rc = handler(args)
+        sys.stdout.flush()  # a closed pipe must surface here, not at interpreter exit
+        return rc
+    except BrokenPipeError:
+        _silence_stdout()
+        return 141
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

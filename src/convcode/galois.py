@@ -137,27 +137,24 @@ class FieldSpec:
         return _pack(rem[:m], p)
 
     def _build_tables(self) -> None:
+        """exp/log of the smallest generator of F_q^*, filled while its powers
+        are walked; a candidate whose powers return to 1 early is dropped, and
+        the generator's walk overwrites every entry it left."""
         q = self.q
-        for g in range(2, q):
-            order = 1
-            val = g
-            while val != 1:
-                val = self._mul_raw(val, g)
-                order += 1
-                if order > q:  # pragma: no cover - modulus reducibility guard
-                    raise ValueError("modulus is not irreducible")
-            if order == q - 1:
-                break
-        else:  # pragma: no cover
-            raise ValueError("no multiplicative generator found")
         exp = [0] * (2 * (q - 1))
         log = [0] * q
-        val = 1
-        for i in range(q - 1):
-            exp[i] = val
-            exp[i + q - 1] = val
-            log[val] = i
-            val = self._mul_raw(val, g)
+        for g in range(2, q):
+            val = 1
+            for i in range(q - 1):
+                exp[i] = exp[i + q - 1] = val
+                log[val] = i
+                val = self._mul_raw(val, g)
+                if val == 1:
+                    break
+            if val == 1 and i == q - 2:  # order q - 1
+                break
+        else:  # pragma: no cover - the modulus is checked irreducible first
+            raise ValueError("no multiplicative generator found")
         self._exp = exp
         self._log = log
 

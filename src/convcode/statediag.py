@@ -23,6 +23,11 @@ orbit) has (Q^l)_{0,0} = (Lambda^l)_{0,0}.  `build(cf, lumped=True)`
 expands only the representatives, 0 and the states whose first nonzero
 coordinate is 1 (the smallest member of each orbit in index order): about
 q^gamma / (q - 1) sources instead of q^gamma.
+
+The catastrophicity and delay-freeness screens read only the weight-0
+edges, the transitions (x, u) != (0, 0) with uD = -xC.  `zero_weight_edges`
+groups the inputs by their packed uD once and looks up each state's -xC,
+so the screens cost O(q^gamma + q^k), not the q^(gamma + k) of `build`.
 """
 
 from __future__ import annotations
@@ -186,6 +191,22 @@ def _orbits(fld: FieldSpec, gamma: int) -> tuple[list[int], list[int]]:
     return orbit, reps
 
 
+def _tables(
+    cf: ControllerForm, *, negate_c: bool = False
+) -> tuple[Callable[[int, int], int], list[int], list[int], list[int], list[int]]:
+    """(add, xA, xC, uB, uD): the vector sum and the packed linear tables of a form.
+
+    With `negate_c` the second table is x(-C) instead; over F_{2^m} the two agree.
+    """
+    fld = cf.field
+    add = _vector_add(fld)
+    c = tuple(tuple(map(fld.neg, row)) for row in cf.C) if negate_c else cf.C
+    return add, *(
+        _linear_table(fld, mat, rows, add)
+        for mat, rows in ((cf.A, cf.gamma), (c, cf.gamma), (cf.B, cf.k), (cf.D, cf.k))
+    )
+
+
 def _transitions(
     cf: ControllerForm, sources: Optional[Sequence[int]] = None
 ) -> Iterator[tuple[int, range, Iterator[int], Iterator[int]]]:
@@ -195,18 +216,21 @@ def _transitions(
     `inputs` is the range of packed inputs u in order; `dsts` and `outputs`
     yield the packed destination and output v of each.
     """
-    fld = cf.field
-    add = _vector_add(fld)
-    xa = _linear_table(fld, cf.A, cf.gamma, add)
-    xc = _linear_table(fld, cf.C, cf.gamma, add)
-    ub = _linear_table(fld, cf.B, cf.k, add)
-    ud = _linear_table(fld, cf.D, cf.k, add)
+    add, xa, xc, ub, ud = _tables(cf)
     every = range(len(ub))
     for i in range(len(xa)) if sources is None else sources:
         a, c = xa[i], xc[i]
         inputs = every if i else every[1:]  # (0, 0) is left out
         ubs, uds = (ub, ud) if i else (ub[1:], ud[1:])
         yield i, inputs, map(add, repeat(a), ubs), map(add, repeat(c), uds)
+
+
+def state_count(cf: ControllerForm, *, max_states: int = DEFAULT_STATE_CEILING) -> int:
+    """q^gamma, the number of states of the diagram; LimitError above `max_states`."""
+    s = cf.field.q**cf.gamma
+    if s > max_states:
+        raise LimitError(f"state space of size {s} exceeds the ceiling {max_states}")
+    return s
 
 
 def build(
@@ -220,9 +244,7 @@ def build(
     orbit is one state and the full diagram is built.
     """
     fld = cf.field
-    s = fld.q**cf.gamma
-    if s > max_states:
-        raise LimitError(f"state space of size {s} exceeds the ceiling {max_states}")
+    s = state_count(cf, max_states=max_states)
     weight = _weigher(fld.q, cf.n)
     orbit, sources = _orbits(fld, cf.gamma) if lumped and fld.q > 2 else (None, None)
     return StateDiagram(
@@ -264,19 +286,34 @@ def _has_cycle(succ: list[list[int]]) -> bool:
     return False
 
 
-def zero_weight_cycle_exists(sd: StateDiagram) -> bool:
+def zero_weight_edges(cf: ControllerForm) -> list[list[int]]:
+    """Destinations of the weight-0 edges per source state, in input order.
+
+    These are the transitions (x, u) != (0, 0) with xC + uD = 0: the inputs
+    are grouped by packed uD once, and state x takes the group of its -xC.
+    """
+    add, xa, neg_xc, ub, ud = _tables(cf, negate_c=True)
+    by_output: dict[int, list[int]] = {}
+    for u, v in enumerate(ud):
+        by_output.setdefault(v, []).append(u)
+    succ = [[add(a, ub[u]) for u in by_output.get(c, ())] for a, c in zip(xa, neg_xc)]
+    del succ[0][0]  # (0, 0), the first input of the group of 0
+    return succ
+
+
+def zero_weight_cycle_exists(cf: ControllerForm) -> bool:
     """Directed cycle using only weight-0 edges; flags catastrophic encoders."""
-    return _has_cycle([[d for d, w in group if not w] for group in sd.edges_by_source])
+    return _has_cycle(zero_weight_edges(cf))
 
 
-def delay_free_check(sd: StateDiagram) -> bool:
+def delay_free_check(cf: ControllerForm) -> bool:
     """True iff no weight-0 edge leaves the zero state.
 
     Equivalent to G(0) having full row rank; both criteria are evaluated
     and must agree.
     """
-    edge_clean = all(w for _, w in sd.edges_by_source[0])
-    rank_full = polyalg.mat_rank(sd.field, sd.form.D) == sd.k
+    edge_clean = not zero_weight_edges(cf)[0]
+    rank_full = polyalg.mat_rank(cf.field, cf.D) == cf.k
     if edge_clean != rank_full:
         raise InternalError("delay-free criteria disagree: edges vs rank of G(0)")
     return edge_clean

@@ -1,4 +1,6 @@
 import dataclasses
+import errno
+import io
 import json
 import os
 import pathlib
@@ -317,6 +319,41 @@ def test_f16_pipeline(capsys):
     assert "delta=3" in out and "minimal=yes" in out
     rc, payload, _ = run_json(capsys, "ccf", F16)
     assert payload["C"] == [[2, 2, 2], [1, 7, 6], [1, 6, 7]]
+
+
+def test_f16_diagram_text_builds_no_edge_list(capsys, monkeypatch):
+    # the text screens read the weight-0 edges off the transition tables,
+    # never the 1M (dst, weight) pairs of statediag.build
+    def refused(*args, **kwargs):
+        raise AssertionError("statediag.build was called")
+
+    monkeypatch.setattr(statediag, "build", refused)
+    expected = "states: 4096\nedges: 1048575\ndelay-free: yes\nzero-weight cycle: no\n"
+    assert run(capsys, "diagram", F16) == (0, expected, "")
+    assert run(capsys, "diagram", F16, "--max-states", "100") == (
+        3, "", "limit: state space of size 4096 exceeds the ceiling 100\n"
+    )
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_closed_stdout_exits_141_quietly(capsys, monkeypatch):
+    # exit 1 is a negative decision, so a reader that went away gets 128 + SIGPIPE
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    rc = main(["spectrum", MEMORY3, "--trunc", "40"])
+    monkeypatch.undo()
+    assert (rc, capsys.readouterr().err) == (141, "")
+    # a real pipe closed before the first write: no traceback at interpreter exit
+    env = {**os.environ, "PYTHONPATH": str(CODES.parent.parent / "src")}
+    proc = subprocess.Popen([sys.executable, "-m", "convcode", "spectrum", MEMORY3, "--trunc", "40"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 def test_f16_series_expand_only_orbit_representatives(capsys, monkeypatch):

@@ -1,9 +1,10 @@
 import itertools
+import random
 
 import pytest
 
 from convcode import field_make
-from convcode.galois import default_modulus, is_prime
+from convcode.galois import FieldSpec, default_modulus, is_prime
 
 
 def brute_log_table(fld):
@@ -87,6 +88,40 @@ def test_field_axioms_exhaustive(p, m):
         assert fld.add(fld.add(a, b), c) == fld.add(a, fld.add(b, c))
         assert fld.mul(fld.mul(a, b), c) == fld.mul(a, fld.mul(b, c))
         assert fld.mul(a, fld.add(b, c)) == fld.add(fld.mul(a, b), fld.mul(a, c))
+
+
+EXTENSIONS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5), (7, 2), (2, 6), (2, 8)]
+
+
+@pytest.mark.parametrize("p,m", EXTENSIONS, ids=[f"F{p**m}" for p, m in EXTENSIONS])
+def test_tables_match_table_free_product(p, m, monkeypatch):
+    # exp/log are filled during one walk per candidate generator: on F256, x
+    # has order 51 and x + 1 is the first generator, so 51 + 255 products
+    calls = []
+    raw = FieldSpec._mul_raw
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return raw(self, a, b)
+
+    monkeypatch.setattr(FieldSpec, "_mul_raw", counted)
+    fld = field_make(p, m)
+    monkeypatch.undo()
+    if fld.q == 256:
+        assert len(calls) == 51 + 255
+        rng = random.Random(256)
+        pairs = [(rng.randrange(256), rng.randrange(256)) for _ in range(4000)]
+    else:
+        pairs = itertools.product(fld.elements(), repeat=2)
+    for a, b in pairs:
+        assert fld.mul(a, b) == fld._mul_raw(a, b)
+    for a in fld.units():
+        assert fld._mul_raw(a, fld.inv(a)) == 1
+        power = 1
+        for e in range(fld.q if fld.q < 256 else 8):
+            assert fld.pow(a, e) == power
+            assert fld.pow(a, -e) == fld.inv(power)
+            power = fld._mul_raw(power, a)
 
 
 @pytest.mark.parametrize("p,m", [(2, 4), (5, 1), (3, 3)])

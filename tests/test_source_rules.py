@@ -58,6 +58,26 @@ def test_labelled_edges_are_built_only_for_rendering():
     assert found == []
 
 
+def test_edge_pairs_are_written_by_build_and_read_by_adjacency_only():
+    # the (dst, weight) pairs cost q^(gamma + k); the diagram screens read the
+    # weight-0 edges off the transition tables, so Lambda is the one reader
+    owners = {"statediag.py": "build", "spectrum.py": "adjacency"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name in owners:
+            fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == owners[path.name])
+            allowed = {id(n) for n in ast.walk(fn)}
+        for node in ast.walk(tree):
+            touches = (isinstance(node, ast.Attribute) and node.attr == "edges_by_source") or (
+                isinstance(node, ast.keyword) and node.arg == "edges_by_source"
+            )
+            if touches and id(node) not in allowed:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert found == []
+
+
 def test_spectrum_reads_the_diagram_only():
     # Lambda, Phi and Omega come from the state diagram, never from G itself
     tree = ast.parse((PACKAGE / "spectrum.py").read_text())

@@ -89,10 +89,9 @@ def test_edges_satisfy_recursion(g213, g_mixed):
 
 
 def test_zero_weight_cycle_flags_catastrophic(f2, g213):
-    assert not zero_weight_cycle_exists(build(controller_form(g213)))
+    assert not zero_weight_cycle_exists(controller_form(g213))
     bad = pm(f2, [[[1, 1], [1, 1]]])
-    sd = build(controller_form(bad, require_minimal=False))
-    assert zero_weight_cycle_exists(sd)
+    assert zero_weight_cycle_exists(controller_form(bad, require_minimal=False))
 
 
 def test_zero_label_cycle_never_exists(f2, f3, g213, g_mixed, g1):
@@ -109,33 +108,24 @@ def test_zero_label_cycle_never_exists(f2, f3, g213, g_mixed, g1):
         assert not genutil.zero_label_cycle_exists(sd)
 
 
-def test_planted_zero_weight_cycle_is_detected(g213):
-    # mutation check: zeroing the weight of a self-loop must flip the verdict
-    import dataclasses
-
-    sd = build(controller_form(g213))
-    assert not zero_weight_cycle_exists(sd)
-    groups = [list(g) for g in sd.edges_by_source]
-    loop_pos = next(
-        (i, j)
-        for i, g in enumerate(groups)
-        for j, (dst, w) in enumerate(g)
-        if i == dst and w > 0
-    )
-    i, j = loop_pos
-    groups[i][j] = (i, 0)
-    mutated = dataclasses.replace(
-        sd, edges_by_source=tuple(tuple(g) for g in groups)
-    )
-    assert zero_weight_cycle_exists(mutated)
+def test_planted_zero_weight_cycle_is_detected(g213, monkeypatch):
+    # mutation check: zeroing the weight of a self-loop must flip the verdict,
+    # so the loop joins the weight-0 successor lists the verdict reads
+    cf = controller_form(g213)
+    assert not zero_weight_cycle_exists(cf)
+    succ = statediag.zero_weight_edges(cf)
+    i = next(i for i, g in enumerate(build(cf).edges_by_source) for dst, w in g if i == dst and w > 0)
+    assert i not in succ[i]
+    succ[i].append(i)
+    monkeypatch.setattr(statediag, "zero_weight_edges", lambda _: succ)
+    assert zero_weight_cycle_exists(cf)
 
 
 def test_delay_free(f2, g213, g_mixed):
-    assert delay_free_check(build(controller_form(g213)))
-    assert delay_free_check(build(controller_form(g_mixed)))
+    assert delay_free_check(controller_form(g213))
+    assert delay_free_check(controller_form(g_mixed))
     gz = pm(f2, [[[0, 1], [0, 1]]])  # G(0) = 0
-    sd = build(controller_form(gz, require_minimal=False))
-    assert not delay_free_check(sd)
+    assert not delay_free_check(controller_form(gz, require_minimal=False))
 
 
 def test_build_ceiling(g213):
@@ -195,8 +185,8 @@ def test_edge_view_matches_stored_pairs(p, m):
             for d, w in group
         )
     assert diagrams[0].num_states == 1
-    assert any(not delay_free_check(sd) for sd in diagrams)
-    assert any(zero_weight_cycle_exists(sd) for sd in diagrams)
+    assert any(not delay_free_check(cf) for cf in forms)
+    assert any(zero_weight_cycle_exists(cf) for cf in forms)
 
 
 def _reference_corpus(fld, rng, per_kind: int = 2) -> dict:
@@ -234,7 +224,8 @@ REFERENCE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 
 @pytest.mark.parametrize("p, m", REFERENCE_FIELDS, ids=[f"F{p**m}" for p, m in REFERENCE_FIELDS])
 def test_packed_transitions_match_reference(p, m):
     # the packed tables must give the tuple arithmetic's diagram exactly:
-    # stored (dst, weight) pairs and every (src, dst, u, v, weight) label
+    # stored (dst, weight) pairs and every (src, dst, u, v, weight) label;
+    # the weight-0 successor lists are those pairs filtered, in input order
     fld = field_make(p, m)
     kinds = _reference_corpus(fld, random.Random(700 + 10 * p + m), per_kind=1 if fld.q > 16 else 2)
     assert all(kinds.values())
@@ -247,7 +238,10 @@ def test_packed_transitions_match_reference(p, m):
         pairs, labelled = genutil.reference_diagram(cf)
         assert sd.edges_by_source == pairs
         assert list(sd.edges()) == labelled
-        catastrophic += zero_weight_cycle_exists(sd)
+        zero = statediag.zero_weight_edges(cf)
+        assert zero == [[d for d, w in g if not w] for g in sd.edges_by_source]
+        assert delay_free_check(cf) == (not zero[0])
+        catastrophic += zero_weight_cycle_exists(cf)
     assert catastrophic
 
 
