@@ -39,7 +39,8 @@ def calls() -> list[list[str]]:
             ["spectrum", "demos/codes/f16.gm"], ["spectrum", "demos/codes/f16.gm", "--json"],
             ["distances", "demos/codes/f16.gm", "--json"],
             ["diagram", "demos/codes/f16.gm"],
-            ["diagram", "demos/codes/f16.gm", "--max-states", "100"]]
+            ["diagram", "demos/codes/f16.gm", "--max-states", "100"],
+            ["recover", "demos/codes/f16.gm"], ["recover", "demos/codes/f16.gm", "--json"]]
     return out
 
 
