@@ -32,7 +32,6 @@ from .invariance import (
     recover_dimension,
     recover_forney,
     verify_shift_permutation_lemma,
-    weight_preserving_equiv_check,
 )
 from .polyalg import (
     EncoderInfo,
@@ -119,6 +118,5 @@ __all__ = [
     "right_inverse",
     "state_sequence",
     "verify_shift_permutation_lemma",
-    "weight_preserving_equiv_check",
     "zero_weight_cycle_exists",
 ]

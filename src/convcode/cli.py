@@ -348,9 +348,8 @@ def _adjacency_json(lam: spectrum.AdjMatrix) -> dict:
         "q": lam.q,
         "n": lam.n,
         "extended": lam.extended,
-        "entries": [
-            [{str(a): c for a, c in e.terms()} for e in row] for row in lam.entries
-        ],
+        # one dict per distinct cell, shared by every cell that holds it
+        "entries": lam.dense([{str(a): c for a, c in e.terms()} for e in lam.cells], {}),
     }
 
 
@@ -555,6 +554,7 @@ def _cmd_equal(args) -> int:
     else:
         verdicts.append("codes differ")
         if info_g.is_minimal and info_h.is_minimal and info_g.delta == info_h.delta:
+            invariance.check_search_size(g.field.q**info_g.delta)  # before Lambda is built
             witness = invariance.gen_adj_equal(
                 invariance.code_adjacency(g), invariance.code_adjacency(h)
             )

@@ -7,8 +7,8 @@ is the conjugate of the other by a permutation of the states that fixes
 the zero state.  The decision procedure here is a backtracking search
 over vertex matchings pruned by iterated in/out enumerator-multiset color
 refinement, certified by a full conjugation check before a witness is
-returned.  Both read only the nonzero cells: each distinct enumerator is
-interned once per call to a small int, so a refinement round sorts ints,
+returned.  Both read only the nonzero cells: each entry of the two cell
+tables is interned once per call to a small int, so a refinement round sorts ints,
 O(nonzero cells) in all, and the search, which runs on an explicit stack,
 tests a candidate against the state's neighbours alone, O(degree): it
 looks up a's nonzero cells among the states already placed in b, then
@@ -28,9 +28,8 @@ from typing import Optional, Sequence
 
 from . import encoder, polyalg, spectrum, statediag
 from .errors import InternalError, LimitError
-from .galois import FieldSpec
 from .polyalg import PolyMatrix
-from .spectrum import AdjMatrix, WeightEnum, extend, row_iterate
+from .spectrum import AdjMatrix, WeightEnum
 
 PermWitness = tuple  # index array pi with pi[0] == 0
 MonomialWitness = tuple  # (column permutation, column scalars)
@@ -57,13 +56,15 @@ def code_adjacency(g: PolyMatrix, *, lumped: bool = False) -> AdjMatrix:
 def _cell_graphs(a: AdjMatrix, b: AdjMatrix):
     """Out- and in-neighbour lists [(state, cell id)] of both matrices.
 
-    Cells are interned on their exact terms(), with ids shared by `a` and
-    `b`, so two cells get one id exactly when their enumerators agree.
+    The entries of both cell tables are interned on their exact terms(),
+    with ids shared by `a` and `b`, so two cells get one id exactly when
+    their enumerators agree.
     """
     ids: dict[tuple, int] = {}
     graphs = []
     for m in (a, b):
-        out = [[(j, ids.setdefault(e.terms(), len(ids))) for j, e in row] for row in m.rows]
+        joint = [ids.setdefault(e.terms(), len(ids)) for e in m.cells]
+        out = [[(j, joint[t]) for j, t in row] for row in m.rows]
         inn: list[list[tuple[int, int]]] = [[] for _ in out]
         for i, row in enumerate(out):
             for j, t in row:
@@ -114,6 +115,13 @@ def _refined_colors(graphs):
         col_a, col_b = new_a, new_b
 
 
+def check_search_size(states: int) -> None:
+    """LimitError when a conjugation search would run over more than
+    SEARCH_STATES states."""
+    if states > SEARCH_STATES:
+        raise LimitError(f"backtracking over {states} states exceeds the bound {SEARCH_STATES}")
+
+
 def gen_adj_equal(a: AdjMatrix, b: AdjMatrix) -> Optional[PermWitness]:
     """Zero-fixing permutation pi with b[pi(i)][pi(j)] == a[i][j], or None.
 
@@ -125,10 +133,7 @@ def gen_adj_equal(a: AdjMatrix, b: AdjMatrix) -> Optional[PermWitness]:
     """
     if (a.size, a.q, a.n, a.extended) != (b.size, b.q, b.n, b.extended):
         raise ValueError("adjacency matrices have mismatched dimensions")
-    if a.size > SEARCH_STATES:
-        raise LimitError(
-            f"backtracking over {a.size} states exceeds the bound {SEARCH_STATES}"
-        )
+    check_search_size(a.size)
     s = a.size
     graphs = _cell_graphs(a, b)
     refined = _refined_colors(graphs)
@@ -184,9 +189,9 @@ def gen_adj_equal(a: AdjMatrix, b: AdjMatrix) -> Optional[PermWitness]:
             used[mapping[i]] = False
             mapping[i] = -1
     pi = tuple(mapping)
-    rb = [dict(row) for row in b.rows]
+    rb = [{j: b.cells[t] for j, t in row} for row in b.rows]
     if pi[0] != 0 or any(
-        len(row) != len(rb[pi[i]]) or any(e != rb[pi[i]].get(pi[j]) for j, e in row)
+        len(row) != len(rb[pi[i]]) or any(a.cells[t] != rb[pi[i]].get(pi[j]) for j, t in row)
         for i, row in enumerate(a.rows)
     ):
         raise InternalError("conjugation witness failed re-verification")
@@ -197,8 +202,8 @@ def apply_witness(a: AdjMatrix, pi: Sequence[int]) -> AdjMatrix:
     """Conjugate by the permutation: entry (i, j) moves to (pi[i], pi[j])."""
     rows = [()] * a.size
     for i, row in enumerate(a.rows):
-        rows[pi[i]] = sorted((pi[j], e) for j, e in row)
-    return AdjMatrix(rows, q=a.q, n=a.n, extended=a.extended)
+        rows[pi[i]] = sorted((pi[j], t) for j, t in row)
+    return AdjMatrix(rows, a.cells, q=a.q, n=a.n, extended=a.extended)
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +222,7 @@ def _power_of(q: int, value: int) -> int:
 
 def recover_dimension(lam: AdjMatrix) -> int:
     """k from the first row of the extended matrix: its counts sum to q^k."""
-    gam = lam if lam.extended else extend(lam)
-    total = sum(e.count() for _, e in gam.rows[0])
+    total = sum(lam.cells[t].count() for _, t in lam.rows[0]) + (not lam.extended)
     return _power_of(lam.q, total)
 
 
@@ -228,19 +232,21 @@ def recover_forney(lam: AdjMatrix) -> tuple[int, ...]:
     The number of nonzero entries in the first row of Gamma^r equals
     q^(rho_{r-1}) where rho_r is the rank of the stacked reachability
     matrix; the differences of consecutive rho values count the degrees
-    exceeding each threshold.
+    exceeding each threshold.  Counts are nonnegative and Gamma has the
+    zero self-loop, so that support is the set of states reached from 0
+    in at most r steps, grown here one layer of the sparse rows at a time.
     """
     q = lam.q
     gamma = _power_of(q, lam.size)
     k = recover_dimension(lam)
-    gam = lam if lam.extended else extend(lam)
+    if not all(e and e.is_nonnegative() for e in lam.cells):
+        raise ValueError("adjacency cells must be nonzero with nonnegative counts")
     rhos = []
-    row: tuple[WeightEnum, ...] = tuple(
-        WeightEnum.one() if j == 0 else WeightEnum.zero() for j in range(gam.size)
-    )
+    reached = layer = {0}
     for _ in range(gamma + 2):
-        row = row_iterate(row, gam)
-        rho = _power_of(q, sum(1 for e in row if e))
+        layer = {j for i in layer for j, _ in lam.rows[i]} - reached
+        reached |= layer
+        rho = _power_of(q, len(reached))
         if rhos and rho == rhos[-1]:
             break
         rhos.append(rho)
@@ -323,22 +329,6 @@ def monomial_equiv(
     return None
 
 
-def weight_preserving_equiv_check(
-    fld: FieldSpec,
-    m1: Sequence[Sequence[int]],
-    m2: Sequence[Sequence[int]],
-) -> bool:
-    """Whether wt(u m1) == wt(u m2) for every u in F^k (exhaustive)."""
-    if len(m1) != len(m2) or len(m1[0]) != len(m2[0]):
-        raise ValueError("matrices must have the same shape")
-    for u in itertools.product(range(fld.q), repeat=len(m1)):
-        w1 = sum(1 for c in polyalg.vec_mat(fld, u, m1) if c)
-        w2 = sum(1 for c in polyalg.vec_mat(fld, u, m2) if c)
-        if w1 != w2:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # duality transform for binary unit-constraint-length codes
 # ---------------------------------------------------------------------------
@@ -362,7 +352,7 @@ def macwilliams_delta1(gam: AdjMatrix, n: int, k: int) -> AdjMatrix:
     if not gam.extended:
         raise ValueError("pass the extended matrix (zero self-loop included)")
     zero = WeightEnum.zero()
-    e = [[dict(row).get(j, zero) for j in (0, 1)] for row in gam.rows]
+    e = [[gam.cells[row[j]] if j in row else zero for j in (0, 1)] for row in map(dict, gam.rows)]
     srows = ((e[0][0] + e[1][0], e[0][1] + e[1][1]),
              (e[0][0] - e[1][0], e[0][1] - e[1][1]))
     m = ((srows[0][0] + srows[0][1], srows[0][0] - srows[0][1]),
@@ -380,7 +370,7 @@ def macwilliams_delta1(gam: AdjMatrix, n: int, k: int) -> AdjMatrix:
         mix.append(c)
 
     denom = 1 << (k + 1)
-    out_rows = []
+    out_rows, cells = [], []
     for row in mt:
         out_row = []
         for j, entry in enumerate(row):
@@ -400,9 +390,10 @@ def macwilliams_delta1(gam: AdjMatrix, n: int, k: int) -> AdjMatrix:
                 if c:
                     terms[i] = c
             if terms:
-                out_row.append((j, WeightEnum(terms)))
+                out_row.append((j, len(cells)))
+                cells.append(WeightEnum(terms))
         out_rows.append(out_row)
-    return AdjMatrix(out_rows, q=2, n=n, extended=True)
+    return AdjMatrix(out_rows, cells, q=2, n=n, extended=True)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,14 @@
 A WeightEnum is a polynomial in the weight marker W with arbitrary
 precision integer coefficients.  The adjacency matrix Lambda of a state
 diagram counts edges by (source, destination, output weight), the zero
-self-transition at the zero state excluded.  It is stored sparse: per
-source state, the (destination, WeightEnum) pairs of its nonzero cells,
-built in one pass over the edges, and every consumer reads those rows.
-A dense s x s view is expanded only for display and JSON.
+self-transition at the zero state excluded.  It is stored sparse, with a
+table of its cells: per source state, the (destination, cell id) pairs of
+its nonzero cells, and per cell id one WeightEnum.  A diagram has far
+fewer distinct enumerators than nonzero cells (the F16 example: 4 for
+1,048,575), so `adjacency` tallies each cell as one packed integer, turns
+each distinct integer into a WeightEnum once, and every per-cell step of
+a consumer (packing, interning, rendering) runs once per table entry.  A
+dense s x s view is expanded only for display and JSON.
 
 Powers of Lambda count paths; the generating series
 
@@ -56,10 +60,6 @@ class WeightEnum:
     @classmethod
     def one(cls) -> "WeightEnum":
         return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, alpha: int, c: int = 1) -> "WeightEnum":
-        return cls({alpha: c})
 
     def coeff(self, alpha: int) -> int:
         return self._terms.get(alpha, 0)
@@ -131,16 +131,20 @@ class WeightEnum:
 class AdjMatrix:
     """Square matrix of weight enumerators indexed by state, stored sparse.
 
-    `rows[i]` lists the nonzero entries of row i as (destination,
-    WeightEnum) pairs in increasing destination order; the constructor
-    takes them in that form, and they are the only stored form.  `entries`
-    expands a dense view on every access, for rendering only.
+    `rows[i]` lists the nonzero entries of row i as (destination, cell id)
+    pairs in increasing destination order, and `cells[t]` is the WeightEnum
+    of cell id t; the constructor takes them in that form, and they are the
+    only stored form.  Equal cells may share an id, so a consumer does its
+    per-cell work once per entry of `cells`.  Ids are local to one matrix:
+    equality compares the enumerators they resolve to.  `entries` expands
+    a dense view on every access, for rendering only.
     """
 
-    __slots__ = ("rows", "q", "n", "extended")
+    __slots__ = ("rows", "cells", "q", "n", "extended")
 
-    def __init__(self, rows, q: int, n: int, extended: bool = False):
+    def __init__(self, rows, cells, q: int, n: int, extended: bool = False):
         self.rows = tuple(map(tuple, rows))
+        self.cells = tuple(cells)
         self.q = q
         self.n = n
         self.extended = extended
@@ -149,49 +153,59 @@ class AdjMatrix:
     def size(self) -> int:
         return len(self.rows)
 
-    @property
-    def entries(self) -> tuple[tuple[WeightEnum, ...], ...]:
-        """Dense s x s view with one shared zero, rebuilt on every access."""
-        zero = WeightEnum.zero()
-        dense = []
+    def dense(self, values: Sequence, zero) -> list[list]:
+        """s x s rows with values[t] at each cell of id t and `zero` elsewhere."""
+        out = []
         for sparse in self.rows:
             row = [zero] * len(self.rows)
-            for j, e in sparse:
-                row[j] = e
-            dense.append(tuple(row))
-        return tuple(dense)
+            for j, t in sparse:
+                row[j] = values[t]
+            out.append(row)
+        return out
+
+    @property
+    def entries(self) -> tuple[tuple[WeightEnum, ...], ...]:
+        """Dense s x s view sharing the table's enumerators, rebuilt on every access."""
+        return tuple(map(tuple, self.dense(self.cells, WeightEnum.zero())))
 
     def __eq__(self, other: object) -> bool:
+        def resolved(m: AdjMatrix) -> list:
+            return [[(j, m.cells[t]) for j, t in row] for row in m.rows]
+
         return (
             isinstance(other, AdjMatrix)
             and (self.q, self.n, self.extended) == (other.q, other.n, other.extended)
-            and self.rows == other.rows
+            and resolved(self) == resolved(other)
         )
 
     def __str__(self) -> str:
-        return "\n".join(
-            "[" + ", ".join(str(e) for e in row) + "]" for row in self.entries
-        )
+        text = [str(e) for e in self.cells]
+        return "\n".join("[" + ", ".join(row) + "]" for row in self.dense(text, "0"))
 
 
 def adjacency(sd: StateDiagram) -> AdjMatrix:
-    """Tally the diagram's edges by (source, destination, output weight)."""
-    rows = []
+    """Tally the diagram's edges by (source, destination, output weight).
+
+    A cell is tallied as one integer, an edge of weight w adding 2^(w*b):
+    no source has more than N edges (q^k in a diagram), so b = bit_length(N)
+    bits hold any count.  Each distinct integer becomes one table entry.
+    """
+    b = max(map(len, sd.edges_by_source)).bit_length()
+    unit = [1 << (w * b) for w in range(sd.n + 1)]
+    tallies = []
     for group in sd.edges_by_source:
-        cells: dict[int, dict[int, int]] = {}
+        acc: dict[int, int] = {}
         for dst, w in group:
-            cell = cells.setdefault(dst, {})
-            cell[w] = cell.get(w, 0) + 1
-        rows.append(cells)
-    rows[0].get(0, {}).pop(0, None)  # the zero self-transition is never counted
-    return AdjMatrix(
-        (
-            tuple((j, WeightEnum(c)) for j, c in sorted(cells.items()) if c)
-            for cells in rows
-        ),
-        q=sd.field.q,
-        n=sd.n,
-    )
+            acc[dst] = acc.get(dst, 0) + unit[w]
+        tallies.append(acc)
+    if 0 in tallies[0]:  # the zero self-transition is never counted
+        tallies[0][0] &= -1 << b
+    ids: dict[int, int] = {}
+    rows = [
+        tuple((j, ids.setdefault(v, len(ids))) for j, v in sorted(acc.items()) if v)
+        for acc in tallies
+    ]
+    return AdjMatrix(rows, [_unpack(v, b) for v in ids], q=sd.field.q, n=sd.n)
 
 
 def extend(lam: AdjMatrix) -> AdjMatrix:
@@ -199,9 +213,10 @@ def extend(lam: AdjMatrix) -> AdjMatrix:
     if lam.extended:
         raise ValueError("matrix is already extended")
     first = dict(lam.rows[0])
-    first[0] = first.get(0, WeightEnum.zero()) + WeightEnum.one()
+    loop = lam.cells[first[0]] + WeightEnum.one() if 0 in first else WeightEnum.one()
+    first[0] = len(lam.cells)
     rows = (tuple(sorted(first.items())),) + lam.rows[1:]
-    return AdjMatrix(rows, q=lam.q, n=lam.n, extended=True)
+    return AdjMatrix(rows, lam.cells + (loop,), q=lam.q, n=lam.n, extended=True)
 
 
 def row_iterate(row: Sequence[WeightEnum], lam: AdjMatrix) -> tuple[WeightEnum, ...]:
@@ -210,8 +225,9 @@ def row_iterate(row: Sequence[WeightEnum], lam: AdjMatrix) -> tuple[WeightEnum, 
     for i, e in enumerate(row):
         if not e:
             continue
-        for j, x in lam.rows[i]:
-            acc[j] = acc[j] + e * x if j in acc else e * x
+        for j, t in lam.rows[i]:
+            x = e * lam.cells[t]
+            acc[j] = acc[j] + x if j in acc else x
     zero = WeightEnum.zero()
     return tuple(acc.get(j, zero) for j in range(lam.size))
 
@@ -227,14 +243,6 @@ class LSeries:
         self.trunc = trunc
         self.coeffs = tuple(coeffs)
 
-    @classmethod
-    def one(cls, trunc: int) -> "LSeries":
-        return cls(trunc, [WeightEnum.one()] + [WeightEnum.zero()] * trunc)
-
-    @classmethod
-    def zero(cls, trunc: int) -> "LSeries":
-        return cls(trunc, [WeightEnum.zero()] * (trunc + 1))
-
     def coeff(self, l: int) -> WeightEnum:
         return self.coeffs[l]
 
@@ -244,30 +252,6 @@ class LSeries:
             and self.trunc == other.trunc
             and self.coeffs == other.coeffs
         )
-
-    def __add__(self, other: "LSeries") -> "LSeries":
-        self._match(other)
-        return LSeries(self.trunc, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "LSeries") -> "LSeries":
-        self._match(other)
-        return LSeries(self.trunc, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, other: "LSeries") -> "LSeries":
-        self._match(other)
-        out = [WeightEnum.zero() for _ in range(self.trunc + 1)]
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(self.trunc + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return LSeries(self.trunc, out)
-
-    def _match(self, other: "LSeries") -> None:
-        if self.trunc != other.trunc:
-            raise ValueError("truncation orders differ")
 
     def __str__(self) -> str:
         return format_series(self)
@@ -288,15 +272,17 @@ def phi_series(lam: AdjMatrix, trunc: int) -> LSeries:
         raise ValueError("use the plain adjacency matrix, not the extended one")
     if trunc < 1:
         raise ValueError("truncation must be >= 1")
-    most = max(sum(e.count() for _, e in row) for row in lam.rows)
+    counts = [e.count() for e in lam.cells]
+    most = max(sum(counts[t] for _, t in row) for row in lam.rows)
     width = trunc * most.bit_length() + 1
+    packs = [_pack(e, width) for e in lam.cells]
     # per source, cells grouped by the shift of their lowest weight, so one
     # shifted copy of the source's value serves every cell of the group
     packed = []
     for row in lam.rows:
         groups: dict[int, list[tuple[int, int]]] = {}
-        for j, e in row:
-            w, shift = _pack(e, width)
+        for j, t in row:
+            w, shift = packs[t]
             groups.setdefault(shift, []).append((j, w))
         packed.append(tuple(groups.items()))
     coeffs = [WeightEnum.one()]

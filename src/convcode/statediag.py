@@ -27,7 +27,8 @@ q^gamma / (q - 1) sources instead of q^gamma.
 The catastrophicity and delay-freeness screens read only the weight-0
 edges, the transitions (x, u) != (0, 0) with uD = -xC.  `zero_weight_edges`
 groups the inputs by their packed uD once and looks up each state's -xC,
-so the screens cost O(q^gamma + q^k), not the q^(gamma + k) of `build`.
+so the cycle screen costs O(q^gamma + q^k), not the q^(gamma + k) of
+`build`; the delay-free screen reads the uD table alone, O(q^k).
 """
 
 from __future__ import annotations
@@ -309,11 +310,13 @@ def zero_weight_cycle_exists(cf: ControllerForm) -> bool:
 def delay_free_check(cf: ControllerForm) -> bool:
     """True iff no weight-0 edge leaves the zero state.
 
-    Equivalent to G(0) having full row rank; both criteria are evaluated
-    and must agree.
+    Those edges are the inputs u != 0 with uD = 0, read off the uD table
+    alone in O(q^k).  Equivalent to G(0) having full row rank; both
+    criteria are evaluated and must agree.
     """
-    edge_clean = not zero_weight_edges(cf)[0]
-    rank_full = polyalg.mat_rank(cf.field, cf.D) == cf.k
+    fld = cf.field
+    edge_clean = 0 not in _linear_table(fld, cf.D, cf.k, _vector_add(fld))[1:]
+    rank_full = polyalg.mat_rank(fld, cf.D) == cf.k
     if edge_clean != rank_full:
         raise InternalError("delay-free criteria disagree: edges vs rank of G(0)")
     return edge_clean

@@ -16,7 +16,7 @@ from convcode.polyalg import (
     shift,
     vec_mat,
 )
-from convcode.spectrum import AdjMatrix, LSeries, WeightEnum
+from convcode.spectrum import AdjMatrix, LSeries, WeightEnum, extend
 from convcode.statediag import state_index
 
 
@@ -181,9 +181,125 @@ def reference_diagram(cf) -> tuple[tuple, list[tuple]]:
 
 
 def adj_from_dense(cells, q: int, n: int, extended: bool = False) -> AdjMatrix:
-    """AdjMatrix from a dense grid of WeightEnums; zero cells are dropped."""
-    rows = [[(j, e) for j, e in enumerate(row) if e] for row in cells]
-    return AdjMatrix(rows, q=q, n=n, extended=extended)
+    """AdjMatrix from a dense grid of WeightEnums; zero cells are dropped and
+    every nonzero cell gets an id of its own."""
+    table, rows = [], []
+    for row in cells:
+        sparse = []
+        for j, e in enumerate(row):
+            if e:
+                sparse.append((j, len(table)))
+                table.append(e)
+        rows.append(sparse)
+    return AdjMatrix(rows, table, q=q, n=n, extended=extended)
+
+
+def reference_adjacency(sd) -> tuple[tuple[WeightEnum, ...], ...]:
+    """Lambda as a dense grid of WeightEnums, tallied one dict per cell.
+
+    The tally as it was before the cell table: per source, a dict of
+    destination -> {weight: count}, the weight-0 count of cell (0, 0)
+    dropped.
+    """
+    rows = []
+    for group in sd.edges_by_source:
+        cells: dict[int, dict[int, int]] = {}
+        for dst, w in group:
+            cell = cells.setdefault(dst, {})
+            cell[w] = cell.get(w, 0) + 1
+        rows.append(cells)
+    rows[0].get(0, {}).pop(0, None)  # the zero self-transition is never counted
+    zero = WeightEnum.zero()
+    return tuple(
+        tuple(WeightEnum(cells[j]) if j in cells else zero for j in range(len(rows)))
+        for cells in rows
+    )
+
+
+def dense_row_iterate(row, lam: AdjMatrix) -> tuple[WeightEnum, ...]:
+    """One step of r <- r * Lambda over every cell of the dense view."""
+    s = lam.size
+    acc = [WeightEnum.zero()] * s
+    dense = lam.entries  # rebuilt on every access
+    for i, e in enumerate(row):
+        if not e:
+            continue
+        lrow = dense[i]
+        for j in range(s):
+            if lrow[j]:
+                acc[j] = acc[j] + e * lrow[j]
+    return tuple(acc)
+
+
+def reference_forney(lam: AdjMatrix) -> tuple[int, ...]:
+    """Row degrees as recovered before the support search: the first row of
+    Gamma^r by WeightEnum products over the dense rows, until the number
+    q^rho of its nonzero entries stops growing, with the same checks."""
+
+    def power_of(value: int) -> int:
+        e = 0
+        while lam.q**e < value:
+            e += 1
+        if lam.q**e != value:
+            raise ValueError(f"count {value} is not a power of q = {lam.q}")
+        return e
+
+    gamma = power_of(lam.size)
+    gam = lam if lam.extended else extend(lam)
+    k = power_of(sum(e.count() for e in gam.entries[0]))
+    row = tuple(WeightEnum.one() if j == 0 else WeightEnum.zero() for j in range(gam.size))
+    rhos = []
+    for _ in range(gamma + 2):
+        row = dense_row_iterate(row, gam)
+        rho = power_of(sum(1 for e in row if e))
+        if rhos and rho == rhos[-1]:
+            break
+        rhos.append(rho)
+    else:
+        raise ValueError("reachability ranks failed to stabilize")
+    if rhos[-1] != gamma:
+        raise ValueError("stable rank differs from the state-space dimension")
+    exceed = [rhos[0]] + [rhos[r] - rhos[r - 1] for r in range(1, len(rhos))] + [0]
+    if any(c < 0 for c in exceed) or rhos[0] > k:
+        raise ValueError("inconsistent reachability counts")
+    indices = [0] * (k - rhos[0])
+    for t in range(1, len(exceed)):
+        indices.extend([t] * (exceed[t - 1] - exceed[t]))
+    if sum(indices) != gamma:
+        raise ValueError("recovered degrees do not sum to the state dimension")
+    return tuple(sorted(indices))
+
+
+def reference_corpus(fld, rng, per_kind: int = 2) -> dict:
+    """Relaxed forms with k <= 3 by kind, at most max(2^12, q^2) transitions each."""
+    budget = max(1 << 12, fld.q**2)
+    kinds = {"block": [], "minimal": [], "non-basic": [], "not delay-free": []}
+    for _ in range(3000):
+        if all(len(forms) >= per_kind for forms in kinds.values()):
+            break
+        k = rng.randint(1, 3)
+        g = random_matrix(rng, fld, k, rng.randint(k + 1, 4), rng.randint(0, 2))
+        if rng.random() < 0.25:  # a row divisible by z: G(0) loses rank
+            g = PolyMatrix(fld, (tuple(shift(e, 1) for e in g.rows[0]),) + g.rows[1:])
+        try:
+            info = encoder_info(g)
+        except ValueError:  # rank-deficient
+            continue
+        cf = controller_form(g, require_minimal=False)
+        if fld.q ** (cf.gamma + k) > budget:
+            continue
+        if cf.gamma == 0:
+            kind = "block"
+        elif mat_rank(fld, cf.D) < k:
+            kind = "not delay-free"
+        else:
+            kind = "minimal" if info.is_minimal else "non-basic"
+        if len(kinds[kind]) < per_kind:
+            kinds[kind].append(cf)
+    return kinds
+
+
+REFERENCE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (2, 8)]
 
 
 QUOTIENT_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)]
@@ -240,3 +356,61 @@ def series_inverse(ls: LSeries) -> LSeries:
                 acc = acc + ls.coeffs[j] * inv[l - j]
         inv.append(WeightEnum.zero() - acc)
     return LSeries(ls.trunc, inv)
+
+
+# ---------------------------------------------------------------------------
+# test references: helpers only the tests use
+# ---------------------------------------------------------------------------
+
+
+def monomial(alpha: int, c: int = 1) -> WeightEnum:
+    return WeightEnum({alpha: c})
+
+
+def series_one(trunc: int) -> LSeries:
+    return LSeries(trunc, [WeightEnum.one()] + [WeightEnum.zero()] * trunc)
+
+
+def series_zero(trunc: int) -> LSeries:
+    return LSeries(trunc, [WeightEnum.zero()] * (trunc + 1))
+
+
+def _same_trunc(a: LSeries, b: LSeries) -> None:
+    if a.trunc != b.trunc:
+        raise ValueError("truncation orders differ")
+
+
+def series_add(a: LSeries, b: LSeries) -> LSeries:
+    _same_trunc(a, b)
+    return LSeries(a.trunc, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+
+def series_sub(a: LSeries, b: LSeries) -> LSeries:
+    _same_trunc(a, b)
+    return LSeries(a.trunc, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+
+
+def series_mul(a: LSeries, b: LSeries) -> LSeries:
+    """Truncated product by WeightEnum products."""
+    _same_trunc(a, b)
+    out = [WeightEnum.zero() for _ in range(a.trunc + 1)]
+    for i, x in enumerate(a.coeffs):
+        if not x:
+            continue
+        for j in range(a.trunc + 1 - i):
+            y = b.coeffs[j]
+            if y:
+                out[i + j] = out[i + j] + x * y
+    return LSeries(a.trunc, out)
+
+
+def weight_preserving_equiv_check(fld, m1, m2) -> bool:
+    """Whether wt(u m1) == wt(u m2) for every u in F^k (exhaustive)."""
+    if len(m1) != len(m2) or len(m1[0]) != len(m2[0]):
+        raise ValueError("matrices must have the same shape")
+    for u in itertools.product(range(fld.q), repeat=len(m1)):
+        w1 = sum(1 for c in vec_mat(fld, u, m1) if c)
+        w2 = sum(1 for c in vec_mat(fld, u, m2) if c)
+        if w1 != w2:
+            return False
+    return True

@@ -12,7 +12,7 @@ import time
 import jsonschema
 import pytest
 
-from convcode import cli, encoder, oracle, polyalg, statediag
+from convcode import cli, encoder, invariance, oracle, polyalg, statediag
 from convcode.cli import JSON_SCHEMAS, format_gm, main, parse_gm
 from convcode.errors import ParseError
 
@@ -343,6 +343,21 @@ def test_f16_diagram_text_builds_no_edge_list(capsys, monkeypatch):
     assert run(capsys, "diagram", F16) == (0, expected, "")
     assert run(capsys, "diagram", F16, "--max-states", "100") == (
         3, "", "limit: state space of size 4096 exceeds the ceiling 100\n"
+    )
+
+
+def test_f16_equal_refuses_before_building_lambda(capsys, monkeypatch, tmp_path):
+    # 4096 states exceed the search bound; the refusal comes from the
+    # constraint length alone, before either diagram is built
+    def refused(*args, **kwargs):
+        raise AssertionError("statediag.build was called")
+
+    g = parse_gm(pathlib.Path(F16).read_text())
+    permuted = tmp_path / "f16_permuted.gm"
+    permuted.write_text(format_gm(invariance.apply_monomial(g, (1, 0, 2), (1, 1, 1))))
+    monkeypatch.setattr(statediag, "build", refused)
+    assert run(capsys, "equal", F16, str(permuted)) == (
+        3, "", "limit: backtracking over 4096 states exceeds the bound 256\n"
     )
 
 

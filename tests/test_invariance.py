@@ -17,7 +17,6 @@ from convcode import (
     recover_dimension,
     recover_forney,
     verify_shift_permutation_lemma,
-    weight_preserving_equiv_check,
 )
 from convcode import invariance, polyalg
 from convcode.errors import InternalError, LimitError
@@ -27,6 +26,7 @@ from convcode.polyalg import pm_mul
 from convcode.spectrum import WeightEnum
 
 import genutil
+from genutil import weight_preserving_equiv_check
 
 
 def lam_of(g, **kw):
@@ -348,6 +348,14 @@ def test_recover_forney(g1, g_mixed, g213):
     assert recover_forney(lam_of(g1)) == (1,)
     assert recover_forney(lam_of(g_mixed)) == (0, 1)
     assert recover_forney(lam_of(g213)) == (3,)
+    # the support equals the nonzero pattern of Gamma^r only for nonnegative counts
+    negative = genutil.adj_from_dense(
+        [[WeightEnum.zero(), WeightEnum({1: 2, 3: -1})],
+         [WeightEnum({2: 1}), WeightEnum({1: 1})]],
+        q=2, n=3,
+    )
+    with pytest.raises(ValueError, match="nonnegative"):
+        recover_forney(negative)
 
 
 def test_recover_matches_encoder_on_random_codes(f2, f3):
@@ -358,8 +366,10 @@ def test_recover_matches_encoder_on_random_codes(f2, f3):
             lam = lam_of(g)
             from convcode import encoder_info
             info = encoder_info(g)
-            assert recover_dimension(lam) == g.k
-            assert recover_forney(lam) == tuple(sorted(info.row_degrees))
+            assert recover_dimension(lam) == recover_dimension(extend(lam)) == g.k
+            indices = tuple(sorted(info.row_degrees))
+            assert recover_forney(lam) == recover_forney(extend(lam)) == indices
+            assert genutil.reference_forney(lam) == indices
 
 
 def test_monomial_equiv_planted(f2, f3, g_mixed):

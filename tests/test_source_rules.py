@@ -29,9 +29,44 @@ def test_dense_adjacency_view_is_read_only_for_rendering():
         for path in sorted(PACKAGE.rglob("*.py"))
         if path.name not in ("spectrum.py", "cli.py")
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Attribute) and node.attr == "entries"
+        if isinstance(node, ast.Attribute) and node.attr in ("entries", "dense")
     ]
     assert found == []
+
+
+def test_no_function_calls_row_iterate():
+    # recovery grows the support of Gamma^r over the sparse rows; row_iterate
+    # keeps no caller in the package
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and "row_iterate" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert found == []
+
+
+def test_cell_graphs_interns_the_cell_tables_only():
+    # which cells are equal is read off each matrix's table, once per entry,
+    # never off the cells of its rows
+    tree = ast.parse((PACKAGE / "invariance.py").read_text())
+    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_cell_graphs")
+    over_cells = {
+        node.target.id
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.comprehension, ast.For))
+        and isinstance(node.target, ast.Name)
+        and isinstance(node.iter, ast.Attribute)
+        and node.iter.attr == "cells"
+    }
+    receivers = [
+        node.func.value
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "terms"
+    ]
+    assert receivers
+    assert all(isinstance(r, ast.Name) and r.id in over_cells for r in receivers)
 
 
 def test_labelled_edges_are_built_only_for_rendering():

@@ -33,30 +33,7 @@ import genutil
 
 
 def dense_adjacency(sd):
-    s = sd.num_states
-    cells = [[{} for _ in range(s)] for _ in range(s)]
-    for src, group in enumerate(sd.edges_by_source):
-        for dst, w in group:
-            cell = cells[src][dst]
-            cell[w] = cell.get(w, 0) + 1
-    cells[0][0].pop(0, None)  # the zero self-transition is never counted
-    return genutil.adj_from_dense(
-        [[WeightEnum(c) for c in row] for row in cells], q=sd.field.q, n=sd.n
-    )
-
-
-def dense_row_iterate(row, lam):
-    s = lam.size
-    acc = [WeightEnum.zero()] * s
-    dense = lam.entries  # rebuilt on every access
-    for i, e in enumerate(row):
-        if not e:
-            continue
-        lrow = dense[i]
-        for j in range(s):
-            if lrow[j]:
-                acc[j] = acc[j] + e * lrow[j]
-    return tuple(acc)
+    return genutil.adj_from_dense(genutil.reference_adjacency(sd), q=sd.field.q, n=sd.n)
 
 
 def dense_phi_series(lam, trunc):
@@ -65,7 +42,7 @@ def dense_phi_series(lam, trunc):
         WeightEnum.one() if j == 0 else WeightEnum.zero() for j in range(lam.size)
     )
     for _ in range(trunc):
-        row = dense_row_iterate(row, lam)
+        row = genutil.dense_row_iterate(row, lam)
         coeffs.append(row[0])
     return LSeries(trunc, coeffs)
 
@@ -114,7 +91,7 @@ def assert_matches_dense(sd, trunc):
     row = gam.entries[0]
     for _ in range(3):
         nxt = row_iterate(row, gam)
-        assert nxt == dense_row_iterate(row, gam_ref)
+        assert nxt == genutil.dense_row_iterate(row, gam_ref)
         row = nxt
     return phi
 
@@ -235,8 +212,8 @@ def test_omega_geometric_series(g1, g2):
 
 
 def test_omega_of_trivial_phi():
-    assert omega_series(LSeries.one(5)) == LSeries.zero(5)
-    bad = LSeries(2, [WeightEnum.monomial(1), WeightEnum.zero(), WeightEnum.zero()])
+    assert omega_series(genutil.series_one(5)) == genutil.series_zero(5)
+    bad = LSeries(2, [genutil.monomial(1), WeightEnum.zero(), WeightEnum.zero()])
     with pytest.raises(ValueError):
         omega_series(bad)
 
@@ -248,7 +225,8 @@ def test_phi_times_one_minus_omega_is_one(f2, f3):
             g = genutil.random_minimal_code(rng, fld, gamma_max=3)
             phi = phi_series(lam_of(g), 7)
             omega = omega_series(phi)
-            assert phi * (LSeries.one(7) - omega) == LSeries.one(7)
+            one = genutil.series_one(7)
+            assert genutil.series_mul(phi, genutil.series_sub(one, omega)) == one
             assert all(c.is_nonnegative() for c in omega.coeffs)
             for l in range(8):
                 assert omega.coeff(l).coeff(0) == 0
@@ -277,7 +255,7 @@ def test_extended_row_distances(g213, g1):
     assert extended_row_distances(omega) == (None, None, None, 7, 6, 7, 7, 8, 8)
     omega1 = omega_series(phi_series(lam_of(g1), 6))
     assert extended_row_distances(omega1) == (None, 4, 6, 8, 10, 12)
-    assert extended_row_distances(LSeries.zero(3)) == (None, None, None)
+    assert extended_row_distances(genutil.series_zero(3)) == (None, None, None)
 
 
 def test_active_burst_distances(g213, g1):
@@ -286,7 +264,7 @@ def test_active_burst_distances(g213, g1):
     phi = phi_series(lam_of(g213), 12)
     bursts = [d for d in active_burst_distances(phi) if d is not None]
     assert min(bursts) == 6  # agrees with the free distance
-    assert active_burst_distances(LSeries.zero(0)) == ()
+    assert active_burst_distances(genutil.series_zero(0)) == ()
 
 
 def block_weight_enumerator(g):
@@ -340,7 +318,7 @@ def test_block_codes_match_classical_enumerator(p, m):
 def test_format_series(g1):
     omega = omega_series(phi_series(lam_of(g1), 4))
     assert format_series(omega) == "L^2 W^4 + L^3 W^6 + L^4 W^8"
-    assert format_series(LSeries.zero(3)) == "0"
+    assert format_series(genutil.series_zero(3)) == "0"
 
 
 @pytest.mark.parametrize(
@@ -378,6 +356,30 @@ def test_packed_phi_slots_beyond_64_bits():
     assert max(c for _, c in phi.coeff(16).terms()) > 1 << 64
 
 
+TABLE_FIELDS = [(p, m) for p, m in genutil.REFERENCE_FIELDS if p**m <= 16]
+
+
+@pytest.mark.parametrize("p, m", TABLE_FIELDS, ids=[f"F{p**m}" for p, m in TABLE_FIELDS])
+def test_cell_table_matches_reference_tally(p, m):
+    # the packed-integer tally gives the dict-per-cell tally cell for cell,
+    # with one table entry per distinct nonzero enumerator, on full and
+    # lumped diagrams, and with weight-0 and weight-1 edges 0 -> 0 planted
+    fld = field_make(p, m)
+    rng = random.Random(1400 + 10 * p + m)
+    forms = [cf for group in genutil.reference_corpus(fld, rng).values() for cf in group]
+    forms += genutil.quotient_corpus(fld, rng)
+    for cf in forms:
+        for sd in (build(cf), build(cf, lumped=True)):
+            groups = list(sd.edges_by_source)
+            groups[0] += ((0, 0), (0, 1))
+            for diagram in (sd, dataclasses.replace(sd, edges_by_source=tuple(groups))):
+                ref = genutil.reference_adjacency(diagram)
+                lam = adjacency(diagram)
+                assert lam.entries == ref
+                assert len(lam.cells) == len({e for row in ref for e in row if e})
+                assert lam.entries[0][0].coeff(0) == 0
+
+
 # ---------------------------------------------------------------------------
 # the F_q^* orbit quotient Q and the packed Omega recurrence
 # ---------------------------------------------------------------------------
@@ -399,12 +401,12 @@ def test_lumped_phi_and_packed_omega_match_references(p, m):
             phi = phi_series(adjacency(full), trunc)
             assert phi_series(adjacency(lumped), trunc) == phi
             omega = omega_series(phi)
-            assert omega == LSeries.one(trunc) - genutil.series_inverse(phi)
+            assert omega == genutil.series_sub(genutil.series_one(trunc), genutil.series_inverse(phi))
             assert all(c.is_nonnegative() for c in omega.coeffs)
 
 
 def test_packed_omega_refusals():
-    w = WeightEnum.monomial
+    w = genutil.monomial
     one, zero = WeightEnum.one(), WeightEnum.zero()
     with pytest.raises(ValueError, match="constant coefficient 1"):
         omega_series(LSeries(2, [w(1), zero, zero]))
@@ -420,4 +422,4 @@ def test_packed_omega_refusals():
     with pytest.raises(ValueError, match="negative coefficient at L\\^2"):
         omega_series(LSeries(2, [one, w(1), WeightEnum({1: 5, 3: 1})]))
     ok = LSeries(2, [one, w(1), WeightEnum({2: 1, 3: 4})])
-    assert omega_series(ok) == LSeries.one(2) - genutil.series_inverse(ok)
+    assert omega_series(ok) == genutil.series_sub(genutil.series_one(2), genutil.series_inverse(ok))

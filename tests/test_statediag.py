@@ -9,7 +9,6 @@ from convcode import (
     build,
     controller_form,
     delay_free_check,
-    encoder_info,
     export_dot,
     pm,
     zero_weight_cycle_exists,
@@ -17,7 +16,7 @@ from convcode import (
 from convcode.cli import parse_gm
 from convcode.errors import LimitError
 from convcode.galois import FieldSpec, field_make
-from convcode.polyalg import PolyMatrix, mat_rank, shift, vec_mat
+from convcode.polyalg import vec_mat
 from convcode import statediag
 from convcode.statediag import edges_json, state_index, state_vector
 
@@ -121,7 +120,12 @@ def test_planted_zero_weight_cycle_is_detected(g213, monkeypatch):
     assert zero_weight_cycle_exists(cf)
 
 
-def test_delay_free(f2, g213, g_mixed):
+def test_delay_free(f2, g213, g_mixed, monkeypatch):
+    # the screen reads the uD table alone, not the weight-0 successor lists
+    def refused(cf):
+        raise AssertionError("zero_weight_edges was called")
+
+    monkeypatch.setattr(statediag, "zero_weight_edges", refused)
     assert delay_free_check(controller_form(g213))
     assert delay_free_check(controller_form(g_mixed))
     gz = pm(f2, [[[0, 1], [0, 1]]])  # G(0) = 0
@@ -189,45 +193,14 @@ def test_edge_view_matches_stored_pairs(p, m):
     assert any(zero_weight_cycle_exists(cf) for cf in forms)
 
 
-def _reference_corpus(fld, rng, per_kind: int = 2) -> dict:
-    """Relaxed forms with k <= 3 by kind, at most max(2^12, q^2) transitions each."""
-    budget = max(1 << 12, fld.q**2)
-    kinds = {"block": [], "minimal": [], "non-basic": [], "not delay-free": []}
-    for _ in range(3000):
-        if all(len(forms) >= per_kind for forms in kinds.values()):
-            break
-        k = rng.randint(1, 3)
-        g = genutil.random_matrix(rng, fld, k, rng.randint(k + 1, 4), rng.randint(0, 2))
-        if rng.random() < 0.25:  # a row divisible by z: G(0) loses rank
-            g = PolyMatrix(fld, (tuple(shift(e, 1) for e in g.rows[0]),) + g.rows[1:])
-        try:
-            info = encoder_info(g)
-        except ValueError:  # rank-deficient
-            continue
-        cf = controller_form(g, require_minimal=False)
-        if fld.q ** (cf.gamma + k) > budget:
-            continue
-        if cf.gamma == 0:
-            kind = "block"
-        elif mat_rank(fld, cf.D) < k:
-            kind = "not delay-free"
-        else:
-            kind = "minimal" if info.is_minimal else "non-basic"
-        if len(kinds[kind]) < per_kind:
-            kinds[kind].append(cf)
-    return kinds
-
-
-REFERENCE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (2, 8)]
-
-
-@pytest.mark.parametrize("p, m", REFERENCE_FIELDS, ids=[f"F{p**m}" for p, m in REFERENCE_FIELDS])
+@pytest.mark.parametrize("p, m", genutil.REFERENCE_FIELDS,
+                         ids=[f"F{p**m}" for p, m in genutil.REFERENCE_FIELDS])
 def test_packed_transitions_match_reference(p, m):
     # the packed tables must give the tuple arithmetic's diagram exactly:
     # stored (dst, weight) pairs and every (src, dst, u, v, weight) label;
     # the weight-0 successor lists are those pairs filtered, in input order
     fld = field_make(p, m)
-    kinds = _reference_corpus(fld, random.Random(700 + 10 * p + m), per_kind=1 if fld.q > 16 else 2)
+    kinds = genutil.reference_corpus(fld, random.Random(700 + 10 * p + m), per_kind=1 if fld.q > 16 else 2)
     assert all(kinds.values())
     forms = [cf for group in kinds.values() for cf in group]
     if fld.q == 256:  # wt(v) over F_256^n with n >= 3 is read from digit chunks
@@ -290,9 +263,9 @@ def test_orbits_lump_lambda_equitably(p, m):
         if quotient.lumped:  # its edges are not labelled by packed states
             with pytest.raises(ValueError, match="no labelled edges"):
                 next(quotient.edges())
-        q_rows = adjacency(quotient).rows
-        for x, row in enumerate(adjacency(build(cf)).rows):
+        q_lam, full = adjacency(quotient), adjacency(build(cf))
+        for x, row in enumerate(full.rows):
             lumped = {}
-            for j, e in row:
-                lumped[orbit[j]] = lumped.get(orbit[j], WeightEnum.zero()) + e
-            assert tuple(sorted(lumped.items())) == q_rows[orbit[x]]
+            for j, t in row:
+                lumped[orbit[j]] = lumped.get(orbit[j], WeightEnum.zero()) + full.cells[t]
+            assert sorted(lumped.items()) == [(o, q_lam.cells[t]) for o, t in q_lam.rows[orbit[x]]]
