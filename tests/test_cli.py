@@ -332,6 +332,17 @@ def test_f16_adjacency_text_is_unchanged(capsys):
     )
 
 
+def test_f16_dot_labelled_edges_are_unchanged(capsys):
+    # the 43 MB DOT text labels all 1,048,575 edges; --json goes through the
+    # same labelled edges but takes far longer, so this digest stands for both
+    rc, out, err = run(capsys, "diagram", F16, "--dot", "--force")
+    assert (rc, err) == (0, "")
+    assert len(out) == 43_442_608
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "88098cb343cbf1e263a01e51c0d8ad8269339939bbf83790cfa9c13947bb38e7"
+    )
+
+
 def test_f16_diagram_text_builds_no_edge_list(capsys, monkeypatch):
     # the text screens read the weight-0 edges off the transition tables,
     # never the 1M (dst, weight) pairs of statediag.build
