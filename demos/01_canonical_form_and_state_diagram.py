@@ -4,8 +4,9 @@ Loads two bundled encoders (a binary memory-3 encoder and a two-row
 encoder over F16), prints their structural invariants, assembles the
 controller canonical form, replays an input through the register,
 classifies a few codewords as atomic / tightly / loosely concatenated, and
-screens the state diagram for catastrophicity and delay-freeness, which
-read only the weight-0 edges of the controller form.
+screens the state diagram, held as the packed transition tables of the
+form, for catastrophicity and delay-freeness, which read only its
+weight-0 edges.
 """
 
 import pathlib
@@ -66,12 +67,12 @@ def main():
         print(f"  u = {coeffs} ({label}): {c.kind}, splits at {list(c.concat_times)}")
     print()
 
-    sd = build(cf)
+    sd = build(cf)  # the packed transition tables of the form; edges are views
     print(f"== state diagram: {sd.num_states} states, "
           f"{sum(len(gp) for gp in sd.edges_by_source)} edges")
-    # both screens read only the weight-0 edges, straight from the form
-    print(f"  delay-free: {delay_free_check(cf)}")
-    print(f"  zero-weight cycle (catastrophic): {zero_weight_cycle_exists(cf)}")
+    # both screens read only the weight-0 edges, looked up in the tables
+    print(f"  delay-free: {delay_free_check(sd)}")
+    print(f"  zero-weight cycle (catastrophic): {zero_weight_cycle_exists(sd)}")
     print("  Graphviz snippet:")
     for line in export_dot(sd).splitlines()[:6]:
         print("    " + line)

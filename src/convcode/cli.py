@@ -444,25 +444,24 @@ def _cmd_ccf(args) -> int:
 
 def _cmd_diagram(args) -> int:
     cf = encoder.controller_form(_load(args.file), require_minimal=False)
-    states = statediag.state_count(cf, max_states=args.max_states)
+    sd = statediag.build(cf, max_states=args.max_states)
     if args.dot:
-        sd = statediag.build(cf, max_states=args.max_states)
         sys.stdout.write(statediag.export_dot(sd, force=args.force))
         return 0
-    delay_free = statediag.delay_free_check(cf)
-    zero_cycle = statediag.zero_weight_cycle_exists(cf)
+    delay_free = statediag.delay_free_check(sd)
+    zero_cycle = statediag.zero_weight_cycle_exists(sd)
     if args.json:
         _emit_json({
             "schema": _schema_id("diagram"),
-            "states": states,
-            "edges": statediag.edges_json(statediag.build(cf, max_states=args.max_states)),
+            "states": sd.num_states,
+            "edges": statediag.edges_json(sd),
             "delay_free": delay_free,
             "zero_weight_cycle": zero_cycle,
         })
     else:
         # every state has q^k transitions, and (0, 0) is left out
-        print(f"states: {states}")
-        print(f"edges: {states * cf.field.q**cf.k - 1}")
+        print(f"states: {sd.num_states}")
+        print(f"edges: {sd.num_states * cf.field.q**cf.k - 1}")
         print(f"delay-free: {'yes' if delay_free else 'no'}")
         print(f"zero-weight cycle: {'yes' if zero_cycle else 'no'}")
     return 0

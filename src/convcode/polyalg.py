@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import InternalError
+from .errors import InternalError, LimitError
 from .galois import FieldSpec
 
 NEG_INF = float("-inf")
+MINOR_TERM_CEILING = 1 << 20  # C(n, k) * k! cofactor terms behind encoder_info
 
 Poly = tuple  # tuple[int, ...] of field elements, low degree first
 
@@ -383,7 +385,11 @@ def encoder_info(g: PolyMatrix) -> EncoderInfo:
     minimality decision (sum of row degrees equals the constraint length)
     is cross-checked against full row rank of the highest-coefficient
     matrix; the two criteria always agree for full-rank matrices.
+    LimitError, before any minor is expanded, above MINOR_TERM_CEILING terms.
     """
+    terms = math.comb(g.n, g.k) * math.factorial(g.k)
+    if terms > MINOR_TERM_CEILING:
+        raise LimitError(f"maximal minors of {terms} terms exceed the ceiling {MINOR_TERM_CEILING}")
     minors = k_minors(g)
     nonzero = [mnr for mnr in minors if mnr]
     if not nonzero:

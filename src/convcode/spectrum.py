@@ -186,11 +186,13 @@ class AdjMatrix:
 def adjacency(sd: StateDiagram) -> AdjMatrix:
     """Tally the diagram's edges by (source, destination, output weight).
 
-    A cell is tallied as one integer, an edge of weight w adding 2^(w*b):
-    no source has more than N edges (q^k in a diagram), so b = bit_length(N)
-    bits hold any count.  Each distinct integer becomes one table entry.
+    A cell is tallied as one integer, an edge of weight w adding 2^(w*b),
+    in one pass over the edge groups: no source has more than q^k edges
+    (q^k + 1 with two edges planted at the zero state, which has q^k - 1),
+    so b = bit_length(q^k + 1) bits hold any count.  Each distinct integer
+    becomes one table entry.
     """
-    b = max(map(len, sd.edges_by_source)).bit_length()
+    b = (sd.field.q**sd.k + 1).bit_length()
     unit = [1 << (w * b) for w in range(sd.n + 1)]
     tallies = []
     for group in sd.edges_by_source:

@@ -3,16 +3,16 @@
 States are indexed 0..q^gamma-1 by reading the state vector as a base-q
 number, first register coordinate most significant; index 0 is the zero
 state.  Every vertex has q^k outgoing edges except vertex 0, which lacks
-the all-zero transition and has q^k - 1.  Edges are stored as (destination,
-weight) pairs; the labelled `Edge`s for DOT and JSON are rebuilt on demand.
+the all-zero transition and has q^k - 1.
 
-Transitions are computed on packed vectors, inputs u and outputs v packed
-the same way as states.  Since F_q = F_p^m with base-p element digits, a
-packed vector is a base-p number and x -> xA is F_p-linear, so the tables
-xA, xC (per state) and uB, uD (per input) are filled by a prefix recursion
-over the F_p basis from (gamma + k) * m images.  An edge is then two
-vector sums, dst = xA + uB and v = xC + uD, and a table lookup of wt(v).
-Over F_{2^m} the packing concatenates m-bit digits and the sum is XOR.
+A diagram is the packed tables of its form; no edge is stored.  Inputs u
+and outputs v are packed like states.  Since F_q = F_p^m with base-p
+element digits, a packed vector is a base-p number and x -> xA is
+F_p-linear, so `build` fills the tables xA, xC (per state) and uB, uD
+(per input) by a prefix recursion over the F_p basis from (gamma + k) * m
+images, in O(q^gamma + q^k).  An edge is two vector sums, dst = xA + uB
+and v = xC + uD (XOR over F_{2^m}), and a table lookup of wt(v); every
+edge view replays the tables when it is read.
 
 The code is F_q-linear and wt(lambda v) = wt(v), so for every lambda != 0
 the map x -> lambda x (edge (x, u) -> (lambda x, lambda u)) is a
@@ -20,15 +20,13 @@ weight-preserving automorphism of the diagram.  Its orbits partition the
 states equitably, with {0} a block of its own, so the lumped matrix Q
 (one row per orbit, its representative's edges tallied by destination
 orbit) has (Q^l)_{0,0} = (Lambda^l)_{0,0}.  `build(cf, lumped=True)`
-expands only the representatives, 0 and the states whose first nonzero
-coordinate is 1 (the smallest member of each orbit in index order): about
-q^gamma / (q - 1) sources instead of q^gamma.
+keeps the orbit map, and its edges leave only the representatives, 0 and
+the states whose first nonzero coordinate is 1 (the smallest member of
+each orbit in index order): about q^gamma / (q - 1) sources, not q^gamma.
 
 The catastrophicity and delay-freeness screens read only the weight-0
-edges, the transitions (x, u) != (0, 0) with uD = -xC.  `zero_weight_edges`
-groups the inputs by their packed uD once and looks up each state's -xC,
-so the cycle screen costs O(q^gamma + q^k), not the q^(gamma + k) of
-`build`; the delay-free screen reads the uD table alone, O(q^k).
+edges, the transitions (x, u) != (0, 0) with xC = -uD, looked up in the
+tables in O(q^gamma + q^k), not the q^(gamma + k) of every edge.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import polyalg
 from .encoder import ControllerForm
@@ -45,6 +43,7 @@ from .galois import FieldSpec
 
 DEFAULT_STATE_CEILING = 1 << 20
 DEFAULT_DOT_CEILING = 4096
+Tables = tuple[Callable[[int, int], int], list[int], list[int], list[int], list[int]]
 
 
 class Edge(NamedTuple):
@@ -71,26 +70,43 @@ def state_vector(q: int, gamma: int, index: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class StateDiagram:
+    """A diagram as its form's tables, (add, xA, xC, uB, uD) from `_tables`;
+    a lumped one also keeps the orbit id of every packed state and the
+    representative of every orbit.  Edges are views replayed on every read."""
+
     field: FieldSpec
     gamma: int
     k: int
     n: int
     num_states: int
-    edges_by_source: tuple[tuple[tuple[int, int], ...], ...]  # (dst, weight) pairs
     form: ControllerForm
+    tables: Tables
+    orbit: Optional[list[int]]
+    reps: Optional[list[int]]
 
     @property
     def lumped(self) -> bool:
         """True for the orbit quotient of a diagram, which has fewer states."""
         return self.num_states < self.field.q**self.gamma
 
+    @property
+    def edges_by_source(self) -> Iterator[tuple[tuple[int, int], ...]]:
+        """One tuple of (dst, weight) pairs per source, in input order; the
+        destinations of a lumped diagram are orbit ids."""
+        weight = _weigher(self.field.q, self.n)
+        orbit = self.orbit
+        for _, _, dsts, outputs in _transitions(self):
+            yield tuple(zip(
+                dsts if orbit is None else map(orbit.__getitem__, dsts), map(weight, outputs)
+            ))
+
     def edges(self) -> Iterator[Edge]:
-        """Labelled edges rebuilt from the form, in the order of edges_by_source."""
+        """Labelled edges, in the order of edges_by_source."""
         if self.lumped:
             raise ValueError("the lumped diagram has no labelled edges")
         q, n = self.field.q, self.n
         uvecs = [state_vector(q, self.k, u) for u in range(q**self.k)]
-        for src, inputs, dsts, outputs in _transitions(self.form):
+        for src, inputs, dsts, outputs in _transitions(self):
             for u, dst, v in zip(inputs, dsts, outputs):
                 vec = state_vector(q, n, v)
                 yield Edge(src, dst, uvecs[u], vec, n - vec.count(0))
@@ -192,52 +208,37 @@ def _orbits(fld: FieldSpec, gamma: int) -> tuple[list[int], list[int]]:
     return orbit, reps
 
 
-def _tables(
-    cf: ControllerForm, *, negate_c: bool = False
-) -> tuple[Callable[[int, int], int], list[int], list[int], list[int], list[int]]:
-    """(add, xA, xC, uB, uD): the vector sum and the packed linear tables of a form.
-
-    With `negate_c` the second table is x(-C) instead; over F_{2^m} the two agree.
-    """
+def _tables(cf: ControllerForm) -> Tables:
+    """(add, xA, xC, uB, uD): the vector sum and the packed linear tables of a form."""
     fld = cf.field
     add = _vector_add(fld)
-    c = tuple(tuple(map(fld.neg, row)) for row in cf.C) if negate_c else cf.C
     return add, *(
         _linear_table(fld, mat, rows, add)
-        for mat, rows in ((cf.A, cf.gamma), (c, cf.gamma), (cf.B, cf.k), (cf.D, cf.k))
+        for mat, rows in ((cf.A, cf.gamma), (cf.C, cf.gamma), (cf.B, cf.k), (cf.D, cf.k))
     )
 
 
-def _transitions(
-    cf: ControllerForm, sources: Optional[Sequence[int]] = None
-) -> Iterator[tuple[int, range, Iterator[int], Iterator[int]]]:
+def _transitions(sd: StateDiagram) -> Iterator[tuple[int, range, Iterator[int], Iterator[int]]]:
     """(src, inputs, dsts, outputs) per source index, every transition but (0, 0).
 
-    `sources` lists the packed states to expand, all of them by default.
-    `inputs` is the range of packed inputs u in order; `dsts` and `outputs`
-    yield the packed destination and output v of each.
+    The sources are every packed state, or the orbit representatives of a
+    lumped diagram.  `inputs` is the range of packed inputs u in order;
+    `dsts` and `outputs` yield the packed destination and output v of each.
     """
-    add, xa, xc, ub, ud = _tables(cf)
+    add, xa, xc, ub, ud = sd.tables
     every = range(len(ub))
-    for i in range(len(xa)) if sources is None else sources:
+    for i in range(len(xa)) if sd.reps is None else sd.reps:
         a, c = xa[i], xc[i]
         inputs = every if i else every[1:]  # (0, 0) is left out
         ubs, uds = (ub, ud) if i else (ub[1:], ud[1:])
         yield i, inputs, map(add, repeat(a), ubs), map(add, repeat(c), uds)
 
 
-def state_count(cf: ControllerForm, *, max_states: int = DEFAULT_STATE_CEILING) -> int:
-    """q^gamma, the number of states of the diagram; LimitError above `max_states`."""
-    s = cf.field.q**cf.gamma
-    if s > max_states:
-        raise LimitError(f"state space of size {s} exceeds the ceiling {max_states}")
-    return s
-
-
 def build(
     cf: ControllerForm, *, max_states: int = DEFAULT_STATE_CEILING, lumped: bool = False
 ) -> StateDiagram:
-    """Tabulate every transition except (0, 0) as (dst, output weight).
+    """The diagram of q^gamma states, as the tables of `cf`; LimitError above
+    `max_states` states, before any table is filled.
 
     With `lumped` the diagram is the F_q^* orbit quotient: vertex o is the
     o-th orbit in order of its smallest member, and its edges are that
@@ -245,22 +246,13 @@ def build(
     orbit is one state and the full diagram is built.
     """
     fld = cf.field
-    s = state_count(cf, max_states=max_states)
-    weight = _weigher(fld.q, cf.n)
-    orbit, sources = _orbits(fld, cf.gamma) if lumped and fld.q > 2 else (None, None)
+    s = fld.q**cf.gamma
+    if s > max_states:
+        raise LimitError(f"state space of size {s} exceeds the ceiling {max_states}")
+    orbit, reps = _orbits(fld, cf.gamma) if lumped and fld.q > 2 else (None, None)
     return StateDiagram(
-        field=fld,
-        gamma=cf.gamma,
-        k=cf.k,
-        n=cf.n,
-        num_states=s if sources is None else len(sources),
-        edges_by_source=tuple(
-            tuple(zip(
-                dsts if orbit is None else map(orbit.__getitem__, dsts), map(weight, outputs)
-            ))
-            for _, _, dsts, outputs in _transitions(cf, sources)
-        ),
-        form=cf,
+        field=fld, gamma=cf.gamma, k=cf.k, n=cf.n, num_states=s if reps is None else len(reps),
+        form=cf, tables=_tables(cf), orbit=orbit, reps=reps,
     )
 
 
@@ -287,36 +279,39 @@ def _has_cycle(succ: list[list[int]]) -> bool:
     return False
 
 
-def zero_weight_edges(cf: ControllerForm) -> list[list[int]]:
-    """Destinations of the weight-0 edges per source state, in input order.
+def zero_weight_edges(sd: StateDiagram) -> list[list[int]]:
+    """Destinations of the weight-0 edges per packed state, in input order.
 
     These are the transitions (x, u) != (0, 0) with xC + uD = 0: the inputs
-    are grouped by packed uD once, and state x takes the group of its -xC.
+    are grouped by packed -uD once, and state x takes the group of its xC.
+    Over F_{2^m}, -uD = uD; otherwise u(-D) is one more table of q^k entries.
     """
-    add, xa, neg_xc, ub, ud = _tables(cf, negate_c=True)
+    fld = sd.field
+    add, xa, xc, ub, ud = sd.tables
+    if fld.p != 2:
+        ud = _linear_table(fld, tuple(tuple(map(fld.neg, row)) for row in sd.form.D), sd.k, add)
     by_output: dict[int, list[int]] = {}
     for u, v in enumerate(ud):
         by_output.setdefault(v, []).append(u)
-    succ = [[add(a, ub[u]) for u in by_output.get(c, ())] for a, c in zip(xa, neg_xc)]
+    succ = [[add(a, ub[u]) for u in by_output.get(c, ())] for a, c in zip(xa, xc)]
     del succ[0][0]  # (0, 0), the first input of the group of 0
     return succ
 
 
-def zero_weight_cycle_exists(cf: ControllerForm) -> bool:
+def zero_weight_cycle_exists(sd: StateDiagram) -> bool:
     """Directed cycle using only weight-0 edges; flags catastrophic encoders."""
-    return _has_cycle(zero_weight_edges(cf))
+    return _has_cycle(zero_weight_edges(sd))
 
 
-def delay_free_check(cf: ControllerForm) -> bool:
+def delay_free_check(sd: StateDiagram) -> bool:
     """True iff no weight-0 edge leaves the zero state.
 
     Those edges are the inputs u != 0 with uD = 0, read off the uD table
     alone in O(q^k).  Equivalent to G(0) having full row rank; both
     criteria are evaluated and must agree.
     """
-    fld = cf.field
-    edge_clean = 0 not in _linear_table(fld, cf.D, cf.k, _vector_add(fld))[1:]
-    rank_full = polyalg.mat_rank(fld, cf.D) == cf.k
+    edge_clean = 0 not in sd.tables[4][1:]
+    rank_full = polyalg.mat_rank(sd.field, sd.form.D) == sd.k
     if edge_clean != rank_full:
         raise InternalError("delay-free criteria disagree: edges vs rank of G(0)")
     return edge_clean

@@ -2,8 +2,10 @@
 
 import itertools
 import random
+from typing import NamedTuple
 
 from convcode import controller_form, encoder_info, minimize, pm
+from convcode.galois import FieldSpec
 from convcode.polyalg import (
     PolyMatrix,
     constant,
@@ -178,6 +180,25 @@ def reference_diagram(cf) -> tuple[tuple, list[tuple]]:
             groups[i].append((dst, w))
             edges.append((i, dst, uvec, v, w))
     return tuple(map(tuple, groups)), edges
+
+
+class PlantedDiagram(NamedTuple):
+    """Stand-in for a StateDiagram whose edge groups are given outright,
+    carrying what `spectrum.adjacency` and `reference_adjacency` read."""
+
+    field: FieldSpec
+    k: int
+    n: int
+    num_states: int
+    edges_by_source: tuple
+
+
+def planted_diagram(sd, extra) -> PlantedDiagram:
+    """The edge groups of `sd` with the (dst, weight) pairs `extra` planted
+    after the edges of state 0."""
+    groups = list(sd.edges_by_source)
+    groups[0] += tuple(extra)
+    return PlantedDiagram(sd.field, sd.k, sd.n, sd.num_states, tuple(groups))
 
 
 def adj_from_dense(cells, q: int, n: int, extended: bool = False) -> AdjMatrix:

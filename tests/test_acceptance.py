@@ -247,13 +247,13 @@ def test_criterion_10_catastrophicity():
     rng = random.Random(1010)
     for _ in range(50):
         g = genutil.random_nonbasic_fullrank(rng, F2)
-        cf = controller_form(g, require_minimal=False)
-        assert zero_weight_cycle_exists(cf) or not delay_free_check(cf)
-        assert not genutil.zero_label_cycle_exists(build(cf))
+        sd = build(controller_form(g, require_minimal=False))
+        assert zero_weight_cycle_exists(sd) or not delay_free_check(sd)
+        assert not genutil.zero_label_cycle_exists(sd)
     for _ in range(50):
         g = genutil.random_minimal_code(rng, F2, gamma_min=1, gamma_max=3)
-        cf = controller_form(g)
-        assert not zero_weight_cycle_exists(cf)
-        assert delay_free_check(cf)
-        assert not genutil.zero_label_cycle_exists(build(cf))
+        sd = build(controller_form(g))
+        assert not zero_weight_cycle_exists(sd)
+        assert delay_free_check(sd)
+        assert not genutil.zero_label_cycle_exists(sd)
     report(10, 60.0, start, "catastrophic flags on 50 non-basic, clean on 50 minimal")

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -344,17 +345,32 @@ def test_f16_dot_labelled_edges_are_unchanged(capsys):
 
 
 def test_f16_diagram_text_builds_no_edge_list(capsys, monkeypatch):
-    # the text screens read the weight-0 edges off the transition tables,
-    # never the 1M (dst, weight) pairs of statediag.build
+    # the text screens read the weight-0 edges off the transition tables and
+    # replay none of the 1M transitions
     def refused(*args, **kwargs):
-        raise AssertionError("statediag.build was called")
+        raise AssertionError("statediag._transitions was called")
 
-    monkeypatch.setattr(statediag, "build", refused)
+    monkeypatch.setattr(statediag, "_transitions", refused)
     expected = "states: 4096\nedges: 1048575\ndelay-free: yes\nzero-weight cycle: no\n"
     assert run(capsys, "diagram", F16) == (0, expected, "")
     assert run(capsys, "diagram", F16, "--max-states", "100") == (
         3, "", "limit: state space of size 4096 exceeds the ceiling 100\n"
     )
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",), ("--dot",)], ids=["text", "json", "dot"])
+def test_diagram_builds_the_tables_once(capsys, monkeypatch, mode):
+    # build fills the four tables of the form once, and the screens and the
+    # edge views all read them: no second table, no table of the screens' own
+    calls = {"_tables": 0, "_linear_table": 0}
+    for name in calls:
+        def counted(*args, _name=name, _orig=getattr(statediag, name)):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(statediag, name, counted)
+    rc, out, err = run(capsys, "diagram", MEMORY3, *mode)
+    assert (rc, err) == (0, "") and out
+    assert calls == {"_tables": 1, "_linear_table": 4}
 
 
 def test_f16_equal_refuses_before_building_lambda(capsys, monkeypatch, tmp_path):
@@ -446,6 +462,24 @@ def test_field_line_bounds_refuse_fast(capsys, tmp_path, field_line):
     assert time.perf_counter() - start < 1.0
     assert rc == 2 and "line 1: field" in err
     assert "int string" not in err
+
+
+def test_info_refuses_oversized_minor_expansion_fast(capsys, tmp_path):
+    # encoder_info expands C(n, k) cofactor determinants of k! terms each:
+    # 6 x 18 has 13,366,080 terms (about 46 s), 5 x 15 has 360,360
+    rng = random.Random(1)
+    for k, n, rc_expected in ((6, 18, 3), (5, 15, 0)):
+        rows = [" ; ".join(f"{rng.randrange(2)} {rng.randrange(2)}" for _ in range(n)) for _ in range(k)]
+        path = tmp_path / f"r{k}x{n}.gm"
+        path.write_text(f"field p=2 m=1\nk={k} n={n}\n" + "\n".join(rows) + "\n")
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "info", str(path))
+        assert rc == rc_expected
+        if rc:
+            assert time.perf_counter() - start < 0.5 and out == ""
+            assert err == "limit: maximal minors of 13366080 terms exceed the ceiling 1048576\n"
+        else:
+            assert out.startswith(f"n={n} k={k} ") and err == ""
 
 
 def _zero_input_register(g):

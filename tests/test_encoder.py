@@ -62,8 +62,8 @@ def test_ccf_rejects_nonminimal_and_block(f2):
     assert realization_check(cf, order=0) and realization_check(cf, order=2)
     sd = build(cf)
     assert sd.num_states == 1
-    assert [dst for dst, _ in sd.edges_by_source[0]] == [0, 0, 0]  # q^k - 1 self-loops
-    assert delay_free_check(cf)
+    assert [dst for dst, _ in tuple(sd.edges_by_source)[0]] == [0, 0, 0]  # q^k - 1 self-loops
+    assert delay_free_check(sd)
     lam = adjacency(sd)
     assert recover_dimension(lam) == 2 and recover_forney(lam) == (0, 0)
     assert classify(cf, [poly([1]), poly([0])]).kind == ATOMIC

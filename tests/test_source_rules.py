@@ -70,8 +70,8 @@ def test_cell_graphs_interns_the_cell_tables_only():
 
 
 def test_labelled_edges_are_built_only_for_rendering():
-    # the diagram stores (dst, weight) pairs; StateDiagram.edges() alone
-    # rebuilds Edge(...) for DOT and JSON, and no other module imports Edge
+    # the diagram stores its transition tables; StateDiagram.edges() alone
+    # builds Edge(...) for DOT and JSON, and no other module imports Edge
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -93,16 +93,22 @@ def test_labelled_edges_are_built_only_for_rendering():
     assert found == []
 
 
-def test_edge_pairs_are_written_by_build_and_read_by_adjacency_only():
-    # the (dst, weight) pairs cost q^(gamma + k); the diagram screens read the
-    # weight-0 edges off the transition tables, so Lambda is the one reader
-    owners = {"statediag.py": "build", "spectrum.py": "adjacency"}
+def test_edge_groups_are_read_by_adjacency_only_and_never_stored():
+    # a StateDiagram holds the packed tables of its form, and its edge views
+    # replay them; the (dst, weight) groups cost q^(gamma + k), so Lambda is
+    # their one reader and no field of the diagram keeps edges
+    statediag = ast.parse((PACKAGE / "statediag.py").read_text())
+    cls = next(n for n in statediag.body if isinstance(n, ast.ClassDef) and n.name == "StateDiagram")
+    fields = [n.target.id for n in cls.body if isinstance(n, ast.AnnAssign)]
+    assert fields == ["field", "gamma", "k", "n", "num_states", "form", "tables", "orbit", "reps"]
+    view = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "edges_by_source")
+    assert [getattr(d, "id", None) for d in view.decorator_list] == ["property"]
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         allowed = set()
-        if path.name in owners:
-            fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == owners[path.name])
+        if path.name == "spectrum.py":
+            fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "adjacency")
             allowed = {id(n) for n in ast.walk(fn)}
         for node in ast.walk(tree):
             touches = (isinstance(node, ast.Attribute) and node.attr == "edges_by_source") or (

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -337,12 +336,10 @@ def test_packed_phi_matches_dense_reference(p, m, gamma_max):
 def test_packed_phi_non_delay_free(f2):
     gz = pm(f2, [[[0, 1], [0, 1, 1]]])  # G(0) = 0: a weight-0 edge leaves state 0
     sd = build(controller_form(gz, require_minimal=False))
-    assert any(w == 0 for _, w in sd.edges_by_source[0])
+    assert any(w == 0 for _, w in tuple(sd.edges_by_source)[0])
     assert_matches_dense(sd, 12)
     # plant weight-0 and weight-2 edges 0 -> 0: only the weight-0 one is dropped
-    groups = list(sd.edges_by_source)
-    groups[0] = groups[0] + ((0, 0), (0, 2))
-    planted = dataclasses.replace(sd, edges_by_source=tuple(groups))
+    planted = genutil.planted_diagram(sd, ((0, 0), (0, 2)))
     assert adjacency(planted).entries[0][0] == WeightEnum({2: 1})
     assert_matches_dense(planted, 12)
 
@@ -370,9 +367,7 @@ def test_cell_table_matches_reference_tally(p, m):
     forms += genutil.quotient_corpus(fld, rng)
     for cf in forms:
         for sd in (build(cf), build(cf, lumped=True)):
-            groups = list(sd.edges_by_source)
-            groups[0] += ((0, 0), (0, 1))
-            for diagram in (sd, dataclasses.replace(sd, edges_by_source=tuple(groups))):
+            for diagram in (sd, genutil.planted_diagram(sd, ((0, 0), (0, 1)))):
                 ref = genutil.reference_adjacency(diagram)
                 lam = adjacency(diagram)
                 assert lam.entries == ref

@@ -33,15 +33,16 @@ def test_state_packing_big_endian():
 
 def test_eight_state_diagram(g213):
     sd = build(controller_form(g213))
+    groups = tuple(sd.edges_by_source)
     assert sd.num_states == 8
-    assert sum(len(g) for g in sd.edges_by_source) == 15
-    assert len(sd.edges_by_source[0]) == 1
-    assert sd.edges_by_source[0][0] == (4, 2)  # (dst, weight)
+    assert sum(len(g) for g in groups) == 15
+    assert len(groups[0]) == 1
+    assert groups[0][0] == (4, 2)  # (dst, weight)
     edge = next(sd.edges())
     assert edge.u == (1,) and edge.v == (1, 1) and edge.weight == 2
     assert edge.dst == 4  # state (1, 0, 0)
     for i in range(1, 8):
-        assert len(sd.edges_by_source[i]) == 2
+        assert len(groups[i]) == 2
 
 
 def test_two_state_diagram(g1):
@@ -57,8 +58,9 @@ def test_two_state_diagram(g1):
 
 def test_parallel_edges_iff_zero_degree_row(g_mixed, g213):
     sd = build(controller_form(g_mixed))
-    assert len(sd.edges_by_source[0]) == 3
-    assert len(sd.edges_by_source[1]) == 4
+    groups = tuple(sd.edges_by_source)
+    assert len(groups[0]) == 3
+    assert len(groups[1]) == 4
     pairs = [(e.src, e.dst) for e in sd.edges()]
     assert len(pairs) != len(set(pairs))  # some gamma_i = 0: parallel edges
     sd213 = build(controller_form(g213))
@@ -88,9 +90,9 @@ def test_edges_satisfy_recursion(g213, g_mixed):
 
 
 def test_zero_weight_cycle_flags_catastrophic(f2, g213):
-    assert not zero_weight_cycle_exists(controller_form(g213))
+    assert not zero_weight_cycle_exists(build(controller_form(g213)))
     bad = pm(f2, [[[1, 1], [1, 1]]])
-    assert zero_weight_cycle_exists(controller_form(bad, require_minimal=False))
+    assert zero_weight_cycle_exists(build(controller_form(bad, require_minimal=False)))
 
 
 def test_zero_label_cycle_never_exists(f2, f3, g213, g_mixed, g1):
@@ -110,26 +112,26 @@ def test_zero_label_cycle_never_exists(f2, f3, g213, g_mixed, g1):
 def test_planted_zero_weight_cycle_is_detected(g213, monkeypatch):
     # mutation check: zeroing the weight of a self-loop must flip the verdict,
     # so the loop joins the weight-0 successor lists the verdict reads
-    cf = controller_form(g213)
-    assert not zero_weight_cycle_exists(cf)
-    succ = statediag.zero_weight_edges(cf)
-    i = next(i for i, g in enumerate(build(cf).edges_by_source) for dst, w in g if i == dst and w > 0)
+    sd = build(controller_form(g213))
+    assert not zero_weight_cycle_exists(sd)
+    succ = statediag.zero_weight_edges(sd)
+    i = next(i for i, g in enumerate(sd.edges_by_source) for dst, w in g if i == dst and w > 0)
     assert i not in succ[i]
     succ[i].append(i)
     monkeypatch.setattr(statediag, "zero_weight_edges", lambda _: succ)
-    assert zero_weight_cycle_exists(cf)
+    assert zero_weight_cycle_exists(sd)
 
 
 def test_delay_free(f2, g213, g_mixed, monkeypatch):
     # the screen reads the uD table alone, not the weight-0 successor lists
-    def refused(cf):
+    def refused(sd):
         raise AssertionError("zero_weight_edges was called")
 
     monkeypatch.setattr(statediag, "zero_weight_edges", refused)
-    assert delay_free_check(controller_form(g213))
-    assert delay_free_check(controller_form(g_mixed))
+    assert delay_free_check(build(controller_form(g213)))
+    assert delay_free_check(build(controller_form(g_mixed)))
     gz = pm(f2, [[[0, 1], [0, 1]]])  # G(0) = 0
-    assert not delay_free_check(controller_form(gz, require_minimal=False))
+    assert not delay_free_check(build(controller_form(gz, require_minimal=False)))
 
 
 def test_build_ceiling(g213):
@@ -163,8 +165,8 @@ def test_edges_json(g1):
 @pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3)],
                          ids=["F2", "F3", "F4", "F5", "F8"])
 def test_edge_view_matches_stored_pairs(p, m):
-    # edges() rebuilds the labels from the form; grouped by source it must
-    # give back exactly the stored (dst, weight) pairs
+    # edges() and edges_by_source both replay the tables; grouped by source
+    # the labelled edges must give back exactly the (dst, weight) pairs
     fld = field_make(p, m)
     rng = random.Random(600 + 10 * p + m)
     forms = [controller_form(pm(fld, [[[1], [1], [0]], [[0], [1], [1]]]))]  # gamma = 0
@@ -182,15 +184,15 @@ def test_edge_view_matches_stored_pairs(p, m):
         for e in sd.edges():
             assert e.weight == sum(1 for c in e.v if c)
             rebuilt[e.src].append((e.dst, e.weight))
-        assert tuple(map(tuple, rebuilt)) == sd.edges_by_source
+        assert tuple(map(tuple, rebuilt)) == tuple(sd.edges_by_source)
         assert all(
             type(d) is int and type(w) is int
             for group in sd.edges_by_source
             for d, w in group
         )
     assert diagrams[0].num_states == 1
-    assert any(not delay_free_check(cf) for cf in forms)
-    assert any(zero_weight_cycle_exists(cf) for cf in forms)
+    assert any(not delay_free_check(sd) for sd in diagrams)
+    assert any(zero_weight_cycle_exists(sd) for sd in diagrams)
 
 
 @pytest.mark.parametrize("p, m", genutil.REFERENCE_FIELDS,
@@ -209,12 +211,12 @@ def test_packed_transitions_match_reference(p, m):
     for cf in forms:
         sd = build(cf)
         pairs, labelled = genutil.reference_diagram(cf)
-        assert sd.edges_by_source == pairs
+        assert tuple(sd.edges_by_source) == pairs
         assert list(sd.edges()) == labelled
-        zero = statediag.zero_weight_edges(cf)
+        zero = statediag.zero_weight_edges(sd)
         assert zero == [[d for d, w in g if not w] for g in sd.edges_by_source]
-        assert delay_free_check(cf) == (not zero[0])
-        catastrophic += zero_weight_cycle_exists(cf)
+        assert delay_free_check(sd) == (not zero[0])
+        catastrophic += zero_weight_cycle_exists(sd)
     assert catastrophic
 
 
@@ -238,6 +240,23 @@ def test_build_does_no_field_arithmetic_per_edge(monkeypatch):
     sd = build(cf, lumped=True)
     assert sd.num_states == 274 and sum(map(len, sd.edges_by_source)) == 274 * 16**2 - 1
     assert 0 < calls["add"] + calls["mul"] < 10**4
+
+
+@pytest.mark.parametrize("lumped", [False, True], ids=["full", "lumped"])
+def test_build_replays_no_transition(monkeypatch, lumped):
+    # the diagram is its tables: build weighs no output and replays no edge,
+    # even for the 1M transitions of the F16 example
+    path = pathlib.Path(__file__).resolve().parent.parent / "demos" / "codes" / "f16.gm"
+    cf = controller_form(parse_gm(path.read_text()))
+
+    def refused(*args):
+        raise AssertionError("an edge view was read")
+
+    monkeypatch.setattr(statediag, "_transitions", refused)
+    monkeypatch.setattr(statediag, "_weigher", refused)
+    sd = build(cf, lumped=lumped)
+    assert sd.num_states == (274 if lumped else 4096) and sd.lumped == lumped
+    assert len(sd.tables[1]) == 4096 and len(sd.tables[3]) == 256
 
 
 @pytest.mark.parametrize("p, m", genutil.QUOTIENT_FIELDS[1:],
