@@ -22,11 +22,16 @@ is chosen.  These defaults are fixed so serialized matrices stay portable:
     (3, 3): x^3 + 2x + 1          encoding 34
 
 All operations are pure; a FieldSpec is immutable after construction and
-safe for unrestricted concurrent use.
+safe for unrestricted concurrent use.  `field_make` interns its result: each
+distinct field (p, m, modulus) is built on first use, once per process, and
+every later call returns the same object.  There are 404 such fields with
+q <= MAX_ORDER, each holding at most 766 table entries, so the interned set
+needs no eviction.  Importing the package builds no field.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Optional
 
 MAX_ORDER = 256
@@ -95,6 +100,7 @@ def _fp_poly_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     return True
 
 
+@functools.cache
 def default_modulus(p: int, m: int) -> tuple[int, ...]:
     """Monic irreducible of degree m over F_p with the smallest encoding."""
     for low in range(p**m):
@@ -115,8 +121,8 @@ class FieldSpec:
         self.m = m
         self.q = p**m
         self.modulus = modulus  # None for prime fields
-        self._exp: Optional[list[int]] = None
-        self._log: Optional[list[int]] = None
+        self._exp: Optional[tuple[int, ...]] = None
+        self._log: Optional[tuple[int, ...]] = None
         if m > 1:
             self._build_tables()
 
@@ -155,8 +161,22 @@ class FieldSpec:
                 break
         else:  # pragma: no cover - the modulus is checked irreducible first
             raise ValueError("no multiplicative generator found")
-        self._exp = exp
-        self._log = log
+        self._exp = tuple(exp)
+        self._log = tuple(log)
+
+    @functools.cached_property
+    def generator(self) -> int:
+        """The generator of F_q^* with the smallest encoding."""
+        if self.m > 1:
+            return self._exp[1]  # the tables are powers of the smallest generator
+        p = self.p
+        for g in range(1, p):  # smallest primitive root, by its order
+            x, order = g, 1
+            while x != 1:
+                x, order = x * g % p, order + 1
+            if order == p - 1:
+                return g
+        raise ValueError(f"no primitive root mod {p}")  # pragma: no cover
 
     # -- basic queries -------------------------------------------------------
 
@@ -271,23 +291,30 @@ def check_field(p: int, m: int) -> None:
 
 
 def field_make(p: int, m: int = 1, modulus: Optional[Iterable[int]] = None) -> FieldSpec:
-    """Construct F_{p^m}.
+    """Construct F_{p^m}, or return the one already built for these arguments.
 
     `modulus` is a coefficient list of a monic degree-m polynomial over F_p,
     low degree first; omitted, the documented default is used.  Rejected:
-    non-prime p, q above MAX_ORDER, reducible or non-monic moduli.
+    non-prime p, q above MAX_ORDER, reducible or non-monic moduli.  The
+    argument checks run on every call; only the irreducibility test and the
+    tables are interned, keyed by (p, m, resolved modulus).
     """
     check_field(p, m)
     if m == 1:
         if modulus is not None:
             raise ValueError("prime fields take no modulus")
-        return FieldSpec(p, 1, None)
+        return _interned(p, 1, None)
     if modulus is None:
-        mod = default_modulus(p, m)
-    else:
-        mod = tuple(int(c) % p for c in modulus)
-        if len(mod) != m + 1 or mod[-1] != 1:
-            raise ValueError(f"modulus must be monic of degree {m}")
-        if not _fp_poly_irreducible(mod, p):
-            raise ValueError("modulus is reducible over the prime field")
+        return _interned(p, m, default_modulus(p, m))
+    mod = tuple(int(c) % p for c in modulus)
+    if len(mod) != m + 1 or mod[-1] != 1:
+        raise ValueError(f"modulus must be monic of degree {m}")
+    return _interned(p, m, mod)
+
+
+@functools.cache
+def _interned(p: int, m: int, mod: Optional[tuple[int, ...]]) -> FieldSpec:
+    """The one FieldSpec per field; a reducible modulus raises and is not kept."""
+    if mod is not None and not _fp_poly_irreducible(mod, p):
+        raise ValueError("modulus is reducible over the prime field")
     return FieldSpec(p, m, mod)

@@ -182,18 +182,12 @@ def _weigher(q: int, n: int) -> Callable[[int], int]:
 def _orbits(fld: FieldSpec, gamma: int) -> tuple[list[int], list[int]]:
     """(orbit id of every packed state, smallest member of every orbit) of F_q^*.
 
-    Walks the cycles of x -> alpha x for a generator alpha of F_q^*, read
+    Walks the cycles of x -> alpha x for alpha = `fld.generator`, read
     off a table filled digit by digit like `_weigher`'s; scanning in index
     order meets each orbit first at its smallest member.  Orbit 0 is {0}.
     """
     q = fld.q
-    for alpha in range(2, q):  # the generator with the smallest encoding
-        times = [fld.mul(alpha, d) for d in range(q)]
-        x, order = times[1], 1
-        while x != 1:
-            x, order = times[x], order + 1
-        if order == q - 1:
-            break
+    times = [fld.mul(fld.generator, d) for d in range(q)]
     scaled = [0]
     for _ in range(gamma):
         scaled = [x * q + times[d] for x in scaled for d in range(q)]

@@ -1,9 +1,15 @@
 import itertools
+import os
+import pathlib
 import random
+import re
+import subprocess
+import sys
 
 import pytest
 
 from convcode import field_make
+from convcode.cli import parse_gm
 from convcode.galois import FieldSpec, default_modulus, is_prime
 
 
@@ -96,7 +102,8 @@ EXTENSIONS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5), (7, 2), (2
 @pytest.mark.parametrize("p,m", EXTENSIONS, ids=[f"F{p**m}" for p, m in EXTENSIONS])
 def test_tables_match_table_free_product(p, m, monkeypatch):
     # exp/log are filled during one walk per candidate generator: on F256, x
-    # has order 51 and x + 1 is the first generator, so 51 + 255 products
+    # has order 51 and x + 1 is the first generator, so 51 + 255 products.
+    # field_make interns, so the count is taken on the uncached constructor
     calls = []
     raw = FieldSpec._mul_raw
 
@@ -105,8 +112,10 @@ def test_tables_match_table_free_product(p, m, monkeypatch):
         return raw(self, a, b)
 
     monkeypatch.setattr(FieldSpec, "_mul_raw", counted)
-    fld = field_make(p, m)
+    fld = FieldSpec(p, m, default_modulus(p, m))
     monkeypatch.undo()
+    shared = field_make(p, m)
+    assert fld == shared and (fld._exp, fld._log) == (shared._exp, shared._log)
     if fld.q == 256:
         assert len(calls) == 51 + 255
         rng = random.Random(256)
@@ -149,17 +158,67 @@ def test_digit_encoding_round_trip():
     assert f27.coeffs(5) == (2, 1, 0)
 
 
+CONSTRUCTION_ERRORS = [
+    ((4,), "p=4 is not prime"),
+    ((2, 2, [0, 1, 1]), "modulus is reducible over the prime field"),  # x^2 + x = x(x+1)
+    ((2, 2, [1, 1]), "modulus must be monic of degree 2"),  # wrong degree
+    ((2, 9), "field order 2^9 exceeds the ceiling 256"),  # 512 > ceiling
+    ((2, 1, [1, 1]), "prime fields take no modulus"),
+]
+
+
 def test_construction_errors():
-    with pytest.raises(ValueError):
-        field_make(4)  # not prime
-    with pytest.raises(ValueError):
-        field_make(2, 2, [0, 1, 1])  # x^2 + x = x(x+1)
-    with pytest.raises(ValueError):
-        field_make(2, 2, [1, 1])  # wrong degree
-    with pytest.raises(ValueError):
-        field_make(2, 9)  # 512 > ceiling
-    with pytest.raises(ValueError):
-        field_make(2, 1, [1, 1])  # prime fields carry no modulus
+    # errors are not interned: with F4 and F2, the valid fields of the rejected
+    # (p, m), built first, every rejection raises the same message on every call
+    field_make(2, 2), field_make(2)
+    for args, message in CONSTRUCTION_ERRORS:
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                field_make(*args)
+
+
+def test_field_make_interns_one_object_per_field():
+    f16 = field_make(2, 4)
+    assert field_make(2, 4) is f16
+    assert field_make(2, 4, [1, 1, 0, 0, 1]) is f16
+    assert field_make(2, 4, (3, 1, 0, 0, 1)) is f16  # coefficients reduce mod p
+    assert parse_gm("field p=2 m=4 modulus=19\nk=1 n=2\n1 ; 1\n").field is f16
+    assert field_make(5) is field_make(5, 1)
+    assert field_make(2, 4, [1, 0, 0, 1, 1]) is not f16  # x^4 + x^3 + 1: another field
+    # the shared tables cannot be mutated
+    assert isinstance(f16._exp, tuple) and isinstance(f16._log, tuple)
+
+
+def test_import_builds_no_field():
+    probe = ("import convcode.cli; from convcode import galois; "
+             "print(galois._interned.cache_info().currsize, "
+             "galois.default_modulus.cache_info().currsize)")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out == "0 0\n"
+
+
+def brute_generator(p, m):
+    """Smallest element of multiplicative order q - 1, by walking its powers
+    with the table-free product."""
+    fld = FieldSpec(p, m, default_modulus(p, m) if m > 1 else None)
+    mul = fld._mul_raw if m > 1 else (lambda a, b: a * b % p)
+    for g in range(1, fld.q):
+        x, order = g, 1
+        while x != 1:
+            x, order = mul(x, g), order + 1
+        if order == fld.q - 1:
+            return g
+
+
+GENERATOR_FIELDS = EXTENSIONS + [(2, 1), (3, 1), (7, 1), (23, 1), (251, 1)]
+
+
+@pytest.mark.parametrize("p,m", GENERATOR_FIELDS, ids=[f"F{p**m}" for p, m in GENERATOR_FIELDS])
+def test_generator_is_smallest_of_full_order(p, m):
+    assert field_make(p, m).generator == brute_generator(p, m)
 
 
 def test_operand_range_checks():
