@@ -697,7 +697,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         common(sp, file2=file2)
         if name in ("mono-equiv", "oracle"):
-            sp.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET,
+            budget = (oracle if name == "oracle" else invariance).DEFAULT_BUDGET
+            sp.add_argument("--budget", type=int, default=budget,
                             help="evaluation/search budget")
         if name in ("spectrum", "distances", "oracle"):
             sp.add_argument("--trunc", type=int, default=None,

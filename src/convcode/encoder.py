@@ -98,20 +98,15 @@ def controller_form(g: PolyMatrix, *, require_minimal: bool = True) -> Controlle
     )
 
 
-def realization_check(cf: ControllerForm, order: int | None = None) -> bool:
+def realization_check(cf: ControllerForm) -> bool:
     """Verify G = z B (I - zA)^{-1} C + D by expanding the finite series
-    D + sum_j z^(j+1) B A^j C (A is nilpotent, so the expansion is exact)."""
-    if order is None:
-        order = cf.gamma
-    if order < cf.gamma:
-        raise ValueError("expansion order must be at least gamma")
+    D + sum_{j < gamma} z^(j+1) B A^j C (A^gamma = 0, so the expansion is exact)."""
     fld = cf.field
     k, n = cf.k, cf.n
     coeff_mats = [cf.D]
     left = cf.B
-    zero = ((0,) * n,) * k  # B A^j C of a gamma = 0 form: mat_mul would give k x 0
-    for _ in range(order):
-        coeff_mats.append(polyalg.mat_mul(fld, left, cf.C) if cf.gamma else zero)
+    for _ in range(cf.gamma):
+        coeff_mats.append(polyalg.mat_mul(fld, left, cf.C))
         left = polyalg.mat_mul(fld, left, cf.A)
     rows = []
     for i in range(k):

@@ -21,12 +21,19 @@ is chosen.  These defaults are fixed so serialized matrices stay portable:
     (3, 2): x^2 + 1               encoding 10
     (3, 3): x^3 + 2x + 1          encoding 34
 
+Every field, prime or not, holds the same tables: the addition table
+add_table[a * q + b] = a + b and the negation table, both bytes filled base-p
+digit by digit, and the exp/log tables of its smallest multiplicative
+generator.  add, neg, sub, mul, inv and pow check their operands and then
+read the tables; none of them branches on p or m.
+
 All operations are pure; a FieldSpec is immutable after construction and
 safe for unrestricted concurrent use.  `field_make` interns its result: each
 distinct field (p, m, modulus) is built on first use, once per process, and
-every later call returns the same object.  There are 404 such fields with
-q <= MAX_ORDER, each holding at most 766 table entries, so the interned set
-needs no eviction.  Importing the package builds no field.
+every later call returns the same object.  A field holds q^2 + q bytes plus
+3q - 2 exp/log entries, 64 KB for F256; the 404 fields with q <= MAX_ORDER
+would hold about 11 MB if all were built, so the interned set needs no
+eviction.  Importing the package builds no field.
 """
 
 from __future__ import annotations
@@ -111,7 +118,7 @@ def default_modulus(p: int, m: int) -> tuple[int, ...]:
 
 
 class FieldSpec:
-    """Arithmetic of F_q for q = p^m, with exp/log tables for extensions.
+    """Arithmetic of F_q for q = p^m, read off tables that every field holds.
 
     Construct through :func:`field_make`.  Elements are ints 0..q-1.
     """
@@ -121,16 +128,16 @@ class FieldSpec:
         self.m = m
         self.q = p**m
         self.modulus = modulus  # None for prime fields
-        self._exp: Optional[tuple[int, ...]] = None
-        self._log: Optional[tuple[int, ...]] = None
-        if m > 1:
-            self._build_tables()
+        self._build_sums()
+        self._build_powers()
 
     # -- construction helpers ------------------------------------------------
 
     def _mul_raw(self, a: int, b: int) -> int:
         """Polynomial-basis multiplication without tables (table bootstrap)."""
         p, m = self.p, self.m
+        if m == 1:
+            return a * b % p
         da = _digits(a, p, m)
         db = _digits(b, p, m)
         prod = [0] * (2 * m - 1)
@@ -142,14 +149,27 @@ class FieldSpec:
         rem += [0] * (m - len(rem))
         return _pack(rem[:m], p)
 
-    def _build_tables(self) -> None:
+    def _build_sums(self) -> None:
+        """add_table[a * q + b] = a + b and _neg[a] = -a, base-p digit by digit:
+        the high digits come from the entry of a // p and b // p, filled earlier."""
+        p, q = self.p, self.q
+        add, neg = bytearray(q * q), bytearray(q)
+        for a in range(q):
+            neg[a] = neg[a // p] * p + (-a) % p
+            high = a // p * q
+            for b in range(q):
+                add[a * q + b] = add[high + b // p] * p + (a + b) % p
+        self.add_table, self._neg = bytes(add), bytes(neg)
+
+    def _build_powers(self) -> None:
         """exp/log of the smallest generator of F_q^*, filled while its powers
         are walked; a candidate whose powers return to 1 early is dropped, and
-        the generator's walk overwrites every entry it left."""
+        the generator's walk overwrites every entry it left.  The walk starts
+        at 2, as 1 has order 1 < q - 1, except in F_2 where 1 generates."""
         q = self.q
         exp = [0] * (2 * (q - 1))
         log = [0] * q
-        for g in range(2, q):
+        for g in range(min(2, q - 1), q):
             val = 1
             for i in range(q - 1):
                 exp[i] = exp[i + q - 1] = val
@@ -164,19 +184,10 @@ class FieldSpec:
         self._exp = tuple(exp)
         self._log = tuple(log)
 
-    @functools.cached_property
+    @property
     def generator(self) -> int:
         """The generator of F_q^* with the smallest encoding."""
-        if self.m > 1:
-            return self._exp[1]  # the tables are powers of the smallest generator
-        p = self.p
-        for g in range(1, p):  # smallest primitive root, by its order
-            x, order = g, 1
-            while x != 1:
-                x, order = x * g % p, order + 1
-            if order == p - 1:
-                return g
-        raise ValueError(f"no primitive root mod {p}")  # pragma: no cover
+        return self._exp[1]  # the tables are powers of the smallest generator
 
     # -- basic queries -------------------------------------------------------
 
@@ -186,13 +197,6 @@ class FieldSpec:
     def units(self) -> range:
         """Nonzero elements."""
         return range(1, self.q)
-
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        """Base-p digit vector of an element (length m, low power first)."""
-        return _digits(a, self.p, self.m)
-
-    def from_coeffs(self, digits: Iterable[int]) -> int:
-        return _pack((d % self.p for d in digits), self.p)
 
     @property
     def modulus_encoding(self) -> Optional[int]:
@@ -209,31 +213,17 @@ class FieldSpec:
 
     def add(self, a: int, b: int) -> int:
         self._check(a), self._check(b)
-        if self.m == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        p = self.p
-        return _pack(
-            ((x + y) % p for x, y in zip(self.coeffs(a), self.coeffs(b))), p
-        )
+        return self.add_table[a * self.q + b]
 
     def neg(self, a: int) -> int:
-        self._check(a)
-        if self.p == 2:
-            return a
-        if self.m == 1:
-            return (-a) % self.p
-        p = self.p
-        return _pack(((-x) % p for x in self.coeffs(a)), p)
+        return self._neg[self._check(a)]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        self._check(a), self._check(b)
+        return self.add_table[a * self.q + self._neg[b]]
 
     def mul(self, a: int, b: int) -> int:
         self._check(a), self._check(b)
-        if self.m == 1:
-            return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
         return self._exp[self._log[a] + self._log[b]]
@@ -242,8 +232,6 @@ class FieldSpec:
         self._check(a)
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self.m == 1:
-            return pow(a, self.p - 2, self.p)
         return self._exp[(self.q - 1) - self._log[a]]
 
     def pow(self, a: int, e: int) -> int:
@@ -254,8 +242,6 @@ class FieldSpec:
             if e < 0:
                 raise ZeroDivisionError("0 has no multiplicative inverse")
             return 0
-        if self.m == 1:
-            return pow(a, e % (self.p - 1), self.p)
         return self._exp[(self._log[a] * e) % (self.q - 1)]
 
     # -- dunder --------------------------------------------------------------

@@ -35,6 +35,7 @@ PermWitness = tuple  # index array pi with pi[0] == 0
 MonomialWitness = tuple  # (column permutation, column scalars)
 
 SEARCH_STATES = 256  # bound on the states of the conjugation search
+DEFAULT_BUDGET = 1 << 24  # bound on the candidates of the monomial_equiv search
 
 
 def code_adjacency(g: PolyMatrix, *, lumped: bool = False) -> AdjMatrix:
@@ -302,7 +303,7 @@ def _adjacency_separates(g: PolyMatrix, h: PolyMatrix) -> bool:
 
 
 def monomial_equiv(
-    g: PolyMatrix, h: PolyMatrix, *, budget: int = 1_000_000
+    g: PolyMatrix, h: PolyMatrix, *, budget: int = DEFAULT_BUDGET
 ) -> Optional[MonomialWitness]:
     """Exhaustive search for a column permutation and rescaling mapping the
     code of g onto the code of h; returns the lexicographically first

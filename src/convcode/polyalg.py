@@ -183,20 +183,20 @@ def vec_mat(fld: FieldSpec, x: Sequence[int], a: Sequence[Sequence[int]]) -> tup
     return tuple(acc)
 
 
-def mat_rank(fld: FieldSpec, a: Sequence[Sequence[int]]) -> int:
-    rows = [list(r) for r in a]
+def _eliminate(fld: FieldSpec, rows: list[list[int]], ncols: int) -> int:
+    """Forward Gaussian elimination on the first `ncols` columns of `rows`, in
+    place; each row operation spans the whole row.  Returns the rank r: rows
+    0..r-1 hold the pivots, and rows r.. are zero in those columns."""
     rank = 0
-    ncols = len(rows[0]) if rows else 0
     for j in range(ncols):
         piv = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         inv = fld.inv(rows[rank][j])
-        rows[rank] = [fld.mul(inv, c) for c in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][j]:
-                f = rows[i][j]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][j]:
+                f = fld.mul(rows[i][j], inv)
                 rows[i] = [fld.sub(c, fld.mul(f, d)) for c, d in zip(rows[i], rows[rank])]
         rank += 1
         if rank == len(rows):
@@ -204,33 +204,21 @@ def mat_rank(fld: FieldSpec, a: Sequence[Sequence[int]]) -> int:
     return rank
 
 
+def mat_rank(fld: FieldSpec, a: Sequence[Sequence[int]]) -> int:
+    rows = [list(r) for r in a]
+    return _eliminate(fld, rows, len(rows[0]) if rows else 0)
+
+
 def mat_left_kernel_vector(fld: FieldSpec, a: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
     """Some nonzero w with w*a = 0, or None when a has full row rank.
 
-    Deterministic: Gaussian elimination with an identity tracker; the first
-    zero row of the reduced matrix yields the witness.
+    Deterministic: the elimination of `_eliminate` on a with the identity
+    appended; the tracked part of the first zero row is the witness.
     """
-    k = len(a)
-    rows = [list(r) for r in a]
-    track = [list(r) for r in mat_identity(k)]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for j in range(ncols):
-        piv = next((i for i in range(rank, k) if rows[i][j]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        track[rank], track[piv] = track[piv], track[rank]
-        for i in range(rank + 1, k):
-            if rows[i][j]:
-                f = fld.mul(rows[i][j], fld.inv(rows[rank][j]))
-                rows[i] = [fld.sub(c, fld.mul(f, d)) for c, d in zip(rows[i], rows[rank])]
-                track[i] = [fld.sub(c, fld.mul(f, d)) for c, d in zip(track[i], track[rank])]
-        rank += 1
-    for i in range(k):
-        if not any(rows[i]):
-            return tuple(track[i])
-    return None
+    k, ncols = len(a), len(a[0]) if a else 0
+    rows = [list(r) + list(e) for r, e in zip(a, mat_identity(k))]
+    rank = _eliminate(fld, rows, ncols)
+    return tuple(rows[rank][ncols:]) if rank < k else None
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ element digits, a packed vector is a base-p number and x -> xA is
 F_p-linear, so `build` fills the tables xA, xC (per state) and uB, uD
 (per input) by a prefix recursion over the F_p basis from (gamma + k) * m
 images, in O(q^gamma + q^k).  An edge is two vector sums, dst = xA + uB
-and v = xC + uD (XOR over F_{2^m}), and a table lookup of wt(v); every
-edge view replays the tables when it is read.
+and v = xC + uD (XOR over F_{2^m}, else the field's addition table per
+element), and a table lookup of wt(v); every edge view replays the tables
+when it is read.
 
 The code is F_q-linear and wt(lambda v) = wt(v), so for every lambda != 0
 the map x -> lambda x (edge (x, u) -> (lambda x, lambda u)) is a
@@ -113,14 +114,11 @@ class StateDiagram:
 
 
 def _vector_add(fld: FieldSpec) -> Callable[[int, int], int]:
-    """Sum of two packed vectors over F_q; the one place that depends on p."""
+    """Sum of two packed vectors over F_q, element by element off the field's
+    addition table; the one place that depends on p."""
     if fld.p == 2:
         return operator.xor
-    p, q = fld.p, fld.q
-    sums = [0] * (q * q)  # sums[a * q + b] = a + b in F_q, base-p digit by digit
-    for a in range(q):
-        for b in range(q):
-            sums[a * q + b] = sums[a // p * q + b // p] * p + (a + b) % p
+    q, sums = fld.q, fld.add_table
 
     def add(x: int, y: int) -> int:
         out, scale = 0, 1

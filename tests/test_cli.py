@@ -291,6 +291,16 @@ def test_oracle_budget_exit(capsys):
     assert rc == 3 and "budget" in err
 
 
+def test_budget_defaults_are_the_library_defaults():
+    # mono-equiv's --budget is the default of invariance.monomial_equiv, and
+    # oracle's is the default of oracle.survey; both are 2^24
+    parser = cli._build_parser()
+    mono = parser.parse_args(["mono-equiv", G1, G2]).budget
+    survey = parser.parse_args(["oracle", G1]).budget
+    assert mono == invariance.monomial_equiv.__kwdefaults__["budget"] == 1 << 24
+    assert survey == oracle.survey.__kwdefaults__["budget"] == 1 << 24
+
+
 def test_lemma_a1(capsys):
     rc, out, _ = run(capsys, "lemma-a1", "2")
     assert rc == 0 and "identity" in out

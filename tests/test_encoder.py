@@ -59,7 +59,7 @@ def test_ccf_rejects_nonminimal_and_block(f2):
     cf = controller_form(g)
     assert cf.gamma == 0 and cf.A == () and cf.C == ()
     assert cf.B == ((), ()) and cf.D == ((1, 1, 0), (0, 1, 1))
-    assert realization_check(cf, order=0) and realization_check(cf, order=2)
+    assert realization_check(cf)
     sd = build(cf)
     assert sd.num_states == 1
     assert [dst for dst, _ in tuple(sd.edges_by_source)[0]] == [0, 0, 0]  # q^k - 1 self-loops
@@ -89,8 +89,6 @@ def test_realization_check_detects_corruption(g213):
     assert realization_check(cf)
     broken = dataclasses.replace(cf, C=tuple(tuple(0 for _ in row) for row in cf.C))
     assert not realization_check(broken)
-    with pytest.raises(ValueError):
-        realization_check(cf, order=2)  # below gamma
 
 
 def test_state_sequence_zero_input(g213):

@@ -179,3 +179,23 @@ def test_benchmark_tracer_patches_and_restores(capsys, tmp_path):
     finally:
         tracer.uninstall()
     assert all(getattr(o, a) is orig for o, a, orig in patched)
+
+
+def test_field_operations_are_lookups_and_statediag_adds_off_the_field():
+    # every FieldSpec holds the same tables, so its operations read neither p
+    # nor m, and statediag sums packed vectors with XOR or the field's table
+    tree = ast.parse((PACKAGE / "galois.py").read_text())
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "FieldSpec")
+    methods = {n.name: n for n in cls.body if isinstance(n, ast.FunctionDef)}
+    found = [
+        f"{name}:{node.lineno}"
+        for name in ("add", "neg", "sub", "mul", "inv", "pow")
+        for node in ast.walk(methods[name])
+        if isinstance(node, ast.Attribute) and node.attr in ("p", "m")
+    ]
+    assert found == []
+    tree = ast.parse((PACKAGE / "statediag.py").read_text())
+    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_vector_add")
+    loops = [n for n in ast.walk(fn) if isinstance(n, (ast.For, ast.comprehension))]
+    assert loops == []
+    assert any(isinstance(n, ast.Attribute) and n.attr == "add_table" for n in ast.walk(fn))

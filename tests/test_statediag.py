@@ -195,6 +195,20 @@ def test_edge_view_matches_stored_pairs(p, m):
     assert any(zero_weight_cycle_exists(sd) for sd in diagrams)
 
 
+@pytest.mark.parametrize("p, m", [(3, 2), (3, 3)], ids=["F9", "F27"])
+def test_vector_add_matches_elementwise_field_add(p, m):
+    # packed vectors of length 1..4, summed element by element with fld.add
+    fld = field_make(p, m)
+    add = statediag._vector_add(fld)
+    rng = random.Random(50 + fld.q)
+    for length in range(1, 5):
+        for _ in range(300):
+            x = [rng.randrange(fld.q) for _ in range(length)]
+            y = [rng.randrange(fld.q) for _ in range(length)]
+            want = state_index(fld.q, map(fld.add, x, y))
+            assert add(state_index(fld.q, x), state_index(fld.q, y)) == want
+
+
 @pytest.mark.parametrize("p, m", genutil.REFERENCE_FIELDS,
                          ids=[f"F{p**m}" for p, m in genutil.REFERENCE_FIELDS])
 def test_packed_transitions_match_reference(p, m):
