@@ -344,14 +344,44 @@ def test_f16_adjacency_text_is_unchanged(capsys):
 
 
 def test_f16_dot_labelled_edges_are_unchanged(capsys):
-    # the 43 MB DOT text labels all 1,048,575 edges; --json goes through the
-    # same labelled edges but takes far longer, so this digest stands for both
+    # the 43 MB DOT text labels all 1,048,575 edges
     rc, out, err = run(capsys, "diagram", F16, "--dot", "--force")
     assert (rc, err) == (0, "")
     assert len(out) == 43_442_608
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "88098cb343cbf1e263a01e51c0d8ad8269339939bbf83790cfa9c13947bb38e7"
     )
+
+
+class _HashingStdout(io.StringIO):
+    """A stdout that keeps only the sha256 and the byte count of what is written."""
+
+    def __init__(self):
+        super().__init__()
+        self.sha, self.size = hashlib.sha256(), 0
+
+    def write(self, text):
+        data = text.encode()
+        self.sha.update(data)
+        self.size += len(data)
+        return len(text)
+
+
+@pytest.mark.parametrize("argv, size, digest", [
+    (("adjacency", F16, "--json"), 190_890_078,
+     "39f1c8c81b42c837e2a432764c8143223be5e408755fd4194d43dafd76cf40a4"),
+    (("diagram", F16, "--json", "--force"), 170_218_465,
+     "390f90638b617c6971827eb722e8a5dfd6722da8bfe17d2f3a9beb6b4d9152c1"),
+], ids=["adjacency", "diagram"])
+def test_f16_json_outputs_are_unchanged(capsys, monkeypatch, argv, size, digest):
+    # Lambda and the labelled diagram of 4096 states run to 170-190 MB of
+    # JSON, so the text is hashed as it is written and never held
+    out = _HashingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    rc = main(list(argv))
+    monkeypatch.undo()
+    assert (rc, capsys.readouterr().err) == (0, "")
+    assert (out.size, out.sha.hexdigest()) == (size, digest)
 
 
 def test_f16_diagram_text_builds_no_edge_list(capsys, monkeypatch):
