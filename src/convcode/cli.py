@@ -21,7 +21,8 @@ import functools
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import encoder, invariance, oracle, polyalg, spectrum, statediag
 from .errors import InternalError, LimitError, ParseError
@@ -334,23 +335,84 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _series_json(ls: spectrum.LSeries) -> list[dict]:
-    return [
-        {"l": l, "terms": {str(a): c for a, c in ls.coeff(l).terms()}}
-        for l in range(ls.trunc + 1)
-    ]
+# The payloads that grow with the code are written in chunks, each straight
+# from the table that holds it, as the same text _emit_json would print.
 
 
-def _adjacency_json(lam: spectrum.AdjMatrix) -> dict:
-    return {
-        "schema": _schema_id("adjacency"),
+def _block(members: Iterable, depth: int, brackets: str = "[]") -> Iterator[str]:
+    """A JSON array, or an object with brackets "{}", nested `depth` deep, in
+    chunks laid out as by json.dumps(..., indent=2).
+
+    Each of `members` is either a list of the texts of consecutive members,
+    each at depth + 1 ('"key": value' in an object), written as one chunk,
+    or an iterator of the chunks of one member.
+    """
+    pad = "\n" + "  " * (depth + 1)
+    lead = brackets[0] + pad
+    for run in members:
+        if isinstance(run, list):
+            if not run:
+                continue
+            yield lead + ("," + pad).join(run)
+        else:
+            yield lead
+            yield from run
+        lead = "," + pad
+    yield brackets if lead[0] == brackets[0] else "\n" + "  " * depth + brackets[1]
+
+
+def _text(members: list[str], depth: int, brackets: str = "[]") -> str:
+    return "".join(_block([members], depth, brackets))
+
+
+def _write_json(name: str, payload: dict) -> None:
+    """Print the schema `name` object whose other members are `payload`, as
+    _emit_json would; a value that is an iterator is the chunks of its text
+    at depth 1, any other a scalar."""
+    payload = {"schema": _schema_id(name), **payload}
+    sys.stdout.writelines(_block((
+        chain([f'"{key}": '], value) if isinstance(value, Iterator)
+        else [f'"{key}": {json.dumps(value)}']
+        for key, value in sorted(payload.items())
+    ), 0, "{}"))
+    sys.stdout.write("\n")
+
+
+def _terms_text(e: spectrum.WeightEnum, depth: int) -> str:
+    """The object {str(weight): count} of `e`.  Its keys sort as strings,
+    "10" before "2", and so do its members, as '"' sorts below every digit."""
+    return _text(sorted([f'"{a}": {c}' for a, c in e.terms()]), depth, "{}")
+
+
+def _series_chunks(ls: spectrum.LSeries) -> Iterator[str]:
+    return _block([[
+        _text([f'"l": {l}', '"terms": ' + _terms_text(e, 3)], 2, "{}")
+        for l, e in enumerate(ls.coeffs)
+    ]], 1)
+
+
+def _write_adjacency(lam: spectrum.AdjMatrix) -> None:
+    """Lambda as JSON, each distinct cell rendered once and written a row at a time."""
+    cells = [_terms_text(e, 3) for e in lam.cells]
+    _write_json("adjacency", {
         "size": lam.size,
         "q": lam.q,
         "n": lam.n,
         "extended": lam.extended,
-        # one dict per distinct cell, shared by every cell that holds it
-        "entries": lam.dense([{str(a): c for a, c in e.terms()} for e in lam.cells], {}),
-    }
+        "entries": _block(([_text(row, 2)] for row in lam.dense(cells, "{}")), 1),
+    })
+
+
+def _edges_chunks(sd: statediag.StateDiagram) -> Iterator[str]:
+    """The labelled edges as JSON objects, one chunk per source."""
+    vector = lambda vec: _text([str(d) for d in vec], 3)
+    v_and_w = lambda vec, w: f'{vector(vec)},\n      "w": {w}'
+    sources = (
+        [f'{{\n      "from": {src},\n      "to": {dst},\n      "u": {u},\n      "v": {v}\n    }}'
+         for dst, u, v in zip(dsts, us, vs)]
+        for src, dsts, us, vs in statediag.labelled_transitions(sd, vector, v_and_w)
+    )
+    return _block(sources, 1)
 
 
 def _gm_json(g: PolyMatrix) -> dict:
@@ -446,15 +508,14 @@ def _cmd_diagram(args) -> int:
     cf = encoder.controller_form(_load(args.file), require_minimal=False)
     sd = statediag.build(cf, max_states=args.max_states)
     if args.dot:
-        sys.stdout.write(statediag.export_dot(sd, force=args.force))
+        sys.stdout.writelines(statediag.dot_chunks(sd, force=args.force))
         return 0
     delay_free = statediag.delay_free_check(sd)
     zero_cycle = statediag.zero_weight_cycle_exists(sd)
     if args.json:
-        _emit_json({
-            "schema": _schema_id("diagram"),
+        _write_json("diagram", {
             "states": sd.num_states,
-            "edges": statediag.edges_json(sd),
+            "edges": _edges_chunks(sd),
             "delay_free": delay_free,
             "zero_weight_cycle": zero_cycle,
         })
@@ -472,20 +533,19 @@ def _cmd_adjacency(args) -> int:
     _require_minimal(g, "the adjacency matrix requires")
     lam = invariance.code_adjacency(g)
     if args.json:
-        _emit_json(_adjacency_json(lam))
+        _write_adjacency(lam)
     else:
-        print(lam)
+        sys.stdout.writelines(line + "\n" for line in lam.lines())
     return 0
 
 
 def _cmd_spectrum(args) -> int:
     _, trunc, omega, phi = _series_pair(args, "the weight distribution requires")
     if args.json:
-        _emit_json({
-            "schema": _schema_id("series"),
+        _write_json("series", {
             "trunc": trunc,
-            "omega": _series_json(omega),
-            "phi": _series_json(phi),
+            "omega": _series_chunks(omega),
+            "phi": _series_chunks(phi),
         })
     else:
         print(f"Omega = {spectrum.format_series(omega)} + O(L^{trunc + 1})")
@@ -534,9 +594,9 @@ def _cmd_macwilliams(args) -> int:
     lam = invariance.code_adjacency(g)
     dual_gamma = invariance.macwilliams_delta1(spectrum.extend(lam), g.n, g.k)
     if args.json:
-        _emit_json(_adjacency_json(dual_gamma))
+        _write_adjacency(dual_gamma)
     else:
-        print(dual_gamma)
+        sys.stdout.writelines(line + "\n" for line in dual_gamma.lines())
     return 0
 
 

@@ -10,7 +10,7 @@ fewer distinct enumerators than nonzero cells (the F16 example: 4 for
 1,048,575), so `adjacency` tallies each cell as one packed integer, turns
 each distinct integer into a WeightEnum once, and every per-cell step of
 a consumer (packing, interning, rendering) runs once per table entry.  A
-dense s x s view is expanded only for display and JSON.
+dense s x s view is expanded, one row at a time, only for display and JSON.
 
 Powers of Lambda count paths; the generating series
 
@@ -32,7 +32,7 @@ active burst distances are read off Omega and Phi.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import LimitError
 from .statediag import StateDiagram
@@ -153,15 +153,14 @@ class AdjMatrix:
     def size(self) -> int:
         return len(self.rows)
 
-    def dense(self, values: Sequence, zero) -> list[list]:
-        """s x s rows with values[t] at each cell of id t and `zero` elsewhere."""
-        out = []
+    def dense(self, values: Sequence, zero) -> Iterator[list]:
+        """The s rows of length s, one at a time, with values[t] at each cell
+        of id t and `zero` elsewhere."""
         for sparse in self.rows:
             row = [zero] * len(self.rows)
             for j, t in sparse:
                 row[j] = values[t]
-            out.append(row)
-        return out
+            yield row
 
     @property
     def entries(self) -> tuple[tuple[WeightEnum, ...], ...]:
@@ -178,9 +177,15 @@ class AdjMatrix:
             and resolved(self) == resolved(other)
         )
 
-    def __str__(self) -> str:
+    def lines(self) -> Iterator[str]:
+        """The lines of str(self), one per row, each joined from the text of
+        its cells, rendered once per cell id."""
         text = [str(e) for e in self.cells]
-        return "\n".join("[" + ", ".join(row) + "]" for row in self.dense(text, "0"))
+        for row in self.dense(text, "0"):
+            yield "[" + ", ".join(row) + "]"
+
+    def __str__(self) -> str:
+        return "\n".join(self.lines())
 
 
 def adjacency(sd: StateDiagram) -> AdjMatrix:

@@ -13,7 +13,8 @@ F_p-linear, so `build` fills the tables xA, xC (per state) and uB, uD
 images, in O(q^gamma + q^k).  An edge is two vector sums, dst = xA + uB
 and v = xC + uD (XOR over F_{2^m}, else the field's addition table per
 element), and a table lookup of wt(v); every edge view replays the tables
-when it is read.
+when it is read.  The labelled views (`edges`, the DOT text and the JSON
+edge list) make the label of each packed input and output once.
 
 The code is F_q-linear and wt(lambda v) = wt(v), so for every lambda != 0
 the map x -> lambda x (edge (x, u) -> (lambda x, lambda u)) is a
@@ -32,6 +33,7 @@ tables in O(q^gamma + q^k), not the q^(gamma + k) of every edge.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from itertools import repeat
@@ -103,14 +105,9 @@ class StateDiagram:
 
     def edges(self) -> Iterator[Edge]:
         """Labelled edges, in the order of edges_by_source."""
-        if self.lumped:
-            raise ValueError("the lumped diagram has no labelled edges")
-        q, n = self.field.q, self.n
-        uvecs = [state_vector(q, self.k, u) for u in range(q**self.k)]
-        for src, inputs, dsts, outputs in _transitions(self):
-            for u, dst, v in zip(inputs, dsts, outputs):
-                vec = state_vector(q, n, v)
-                yield Edge(src, dst, uvecs[u], vec, n - vec.count(0))
+        for src, dsts, us, vws in labelled_transitions(self, tuple, lambda v, w: (v, w)):
+            for dst, u, (v, w) in zip(dsts, us, vws):
+                yield Edge(src, dst, u, v, w)
 
 
 def _vector_add(fld: FieldSpec) -> Callable[[int, int], int]:
@@ -226,6 +223,23 @@ def _transitions(sd: StateDiagram) -> Iterator[tuple[int, range, Iterator[int], 
         yield i, inputs, map(add, repeat(a), ubs), map(add, repeat(c), uds)
 
 
+def labelled_transitions(
+    sd: StateDiagram, u_label: Callable[[tuple[int, ...]], object],
+    v_label: Callable[[tuple[int, ...], int], object],
+) -> Iterator[tuple[int, Iterator[int], Iterator, Iterator]]:
+    """(src, dsts, u labels, v labels) per source, the edges in the order of
+    edges_by_source; the labels are u_label(u) and v_label(v, wt(v)) of the
+    input and output vectors, each made once per packed u and v."""
+    if sd.lumped:
+        raise ValueError("the lumped diagram has no labelled edges")
+    q, n = sd.field.q, sd.n
+    weight = _weigher(q, n)
+    us = [u_label(state_vector(q, sd.k, u)) for u in range(q**sd.k)]
+    vs = functools.cache(lambda v: v_label(state_vector(q, n, v), weight(v)))
+    for src, inputs, dsts, outputs in _transitions(sd):
+        yield src, dsts, map(us.__getitem__, inputs), map(vs, outputs)
+
+
 def build(
     cf: ControllerForm, *, max_states: int = DEFAULT_STATE_CEILING, lumped: bool = False
 ) -> StateDiagram:
@@ -315,27 +329,26 @@ def _label(vec: tuple[int, ...], q: int) -> str:
     return ",".join(str(d) for d in vec)
 
 
-def export_dot(sd: StateDiagram, *, force: bool = False) -> str:
-    """Graphviz text; edge labels are "u|v (weight)".  More than
-    DEFAULT_DOT_CEILING states are refused unless `force` is set."""
+def dot_chunks(sd: StateDiagram, *, force: bool = False) -> Iterator[str]:
+    """The text of `export_dot` in chunks: the head and the vertices, one
+    chunk of edge lines per source, and the closing brace."""
     if sd.num_states > DEFAULT_DOT_CEILING and not force:
         raise LimitError(
             f"{sd.num_states} vertices exceed the rendering guard {DEFAULT_DOT_CEILING}"
         )
     q = sd.field.q
-    lines = ["digraph state_diagram {", "  rankdir=LR;"]
-    for i in range(sd.num_states):
-        lines.append(f'  {i} [label="{_label(state_vector(q, sd.gamma, i), q)}"];')
-    for e in sd.edges():
-        lines.append(
-            f'  {e.src} -> {e.dst} [label="{_label(e.u, q)}|{_label(e.v, q)} ({e.weight})"];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    yield "digraph state_diagram {\n  rankdir=LR;\n" + "".join(
+        f'  {i} [label="{_label(state_vector(q, sd.gamma, i), q)}"];\n'
+        for i in range(sd.num_states)
+    )
+    u_label = lambda u: _label(u, q)
+    v_label = lambda v, w: f"{_label(v, q)} ({w})"
+    for src, dsts, us, vs in labelled_transitions(sd, u_label, v_label):
+        yield "".join([f'  {src} -> {dst} [label="{u}|{v}"];\n' for dst, u, v in zip(dsts, us, vs)])
+    yield "}\n"
 
 
-def edges_json(sd: StateDiagram) -> list[dict]:
-    return [
-        {"from": e.src, "to": e.dst, "u": list(e.u), "v": list(e.v), "w": e.weight}
-        for e in sd.edges()
-    ]
+def export_dot(sd: StateDiagram, *, force: bool = False) -> str:
+    """Graphviz text; edge labels are "u|v (weight)".  More than
+    DEFAULT_DOT_CEILING states are refused unless `force` is set."""
+    return "".join(dot_chunks(sd, force=force))

@@ -5,6 +5,7 @@ import random
 from typing import NamedTuple
 
 from convcode import controller_form, encoder_info, minimize, pm
+from convcode.cli import _schema_id
 from convcode.galois import FieldSpec
 from convcode.polyalg import (
     PolyMatrix,
@@ -213,6 +214,34 @@ def adj_from_dense(cells, q: int, n: int, extended: bool = False) -> AdjMatrix:
                 table.append(e)
         rows.append(sparse)
     return AdjMatrix(rows, table, q=q, n=n, extended=extended)
+
+
+def series_json(ls: LSeries) -> list[dict]:
+    """The series as the dicts json.dumps renders for `spectrum --json`."""
+    return [
+        {"l": l, "terms": {str(a): c for a, c in ls.coeff(l).terms()}}
+        for l in range(ls.trunc + 1)
+    ]
+
+
+def adjacency_json(lam: AdjMatrix) -> dict:
+    """Lambda as the payload json.dumps renders for `adjacency --json`."""
+    return {
+        "schema": _schema_id("adjacency"),
+        "size": lam.size,
+        "q": lam.q,
+        "n": lam.n,
+        "extended": lam.extended,
+        "entries": [[{str(a): c for a, c in e.terms()} for e in row] for row in lam.entries],
+    }
+
+
+def edges_json(sd) -> list[dict]:
+    """The labelled edges as the dicts json.dumps renders for `diagram --json`."""
+    return [
+        {"from": e.src, "to": e.dst, "u": list(e.u), "v": list(e.v), "w": e.weight}
+        for e in sd.edges()
+    ]
 
 
 def reference_adjacency(sd) -> tuple[tuple[WeightEnum, ...], ...]:

@@ -10,10 +10,11 @@ import subprocess
 import sys
 import time
 
+import genutil
 import jsonschema
 import pytest
 
-from convcode import cli, encoder, invariance, oracle, polyalg, statediag
+from convcode import cli, encoder, field_make, invariance, oracle, polyalg, spectrum, statediag
 from convcode.cli import JSON_SCHEMAS, format_gm, main, parse_gm
 from convcode.errors import ParseError
 
@@ -434,19 +435,93 @@ class _ClosedPipe(io.StringIO):
 
 
 def test_closed_stdout_exits_141_quietly(capsys, monkeypatch):
-    # exit 1 is a negative decision, so a reader that went away gets 128 + SIGPIPE
-    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
-    rc = main(["spectrum", MEMORY3, "--trunc", "40"])
-    monkeypatch.undo()
-    assert (rc, capsys.readouterr().err) == (141, "")
-    # a real pipe closed before the first write: no traceback at interpreter exit
+    # exit 1 is a negative decision, so a reader that went away gets 128 + SIGPIPE;
+    # the --json writers of Lambda and of the diagram write in several chunks
     env = {**os.environ, "PYTHONPATH": str(CODES.parent.parent / "src")}
-    proc = subprocess.Popen([sys.executable, "-m", "convcode", "spectrum", MEMORY3, "--trunc", "40"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert (proc.wait(timeout=60), err) == (141, b"")
+    for argv in (["spectrum", MEMORY3, "--trunc", "40"], ["adjacency", MEMORY3, "--json"],
+                 ["diagram", MEMORY3, "--json"]):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        rc = main(argv)
+        monkeypatch.undo()
+        assert (rc, capsys.readouterr().err) == (141, "")
+        # a real pipe closed before the first write: no traceback at interpreter exit
+        proc = subprocess.Popen([sys.executable, "-m", "convcode", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+def _writer_codes():
+    """(name, g): every bundled code but f16 (its Lambda and diagram are pinned
+    by digest), then seeded codes over F2 to F16."""
+    codes = [(p.stem, parse_gm(p.read_text())) for p in sorted(CODES.glob("*.gm")) if p.stem != "f16"]
+    for p, m in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)):
+        rng = random.Random(1800 + 10 * p + m)
+        fld = field_make(p, m)
+        for i in range(2):
+            g = genutil.random_minimal_code(rng, fld, n_max=3, k_max=2, gamma_max=2)
+            codes.append((f"F{fld.q}-{i}", g))
+    return codes
+
+
+def _written(capsys, write, *args) -> str:
+    write(*args)
+    return capsys.readouterr().out
+
+
+def _series_text(capsys, trunc, omega, phi) -> str:
+    return _written(capsys, cli._write_json, "series", {
+        "trunc": trunc, "omega": cli._series_chunks(omega), "phi": cli._series_chunks(phi),
+    })
+
+
+def test_json_writers_print_what_json_dumps_prints(capsys):
+    # each streamed writer must give, byte for byte, the text of json.dumps on
+    # the payload dicts it replaced, kept in genutil as references
+    dumps = lambda payload: json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    for name, g in _writer_codes():
+        lam = invariance.code_adjacency(g)
+        matrices = [lam, spectrum.extend(lam)]
+        if g.info.delta == 1 and g.field.q == 2:
+            matrices.append(invariance.macwilliams_delta1(spectrum.extend(lam), g.n, g.k))
+        for mat in matrices:
+            assert _written(capsys, cli._write_adjacency, mat) == dumps(genutil.adjacency_json(mat)), name
+        sd = statediag.build(encoder.controller_form(g))
+        assert _written(capsys, cli._write_json, "diagram", {
+            "states": sd.num_states, "edges": cli._edges_chunks(sd),
+            "delay_free": True, "zero_weight_cycle": False,
+        }) == dumps({
+            "schema": "convcode.diagram/1", "states": sd.num_states,
+            "edges": genutil.edges_json(sd), "delay_free": True, "zero_weight_cycle": False,
+        }), name
+        phi = spectrum.phi_series(invariance.code_adjacency(g, lumped=True), 12)
+        omega = spectrum.omega_series(phi)
+        assert _series_text(capsys, 12, omega, phi) == dumps({
+            "schema": "convcode.series/1", "trunc": 12,
+            "omega": genutil.series_json(omega), "phi": genutil.series_json(phi),
+        }), name
+
+
+def test_json_writers_order_weights_as_strings(capsys):
+    # JSON keys sort as strings, so weight 10 comes before weight 2, and an
+    # empty coefficient or cell is {}
+    W = spectrum.WeightEnum
+    cells = [W({2: 1, 10: 3, 11: 1}), W(), W({0: 1, 100: 7, 9: 2, 1: 5})]
+    series = spectrum.LSeries(2, [W(), cells[0], cells[2]])
+    text = _series_text(capsys, 2, series, series)
+    assert text == json.dumps({
+        "schema": "convcode.series/1", "trunc": 2,
+        "omega": genutil.series_json(series), "phi": genutil.series_json(series),
+    }, sort_keys=True, indent=2) + "\n"
+    assert text.index('"10": 3') < text.index('"11": 1') < text.index('"2": 1')
+    assert '"terms": {}' in text
+    lam = genutil.adj_from_dense([cells, cells[::-1], [W()] * 3], q=2, n=12)
+    assert _written(capsys, cli._write_adjacency, lam) == json.dumps(
+        genutil.adjacency_json(lam), sort_keys=True, indent=2) + "\n"
+    assert "".join(cli._block([[], iter(["1"]), [], ["2", "3"]], 0)) == "[\n  1,\n  2,\n  3\n]"
+    assert ["".join(cli._block([[]], d, b)) for d, b in ((0, "[]"), (3, "{}"))] == ["[]", "{}"]
 
 
 def test_f16_series_expand_only_orbit_representatives(capsys, monkeypatch):

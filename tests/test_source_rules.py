@@ -71,7 +71,8 @@ def test_cell_graphs_interns_the_cell_tables_only():
 
 def test_labelled_edges_are_built_only_for_rendering():
     # the diagram stores its transition tables; StateDiagram.edges() alone
-    # builds Edge(...) for DOT and JSON, and no other module imports Edge
+    # builds Edge(...), and no other module imports Edge (the DOT and JSON
+    # writers format the labels of labelled_transitions)
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -199,3 +200,33 @@ def test_field_operations_are_lookups_and_statediag_adds_off_the_field():
     loops = [n for n in ast.walk(fn) if isinstance(n, (ast.For, ast.comprehension))]
     assert loops == []
     assert any(isinstance(n, ast.Attribute) and n.attr == "add_table" for n in ast.walk(fn))
+
+
+def test_indented_json_only_for_the_small_payloads():
+    # json.dumps(..., indent=...) runs the pure-Python encoder; only
+    # _emit_json calls it, and the commands whose output grows with the code
+    # (the series, Lambda, the labelled diagram) write their text from the
+    # tables instead
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        allowed = {id(n) for f in functions if f.name == "_emit_json" for n in ast.walk(f)}
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in allowed
+            and getattr(node.func, "attr", None) == "dumps"
+            and any(k.arg == "indent" for k in node.keywords)
+        ]
+    assert found == []
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    commands = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    streamed = ("_cmd_spectrum", "_cmd_adjacency", "_cmd_macwilliams", "_cmd_diagram")
+    calls = [
+        name
+        for name in streamed
+        for node in ast.walk(commands[name])
+        if isinstance(node, ast.Name) and node.id == "_emit_json"
+    ]
+    assert calls == []

@@ -18,7 +18,7 @@ from convcode.errors import LimitError
 from convcode.galois import FieldSpec, field_make
 from convcode.polyalg import vec_mat
 from convcode import statediag
-from convcode.statediag import edges_json, state_index, state_vector
+from convcode.statediag import state_index, state_vector
 
 import genutil
 
@@ -157,7 +157,7 @@ def test_dot_export(g1, g213, monkeypatch):
 
 def test_edges_json(g1):
     sd = build(controller_form(g1))
-    payload = edges_json(sd)
+    payload = genutil.edges_json(sd)
     assert payload[0] == {"from": 0, "to": 1, "u": [1], "v": [1, 0, 1], "w": 2}
     assert len(payload) == 3
 
