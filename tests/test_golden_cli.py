@@ -33,7 +33,8 @@ def calls() -> list[list[str]]:
                 ["oracle", path, "--trunc", "6"],
                 ["oracle", path, "--trunc", "6", "--json"]]
     for a, b in itertools.product(paths, repeat=2):
-        out += [["equal", a, b], ["equal", a, b, "--json"], ["mono-equiv", a, b]]
+        out += [["equal", a, b], ["equal", a, b, "--json"],
+                ["mono-equiv", a, b], ["mono-equiv", a, b, "--json"]]
     out += [["lemma-a1", "2"], ["lemma-a1", "3", "--json"],
             ["info", "demos/codes/f16.gm"], ["ccf", "demos/codes/f16.gm"],
             ["spectrum", "demos/codes/f16.gm"], ["spectrum", "demos/codes/f16.gm", "--json"],
