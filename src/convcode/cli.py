@@ -331,12 +331,9 @@ def _load(path: str) -> PolyMatrix:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
-
-
-# The payloads that grow with the code are written in chunks, each straight
-# from the table that holds it, as the same text _emit_json would print.
+# Every --json payload is written as json.dumps(..., sort_keys=True, indent=2)
+# would print it; the members that grow with the code are written in chunks,
+# each straight from the table that holds it.
 
 
 def _block(members: Iterable, depth: int, brackets: str = "[]") -> Iterator[str]:
@@ -367,12 +364,13 @@ def _text(members: list[str], depth: int, brackets: str = "[]") -> str:
 
 def _write_json(name: str, payload: dict) -> None:
     """Print the schema `name` object whose other members are `payload`, as
-    _emit_json would; a value that is an iterator is the chunks of its text
-    at depth 1, any other a scalar."""
+    json.dumps(..., sort_keys=True, indent=2) would: an iterator value is the
+    chunks of its text at depth 1; any other is dumped and re-indented at its
+    newlines, which is exact as no JSON string holds one."""
     payload = {"schema": _schema_id(name), **payload}
     sys.stdout.writelines(_block((
         chain([f'"{key}": '], value) if isinstance(value, Iterator)
-        else [f'"{key}": {json.dumps(value)}']
+        else [f'"{key}": ' + json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")]
         for key, value in sorted(payload.items())
     ), 0, "{}"))
     sys.stdout.write("\n")
@@ -391,8 +389,12 @@ def _series_chunks(ls: spectrum.LSeries) -> Iterator[str]:
     ]], 1)
 
 
-def _write_adjacency(lam: spectrum.AdjMatrix) -> None:
-    """Lambda as JSON, each distinct cell rendered once and written a row at a time."""
+def _print_adjacency(lam: spectrum.AdjMatrix, as_json: bool) -> None:
+    """Lambda a row at a time, as text or as JSON with each distinct cell
+    rendered once."""
+    if not as_json:
+        sys.stdout.writelines(line + "\n" for line in lam.lines())
+        return
     cells = [_terms_text(e, 3) for e in lam.cells]
     _write_json("adjacency", {
         "size": lam.size,
@@ -413,17 +415,6 @@ def _edges_chunks(sd: statediag.StateDiagram) -> Iterator[str]:
         for src, dsts, us, vs in statediag.labelled_transitions(sd, vector, v_and_w)
     )
     return _block(sources, 1)
-
-
-def _gm_json(g: PolyMatrix) -> dict:
-    fld = g.field
-    return {
-        "schema": _schema_id("gm"),
-        "field": {"p": fld.p, "m": fld.m, "modulus": fld.modulus_encoding},
-        "k": g.k,
-        "n": g.n,
-        "rows": [[list(e) for e in row] for row in g.rows],
-    }
 
 
 def _trunc(args, g: PolyMatrix) -> int:
@@ -462,8 +453,7 @@ def _cmd_info(args) -> int:
     g = _load(args.file)
     info = g.info
     if args.json:
-        _emit_json({
-            "schema": _schema_id("info"),
+        _write_json("info", {
             "n": g.n,
             "k": g.k,
             "delta": info.delta,
@@ -487,8 +477,7 @@ def _cmd_ccf(args) -> int:
     _require_minimal(g, "the controller canonical form requires")
     cf = encoder.controller_form(g)
     if args.json:
-        _emit_json({
-            "schema": _schema_id("ccf"),
+        _write_json("ccf", {
             "A": [list(r) for r in cf.A],
             "B": [list(r) for r in cf.B],
             "C": [list(r) for r in cf.C],
@@ -531,11 +520,7 @@ def _cmd_diagram(args) -> int:
 def _cmd_adjacency(args) -> int:
     g = _load(args.file)
     _require_minimal(g, "the adjacency matrix requires")
-    lam = invariance.code_adjacency(g)
-    if args.json:
-        _write_adjacency(lam)
-    else:
-        sys.stdout.writelines(line + "\n" for line in lam.lines())
+    _print_adjacency(invariance.code_adjacency(g), args.json)
     return 0
 
 
@@ -560,8 +545,7 @@ def _cmd_distances(args) -> int:
     row_d = spectrum.extended_row_distances(omega)
     burst_d = spectrum.active_burst_distances(phi)
     if args.json:
-        _emit_json({
-            "schema": _schema_id("distances"),
+        _write_json("distances", {
             "free_distance": fd.value,
             "certified": fd.certified,
             "extended_row": list(row_d),
@@ -580,7 +564,13 @@ def _cmd_dual(args) -> int:
     g = _load(args.file)
     h = polyalg.dual_basis(g)
     if args.json:
-        _emit_json(_gm_json(h))
+        fld = h.field
+        _write_json("gm", {
+            "field": {"p": fld.p, "m": fld.m, "modulus": fld.modulus_encoding},
+            "k": h.k,
+            "n": h.n,
+            "rows": [[list(e) for e in row] for row in h.rows],
+        })
     else:
         sys.stdout.write(format_gm(h))
     return 0
@@ -591,12 +581,8 @@ def _cmd_macwilliams(args) -> int:
     _require_minimal(g, "the duality transform requires")
     if g.info.delta != 1:
         raise ValueError("the closed-form transform needs constraint length 1")
-    lam = invariance.code_adjacency(g)
-    dual_gamma = invariance.macwilliams_delta1(spectrum.extend(lam), g.n, g.k)
-    if args.json:
-        _write_adjacency(dual_gamma)
-    else:
-        sys.stdout.writelines(line + "\n" for line in dual_gamma.lines())
+    lam = spectrum.extend(invariance.code_adjacency(g))
+    _print_adjacency(invariance.macwilliams_delta1(lam, g.n, g.k), args.json)
     return 0
 
 
@@ -625,8 +611,7 @@ def _cmd_equal(args) -> int:
                     f"(state permutation {list(witness)})"
                 )
     if args.json:
-        _emit_json({
-            "schema": _schema_id("witness"),
+        _write_json("witness", {
             "found": same,
             **({"perm": list(witness)} if witness else {}),
         })
@@ -640,11 +625,11 @@ def _cmd_mono_equiv(args) -> int:
     h = _load(args.file2)
     witness = invariance.monomial_equiv(g, h, budget=args.budget)
     if args.json:
-        payload = {"schema": _schema_id("witness"), "found": witness is not None}
+        payload = {"found": witness is not None}
         if witness:
             payload["perm"] = list(witness[0])
             payload["scale"] = list(witness[1])
-        _emit_json(payload)
+        _write_json("witness", payload)
     else:
         if witness is None:
             print("codes are not monomially equivalent")
@@ -660,8 +645,7 @@ def _cmd_recover(args) -> int:
     k = invariance.recover_dimension(lam)
     indices = invariance.recover_forney(lam)
     if args.json:
-        _emit_json({
-            "schema": _schema_id("recover"),
+        _write_json("recover", {
             "k": k,
             "indices": list(indices),
         })
@@ -682,8 +666,7 @@ def _cmd_oracle(args) -> int:
         return [{"l": l, "terms": by_l[l]} for l in sorted(by_l)]
 
     if args.json:
-        _emit_json({
-            "schema": _schema_id("oracle"),
+        _write_json("oracle", {
             "l_max": l_max,
             "atomic": table_json(result.atomic),
             "molecular": table_json(result.molecular),
@@ -703,8 +686,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_lemma_a1(args) -> int:
     holds = invariance.verify_shift_permutation_lemma(args.gamma)
     if args.json:
-        _emit_json({
-            "schema": _schema_id("lemma"),
+        _write_json("lemma", {
             "gamma": args.gamma,
             "holds": holds,
         })
@@ -766,7 +748,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "diagram":
             sp.add_argument("--dot", action="store_true", help="emit Graphviz text")
             sp.add_argument("--force", action="store_true",
-                            help="override the rendering size guard")
+                            help="override the --dot rendering size guard (--json has none)")
             sp.add_argument("--max-states", type=int,
                             default=statediag.DEFAULT_STATE_CEILING,
                             help="state space ceiling")

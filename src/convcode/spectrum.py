@@ -136,8 +136,8 @@ class AdjMatrix:
     of cell id t; the constructor takes them in that form, and they are the
     only stored form.  Equal cells may share an id, so a consumer does its
     per-cell work once per entry of `cells`.  Ids are local to one matrix:
-    equality compares the enumerators they resolve to.  `entries` expands
-    a dense view on every access, for rendering only.
+    equality compares the enumerators they resolve to.  `entries`, a dense
+    view rebuilt on every access, serves tests and counters; rendering reads `dense`.
     """
 
     __slots__ = ("rows", "cells", "q", "n", "extended")

@@ -477,17 +477,31 @@ def _series_text(capsys, trunc, omega, phi) -> str:
     })
 
 
-def test_json_writers_print_what_json_dumps_prints(capsys):
+def test_json_writers_print_what_json_dumps_prints(capsys, tmp_path):
     # each streamed writer must give, byte for byte, the text of json.dumps on
-    # the payload dicts it replaced, kept in genutil as references
+    # the payload dicts it replaced, kept in genutil as references; every
+    # other payload, the text of json.dumps on what it parses back to
     dumps = lambda payload: json.dumps(payload, sort_keys=True, indent=2) + "\n"
     for name, g in _writer_codes():
+        path, image = tmp_path / f"{name}.gm", tmp_path / f"{name}-image.gm"
+        path.write_text(format_gm(g))
+        perm = [*range(1, g.n), 0]
+        scale = [1 + (j + 1) % (g.field.q - 1) for j in range(g.n)]  # not all 1 where q > 2
+        image.write_text(format_gm(invariance.apply_monomial(g, perm, scale)))
+        calls = [[command, str(path)] for command in ("info", "ccf", "distances", "dual", "recover")]
+        calls += [["oracle", str(path), "--trunc", "2"],
+                  ["equal", str(path), str(image)], ["mono-equiv", str(path), str(image)]]
+        for argv in calls:
+            rc, out, err = run(capsys, *argv, "--json")
+            assert (rc in (0, 1), err) == (True, ""), (name, argv)
+            assert out == dumps(json.loads(out)), (name, argv)
         lam = invariance.code_adjacency(g)
         matrices = [lam, spectrum.extend(lam)]
         if g.info.delta == 1 and g.field.q == 2:
             matrices.append(invariance.macwilliams_delta1(spectrum.extend(lam), g.n, g.k))
         for mat in matrices:
-            assert _written(capsys, cli._write_adjacency, mat) == dumps(genutil.adjacency_json(mat)), name
+            text = _written(capsys, cli._print_adjacency, mat, True)
+            assert text == dumps(genutil.adjacency_json(mat)), name
         sd = statediag.build(encoder.controller_form(g))
         assert _written(capsys, cli._write_json, "diagram", {
             "states": sd.num_states, "edges": cli._edges_chunks(sd),
@@ -518,7 +532,7 @@ def test_json_writers_order_weights_as_strings(capsys):
     assert text.index('"10": 3') < text.index('"11": 1') < text.index('"2": 1')
     assert '"terms": {}' in text
     lam = genutil.adj_from_dense([cells, cells[::-1], [W()] * 3], q=2, n=12)
-    assert _written(capsys, cli._write_adjacency, lam) == json.dumps(
+    assert _written(capsys, cli._print_adjacency, lam, True) == json.dumps(
         genutil.adjacency_json(lam), sort_keys=True, indent=2) + "\n"
     assert "".join(cli._block([[], iter(["1"]), [], ["2", "3"]], 0)) == "[\n  1,\n  2,\n  3\n]"
     assert ["".join(cli._block([[]], d, b)) for d, b in ((0, "[]"), (3, "{}"))] == ["[]", "{}"]

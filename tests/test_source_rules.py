@@ -202,31 +202,38 @@ def test_field_operations_are_lookups_and_statediag_adds_off_the_field():
     assert any(isinstance(n, ast.Attribute) and n.attr == "add_table" for n in ast.walk(fn))
 
 
-def test_indented_json_only_for_the_small_payloads():
-    # json.dumps(..., indent=...) runs the pure-Python encoder; only
-    # _emit_json calls it, and the commands whose output grows with the code
-    # (the series, Lambda, the labelled diagram) write their text from the
-    # tables instead
+def test_every_json_payload_goes_through_one_writer():
+    # _write_json alone encodes JSON: no second writer, no json.dumps outside
+    # it, and every --json branch of a command calls it, directly or through
+    # _print_adjacency
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
-        allowed = {id(n) for f in functions if f.name == "_emit_json" for n in ast.walk(f)}
+        allowed = {id(n) for f in functions if f.name == "_write_json" for n in ast.walk(f)}
+        found += [f"{path.name}:{f.lineno}" for f in functions if f.name == "_emit_json"]
         found += [
             f"{path.name}:{node.lineno}"
             for node in ast.walk(tree)
             if isinstance(node, ast.Call) and id(node) not in allowed
             and getattr(node.func, "attr", None) == "dumps"
-            and any(k.arg == "indent" for k in node.keywords)
         ]
     assert found == []
     tree = ast.parse((PACKAGE / "cli.py").read_text())
-    commands = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    streamed = ("_cmd_spectrum", "_cmd_adjacency", "_cmd_macwilliams", "_cmd_diagram")
-    calls = [
-        name
-        for name in streamed
-        for node in ast.walk(commands[name])
-        if isinstance(node, ast.Name) and node.id == "_emit_json"
+    writers = ("_write_json", "_print_adjacency")
+    calls = lambda nodes, names: [
+        n.func.id for node in nodes for n in ast.walk(node)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id in names
     ]
-    assert calls == []
+    adjacency = next(n for n in tree.body if getattr(n, "name", None) == "_print_adjacency")
+    assert calls([adjacency], writers[:1]) == ["_write_json"]
+    commands = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name.startswith("_cmd_")]
+    branches = [
+        (fn.name, calls(node.body if isinstance(node, ast.If) else [node], writers))
+        for fn in commands
+        for node in ast.walk(fn)
+        if isinstance(node, ast.If) and getattr(node.test, "attr", None) == "json"
+        or isinstance(node, ast.Call) and any(getattr(a, "attr", None) == "json" for a in node.args)
+    ]
+    assert sorted({name for name, _ in branches}) == sorted(fn.name for fn in commands)
+    assert [name for name, writes in branches if not writes] == []
