@@ -326,6 +326,17 @@ def test_json_outputs_byte_stable(capsys):
     assert first == second
 
 
+def test_json_schemas_are_unchanged():
+    # the shipped schema contract, pinned in both key orders: sorted for its
+    # content and insertion order for what json.dumps prints without sort_keys
+    assert hashlib.sha256(json.dumps(JSON_SCHEMAS, sort_keys=True).encode()).hexdigest() == (
+        "f26208114a3a468e8989b60b84e3de90c813dec04bc2908392bd01102897216c"
+    )
+    assert hashlib.sha256(json.dumps(JSON_SCHEMAS).encode()).hexdigest() == (
+        "ea9d2225c78096ba3d35053f1cad90267f95f6c416b833c2a1563a9e3a5d17f0"
+    )
+
+
 def test_f16_pipeline(capsys):
     rc, out, _ = run(capsys, "info", F16)
     assert rc == 0
