@@ -36,182 +36,114 @@ def _schema_id(name: str) -> str:
     return f"convcode.{name}/{SCHEMA_VERSION}"
 
 
-_SERIES = {
-    "type": "array",
-    "items": {
-        "type": "object",
-        "required": ["l", "terms"],
-        "properties": {
-            "l": {"type": "integer"},
-            "terms": {
-                "type": "object",
-                "patternProperties": {"^[0-9]+$": {"type": "integer"}},
-                "additionalProperties": False,
-            },
-        },
-    },
+def _object(properties: dict, optional: Sequence[str] = ()) -> dict:
+    """An object schema that requires every member but the optional ones."""
+    required = [key for key in properties if key not in optional]
+    return dict(type="object", required=required, properties=properties)
+
+
+def _array(items: Optional[dict] = None) -> dict:
+    return {"type": "array"} if items is None else {"type": "array", "items": items}
+
+
+_INT = {"type": "integer"}
+_INTS = _array(_INT)
+_BOOL = {"type": "boolean"}
+_INT_OR_NULL = {"type": ["integer", "null"]}
+_TERMS = {
+    "type": "object",
+    "patternProperties": {"^[0-9]+$": _INT},
+    "additionalProperties": False,
 }
+_SERIES = _array(_object({"l": _INT, "terms": _TERMS}))
+_SERIES_REF = {"$ref": "#/$defs/series"}
+
+
+def _payload(name: str, properties: dict, optional: Sequence[str] = ()) -> dict:
+    """The schema of payload `name`: its "schema" member first, then
+    `properties`, and the series definition when a member refers to it."""
+    schema = _object({"schema": {"const": _schema_id(name)}, **properties}, optional)
+    if _SERIES_REF in properties.values():
+        schema["$defs"] = {"series": _SERIES}
+    return schema
+
 
 JSON_SCHEMAS = {
-    "info": {
-        "type": "object",
-        "required": ["schema", "n", "k", "delta", "indices", "basic", "minimal", "memory"],
-        "properties": {
-            "schema": {"const": _schema_id("info")},
-            "n": {"type": "integer"},
-            "k": {"type": "integer"},
-            "delta": {"type": "integer"},
-            "indices": {"type": "array", "items": {"type": "integer"}},
-            "basic": {"type": "boolean"},
-            "minimal": {"type": "boolean"},
-            "memory": {"type": "integer"},
-        },
-    },
-    "ccf": {
-        "type": "object",
-        "required": ["schema", "A", "B", "C", "D", "block_degrees"],
-        "properties": {
-            "schema": {"const": _schema_id("ccf")},
-            "A": {"type": "array"},
-            "B": {"type": "array"},
-            "C": {"type": "array"},
-            "D": {"type": "array"},
-            "block_degrees": {"type": "array", "items": {"type": "integer"}},
-        },
-    },
-    "diagram": {
-        "type": "object",
-        "required": ["schema", "states", "edges", "delay_free", "zero_weight_cycle"],
-        "properties": {
-            "schema": {"const": _schema_id("diagram")},
-            "states": {"type": "integer"},
-            "edges": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["from", "to", "u", "v", "w"],
-                    "properties": {
-                        "from": {"type": "integer"},
-                        "to": {"type": "integer"},
-                        "u": {"type": "array", "items": {"type": "integer"}},
-                        "v": {"type": "array", "items": {"type": "integer"}},
-                        "w": {"type": "integer"},
-                    },
-                },
-            },
-            "delay_free": {"type": "boolean"},
-            "zero_weight_cycle": {"type": "boolean"},
-        },
-    },
-    "adjacency": {
-        "type": "object",
-        "required": ["schema", "size", "q", "n", "extended", "entries"],
-        "properties": {
-            "schema": {"const": _schema_id("adjacency")},
-            "size": {"type": "integer"},
-            "q": {"type": "integer"},
-            "n": {"type": "integer"},
-            "extended": {"type": "boolean"},
-            "entries": {
-                "type": "array",
-                "items": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "patternProperties": {"^[0-9]+$": {"type": "integer"}},
-                        "additionalProperties": False,
-                    },
-                },
-            },
-        },
-    },
-    "series": {
-        "type": "object",
-        "required": ["schema", "trunc", "omega", "phi"],
-        "properties": {
-            "schema": {"const": _schema_id("series")},
-            "trunc": {"type": "integer"},
-            "omega": {"$ref": "#/$defs/series"},
-            "phi": {"$ref": "#/$defs/series"},
-        },
-        "$defs": {"series": _SERIES},
-    },
-    "distances": {
-        "type": "object",
-        "required": ["schema", "free_distance", "certified", "extended_row", "active_burst"],
-        "properties": {
-            "schema": {"const": _schema_id("distances")},
-            "free_distance": {"type": ["integer", "null"]},
-            "certified": {"type": "boolean"},
-            "extended_row": {"type": "array", "items": {"type": ["integer", "null"]}},
-            "active_burst": {"type": "array", "items": {"type": ["integer", "null"]}},
-        },
-    },
-    "witness": {
-        "type": "object",
-        "required": ["schema", "found"],
-        "properties": {
-            "schema": {"const": _schema_id("witness")},
-            "found": {"type": "boolean"},
-            "perm": {"type": "array", "items": {"type": "integer"}},
-            "scale": {"type": "array", "items": {"type": "integer"}},
-        },
-    },
-    "recover": {
-        "type": "object",
-        "required": ["schema", "k", "indices"],
-        "properties": {
-            "schema": {"const": _schema_id("recover")},
-            "k": {"type": "integer"},
-            "indices": {"type": "array", "items": {"type": "integer"}},
-        },
-    },
-    "oracle": {
-        "type": "object",
-        "required": ["schema", "l_max", "atomic", "molecular", "gap_bound_ok"],
-        "properties": {
-            "schema": {"const": _schema_id("oracle")},
-            "l_max": {"type": "integer"},
-            "atomic": {"$ref": "#/$defs/series"},
-            "molecular": {"$ref": "#/$defs/series"},
-            "gap_bound_ok": {"type": "boolean"},
-        },
-        "$defs": {"series": _SERIES},
-    },
-    "gm": {
-        "type": "object",
-        "required": ["schema", "field", "k", "n", "rows"],
-        "properties": {
-            "schema": {"const": _schema_id("gm")},
-            "field": {
-                "type": "object",
-                "required": ["p", "m"],
-                "properties": {
-                    "p": {"type": "integer"},
-                    "m": {"type": "integer"},
-                    "modulus": {"type": ["integer", "null"]},
-                },
-            },
-            "k": {"type": "integer"},
-            "n": {"type": "integer"},
-            "rows": {
-                "type": "array",
-                "items": {
-                    "type": "array",
-                    "items": {"type": "array", "items": {"type": "integer"}},
-                },
-            },
-        },
-    },
-    "lemma": {
-        "type": "object",
-        "required": ["schema", "gamma", "holds"],
-        "properties": {
-            "schema": {"const": _schema_id("lemma")},
-            "gamma": {"type": "integer"},
-            "holds": {"type": "boolean"},
-        },
-    },
+    "info": _payload("info", {
+        "n": _INT,
+        "k": _INT,
+        "delta": _INT,
+        "indices": _INTS,
+        "basic": _BOOL,
+        "minimal": _BOOL,
+        "memory": _INT,
+    }),
+    "ccf": _payload("ccf", {
+        "A": _array(),
+        "B": _array(),
+        "C": _array(),
+        "D": _array(),
+        "block_degrees": _INTS,
+    }),
+    "diagram": _payload("diagram", {
+        "states": _INT,
+        "edges": _array(_object({
+            "from": _INT,
+            "to": _INT,
+            "u": _INTS,
+            "v": _INTS,
+            "w": _INT,
+        })),
+        "delay_free": _BOOL,
+        "zero_weight_cycle": _BOOL,
+    }),
+    "adjacency": _payload("adjacency", {
+        "size": _INT,
+        "q": _INT,
+        "n": _INT,
+        "extended": _BOOL,
+        "entries": _array(_array(_TERMS)),
+    }),
+    "series": _payload("series", {
+        "trunc": _INT,
+        "omega": _SERIES_REF,
+        "phi": _SERIES_REF,
+    }),
+    "distances": _payload("distances", {
+        "free_distance": _INT_OR_NULL,
+        "certified": _BOOL,
+        "extended_row": _array(_INT_OR_NULL),
+        "active_burst": _array(_INT_OR_NULL),
+    }),
+    "witness": _payload("witness", {
+        "found": _BOOL,
+        "perm": _INTS,
+        "scale": _INTS,
+    }, optional=("perm", "scale")),
+    "recover": _payload("recover", {
+        "k": _INT,
+        "indices": _INTS,
+    }),
+    "oracle": _payload("oracle", {
+        "l_max": _INT,
+        "atomic": _SERIES_REF,
+        "molecular": _SERIES_REF,
+        "gap_bound_ok": _BOOL,
+    }),
+    "gm": _payload("gm", {
+        "field": _object({
+            "p": _INT,
+            "m": _INT,
+            "modulus": _INT_OR_NULL,
+        }, optional=("modulus",)),
+        "k": _INT,
+        "n": _INT,
+        "rows": _array(_array(_INTS)),
+    }),
+    "lemma": _payload("lemma", {
+        "gamma": _INT,
+        "holds": _BOOL,
+    }),
 }
 
 

@@ -237,3 +237,26 @@ def test_every_json_payload_goes_through_one_writer():
     ]
     assert sorted({name for name, _ in branches}) == sorted(fn.name for fn in commands)
     assert [name for name, writes in branches if not writes] == []
+
+
+def test_json_schemas_state_each_member_list_once():
+    # a payload's members are listed once, in its properties, and _object
+    # derives the required list from them, so no dict literal in cli.py
+    # states one; every schema has a writer and every payload a schema
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Dict)
+        and any(isinstance(key, ast.Constant) and key.value == "required" for key in node.keys)
+    ]
+    assert found == []
+    written = {}
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_write_json":
+                    written.setdefault(node.args[0].value, []).append(fn.name)
+    assert sorted(written) == sorted(convcode.cli.JSON_SCHEMAS)
+    assert len(written) == 11
+    assert sorted(written["witness"]) == ["_cmd_equal", "_cmd_mono_equiv"]
