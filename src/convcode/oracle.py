@@ -19,7 +19,7 @@ from . import polyalg
 from .encoder import controller_form
 from .errors import InternalError, LimitError
 from .polyalg import PolyMatrix
-from .statediag import state_index
+from .statediag import state_index, state_vector
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -78,15 +78,11 @@ def survey(g: PolyMatrix, l_max: int, *, budget: int = DEFAULT_BUDGET) -> Oracle
     if total > budget:
         raise LimitError(f"{total} codeword evaluations exceed the budget {budget}")
 
-    # register transition table on packed states; one state for gamma = 0
+    # register transitions on packed states: a state's row of successors is
+    # made when a word first visits it, so the budget bounds the rows too
     cf = controller_form(g)
     ubs = [polyalg.vec_mat(fld, u, cf.B) for u in itertools.product(range(q), repeat=k)]
-    trans = []
-    for xvec in itertools.product(range(q), repeat=cf.gamma):
-        xa = polyalg.vec_mat(fld, xvec, cf.A)
-        trans.append([
-            state_index(q, tuple(fld.add(a, b) for a, b in zip(xa, ub))) for ub in ubs
-        ])
+    trans: dict[int, list[int]] = {}
 
     words = []
     codeword_set = set()
@@ -118,7 +114,13 @@ def survey(g: PolyMatrix, l_max: int, *, budget: int = DEFAULT_BUDGET) -> Oracle
         state_times = []
         for t in range(1, n_deg + 1):
             ut = state_index(q, tuple(r[t - 1] if t - 1 < len(r) else 0 for r in u_rows))
-            state = trans[state][ut]
+            row = trans.get(state)
+            if row is None:
+                xa = polyalg.vec_mat(fld, state_vector(q, cf.gamma, state), cf.A)
+                row = trans[state] = [
+                    state_index(q, tuple(fld.add(a, b) for a, b in zip(xa, ub))) for ub in ubs
+                ]
+            state = row[ut]
             if state == 0:
                 state_times.append(t)
         # splitting search: does the truncation at L stay a codeword?

@@ -107,6 +107,19 @@ def test_budget_guard(g213):
         survey(g213, 11, budget=10)
 
 
+def test_transition_rows_are_made_for_visited_states_only(monkeypatch, f2):
+    # memory 16 has 2^16 register states, but a survey to length 17 walks one
+    # word through 16 of them; a full table would take 2^16 + 2 products
+    g = pm(f2, [[[1] + [0] * 15 + [1], [1, 1] + [0] * 14 + [1]]])
+    calls = []
+    real = oracle_mod.polyalg.vec_mat
+    monkeypatch.setattr(
+        oracle_mod.polyalg, "vec_mat", lambda *args: calls.append(1) or real(*args)
+    )
+    assert survey(g, 17).words == 1
+    assert len(calls) <= 20
+
+
 def test_requires_minimal(f2):
     with pytest.raises(ValueError):
         survey(pm(f2, [[[1], [1]], [[0, 1], [0, 1]]]), 4)
