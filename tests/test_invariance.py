@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import sys
@@ -231,6 +232,48 @@ def test_sparse_search_matches_dense_reference():
         if a.size < 256:
             assert colors is not None and sorted(colors[0]) == sorted(colors[1])
     assert found == [True, True, False] + [False] * 4
+
+
+def witness_digest_pairs():
+    """Seeded (kind, a, b) pairs: k = 1 F2 and F4 codes against their
+    row-scaled, column-monomial images ("same", whose Lambda agree cell for
+    cell) and against planted conjugates, different codes of one shape
+    ("other"), and 256-state F4 k = 2 codes against row-transformed images
+    ("moved", whose Lambda differ)."""
+    rng = random.Random(21)
+    pairs = []
+    pool = {}
+    for fld in (field_make(2), field_make(2, 2)):
+        for _ in range(12):
+            g = genutil.random_minimal_code(
+                rng, fld, n_max=3, k_max=1, gamma_min=2, gamma_max=6 if fld.q == 2 else 3
+            )
+            lam = lam_of(g)
+            h, _ = genutil.elementary_ops(rng, g, 2)  # k = 1: row scalings
+            cols = rng.sample(range(g.n), g.n)
+            h = apply_monomial(h, cols, [rng.choice(fld.units()) for _ in cols])
+            perm = [0] + rng.sample(range(1, lam.size), lam.size - 1)
+            pairs += [("same", lam, lam_of(h)), ("planted", lam, apply_witness(lam, perm))]
+            pool.setdefault((lam.q, lam.size, lam.n), []).append(lam)
+    for group in pool.values():
+        pairs += [("other", a, b) for a, b in zip(group, group[1:])]
+    for _ in range(4):
+        g = minimal_f4_k2_gamma4(rng)
+        h, _ = genutil.elementary_ops(rng, g, 6)
+        pairs.append(("moved", lam_of(g), lam_of(h)))
+    return pairs
+
+
+def test_witness_digests_are_pinned():
+    # the witnesses, None included, of a fixed corpus: a faster route to
+    # any of them must return the same lexicographically least one
+    pairs = witness_digest_pairs()
+    assert all((a == b) == (kind == "same") for kind, a, b in pairs if kind in ("same", "moved"))
+    results = [gen_adj_equal(a, b) for _, a, b in pairs]
+    assert all(w is not None for (kind, _, _), w in zip(pairs, results) if kind != "other")
+    assert None in results and len(pairs) == 63
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == "55ca55ff3974abef603b7c8992f05070706fd7218515964135fe0412f465cdee"
 
 
 def test_search_is_exact_under_the_trivial_coloring(monkeypatch):
