@@ -7,9 +7,11 @@ is the conjugate of the other by a permutation of the states that fixes
 the zero state.  The decision procedure here is a backtracking search
 over vertex matchings pruned by iterated in/out enumerator-multiset color
 refinement, certified by a full conjugation check before a witness is
-returned.  Both read only the nonzero cells: each entry of the two cell
-tables is interned once per call to a small int, so a refinement round sorts ints,
-O(nonzero cells) in all, and the search, which runs on an explicit stack,
+returned; the identity, the least witness whenever the two matrices agree
+cell for cell, is tried first by that same check, in O(cells).  Both read
+only the nonzero cells: each entry of the two cell tables is interned once
+per call to a small int, so a refinement round sorts ints, O(nonzero
+cells) in all, and the search, which runs on an explicit stack,
 tests a candidate against the state's neighbours alone, O(degree): it
 looks up a's nonzero cells among the states already placed in b, then
 counts b's nonzero cells there to rule out a nonzero b cell over a zero
@@ -116,6 +118,23 @@ def _refined_colors(graphs):
         col_a, col_b = new_a, new_b
 
 
+def _conjugates(a: AdjMatrix, b: AdjMatrix, pi: Sequence[int]) -> bool:
+    """Whether b[pi(i)][pi(j)] == a[i][j] for every cell, with pi(0) == 0.
+
+    A table entry takes the id of a's first entry with its terms() once
+    WeightEnum == confirms the match (b's others get -1); the rows are then
+    compared as (destination, id) tuples, up to the first that differs."""
+    first: dict[tuple, int] = {}
+    ids_a = [first.setdefault(e.terms(), t) for t, e in enumerate(a.cells)]
+    ids_a = [u if a.cells[u] == e else t for t, (u, e) in enumerate(zip(ids_a, a.cells))]
+    ids_b = [first.get(e.terms(), -1) for e in b.cells]
+    ids_b = [u if u >= 0 and a.cells[u] == e else -1 for u, e in zip(ids_b, b.cells)]
+    return pi[0] == 0 and all(
+        sorted([(pi[j], ids_a[t]) for j, t in row]) == [(j, ids_b[t]) for j, t in b.rows[p]]
+        for row, p in zip(a.rows, pi)
+    )
+
+
 def check_search_size(states: int) -> None:
     """LimitError when a conjugation search would run over more than
     SEARCH_STATES states."""
@@ -129,13 +148,16 @@ def gen_adj_equal(a: AdjMatrix, b: AdjMatrix) -> Optional[PermWitness]:
     The search assigns states in index order and tries candidates in
     increasing order, so a returned witness is the lexicographically
     least one.  It runs on an explicit stack, one level per state, over
-    at most SEARCH_STATES states.  The witness is re-verified entry by
-    entry before return.
+    at most SEARCH_STATES states, after the identity, the least witness
+    of all, is tried.  Either witness is certified by `_conjugates`.
     """
     if (a.size, a.q, a.n, a.extended) != (b.size, b.q, b.n, b.extended):
         raise ValueError("adjacency matrices have mismatched dimensions")
     check_search_size(a.size)
     s = a.size
+    identity = tuple(range(s))
+    if _conjugates(a, b, identity):
+        return identity
     graphs = _cell_graphs(a, b)
     refined = _refined_colors(graphs)
     if refined is None:
@@ -190,11 +212,7 @@ def gen_adj_equal(a: AdjMatrix, b: AdjMatrix) -> Optional[PermWitness]:
             used[mapping[i]] = False
             mapping[i] = -1
     pi = tuple(mapping)
-    rb = [{j: b.cells[t] for j, t in row} for row in b.rows]
-    if pi[0] != 0 or any(
-        len(row) != len(rb[pi[i]]) or any(a.cells[t] != rb[pi[i]].get(pi[j]) for j, t in row)
-        for i, row in enumerate(a.rows)
-    ):
+    if not _conjugates(a, b, pi):
         raise InternalError("conjugation witness failed re-verification")
     return pi
 

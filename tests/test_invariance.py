@@ -24,7 +24,7 @@ from convcode.errors import InternalError, LimitError
 from convcode.galois import field_make
 from convcode.invariance import _cell_graphs, _refined_colors, apply_monomial, apply_witness
 from convcode.polyalg import pm_mul
-from convcode.spectrum import WeightEnum
+from convcode.spectrum import AdjMatrix, WeightEnum
 
 import genutil
 from genutil import weight_preserving_equiv_check
@@ -274,6 +274,72 @@ def test_witness_digests_are_pinned():
     assert None in results and len(pairs) == 63
     digest = hashlib.sha256(repr(results).encode()).hexdigest()
     assert digest == "55ca55ff3974abef603b7c8992f05070706fd7218515964135fe0412f465cdee"
+
+
+def retabled(m, order, twins=False):
+    """m with its cell table listed in `order`; with `twins`, every entry is
+    listed again as a copy of its own, and the odd rows use the copies."""
+    cells = [m.cells[t] for t in order]
+    new_id = {t: u for u, t in enumerate(order)}
+    shift = len(cells) if twins else 0
+    if twins:
+        cells += [WeightEnum(dict(e.terms())) for e in cells]
+    rows = [[(j, new_id[t] + shift * (i % 2)) for j, t in row] for i, row in enumerate(m.rows)]
+    return AdjMatrix(rows, cells, q=m.q, n=m.n, extended=m.extended)
+
+
+def identity_path_matrices(g213):
+    f4 = field_make(2, 2)
+    g = genutil.random_minimal_code(random.Random(64), f4, n_max=3, k_max=1, gamma_min=3)
+    return [lam_of(g213), extend(lam_of(g213)), lam_of(g)]
+
+
+def test_identity_is_certified_before_any_refinement(g213, monkeypatch):
+    # Lambda equal cell for cell, whatever the order of the cell tables and
+    # however often an enumerator repeats: the identity, with no search
+    def refuse(graphs):
+        raise RuntimeError("the search ran")
+
+    monkeypatch.setattr(invariance, "_refined_colors", refuse)
+    checked = 0
+    for lam in identity_path_matrices(g213):
+        ids = range(len(lam.cells))
+        for a, b in (
+            (lam, retabled(lam, ids[::-1])),
+            (retabled(lam, ids, twins=True), lam),
+            (lam, retabled(lam, ids[::-1], twins=True)),
+            (retabled(lam, ids, twins=True), retabled(lam, ids[::-1], twins=True)),
+        ):
+            assert a == b and a.cells != b.cells
+            assert gen_adj_equal(a, b) == gen_adj_equal(b, a) == tuple(range(lam.size))
+            checked += 1
+    assert checked == 12
+
+
+def test_identity_refused_on_one_cell_of_the_last_row(g213):
+    # the pair agrees up to the last cell, so only the identity check's last
+    # row sees the difference; the search then decides as the dense one does
+    for lam in identity_path_matrices(g213):
+        j, t = lam.rows[-1][-1]
+        other = next(u for u, e in enumerate(lam.cells) if e != lam.cells[t])
+        fresh = lam.cells[t] + WeightEnum({lam.n: 1})
+        for u, cells in ((other, lam.cells), (len(lam.cells), lam.cells + (fresh,))):
+            rows = lam.rows[:-1] + (lam.rows[-1][:-1] + ((j, u),),)
+            b = AdjMatrix(rows, cells, q=lam.q, n=lam.n, extended=lam.extended)
+            identity = tuple(range(lam.size))
+            assert not invariance._conjugates(lam, b, identity)
+            assert not invariance._conjugates(b, lam, identity)
+            assert gen_adj_equal(lam, b) == dense_gen_adj_equal(lam, b)
+            assert gen_adj_equal(b, lam) == dense_gen_adj_equal(b, lam)
+
+
+def test_conjugation_check_pins_the_zero_state():
+    # swapping the two states maps a matrix of four equal cells onto itself,
+    # but a witness must fix state 0
+    one = WeightEnum({1: 1})
+    m = genutil.adj_from_dense([[one, one], [one, one]], q=2, n=2)
+    assert invariance._conjugates(m, m, (0, 1))
+    assert not invariance._conjugates(m, m, (1, 0))
 
 
 def test_search_is_exact_under_the_trivial_coloring(monkeypatch):

@@ -260,3 +260,58 @@ def test_json_schemas_state_each_member_list_once():
     assert sorted(written) == sorted(convcode.cli.JSON_SCHEMAS)
     assert len(written) == 11
     assert sorted(written["witness"]) == ["_cmd_equal", "_cmd_mono_equiv"]
+
+
+def test_gen_adj_equal_returns_witnesses_only_through_one_check():
+    # the identity and the search's witness alike leave gen_adj_equal only
+    # inside `if _conjugates(a, b, w):` or after `if not _conjugates(a, b, w):
+    # raise ...`, and that raise is the package's one re-verification failure
+    tree = ast.parse((PACKAGE / "invariance.py").read_text())
+    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "gen_adj_equal")
+
+    def witness(test):
+        """w when the test is `_conjugates(a, b, w)`, else None."""
+        if isinstance(test, ast.Call) and getattr(test.func, "id", None) == "_conjugates":
+            names = [getattr(x, "id", None) for x in test.args]
+            if len(names) == 3 and names[:2] == ["a", "b"]:
+                return names[2]
+        return None
+
+    def refused(stmt):
+        """w when the statement is `if not _conjugates(a, b, w): ... raise`."""
+        test = stmt.test
+        if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+            if isinstance(stmt.body[-1], ast.Raise):
+                return witness(test.operand)
+        return None
+
+    def returns(body, checked):
+        """(returned expression, whether _conjugates certified it) per return."""
+        found = []
+        for stmt in body:
+            if isinstance(stmt, ast.Return):
+                found.append((ast.unparse(stmt.value), ast.unparse(stmt.value) in checked))
+            elif isinstance(stmt, ast.If):
+                found += returns(stmt.body, checked | {witness(stmt.test)})
+                found += returns(stmt.orelse, checked)
+                checked = checked | {refused(stmt)}
+            elif isinstance(stmt, (ast.For, ast.While)):
+                found += returns(stmt.body, checked) + returns(stmt.orelse, checked)
+        return found
+
+    nested = {id(n) for f in fn.body if isinstance(f, ast.FunctionDef) for n in ast.walk(f)}
+    found = returns(fn.body, frozenset())
+    assert len(found) == sum(isinstance(n, ast.Return) and id(n) not in nested for n in ast.walk(fn))
+    assert sorted((value, ok) for value, ok in found if value != "None") == [
+        ("identity", True),
+        ("pi", True),
+    ]
+    guards = [n for n in ast.walk(fn) if isinstance(n, ast.If) and refused(n)]
+    raised = [
+        (path.name, node.lineno)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Raise)
+        and any(isinstance(c, ast.Constant) and "re-verification" in str(c.value) for c in ast.walk(node))
+    ]
+    assert raised == [("invariance.py", g.body[-1].lineno) for g in guards]
