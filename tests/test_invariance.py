@@ -333,6 +333,35 @@ def test_identity_refused_on_one_cell_of_the_last_row(g213):
             assert gen_adj_equal(b, lam) == dense_gen_adj_equal(b, lam)
 
 
+def retabled_conjugate_pairs(g213):
+    """Planted conjugates between copies of one matrix whose cell tables
+    differ in order and in repetition: each identity-path matrix, a
+    256-state F4 k = 2 matrix and its extension, with the table listed
+    twice (`twins`) against a reversed-table copy conjugated by a seeded
+    zero-fixing permutation, and the other way round."""
+    rng = random.Random(22)
+    big = lam_of(minimal_f4_k2_gamma4(rng))
+    pairs = []
+    for lam in identity_path_matrices(g213) + [big, extend(big)]:
+        ids = range(len(lam.cells))
+        twins, reverse = retabled(lam, ids, twins=True), retabled(lam, ids[::-1])
+        perm = [0] + rng.sample(range(1, lam.size), lam.size - 1)
+        pairs += [(twins, apply_witness(reverse, perm)), (reverse, apply_witness(twins, perm))]
+    return pairs
+
+
+def test_search_matches_dense_reference_on_retabled_conjugates(g213):
+    # ids local to each table must resolve to one joint id per enumerator,
+    # however the tables order and repeat their entries
+    pairs = retabled_conjugate_pairs(g213)
+    assert len(pairs) == 10 and sum(a.size == 256 for a, _ in pairs) == 4
+    for a, b in pairs:
+        assert not invariance._conjugates(a, b, tuple(range(a.size)))
+        assert _refined_colors(_cell_graphs(a, b)) == dense_refined_colors(a, b)
+        wit = gen_adj_equal(a, b)
+        assert wit is not None and wit == dense_gen_adj_equal(a, b)
+
+
 def test_conjugation_check_pins_the_zero_state():
     # swapping the two states maps a matrix of four equal cells onto itself,
     # but a witness must fix state 0
