@@ -9,18 +9,20 @@ over vertex matchings pruned by iterated in/out enumerator-multiset color
 refinement, certified by a full conjugation check before a witness is
 returned; the identity, the least witness whenever the two matrices agree
 cell for cell, is tried first by that same check, in O(cells).  Both read
-only the nonzero cells: each entry of the two cell tables is interned once
-per call to a small int, so a refinement round sorts ints, O(nonzero
-cells) in all, and the search, which runs on an explicit stack,
-tests a candidate against the state's neighbours alone, O(degree): it
-looks up a's nonzero cells among the states already placed in b, then
-counts b's nonzero cells there to rule out a nonzero b cell over a zero
-a cell.  On top of that sit: recovery of the code dimension and row
-degrees from the matrix alone, the monomial-equivalence decision for
-generator matrices (which refuses a minimal pair at once when their
-matrices are not conjugate), the closed-form dual transform for binary
-codes with unit constraint length, and an exhaustive verifier for the
-shift-compatibility rigidity of zero-fixing bijections on F_2^gamma.
+the rows as they are plus one transpose per matrix, a state's row and
+column entries in one list, and a key table per local cell id whose
+enumerators are interned across both tables once per call.  So a
+refinement round sorts one int per neighbour, O(nonzero cells) in all,
+and the search, which runs on an explicit stack, tests a candidate
+against the state's neighbours alone, O(degree): it looks up a's placed
+neighbours in b's rows, one dict per row, then counts b's neighbours
+there to rule out a nonzero b cell over a zero a cell.  On top of that
+sit: recovery of the code dimension and row degrees from the matrix
+alone, the monomial-equivalence decision for generator matrices (which
+refuses a minimal pair at once when their matrices are not conjugate),
+the closed-form dual transform for binary codes with unit constraint
+length, and an exhaustive verifier for the shift-compatibility rigidity
+of zero-fixing bijections on F_2^gamma.
 """
 
 from __future__ import annotations
@@ -57,22 +59,29 @@ def code_adjacency(g: PolyMatrix, *, lumped: bool = False) -> AdjMatrix:
 
 
 def _cell_graphs(a: AdjMatrix, b: AdjMatrix):
-    """Out- and in-neighbour lists [(state, cell id)] of both matrices.
+    """(neighbours, keys) of each matrix, read off its rows as they are.
 
-    The entries of both cell tables are interned on their exact terms(),
-    with ids shared by `a` and `b`, so two cells get one id exactly when
-    their enumerators agree.
+    neighbours[i] is state i's row, its own (j, t) pairs, followed by its
+    column, one (j, t + L) per nonzero cell t = mat[j][i], with L the length
+    of the matrix's cell table: the one transpose, made in one pass over
+    the rows.  keys[t] of a local id t < 2L is (2u + d)(s + 1) + 1, where
+    d is 1 on a column entry and u the entry's enumerator, interned on its
+    exact terms() once per table entry with ids shared by `a` and `b`.
+    So two cells share a key exactly when their enumerators and directions
+    agree, and a key plus a color from -1 to s - 1 is one int per pair.
     """
     ids: dict[tuple, int] = {}
+    m = a.size + 1
     graphs = []
-    for m in (a, b):
-        joint = [ids.setdefault(e.terms(), len(ids)) for e in m.cells]
-        out = [[(j, joint[t]) for j, t in row] for row in m.rows]
-        inn: list[list[tuple[int, int]]] = [[] for _ in out]
-        for i, row in enumerate(out):
+    for mat in (a, b):
+        joint = [ids.setdefault(e.terms(), len(ids)) for e in mat.cells]
+        shift = len(joint)
+        nbrs = [list(row) for row in mat.rows]
+        for i, row in enumerate(mat.rows):
             for j, t in row:
-                inn[j].append((i, t))
-        graphs.append((out, inn))
+                nbrs[j].append((i, t + shift))
+        keys = [2 * u * m + 1 for u in joint]
+        graphs.append((nbrs, keys + [k + m for k in keys]))
     return graphs
 
 
@@ -80,36 +89,24 @@ def _refined_colors(graphs):
     """Stable joint color refinement of `_cell_graphs(a, b)`; None when
     histograms separate.
 
-    A signature lists a state's nonzero out- and in-cells only.  A round
-    runs only when both matrices share one color histogram, which fixes
-    the colors of a row's zero cells from its nonzero ones, so the sparse
-    signatures split the states exactly as the dense rows would.  An
-    out-neighbour j over cell t is the one int t*m + color(j) + 1 with
-    m = s + 1 (colors run from -1, the pinned state 0, to s - 1), an
-    in-neighbour the same int plus a constant above every out-neighbour,
-    so a signature is the state's color and one sorted run of ints.
-    Signature ids are handed out in first-seen order, a's states before
-    b's.
+    A signature lists a state's nonzero row and column cells only.  A
+    round runs only when both matrices share one color histogram, which
+    fixes the colors of a row's zero cells from its nonzero ones, so the
+    sparse signatures split the states exactly as the dense rows would.
+    A neighbour j over local id t is the one int keys[t] + color(j), so a
+    signature is the state's color and one sorted run of ints.  Signature
+    ids are handed out in first-seen order, a's states before b's.
     """
     s = len(graphs[0][0])
-    m = s + 1
-    inward = m * (1 + max((t for out, _ in graphs for row in out for _, t in row), default=0))
-    keyed = [
-        [
-            [(t * m + 1, j) for j, t in out[i]] + [(inward + t * m + 1, j) for j, t in inn[i]]
-            for i in range(s)
-        ]
-        for out, inn in graphs
-    ]
     col_a = [0 if i else -1 for i in range(s)]  # state 0 is pinned
     col_b = list(col_a)
     while True:
         sig_ids: dict[tuple, int] = {}
         new_a = []
         new_b = []
-        for nbrs, colors, target in zip(keyed, (col_a, col_b), (new_a, new_b)):
+        for (nbrs, keys), colors, target in zip(graphs, (col_a, col_b), (new_a, new_b)):
             for c, nb in zip(colors, nbrs):
-                sig = (c, *sorted([k + colors[j] for k, j in nb]))
+                sig = (c, *sorted([keys[t] + colors[j] for j, t in nb]))
                 target.append(sig_ids.setdefault(sig, len(sig_ids)))
         if sorted(new_a) != sorted(new_b):
             return None
@@ -167,30 +164,33 @@ def gen_adj_equal(a: AdjMatrix, b: AdjMatrix) -> Optional[PermWitness]:
     by_color: dict[int, list[int]] = {}
     for j, c in enumerate(col_b):
         by_color.setdefault(c, []).append(j)
-    (out_a, in_a), (out_b, in_b) = graphs
-    # the cells a[i][i2] and a[i2][i] with i2 <= i that b must match at pi(i)
-    back_out = [[(i2, t) for i2, t in out_a[i] if i2 <= i] for i in range(s)]
-    back_in = [[(i2, t) for i2, t in in_a[i] if i2 <= i] for i in range(s)]
-    cell_b = [dict(row) for row in out_b]
+    (nbrs_a, keys_a), (nbrs_b, keys_b) = graphs
+    la = len(a.cells)
+    rows_b = [dict(row) for row in b.rows]
     mapping = [-1] * s
     used = [False] * s
 
     def feasible(i: int, j: int) -> bool:
         """b[j][pi(i2)] == a[i][i2] and b[pi(i2)][j] == a[i2][i] for all
-        i2 <= i, with pi(i) = j: the nonzero cells of a are looked up in b,
-        then the counts of b's nonzero cells between j and the images
-        rule out a nonzero b cell over a zero a cell."""
-        row = cell_b[j]
-        for i2, t in back_out[i]:
-            if row.get(j if i2 == i else mapping[i2]) != t:
+        i2 <= i, with pi(i) = j: the entries of a's neighbour list with
+        i2 <= i are looked up in b's rows, then the count of b's neighbour
+        entries between j and the images rules out a nonzero b cell over
+        a zero a cell."""
+        row = rows_b[j]
+        placed = 0
+        for i2, t in nbrs_a[i]:
+            if i2 > i:
+                continue
+            j2 = j if i2 == i else mapping[i2]
+            if t < la:
+                u = row.get(j2)
+            else:
+                u = rows_b[j2].get(j)
+                t -= la
+            if u is None or keys_b[u] != keys_a[t]:
                 return False
-        for i2, t in back_in[i]:
-            if cell_b[j if i2 == i else mapping[i2]].get(j) != t:
-                return False
-        return (
-            sum(1 for j2, _ in out_b[j] if used[j2] or j2 == j) == len(back_out[i])
-            and sum(1 for j2, _ in in_b[j] if used[j2] or j2 == j) == len(back_in[i])
-        )
+            placed += 1
+        return sum(1 for j2, _ in nbrs_b[j] if used[j2] or j2 == j) == placed
 
     nxt = [0] * s  # per level, the next candidate position to try
     i = 0

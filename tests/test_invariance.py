@@ -362,6 +362,27 @@ def test_search_matches_dense_reference_on_retabled_conjugates(g213):
         assert wit is not None and wit == dense_gen_adj_equal(a, b)
 
 
+def test_search_refines_once_per_non_identity_pair(g1, g2, g213, monkeypatch):
+    # the tests that patch _refined_colors bite only while gen_adj_equal
+    # calls it: once on every pair the identity check refuses, whether the
+    # colors, the search or neither refutes it, and never on the identity
+    refined = invariance._refined_colors
+    calls = []
+    counted = lambda graphs: calls.append(1) or refined(graphs)
+    monkeypatch.setattr(invariance, "_refined_colors", counted)
+    pairs = retabled_conjugate_pairs(g213) + cycle_pairs() + [(lam_of(g1), lam_of(g2))]
+    results = []
+    for a, b in pairs:
+        before = len(calls)
+        results.append(gen_adj_equal(a, b))
+        assert len(calls) == before + 1
+    assert None in results and any(results)
+    for lam in identity_path_matrices(g213):
+        twins = retabled(lam, range(len(lam.cells))[::-1], twins=True)
+        assert gen_adj_equal(lam, twins) == tuple(range(lam.size))
+    assert len(calls) == len(pairs) == 15
+
+
 def test_conjugation_check_pins_the_zero_state():
     # swapping the two states maps a matrix of four equal cells onto itself,
     # but a witness must fix state 0
