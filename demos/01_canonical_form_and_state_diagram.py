@@ -16,13 +16,13 @@ from convcode import (
     classify,
     controller_form,
     delay_free_check,
-    export_dot,
     realization_check,
     state_sequence,
     zero_weight_cycle_exists,
 )
 from convcode.cli import parse_gm
 from convcode.polyalg import poly
+from convcode.statediag import dot_chunks
 
 CODES = pathlib.Path(__file__).resolve().parent / "codes"
 
@@ -74,7 +74,7 @@ def main():
     print(f"  delay-free: {delay_free_check(sd)}")
     print(f"  zero-weight cycle (catastrophic): {zero_weight_cycle_exists(sd)}")
     print("  Graphviz snippet:")
-    for line in export_dot(sd).splitlines()[:6]:
+    for line in "".join(dot_chunks(sd)).splitlines()[:6]:
         print("    " + line)
     print("    ...")
 

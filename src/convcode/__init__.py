@@ -63,7 +63,6 @@ from .statediag import (
     StateDiagram,
     build,
     delay_free_check,
-    export_dot,
     zero_weight_cycle_exists,
 )
 
@@ -98,7 +97,6 @@ __all__ = [
     "delay_free_check",
     "dual_basis",
     "encoder_info",
-    "export_dot",
     "extend",
     "extended_row_distances",
     "field_make",

@@ -13,8 +13,9 @@ F_p-linear, so `build` fills the tables xA, xC (per state) and uB, uD
 images, in O(q^gamma + q^k).  An edge is two vector sums, dst = xA + uB
 and v = xC + uD (XOR over F_{2^m}, else the field's addition table per
 element), and a table lookup of wt(v); every edge view replays the tables
-when it is read.  The labelled views (`edges`, the DOT text and the JSON
-edge list) make the label of each packed input and output once.
+when it is read.  The labelled views (`labelled_transitions`, read by the
+DOT text and the JSON edge list) make the label of each packed input and
+output once.
 
 The code is F_q-linear and wt(lambda v) = wt(v), so for every lambda != 0
 the map x -> lambda x (edge (x, u) -> (lambda x, lambda u)) is a
@@ -37,7 +38,7 @@ import functools
 import operator
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, Optional
 
 from . import polyalg
 from .encoder import ControllerForm
@@ -47,14 +48,6 @@ from .galois import FieldSpec
 DEFAULT_STATE_CEILING = 1 << 20
 DEFAULT_DOT_CEILING = 4096
 Tables = tuple[Callable[[int, int], int], list[int], list[int], list[int], list[int]]
-
-
-class Edge(NamedTuple):
-    src: int
-    dst: int
-    u: tuple[int, ...]
-    v: tuple[int, ...]
-    weight: int
 
 
 def state_index(q: int, vec) -> int:
@@ -102,12 +95,6 @@ class StateDiagram:
             yield tuple(zip(
                 dsts if orbit is None else map(orbit.__getitem__, dsts), map(weight, outputs)
             ))
-
-    def edges(self) -> Iterator[Edge]:
-        """Labelled edges, in the order of edges_by_source."""
-        for src, dsts, us, vws in labelled_transitions(self, tuple, lambda v, w: (v, w)):
-            for dst, u, (v, w) in zip(dsts, us, vws):
-                yield Edge(src, dst, u, v, w)
 
 
 def _vector_add(fld: FieldSpec) -> Callable[[int, int], int]:
@@ -330,8 +317,9 @@ def _label(vec: tuple[int, ...], q: int) -> str:
 
 
 def dot_chunks(sd: StateDiagram, *, force: bool = False) -> Iterator[str]:
-    """The text of `export_dot` in chunks: the head and the vertices, one
-    chunk of edge lines per source, and the closing brace."""
+    """Graphviz text in chunks: the head and the vertices, one chunk of edge
+    lines per source, labelled "u|v (weight)", and the closing brace.  More
+    than DEFAULT_DOT_CEILING states are refused unless `force` is set."""
     if sd.num_states > DEFAULT_DOT_CEILING and not force:
         raise LimitError(
             f"{sd.num_states} vertices exceed the rendering guard {DEFAULT_DOT_CEILING}"
@@ -346,9 +334,3 @@ def dot_chunks(sd: StateDiagram, *, force: bool = False) -> Iterator[str]:
     for src, dsts, us, vs in labelled_transitions(sd, u_label, v_label):
         yield "".join([f'  {src} -> {dst} [label="{u}|{v}"];\n' for dst, u, v in zip(dsts, us, vs)])
     yield "}\n"
-
-
-def export_dot(sd: StateDiagram, *, force: bool = False) -> str:
-    """Graphviz text; edge labels are "u|v (weight)".  More than
-    DEFAULT_DOT_CEILING states are refused unless `force` is set."""
-    return "".join(dot_chunks(sd, force=force))

@@ -2,7 +2,7 @@
 
 import itertools
 import random
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from convcode import controller_form, encoder_info, minimize, pm
 from convcode.cli import _schema_id
@@ -20,7 +20,7 @@ from convcode.polyalg import (
     vec_mat,
 )
 from convcode.spectrum import AdjMatrix, LSeries, WeightEnum, extend
-from convcode.statediag import state_index
+from convcode.statediag import labelled_transitions, state_index
 
 
 def random_poly(rng: random.Random, fld, max_deg: int):
@@ -128,6 +128,23 @@ def elementary_ops(rng: random.Random, g: PolyMatrix, count: int):
     return transformed, u
 
 
+class Edge(NamedTuple):
+    """One labelled transition of a state diagram."""
+
+    src: int
+    dst: int
+    u: tuple[int, ...]
+    v: tuple[int, ...]
+    weight: int
+
+
+def edges(sd) -> Iterator[Edge]:
+    """Labelled edges of a diagram, in the order of edges_by_source."""
+    for src, dsts, us, vws in labelled_transitions(sd, tuple, lambda v, w: (v, w)):
+        for dst, u, (v, w) in zip(dsts, us, vws):
+            yield Edge(src, dst, u, v, w)
+
+
 def zero_label_cycle_exists(sd) -> bool:
     """Cycle whose labelled edges all carry u = 0 and v = 0.
 
@@ -138,7 +155,7 @@ def zero_label_cycle_exists(sd) -> bool:
     """
     succ = [[] for _ in range(sd.num_states)]
     indegree = [0] * sd.num_states
-    for e in sd.edges():
+    for e in edges(sd):
         if not any(e.u) and not any(e.v):
             succ[e.src].append(e.dst)
             indegree[e.dst] += 1
@@ -240,7 +257,7 @@ def edges_json(sd) -> list[dict]:
     """The labelled edges as the dicts json.dumps renders for `diagram --json`."""
     return [
         {"from": e.src, "to": e.dst, "u": list(e.u), "v": list(e.v), "w": e.weight}
-        for e in sd.edges()
+        for e in edges(sd)
     ]
 
 
