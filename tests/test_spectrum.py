@@ -353,6 +353,23 @@ def test_packed_phi_slots_beyond_64_bits():
     assert max(c for _, c in phi.coeff(16).terms()) > 1 << 64
 
 
+@pytest.mark.parametrize("trunc", [1, 5, 24])
+@pytest.mark.parametrize(
+    "cell",
+    [{1: 2}, {0: 4}, {0: 2, 1: 2}],
+    ids=["2W", "4", "2+2W"],
+)
+def test_packed_phi_fills_the_full_slot(cell, trunc):
+    # one state with row count R: Phi_T has a slot of R^T (2^T W^T, 4^T),
+    # which needs every bit of the slot width T * bitlen(R - 1) + 1
+    lam = genutil.adj_from_dense([[WeightEnum(cell)]], q=2, n=1)
+    row, ref = (WeightEnum.one(),), [WeightEnum.one()]
+    for _ in range(trunc):
+        row = row_iterate(row, lam)
+        ref.append(row[0])
+    assert phi_series(lam, trunc).coeffs == tuple(ref)
+
+
 TABLE_FIELDS = [(p, m) for p, m in genutil.REFERENCE_FIELDS if p**m <= 16]
 
 
