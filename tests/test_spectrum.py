@@ -10,6 +10,7 @@ from convcode import (
     adjacency,
     build,
     controller_form,
+    default_truncation,
     extend,
     extended_row_distances,
     free_distance,
@@ -401,7 +402,8 @@ def test_cell_table_matches_reference_tally(p, m):
                          ids=[f"F{p**m}" for p, m in genutil.QUOTIENT_FIELDS])
 def test_lumped_phi_and_packed_omega_match_references(p, m):
     # Phi from Q equals Phi from the full Lambda, and the packed Omega equals
-    # 1 - Phi^{-1} computed by WeightEnum products, at T = 1 and T = 8
+    # 1 - Phi^{-1} computed by WeightEnum products, at T = 1, T = 8 and the
+    # command line's default truncation
     fld = field_make(p, m)
     for cf in genutil.quotient_corpus(fld, random.Random(800 + 10 * p + m)):
         full, lumped = build(cf), build(cf, lumped=True)
@@ -409,7 +411,7 @@ def test_lumped_phi_and_packed_omega_match_references(p, m):
         assert lumped.lumped == (fld.q > 2 and cf.gamma > 0)
         if fld.q == 2:
             assert lumped == full
-        for trunc in (1, 8):
+        for trunc in (1, 8, default_truncation(cf.gamma)):
             phi = phi_series(adjacency(full), trunc)
             assert phi_series(adjacency(lumped), trunc) == phi
             omega = omega_series(phi)
