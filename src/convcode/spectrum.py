@@ -18,9 +18,12 @@ Powers of Lambda count paths; the generating series
     Omega = 1 - Phi^{-1}                        (atomic codewords)
 
 are truncated series in L with WeightEnum coefficients.  Phi iterates
-the first row of Lambda^l over the sparse rows with every enumerator
-packed into one integer (Kronecker substitution W -> 2^b), so a step
-costs one integer multiply-add per nonzero cell reached and no matrix
+the first row of Lambda^l, a list of packed integers indexed by state,
+over the sparse rows, every enumerator packed into one integer
+(Kronecker substitution W -> 2^b) with b = T * bitlen(R - 1) + 1 bits for
+truncation T and largest row count R.  A source's cells are grouped by
+(shift, quotient), so a step costs one shift (and rarely one multiply)
+per group and one integer add per nonzero cell reached, and no matrix
 power is ever materialized.  Only (Lambda^l)_{0,0} is read, so Phi may
 iterate the lumped matrix Q of the diagram's F_q^* orbit quotient
 (`statediag.build(cf, lumped=True)`) in place of Lambda: `adjacency`
@@ -270,10 +273,11 @@ def phi_series(lam: AdjMatrix, trunc: int) -> LSeries:
     """Molecular weight distribution: coefficient l is (Lambda^l)_{0,0}.
 
     Each enumerator is packed into one integer by Kronecker substitution,
-    W^a -> 2^(a*b), and the first row of Lambda^l is iterated as a map
-    state -> packed integer over the sparse rows.  A slot of that row after
-    l steps counts paths of length l, so it is below R^l for the largest
-    row count R, and b = trunc * bit_length(R) + 1 bits keep slots apart.
+    W^a -> 2^(a*b), and the first row of Lambda^l is iterated as a list of
+    packed integers indexed by state over the sparse rows.  A slot of that
+    row after l steps counts paths of length l, so it is at most R^T for
+    the largest row count R, and R <= 2^bitlen(R - 1) makes
+    b = T * bitlen(R - 1) + 1 bits enough to keep slots apart.
     """
     if lam.extended:
         raise ValueError("use the plain adjacency matrix, not the extended one")
@@ -281,44 +285,44 @@ def phi_series(lam: AdjMatrix, trunc: int) -> LSeries:
         raise ValueError("truncation must be >= 1")
     counts = [e.count() for e in lam.cells]
     most = max(sum(counts[t] for _, t in row) for row in lam.rows)
-    width = trunc * most.bit_length() + 1
+    width = trunc * (most - 1).bit_length() + 1
     packs = [_pack(e, width) for e in lam.cells]
-    # per source, cells grouped by the shift of their lowest weight, so one
-    # shifted copy of the source's value serves every cell of the group
+    # per source, destinations grouped by (shift, quotient) of their cell, so
+    # one shifted multiple of the source's value serves the whole group
     packed = []
     for row in lam.rows:
-        groups: dict[int, list[tuple[int, int]]] = {}
+        groups: dict[tuple[int, int], list[int]] = {}
         for j, t in row:
-            w, shift = packs[t]
-            groups.setdefault(shift, []).append((j, w))
+            groups.setdefault(packs[t], []).append(j)
         packed.append(tuple(groups.items()))
     coeffs = [WeightEnum.one()]
-    vec = {0: 1}
+    vec = [1] + [0] * (lam.size - 1)
     for _ in range(trunc):
-        nxt: dict[int, int] = {}
-        for i, x in vec.items():
-            for shift, cells in packed[i]:
-                y = x << shift
-                for j, w in cells:
-                    nxt[j] = nxt.get(j, 0) + (y if w == 1 else y * w)
+        nxt = [0] * lam.size
+        for x, groups in zip(vec, packed):
+            if x:
+                for (shift, w), dsts in groups:
+                    y = x << shift if w == 1 else (x * w) << shift
+                    for j in dsts:
+                        nxt[j] += y
         vec = nxt
-        coeffs.append(_unpack(vec.get(0, 0), width))
+        coeffs.append(_unpack(vec[0], width))
     return LSeries(trunc, coeffs)
 
 
 def _pack(e: WeightEnum, width: int) -> tuple[int, int]:
-    """(e / W^low packed, low * width) for the lowest weight `low` of e.
+    """(low * width, e / W^low packed) for the lowest weight `low` of e.
 
     Shifting and multiplying by the short quotient (usually 1) is cheaper
     than multiplying by the long packed e.
     """
     low = e.min_weight()
     out = 0
-    for a, c in e.terms():
+    for a, c in e._terms.items():
         if c < 0:
             raise ValueError("adjacency counts must be nonnegative")
         out += c << ((a - low) * width)
-    return out, low * width
+    return low * width, out
 
 
 def _unpack(value: int, width: int) -> WeightEnum:
@@ -331,7 +335,9 @@ def _unpack(value: int, width: int) -> WeightEnum:
             terms[a] = c
         value >>= width
         a += 1
-    return WeightEnum(terms)
+    out = WeightEnum()
+    out._terms = terms  # no zero counts: taken without the constructor's copy
+    return out
 
 
 def omega_series(phi: LSeries) -> LSeries:
@@ -355,7 +361,7 @@ def omega_series(phi: LSeries) -> LSeries:
         [*totals, *(sum(totals[j] * totals[l - j] for j in range(1, l)) for l in range(trunc + 1))]
     )
     width = top.bit_length() + 1
-    packed = [sum(c << (a * width) for a, c in e.terms()) for e in phi.coeffs]
+    packed = [sum(c << (a * width) for a, c in e._terms.items()) for e in phi.coeffs]
     slots = 2 * max(e.max_weight() or 0 for e in phi.coeffs) + 1  # covers any product
     guards = ((1 << (slots * width)) - 1) // ((1 << width) - 1) << (width - 1)
     omega = [0] * (trunc + 1)
