@@ -18,14 +18,12 @@ Powers of Lambda count paths; the generating series
     Omega = 1 - Phi^{-1}                        (atomic codewords)
 
 are truncated series in L with WeightEnum coefficients.  Phi iterates
-the first row of Lambda^l, a list of packed integers indexed by state,
-over the sparse rows, every enumerator packed into one integer
-(Kronecker substitution W -> 2^b) with b = T * bitlen(R - 1) + 1 bits for
-truncation T and largest row count R.  A source's cells are grouped by
-(shift, quotient), so a step costs one shift (and rarely one multiply)
-per group and one integer add per nonzero cell reached, and no matrix
-power is ever materialized.  Only (Lambda^l)_{0,0} is read, so Phi may
-iterate the lumped matrix Q of the diagram's F_q^* orbit quotient
+the first row of Lambda^l as a list by state, every enumerator packed
+into one integer (W -> 2^b, b = T * bitlen(R - 1) + 1 for row counts up
+to R); with a source's cells grouped by (shift, quotient), a step costs
+one shifted multiple per group and one add per nonzero cell reached, and
+no matrix power is ever materialized.  Only (Lambda^l)_{0,0} is read, so
+Phi may iterate the lumped matrix Q of the diagram's F_q^* orbit quotient
 (`statediag.build(cf, lumped=True)`) in place of Lambda: `adjacency`
 tallies either.  Omega runs Omega_l = Phi_l - sum_{0<j<l} Omega_j Phi_{l-j}
 on the same packed integers.  Free distance, extended row distances and
@@ -272,12 +270,11 @@ class LSeries:
 def phi_series(lam: AdjMatrix, trunc: int) -> LSeries:
     """Molecular weight distribution: coefficient l is (Lambda^l)_{0,0}.
 
-    Each enumerator is packed into one integer by Kronecker substitution,
-    W^a -> 2^(a*b), and the first row of Lambda^l is iterated as a list of
-    packed integers indexed by state over the sparse rows.  A slot of that
-    row after l steps counts paths of length l, so it is at most R^T for
-    the largest row count R, and R <= 2^bitlen(R - 1) makes
-    b = T * bitlen(R - 1) + 1 bits enough to keep slots apart.
+    Enumerators are packed by Kronecker substitution, W^a -> 2^(a*b), and
+    the first row of Lambda^l is iterated as a list of packed integers by
+    state.  A slot counts paths of length l <= T, at most R^T <=
+    2^(T * bitlen(R - 1)) for the largest row count R, so
+    b = T * bitlen(R - 1) + 1 bits keep slots apart.
     """
     if lam.extended:
         raise ValueError("use the plain adjacency matrix, not the extended one")
@@ -287,8 +284,8 @@ def phi_series(lam: AdjMatrix, trunc: int) -> LSeries:
     most = max(sum(counts[t] for _, t in row) for row in lam.rows)
     width = trunc * (most - 1).bit_length() + 1
     packs = [_pack(e, width) for e in lam.cells]
-    # per source, destinations grouped by (shift, quotient) of their cell, so
-    # one shifted multiple of the source's value serves the whole group
+    # per source, destinations grouped by their cell's (shift, quotient), so
+    # one shifted copy of the source's value serves the whole group
     packed = []
     for row in lam.rows:
         groups: dict[tuple[int, int], list[int]] = {}
@@ -336,7 +333,7 @@ def _unpack(value: int, width: int) -> WeightEnum:
         value >>= width
         a += 1
     out = WeightEnum()
-    out._terms = terms  # no zero counts: taken without the constructor's copy
+    out._terms = terms  # has no zero counts, so not copied
     return out
 
 
