@@ -1,6 +1,7 @@
 import dataclasses
 import pathlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -136,3 +137,22 @@ def test_classifier_disagreement_is_fatal(monkeypatch, g213):
     monkeypatch.setattr(oracle_mod, "controller_form", lambda g: broken)
     with pytest.raises(RuntimeError, match="disagree"):
         survey(g213, 5)
+
+
+def test_survey_keeps_one_int_per_word(f2):
+    # k=2 n=3, rows (1, z, 1) and (0, 1, 1): l_max 5 and 6 meet 384 and 1536
+    # words, and the peak may grow by no more than one packed int per word
+    g = pm(f2, [[[1], [0, 1], [1]], [[0], [1], [1]]])
+    survey(g, 2)  # warm up the imports and the field's caches
+
+    def peak(l_max):
+        tracemalloc.start()
+        try:
+            words = survey(g, l_max).words
+            return words, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (w5, p5), (w6, p6) = peak(5), peak(6)
+    assert (w5, w6) == (384, 1536)
+    assert (p6 - p5) / (w6 - w5) <= 200
