@@ -28,6 +28,7 @@ of zero-fixing bijections on F_2^gamma.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Optional, Sequence
 
 from . import encoder, polyalg, spectrum, statediag
@@ -331,10 +332,7 @@ def monomial_equiv(
     polyalg.check_same_shape(g, h)
     fld = g.field
     n = g.n
-    total = 1
-    for i in range(2, n + 1):
-        total *= i
-    total *= (fld.q - 1) ** n
+    total = math.factorial(n) * (fld.q - 1) ** n
     if total > budget:
         raise LimitError(f"{total} candidates exceed the search budget {budget}")
     target = polyalg.hermite_form(h)

@@ -1,13 +1,16 @@
 """Independent brute-force ground truth for the weight distribution.
 
-Inputs are enumerated directly (per-row degree bounds chosen so that every
-codeword up to the requested length appears exactly once), each codeword
-is computed by polynomial multiplication, and every word is classified
-twice: once by the register-state criterion and once by a direct
-splitting search that asks whether each truncation is itself a codeword.
-The two classifications must agree on every word; a mismatch aborts the
-run, since it would falsify the state criterion.  Nothing here touches
-the adjacency matrix or the series machinery.
+One pass in order of length, one int per word.  Inputs are enumerated
+directly: a minimal encoder's word ends at max(len(u_i) + deg_i), so each
+length L visits the inputs of widths L - deg_i whose last step is nonzero,
+and every codeword of length <= l_max appears exactly once.  Each codeword
+is computed by polynomial multiplication, packed into one int and
+classified twice: once by the register-state criterion and once by a
+direct splitting search that asks whether each truncation is a shorter
+codeword, met at an earlier length.  The two classifications must agree
+on every word; a mismatch aborts the run, since it would falsify the state
+criterion.  Nothing here touches the adjacency matrix or the series
+machinery.
 """
 
 from __future__ import annotations
@@ -57,7 +60,8 @@ def survey(g: PolyMatrix, l_max: int, *, budget: int = DEFAULT_BUDGET) -> Oracle
 
     Requires a minimal generator matrix; the degree formula for minimal
     encoders makes the enumeration domain exact: row i of the input runs
-    over degrees <= l_max - 1 - (row degree i).
+    over degrees <= l_max - 1 - (row degree i), and the word's length is
+    known before it is computed.
     """
     info = g.info
     if not info.is_minimal:
@@ -68,13 +72,12 @@ def survey(g: PolyMatrix, l_max: int, *, budget: int = DEFAULT_BUDGET) -> Oracle
     q = fld.q
     k, n = g.k, g.n
     degs = info.row_degrees
-    ghat, mhat = polyalg.right_inverse(g)
+    _, mhat = polyalg.right_inverse(g)
     gap_bound = max(info.memory + mhat - 1, 0)  # a block code's words are single-step
 
-    widths = [max(l_max - d, 0) for d in degs]  # coefficients per input row
     total = 1
-    for w in widths:
-        total *= q**w
+    for d in degs:
+        total *= q ** max(l_max - d, 0)  # coefficients per input row
     if total > budget:
         raise LimitError(f"{total} codeword evaluations exceed the budget {budget}")
 
@@ -84,72 +87,63 @@ def survey(g: PolyMatrix, l_max: int, *, budget: int = DEFAULT_BUDGET) -> Oracle
     ubs = [polyalg.vec_mat(fld, u, cf.B) for u in itertools.product(range(q), repeat=k)]
     trans: dict[int, list[int]] = {}
 
-    words = []
-    codeword_set = set()
-    rows = [itertools.product(range(q), repeat=w) for w in widths]
-    for u_rows in itertools.product(*rows):
-        if not any(r[0] if r else 0 for r in u_rows):
-            continue  # codewords are normalized to start at time 0
-        u = tuple(polyalg.poly(r) for r in u_rows)
-        v = [polyalg.ZERO] * n
-        for ui, grow in zip(u, g.rows):
-            if ui:
-                for j in range(n):
-                    v[j] = polyalg.poly_add(fld, v[j], polyalg.poly_mul(fld, ui, grow[j]))
-        n_deg = max(len(e) - 1 for e in v)
-        word = tuple(
-            tuple(polyalg.coeff(e, t) for e in v) for t in range(n_deg + 1)
-        )
-        packed = tuple(state_index(q, vec) for vec in word)
-        codeword_set.add(packed)
-        words.append((u_rows, word, packed))
-
+    base = q**n  # a word packs time t into base-q^n digit t
+    seen: set[int] = set()
     atomic: Table = {}
     molecular: Table = {}
     gap_violation = None
-    for u_rows, word, packed in words:
-        n_deg = len(word) - 1
-        # state criterion
-        state = 0
-        state_times = []
-        for t in range(1, n_deg + 1):
-            ut = state_index(q, tuple(r[t - 1] if t - 1 < len(r) else 0 for r in u_rows))
-            row = trans.get(state)
-            if row is None:
-                xa = polyalg.vec_mat(fld, state_vector(q, cf.gamma, state), cf.A)
-                row = trans[state] = [
-                    state_index(q, tuple(fld.add(a, b) for a, b in zip(xa, ub))) for ub in ubs
-                ]
-            state = row[ut]
-            if state == 0:
-                state_times.append(t)
-        # splitting search: does the truncation at L stay a codeword?
-        split_times = []
-        for t in range(1, n_deg + 1):
-            prefix = packed[:t]
-            while prefix and prefix[-1] == 0:
-                prefix = prefix[:-1]
-            if prefix in codeword_set:
-                split_times.append(t)
-        if state_times != split_times:
-            raise InternalError(
-                "state and splitting classifications disagree on "
-                f"input {u_rows}: {state_times} vs {split_times}"
-            )
-        length = n_deg + 1
-        weight = sum(1 for vec in word for c in vec if c)
-        if not state_times:
-            atomic[(length, weight)] = atomic.get((length, weight), 0) + 1
-            molecular[(length, weight)] = molecular.get((length, weight), 0) + 1
-            if gap_violation is None and _max_zero_run(word) > gap_bound:
-                gap_violation = word
-        elif all(any(word[t]) for t in state_times):
-            molecular[(length, weight)] = molecular.get((length, weight), 0) + 1
+    for length in range(1, l_max + 1):
+        # the words of this length: inputs of widths length - deg_i, last step nonzero
+        rows = [itertools.product(range(q), repeat=max(length - d, 0)) for d in degs]
+        for u_rows in itertools.product(*rows):
+            if not any(r[0] for r in u_rows if r) or not any(r[-1] for r in u_rows if r):
+                continue  # codewords start at time 0, and a shorter word met its own length
+            v = [polyalg.ZERO] * n
+            for r, grow in zip(u_rows, g.rows):
+                ui = polyalg.poly(r)
+                if ui:
+                    for j in range(n):
+                        v[j] = polyalg.poly_add(fld, v[j], polyalg.poly_mul(fld, ui, grow[j]))
+            word = tuple(tuple(polyalg.coeff(e, t) for e in v) for t in range(length))
+            packed = 0
+            for vec in reversed(word):
+                packed = packed * base + state_index(q, vec)
+            # state criterion
+            state = 0
+            state_times = []
+            for t in range(1, length):
+                ut = state_index(q, tuple(r[t - 1] if t - 1 < len(r) else 0 for r in u_rows))
+                row = trans.get(state)
+                if row is None:
+                    xa = polyalg.vec_mat(fld, state_vector(q, cf.gamma, state), cf.A)
+                    row = trans[state] = [
+                        state_index(q, tuple(fld.add(a, b) for a, b in zip(xa, ub))) for ub in ubs
+                    ]
+                state = row[ut]
+                if state == 0:
+                    state_times.append(t)
+            # splitting search: is the truncation at t a shorter codeword?  Its
+            # trailing zero steps are leading zero digits, so it packs as is
+            split_times = [t for t in range(1, length) if packed % base**t in seen]
+            seen.add(packed)
+            if state_times != split_times:
+                raise InternalError(
+                    "state and splitting classifications disagree on "
+                    f"input {u_rows}: {state_times} vs {split_times}"
+                )
+            weight = sum(1 for vec in word for c in vec if c)
+            if not state_times:
+                atomic[(length, weight)] = atomic.get((length, weight), 0) + 1
+                molecular[(length, weight)] = molecular.get((length, weight), 0) + 1
+                if gap_violation is None and _max_zero_run(word) > gap_bound:
+                    gap_violation = word
+            elif all(any(word[t]) for t in state_times):
+                molecular[(length, weight)] = molecular.get((length, weight), 0) + 1
     return OracleSurvey(
         l_max=l_max,
         atomic=atomic,
         molecular=molecular,
         gap_bound=gap_bound,
         gap_violation=gap_violation,
-        words=len(words),
+        words=len(seen),
     )

@@ -158,17 +158,7 @@ def mat_identity(k: int) -> tuple[tuple[int, ...], ...]:
 
 
 def mat_mul(fld: FieldSpec, a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]):
-    cols = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        acc = [0] * cols
-        for x, brow in zip(row, b):
-            if x:
-                for j, y in enumerate(brow):
-                    if y:
-                        acc[j] = fld.add(acc[j], fld.mul(x, y))
-        out.append(tuple(acc))
-    return tuple(out)
+    return tuple(vec_mat(fld, row, b) for row in a)
 
 
 def vec_mat(fld: FieldSpec, x: Sequence[int], a: Sequence[Sequence[int]]) -> tuple[int, ...]:

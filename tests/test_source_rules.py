@@ -125,6 +125,30 @@ def test_spectrum_reads_the_diagram_only():
     assert found == []
 
 
+def test_oracle_reads_neither_the_diagram_nor_the_series():
+    # the oracle is the ground truth for Phi and Omega, so it runs its own
+    # register and reads of statediag only the packing of a state
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    imported = [
+        (node.module or "", [a.name for a in node.names]) if isinstance(node, ast.ImportFrom)
+        else ("", [a.name for a in node.names])
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    found = [
+        (module, names)
+        for module, names in imported
+        for name in [module, *names]
+        if name.rpartition(".")[2] in ("spectrum", "invariance")
+    ]
+    assert found == []
+    from_statediag = sorted(
+        name for module, names in imported for name in names
+        if module.rpartition(".")[2] == "statediag" or name.rpartition(".")[2] == "statediag"
+    )
+    assert from_statediag == ["state_index", "state_vector"]
+
+
 def test_one_route_from_g_to_lambda_and_no_info_parameters():
     # invariance.code_adjacency alone turns a generator matrix into Lambda,
     # and encoder_info is read off the matrix as g.info, never handed on
