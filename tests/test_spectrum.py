@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -20,6 +21,7 @@ from convcode import (
 )
 from convcode.errors import LimitError
 from convcode.galois import field_make
+from convcode.invariance import code_adjacency
 from convcode.polyalg import mat_rank, pm_eval0, vec_mat
 from convcode.spectrum import format_series, row_iterate
 
@@ -391,6 +393,24 @@ def test_cell_table_matches_reference_tally(p, m):
                 assert lam.entries == ref
                 assert len(lam.cells) == len({e for row in ref for e in row if e})
                 assert lam.entries[0][0].coeff(0) == 0
+
+
+def test_adjacency_entries_cost_about_one_slot_each(f16):
+    # [[a + az, a^6 + az, a^11 + az], [1 + z, a^10 + a^5 z, a^5 + a^10 z]]
+    # over F16 (modulus x^4 + x + 1): minimal, 256 states, 65,535 entries
+    # and 4 cells, so Lambda may cost about one 8-byte slot per entry; the
+    # (destination, id) pairs are at most 256 x 4 and must be shared
+    g = pm(f16, [[[2, 2], [12, 2], [14, 2]], [[1, 1], [7, 6], [6, 7]]])
+    code_adjacency(g)  # warm up the imports and the field's caches
+    tracemalloc.start()
+    try:
+        lam = code_adjacency(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    entries = sum(map(len, lam.rows))
+    assert (lam.size, entries, len(lam.cells)) == (256, 65535, 4)
+    assert peak / entries <= 16
 
 
 # ---------------------------------------------------------------------------
