@@ -9,7 +9,8 @@ its nonzero cells, and per cell id one WeightEnum.  A diagram has far
 fewer distinct enumerators than nonzero cells (the F16 example: 4 for
 1,048,575), so `adjacency` tallies each cell as one packed integer, turns
 each distinct integer into a WeightEnum once, and every per-cell step of
-a consumer (packing, interning, rendering) runs once per table entry.  A
+a consumer (packing, interning, rendering) runs once per table entry.  It
+builds Lambda in one pass; equal (destination, id) entries are shared.  A
 dense s x s view is expanded, one row at a time, only for display and JSON.
 
 Powers of Lambda count paths; the generating series
@@ -135,10 +136,11 @@ class AdjMatrix:
     `rows[i]` lists the nonzero entries of row i as (destination, cell id)
     pairs in increasing destination order, and `cells[t]` is the WeightEnum
     of cell id t; the constructor takes them in that form, and they are the
-    only stored form.  Equal cells may share an id, so a consumer does its
-    per-cell work once per entry of `cells`.  Ids are local to one matrix:
-    equality compares the enumerators they resolve to.  `entries`, a dense
-    view rebuilt on every access, serves tests and counters; rendering reads `dense`.
+    only stored form; equal (destination, id) entries may be shared.  Equal
+    cells may share an id, so a consumer does its per-cell work once per
+    entry of `cells`.  Ids are local to one matrix: equality compares the
+    enumerators they resolve to.  `entries`, a dense view rebuilt on every
+    access, serves tests and counters; rendering reads `dense`.
     """
 
     __slots__ = ("rows", "cells", "q", "n", "extended")
@@ -196,23 +198,24 @@ def adjacency(sd: StateDiagram) -> AdjMatrix:
     in one pass over the edge groups: no source has more than q^k edges
     (q^k + 1 with two edges planted at the zero state, which has q^k - 1),
     so b = bit_length(q^k + 1) bits hold any count.  Each distinct integer
-    becomes one table entry.
+    becomes one table entry, and each row is built as its source is tallied,
+    its equal (destination, id) entries shared: at most states x cells tuples.
     """
     b = (sd.field.q**sd.k + 1).bit_length()
     unit = [1 << (w * b) for w in range(sd.n + 1)]
-    tallies = []
+    ids: dict[int, int] = {}
+    shared: dict[tuple[int, int], tuple[int, int]] = {}  # (j, tally) -> (j, id)
+    rows = []
     for group in sd.edges_by_source:
         acc: dict[int, int] = {}
         for dst, w in group:
             acc[dst] = acc.get(dst, 0) + unit[w]
-        tallies.append(acc)
-    if 0 in tallies[0]:  # the zero self-transition is never counted
-        tallies[0][0] &= -1 << b
-    ids: dict[int, int] = {}
-    rows = [
-        tuple((j, ids.setdefault(v, len(ids))) for j, v in sorted(acc.items()) if v)
-        for acc in tallies
-    ]
+        if not rows and 0 in acc:  # the zero self-transition is never counted
+            acc[0] &= -1 << b
+        rows.append(tuple([
+            shared.get(p) or shared.setdefault(p, (p[0], ids.setdefault(p[1], len(ids))))
+            for p in sorted(acc.items()) if p[1]
+        ]))
     return AdjMatrix(rows, [_unpack(v, b) for v in ids], q=sd.field.q, n=sd.n)
 
 
@@ -386,11 +389,7 @@ def free_distance(omega: LSeries, *, atomic_gap: Optional[int] = None) -> FreeDi
     i.e. (value - 1) * atomic_gap + 1 <= trunc; otherwise the value is an
     upper bound only.
     """
-    best = None
-    for c in omega.coeffs[1:]:
-        w = c.min_weight()
-        if w is not None and (best is None or w < best):
-            best = w
+    best = min((d for d in extended_row_distances(omega) if d is not None), default=None)
     if best is None:
         raise LimitError(
             f"free distance undetermined at truncation {omega.trunc}: "
