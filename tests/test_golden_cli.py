@@ -42,6 +42,10 @@ def calls() -> list[list[str]]:
             ["diagram", "demos/codes/f16.gm"],
             ["diagram", "demos/codes/f16.gm", "--max-states", "100"],
             ["recover", "demos/codes/f16.gm"], ["recover", "demos/codes/f16.gm", "--json"]]
+    # over F5, Lambda is not a complete invariant: conjugate Lambdas, no monomial map
+    f5 = ["demos/codes/f5_a.gm", "demos/codes/f5_b.gm"]
+    out += [["equal", *f5], ["equal", *f5, "--json"],
+            ["mono-equiv", *f5], ["mono-equiv", *f5, "--json"]]
     return out
 
 
