@@ -7,9 +7,11 @@ from typing import Iterator, NamedTuple
 from convcode import controller_form, encoder_info, minimize, pm
 from convcode.cli import _schema_id
 from convcode.galois import FieldSpec
+from convcode.invariance import apply_monomial
 from convcode.polyalg import (
     PolyMatrix,
     constant,
+    hermite_form,
     mat_rank,
     pm_identity,
     pm_mul,
@@ -481,3 +483,28 @@ def weight_preserving_equiv_check(fld, m1, m2) -> bool:
         if w1 != w2:
             return False
     return True
+
+
+def reference_monomial_equiv(g: PolyMatrix, h: PolyMatrix):
+    """First (perm, scale) over every permutation and every one of the
+    (q-1)^n column scalings whose image of g has h's Hermite form, or None."""
+    target = hermite_form(h)
+    for perm in itertools.permutations(range(g.n)):
+        for scale in itertools.product(g.field.units(), repeat=g.n):
+            if hermite_form(apply_monomial(g, perm, scale)) == target:
+                return perm, scale
+    return None
+
+
+def reference_shift_permutation_lemma(gamma: int) -> bool:
+    """Lemma A.1 by brute force: whether the identity is the only zero-fixing
+    bijection pi of F_2^gamma with pi(u, X[0..gamma-2])[1..] == pi(X)[..gamma-2]
+    for all X and u, over all (2^gamma - 1)! bijections."""
+    vecs = list(itertools.product((0, 1), repeat=gamma))
+    zero, nonzero = vecs[0], vecs[1:]
+    satisfying = []
+    for image in itertools.permutations(nonzero):
+        pi = {zero: zero, **dict(zip(nonzero, image))}
+        if all(pi[(u,) + x[:-1]][1:] == pi[x][:-1] for x in vecs for u in (0, 1)):
+            satisfying.append(pi)
+    return satisfying == [{v: v for v in vecs}]

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import pathlib
 import random
 import sys
 
@@ -20,6 +21,7 @@ from convcode import (
     verify_shift_permutation_lemma,
 )
 from convcode import invariance, polyalg
+from convcode.cli import parse_gm
 from convcode.errors import InternalError, LimitError
 from convcode.galois import field_make
 from convcode.invariance import _cell_graphs, _refined_colors, apply_monomial, apply_witness
@@ -28,6 +30,8 @@ from convcode.spectrum import AdjMatrix, WeightEnum
 
 import genutil
 from genutil import weight_preserving_equiv_check
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def lam_of(g, **kw):
@@ -565,6 +569,37 @@ def test_monomial_equiv_negative(g1, g2, monkeypatch):
 def test_monomial_equiv_budget(g16):
     with pytest.raises(LimitError):
         monomial_equiv(g16, g16, budget=10)
+
+
+def test_monomial_equiv_fixes_the_first_scale(monkeypatch):
+    # c G' = (cI) G' has G''s Hermite form, so the matching scalings are closed
+    # under a global unit and the least has scale[0] == 1.  The F5 pair's
+    # Lambda are conjugate, so its search runs to the end: h's form and then
+    # n! (q-1)^(n-1) = 8 candidates
+    g, h = (parse_gm((ROOT / "demos" / "codes" / f"f5_{x}.gm").read_text()) for x in "ab")
+    forms = []
+    hermite_form = polyalg.hermite_form
+    monkeypatch.setattr(polyalg, "hermite_form", lambda m: forms.append(m) or hermite_form(m))
+    assert monomial_equiv(g, h) is None
+    assert len(forms) <= 1 + 2 * 4
+
+
+def test_monomial_equiv_matches_the_full_scale_reference():
+    rng = random.Random(26)
+    found = []
+    for fld in (field_make(3), field_make(2, 2), field_make(5)):
+        for _ in range(12):
+            g = genutil.random_minimal_code(rng, fld, n_max=3, k_max=2, gamma_max=2)
+            h, _ = genutil.elementary_ops(rng, g, 3)
+            other = genutil.random_minimal_code(rng, fld, n_max=3, k_max=2, gamma_max=2)
+            if rng.random() < 0.3 and (other.k, other.n) == (g.k, g.n):
+                h = other
+            perm = rng.sample(range(g.n), g.n)
+            h = apply_monomial(h, perm, [rng.choice(fld.units()) for _ in perm])
+            wit = monomial_equiv(g, h)
+            assert wit == genutil.reference_monomial_equiv(g, h)
+            found.append(wit is not None and wit[1] != (1,) * g.n)
+    assert 0 < sum(found) < len(found)
 
 
 def test_weight_preserving_check(f2, f3):

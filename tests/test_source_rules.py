@@ -331,3 +331,23 @@ def test_gen_adj_equal_returns_witnesses_only_through_one_check():
         and any(isinstance(c, ast.Constant) and "re-verification" in str(c.value) for c in ast.walk(node))
     ]
     assert raised == [("invariance.py", g.body[-1].lineno) for g in guards]
+
+
+def test_bijections_are_enumerated_only_by_monomial_equiv():
+    # the conjugation search decides Lemma A.1 as it decides `equal`, so the
+    # column search of monomial_equiv is the one place that lists permutations
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "invariance.py":
+            fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "monomial_equiv")
+            allowed = {id(n) for n in ast.walk(fn)}
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr == "permutations"
+                or isinstance(node, ast.alias) and node.name == "permutations")
+            and id(node) not in allowed
+        ]
+    assert found == []
