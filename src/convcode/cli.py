@@ -687,7 +687,7 @@ def _build_parser() -> argparse.ArgumentParser:
         handlers[name] = handler
 
     sp = sub.add_parser("lemma-a1", help="exhaustively verify the shift-rigidity lemma")
-    sp.add_argument("gamma", type=int, help="register length (2 or 3)")
+    sp.add_argument("gamma", type=int, help="register length (2 to 8)")
     sp.add_argument("--json", action="store_true")
     handlers["lemma-a1"] = _cmd_lemma_a1
 

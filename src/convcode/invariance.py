@@ -4,16 +4,16 @@
 
 Two adjacency matrices represent the same generalized invariant when one
 is the conjugate of the other by a permutation of the states that fixes
-the zero state.  The decision procedure here is a backtracking search
-over vertex matchings pruned by iterated in/out enumerator-multiset color
-refinement, certified by a full conjugation check before a witness is
-returned; the identity, the least witness whenever the two matrices agree
-cell for cell, is tried first by that same check, in O(cells).  Both read
-the rows as they are plus one transpose per matrix, a state's row and
-column entries in one list, and a key table per local cell id whose
-enumerators are interned across both tables once per call.  So a
-refinement round sorts one int per neighbour, O(nonzero cells) in all,
-and the search, which runs on an explicit stack, tests a candidate
+the zero state.  One backtracking search over vertex matchings, pruned
+by iterated in/out enumerator-multiset color refinement, lists every
+witness in lexicographic order; `gen_adj_equal` certifies its first by a
+full conjugation check, after the identity, the least witness whenever
+the two matrices agree cell for cell, is tried by that same check, in
+O(cells).  Both read the rows as they are plus one transpose per matrix,
+a state's row and column entries in one list, and a key table per local
+cell id whose enumerators are interned across both tables once per call.
+So a refinement round sorts one int per neighbour, O(nonzero cells) in
+all, and the search, which runs on an explicit stack, tests a candidate
 against the state's neighbours alone, O(degree): it looks up a's placed
 neighbours in b's rows, one dict per row, then counts b's neighbours
 there to rule out a nonzero b cell over a zero a cell.  On top of that
@@ -21,8 +21,7 @@ sit: recovery of the code dimension and row degrees from the matrix
 alone, the monomial-equivalence decision for generator matrices (which
 refuses a minimal pair at once when their matrices are not conjugate),
 the closed-form dual transform for binary codes with unit constraint
-length, and an exhaustive verifier for the shift-compatibility rigidity
-of zero-fixing bijections on F_2^gamma.
+length, and Lemma A.1 as a count of the shift graph's automorphisms.
 """
 
 from __future__ import annotations
@@ -140,26 +139,16 @@ def check_search_size(states: int) -> None:
         raise LimitError(f"backtracking over {states} states exceeds the bound {SEARCH_STATES}")
 
 
-def gen_adj_equal(a: AdjMatrix, b: AdjMatrix) -> Optional[PermWitness]:
-    """Zero-fixing permutation pi with b[pi(i)][pi(j)] == a[i][j], or None.
-
-    The search assigns states in index order and tries candidates in
-    increasing order, so a returned witness is the lexicographically
-    least one.  It runs on an explicit stack, one level per state, over
-    at most SEARCH_STATES states, after the identity, the least witness
-    of all, is tried.  Either witness is certified by `_conjugates`.
-    """
-    if (a.size, a.q, a.n, a.extended) != (b.size, b.q, b.n, b.extended):
-        raise ValueError("adjacency matrices have mismatched dimensions")
-    check_search_size(a.size)
+def _witnesses(a: AdjMatrix, b: AdjMatrix):
+    """Every zero-fixing permutation pi with b[pi(i)][pi(j)] == a[i][j], in
+    lexicographic order: states are assigned in index order on an explicit
+    stack, candidates in increasing order, and after a full mapping the
+    search backtracks one level and carries on."""
     s = a.size
-    identity = tuple(range(s))
-    if _conjugates(a, b, identity):
-        return identity
     graphs = _cell_graphs(a, b)
     refined = _refined_colors(graphs)
     if refined is None:
-        return None
+        return
     col_a, col_b = refined
     # equal histograms leave every color of a with candidates in b
     by_color: dict[int, list[int]] = {}
@@ -193,10 +182,10 @@ def gen_adj_equal(a: AdjMatrix, b: AdjMatrix) -> Optional[PermWitness]:
             placed += 1
         return sum(1 for j2, _ in nbrs_b[j] if used[j2] or j2 == j) == placed
 
-    nxt = [0] * s  # per level, the next candidate position to try
+    nxt = [0] * (s + 1)  # per level, the next candidate position to try
     i = 0
-    while i < s:
-        cands = by_color[col_a[i]]
+    while i >= 0:
+        cands = by_color[col_a[i]] if i < s else ()
         for pos in range(nxt[i], len(cands)):
             j = cands[pos]
             if not used[j] and feasible(i, j):
@@ -206,13 +195,27 @@ def gen_adj_equal(a: AdjMatrix, b: AdjMatrix) -> Optional[PermWitness]:
                 i += 1
                 break
         else:
+            if i == s:
+                yield tuple(mapping)
             nxt[i] = 0
             i -= 1
-            if i < 0:
-                return None
-            used[mapping[i]] = False
-            mapping[i] = -1
-    pi = tuple(mapping)
+            if i >= 0:
+                used[mapping[i]] = False
+
+
+def gen_adj_equal(a: AdjMatrix, b: AdjMatrix) -> Optional[PermWitness]:
+    """The least zero-fixing permutation pi with b[pi(i)][pi(j)] == a[i][j],
+    or None: the identity, tried first, or the first of `_witnesses` over at
+    most SEARCH_STATES states, either one certified by `_conjugates`."""
+    if (a.size, a.q, a.n, a.extended) != (b.size, b.q, b.n, b.extended):
+        raise ValueError("adjacency matrices have mismatched dimensions")
+    check_search_size(a.size)
+    identity = tuple(range(a.size))
+    if _conjugates(a, b, identity):
+        return identity
+    pi = next(_witnesses(a, b), None)
+    if pi is None:
+        return None
     if not _conjugates(a, b, pi):
         raise InternalError("conjugation witness failed re-verification")
     return pi
@@ -326,13 +329,14 @@ def monomial_equiv(
 ) -> Optional[MonomialWitness]:
     """Exhaustive search for a column permutation and rescaling mapping the
     code of g onto the code of h; returns the lexicographically first
-    witness (permutations in lex order, scalings in value order).  A pair
-    of minimal matrices whose Lambda are not conjugate is answered None
-    before the search.  A rank-deficient g or h raises ValueError."""
+    witness (permutations in lex order, scalings in value order).  A global
+    unit c keeps the code, as c G = (cI) G, so scale[0] is 1.  A pair of
+    minimal matrices whose Lambda are not conjugate is answered None before
+    the search.  A rank-deficient g or h raises ValueError."""
     polyalg.check_same_shape(g, h)
     fld = g.field
     n = g.n
-    total = math.factorial(n) * (fld.q - 1) ** n
+    total = math.factorial(n) * (fld.q - 1) ** (n - 1)
     if total > budget:
         raise LimitError(f"{total} candidates exceed the search budget {budget}")
     target = polyalg.hermite_form(h)
@@ -340,7 +344,8 @@ def monomial_equiv(
         return None
     # _adjacency_separates read g.info, so g and all its column-monomial images have full rank
     for perm in itertools.permutations(range(n)):
-        for scale in itertools.product(fld.units(), repeat=n):
+        for rest in itertools.product(fld.units(), repeat=n - 1):
+            scale = (1, *rest)
             if polyalg.hermite_form(apply_monomial(g, perm, scale)) == target:
                 return perm, scale
     return None
@@ -419,32 +424,17 @@ def macwilliams_delta1(gam: AdjMatrix, n: int, k: int) -> AdjMatrix:
 
 
 def verify_shift_permutation_lemma(gamma: int) -> bool:
-    """Exhaustively confirm that the identity is the only zero-fixing
-    bijection of F_2^gamma satisfying, for all X and all u in F_2,
+    """Whether the identity is the only zero-fixing bijection pi of F_2^gamma
+    with pi(u, X[0..gamma-2])[1..gamma-1] == pi(X)[0..gamma-2] for all X, u.
 
-        pi(u, X[0..gamma-2])[1..gamma-1] == pi(X)[0..gamma-2].
-
-    Supported for gamma in {2, 3} (search over (2^gamma - 1)! bijections).
-    """
-    if gamma not in (2, 3):
-        raise ValueError("exhaustive verification supports gamma in {2, 3}")
-    vecs = list(itertools.product((0, 1), repeat=gamma))
-    zero = vecs[0]
-    nonzero = vecs[1:]
-    satisfying = []
-    for image in itertools.permutations(nonzero):
-        pi = {zero: zero}
-        pi.update(zip(nonzero, image))
-        ok = True
-        for x in vecs:
-            for u in (0, 1):
-                y = (u,) + x[:-1]
-                if pi[y][1:] != pi[x][:-1]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            satisfying.append(pi)
-    identity = {v: v for v in vecs}
-    return satisfying == [identity]
+    Such a pi maps each edge X -> (u, X[0..gamma-2]) of the finite shift
+    graph onto an edge, so it is one of the graph's zero-fixing
+    automorphisms, which `_witnesses` lists."""
+    if gamma < 2:
+        raise ValueError("the lemma needs gamma >= 2")
+    check_search_size(2**gamma if gamma < 64 else math.inf)  # no huge int for a huge gamma
+    s, half = 2**gamma, 2 ** (gamma - 1)
+    rows = [[(x >> 1, 0), ((x >> 1) + half, 0)] for x in range(s)]
+    rows[0] = [(half, 0)]  # the zero self-loop is dropped
+    shift = AdjMatrix(rows, [WeightEnum.one()], q=2, n=1)
+    return list(itertools.islice(_witnesses(shift, shift), 2)) == [tuple(range(s))]

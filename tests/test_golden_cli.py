@@ -46,6 +46,7 @@ def calls() -> list[list[str]]:
     f5 = ["demos/codes/f5_a.gm", "demos/codes/f5_b.gm"]
     out += [["equal", *f5], ["equal", *f5, "--json"],
             ["mono-equiv", *f5], ["mono-equiv", *f5, "--json"]]
+    out += [["lemma-a1", "8"], ["lemma-a1", "9", "--json"]]
     return out
 
 

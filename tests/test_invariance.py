@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import pathlib
 import random
 import sys
@@ -27,6 +28,7 @@ from convcode.galois import field_make
 from convcode.invariance import _cell_graphs, _refined_colors, apply_monomial, apply_witness
 from convcode.polyalg import pm_mul
 from convcode.spectrum import AdjMatrix, WeightEnum
+from convcode.statediag import state_index, state_vector
 
 import genutil
 from genutil import weight_preserving_equiv_check
@@ -708,9 +710,60 @@ def test_macwilliams_guards(g213, g1, f3):
 
 
 def test_shift_permutation_lemma():
-    assert verify_shift_permutation_lemma(2)
-    assert verify_shift_permutation_lemma(3)
+    for gamma in (2, 3):
+        assert verify_shift_permutation_lemma(gamma) == genutil.reference_shift_permutation_lemma(gamma)
+    for gamma in range(2, 9):
+        assert verify_shift_permutation_lemma(gamma)
+    for gamma in (9, 10**12):
+        with pytest.raises(LimitError):
+            verify_shift_permutation_lemma(gamma)
     with pytest.raises(ValueError):
         verify_shift_permutation_lemma(1)
-    with pytest.raises(ValueError):
-        verify_shift_permutation_lemma(4)
+
+
+def alphabet_permutation(q, gamma, pi):
+    """sigma with pi applying sigma to every register cell, or None."""
+    sigma = pi[:q]  # state c is the register (0, ..., 0, c)
+    image = [state_index(q, [sigma[d] for d in state_vector(q, gamma, x)]) for x in range(q**gamma)]
+    return sigma if tuple(image) == pi else None
+
+
+def test_k1_witnesses_are_alphabet_permutations():
+    # for k = 1 the support of Lambda is the shift graph, so every witness
+    # between two codes of one shape applies one sigma to every register cell
+    rng = random.Random(1)
+    pairs = [tuple(parse_gm((ROOT / "demos" / "codes" / f"f5_{x}.gm").read_text()) for x in "ab")]
+    for fld in (field_make(3), field_make(2, 2), field_make(5)):
+        codes = [
+            genutil.random_minimal_code(rng, fld, n_max=2 + i % 2, k_max=1, gamma_max=1 + i % 2)
+            for i in range(10)
+        ]
+        pairs += [
+            (g, h) for g, h in itertools.combinations_with_replacement(codes, 2)
+            if (g.n, g.info.delta) == (h.n, h.info.delta)
+        ]
+    moved = 0
+    for g, h in pairs:
+        a, b = lam_of(g), lam_of(h)
+        found = list(invariance._witnesses(a, b))
+        for pi in found:
+            sigma = alphabet_permutation(g.field.q, g.info.delta, pi)
+            assert sigma is not None and sigma[0] == 0
+        # the identity, when it is a witness, is the least of all
+        assert gen_adj_equal(a, b) == (found[0] if found else None)
+        moved += bool(found) and found[0] != tuple(range(a.size))
+    assert len(pairs) > 60 and moved > 1
+
+
+@pytest.mark.parametrize("q, gamma", [(2, 1), (2, 5), (3, 1), (3, 4), (4, 2), (5, 2)])
+def test_shift_graph_automorphisms_are_the_alphabet_permutations(q, gamma):
+    # x -> (u, x[0..gamma-2]) with the zero loop dropped, states packed first
+    # coordinate most significant: (q-1)! zero-fixing automorphisms
+    top = q ** (gamma - 1)
+    rows = [[(x // q + u * top, 0) for u in range(q)] for x in range(q**gamma)]
+    rows[0] = rows[0][1:]
+    shift = AdjMatrix(rows, [WeightEnum.one()], q=q, n=1)
+    found = list(invariance._witnesses(shift, shift))
+    sigmas = {alphabet_permutation(q, gamma, pi) for pi in found}
+    assert sigmas == {(0, *rest) for rest in itertools.permutations(range(1, q))}
+    assert len(found) == math.factorial(q - 1)
