@@ -36,6 +36,11 @@ from genutil import weight_preserving_equiv_check
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
+def f5_pair():
+    """(z, 1+2z) and (z, 2+z) over F5: conjugate Lambda, no monomial map."""
+    return tuple(parse_gm((ROOT / "demos" / "codes" / f"f5_{x}.gm").read_text()) for x in "ab")
+
+
 def lam_of(g, **kw):
     return adjacency(build(controller_form(g, **kw)))
 
@@ -578,7 +583,7 @@ def test_monomial_equiv_fixes_the_first_scale(monkeypatch):
     # under a global unit and the least has scale[0] == 1.  The F5 pair's
     # Lambda are conjugate, so its search runs to the end: h's form and then
     # n! (q-1)^(n-1) = 8 candidates
-    g, h = (parse_gm((ROOT / "demos" / "codes" / f"f5_{x}.gm").read_text()) for x in "ab")
+    g, h = f5_pair()
     forms = []
     hermite_form = polyalg.hermite_form
     monkeypatch.setattr(polyalg, "hermite_form", lambda m: forms.append(m) or hermite_form(m))
@@ -732,7 +737,7 @@ def test_k1_witnesses_are_alphabet_permutations():
     # for k = 1 the support of Lambda is the shift graph, so every witness
     # between two codes of one shape applies one sigma to every register cell
     rng = random.Random(1)
-    pairs = [tuple(parse_gm((ROOT / "demos" / "codes" / f"f5_{x}.gm").read_text()) for x in "ab")]
+    pairs = [f5_pair()]
     for fld in (field_make(3), field_make(2, 2), field_make(5)):
         codes = [
             genutil.random_minimal_code(rng, fld, n_max=2 + i % 2, k_max=1, gamma_max=1 + i % 2)
