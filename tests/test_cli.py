@@ -591,8 +591,10 @@ def test_cached_parser_matches_fresh_parsers(capsys, monkeypatch):
         "field p=100000000000000000000000000319 m=1",  # trial division on a 30-digit prime
         "field p=2 m=100000000",  # 2^(10^8) would be computed and printed
         "field p=2 m=2 modulus=-7",  # negative encodings never reach zero
+        "field p=2 m=2 modulos=7",  # a misspelt key would leave the default modulus
+        "field p=2 m=1 p=3",  # a repeated key would be read as its last value
     ],
-    ids=["p-one", "p-huge-prime", "m-huge", "modulus-negative"],
+    ids=["p-one", "p-huge-prime", "m-huge", "modulus-negative", "key-unknown", "key-repeated"],
 )
 def test_field_line_bounds_refuse_fast(capsys, tmp_path, field_line):
     path = tmp_path / "bad.gm"
@@ -602,6 +604,14 @@ def test_field_line_bounds_refuse_fast(capsys, tmp_path, field_line):
     assert time.perf_counter() - start < 1.0
     assert rc == 2 and "line 1: field" in err
     assert "int string" not in err
+
+
+@pytest.mark.parametrize("size_line, key", [("k=1 n=2 x=1", "x"), ("k=1 n=2 n=3", "n")])
+def test_size_line_refuses_unknown_and_repeated_keys(capsys, tmp_path, size_line, key):
+    path = tmp_path / "bad.gm"
+    path.write_text(f"field p=2 m=1\n{size_line}\n1 ; 1\n")
+    rc, out, err = run(capsys, "info", str(path))
+    assert (rc, out) == (2, "") and "line 2: size line" in err and f"{key!r}" in err
 
 
 def test_info_refuses_oversized_minor_expansion_fast(capsys, tmp_path):

@@ -245,6 +245,72 @@ def test_sparse_search_matches_dense_reference():
     assert found == [True, True, False] + [False] * 4
 
 
+def counted_graphs(a, b):
+    """`_cell_graphs(a, b)` with each state's neighbour list counting how
+    often it is read; the count is the one-item list returned alongside."""
+    reads = [0]
+
+    class Counted(list):
+        def __iter__(self):
+            reads[0] += 1
+            return super().__iter__()
+
+    graphs = [([Counted(nb) for nb in nbrs], keys) for nbrs, keys in _cell_graphs(a, b)]
+    return graphs, reads
+
+
+def test_refinement_reads_only_the_states_of_split_parts():
+    # 4 rounds over 512 joint states read 2,048 neighbour lists when every
+    # round re-signs every state; after round 1 only the states of the
+    # parts that split off, the largest part of each split class aside,
+    # carry new counts
+    for a, b in states_256_pairs()[:2]:
+        graphs, reads = counted_graphs(a, b)
+        assert _refined_colors(graphs) == dense_refined_colors(a, b)
+        assert reads[0] <= 1300, reads[0]
+
+
+def random_digraph_pairs(count):
+    """Seeded pairs of dense matrices on 2..14 states over 1-4 distinct
+    enumerators at density 0.1-0.6: a planted conjugate, the same with one
+    cell relabelled, and an unrelated matrix, in turn."""
+    rng = random.Random(1971)
+    pairs = []
+    for n in range(count):
+        s = rng.randint(2, 14)
+        pool = [WeightEnum({1 + u: 1}) for u in range(rng.randint(1, 4))]
+        density = rng.uniform(0.1, 0.6)
+
+        def grid():
+            return [[rng.choice(pool) if rng.random() < density else WeightEnum.zero()
+                     for _ in range(s)] for _ in range(s)]
+
+        cells = grid()
+        if n % 3 == 2:
+            other = grid()
+        else:
+            perm = [0] + rng.sample(range(1, s), s - 1)
+            other = [[None] * s for _ in range(s)]
+            for i, j in itertools.product(range(s), repeat=2):
+                other[perm[i]][perm[j]] = cells[i][j]
+            if n % 3 == 1:
+                i, j = rng.randrange(s), rng.randrange(s)
+                other[i][j] = rng.choice([e for e in pool + [WeightEnum.zero()] if e != other[i][j]])
+        pairs.append(tuple(genutil.adj_from_dense(m, q=2, n=3) for m in (cells, other)))
+    return pairs
+
+
+def test_refinement_is_exact_on_random_digraphs():
+    # multi-way splits and largest parts of equal size, beyond code graphs
+    found = []
+    for a, b in random_digraph_pairs(1200):
+        assert _refined_colors(_cell_graphs(a, b)) == dense_refined_colors(a, b)
+        wit = gen_adj_equal(a, b)
+        assert wit == dense_gen_adj_equal(a, b)
+        found.append(wit is not None)
+    assert 300 <= found.count(False) <= 900, found.count(False)
+
+
 def witness_digest_pairs():
     """Seeded (kind, a, b) pairs: k = 1 F2 and F4 codes against their
     row-scaled, column-monomial images ("same", whose Lambda agree cell for

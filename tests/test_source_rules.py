@@ -2,7 +2,10 @@
 
 import ast
 import importlib.util
+import json
 import pathlib
+import subprocess
+import sys
 
 import convcode
 import convcode.cli
@@ -196,6 +199,16 @@ def test_benchmark_tracer_patches_and_restores(capsys, tmp_path):
     finally:
         tracer.uninstall()
     assert all(getattr(o, a) is orig for o, a, orig in patched)
+
+
+def test_equal_pairs_benchmark_run_is_correct():
+    # the run checks every output against the stored digest and the planted
+    # faults, so a witness that changes anywhere in its corpus fails here
+    argv = [sys.executable, "perfbench/run.py", "--workload", "equal-pairs", "--seed", "1"]
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0), proc.stdout[-2000:]
 
 
 def test_field_operations_are_lookups_and_statediag_adds_off_the_field():
