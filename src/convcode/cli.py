@@ -152,12 +152,15 @@ JSON_SCHEMAS = {
 # ---------------------------------------------------------------------------
 
 
-def _kv_tokens(tokens: list[str], lineno: int) -> dict[str, str]:
+def _kv_tokens(tokens: list[str], lineno: int, line: str, known: tuple[str, ...]) -> dict[str, str]:
     out = {}
     for tok in tokens:
         if "=" not in tok:
             raise ParseError(f"line {lineno}: expected key=value, got {tok!r}")
         key, val = tok.split("=", 1)
+        if key not in known or key in out:
+            problem = "repeats the" if key in out else "has an unknown"
+            raise ParseError(f"line {lineno}: {line} line {problem} key {key!r}")
         out[key] = val
     return out
 
@@ -182,7 +185,7 @@ def parse_gm(text: str) -> PolyMatrix:
     tokens = head.split()
     if not tokens or tokens[0] != "field":
         raise ParseError(f"line {lineno}: expected 'field p=<p> m=<m> [modulus=<enc>]'")
-    kv = _kv_tokens(tokens[1:], lineno)
+    kv = _kv_tokens(tokens[1:], lineno, "field", ("p", "m", "modulus"))
     if "p" not in kv or "m" not in kv:
         raise ParseError(f"line {lineno}: field line needs p= and m=")
     p = _int(kv["p"], "p", lineno)
@@ -203,7 +206,7 @@ def parse_gm(text: str) -> PolyMatrix:
         raise ParseError(f"line {lineno}: {exc}") from None
 
     lineno, size = lines[1]
-    kv = _kv_tokens(size.split(), lineno)
+    kv = _kv_tokens(size.split(), lineno, "size", ("k", "n"))
     if "k" not in kv or "n" not in kv:
         raise ParseError(f"line {lineno}: expected 'k=<k> n=<n>'")
     k = _int(kv["k"], "k", lineno)

@@ -12,9 +12,12 @@ the two matrices agree cell for cell, is tried by that same check, in
 O(cells).  Both read the rows as they are plus one transpose per matrix,
 a state's row and column entries in one list, and a key table per local
 cell id whose enumerators are interned across both tables once per call.
-So a refinement round sorts one int per neighbour, O(nonzero cells) in
-all, and the search, which runs on an explicit stack, tests a candidate
-against the state's neighbours alone, O(degree): it looks up a's placed
+So the first refinement round sorts one int per neighbour, O(nonzero
+cells) in all, and every later round sorts only those of the states in
+the parts that split off a class in the round before, the largest part
+of each split class aside (Hopcroft's rule): a state's counts into that
+part are its counts into the class less those into the other parts.  The
+search, which runs on an explicit stack, tests a candidate against the state's neighbours alone, O(degree): it looks up a's placed
 neighbours in b's rows, one dict per row, then counts b's neighbours
 there to rule out a nonzero b cell over a zero a cell.  On top of that
 sit: recovery of the code dimension and row degrees from the matrix
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from typing import Optional, Sequence
 
 from . import encoder, polyalg, spectrum, statediag
@@ -93,25 +97,46 @@ def _refined_colors(graphs):
     round runs only when both matrices share one color histogram, which
     fixes the colors of a row's zero cells from its nonzero ones, so the
     sparse signatures split the states exactly as the dense rows would.
-    A neighbour j over local id t is the one int keys[t] + color(j), so a
-    signature is the state's color and one sorted run of ints.  Signature
-    ids are handed out in first-seen order, a's states before b's.
+    A state j pushes the one int keys[t] + color(j) to each neighbour i of
+    its own list, (i, t) being the entry as j sees it, so the direction
+    bit of every key is swapped, a bijection that splits alike; a
+    signature is the state's color and the sorted run of ints pushed to it.
+
+    Round 1 pushes from every state.  After round r, each class has the
+    same per-key counts into every class of round r - 1, and a class's
+    parent, its color in round r - 1, is the first item of its signature.
+    Round r + 1 pushes only from the parts that split off their parent,
+    one largest part of each parent aside: counts into that part are the
+    counts into the parent less those into its other parts.  So each round
+    makes the same partition as one that pushes from every state, and
+    with signature ids handed out in first-seen order, a's states before
+    b's, the same colors.
     """
     s = len(graphs[0][0])
     col_a = [0 if i else -1 for i in range(s)]  # state 0 is pinned
     col_b = list(col_a)
+    pushers = (range(s), range(s))
     while True:
         sig_ids: dict[tuple, int] = {}
         new_a = []
         new_b = []
-        for (nbrs, keys), colors, target in zip(graphs, (col_a, col_b), (new_a, new_b)):
-            for c, nb in zip(colors, nbrs):
-                sig = (c, *sorted([keys[t] + colors[j] for j, t in nb]))
-                target.append(sig_ids.setdefault(sig, len(sig_ids)))
+        for (nbrs, keys), colors, push, target in zip(graphs, (col_a, col_b), pushers, (new_a, new_b)):
+            pushed = [[] for _ in range(s)]
+            for j in push:
+                c = colors[j]
+                for i, t in nbrs[j]:
+                    pushed[i].append(keys[t] + c)
+            for c, p in zip(colors, pushed):
+                p.sort()
+                target.append(sig_ids.setdefault((c, *p), len(sig_ids)))
         if sorted(new_a) != sorted(new_b):
             return None
         if new_a == col_a and new_b == col_b:
             return col_a, col_b
+        parent = dict(zip(new_a, col_a))
+        size = Counter(new_a)
+        largest = {parent[c]: c for c in sorted(parent, key=size.__getitem__)}
+        pushers = [[j for j, c in enumerate(new) if largest[parent[c]] != c] for new in (new_a, new_b)]
         col_a, col_b = new_a, new_b
 
 
