@@ -13,11 +13,10 @@ O(cells).  Both read the rows as they are plus one transpose per matrix,
 a state's row and column entries in one list, and a key table per local
 cell id whose enumerators are interned across both tables once per call.
 So the first refinement round sorts one int per neighbour, O(nonzero
-cells) in all, and every later round sorts only those of the states in
-the parts that split off a class in the round before, the largest part
-of each split class aside (Hopcroft's rule): a state's counts into that
-part are its counts into the class less those into the other parts.  The
-search, which runs on an explicit stack, tests a candidate against the state's neighbours alone, O(degree): it looks up a's placed
+cells) in all, and a later round only the ints from the states of the
+parts that split off a class in the round before, the largest part of
+each class aside (Hopcroft's rule).  The search, which runs on an explicit stack, tests a candidate
+against the state's neighbours alone, O(degree): it looks up a's placed
 neighbours in b's rows, one dict per row, then counts b's neighbours
 there to rule out a nonzero b cell over a zero a cell.  On top of that
 sit: recovery of the code dimension and row degrees from the matrix
@@ -93,42 +92,44 @@ def _refined_colors(graphs):
     """Stable joint color refinement of `_cell_graphs(a, b)`; None when
     histograms separate.
 
-    A signature lists a state's nonzero row and column cells only.  A
-    round runs only when both matrices share one color histogram, which
-    fixes the colors of a row's zero cells from its nonzero ones, so the
-    sparse signatures split the states exactly as the dense rows would.
-    A state j pushes the one int keys[t] + color(j) to each neighbour i of
-    its own list, (i, t) being the entry as j sees it, so the direction
-    bit of every key is swapped, a bijection that splits alike; a
-    signature is the state's color and the sorted run of ints pushed to it.
+    A signature is a state's color and a sorted run of ints keys[t] +
+    color(j), one per entry (j, t) of its list: its nonzero row and column
+    cells only.  A round runs only when both matrices share one color
+    histogram, which fixes the colors of a row's zero cells from its
+    nonzero ones, so the sparse signatures split the states exactly as the
+    dense rows would.
 
-    Round 1 pushes from every state.  After round r, each class has the
-    same per-key counts into every class of round r - 1, and a class's
-    parent, its color in round r - 1, is the first item of its signature.
-    Round r + 1 pushes only from the parts that split off their parent,
-    one largest part of each parent aside: counts into that part are the
-    counts into the parent less those into its other parts.  So each round
-    makes the same partition as one that pushes from every state, and
-    with signature ids handed out in first-seen order, a's states before
-    b's, the same colors.
+    Round 1 reads every list.  After round r, each class has the same
+    per-key counts into every class of round r - 1, among them its parent,
+    its color in round r - 1 and so its signature's first item.  So round
+    r + 1 counts only into the parts that split off their parent, one
+    largest part of each parent aside, whose counts are the parent's less
+    the other parts': each state j of those parts pushes keys[t] + color(j)
+    along each entry (i, t) of its own list to i, which sees that key with
+    its direction swapped, a bijection that splits alike.  Each round makes
+    the partition that full runs would, and first-seen signature ids, a's
+    states before b's, give it the same colors.
     """
     s = len(graphs[0][0])
     col_a = [0 if i else -1 for i in range(s)]  # state 0 is pinned
     col_b = list(col_a)
-    pushers = (range(s), range(s))
+    pushers = None
     while True:
         sig_ids: dict[tuple, int] = {}
         new_a = []
         new_b = []
-        for (nbrs, keys), colors, push, target in zip(graphs, (col_a, col_b), pushers, (new_a, new_b)):
-            pushed = [[] for _ in range(s)]
-            for j in push:
-                c = colors[j]
-                for i, t in nbrs[j]:
-                    pushed[i].append(keys[t] + c)
-            for c, p in zip(colors, pushed):
-                p.sort()
-                target.append(sig_ids.setdefault((c, *p), len(sig_ids)))
+        for k, ((nbrs, keys), colors, target) in enumerate(zip(graphs, (col_a, col_b), (new_a, new_b))):
+            if pushers is None:
+                runs = ([keys[t] + colors[j] for j, t in nb] for nb in nbrs)
+            else:
+                runs = [[] for _ in range(s)]
+                for j in pushers[k]:
+                    c = colors[j]
+                    for i, t in nbrs[j]:
+                        runs[i].append(keys[t] + c)
+            for c, run in zip(colors, runs):
+                run.sort()
+                target.append(sig_ids.setdefault((c, *run), len(sig_ids)))
         if sorted(new_a) != sorted(new_b):
             return None
         if new_a == col_a and new_b == col_b:
