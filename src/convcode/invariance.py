@@ -15,15 +15,17 @@ cell id whose enumerators are interned across both tables once per call.
 So the first refinement round sorts one int per neighbour, O(nonzero
 cells) in all, and a later round only the ints from the states of the
 parts that split off a class in the round before, the largest part of
-each class aside (Hopcroft's rule).  The search, which runs on an explicit stack, tests a candidate
-against the state's neighbours alone, O(degree): it looks up a's placed
-neighbours in b's rows, one dict per row, then counts b's neighbours
-there to rule out a nonzero b cell over a zero a cell.  On top of that
-sit: recovery of the code dimension and row degrees from the matrix
-alone, the monomial-equivalence decision for generator matrices (which
-refuses a minimal pair at once when their matrices are not conjugate),
-the closed-form dual transform for binary codes with unit constraint
-length, and Lemma A.1 as a count of the shift graph's automorphisms.
+each class aside (Hopcroft's rule), exact since counts into that part
+are counts into the class less those into the others.  The search, which
+runs on an explicit stack, tests a candidate against the state's
+neighbours alone, O(degree): it looks up a's placed neighbours in b's
+rows, one dict per row, then counts b's neighbours there to rule out a
+nonzero b cell over a zero a cell.  On top of that sit: recovery of the
+code dimension and row degrees from the matrix alone, the
+monomial-equivalence decision for generator matrices (which refuses a
+minimal pair at once when their matrices are not conjugate), the
+closed-form dual transform for binary codes with unit constraint length,
+and Lemma A.1 as a count of the shift graph's automorphisms.
 """
 
 from __future__ import annotations
@@ -113,17 +115,17 @@ def _refined_colors(graphs):
     s = len(graphs[0][0])
     col_a = [0 if i else -1 for i in range(s)]  # state 0 is pinned
     col_b = list(col_a)
-    pushers = None
+    pushers = (None, None)
     while True:
         sig_ids: dict[tuple, int] = {}
         new_a = []
         new_b = []
-        for k, ((nbrs, keys), colors, target) in enumerate(zip(graphs, (col_a, col_b), (new_a, new_b))):
-            if pushers is None:
+        for (nbrs, keys), colors, push, target in zip(graphs, (col_a, col_b), pushers, (new_a, new_b)):
+            if push is None:
                 runs = ([keys[t] + colors[j] for j, t in nb] for nb in nbrs)
             else:
                 runs = [[] for _ in range(s)]
-                for j in pushers[k]:
+                for j in push:
                     c = colors[j]
                     for i, t in nbrs[j]:
                         runs[i].append(keys[t] + c)
