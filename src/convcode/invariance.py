@@ -94,41 +94,37 @@ def _refined_colors(graphs):
     """Stable joint color refinement of `_cell_graphs(a, b)`; None when
     histograms separate.
 
-    A signature is a state's color and a sorted run of ints keys[t] +
-    color(j), one per entry (j, t) of its list: its nonzero row and column
-    cells only.  A round runs only when both matrices share one color
-    histogram, which fixes the colors of a row's zero cells from its
-    nonzero ones, so the sparse signatures split the states exactly as the
-    dense rows would.
+    A state j pushes keys[t] + color(j) along each entry (i, t) of its own
+    list to i, which sees that key with its direction swapped, a bijection
+    that splits alike; a signature is a state's color and the sorted run
+    of ints pushed to it, its nonzero row and column cells only.  A round
+    runs only when both matrices share one color histogram, which fixes
+    the colors of a row's zero cells from its nonzero ones, so the sparse
+    signatures split the states exactly as the dense rows would.
 
-    Round 1 reads every list.  After round r, each class has the same
-    per-key counts into every class of round r - 1, among them its parent,
-    its color in round r - 1 and so its signature's first item.  So round
-    r + 1 counts only into the parts that split off their parent, one
-    largest part of each parent aside, whose counts are the parent's less
-    the other parts': each state j of those parts pushes keys[t] + color(j)
-    along each entry (i, t) of its own list to i, which sees that key with
-    its direction swapped, a bijection that splits alike.  Each round makes
-    the partition that full runs would, and first-seen signature ids, a's
-    states before b's, give it the same colors.
+    Round 1 pushes from every state.  After round r, each class has the
+    same per-key counts into every class of round r - 1, among them its
+    parent, its color in round r - 1 and so its signature's first item.
+    So round r + 1 pushes only from the parts that split off their parent,
+    one largest part of each parent aside, whose counts are the parent's
+    less the other parts'.  Each round makes the partition that pushes
+    from every state would, and first-seen signature ids, a's states
+    before b's, give it the same colors.
     """
     s = len(graphs[0][0])
     col_a = [0 if i else -1 for i in range(s)]  # state 0 is pinned
     col_b = list(col_a)
-    pushers = (None, None)
+    pushers = (range(s), range(s))
     while True:
         sig_ids: dict[tuple, int] = {}
         new_a = []
         new_b = []
         for (nbrs, keys), colors, push, target in zip(graphs, (col_a, col_b), pushers, (new_a, new_b)):
-            if push is None:
-                runs = ([keys[t] + colors[j] for j, t in nb] for nb in nbrs)
-            else:
-                runs = [[] for _ in range(s)]
-                for j in push:
-                    c = colors[j]
-                    for i, t in nbrs[j]:
-                        runs[i].append(keys[t] + c)
+            runs = [[] for _ in range(s)]
+            for j in push:
+                c = colors[j]
+                for i, t in nbrs[j]:
+                    runs[i].append(keys[t] + c)
             for c, run in zip(colors, runs):
                 run.sort()
                 target.append(sig_ids.setdefault((c, *run), len(sig_ids)))
