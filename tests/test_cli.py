@@ -6,6 +6,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -58,6 +59,22 @@ def test_parse_errors_carry_position():
         parse_gm("field p=2 m=2 modulus=6\nk=1 n=1\n1\n")
     with pytest.raises(ParseError):
         parse_gm("k=1 n=1\n1\n")
+    # integers are an optional '-' and ASCII digits: int() alone would read
+    # a sign, digit-group underscores and non-ASCII decimal digits
+    for text, where in [
+        ("field p=2 m=1\nk=+1 n=0_2\n1 ; 1\n", "line 2: k must be an integer, got '+1'"),
+        ("field p=2 m=1\nk=1 n=0_2\n1 ; 1\n", "line 2: n must be an integer, got '0_2'"),
+        ("field p=2 m=1\nk=1 n=2\n1 \u0661 ; 1 1\n", "line 3: row 0 entry 0 coefficient"),
+        ("field p=2 m=4 modulus=19\nk=1 n=2\n1 1_1 ; 1 1\n", "line 3: row 0 entry 0 coefficient"),
+        ("field p=2 m=4 modulus=19\nk=1 n=2\n1 - ; 1 1\n", "line 3: row 0 entry 0 coefficient"),
+    ]:
+        with pytest.raises(ParseError, match=f"^{re.escape(where)}"):
+            parse_gm(text)
+    # a negative value is still read, and refused for its range
+    with pytest.raises(ParseError, match="coefficient -1 out of range 0..1"):
+        parse_gm("field p=2 m=1\nk=1 n=2\n1 -1 ; 1\n")
+    with pytest.raises(ParseError, match="k and n must be positive"):
+        parse_gm("field p=2 m=1\nk=-1 n=2\n1 ; 1\n")
 
 
 def test_element_encoding_discipline():
@@ -440,6 +457,84 @@ def test_f16_equal_refuses_before_building_lambda(capsys, monkeypatch, tmp_path)
     )
 
 
+def _deep_code(tmp_path, delta):
+    # binary k = 1, n = 2: (1 + z^delta, 1), minimal with constraint length
+    # delta; the gcd of its minors takes one step, so g.info is cheap
+    path = tmp_path / f"deep{delta}.gm"
+    path.write_text(f"field p=2 m=1\nk=1 n=2\n1{' 0' * (delta - 1)} 1 ; 1\n")
+    return str(path)
+
+
+def _refused(*args, **kwargs):
+    raise AssertionError("the refused work was started")
+
+
+def _assert_fast_limit(capsys, argv):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out) == (3, "") and err.startswith("limit: ") and err.count("\n") == 1
+    assert "int string" not in err
+    return err
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["mono-equiv-wide", "oracle-trunc-1e5", "lemma-64", "lemma-1e11", "oracle-delta-2001"],
+)
+def test_counts_past_printable_ints_are_refused_fast(capsys, monkeypatch, tmp_path, case):
+    # each count (2000!, 2^99997, 2^64, 2^(10^11), 2^2001) exceeds its bound;
+    # the refusal names it without printing an int of more than 4300 digits
+    if case == "mono-equiv-wide":
+        wide = tmp_path / "wide.gm"
+        wide.write_text("field p=2 m=1\nk=1 n=2000\n" + " ; ".join(["1"] * 2000) + "\n")
+        argv = ["mono-equiv", str(wide), str(wide)]
+    elif case == "oracle-trunc-1e5":
+        argv = ["oracle", MEMORY3, "--trunc", "100000"]
+    elif case.startswith("lemma"):
+        argv = ["lemma-a1", {"lemma-64": "64", "lemma-1e11": "100000000000"}[case]]
+    else:
+        # the budget is checked before the right inverse is searched for
+        monkeypatch.setattr(polyalg, "right_inverse", _refused)
+        argv = ["oracle", _deep_code(tmp_path, 2001)]
+    err = _assert_fast_limit(capsys, argv)
+    if case.startswith("lemma"):
+        count = "18446744073709551616" if case == "lemma-64" else "more than 2^14000"
+        assert err == f"limit: backtracking over {count} states exceeds the bound 256\n"
+
+
+def test_oracle_budget_check_builds_no_huge_power():
+    # 2^(10^12) would be built by the check itself: under a 1 GB address space
+    # that ends in a MemoryError traceback, exit 1, the code of a negative answer
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+    env = {**os.environ, "PYTHONPATH": str(CODES.parent.parent / "src")}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "convcode", "oracle", MEMORY3, "--trunc", "1000000000000"],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("limit: ") and proc.stderr.count("\n") == 1
+    assert elapsed < 1.0  # a fresh interpreter and the import, then one check
+
+
+@pytest.mark.parametrize("command", ["spectrum", "adjacency", "distances", "recover", "diagram"])
+def test_oversize_state_space_is_refused_before_the_controller_form(
+    capsys, monkeypatch, tmp_path, command
+):
+    # 2^15001 states: the count is read off g.info, before the 15001 x 15001
+    # matrix A of the controller form exists
+    monkeypatch.setattr(encoder, "controller_form", _refused)
+    err = _assert_fast_limit(capsys, [command, _deep_code(tmp_path, 15001)])
+    assert err == (
+        "limit: state space of size more than 2^14000 exceeds the ceiling "
+        f"{statediag.DEFAULT_STATE_CEILING}\n"
+    )
+
+
 class _ClosedPipe(io.StringIO):
     def write(self, text):
         raise BrokenPipeError(errno.EPIPE, "Broken pipe")
@@ -593,8 +688,13 @@ def test_cached_parser_matches_fresh_parsers(capsys, monkeypatch):
         "field p=2 m=2 modulus=-7",  # negative encodings never reach zero
         "field p=2 m=2 modulos=7",  # a misspelt key would leave the default modulus
         "field p=2 m=1 p=3",  # a repeated key would be read as its last value
+        "field p=2 m=\uff12",  # a full-width digit two
+        "field p=+2 m=1",  # a sign other than '-'
     ],
-    ids=["p-one", "p-huge-prime", "m-huge", "modulus-negative", "key-unknown", "key-repeated"],
+    ids=[
+        "p-one", "p-huge-prime", "m-huge", "modulus-negative", "key-unknown", "key-repeated",
+        "m-full-width", "p-plus",
+    ],
 )
 def test_field_line_bounds_refuse_fast(capsys, tmp_path, field_line):
     path = tmp_path / "bad.gm"

@@ -202,13 +202,19 @@ def test_field_make_interns_one_object_per_field():
     f16 = field_make(2, 4)
     assert field_make(2, 4) is f16
     assert field_make(2, 4, [1, 1, 0, 0, 1]) is f16
-    assert field_make(2, 4, (3, 1, 0, 0, 1)) is f16  # coefficients reduce mod p
     assert parse_gm("field p=2 m=4 modulus=19\nk=1 n=2\n1 ; 1\n").field is f16
     assert field_make(5) is field_make(5, 1)
     assert field_make(2, 4, [1, 0, 0, 1, 1]) is not f16  # x^4 + x^3 + 1: another field
     # the shared tables cannot be mutated
     assert isinstance(f16._exp, tuple) and isinstance(f16._log, tuple)
     assert isinstance(f16.add_table, bytes) and isinstance(f16._neg, bytes)
+
+
+def test_field_make_refuses_modulus_coefficients_outside_the_prime_field():
+    # reduced mod p, [5, 3, 1] and [1, 1, 3] would both name x^2 + x + 1
+    for modulus in ([5, 3, 1], [1, 1, 3], [1, -1, 1], (3, 1, 0, 0, 1)):
+        with pytest.raises(ValueError, match=r"^modulus coefficients must lie in 0\.\.1$"):
+            field_make(2, len(modulus) - 1, modulus)
 
 
 def test_import_builds_no_field():

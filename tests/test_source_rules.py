@@ -25,6 +25,28 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_limits_are_raised_by_the_one_check():
+    # every count-versus-bound refusal goes through errors.check_limit, which
+    # names a count too large to print; only the undetermined free distance,
+    # which compares no count with a bound, raises LimitError itself
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "spectrum.py":
+            fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "free_distance")
+            allowed = {id(n) for n in ast.walk(fn)}
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and node.exc is not None and id(node) not in allowed
+            and "LimitError" in ast.unparse(node.exc)
+        ]
+    assert found == []
+
+
 def test_dense_adjacency_view_is_read_only_for_rendering():
     # Lambda is stored as sparse rows; only display and JSON expand it
     found = [
