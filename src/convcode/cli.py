@@ -534,7 +534,7 @@ def _cmd_equal(args) -> int:
     else:
         verdicts.append("codes differ")
         if info_g.is_minimal and info_h.is_minimal and info_g.delta == info_h.delta:
-            invariance.check_search_size(g.field.q**info_g.delta)  # before Lambda is built
+            invariance.check_search_size(g.field.q, info_g.delta)  # before Lambda is built
             witness = invariance.gen_adj_equal(
                 invariance.code_adjacency(g), invariance.code_adjacency(h)
             )
@@ -723,9 +723,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BrokenPipeError:
         _silence_stdout()
         return 141
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except LimitError as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return 3

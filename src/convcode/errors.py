@@ -1,4 +1,8 @@
-"""Shared exception types."""
+"""Shared exception types, and the one check of a count against its bound."""
+
+from typing import Iterable
+
+PRINTABLE_BITS = 14_000  # under the 4300 digits Python will print of an int
 
 
 class ParseError(ValueError):
@@ -13,3 +17,17 @@ class LimitError(RuntimeError):
 class InternalError(RuntimeError):
     """An internal certificate failed: a result did not pass its own
     independent re-check.  This is a bug in convcode, not bad input."""
+
+
+def check_limit(bound: int, template: str, factors: Iterable[int]) -> int:
+    """The product of `factors`, each >= 1; above `bound`, LimitError from `template`
+    with {count} and {bound} filled in.  A product past both the bound and
+    2^PRINTABLE_BITS is multiplied no further and named "more than 2^PRINTABLE_BITS"."""
+    count, cap = 1, 1 << PRINTABLE_BITS
+    for f in factors:
+        count *= f
+        if count > max(bound, cap):
+            raise LimitError(template.format(count=f"more than 2^{PRINTABLE_BITS}", bound=bound))
+    if count > bound:
+        raise LimitError(template.format(count=count, bound=bound))
+    return count

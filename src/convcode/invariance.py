@@ -31,12 +31,11 @@ and Lemma A.1 as a count of the shift graph's automorphisms.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from typing import Optional, Sequence
 
 from . import encoder, polyalg, spectrum, statediag
-from .errors import InternalError, LimitError
+from .errors import InternalError, check_limit
 from .polyalg import PolyMatrix
 from .spectrum import AdjMatrix, WeightEnum
 
@@ -156,11 +155,10 @@ def _conjugates(a: AdjMatrix, b: AdjMatrix, pi: Sequence[int]) -> bool:
     )
 
 
-def check_search_size(states: int) -> None:
-    """LimitError when a conjugation search would run over more than
-    SEARCH_STATES states."""
-    if states > SEARCH_STATES:
-        raise LimitError(f"backtracking over {states} states exceeds the bound {SEARCH_STATES}")
+def check_search_size(q: int, gamma: int = 1) -> None:
+    """LimitError when a conjugation search over q^gamma states exceeds SEARCH_STATES."""
+    check_limit(SEARCH_STATES, "backtracking over {count} states exceeds the bound {bound}",
+                itertools.repeat(q, gamma))
 
 
 def _witnesses(a: AdjMatrix, b: AdjMatrix):
@@ -343,7 +341,7 @@ def _adjacency_separates(g: PolyMatrix, h: PolyMatrix) -> bool:
         return False
     if info_g.delta != info_h.delta:
         return True
-    if g.field.q**info_g.delta > SEARCH_STATES:
+    if g.field.q ** min(info_g.delta, SEARCH_STATES) > SEARCH_STATES:  # no huge power
         return False
     return gen_adj_equal(code_adjacency(g), code_adjacency(h)) is None
 
@@ -360,9 +358,8 @@ def monomial_equiv(
     polyalg.check_same_shape(g, h)
     fld = g.field
     n = g.n
-    total = math.factorial(n) * (fld.q - 1) ** (n - 1)
-    if total > budget:
-        raise LimitError(f"{total} candidates exceed the search budget {budget}")
+    candidates = itertools.chain(range(1, n + 1), itertools.repeat(fld.q - 1, n - 1))
+    check_limit(budget, "{count} candidates exceed the search budget {bound}", candidates)
     target = polyalg.hermite_form(h)
     if _adjacency_separates(g, h):
         return None
@@ -456,7 +453,7 @@ def verify_shift_permutation_lemma(gamma: int) -> bool:
     automorphisms, which `_witnesses` lists."""
     if gamma < 2:
         raise ValueError("the lemma needs gamma >= 2")
-    check_search_size(2**gamma if gamma < 64 else math.inf)  # no huge int for a huge gamma
+    check_search_size(2, gamma)
     s, half = 2**gamma, 2 ** (gamma - 1)
     rows = [[(x >> 1, 0), ((x >> 1) + half, 0)] for x in range(s)]
     rows[0] = [(half, 0)]  # the zero self-loop is dropped

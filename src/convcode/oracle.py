@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import polyalg
 from .encoder import controller_form
-from .errors import InternalError, LimitError
+from .errors import InternalError, check_limit
 from .polyalg import PolyMatrix
 from .statediag import state_index, state_vector
 
@@ -72,14 +72,10 @@ def survey(g: PolyMatrix, l_max: int, *, budget: int = DEFAULT_BUDGET) -> Oracle
     q = fld.q
     k, n = g.k, g.n
     degs = info.row_degrees
+    check_limit(budget, "{count} codeword evaluations exceed the budget {bound}",
+                itertools.repeat(q, sum(max(l_max - d, 0) for d in degs)))  # input coefficients
     _, mhat = polyalg.right_inverse(g)
     gap_bound = max(info.memory + mhat - 1, 0)  # a block code's words are single-step
-
-    total = 1
-    for d in degs:
-        total *= q ** max(l_max - d, 0)  # coefficients per input row
-    if total > budget:
-        raise LimitError(f"{total} codeword evaluations exceed the budget {budget}")
 
     # register transitions on packed states: a state's row of successors is
     # made when a word first visits it, so the budget bounds the rows too

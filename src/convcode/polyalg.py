@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import InternalError, LimitError
+from .errors import InternalError, check_limit
 from .galois import FieldSpec
 
 NEG_INF = float("-inf")
@@ -365,9 +364,8 @@ def encoder_info(g: PolyMatrix) -> EncoderInfo:
     matrix; the two criteria always agree for full-rank matrices.
     LimitError, before any minor is expanded, above MINOR_TERM_CEILING terms.
     """
-    terms = math.comb(g.n, g.k) * math.factorial(g.k)
-    if terms > MINOR_TERM_CEILING:
-        raise LimitError(f"maximal minors of {terms} terms exceed the ceiling {MINOR_TERM_CEILING}")
+    check_limit(MINOR_TERM_CEILING, "maximal minors of {count} terms exceed the ceiling {bound}",
+                range(g.n - g.k + 1, g.n + 1))  # C(n, k) * k! = n! / (n - k)!
     minors = k_minors(g)
     nonzero = [mnr for mnr in minors if mnr]
     if not nonzero:

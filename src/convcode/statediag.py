@@ -42,7 +42,7 @@ from typing import Callable, Iterator, Optional
 
 from . import polyalg
 from .encoder import ControllerForm
-from .errors import InternalError, LimitError
+from .errors import InternalError, check_limit
 from .galois import FieldSpec
 
 DEFAULT_STATE_CEILING = 1 << 20
@@ -239,9 +239,8 @@ def build(
     orbit is one state and the full diagram is built.
     """
     fld = cf.field
-    s = fld.q**cf.gamma
-    if s > max_states:
-        raise LimitError(f"state space of size {s} exceeds the ceiling {max_states}")
+    s = check_limit(max_states, "state space of size {count} exceeds the ceiling {bound}",
+                    repeat(fld.q, cf.gamma))
     orbit, reps = _orbits(fld, cf.gamma) if lumped and fld.q > 2 else (None, None)
     return StateDiagram(
         field=fld, gamma=cf.gamma, k=cf.k, n=cf.n, num_states=s if reps is None else len(reps),
@@ -320,10 +319,9 @@ def dot_chunks(sd: StateDiagram, *, force: bool = False) -> Iterator[str]:
     """Graphviz text in chunks: the head and the vertices, one chunk of edge
     lines per source, labelled "u|v (weight)", and the closing brace.  More
     than DEFAULT_DOT_CEILING states are refused unless `force` is set."""
-    if sd.num_states > DEFAULT_DOT_CEILING and not force:
-        raise LimitError(
-            f"{sd.num_states} vertices exceed the rendering guard {DEFAULT_DOT_CEILING}"
-        )
+    if not force:
+        check_limit(DEFAULT_DOT_CEILING, "{count} vertices exceed the rendering guard {bound}",
+                    [sd.num_states])
     q = sd.field.q
     yield "digraph state_diagram {\n  rankdir=LR;\n" + "".join(
         f'  {i} [label="{_label(state_vector(q, sd.gamma, i), q)}"];\n'
