@@ -166,7 +166,10 @@ def _kv_tokens(tokens: list[str], lineno: int, line: str, known: tuple[str, ...]
 
 
 def _int(value: str, what: str, lineno: int) -> int:
+    digits = value.removeprefix("-")  # int() alone also reads '+1', '0_2' and non-ASCII digits
     try:
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError
         return int(value)
     except ValueError:
         raise ParseError(f"line {lineno}: {what} must be an integer, got {value!r}") from None
@@ -429,7 +432,9 @@ def _cmd_ccf(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
-    cf = encoder.controller_form(_load(args.file), require_minimal=False)
+    g = _load(args.file)  # may be non-minimal: gamma is the sum of its row degrees
+    statediag.check_states(g.field.q, sum(g.info.row_degrees), args.max_states)
+    cf = encoder.controller_form(g, require_minimal=False)
     sd = statediag.build(cf, max_states=args.max_states)
     if args.dot:
         sys.stdout.writelines(statediag.dot_chunks(sd, force=args.force))

@@ -292,7 +292,9 @@ def field_make(p: int, m: int = 1, modulus: Optional[Iterable[int]] = None) -> F
         return _interned(p, 1, None)
     if modulus is None:
         return _interned(p, m, default_modulus(p, m))
-    mod = tuple(int(c) % p for c in modulus)
+    mod = tuple(int(c) for c in modulus)
+    if not all(0 <= c < p for c in mod):
+        raise ValueError(f"modulus coefficients must lie in 0..{p - 1}")
     if len(mod) != m + 1 or mod[-1] != 1:
         raise ValueError(f"modulus must be monic of degree {m}")
     return _interned(p, m, mod)

@@ -53,6 +53,7 @@ def code_adjacency(g: PolyMatrix, *, lumped: bool = False) -> AdjMatrix:
     matrix Q of the F_q^* orbit quotient instead, which has the same
     (Q^l)_{0,0} and serves only the series.
     """
+    statediag.check_states(g.field.q, g.info.delta)
     cf = encoder.controller_form(g)
     return spectrum.adjacency(statediag.build(cf, lumped=lumped))
 

@@ -227,6 +227,12 @@ def labelled_transitions(
         yield src, dsts, map(us.__getitem__, inputs), map(vs, outputs)
 
 
+def check_states(q: int, gamma: int, max_states: int = DEFAULT_STATE_CEILING) -> int:
+    """q^gamma, the states of a register of gamma cells; LimitError above `max_states`."""
+    return check_limit(max_states, "state space of size {count} exceeds the ceiling {bound}",
+                       repeat(q, gamma))
+
+
 def build(
     cf: ControllerForm, *, max_states: int = DEFAULT_STATE_CEILING, lumped: bool = False
 ) -> StateDiagram:
@@ -239,8 +245,7 @@ def build(
     orbit is one state and the full diagram is built.
     """
     fld = cf.field
-    s = check_limit(max_states, "state space of size {count} exceeds the ceiling {bound}",
-                    repeat(fld.q, cf.gamma))
+    s = check_states(fld.q, cf.gamma, max_states)
     orbit, reps = _orbits(fld, cf.gamma) if lumped and fld.q > 2 else (None, None)
     return StateDiagram(
         field=fld, gamma=cf.gamma, k=cf.k, n=cf.n, num_states=s if reps is None else len(reps),
