@@ -1,7 +1,5 @@
 """Shared exception types, and the one check of a count against its bound."""
 
-from typing import Iterable
-
 PRINTABLE_BITS = 14_000  # under the 4300 digits Python will print of an int
 
 
@@ -19,8 +17,8 @@ class InternalError(RuntimeError):
     independent re-check.  This is a bug in convcode, not bad input."""
 
 
-def check_limit(bound: int, template: str, factors: Iterable[int]) -> int:
-    """The product of `factors`, each >= 1; above `bound`, LimitError from `template`
+def check_limit(bound: int, template: str, factors) -> int:
+    """The product of the ints `factors`, each >= 1; above `bound`, LimitError from `template`
     with {count} and {bound} filled in.  A product past both the bound and
     2^PRINTABLE_BITS is multiplied no further and named "more than 2^PRINTABLE_BITS"."""
     count, cap = 1, 1 << PRINTABLE_BITS
