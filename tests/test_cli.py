@@ -485,7 +485,7 @@ def _assert_fast_limit(capsys, argv):
     ["mono-equiv-wide", "oracle-trunc-1e5", "lemma-64", "lemma-1e11", "oracle-delta-2001"],
 )
 def test_counts_past_printable_ints_are_refused_fast(capsys, monkeypatch, tmp_path, case):
-    # each count (2000!, 2^99997, 2^64, 2^(10^11), 2^2001) exceeds its bound;
+    # each count (2000!, 2^99997, 2^64, 2^(10^11), 2^6011) exceeds its bound;
     # the refusal names it without printing an int of more than 4300 digits
     if case == "mono-equiv-wide":
         wide = tmp_path / "wide.gm"
