@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import pathlib
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -10,15 +12,19 @@ from convcode import (
     adjacency,
     build,
     controller_form,
+    encoder_info,
+    field_make,
     omega_series,
     phi_series,
     pm,
 )
-from convcode.cli import parse_gm
+from convcode.cli import main, parse_gm
 from convcode.errors import LimitError
 from convcode.oracle import _max_zero_run, survey
 
 import genutil
+
+CODES = pathlib.Path(__file__).resolve().parent.parent / "demos" / "codes"
 
 
 def series_table(ls):
@@ -89,8 +95,7 @@ def test_gap_bound(g213, g1):
 
 def test_gap_bound_block_code():
     # delta = 0: every word is single-step, so no zero run can occur
-    path = pathlib.Path(__file__).resolve().parent.parent / "demos" / "codes" / "block.gm"
-    res = survey(parse_gm(path.read_text()), 3)
+    res = survey(parse_gm((CODES / "block.gm").read_text()), 3)
     assert res.gap_bound == 0
     assert res.gap_bound_ok
 
@@ -156,3 +161,62 @@ def test_survey_keeps_one_int_per_word(f2):
     (w5, p5), (w6, p6) = peak(5), peak(6)
     assert (w5, w6) == (384, 1536)
     assert (p6 - p5) / (w6 - w5) <= 200
+
+
+def _longest_length(g, inputs):
+    # the longest length whose input coefficients, as the budget counts them,
+    # span at most `inputs` input vectors
+    l_max = 1
+    while g.field.q ** sum(max(l_max + 1 - d, 0) for d in g.info.row_degrees) <= inputs:
+        l_max += 1
+    return l_max
+
+
+def _code_with_a_constant_row(rng, fld):
+    # a minimal k x n code, k <= 3 and 1 <= gamma <= 4, whose last row has degree 0
+    while True:
+        k = rng.randint(2, 3)
+        n = rng.randint(k + 1, 4)
+        degs = [rng.randint(1, 4 // (k - 1)) for _ in range(k - 1)] + [0]
+        g = pm(fld, [[genutil.random_poly(rng, fld, d) for _ in range(n)] for d in degs])
+        try:
+            info = encoder_info(g)
+        except ValueError:
+            continue
+        if info.is_minimal and 1 <= info.delta <= 4:
+            return g
+
+
+def test_surveys_are_pinned():
+    # every bundled code, and minimal codes over F2 to F16 with a degree-0
+    # row, each at the longest length within 3000 input vectors: the
+    # tallies, the first zero-run violation and the words
+    codes = [parse_gm(path.read_text()) for path in sorted(CODES.glob("*.gm"))]
+    rng = random.Random(29)
+    for p, m in ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (2, 4)):
+        codes += [_code_with_a_constant_row(rng, field_make(p, m)) for _ in range(4)]
+    digest = hashlib.sha256()
+    for g in codes:
+        res = survey(g, _longest_length(g, 3000))
+        record = (sorted(res.atomic.items()), sorted(res.molecular.items()),
+                  res.gap_violation, res.words)
+        digest.update(repr(record).encode())
+    assert digest.hexdigest() == "d37e01f4be156dd5750638fec04aab6510faa6f6eca48b824bf6d241664f79ca"
+
+
+def test_deep_register_costs_nothing_per_cell(capsys, tmp_path):
+    # (1 + z^2001, 1): two words up to length 2003, each with a register of
+    # 2001 cells that the state criterion must not walk cell by cell
+    path = tmp_path / "deep2001.gm"
+    path.write_text(f"field p=2 m=1\nk=1 n=2\n1{' 0' * 2000} 1 ; 1\n")
+    start = time.perf_counter()
+    rc = main(["oracle", str(path), "--trunc", "2003"])
+    elapsed = time.perf_counter() - start
+    assert (rc, capsys.readouterr()) == (0, (
+        "inputs enumerated: 2\n"
+        "atomic: L^2002W^3 + L^2003W^6\n"
+        "molecular: L^2002W^3 + L^2003W^6\n"
+        "zero-run bound respected: yes\n",
+        "",
+    ))
+    assert elapsed < 1.0
