@@ -7,10 +7,13 @@ and every codeword of length <= l_max appears exactly once.  Each codeword
 is computed by polynomial multiplication, packed into one int and
 classified twice: once by the register-state criterion and once by a
 direct splitting search that asks whether each truncation is a shorter
-codeword, met at an earlier length.  The two classifications must agree
-on every word; a mismatch aborts the run, since it would falsify the state
-criterion.  Nothing here touches the adjacency matrix or the series
-machinery.
+codeword, met at an earlier length.  The register needs no simulation:
+row i's block of a controller canonical form holds that row's last deg_i
+input coefficients, so the register is zero at time t exactly when no row
+has a nonzero input at times t - deg_i .. t - 1.  The two classifications
+must agree on every word; a mismatch aborts the run, since it would
+falsify the state criterion.  The budget bounds the words.  Nothing here
+touches the controller form, the adjacency matrix or the series machinery.
 """
 
 from __future__ import annotations
@@ -19,10 +22,9 @@ import itertools
 from dataclasses import dataclass
 
 from . import polyalg
-from .encoder import controller_form
 from .errors import InternalError, check_limit
 from .polyalg import PolyMatrix
-from .statediag import state_index, state_vector
+from .statediag import state_index
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -69,19 +71,12 @@ def survey(g: PolyMatrix, l_max: int, *, budget: int = DEFAULT_BUDGET) -> Oracle
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
     fld = g.field
-    q = fld.q
-    k, n = g.k, g.n
+    q, n = fld.q, g.n
     degs = info.row_degrees
     check_limit(budget, "{count} codeword evaluations exceed the budget {bound}",
                 itertools.repeat(q, sum(max(l_max - d, 0) for d in degs)))  # input coefficients
     _, mhat = polyalg.right_inverse(g)
     gap_bound = max(info.memory + mhat - 1, 0)  # a block code's words are single-step
-
-    # register transitions on packed states: a state's row of successors is
-    # made when a word first visits it, so the budget bounds the rows too
-    cf = controller_form(g)
-    ubs = [polyalg.vec_mat(fld, u, cf.B) for u in itertools.product(range(q), repeat=k)]
-    trans: dict[int, list[int]] = {}
 
     base = q**n  # a word packs time t into base-q^n digit t
     seen: set[int] = set()
@@ -104,20 +99,14 @@ def survey(g: PolyMatrix, l_max: int, *, budget: int = DEFAULT_BUDGET) -> Oracle
             packed = 0
             for vec in reversed(word):
                 packed = packed * base + state_index(q, vec)
-            # state criterion
-            state = 0
-            state_times = []
-            for t in range(1, length):
-                ut = state_index(q, tuple(r[t - 1] if t - 1 < len(r) else 0 for r in u_rows))
-                row = trans.get(state)
-                if row is None:
-                    xa = polyalg.vec_mat(fld, state_vector(q, cf.gamma, state), cf.A)
-                    row = trans[state] = [
-                        state_index(q, tuple(fld.add(a, b) for a, b in zip(xa, ub))) for ub in ubs
-                    ]
-                state = row[ut]
-                if state == 0:
-                    state_times.append(t)
+            # state criterion: an input of row i at time p keeps the register
+            # nonzero at times p + 1 .. p + deg_i, which end by length - 1
+            busy = set()
+            for r, d in zip(u_rows, degs):
+                for p, c in enumerate(r):
+                    if c:
+                        busy.update(range(p + 1, p + d + 1))
+            state_times = [t for t in range(1, length) if t not in busy]
             # splitting search: is the truncation at t a shorter codeword?  Its
             # trailing zero steps are leading zero digits, so it packs as is
             split_times = [t for t in range(1, length) if packed % base**t in seen]

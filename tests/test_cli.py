@@ -729,11 +729,15 @@ def test_info_refuses_oversized_minor_expansion_fast(capsys, tmp_path):
             assert out.startswith(f"n={n} k={k} ") and err == ""
 
 
-def _zero_input_register(g):
-    # input never reaches the state, so the oracle's state criterion
-    # disagrees with its splitting search
-    cf = encoder.controller_form(g)
-    return dataclasses.replace(cf, B=tuple(tuple(0 for _ in row) for row in cf.B))
+def _overstated_degrees(path):
+    # g.info is a cached property, so the instance's dict holds its value:
+    # each row degree one too many, and the oracle's register criterion sees
+    # every input linger a step longer than its splitting search does
+    g = parse_gm(pathlib.Path(path).read_text())
+    g.__dict__["info"] = dataclasses.replace(
+        g.info, row_degrees=tuple(d + 1 for d in g.info.row_degrees)
+    )
+    return g
 
 
 @pytest.mark.parametrize(
@@ -741,9 +745,12 @@ def _zero_input_register(g):
     [
         (["info", G1], polyalg, "mat_rank", lambda fld, m: -1),  # row-reducedness cross-check
         (["dual", G1], polyalg, "pm_is_zero", lambda m: False),  # G * H^T = 0 certificate
-        (["oracle", MEMORY3, "--trunc", "5"], oracle, "controller_form", _zero_input_register),
+        # the packing of a word's steps, then the row degrees the register reads
+        (["oracle", MIXED, "--trunc", "5"], oracle, "state_index",
+         lambda q, vec: statediag.state_index(q, vec) % 2),
+        (["oracle", MEMORY3, "--trunc", "9"], cli, "_load", _overstated_degrees),
     ],
-    ids=["encoder-info", "dual-basis", "oracle"],
+    ids=["encoder-info", "dual-basis", "oracle", "oracle-register"],
 )
 def test_failed_certificate_exits_4(capsys, monkeypatch, argv, owner, target, planted):
     monkeypatch.setattr(owner, target, planted)

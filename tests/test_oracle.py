@@ -113,19 +113,6 @@ def test_budget_guard(g213):
         survey(g213, 11, budget=10)
 
 
-def test_transition_rows_are_made_for_visited_states_only(monkeypatch, f2):
-    # memory 16 has 2^16 register states, but a survey to length 17 walks one
-    # word through 16 of them; a full table would take 2^16 + 2 products
-    g = pm(f2, [[[1] + [0] * 15 + [1], [1, 1] + [0] * 14 + [1]]])
-    calls = []
-    real = oracle_mod.polyalg.vec_mat
-    monkeypatch.setattr(
-        oracle_mod.polyalg, "vec_mat", lambda *args: calls.append(1) or real(*args)
-    )
-    assert survey(g, 17).words == 1
-    assert len(calls) <= 20
-
-
 def test_requires_minimal(f2):
     with pytest.raises(ValueError):
         survey(pm(f2, [[[1], [1]], [[0, 1], [0, 1]]]), 4)
@@ -133,15 +120,19 @@ def test_requires_minimal(f2):
         survey(pm(f2, [[[1, 1], [1, 1]]]), 4)  # non-basic
 
 
-def test_classifier_disagreement_is_fatal(monkeypatch, g213):
-    # sabotage the register so the state criterion disagrees with splitting
-    real = controller_form(g213)
-    broken = dataclasses.replace(
-        real, B=tuple(tuple(0 for _ in row) for row in real.B)
-    )
-    monkeypatch.setattr(oracle_mod, "controller_form", lambda g: broken)
+def test_classifier_disagreement_is_fatal(monkeypatch, f2, g_mixed):
+    # sabotage either side, so the state criterion disagrees with splitting:
+    # the packing of a word's steps, or the row degrees the register reads
+    real = oracle_mod.state_index
+    with monkeypatch.context() as m:
+        m.setattr(oracle_mod, "state_index", lambda q, vec: real(q, vec) % 2)
+        with pytest.raises(RuntimeError, match="disagree"):
+            survey(g_mixed, 5)
+    # g.info is a cached property, so the instance's dict holds its value
+    g = pm(f2, [[[1, 1, 1, 1], [1, 0, 1, 1]]])
+    g.__dict__["info"] = dataclasses.replace(g.info, row_degrees=(4,))
     with pytest.raises(RuntimeError, match="disagree"):
-        survey(g213, 5)
+        survey(g, 9)
 
 
 def test_survey_keeps_one_int_per_word(f2):

@@ -151,8 +151,9 @@ def test_spectrum_reads_the_diagram_only():
 
 
 def test_oracle_reads_neither_the_diagram_nor_the_series():
-    # the oracle is the ground truth for Phi and Omega, so it runs its own
-    # register and reads of statediag only the packing of a state
+    # the oracle is the ground truth for Phi and Omega, so it reads its
+    # register off the input, nothing of encoder, and of statediag only the
+    # packing of a word's steps
     tree = ast.parse((PACKAGE / "oracle.py").read_text())
     imported = [
         (node.module or "", [a.name for a in node.names]) if isinstance(node, ast.ImportFrom)
@@ -164,14 +165,14 @@ def test_oracle_reads_neither_the_diagram_nor_the_series():
         (module, names)
         for module, names in imported
         for name in [module, *names]
-        if name.rpartition(".")[2] in ("spectrum", "invariance")
+        if name.rpartition(".")[2] in ("spectrum", "invariance", "encoder")
     ]
     assert found == []
     from_statediag = sorted(
         name for module, names in imported for name in names
         if module.rpartition(".")[2] == "statediag" or name.rpartition(".")[2] == "statediag"
     )
-    assert from_statediag == ["state_index", "state_vector"]
+    assert from_statediag == ["state_index"]
 
 
 def test_one_route_from_g_to_lambda_and_no_info_parameters():
