@@ -36,8 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .errors import LimitError
+from .errors import LimitError, check_limit
 from .statediag import StateDiagram
+
+SERIES_BITS = 1 << 33  # bits of phi_series' packed state vector, ~1 GB
 
 
 def default_truncation(gamma: int) -> int:
@@ -277,7 +279,9 @@ def phi_series(lam: AdjMatrix, trunc: int) -> LSeries:
     the first row of Lambda^l is iterated as a list of packed integers by
     state.  A slot counts paths of length l <= T, at most R^T <=
     2^(T * bitlen(R - 1)) for the largest row count R, so
-    b = T * bitlen(R - 1) + 1 bits keep slots apart.
+    b = T * bitlen(R - 1) + 1 bits keep slots apart.  LimitError, before
+    anything is packed, when a vector of weights up to n*T would pass
+    SERIES_BITS.
     """
     if lam.extended:
         raise ValueError("use the plain adjacency matrix, not the extended one")
@@ -286,6 +290,8 @@ def phi_series(lam: AdjMatrix, trunc: int) -> LSeries:
     counts = [e.count() for e in lam.cells]
     most = max(sum(counts[t] for _, t in row) for row in lam.rows)
     width = trunc * (most - 1).bit_length() + 1
+    check_limit(SERIES_BITS, "a packed series of {count} bits exceeds the ceiling {bound}",
+                [lam.size, lam.n * trunc + 1, width])
     packs = [_pack(e, width) for e in lam.cells]
     # per source, destinations grouped by their cell's (shift, quotient), so
     # one shifted copy of the source's value serves the whole group

@@ -523,6 +523,28 @@ def test_oracle_budget_check_builds_no_huge_power():
     assert elapsed < 1.0  # a fresh interpreter and the import, then one check
 
 
+@pytest.mark.parametrize("command", ["spectrum", "distances"])
+@pytest.mark.parametrize("trunc", ["100000", "1000000000000"])
+def test_series_truncation_is_bounded_before_packing(command, trunc):
+    # Phi's packed state vector would need 1.6e11 or 1.6e25 bits: under a
+    # 1 GB address space the packing ends in a MemoryError traceback, exit 1
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+    env = {**os.environ, "PYTHONPATH": str(CODES.parent.parent / "src")}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "convcode", command, MEMORY3, "--trunc", trunc],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("limit: a packed series of ")
+    assert proc.stderr.endswith(f" bits exceeds the ceiling {spectrum.SERIES_BITS}\n")
+    assert proc.stderr.count("\n") == 1
+    assert elapsed < 1.0
+
+
 @pytest.mark.parametrize("command", ["spectrum", "adjacency", "distances", "recover", "diagram"])
 def test_oversize_state_space_is_refused_before_the_controller_form(
     capsys, monkeypatch, tmp_path, command
