@@ -21,11 +21,11 @@ import functools
 import json
 import os
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import encoder, invariance, oracle, polyalg, spectrum, statediag
-from .errors import InternalError, LimitError, ParseError
+from .errors import InternalError, LimitError, ParseError, check_limit
 from .galois import check_field, field_make
 from .polyalg import PolyMatrix
 
@@ -433,7 +433,11 @@ def _cmd_ccf(args) -> int:
 
 def _cmd_diagram(args) -> int:
     g = _load(args.file)  # may be non-minimal: gamma is the sum of its row degrees
-    statediag.check_states(g.field.q, sum(g.info.row_degrees), args.max_states)
+    q, gamma = g.field.q, sum(g.info.row_degrees)
+    statediag.check_states(q, gamma, args.max_states)
+    if (args.dot or args.json) and not args.force:
+        check_limit(statediag.DEFAULT_DOT_CEILING,
+                    "{count} vertices exceed the rendering guard {bound}", repeat(q, gamma))
     cf = encoder.controller_form(g, require_minimal=False)
     sd = statediag.build(cf, max_states=args.max_states)
     if args.dot:
@@ -688,7 +692,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "diagram":
             sp.add_argument("--dot", action="store_true", help="emit Graphviz text")
             sp.add_argument("--force", action="store_true",
-                            help="override the --dot rendering size guard (--json has none)")
+                            help="override the rendering size guard of --dot and --json")
             sp.add_argument("--max-states", type=int,
                             default=statediag.DEFAULT_STATE_CEILING,
                             help="state space ceiling")

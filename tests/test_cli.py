@@ -545,6 +545,22 @@ def test_series_truncation_is_bounded_before_packing(command, trunc):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("mode", ["--json", "--dot"])
+def test_diagram_rendering_guard_comes_before_the_controller_form(
+    capsys, monkeypatch, tmp_path, mode
+):
+    # 9^6 = 531,441 states pass the state ceiling, but their 387,420,488
+    # edges would run to tens of GB of text
+    path = tmp_path / "f9.gm"
+    path.write_text(
+        "field p=3 m=2\nk=3 n=4\n2 3 7 ; 0 ; 3 1 2 ; 8 7\n"
+        "8 5 6 ; 7 ; 6 5 ; 3 6 1\n5 ; 0 ; 0 ; 7 0 7\n"
+    )
+    monkeypatch.setattr(encoder, "controller_form", _refused)
+    err = _assert_fast_limit(capsys, ["diagram", str(path), mode])
+    assert err == "limit: 531441 vertices exceed the rendering guard 4096\n"
+
+
 @pytest.mark.parametrize("command", ["spectrum", "adjacency", "distances", "recover", "diagram"])
 def test_oversize_state_space_is_refused_before_the_controller_form(
     capsys, monkeypatch, tmp_path, command
