@@ -155,8 +155,7 @@ def test_survey_keeps_one_int_per_word(f2):
 
 
 def _longest_length(g, inputs):
-    # the longest length whose input coefficients, as the budget counts them,
-    # span at most `inputs` input vectors
+    # the longest length at which the budget counts at most `inputs` inputs
     l_max = 1
     while g.field.q ** sum(max(l_max + 1 - d, 0) for d in g.info.row_degrees) <= inputs:
         l_max += 1
@@ -180,8 +179,8 @@ def _code_with_a_constant_row(rng, fld):
 
 def test_surveys_are_pinned():
     # every bundled code, and minimal codes over F2 to F16 with a degree-0
-    # row, each at the longest length within 3000 input vectors: the
-    # tallies, the first zero-run violation and the words
+    # row, each at the longest length within 3000 inputs: the tallies, the
+    # first zero-run violation and the words
     codes = [parse_gm(path.read_text()) for path in sorted(CODES.glob("*.gm"))]
     rng = random.Random(29)
     for p, m in ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (2, 4)):
