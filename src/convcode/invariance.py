@@ -44,6 +44,7 @@ MonomialWitness = tuple  # (column permutation, column scalars)
 
 SEARCH_STATES = 256  # bound on the states of the conjugation search
 DEFAULT_BUDGET = 1 << 24  # bound on the candidates of the monomial_equiv search
+ADJACENCY_ENTRIES = 1 << 24  # bound on the edges tallied into Lambda, 16x the F16 example
 
 
 def code_adjacency(g: PolyMatrix, *, lumped: bool = False) -> AdjMatrix:
@@ -51,9 +52,16 @@ def code_adjacency(g: PolyMatrix, *, lumped: bool = False) -> AdjMatrix:
 
     The one route from G to Lambda; g must be minimal.  `lumped` gives the
     matrix Q of the F_q^* orbit quotient instead, which has the same
-    (Q^l)_{0,0} and serves only the series.
+    (Q^l)_{0,0} and serves only the series.  LimitError, before the form
+    is built, above the state ceiling or when its sources times q^k edges
+    each pass ADJACENCY_ENTRIES; the sources are the q^gamma states, or
+    the (q^gamma - 1) / (q - 1) + 1 orbits of Q.
     """
-    statediag.check_states(g.field.q, g.info.delta)
+    q, k = g.field.q, g.k
+    states = statediag.check_states(q, g.info.delta)
+    sources = (states - 1) // (q - 1) + 1 if lumped else states
+    check_limit(ADJACENCY_ENTRIES, "{count} adjacency entries exceed the ceiling {bound}",
+                [sources, *itertools.repeat(q, k)])
     cf = encoder.controller_form(g)
     return spectrum.adjacency(statediag.build(cf, lumped=lumped))
 

@@ -17,7 +17,7 @@ import pytest
 
 from convcode import cli, encoder, field_make, invariance, oracle, polyalg, spectrum, statediag
 from convcode.cli import JSON_SCHEMAS, format_gm, main, parse_gm
-from convcode.errors import ParseError
+from convcode.errors import LimitError, ParseError
 
 CODES = pathlib.Path(__file__).resolve().parent.parent / "demos" / "codes"
 
@@ -559,6 +559,37 @@ def test_diagram_rendering_guard_comes_before_the_controller_form(
     monkeypatch.setattr(encoder, "controller_form", _refused)
     err = _assert_fast_limit(capsys, ["diagram", str(path), mode])
     assert err == "limit: 531441 vertices exceed the rendering guard 4096\n"
+
+
+@pytest.mark.parametrize("argv", [["adjacency"], ["recover"], ["spectrum", "--trunc", "4"]],
+                         ids=["adjacency", "recover", "spectrum"])
+def test_adjacency_entries_are_bounded_before_the_controller_form(monkeypatch, tmp_path, argv):
+    # 9^6 = 531,441 states pass the state ceiling, but Lambda would tally
+    # 531,441 x 9^3 edges, and the series' orbit quotient 66,431 x 9^3; under
+    # a 1 GB address space each call ran past 20 s without an answer
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "f9.gm"
+    path.write_text(
+        "field p=3 m=2\nk=3 n=4\n2 3 7 ; 0 ; 3 1 2 ; 8 7\n"
+        "8 5 6 ; 7 ; 6 5 ; 3 6 1\n5 ; 0 ; 0 ; 7 0 7\n"
+    )
+    sources = 66431 if argv[0] == "spectrum" else 531441
+    expected = (f"limit: {sources * 729} adjacency entries exceed the ceiling "
+                f"{invariance.ADJACENCY_ENTRIES}\n")
+    monkeypatch.setattr(encoder, "controller_form", _refused)
+    with pytest.raises(LimitError, match=re.escape(expected[7:-1])):
+        invariance.code_adjacency(parse_gm(path.read_text()), lumped=argv[0] == "spectrum")
+    limit = 1 << 30
+    env = {**os.environ, "PYTHONPATH": str(CODES.parent.parent / "src")}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "convcode", argv[0], str(path), *argv[1:]],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", expected)
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("command", ["spectrum", "adjacency", "distances", "recover", "diagram"])
