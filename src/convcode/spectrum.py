@@ -7,10 +7,13 @@ self-transition at the zero state excluded.  It is stored sparse, with a
 table of its cells: per source state, the (destination, cell id) pairs of
 its nonzero cells, and per cell id one WeightEnum.  A diagram has far
 fewer distinct enumerators than nonzero cells (the F16 example: 4 for
-1,048,575), so `adjacency` tallies each cell as one packed integer, turns
-each distinct integer into a WeightEnum once, and every per-cell step of
-a consumer (packing, interning, rendering) runs once per table entry.  It
-builds Lambda in one pass; equal (destination, id) entries are shared.  A
+1,048,575), so every per-cell step of a consumer (packing, interning,
+rendering) runs once per table entry.  The controller form fixes Lambda's
+shape: where no two inputs share uB, a source's destinations xA + uB are
+distinct and each of its cells is the monomial W^wt(xC + uD), so
+`adjacency` builds those rows by C-level passes over the diagram's
+tables, with no Python step per edge, and tallies the other sources one
+packed integer per cell; equal (destination, id) entries are shared.  A
 dense s x s view is expanded, one row at a time, only for display and JSON.
 
 Powers of Lambda count paths; the generating series
@@ -33,9 +36,13 @@ active burst distances are read off Omega and Phi.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from itertools import chain, compress, groupby, islice, repeat
 from typing import Iterator, Optional, Sequence
 
+from . import statediag
 from .errors import LimitError, check_limit
 from .statediag import StateDiagram
 
@@ -194,30 +201,82 @@ class AdjMatrix:
 
 
 def adjacency(sd: StateDiagram) -> AdjMatrix:
-    """Tally the diagram's edges by (source, destination, output weight).
+    """Lambda, or Q of a lumped diagram, straight off the diagram's tables.
 
-    A cell is tallied as one integer, an edge of weight w adding 2^(w*b),
-    in one pass over the edge groups: no source has more than q^k edges
-    (q^k + 1 with two edges planted at the zero state, which has q^k - 1),
-    so b = bit_length(q^k + 1) bits hold any count.  Each distinct integer
-    becomes one table entry, and each row is built as its source is tallied,
-    its equal (destination, id) entries shared: at most states x cells tuples.
+    A shifts each register block and B writes the block's first cell, so
+    xA and uB occupy disjoint cells.  When no two inputs share uB, a
+    source's destinations xA + uB are distinct and ascend in input order
+    (their orbits are distinct too where xA != 0, and are sorted), and each
+    of its cells is the single monomial W^wt(xC + uD).  Such sources are
+    read in blocks of C-level passes: one lookup per packed output gives
+    wt(v) * s, which added to the destination keys a table of the shared
+    (destination, id) pairs of monomial cells, each made when first met.
+    Every other source (block codes, codes with a degree-0 row, and the
+    lumped sources with xA = 0, where u and lambda u meet in one orbit) is
+    tallied edge by edge, a cell as one integer, an edge of weight w adding
+    2^(w*b): no source has more edges than there are inputs, so
+    b = bitlen(inputs) bits hold any count.  The zero self-transition is
+    never counted.  Each distinct enumerator gets one id, and equal
+    (destination, id) entries are one tuple whichever route made them.
     """
-    b = (sd.field.q**sd.k + 1).bit_length()
-    unit = [1 << (w * b) for w in range(sd.n + 1)]
-    ids: dict[int, int] = {}
-    shared: dict[tuple[int, int], tuple[int, int]] = {}  # (j, tally) -> (j, id)
+    _, xa, _, ub, _ = sd.tables
+    s, inputs, orbit = sd.num_states, len(ub), sd.orbit
+    b = inputs.bit_length()
+    offset = statediag._weigher(sd.field.q, sd.n, s)  # v -> wt(v) * s
+    unit = {w * s: 1 << (w * b) for w in range(sd.n + 1)}  # offset -> packed W^w
+    offset_of = {v: o for o, v in unit.items()}
+    ids: dict[int, int] = {}  # packed enumerator -> cell id
+    table: list = [None] * (s * (sd.n + 1))  # key j + wt * s -> the pair of a monomial
+    shared: dict[tuple[int, int], tuple[int, int]] = {}  # the pairs of other cells
+    index = list(range(s))  # one int object per destination, shared by its pairs
+
+    def tallied(j: int, v: int) -> tuple[int, int]:
+        """The shared (j, id) pair of the packed enumerator v at destination j."""
+        o = offset_of.get(v)
+        if o is None:
+            p = (index[j], ids.setdefault(v, len(ids)))
+            return shared.setdefault(p, p)
+        if table[j + o] is None:
+            table[j + o] = (index[j], ids.setdefault(v, len(ids)))
+        return table[j + o]
+
+    distinct = all(map(operator.lt, ub, ub[1:]))  # no two inputs share uB
+    row_of = {a: tuple(map(a.__add__, ub)) for a in set(xa)} if distinct else {}
+    direct = lambda t: distinct and (orbit is None or xa[t[0]] > 0)
     rows = []
-    for group in sd.edges_by_source:
-        acc: dict[int, int] = {}
-        for dst, w in group:
-            acc[dst] = acc.get(dst, 0) + unit[w]
-        if not rows and 0 in acc:  # the zero self-transition is never counted
-            acc[0] &= -1 << b
-        rows.append(tuple([
-            shared.get(p) or shared.setdefault(p, (p[0], ids.setdefault(p[1], len(ids))))
-            for p in sorted(acc.items()) if p[1]
-        ]))
+    sources = statediag._transitions(sd)
+    # a block has about q^gamma edges and at most sqrt(q^gamma (n + 1))
+    # sources, so its transient lists stay small beside Lambda
+    per_block = min(len(xa) // inputs, math.isqrt(len(xa) * (sd.n + 1))) + 1
+    while block := list(islice(sources, per_block)):
+        for fast, run in groupby(block, direct):
+            run = list(run)
+            if not fast:
+                for src, _, dsts, outputs in run:
+                    acc: dict[int, int] = {}
+                    for j, o in zip(dsts if orbit is None else map(orbit.__getitem__, dsts),
+                                    map(offset, outputs)):
+                        acc[j] = acc.get(j, 0) + unit[o]
+                    if not src and 0 in acc:
+                        acc[0] &= -1 << b
+                    rows.append(tuple([tallied(j, v) for j, v in sorted(acc.items()) if v]))
+                continue
+            dst_rows = list(map(row_of.__getitem__, map(xa.__getitem__, [t[0] for t in run])))
+            zero = not run[0][0]
+            if zero:
+                dst_rows[0] = run[0][2]  # the zero state lacks input 0
+            dsts = chain.from_iterable(dst_rows)
+            keys = list(map(operator.add, dsts if orbit is None else map(orbit.__getitem__, dsts),
+                            map(offset, chain.from_iterable([t[3] for t in run]))))
+            met = set(keys)
+            for key in compress(met, map(operator.not_, map(table.__getitem__, met))):
+                j = key % s  # a pair first met here, made once
+                table[key] = (index[j], ids.setdefault(unit[key - j], len(ids)))
+            flat = map(table.__getitem__, keys)
+            if zero:
+                rows.append(tuple(islice(flat, inputs - 1)))
+            parts = zip(*[flat] * inputs)
+            rows.extend(parts if orbit is None else map(tuple, map(sorted, parts)))
     return AdjMatrix(rows, [_unpack(v, b) for v in ids], q=sd.field.q, n=sd.n)
 
 

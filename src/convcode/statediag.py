@@ -11,11 +11,16 @@ element digits, a packed vector is a base-p number and x -> xA is
 F_p-linear, so `build` fills the tables xA, xC (per state) and uB, uD
 (per input) by a prefix recursion over the F_p basis from (gamma + k) * m
 images, in O(q^gamma + q^k).  An edge is two vector sums, dst = xA + uB
-and v = xC + uD (XOR over F_{2^m}, else the field's addition table per
-element), and a table lookup of wt(v); every edge view replays the tables
-when it is read.  The labelled views (`labelled_transitions`, read by the
-DOT text and the JSON edge list) make the label of each packed input and
-output once.
+and v = xC + uD, and a table lookup of wt(v).  A shifts each register
+block and B writes the block's first cell, so xA and uB occupy disjoint
+cells and dst is their integer sum; v is an XOR over F_{2^m}, else the
+field's addition table per element.  `_transitions` is the one
+enumeration of the sources and their inputs; every edge view replays the
+tables from it when it is read, and `spectrum.adjacency` builds Lambda's
+rows from it and the tables, reading no edge view.  The labelled views
+(`labelled_transitions`, read by the DOT text and the JSON edge list)
+make the label of each packed input and output once; `edges_by_source`
+serves the demos, the benchmark's counters and the tests.
 
 The code is F_q-linear and wt(lambda v) = wt(v), so for every lambda != 0
 the map x -> lambda x (edge (x, u) -> (lambda x, lambda u)) is a
@@ -139,14 +144,15 @@ def _linear_table(
     return table
 
 
-def _weigher(q: int, n: int) -> Callable[[int], int]:
-    """Hamming weight of a packed vector of F_q^n from a table of digit chunks."""
+def _weigher(q: int, n: int, scale: int = 1) -> Callable[[int], int]:
+    """wt(v) * scale for a packed vector v of F_q^n, from a table of digit
+    chunks; a single lookup when q^n <= 2^16."""
     width = n
     while q**width > 1 << 16:
         width -= 1
     table = [0]
     for _ in range(width):
-        table = [w + (d != 0) for w in table for d in range(q)]
+        table = [w + scale * (d != 0) for w in table for d in range(q)]
     if width == n:
         return table.__getitem__
     size = q**width
@@ -200,14 +206,15 @@ def _transitions(sd: StateDiagram) -> Iterator[tuple[int, range, Iterator[int], 
     The sources are every packed state, or the orbit representatives of a
     lumped diagram.  `inputs` is the range of packed inputs u in order;
     `dsts` and `outputs` yield the packed destination and output v of each.
+    xA and uB occupy disjoint cells, so dst = xA + uB is an integer sum.
     """
     add, xa, xc, ub, ud = sd.tables
     every = range(len(ub))
-    for i in range(len(xa)) if sd.reps is None else sd.reps:
-        a, c = xa[i], xc[i]
-        inputs = every if i else every[1:]  # (0, 0) is left out
-        ubs, uds = (ub, ud) if i else (ub[1:], ud[1:])
-        yield i, inputs, map(add, repeat(a), ubs), map(add, repeat(c), uds)
+    sources = iter(range(len(xa)) if sd.reps is None else sd.reps)
+    i = next(sources)  # the zero state, where (0, 0) is left out
+    yield i, every[1:], map(operator.add, repeat(xa[i]), ub[1:]), map(add, repeat(xc[i]), ud[1:])
+    for i in sources:
+        yield i, every, map(operator.add, repeat(xa[i]), ub), map(add, repeat(xc[i]), ud)
 
 
 def labelled_transitions(

@@ -1,12 +1,12 @@
 """Seeded random generators for codes and unimodular transformations."""
 
+import dataclasses
 import itertools
 import random
 from typing import Iterator, NamedTuple
 
 from convcode import controller_form, encoder_info, minimize, pm
 from convcode.cli import _schema_id
-from convcode.galois import FieldSpec
 from convcode.invariance import apply_monomial
 from convcode.polyalg import (
     PolyMatrix,
@@ -202,23 +202,17 @@ def reference_diagram(cf) -> tuple[tuple, list[tuple]]:
     return tuple(map(tuple, groups)), edges
 
 
-class PlantedDiagram(NamedTuple):
-    """Stand-in for a StateDiagram whose edge groups are given outright,
-    carrying what `spectrum.adjacency` and `reference_adjacency` read."""
-
-    field: FieldSpec
-    k: int
-    n: int
-    num_states: int
-    edges_by_source: tuple
-
-
-def planted_diagram(sd, extra) -> PlantedDiagram:
-    """The edge groups of `sd` with the (dst, weight) pairs `extra` planted
-    after the edges of state 0."""
-    groups = list(sd.edges_by_source)
-    groups[0] += tuple(extra)
-    return PlantedDiagram(sd.field, sd.k, sd.n, sd.num_states, tuple(groups))
+def planted_diagram(sd, extra):
+    """The diagram `sd` with one input planted after its last per (0, weight)
+    pair of `extra`: its uB is 0 and its uD has that weight, so it adds an
+    edge 0 -> 0 of that weight at the zero state, and an edge x -> xA at
+    every other state x, and two inputs share a destination everywhere."""
+    if any(dst for dst, _ in extra):
+        raise ValueError("an edge planted at state 0 leads to state 0")
+    add, xa, xc, ub, ud = sd.tables
+    q = sd.field.q
+    planted = [sum(q**i for i in range(w)) for _, w in extra]
+    return dataclasses.replace(sd, tables=(add, xa, xc, ub + [0] * len(planted), ud + planted))
 
 
 def adj_from_dense(cells, q: int, n: int, extended: bool = False) -> AdjMatrix:

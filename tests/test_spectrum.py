@@ -380,7 +380,8 @@ TABLE_FIELDS = [(p, m) for p, m in genutil.REFERENCE_FIELDS if p**m <= 16]
 def test_cell_table_matches_reference_tally(p, m):
     # the packed-integer tally gives the dict-per-cell tally cell for cell,
     # with one table entry per distinct nonzero enumerator, on full and
-    # lumped diagrams, and with weight-0 and weight-1 edges 0 -> 0 planted
+    # lumped diagrams, and with weight-0 and weight-1 edges 0 -> 0 planted;
+    # every row ascends by destination, and equal pairs are one tuple
     fld = field_make(p, m)
     rng = random.Random(1400 + 10 * p + m)
     forms = [cf for group in genutil.reference_corpus(fld, rng).values() for cf in group]
@@ -393,6 +394,10 @@ def test_cell_table_matches_reference_tally(p, m):
                 assert lam.entries == ref
                 assert len(lam.cells) == len({e for row in ref for e in row if e})
                 assert lam.entries[0][0].coeff(0) == 0
+                first: dict = {}  # the first tuple met of each (destination, id)
+                assert all(
+                    a[0] < b[0] for row in lam.rows for a, b in zip(row, row[1:])
+                ) and all(first.setdefault(p, p) is p for row in lam.rows for p in row)
 
 
 def test_adjacency_entries_cost_about_one_slot_each(f16):
