@@ -241,6 +241,7 @@ def adjacency(sd: StateDiagram) -> AdjMatrix:
         return table[j + o]
 
     distinct = all(map(operator.lt, ub, ub[1:]))  # no two inputs share uB
+    # the destinations xA + uB by xA, one row for the sources that share an xA
     row_of = {a: tuple(map(a.__add__, ub)) for a in set(xa)} if distinct else {}
     direct = lambda t: distinct and (orbit is None or xa[t[0]] > 0)
     rows = []
