@@ -8,11 +8,9 @@ table of its cells: per source state, the (destination, cell id) pairs of
 its nonzero cells, and per cell id one WeightEnum.  A diagram has far
 fewer distinct enumerators than nonzero cells (the F16 example: 4 for
 1,048,575), so every per-cell step of a consumer (packing, interning,
-rendering) runs once per table entry.  The controller form fixes Lambda's
-shape: where no two inputs share uB, a source's destinations xA + uB are
-distinct and each of its cells is the monomial W^wt(xC + uD), so
-`adjacency` builds those rows by C-level passes over the diagram's
-tables, with no Python step per edge, and tallies the other sources one
+rendering) runs once per table entry.  `adjacency` builds the rows of
+the sources whose destinations `statediag._transitions` marks distinct by
+C-level passes, with no Python step per edge, and tallies the others one
 packed integer per cell; equal (destination, id) entries are shared.  A
 dense s x s view is expanded, one row at a time, only for display and JSON.
 
@@ -201,26 +199,22 @@ class AdjMatrix:
 
 
 def adjacency(sd: StateDiagram) -> AdjMatrix:
-    """Lambda, or Q of a lumped diagram, straight off the diagram's tables.
+    """Lambda, or Q of a lumped diagram, off the rows of `_transitions`.
 
-    A shifts each register block and B writes the block's first cell, so
-    xA and uB occupy disjoint cells.  When no two inputs share uB, a
-    source's destinations xA + uB are distinct and ascend in input order
-    (their orbits are distinct too where xA != 0, and are sorted), and each
-    of its cells is the single monomial W^wt(xC + uD).  Such sources are
-    read in blocks of C-level passes: one lookup per packed output gives
-    wt(v) * s, which added to the destination keys a table of the shared
-    (destination, id) pairs of monomial cells, each made when first met.
-    Every other source (block codes, codes with a degree-0 row, and the
-    lumped sources with xA = 0, where u and lambda u meet in one orbit) is
-    tallied edge by edge, a cell as one integer, an edge of weight w adding
-    2^(w*b): no source has more edges than there are inputs, so
-    b = bitlen(inputs) bits hold any count.  The zero self-transition is
-    never counted.  Each distinct enumerator gets one id, and equal
-    (destination, id) entries are one tuple whichever route made them.
+    A source whose destinations `_transitions` marks distinct has the
+    single monomial W^wt(xC + uD) in each cell, so such sources are read in
+    blocks of C-level passes: one lookup per packed output gives wt(v) * s,
+    which added to the destination keys a table of the shared (destination,
+    id) pairs of monomial cells, each made when first met; Q's rows are
+    sorted, as orbit ids need not ascend.  Every other source (block codes,
+    codes with a degree-0 row, Q's sources with xA = 0) is tallied edge by
+    edge, a cell as one integer, an edge of weight w adding 2^(w*b): no
+    source has more edges than there are inputs, so b = bitlen(inputs)
+    bits hold any count.  The zero self-transition is never counted.  Each
+    distinct enumerator gets one id, and equal (destination, id) entries
+    are one tuple whichever route made them.
     """
-    _, xa, _, ub, _ = sd.tables
-    s, inputs, orbit = sd.num_states, len(ub), sd.orbit
+    s, inputs, states = sd.num_states, len(sd.tables[3]), sd.field.q**sd.gamma
     b = inputs.bit_length()
     offset = statediag._weigher(sd.field.q, sd.n, s)  # v -> wt(v) * s
     unit = {w * s: 1 << (w * b) for w in range(sd.n + 1)}  # offset -> packed W^w
@@ -240,44 +234,34 @@ def adjacency(sd: StateDiagram) -> AdjMatrix:
             table[j + o] = (index[j], ids.setdefault(v, len(ids)))
         return table[j + o]
 
-    distinct = all(map(operator.lt, ub, ub[1:]))  # no two inputs share uB
-    # the destinations xA + uB by xA, one row for the sources that share an xA
-    row_of = {a: tuple(map(a.__add__, ub)) for a in set(xa)} if distinct else {}
-    direct = lambda t: distinct and (orbit is None or xa[t[0]] > 0)
     rows = []
     sources = statediag._transitions(sd)
     # a block has about q^gamma edges and at most sqrt(q^gamma (n + 1))
     # sources, so its transient lists stay small beside Lambda
-    per_block = min(len(xa) // inputs, math.isqrt(len(xa) * (sd.n + 1))) + 1
+    per_block = min(states // inputs, math.isqrt(states * (sd.n + 1))) + 1
     while block := list(islice(sources, per_block)):
-        for fast, run in groupby(block, direct):
+        for distinct, run in groupby(block, operator.itemgetter(4)):
             run = list(run)
-            if not fast:
-                for src, _, dsts, outputs in run:
+            if not distinct:
+                for src, _, dsts, outputs, _ in run:
                     acc: dict[int, int] = {}
-                    for j, o in zip(dsts if orbit is None else map(orbit.__getitem__, dsts),
-                                    map(offset, outputs)):
+                    for j, o in zip(dsts, map(offset, outputs)):
                         acc[j] = acc.get(j, 0) + unit[o]
                     if not src and 0 in acc:
                         acc[0] &= -1 << b
                     rows.append(tuple([tallied(j, v) for j, v in sorted(acc.items()) if v]))
                 continue
-            dst_rows = list(map(row_of.__getitem__, map(xa.__getitem__, [t[0] for t in run])))
-            zero = not run[0][0]
-            if zero:
-                dst_rows[0] = run[0][2]  # the zero state lacks input 0
-            dsts = chain.from_iterable(dst_rows)
-            keys = list(map(operator.add, dsts if orbit is None else map(orbit.__getitem__, dsts),
+            keys = list(map(operator.add, chain.from_iterable([t[2] for t in run]),
                             map(offset, chain.from_iterable([t[3] for t in run]))))
             met = set(keys)
             for key in compress(met, map(operator.not_, map(table.__getitem__, met))):
                 j = key % s  # a pair first met here, made once
                 table[key] = (index[j], ids.setdefault(unit[key - j], len(ids)))
             flat = map(table.__getitem__, keys)
-            if zero:
+            if not run[0][0]:  # the zero state lacks input 0
                 rows.append(tuple(islice(flat, inputs - 1)))
             parts = zip(*[flat] * inputs)
-            rows.extend(parts if orbit is None else map(tuple, map(sorted, parts)))
+            rows.extend(map(tuple, map(sorted, parts)) if sd.lumped else parts)
     return AdjMatrix(rows, [_unpack(v, b) for v in ids], q=sd.field.q, n=sd.n)
 
 

@@ -15,12 +15,13 @@ and v = xC + uD, and a table lookup of wt(v).  A shifts each register
 block and B writes the block's first cell, so xA and uB occupy disjoint
 cells and dst is their integer sum; v is an XOR over F_{2^m}, else the
 field's addition table per element.  `_transitions` is the one
-enumeration of the sources and their inputs; every edge view replays the
-tables from it when it is read, and `spectrum.adjacency` builds Lambda's
-rows from it and the tables, reading no edge view.  The labelled views
-(`labelled_transitions`, read by the DOT text and the JSON edge list)
-make the label of each packed input and output once; `edges_by_source`
-serves the demos, the benchmark's counters and the tests.
+enumeration of the sources and their inputs, and alone turns a source
+into its destinations; every edge view replays it when it is read, and
+`spectrum.adjacency` builds Lambda's rows from its destination rows and
+the output tables.  The labelled views (`labelled_transitions`, read by
+the DOT text and the JSON edge list) make the label of each packed input
+and output once; `edges_by_source` serves the demos, the benchmark's
+counters and the tests.
 
 The code is F_q-linear and wt(lambda v) = wt(v), so for every lambda != 0
 the map x -> lambda x (edge (x, u) -> (lambda x, lambda u)) is a
@@ -95,11 +96,8 @@ class StateDiagram:
         """One tuple of (dst, weight) pairs per source, in input order; the
         destinations of a lumped diagram are orbit ids."""
         weight = _weigher(self.field.q, self.n)
-        orbit = self.orbit
-        for _, _, dsts, outputs in _transitions(self):
-            yield tuple(zip(
-                dsts if orbit is None else map(orbit.__getitem__, dsts), map(weight, outputs)
-            ))
+        for _, _, dsts, outputs, _ in _transitions(self):
+            yield tuple(zip(dsts, map(weight, outputs)))
 
 
 def _vector_add(fld: FieldSpec) -> Callable[[int, int], int]:
@@ -200,27 +198,38 @@ def _tables(cf: ControllerForm) -> Tables:
     )
 
 
-def _transitions(sd: StateDiagram) -> Iterator[tuple[int, range, Iterator[int], Iterator[int]]]:
-    """(src, inputs, dsts, outputs) per source index, every transition but (0, 0).
+def _transitions(sd: StateDiagram) -> Iterator[tuple[int, range, tuple, Iterator[int], bool]]:
+    """(src, inputs, dsts, outputs, distinct) per source index, every transition but (0, 0).
 
-    The sources are every packed state, or the orbit representatives of a
-    lumped diagram.  `inputs` is the range of packed inputs u in order;
-    `dsts` and `outputs` yield the packed destination and output v of each.
-    xA and uB occupy disjoint cells, so dst = xA + uB is an integer sum.
+    The sources are every packed state, or a lumped diagram's orbit
+    representatives.  `inputs` is the range of packed inputs u in order,
+    `outputs` yields their packed outputs v, and `dsts` holds their
+    destinations xA + uB, orbit ids if lumped: one tuple per xA, shared by
+    its sources, sliced past input 0 for the zero state.  `distinct`, found
+    once per xA, says no two are equal: no two inputs share uB (the full
+    diagram's then ascend), and xA != 0 if lumped, as u and lambda u meet
+    in one orbit where xA = 0.
     """
     add, xa, xc, ub, ud = sd.tables
-    every = range(len(ub))
-    sources = iter(range(len(xa)) if sd.reps is None else sd.reps)
-    i = next(sources)  # the zero state, where (0, 0) is left out
-    yield i, every[1:], map(operator.add, repeat(xa[i]), ub[1:]), map(add, repeat(xc[i]), ud[1:])
-    for i in sources:
-        yield i, every, map(operator.add, repeat(xa[i]), ub), map(add, repeat(xc[i]), ud)
+    orbit, every = sd.orbit, range(len(ub))
+    spread = all(map(operator.lt, ub, ub[1:]))  # no two inputs share uB
+    sources = range(len(xa)) if sd.reps is None else sd.reps
+    rows = {}
+    for a in set(map(xa.__getitem__, sources)):
+        dsts = map(a.__add__, ub)  # xA and uB occupy disjoint cells
+        rows[a] = (tuple(dsts), spread) if orbit is None else (
+            tuple(map(orbit.__getitem__, dsts)), spread and a > 0)
+    items = zip(sources, map(rows.__getitem__, map(xa.__getitem__, sources)))
+    i, (dsts, distinct) = next(items)  # the zero state, where (0, 0) is left out
+    yield i, every[1:], dsts[1:], map(add, repeat(xc[i]), ud[1:]), distinct
+    for i, (dsts, distinct) in items:
+        yield i, every, dsts, map(add, repeat(xc[i]), ud), distinct
 
 
 def labelled_transitions(
     sd: StateDiagram, u_label: Callable[[tuple[int, ...]], object],
     v_label: Callable[[tuple[int, ...], int], object],
-) -> Iterator[tuple[int, Iterator[int], Iterator, Iterator]]:
+) -> Iterator[tuple[int, tuple[int, ...], Iterator, Iterator]]:
     """(src, dsts, u labels, v labels) per source, the edges in the order of
     edges_by_source; the labels are u_label(u) and v_label(v, wt(v)) of the
     input and output vectors, each made once per packed u and v."""
@@ -230,7 +239,7 @@ def labelled_transitions(
     weight = _weigher(q, n)
     us = [u_label(state_vector(q, sd.k, u)) for u in range(q**sd.k)]
     vs = functools.cache(lambda v: v_label(state_vector(q, n, v), weight(v)))
-    for src, inputs, dsts, outputs in _transitions(sd):
+    for src, inputs, dsts, outputs, _ in _transitions(sd):
         yield src, dsts, map(us.__getitem__, inputs), map(vs, outputs)
 
 

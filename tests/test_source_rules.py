@@ -134,6 +134,33 @@ def test_edge_groups_are_read_by_adjacency_only_and_never_stored():
     assert found == []
 
 
+def test_destinations_are_formed_by_transitions_only():
+    # statediag._transitions alone turns a source into its destinations, so
+    # no other module reads a diagram's orbit map, and spectrum reads the
+    # tables only for their lengths: it has no xA and forms no xA + uB row
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "statediag.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "orbit"
+        or isinstance(node, ast.Name) and node.id == "orbit"
+    ]
+    tree = ast.parse((PACKAGE / "spectrum.py").read_text())
+    sized = {
+        id(node.args[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "len"
+        and isinstance(node.args[0], ast.Subscript)
+    }
+    found += [
+        f"spectrum.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "tables" and id(node) not in sized
+    ]
+    assert found == []
+
+
 def test_spectrum_reads_the_diagram_only():
     # Lambda, Phi and Omega come from the state diagram, never from G itself
     tree = ast.parse((PACKAGE / "spectrum.py").read_text())
