@@ -35,7 +35,7 @@ from collections import Counter
 from typing import Optional, Sequence
 
 from . import encoder, polyalg, spectrum, statediag
-from .errors import InternalError, check_limit
+from .errors import InternalError, LimitError, check_limit
 from .polyalg import PolyMatrix
 from .spectrum import AdjMatrix, WeightEnum
 
@@ -350,7 +350,9 @@ def _adjacency_separates(g: PolyMatrix, h: PolyMatrix) -> bool:
         return False
     if info_g.delta != info_h.delta:
         return True
-    if g.field.q ** min(info_g.delta, SEARCH_STATES) > SEARCH_STATES:  # no huge power
+    try:
+        check_search_size(g.field.q, info_g.delta)
+    except LimitError:
         return False
     return gen_adj_equal(code_adjacency(g), code_adjacency(h)) is None
 

@@ -26,6 +26,7 @@ from .galois import FieldSpec
 
 NEG_INF = float("-inf")
 MINOR_TERM_CEILING = 1 << 20  # C(n, k) * k! cofactor terms behind encoder_info
+MINOR_WORK_CEILING = 1 << 22  # those terms x the two longest entries' lengths
 
 Poly = tuple  # tuple[int, ...] of field elements, low degree first
 
@@ -362,10 +363,13 @@ def encoder_info(g: PolyMatrix) -> EncoderInfo:
     minimality decision (sum of row degrees equals the constraint length)
     is cross-checked against full row rank of the highest-coefficient
     matrix; the two criteria always agree for full-rank matrices.
-    LimitError, before any minor is expanded, above MINOR_TERM_CEILING terms.
+    LimitError, before any minor is expanded, above MINOR_TERM_CEILING
+    terms or MINOR_WORK_CEILING coefficient products.
     """
-    check_limit(MINOR_TERM_CEILING, "maximal minors of {count} terms exceed the ceiling {bound}",
-                range(g.n - g.k + 1, g.n + 1))  # C(n, k) * k! = n! / (n - k)!
+    refusal = "maximal minors of {count} %s exceed the ceiling {bound}"
+    terms = check_limit(MINOR_TERM_CEILING, refusal % "terms", range(g.n - g.k + 1, g.n + 1))
+    check_limit(MINOR_WORK_CEILING, refusal % "coefficient products",
+                [terms, *sorted(max(len(e), 1) for row in g.rows for e in row)[-2:]])
     minors = k_minors(g)
     nonzero = [mnr for mnr in minors if mnr]
     if not nonzero:

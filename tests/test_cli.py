@@ -772,6 +772,23 @@ def test_field_line_bounds_refuse_fast(capsys, tmp_path, field_line):
     assert "int string" not in err
 
 
+def test_info_refuses_long_entries_fast(capsys, tmp_path):
+    # the minors and the gcd chain cost about the square of the entries'
+    # lengths: unrefused, four binary entries of degree 8000 (k = 2, 64 KB)
+    # take about 33 s and two of degree 5000 (k = 1, 20 KB) 12 s on a
+    # shared 2-CPU host
+    rng = random.Random(3)
+    for k, degree in ((2, 8000), (1, 5000)):
+        entry = lambda: " ".join(str(rng.randrange(2)) for _ in range(degree)) + " 1"
+        path = tmp_path / f"long{k}.gm"
+        path.write_text(f"field p=2 m=1\nk={k} n=2\n"
+                        + "".join(f"{entry()} ; {entry()}\n" for _ in range(k)))
+        assert _assert_fast_limit(capsys, ["info", str(path)]) == (
+            f"limit: maximal minors of {2 * (degree + 1) ** 2} coefficient products "
+            "exceed the ceiling 4194304\n"
+        )
+
+
 @pytest.mark.parametrize("size_line, key", [("k=1 n=2 x=1", "x"), ("k=1 n=2 n=3", "n")])
 def test_size_line_refuses_unknown_and_repeated_keys(capsys, tmp_path, size_line, key):
     path = tmp_path / "bad.gm"
