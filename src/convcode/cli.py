@@ -441,7 +441,7 @@ def _cmd_diagram(args) -> int:
     cf = encoder.controller_form(g, require_minimal=False)
     sd = statediag.build(cf, max_states=args.max_states)
     if args.dot:
-        sys.stdout.writelines(statediag.dot_chunks(sd, force=args.force))
+        sys.stdout.writelines(statediag.dot_chunks(sd))
         return 0
     delay_free = statediag.delay_free_check(sd)
     zero_cycle = statediag.zero_weight_cycle_exists(sd)
@@ -543,10 +543,7 @@ def _cmd_equal(args) -> int:
     else:
         verdicts.append("codes differ")
         if info_g.is_minimal and info_h.is_minimal and info_g.delta == info_h.delta:
-            invariance.check_search_size(g.field.q, info_g.delta)  # before Lambda is built
-            witness = invariance.gen_adj_equal(
-                invariance.code_adjacency(g), invariance.code_adjacency(h)
-            )
+            witness = invariance.code_witness(g, h)
             if witness is None:
                 verdicts.append("generalized adjacency matrices differ")
             else:

@@ -20,12 +20,13 @@ are counts into the class less those into the others.  The search, which
 runs on an explicit stack, tests a candidate against the state's
 neighbours alone, O(degree): it looks up a's placed neighbours in b's
 rows, one dict per row, then counts b's neighbours there to rule out a
-nonzero b cell over a zero a cell.  On top of that sit: recovery of the
-code dimension and row degrees from the matrix alone, the
-monomial-equivalence decision for generator matrices (which refuses a
-minimal pair at once when their matrices are not conjugate), the
-closed-form dual transform for binary codes with unit constraint length,
-and Lemma A.1 as a count of the shift graph's automorphisms.
+nonzero b cell over a zero a cell.  On top of that sit: `code_witness`,
+the one comparison of two codes' Lambda; recovery of the code dimension
+and row degrees from the matrix alone; the monomial-equivalence decision
+for generator matrices, which refuses a minimal pair through
+`code_witness` when their Lambda are not conjugate; the closed-form dual
+transform for binary codes with unit constraint length; and Lemma A.1 as
+a count of the shift graph's automorphisms.
 """
 
 from __future__ import annotations
@@ -252,6 +253,15 @@ def gen_adj_equal(a: AdjMatrix, b: AdjMatrix) -> Optional[PermWitness]:
     return pi
 
 
+def code_witness(g: PolyMatrix, h: PolyMatrix) -> Optional[PermWitness]:
+    """`gen_adj_equal` on the Lambda of g and h, minimal matrices of one
+    constraint length: the one comparison of two codes' Lambda, whose
+    conjugacy class is an invariant of the code.  LimitError above
+    SEARCH_STATES states, before either Lambda is built."""
+    check_search_size(g.field.q, g.info.delta)
+    return gen_adj_equal(code_adjacency(g), code_adjacency(h))
+
+
 def apply_witness(a: AdjMatrix, pi: Sequence[int]) -> AdjMatrix:
     """Conjugate by the permutation: entry (i, j) moves to (pi[i], pi[j])."""
     rows = [()] * a.size
@@ -334,47 +344,30 @@ def apply_monomial(g: PolyMatrix, perm: Sequence[int], scale: Sequence[int]) -> 
     return PolyMatrix(fld, rows)
 
 
-def _adjacency_separates(g: PolyMatrix, h: PolyMatrix) -> bool:
-    """Whether Lambda alone shows that g and h generate monomially
-    inequivalent codes.
-
-    A column permutation and rescaling keeps every edge weight, so it
-    leaves Lambda of a minimal encoder unchanged, and Lambda up to a
-    zero-fixing conjugation is an invariant of the code.  Decided only when
-    both matrices are minimal and Lambda has at most SEARCH_STATES states;
-    otherwise False.  A rank-deficient g raises here, as h does in
-    hermite_form.
-    """
-    info_g, info_h = g.info, h.info
-    if not (info_g.is_minimal and info_h.is_minimal):
-        return False
-    if info_g.delta != info_h.delta:
-        return True
-    try:
-        check_search_size(g.field.q, info_g.delta)
-    except LimitError:
-        return False
-    return gen_adj_equal(code_adjacency(g), code_adjacency(h)) is None
-
-
 def monomial_equiv(
     g: PolyMatrix, h: PolyMatrix, *, budget: int = DEFAULT_BUDGET
 ) -> Optional[MonomialWitness]:
     """Exhaustive search for a column permutation and rescaling mapping the
     code of g onto the code of h; returns the lexicographically first
     witness (permutations in lex order, scalings in value order).  A global
-    unit c keeps the code, as c G = (cI) G, so scale[0] is 1.  A pair of
-    minimal matrices whose Lambda are not conjugate is answered None before
-    the search.  A rank-deficient g or h raises ValueError."""
+    unit c keeps the code, as c G = (cI) G, so scale[0] is 1.  A column
+    permutation and rescaling keeps every edge weight and so Lambda, and a
+    minimal pair of unequal constraint lengths, or whose Lambda
+    `code_witness` finds not conjugate, is answered None before the search.
+    A rank-deficient g or h raises ValueError."""
     polyalg.check_same_shape(g, h)
     fld = g.field
     n = g.n
     candidates = itertools.chain(range(1, n + 1), itertools.repeat(fld.q - 1, n - 1))
     check_limit(budget, "{count} candidates exceed the search budget {bound}", candidates)
     target = polyalg.hermite_form(h)
-    if _adjacency_separates(g, h):
-        return None
-    # _adjacency_separates read g.info, so g and all its column-monomial images have full rank
+    info_g, info_h = g.info, h.info  # raises on a rank-deficient g, so g's images have full rank
+    if info_g.is_minimal and info_h.is_minimal:
+        try:
+            if info_g.delta != info_h.delta or code_witness(g, h) is None:
+                return None
+        except LimitError:  # a refused Lambda leaves the decision to the search
+            pass
     for perm in itertools.permutations(range(n)):
         for rest in itertools.product(fld.units(), repeat=n - 1):
             scale = (1, *rest)

@@ -297,7 +297,9 @@ def zero_weight_edges(sd: StateDiagram) -> list[list[int]]:
 
     These are the transitions (x, u) != (0, 0) with xC + uD = 0: the inputs
     are grouped by packed -uD once, and state x takes the group of its xC.
-    Over F_{2^m}, -uD = uD; otherwise u(-D) is one more table of q^k entries.
+    Over F_{2^m}, -uD = uD; otherwise u(-D) is one more table of q^k entries,
+    the only use of the field's vector sum here.  Destinations are the
+    integer sums xA + uB, as in `_transitions`.
     """
     fld = sd.field
     add, xa, xc, ub, ud = sd.tables
@@ -306,7 +308,7 @@ def zero_weight_edges(sd: StateDiagram) -> list[list[int]]:
     by_output: dict[int, list[int]] = {}
     for u, v in enumerate(ud):
         by_output.setdefault(v, []).append(u)
-    succ = [[add(a, ub[u]) for u in by_output.get(c, ())] for a, c in zip(xa, xc)]
+    succ = [[a + ub[u] for u in by_output.get(c, ())] for a, c in zip(xa, xc)]
     del succ[0][0]  # (0, 0), the first input of the group of 0
     return succ
 
@@ -336,13 +338,11 @@ def _label(vec: tuple[int, ...], q: int) -> str:
     return ",".join(str(d) for d in vec)
 
 
-def dot_chunks(sd: StateDiagram, *, force: bool = False) -> Iterator[str]:
+def dot_chunks(sd: StateDiagram) -> Iterator[str]:
     """Graphviz text in chunks: the head and the vertices, one chunk of edge
-    lines per source, labelled "u|v (weight)", and the closing brace.  More
-    than DEFAULT_DOT_CEILING states are refused unless `force` is set."""
-    if not force:
-        check_limit(DEFAULT_DOT_CEILING, "{count} vertices exceed the rendering guard {bound}",
-                    [sd.num_states])
+    lines per source, labelled "u|v (weight)", and the closing brace.  The
+    size guard is the CLI's: `diagram` checks DEFAULT_DOT_CEILING before the
+    controller form, the one guard on DOT and JSON alike."""
     q = sd.field.q
     yield "digraph state_diagram {\n  rankdir=LR;\n" + "".join(
         f'  {i} [label="{_label(state_vector(q, sd.gamma, i), q)}"];\n'

@@ -25,7 +25,7 @@ from convcode import (
     zero_weight_cycle_exists,
 )
 from convcode.galois import field_make
-from convcode.invariance import apply_witness
+from convcode.invariance import apply_witness, code_adjacency, code_witness
 from convcode.oracle import survey
 from convcode.polyalg import deg, poly, poly_gcd
 from convcode.spectrum import WeightEnum
@@ -197,9 +197,10 @@ def test_criterion_07_invariant_recovery():
     report(7, 120.0, start, f"dimension and row degrees recovered on {seen} matrices")
 
 
-def _coprime_rows(n, gamma):
-    """All basic 1 x n binary rows with max entry degree exactly gamma."""
-    polys = []
+def _coprime_rows(n, gamma, *, with_zero=False):
+    """All basic 1 x n binary rows with max entry degree exactly gamma, with
+    zero entries only if `with_zero`."""
+    polys = [()] if with_zero else []
     for packed in range(1, 2 ** (gamma + 1)):
         polys.append(poly([(packed >> i) & 1 for i in range(gamma + 1)]))
     rows = []
@@ -233,6 +234,44 @@ def test_criterion_08_adjacency_determines_monomial_class():
                     equivalent += adj_eq
     assert equivalent > 0  # both directions genuinely exercised
     report(8, 300.0, start, f"adjacency equality iff monomial equivalence ({checked} pairs)")
+
+
+def test_criterion_11_adjacency_classes_are_the_monomial_classes():
+    # every basic binary k = 1 code with (n, delta) in (2, 1..4), (3, 1..3),
+    # (4, 1..2): its Lambda has the shift graph as support, so a zero-fixing
+    # conjugation between two of them is a zero-fixing automorphism of that
+    # graph, the identity by Lemma A.1 (at delta = 1 the one nonzero state is
+    # fixed); so Lambda itself keys its class, and over F_2 a monomial class
+    # is a multiset of columns
+    start = time.perf_counter()
+    assert all(verify_shift_permutation_lemma(delta) for delta in (2, 3, 4))
+    rng = random.Random(1111)
+    counts, pools = [], []
+    for n, deltas in ((2, (1, 2, 3, 4)), (3, (1, 2, 3)), (4, (1, 2))):
+        for delta in deltas:
+            codes = _coprime_rows(n, delta, with_zero=True)
+            by_lam, by_columns = {}, {}
+            for i, g in enumerate(codes):
+                lam = code_adjacency(g)
+                key = tuple(tuple((j, lam.cells[t].terms()) for j, t in row) for row in lam.rows)
+                by_lam.setdefault(key, []).append(i)
+                by_columns.setdefault(tuple(sorted(g.rows[0])), []).append(i)
+            assert sorted(by_lam.values()) == sorted(by_columns.values())
+            classes = [[codes[i] for i in members] for members in by_columns.values()]
+            for g, h in (c[:2] for c in classes if len(c) >= 2):
+                assert code_witness(g, h) == tuple(range(2**delta))
+                assert monomial_equiv(g, h) is not None
+            counts.append(len(classes))
+            pools.append(classes)
+    assert sum(len(c) for classes in pools for c in classes) == 7146
+    assert counts == [3, 12, 48, 192, 10, 68, 496, 22, 235]
+    for _ in range(200):
+        classes = rng.choice(pools)
+        g, h = (rng.choice(c) for c in rng.sample(classes, 2))
+        assert code_witness(g, h) is None
+        assert monomial_equiv(g, h) is None
+    report(11, 60.0, start,
+           f"Lambda classes are the {sum(counts)} column-multiset classes of 7146 codes")
 
 
 def test_criterion_09_shift_rigidity():

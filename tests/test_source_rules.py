@@ -161,6 +161,68 @@ def test_destinations_are_formed_by_transitions_only():
     assert found == []
 
 
+def _function(name: str, fn: str) -> ast.FunctionDef:
+    tree = ast.parse((PACKAGE / name).read_text())
+    return next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == fn)
+
+
+def _calls(tree, name: str) -> list:
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_two_codes_lambda_are_compared_in_one_place():
+    # "are the Lambda of these two codes conjugate?" is answered by
+    # invariance.code_witness alone, which checks the search bound before
+    # either Lambda is built; `equal` and `mono-equiv` both ask it
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in _calls(ast.parse(path.read_text(), filename=str(path)), "gen_adj_equal")
+    ]
+    assert len(found) == 1
+    witness = _function("invariance.py", "code_witness")
+    assert found == [f"invariance.py:{node.lineno}" for node in _calls(witness, "gen_adj_equal")]
+    cli_tree = ast.parse((PACKAGE / "cli.py").read_text())
+    assert _calls(cli_tree, "check_search_size") == [] and _calls(cli_tree, "gen_adj_equal") == []
+    for module, fn in (("cli.py", "_cmd_equal"), ("invariance.py", "monomial_equiv")):
+        assert len(_calls(_function(module, fn), "code_witness")) == 1
+
+
+def test_rendering_guard_is_checked_once_by_the_cli():
+    # `diagram` checks the rendering guard before the controller form, for
+    # --dot and --json alike, so dot_chunks neither checks it nor takes a
+    # switch to skip it
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in _calls(ast.parse(path.read_text(), filename=str(path)), "check_limit")
+        if "rendering guard" in ast.unparse(node) or "DOT_CEILING" in ast.unparse(node)
+    ]
+    guard = _calls(_function("cli.py", "_cmd_diagram"), "check_limit")
+    assert found == [f"cli.py:{node.lineno}" for node in guard if "DOT_CEILING" in ast.unparse(node)]
+    assert len(found) == 1
+    args = _function("statediag.py", "dot_chunks").args
+    assert [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)] == ["sd"]
+
+
+def test_weight_zero_destinations_are_integer_sums():
+    # xA and uB occupy disjoint cells, so a destination is their integer sum,
+    # the rule of _transitions; the field's vector sum has no uB operand
+    fn = _function("statediag.py", "zero_weight_edges")
+    found = [
+        node.lineno
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and any(isinstance(a, ast.Subscript) and getattr(a.value, "id", None) == "ub" for a in node.args)
+    ]
+    assert found == []
+    assert any(isinstance(n, ast.Subscript) and getattr(n.value, "id", None) == "ub" for n in ast.walk(fn))
+
+
 def test_spectrum_reads_the_diagram_only():
     # Lambda, Phi and Omega come from the state diagram, never from G itself
     tree = ast.parse((PACKAGE / "spectrum.py").read_text())

@@ -138,7 +138,7 @@ def test_build_ceiling(g213):
         build(controller_form(g213), max_states=4)
 
 
-def test_dot_export(g1, g213, monkeypatch):
+def test_dot_export(g1, g213):
     sd = build(controller_form(g1))
     text = "".join(dot_chunks(sd))
     assert text == "".join(dot_chunks(sd))  # byte stable
@@ -148,10 +148,7 @@ def test_dot_export(g1, g213, monkeypatch):
     assert '1 -> 0 [label="0|011 (2)"];' in text
 
     sd8 = build(controller_form(g213))
-    monkeypatch.setattr(statediag, "DEFAULT_DOT_CEILING", 4)
-    with pytest.raises(LimitError):
-        "".join(dot_chunks(sd8))
-    assert "".join(dot_chunks(sd8, force=True)).count("->") == 15
+    assert "".join(dot_chunks(sd8)).count("->") == 15
 
 
 def test_edges_json(g1):
