@@ -20,20 +20,31 @@ are counts into the class less those into the others.  The search, which
 runs on an explicit stack, tests a candidate against the state's
 neighbours alone, O(degree): it looks up a's placed neighbours in b's
 rows, one dict per row, then counts b's neighbours there to rule out a
-nonzero b cell over a zero a cell.  On top of that sit: `code_witness`,
-the one comparison of two codes' Lambda; recovery of the code dimension
-and row degrees from the matrix alone; the monomial-equivalence decision
-for generator matrices, which refuses a minimal pair through
-`code_witness` when their Lambda are not conjugate; the closed-form dual
-transform for binary codes with unit constraint length; and Lemma A.1 as
-a count of the shift graph's automorphisms.
+nonzero b cell over a zero a cell.
+
+The Lambda of a linear code has x -> lambda x, lambda in F_q^*, as a
+zero-fixing automorphism, so for two codes the refinement signs one state
+per orbit, its smallest member, and copies its color to the rest.  Each
+round's coloring is a function of the previous coloring and the two
+matrices, so by induction it is invariant under every zero-fixing
+automorphism of both, and its colors are constant on orbits.  First-seen
+ids run in index order and a representative is its orbit's smallest
+member, so even the color ids come out the same.
+
+On top of that sit: `code_witness`, the one comparison of two codes'
+Lambda and the one caller that hands the search those orbits; recovery
+of the code dimension and row degrees from the matrix alone; the
+monomial-equivalence decision for generator matrices, which refuses a
+minimal pair through `code_witness` when their Lambda are not conjugate;
+the closed-form dual transform for binary codes with unit constraint
+length; and Lemma A.1 as a count of the shift graph's automorphisms.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import encoder, polyalg, spectrum, statediag
 from .errors import InternalError, LimitError, check_limit
@@ -99,7 +110,7 @@ def _cell_graphs(a: AdjMatrix, b: AdjMatrix):
     return graphs
 
 
-def _refined_colors(graphs):
+def _refined_colors(graphs, classes=None):
     """Stable joint color refinement of `_cell_graphs(a, b)`; None when
     histograms separate.
 
@@ -119,8 +130,25 @@ def _refined_colors(graphs):
     less the other parts'.  Each round makes the partition that pushes
     from every state would, and first-seen signature ids, a's states
     before b's, give it the same colors.
+
+    `classes`, (class of every state, least member of every class in
+    increasing order), partitions the states into orbits of zero-fixing
+    automorphisms of both matrices; only the least members are signed,
+    from the entries to them alone, and the rest of each class takes its
+    color.  Each round's coloring is a function of the previous coloring
+    and the two matrices, so by induction it is invariant under every
+    zero-fixing automorphism of both, and its colors are constant on
+    orbits.  First-seen ids run in index order and a representative is its
+    orbit's smallest member, so even the color ids come out the same.
+    Without `classes` every state is signed, from its list as it is.
     """
     s = len(graphs[0][0])
+    cls, reps = classes or (range(s), range(s))
+    if len(reps) < s:  # the entries to a representative only
+        signed = [False] * s
+        for r in reps:
+            signed[r] = True
+        graphs = [([[e for e in nb if signed[e[0]]] for nb in nbrs], keys) for nbrs, keys in graphs]
     col_a = [0 if i else -1 for i in range(s)]  # state 0 is pinned
     col_b = list(col_a)
     pushers = (range(s), range(s))
@@ -134,9 +162,12 @@ def _refined_colors(graphs):
                 c = colors[j]
                 for i, t in nbrs[j]:
                     runs[i].append(keys[t] + c)
-            for c, run in zip(colors, runs):
+            ids = []
+            for r in reps:
+                run = runs[r]
                 run.sort()
-                target.append(sig_ids.setdefault((c, *run), len(sig_ids)))
+                ids.append(sig_ids.setdefault((colors[r], *run), len(sig_ids)))
+            target.extend(map(ids.__getitem__, cls))
         if sorted(new_a) != sorted(new_b):
             return None
         if new_a == col_a and new_b == col_b:
@@ -171,14 +202,15 @@ def check_search_size(q: int, gamma: int = 1) -> None:
                 itertools.repeat(q, gamma))
 
 
-def _witnesses(a: AdjMatrix, b: AdjMatrix):
+def _witnesses(a: AdjMatrix, b: AdjMatrix, classes=None):
     """Every zero-fixing permutation pi with b[pi(i)][pi(j)] == a[i][j], in
     lexicographic order: states are assigned in index order on an explicit
     stack, candidates in increasing order, and after a full mapping the
-    search backtracks one level and carries on."""
+    search backtracks one level and carries on.  `classes` goes to the
+    refinement."""
     s = a.size
     graphs = _cell_graphs(a, b)
-    refined = _refined_colors(graphs)
+    refined = _refined_colors(graphs, classes)
     if refined is None:
         return
     col_a, col_b = refined
@@ -235,17 +267,22 @@ def _witnesses(a: AdjMatrix, b: AdjMatrix):
                 used[mapping[i]] = False
 
 
-def gen_adj_equal(a: AdjMatrix, b: AdjMatrix) -> Optional[PermWitness]:
+def gen_adj_equal(
+    a: AdjMatrix, b: AdjMatrix, classes: Optional[Callable[[], tuple]] = None
+) -> Optional[PermWitness]:
     """The least zero-fixing permutation pi with b[pi(i)][pi(j)] == a[i][j],
     or None: the identity, tried first, or the first of `_witnesses` over at
-    most SEARCH_STATES states, either one certified by `_conjugates`."""
+    most SEARCH_STATES states, either one certified by `_conjugates`.
+    `classes`, called only once the identity is refused, gives the orbits
+    of zero-fixing automorphisms shared by a and b, as `_refined_colors`
+    takes them; without it the refinement signs every state."""
     if (a.size, a.q, a.n, a.extended) != (b.size, b.q, b.n, b.extended):
         raise ValueError("adjacency matrices have mismatched dimensions")
     check_search_size(a.size)
     identity = tuple(range(a.size))
     if _conjugates(a, b, identity):
         return identity
-    pi = next(_witnesses(a, b), None)
+    pi = next(_witnesses(a, b, classes and classes()), None)
     if pi is None:
         return None
     if not _conjugates(a, b, pi):
@@ -256,10 +293,15 @@ def gen_adj_equal(a: AdjMatrix, b: AdjMatrix) -> Optional[PermWitness]:
 def code_witness(g: PolyMatrix, h: PolyMatrix) -> Optional[PermWitness]:
     """`gen_adj_equal` on the Lambda of g and h, minimal matrices of one
     constraint length: the one comparison of two codes' Lambda, whose
-    conjugacy class is an invariant of the code.  LimitError above
-    SEARCH_STATES states, before either Lambda is built."""
-    check_search_size(g.field.q, g.info.delta)
-    return gen_adj_equal(code_adjacency(g), code_adjacency(h))
+    conjugacy class is an invariant of the code.  Both are the diagrams of
+    linear codes on one register, so x -> lambda x, lambda in F_q^*, is a
+    zero-fixing automorphism of each, and the search is handed those
+    orbits.  LimitError above SEARCH_STATES states, before either Lambda
+    is built."""
+    fld, delta = g.field, g.info.delta
+    check_search_size(fld.q, delta)
+    orbits = lambda: statediag._orbits(fld, delta)
+    return gen_adj_equal(code_adjacency(g), code_adjacency(h), orbits)
 
 
 def apply_witness(a: AdjMatrix, pi: Sequence[int]) -> AdjMatrix:

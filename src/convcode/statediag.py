@@ -32,6 +32,9 @@ orbit) has (Q^l)_{0,0} = (Lambda^l)_{0,0}.  `build(cf, lumped=True)`
 keeps the orbit map, and its edges leave only the representatives, 0 and
 the states whose first nonzero coordinate is 1 (the smallest member of
 each orbit in index order): about q^gamma / (q - 1) sources, not q^gamma.
+The same orbits, from the one `_orbits`, serve Q and the conjugation
+search: `invariance.code_witness` hands them to the color refinement,
+which signs one state per orbit.
 
 The catastrophicity and delay-freeness screens read only the weight-0
 edges, the transitions (x, u) != (0, 0) with xC = -uD, looked up in the

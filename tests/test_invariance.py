@@ -4,6 +4,7 @@ import math
 import pathlib
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -15,13 +16,14 @@ from convcode import (
     extend,
     gen_adj_equal,
     macwilliams_delta1,
+    minimize,
     monomial_equiv,
     pm,
     recover_dimension,
     recover_forney,
     verify_shift_permutation_lemma,
 )
-from convcode import invariance, polyalg
+from convcode import invariance, polyalg, statediag
 from convcode.cli import parse_gm
 from convcode.errors import InternalError, LimitError
 from convcode.galois import field_make
@@ -445,7 +447,7 @@ def test_search_refines_once_per_non_identity_pair(g1, g2, g213, monkeypatch):
     # colors, the search or neither refutes it, and never on the identity
     refined = invariance._refined_colors
     calls = []
-    counted = lambda graphs: calls.append(1) or refined(graphs)
+    counted = lambda graphs, classes=None: calls.append(1) or refined(graphs, classes)
     monkeypatch.setattr(invariance, "_refined_colors", counted)
     pairs = retabled_conjugate_pairs(g213) + cycle_pairs() + [(lam_of(g1), lam_of(g2))]
     results = []
@@ -472,7 +474,7 @@ def test_conjugation_check_pins_the_zero_state():
 def test_search_is_exact_under_the_trivial_coloring(monkeypatch):
     # with every state but 0 in one color, the search alone must keep b's
     # zero cells zero: the lookups of a's nonzero cells are not enough
-    def trivial(graphs):
+    def trivial(graphs, classes=None):
         s = len(graphs[0][0])
         colors = [0 if i else -1 for i in range(s)]
         return colors, list(colors)
@@ -503,6 +505,112 @@ def test_search_depth_does_not_grow_with_the_states():
     finally:
         sys.setrecursionlimit(limit)
     assert wit is not None and apply_witness(lam, wit) == conj
+
+
+# ---------------------------------------------------------------------------
+# one state signed per F_q^* orbit: code_witness hands the search the
+# register's orbits, which must give the colors of signing every state
+# ---------------------------------------------------------------------------
+
+
+CROSS_FIELDS = ((3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4))
+
+
+def largest_delta(q, k):
+    """The largest delta of at most 256 states and 4096 edges."""
+    top = 0
+    while q ** (top + k + 1) <= 4096 and q ** (top + 1) <= 256:
+        top += 1
+    return top
+
+
+def code_of_shape(rng, fld, k, delta=None):
+    """A seeded minimal code over fld with k rows and n = 3, of constraint
+    length delta when it is set, else of 1 to `largest_delta`."""
+    top = largest_delta(fld.q, k)
+    while True:
+        g = genutil.random_matrix(rng, fld, k, 3, rng.randint(1, -(-top // k)))
+        try:
+            if not g.info.is_basic:
+                continue
+        except ValueError:  # rank deficient
+            continue
+        g, _ = minimize(g)
+        if 1 <= g.info.delta <= top and delta in (None, g.info.delta):
+            return g
+
+
+def cross_field_pairs():
+    """Seeded (kind, g, h) pairs over F3, F4, F5, F7, F8, F9 and F16, with
+    k = 1 and k = 2 and n = 3, a third of the codes of the largest delta:
+    each code against a row-transformed image ("image"), minimal and of
+    the same delta, and against a different code of the same k and delta
+    ("other")."""
+    rng = random.Random(33)
+    pairs = []
+    for p, m in CROSS_FIELDS:
+        fld = field_make(p, m)
+        for k in (1, 2):
+            for i in range(6):
+                g = code_of_shape(rng, fld, k, None if i % 3 else largest_delta(fld.q, k))
+                h, _ = genutil.elementary_ops(rng, g, 4)
+                pairs.append(("image", g, h))
+                pairs.append(("other", g, code_of_shape(rng, fld, k, g.info.delta)))
+    return pairs
+
+
+def test_orbit_route_matches_every_state_across_fields(monkeypatch):
+    # signing one state per orbit gives the very colors of signing every
+    # state, so code_witness's witness is gen_adj_equal's on the same Lambda,
+    # and monomial_equiv answers as it does with the every-state route
+    pairs = cross_field_pairs()
+    kinds = Counter()
+    answers = []
+    for kind, g, h in pairs:
+        assert h.info.delta == g.info.delta and (g.k, g.n) == (h.k, h.n)
+        a, b = lam_of(g), lam_of(h)
+        graphs = _cell_graphs(a, b)
+        orbits = statediag._orbits(g.field, g.info.delta)
+        assert _refined_colors(graphs, orbits) == _refined_colors(graphs)
+        wit = invariance.code_witness(g, h)
+        assert wit == gen_adj_equal(a, b)
+        kinds[kind, "none" if wit is None else "identity" if wit == tuple(range(a.size)) else "moved"] += 1
+        kinds["256 states"] += a.size == 256
+        answers.append(monomial_equiv(g, h))
+    every_state = lambda g, h: gen_adj_equal(lam_of(g), lam_of(h))
+    monkeypatch.setattr(invariance, "code_witness", every_state)
+    assert answers == [monomial_equiv(g, h) for _, g, h in pairs]
+    assert all(w is not None for (kind, _, _), w in zip(pairs, answers) if kind == "image")
+    assert len(pairs) == 168 and kinds["image", "none"] == 0
+    assert kinds["image", "moved"] >= 25 and kinds["other", "none"] >= 60, kinds
+    assert kinds["256 states"] >= 20, kinds
+
+
+def identity_code_pairs():
+    """64-state F4 codes with k = 1, n = 3 against row-scaled,
+    column-permuted and rescaled images, whose Lambda agree cell for cell."""
+    rng = random.Random(64)
+    f4 = field_make(2, 2)
+    pairs = []
+    while len(pairs) < 8:
+        g = genutil.random_minimal_code(rng, f4, n_max=3, k_max=1, gamma_min=3, gamma_max=3)
+        if g.n == 3:
+            h, _ = genutil.elementary_ops(rng, g, 2)
+            cols = rng.sample(range(3), 3)
+            pairs.append((g, apply_monomial(h, cols, [rng.choice(f4.units()) for _ in cols])))
+    return pairs
+
+
+def test_identity_is_certified_before_the_orbits_are_made(monkeypatch):
+    # the orbits are made only once the identity is refused, so the pairs
+    # certified by the identity pay nothing for them
+    def refuse(fld, gamma):
+        raise RuntimeError("the orbits were made")
+
+    monkeypatch.setattr(statediag, "_orbits", refuse)
+    for g, h in identity_code_pairs():
+        assert lam_of(g) == lam_of(h)
+        assert invariance.code_witness(g, h) == tuple(range(64))
 
 
 def test_shifted_pair_not_conjugate(g1, g2):

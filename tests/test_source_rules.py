@@ -473,3 +473,40 @@ def test_bijections_are_enumerated_only_by_monomial_equiv():
             and id(node) not in allowed
         ]
     assert found == []
+
+
+def test_code_witness_alone_passes_classes_to_the_search():
+    # the F_q^* orbits are automorphisms of the Lambda of codes only, so the
+    # classes enter the search at code_witness and are only handed on below
+    # it; the orbits are made by statediag._orbits alone, for the lumped Q
+    # and for code_witness, which hands them on uncalled
+    search = ("gen_adj_equal", "_witnesses", "_refined_colors")
+    passed, made = [], []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in (n for n in tree.body if isinstance(n, ast.FunctionDef)):
+            for name in search:
+                for node in _calls(fn, name):
+                    if len(node.args) > (1 if name == "_refined_colors" else 2) or node.keywords:
+                        passed.append((fn.name, name))
+            made += [
+                (path.name, fn.name) for node in ast.walk(fn)
+                if "_orbits" in (getattr(node, "id", None), getattr(node, "attr", None))
+            ]
+    assert passed == [
+        ("_witnesses", "_refined_colors"),
+        ("gen_adj_equal", "_witnesses"),
+        ("code_witness", "gen_adj_equal"),
+    ]
+    assert sorted(made) == [("invariance.py", "code_witness"), ("statediag.py", "build")]
+
+
+def test_the_search_signs_every_state_by_default():
+    # gen_adj_equal on arbitrary matrices, and the lemma through _witnesses,
+    # get no classes: every state is its own representative
+    for fn in ("gen_adj_equal", "_witnesses", "_refined_colors"):
+        args = _function("invariance.py", fn).args
+        assert [a.arg for a in args.args][-1] == "classes"
+        assert len(args.defaults) == 1 and ast.unparse(args.defaults[0]) == "None"
+    lemma = _calls(_function("invariance.py", "verify_shift_permutation_lemma"), "_witnesses")
+    assert [(len(node.args), node.keywords) for node in lemma] == [(2, [])]
