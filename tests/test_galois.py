@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import pathlib
@@ -10,7 +11,7 @@ import pytest
 
 from convcode import field_make
 from convcode.cli import parse_gm
-from convcode.galois import FieldSpec, default_modulus, is_prime
+from convcode.galois import MAX_ORDER, FieldSpec, default_modulus, is_prime
 
 
 def brute_log_table(fld):
@@ -263,3 +264,56 @@ def test_operand_range_checks():
 
 def test_is_prime():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def test_default_fields_are_pinned():
+    # the modulus, generator, exp table and addition table of every default
+    # field with q <= MAX_ORDER, in order of (p, m), under one digest
+    digest, count = hashlib.sha256(), 0
+    for p in filter(is_prime, range(2, MAX_ORDER + 1)):
+        m = 1
+        while p**m <= MAX_ORDER:
+            fld = field_make(p, m)
+            digest.update(repr((p, m, fld.modulus, fld.generator)).encode())
+            digest.update(bytes(fld._exp) + fld.add_table)
+            count, m = count + 1, m + 1
+    assert count == 70
+    assert digest.hexdigest() == "d577e4e353238731fe8cab46e16580da30026e97755b924a1d82b185dcb24ef3"
+
+
+def monic_products(p, m):
+    """Every monic polynomial of degree m over F_p (low degree first) that is
+    a product of two monic factors of positive degree."""
+    monics = lambda d: [low + (1,) for low in itertools.product(range(p), repeat=d)]
+    out = set()
+    for d in range(1, m // 2 + 1):
+        for a, b in itertools.product(monics(d), monics(m - d)):
+            prod = [0] * (m + 1)
+            for (i, x), (j, y) in itertools.product(enumerate(a), enumerate(b)):
+                prod[i + j] = (prod[i + j] + x * y) % p
+            out.add(tuple(prod))
+    return out
+
+
+SMALL_EXTENSIONS = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2)]
+
+
+@pytest.mark.parametrize("p,m", SMALL_EXTENSIONS, ids=[f"F{p**m}" for p, m in SMALL_EXTENSIONS])
+def test_field_make_accepts_exactly_the_irreducible_moduli(p, m):
+    reducible = monic_products(p, m)
+    accepted = 0
+    for low in itertools.product(range(p), repeat=m):
+        mod = low + (1,)
+        if mod in reducible:
+            with pytest.raises(ValueError, match="^modulus is reducible over the prime field$"):
+                field_make(p, m, mod)
+        else:
+            assert field_make(p, m, mod).modulus == mod
+            accepted += 1
+    # Gauss's count of the monic irreducibles of degree m
+    assert accepted == {2: p**2 - p, 3: p**3 - p, 4: p**4 - p**2, 5: p**5 - p}[m] // m
+
+
+def test_default_modulus_refuses_degree_zero():
+    with pytest.raises(ValueError):
+        default_modulus(2, 0)

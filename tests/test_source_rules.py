@@ -3,12 +3,14 @@
 import ast
 import importlib.util
 import json
+import math
 import pathlib
 import subprocess
 import sys
 
 import convcode
 import convcode.cli
+from convcode.polyalg import MINOR_TERM_CEILING
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "convcode"
@@ -510,3 +512,24 @@ def test_the_search_signs_every_state_by_default():
         assert len(args.defaults) == 1 and ast.unparse(args.defaults[0]) == "None"
     lemma = _calls(_function("invariance.py", "verify_shift_permutation_lemma"), "_witnesses")
     assert [(len(node.args), node.keywords) for node in lemma] == [(2, [])]
+
+
+def test_no_function_calls_itself_but_the_minor_expansion():
+    # no recursion depth may grow with the input: polyalg._det recurses k
+    # deep and runs only under encoder_info, which refuses more than
+    # MINOR_TERM_CEILING cofactor terms (at least k!) before any minor is
+    # expanded, so k <= 9
+    assert math.factorial(9) < MINOR_TERM_CEILING < math.factorial(10)
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Name) and node.func.id == fn.name
+                    or isinstance(node.func, ast.Attribute) and node.func.attr == fn.name
+                    and getattr(node.func.value, "id", None) in ("self", "cls")
+                )
+                for node in ast.walk(fn)
+            ):
+                found.append(f"{path.name}:{fn.name}")
+    assert found == ["polyalg.py:_det"]

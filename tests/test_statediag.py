@@ -15,7 +15,7 @@ from convcode import (
 from convcode.cli import parse_gm
 from convcode.errors import LimitError
 from convcode.galois import FieldSpec, field_make
-from convcode.polyalg import vec_mat
+from convcode.polyalg import encoder_info, k_minors, poly_add, poly_gcd, poly_mul, shift, vec_mat
 from convcode import statediag
 from convcode.statediag import dot_chunks, state_index, state_vector
 
@@ -298,3 +298,51 @@ def test_orbits_lump_lambda_equitably(p, m):
             for j, t in row:
                 lumped[orbit[j]] = lumped.get(orbit[j], WeightEnum.zero()) + full.cells[t]
             assert sorted(lumped.items()) == [(o, q_lam.cells[t]) for o, t in q_lam.rows[orbit[x]]]
+
+
+def catastrophic_by_minors(g):
+    """Massey & Sain (1968): a full-rank G is catastrophic exactly when the
+    gcd of its maximal minors is not a power of z; poly_gcd's is monic."""
+    gcd = ()
+    for minor in k_minors(g):
+        gcd = poly_gcd(g.field, gcd, minor)
+    return any(gcd[:-1])
+
+
+def test_zero_weight_cycle_iff_minors_share_a_non_monomial_factor():
+    # random full-rank matrices of gamma <= 4, with the screen's relaxed form:
+    # every third has a row times z (not delay-free if the row was), every
+    # third a row times c + z, c != 0, which every maximal minor then shares,
+    # and with two rows the rest add z times row 0 to row 1
+    rng = random.Random(1968)
+    seen = dict.fromkeys(["catastrophic", "non-basic", "basic, not minimal", "not delay-free"], 0)
+    total = 0
+    for fld in (field_make(2), field_make(3), field_make(2, 2), field_make(5), field_make(2, 3)):
+        made = 0
+        while made < 72:
+            k = rng.randint(1, 2)
+            n = rng.randint(k + 1, 3)
+            rows = [[genutil.random_poly(rng, fld, rng.randint(0, 2)) for _ in range(n)] for _ in range(k)]
+            factor = [None, (0, 1), (rng.randrange(1, fld.q), 1)][made % 3]
+            if factor:
+                i = rng.randrange(k)
+                rows[i] = [poly_mul(fld, factor, e) for e in rows[i]]
+            elif k == 2:  # z times row 0 added to row 1 keeps the minors
+                rows[1] = [poly_add(fld, e, shift(f, 1)) for e, f in zip(rows[1], rows[0])]
+            g = pm(fld, rows)
+            try:
+                info = encoder_info(g)
+            except ValueError:  # rank deficient
+                continue
+            if sum(info.row_degrees) > 4:
+                continue
+            made += 1
+            sd = build(controller_form(g, require_minimal=False))
+            assert zero_weight_cycle_exists(sd) == catastrophic_by_minors(g)
+            seen["catastrophic"] += catastrophic_by_minors(g)
+            seen["non-basic"] += not info.is_basic
+            seen["basic, not minimal"] += info.is_basic and not info.is_minimal
+            seen["not delay-free"] += not delay_free_check(sd)
+        total += made
+    assert seen["catastrophic"] * 3 >= total
+    assert min(seen.values()) >= 10, seen
