@@ -66,31 +66,22 @@ def controller_form(g: PolyMatrix, *, require_minimal: bool = True) -> Controlle
         raise ValueError("generator matrix is not minimal; row-reduce it first")
     degs = info.row_degrees
     gamma = sum(degs)
-    k, n = g.k, g.n
-    offsets = []
-    pos = 0
-    for d in degs:
-        offsets.append(pos)
-        pos += d
     a = [[0] * gamma for _ in range(gamma)]
-    b = [[0] * gamma for _ in range(k)]
-    c = [[0] * n for _ in range(gamma)]
+    b = [[0] * gamma for _ in range(g.k)]
+    c = []
     for i, d in enumerate(degs):
-        o = offsets[i]
-        for r in range(d - 1):
-            a[o + r][o + r + 1] = 1
-        if d > 0:
+        o = len(c)  # the block's first cell
+        for r in range(o, o + d - 1):
+            a[r][r + 1] = 1
+        if d:
             b[i][o] = 1
-        for r in range(1, d + 1):
-            for j in range(n):
-                c[o + r - 1][j] = coeff(g.rows[i][j], r)
-    d_mat = polyalg.pm_eval0(g)
+        c += [tuple(coeff(e, r) for e in g.rows[i]) for r in range(1, d + 1)]
     return ControllerForm(
         field=g.field,
         A=tuple(tuple(r) for r in a),
         B=tuple(tuple(r) for r in b),
-        C=tuple(tuple(r) for r in c),
-        D=d_mat,
+        C=tuple(c),
+        D=polyalg.pm_eval0(g),
         block_degrees=degs,
         gamma=gamma,
         generator=g,

@@ -39,7 +39,7 @@ eviction.  Importing the package builds no field.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 MAX_ORDER = 256
 
@@ -70,39 +70,24 @@ def _pack(digits: Iterable[int], p: int) -> int:
     return value
 
 
-def _fp_poly_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Long division of coefficient lists over F_p (low degree first)."""
-    num = list(num)
-    dd = len(den) - 1
-    inv_lead = pow(den[-1], p - 2, p) if p > 2 else den[-1]
-    quot = [0] * max(len(num) - dd, 1)
-    while len(num) - 1 >= dd and any(num):
-        while num and num[-1] == 0:
-            num.pop()
-        if len(num) - 1 < dd:
-            break
-        shift = len(num) - 1 - dd
-        factor = (num[-1] * inv_lead) % p
-        quot[shift] = factor
-        for i, c in enumerate(den):
-            num[shift + i] = (num[shift + i] - factor * c) % p
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
+def _fp_poly_mod(num: Sequence[int], den: Sequence[int], p: int) -> list[int]:
+    """num mod den over F_p for a monic den, as deg den coefficients, low
+    degree first (high zeros kept); num must be at least that long."""
+    rem, d = list(num), len(den) - 1
+    for shift in range(len(rem) - 1 - d, -1, -1):
+        factor = rem[shift + d]
+        if factor:
+            for i, c in enumerate(den):
+                rem[shift + i] = (rem[shift + i] - factor * c) % p
+    return rem[:d]
 
 
 def _fp_poly_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg/2."""
+    """Trial division of a monic polynomial by every monic one of degree 1..deg/2."""
     m = len(coeffs) - 1
-    if m < 1 or coeffs[-1] != 1:
-        return False
-    if m == 1:
-        return True
     for d in range(1, m // 2 + 1):
         for low in range(p**d):
-            div = list(_digits(low, p, d)) + [1]
-            _, rem = _fp_poly_divmod(list(coeffs), div, p)
-            if not rem:
+            if not any(_fp_poly_mod(coeffs, _digits(low, p, d) + (1,), p)):
                 return False
     return True
 
@@ -110,6 +95,7 @@ def _fp_poly_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
 @functools.cache
 def default_modulus(p: int, m: int) -> tuple[int, ...]:
     """Monic irreducible of degree m over F_p with the smallest encoding."""
+    check_field(p, m)
     for low in range(p**m):
         cand = _digits(low, p, m) + (1,)
         if _fp_poly_irreducible(cand, p):
@@ -145,9 +131,7 @@ class FieldSpec:
             if ca:
                 for j, cb in enumerate(db):
                     prod[i + j] = (prod[i + j] + ca * cb) % p
-        _, rem = _fp_poly_divmod(prod, list(self.modulus), p)
-        rem += [0] * (m - len(rem))
-        return _pack(rem[:m], p)
+        return _pack(_fp_poly_mod(prod, self.modulus, p), p)
 
     def _build_sums(self) -> None:
         """add_table[a * q + b] = a + b and _neg[a] = -a, base-p digit by digit:

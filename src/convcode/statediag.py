@@ -10,11 +10,12 @@ and outputs v are packed like states.  Since F_q = F_p^m with base-p
 element digits, a packed vector is a base-p number and x -> xA is
 F_p-linear, so `build` fills the tables xA, xC (per state) and uB, uD
 (per input) by a prefix recursion over the F_p basis from (gamma + k) * m
-images, in O(q^gamma + q^k).  An edge is two vector sums, dst = xA + uB
-and v = xC + uD, and a table lookup of wt(v).  A shifts each register
-block and B writes the block's first cell, so xA and uB occupy disjoint
-cells and dst is their integer sum; v is an XOR over F_{2^m}, else the
-field's addition table per element.  `_transitions` is the one
+images, each a matrix row times a power of p, in O(q^gamma + q^k).  An
+edge is two vector sums, dst = xA + uB and v = xC + uD, and a table
+lookup of wt(v).  A shifts each register block and B writes the block's
+first cell, so xA and uB occupy disjoint cells and dst is their integer
+sum; v is an XOR over F_{2^m}, else the field's addition table per
+element.  `_transitions` is the one
 enumeration of the sources and their inputs, and alone turns a source
 into its destinations; every edge view replays it when it is read, and
 `spectrum.adjacency` builds Lambda's rows from its destination rows and
@@ -38,7 +39,9 @@ which signs one state per orbit.
 
 The catastrophicity and delay-freeness screens read only the weight-0
 edges, the transitions (x, u) != (0, 0) with xC = -uD, looked up in the
-tables in O(q^gamma + q^k), not the q^(gamma + k) of every edge.
+tables in O(q^gamma + q^k), not the q^(gamma + k) of every edge.  A cycle
+among them is found by peeling off the states no weight-0 edge enters
+until none is left, linear in the states and those edges, with no stack.
 """
 
 from __future__ import annotations
@@ -128,16 +131,15 @@ def _linear_table(
     """Packed xM for every packed x in F_q^rows, in index order.
 
     Index digit j (base p, least significant first) is the basis vector
-    p^(j mod m) at coordinate rows - 1 - j // m; each digit multiplies the
-    table by p, appending the previous entries shifted by 1..p-1 times its
-    image.
+    p^(j mod m) at coordinate rows - 1 - j // m, so its image is that row
+    of M times p^(j mod m); each digit multiplies the table by p, appending
+    the previous entries shifted by 1..p-1 times its image.
     """
     q, p, m = fld.q, fld.p, fld.m
     table = [0]
     for j in range(rows * m):
-        unit = [0] * rows
-        unit[rows - 1 - j // m] = p ** (j % m)
-        image = state_index(q, polyalg.vec_mat(fld, unit, mat))
+        scale = p ** (j % m)
+        image = state_index(q, [fld.mul(scale, e) for e in mat[rows - 1 - j // m]])
         steps = [image]
         while len(steps) < p - 1:
             steps.append(add(steps[-1], image))
@@ -272,29 +274,6 @@ def build(
     )
 
 
-def _has_cycle(succ: list[list[int]]) -> bool:
-    """Directed cycle detection on successor lists."""
-    color = [0] * len(succ)  # 0 white, 1 on stack, 2 done
-    for start in range(len(succ)):
-        if color[start]:
-            continue
-        stack = [(start, iter(succ[start]))]
-        color[start] = 1
-        while stack:
-            node, it = stack[-1]
-            for nxt in it:
-                if color[nxt] == 1:
-                    return True
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, iter(succ[nxt])))
-                    break
-            else:
-                color[node] = 2
-                stack.pop()
-    return False
-
-
 def zero_weight_edges(sd: StateDiagram) -> list[list[int]]:
     """Destinations of the weight-0 edges per packed state, in input order.
 
@@ -317,8 +296,24 @@ def zero_weight_edges(sd: StateDiagram) -> list[list[int]]:
 
 
 def zero_weight_cycle_exists(sd: StateDiagram) -> bool:
-    """Directed cycle using only weight-0 edges; flags catastrophic encoders."""
-    return _has_cycle(zero_weight_edges(sd))
+    """Directed cycle using only weight-0 edges; flags catastrophic encoders.
+
+    The states no weight-0 edge enters are peeled off, with their edges,
+    until none is left (Kahn, 1962): the states never peeled are exactly
+    those on or downstream of a cycle.
+    """
+    succ = zero_weight_edges(sd)
+    entering = [0] * len(succ)
+    for dsts in succ:
+        for dst in dsts:
+            entering[dst] += 1
+    peeled = [x for x, count in enumerate(entering) if not count]
+    for x in peeled:  # grows while it is read
+        for dst in succ[x]:
+            entering[dst] -= 1
+            if not entering[dst]:
+                peeled.append(dst)
+    return len(peeled) < len(succ)
 
 
 def delay_free_check(sd: StateDiagram) -> bool:
