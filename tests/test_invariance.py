@@ -355,6 +355,50 @@ def test_witness_digests_are_pinned():
     assert digest == "55ca55ff3974abef603b7c8992f05070706fd7218515964135fe0412f465cdee"
 
 
+def monomial_pin_pairs():
+    """Binary k = 1 codes with n = 5, 6 and 7, and F3 and F4 codes with
+    k <= 2 and n = 3, 4, each against a row-transformed, column-monomial
+    image ("image") and against another code of its shape ("other").  Half
+    are non-basic, a basic code times 1 + z, so the search runs for them."""
+    rng = random.Random(35)
+
+    def code(fld, k, n, factor):
+        while True:
+            g = genutil.random_minimal_code(rng, fld, n_max=n, k_max=k, gamma_max=3)
+            if (g.k, g.n) == (k, n):
+                return pm(fld, [[polyalg.poly_mul(fld, factor, e) for e in row] for row in g.rows])
+
+    def image(g):
+        h = genutil.elementary_ops(rng, g, 4)[0] if g.info.is_minimal else g
+        perm = rng.sample(range(g.n), g.n)
+        return apply_monomial(h, perm, [rng.choice(g.field.units()) for _ in perm])
+
+    shapes = [(field_make(2), 1, n) for n in (5, 6, 7)]
+    shapes += [(fld, k, n) for fld in (field_make(3), field_make(2, 2)) for n in (3, 4) for k in (1, 2)]
+    pairs = []
+    for fld, k, n in shapes:
+        for factor in ((1,), (1, 1)):
+            g = code(fld, k, n, factor)
+            pairs += [("image", g, image(g)), ("other", g, code(fld, k, n, factor))]
+    return pairs
+
+
+def test_monomial_witnesses_are_pinned():
+    # the witnesses, None included, of a fixed corpus: they guard the Hermite
+    # forms inside the search, and a faster route for n >= 6 must print the
+    # same witnesses
+    pairs = monomial_pin_pairs()
+    results = [monomial_equiv(g, h) for _, g, h in pairs]
+    for (kind, g, h), w in zip(pairs, results):
+        assert (w is None) == (kind == "other")
+        if w is not None:
+            mapped = apply_monomial(g, *w)
+            assert polyalg.hermite_form(mapped) == polyalg.hermite_form(h)
+    assert len(pairs) == 44 and sum(not g.info.is_basic for _, g, _ in pairs) == 22
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == "66c666705dd67c3a00b9be004a5c5f5148517280f3ce135f485f3cd1f3c6cb83"
+
+
 def retabled(m, order, twins=False):
     """m with its cell table listed in `order`; with `twins`, every entry is
     listed again as a copy of its own, and the odd rows use the copies."""

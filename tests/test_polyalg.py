@@ -1,13 +1,18 @@
+import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from convcode import codes_equal, dual_basis, encoder_info, hermite_form, k_minors, minimize, pm, right_inverse
+from convcode.galois import field_make
 from convcode.polyalg import (
     NEG_INF,
     ZERO,
+    PolyMatrix,
     deg,
+    diagonalize,
     highest_coeff_matrix,
     mat_left_kernel_vector,
     mat_rank,
@@ -245,3 +250,54 @@ def test_left_kernel_vector(f2):
     from convcode.polyalg import vec_mat
     assert vec_mat(f2, w, ((1, 0), (1, 0), (0, 1))) == (0, 0)
     assert mat_left_kernel_vector(f2, ((1, 0), (0, 1))) is None
+
+
+def reduction_corpus():
+    """400 seeded full-rank matrices over F2, F3, F4, F5, F7 and F8 with
+    k <= 3, n <= 4 and entries of degree <= 3: basic and not, k < n and k = n."""
+    rng = random.Random(35)
+    fields = [field_make(p, m) for p, m in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3))]
+    corpus = []
+    while len(corpus) < 400:
+        fld, k = rng.choice(fields), rng.randint(1, 3)
+        n, d = rng.randint(k, 4), rng.randint(0, 3)
+        g = pm(fld, [[genutil.random_poly(rng, fld, rng.randint(0, d)) for _ in range(n)] for _ in range(k)])
+        if any(k_minors(g)):
+            corpus.append(g)
+    return corpus
+
+
+def _plain(x):
+    """An output with each PolyMatrix replaced by its rows."""
+    if isinstance(x, PolyMatrix):
+        return x.rows
+    return tuple(map(_plain, x)) if isinstance(x, tuple) else x
+
+
+def test_reductions_are_pinned():
+    # the outputs, or the refusals, of the unimodular reductions on a fixed
+    # corpus: a rewrite of any of them must give the same values
+    corpus = reduction_corpus()
+    kinds = Counter((g.info.is_basic, g.k == g.n) for g in corpus)
+    assert len(kinds) == 4 and min(kinds.values()) >= 40
+    results = []
+    for g in corpus:
+        for fn in (hermite_form, diagonalize, minimize, right_inverse, dual_basis):
+            try:
+                results.append(_plain(fn(g)))
+            except ValueError as exc:
+                results.append((type(exc).__name__, str(exc)))
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == "ccdf1eee0199d9383f48e6698f2f927fd7f9070180f0ceadfe284f754594443f"
+
+
+def test_diagonalize_gives_unimodular_transforms_of_a_diagonal_form():
+    for g in reduction_corpus():
+        s, u, v = diagonalize(g)
+        assert pm_mul(pm_mul(u, g), v) == s
+        assert all(not e for i, row in enumerate(s.rows) for j, e in enumerate(row) if i != j)
+        diagonal = [s.rows[t][t] for t in range(g.k)]
+        assert all(e and e[-1] == 1 for e in diagonal)  # full rank: none is zero
+        for m in (u, v):
+            (det,) = k_minors(m)
+            assert deg(det) == 0
