@@ -11,6 +11,14 @@ constraint length, equivalently the highest-coefficient matrix has full
 row rank), row reduction to a minimal matrix, polynomial right inverses,
 canonical row echelon forms for deciding code equality, and dual bases.
 
+The Hermite form and the diagonalization share one Euclidean row step,
+`_reduce`, and the reductions carry their transforms in an augmented
+matrix, as `mat_left_kernel_vector` does over F_q.  `minimize` works on
+[G | I_k], so U rides as the last k columns.  `diagonalize` works on
+[[G, I_k], [I_n, 0]]: row steps on the first k rows carry U as the last k
+columns, and column steps, row steps on the transpose, carry V as the
+last n rows.
+
 Everything is pure and operates on immutable values.
 """
 
@@ -153,8 +161,13 @@ def poly_str(a: Poly) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _identity(size: int, one, zero) -> tuple[tuple, ...]:
+    """The size x size identity, with entries `one` and `zero`."""
+    return tuple(tuple(one if i == j else zero for j in range(size)) for i in range(size))
+
+
 def mat_identity(k: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
+    return _identity(k, 1, 0)
 
 
 def mat_mul(fld: FieldSpec, a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]):
@@ -265,9 +278,7 @@ def pm(field: FieldSpec, rows: Sequence[Sequence[Iterable[int]]]) -> PolyMatrix:
 
 
 def pm_identity(field: FieldSpec, k: int) -> PolyMatrix:
-    return PolyMatrix(field, tuple(
-        tuple(ONE if i == j else ZERO for j in range(k)) for i in range(k)
-    ))
+    return PolyMatrix(field, _identity(k, ONE, ZERO))
 
 
 def pm_is_zero(a: PolyMatrix) -> bool:
@@ -393,42 +404,43 @@ def encoder_info(g: PolyMatrix) -> EncoderInfo:
     )
 
 
-def minimize(g: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
-    """Row-reduce a basic matrix to a minimal one.
+def _reduce(fld: FieldSpec, rows: list, i: int, r: int, j: int) -> bool:
+    """The Euclidean row step, in place: rows[i] -= (rows[i][j] div rows[r][j])
+    * rows[r] across the whole row.  Returns whether rows[i][j] is now zero;
+    callers pass these to all() as a list, so that every row is reduced."""
+    q, _ = poly_divmod(fld, rows[i][j], rows[r][j])
+    rows[i] = [poly_sub(fld, a, poly_mul(fld, q, b)) for a, b in zip(rows[i], rows[r])]
+    return not rows[i][j]
 
-    Returns (G_min, U) with U unimodular and G_min = U*G.  Each step finds
-    a left-kernel vector of the highest-coefficient matrix and cancels the
-    leading coefficient row of the highest-degree participating row (ties
-    broken toward the largest row index).
+
+def minimize(g: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
+    """Row-reduce a basic matrix to a minimal one (Forney, 1975).
+
+    Returns (G_min, U) with U unimodular and G_min = U*G, from [G | I_k].
+    Each step finds a left-kernel vector of the highest-coefficient matrix
+    of the G part and replaces the highest-degree participating row (ties
+    broken toward the largest row index) by the combination of whole
+    augmented rows that cancels its leading coefficients.
     """
     if not g.info.is_basic:
         raise ValueError("row reduction requires a basic matrix")
-    fld = g.field
-    rows = [list(r) for r in g.rows]
-    u_rows = [list(r) for r in pm_identity(fld, g.k).rows]
+    fld, n = g.field, g.n
+    rows = [r + e for r, e in zip(g.rows, _identity(g.k, ONE, ZERO))]
     while True:
-        degs = [int(max(deg(e) for e in row)) for row in rows]
-        hc = tuple(
-            tuple(coeff(e, d) for e in row) for row, d in zip(rows, degs)
-        )
-        w = mat_left_kernel_vector(fld, hc)
+        g_min = PolyMatrix(fld, tuple(r[:n] for r in rows))
+        w = mat_left_kernel_vector(fld, highest_coeff_matrix(g_min))
         if w is None:
             break
+        degs = row_degrees(g_min)
         support = [i for i, wi in enumerate(w) if wi]
         dmax = max(degs[i] for i in support)
         target = max(i for i in support if degs[i] == dmax)
-        new_row = [ZERO] * g.n
-        new_u = [ZERO] * g.k
+        row = (ZERO,) * len(rows[target])
         for i in support:
             lift = shift(constant(w[i]), dmax - degs[i])
-            for j in range(g.n):
-                new_row[j] = poly_add(fld, new_row[j], poly_mul(fld, lift, rows[i][j]))
-            for j in range(g.k):
-                new_u[j] = poly_add(fld, new_u[j], poly_mul(fld, lift, u_rows[i][j]))
-        rows[target] = new_row
-        u_rows[target] = new_u
-    g_min = PolyMatrix(fld, tuple(tuple(r) for r in rows))
-    u = PolyMatrix(fld, tuple(tuple(r) for r in u_rows))
+            row = tuple(poly_add(fld, a, poly_mul(fld, lift, b)) for a, b in zip(row, rows[i]))
+        rows[target] = row
+    u = PolyMatrix(fld, tuple(r[n:] for r in rows))
     if pm_mul(u, g) != g_min:
         raise InternalError("minimize: U * G differs from the reduced matrix")
     if not g_min.info.is_minimal:
@@ -443,9 +455,8 @@ def hermite_form(g: PolyMatrix) -> PolyMatrix:
     smaller degree.  Two basic matrices generate the same row module iff
     their forms coincide.
     """
-    fld = g.field
+    fld, k, n = g.field, g.k, g.n
     rows = [list(r) for r in g.rows]
-    k, n = g.k, g.n
     r = 0
     for j in range(n):
         if r == k:
@@ -456,28 +467,14 @@ def hermite_form(g: PolyMatrix) -> PolyMatrix:
                 break
             piv = min(nz, key=lambda i: (len(rows[i][j]), i))
             rows[r], rows[piv] = rows[piv], rows[r]
-            done = True
-            for i in range(r + 1, k):
-                if rows[i][j]:
-                    q, _ = poly_divmod(fld, rows[i][j], rows[r][j])
-                    rows[i] = [
-                        poly_sub(fld, a, poly_mul(fld, q, b))
-                        for a, b in zip(rows[i], rows[r])
-                    ]
-                    if rows[i][j]:
-                        done = False
-            if done:
+            if all([_reduce(fld, rows, i, r, j) for i in range(r + 1, k) if rows[i][j]]):
                 break
         if rows[r][j]:
             scale = fld.inv(rows[r][j][-1])
             rows[r] = [poly_scale(fld, scale, e) for e in rows[r]]
             for i in range(r):
                 if rows[i][j] and len(rows[i][j]) >= len(rows[r][j]):
-                    q, _ = poly_divmod(fld, rows[i][j], rows[r][j])
-                    rows[i] = [
-                        poly_sub(fld, a, poly_mul(fld, q, b))
-                        for a, b in zip(rows[i], rows[r])
-                    ]
+                    _reduce(fld, rows, i, r, j)
             r += 1
     if r < k:
         raise ValueError("matrix is rank deficient over F(z)")
@@ -502,82 +499,55 @@ def codes_equal(g: PolyMatrix, h: PolyMatrix) -> bool:
 def diagonalize(g: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
     """Smith-style diagonalization U*G*V = S with U, V unimodular.
 
+    Works on [[G, I_k], [I_n, 0]], so U is read off the last k columns and
+    V off the last n rows.  Step t moves a nonzero entry of least degree to
+    (t, t) and clears column t below it by row steps and row t right of it
+    by column steps (row steps on the transpose), until both are clear.
     S is diagonal with monic nonzero entries first; the divisibility chain
     is not enforced (not needed for kernels and right inverses).
     """
-    fld = g.field
-    k, n = g.k, g.n
-    s = [list(r) for r in g.rows]
-    u = [list(r) for r in pm_identity(fld, k).rows]
-    v = [list(r) for r in pm_identity(fld, n).rows]
-
-    def row_op(i, t, q):  # row_i -= q * row_t
-        s[i] = [poly_sub(fld, a, poly_mul(fld, q, b)) for a, b in zip(s[i], s[t])]
-        u[i] = [poly_sub(fld, a, poly_mul(fld, q, b)) for a, b in zip(u[i], u[t])]
-
-    def col_op(j, t, q):  # col_j -= q * col_t
-        for i in range(k):
-            s[i][j] = poly_sub(fld, s[i][j], poly_mul(fld, q, s[i][t]))
-        for i in range(n):
-            v[i][j] = poly_sub(fld, v[i][j], poly_mul(fld, q, v[i][t]))
-
+    fld, k, n = g.field, g.k, g.n
+    a = [list(r + e) for r, e in zip(g.rows, _identity(k, ONE, ZERO))]
+    a += [list(e + (ZERO,) * k) for e in _identity(n, ONE, ZERO)]
     for t in range(min(k, n)):
         while True:
-            best = None
-            for i in range(t, k):
-                for j in range(t, n):
-                    if s[i][j] and (best is None or len(s[i][j]) < len(s[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
+            nz = [(len(a[i][j]), i, j) for i in range(t, k) for j in range(t, n) if a[i][j]]
+            if not nz:
                 break
-            bi, bj = best
-            if bi != t:
-                s[t], s[bi] = s[bi], s[t]
-                u[t], u[bi] = u[bi], u[t]
-            if bj != t:
-                for row in s:
-                    row[t], row[bj] = row[bj], row[t]
-                for row in v:
-                    row[t], row[bj] = row[bj], row[t]
-            clean = True
-            for i in range(t + 1, k):
-                if s[i][t]:
-                    q, _ = poly_divmod(fld, s[i][t], s[t][t])
-                    row_op(i, t, q)
-                    if s[i][t]:
-                        clean = False
-            for j in range(t + 1, n):
-                if s[t][j]:
-                    q, _ = poly_divmod(fld, s[t][j], s[t][t])
-                    col_op(j, t, q)
-                    if s[t][j]:
-                        clean = False
+            _, bi, bj = min(nz)
+            a[t], a[bi] = a[bi], a[t]
+            for row in a:
+                row[t], row[bj] = row[bj], row[t]
+            clean = all([_reduce(fld, a, i, t, t) for i in range(t + 1, k) if a[i][t]])
+            a = [list(col) for col in zip(*a)]
+            clean = all([_reduce(fld, a, j, t, t) for j in range(t + 1, n) if a[j][t]]) and clean
+            a = [list(row) for row in zip(*a)]
             if clean:
                 break
-        if s[t][t] and s[t][t][-1] != 1:
-            inv = fld.inv(s[t][t][-1])
-            s[t] = [poly_scale(fld, inv, e) for e in s[t]]
-            u[t] = [poly_scale(fld, inv, e) for e in u[t]]
-    s_m = PolyMatrix(fld, tuple(tuple(r) for r in s))
-    u_m = PolyMatrix(fld, tuple(tuple(r) for r in u))
-    v_m = PolyMatrix(fld, tuple(tuple(r) for r in v))
+        if a[t][t] and a[t][t][-1] != 1:
+            inv = fld.inv(a[t][t][-1])
+            a[t] = [poly_scale(fld, inv, e) for e in a[t]]
+    s_m = PolyMatrix(fld, tuple(tuple(r[:n]) for r in a[:k]))
+    u_m = PolyMatrix(fld, tuple(tuple(r[n:]) for r in a[:k]))
+    v_m = PolyMatrix(fld, tuple(tuple(r[:n]) for r in a[k:]))
     if pm_mul(pm_mul(u_m, g), v_m) != s_m:
         raise InternalError("diagonalize: U * G * V differs from the diagonal form")
     return s_m, u_m, v_m
 
 
 def right_inverse(g: PolyMatrix) -> tuple[PolyMatrix, int]:
-    """Polynomial right inverse of a basic matrix plus its max row degree."""
+    """Polynomial right inverse of a basic matrix plus its max row degree.
+
+    A basic matrix diagonalizes to S = [I_k 0] (its diagonal entries are
+    monic constants), so Ghat = V [I_k; 0] U: V's first k columns times U.
+    """
     if not g.info.is_basic:
         raise ValueError("only basic matrices have polynomial right inverses")
     fld = g.field
     s, u, v = diagonalize(g)
     if any(len(s.rows[t][t]) != 1 for t in range(g.k)):
         raise InternalError("diagonal of a basic matrix must be constant")
-    # Ghat = V * [diag(1/d); 0] * U  (diagonal entries are monic, so 1)
-    w = [[s.rows[j][j] if i == j else ZERO for j in range(g.k)] for i in range(g.n)]
-    w_m = PolyMatrix(fld, tuple(tuple(r) for r in w))
-    ghat = pm_mul(pm_mul(v, w_m), u)
+    ghat = pm_mul(PolyMatrix(fld, tuple(row[:g.k] for row in v.rows)), u)
     if pm_mul(g, ghat) != pm_identity(fld, g.k):
         raise InternalError("right inverse: G * Ghat is not the identity")
     mhat = int(max(d for d in row_degrees(ghat) if d != NEG_INF))
@@ -596,10 +566,7 @@ def dual_basis(g: PolyMatrix) -> PolyMatrix:
         raise ValueError("dual basis requires a basic matrix")
     fld = g.field
     _, _, v = diagonalize(g)
-    kernel_rows = tuple(
-        tuple(v.rows[i][j] for i in range(g.n)) for j in range(g.k, g.n)
-    )
-    h0 = PolyMatrix(fld, kernel_rows)
+    h0 = PolyMatrix(fld, pm_transpose(v).rows[g.k:])
     if not pm_is_zero(pm_mul(g, pm_transpose(h0))):
         raise InternalError("dual basis: kernel columns are not orthogonal to G")
     h, _ = minimize(h0)

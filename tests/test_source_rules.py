@@ -194,6 +194,17 @@ def test_two_codes_lambda_are_compared_in_one_place():
         assert len(_calls(_function(module, fn), "code_witness")) == 1
 
 
+def test_polyalg_divides_in_the_gcd_and_the_one_row_step_only():
+    # every F_q[z] reduction (Hermite form, diagonalization) subtracts the
+    # Euclidean quotient of one row by another through polyalg._reduce
+    tree = ast.parse((PACKAGE / "polyalg.py").read_text())
+    callers = [
+        fn.name for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and _calls(fn, "poly_divmod")
+    ]
+    assert sorted(callers) == ["_reduce", "poly_gcd"]
+
+
 def test_rendering_guard_is_checked_once_by_the_cli():
     # `diagram` checks the rendering guard before the controller form, for
     # --dot and --json alike, so dot_chunks neither checks it nor takes a
