@@ -431,13 +431,20 @@ def _cmd_ccf(args) -> int:
     return 0
 
 
+def _check_rendering(args, q: int, gamma: int) -> None:
+    """The guard on printing every state of q^gamma, before the controller
+    form; --force lifts it."""
+    if not args.force:
+        check_limit(statediag.DEFAULT_DOT_CEILING,
+                    "{count} vertices exceed the rendering guard {bound}", repeat(q, gamma))
+
+
 def _cmd_diagram(args) -> int:
     g = _load(args.file)  # may be non-minimal: gamma is the sum of its row degrees
     q, gamma = g.field.q, sum(g.info.row_degrees)
     statediag.check_states(q, gamma, args.max_states)
-    if (args.dot or args.json) and not args.force:
-        check_limit(statediag.DEFAULT_DOT_CEILING,
-                    "{count} vertices exceed the rendering guard {bound}", repeat(q, gamma))
+    if args.dot or args.json:
+        _check_rendering(args, q, gamma)
     cf = encoder.controller_form(g, require_minimal=False)
     sd = statediag.build(cf, max_states=args.max_states)
     if args.dot:
@@ -464,6 +471,8 @@ def _cmd_diagram(args) -> int:
 def _cmd_adjacency(args) -> int:
     g = _load(args.file)
     _require_minimal(g, "the adjacency matrix requires")
+    invariance.check_adjacency(g)  # a matrix too large to build is refused as such
+    _check_rendering(args, g.field.q, g.info.delta)
     _print_adjacency(invariance.code_adjacency(g), args.json)
     return 0
 
@@ -686,10 +695,11 @@ def _build_parser() -> argparse.ArgumentParser:
         if name in ("spectrum", "distances", "oracle"):
             sp.add_argument("--trunc", type=int, default=None,
                             help="series truncation order (default 4*delta + 8)")
+        if name in ("diagram", "adjacency"):
+            sp.add_argument("--force", action="store_true",
+                            help="override the rendering size guard")
         if name == "diagram":
             sp.add_argument("--dot", action="store_true", help="emit Graphviz text")
-            sp.add_argument("--force", action="store_true",
-                            help="override the rendering size guard of --dot and --json")
             sp.add_argument("--max-states", type=int,
                             default=statediag.DEFAULT_STATE_CEILING,
                             help="state space ceiling")

@@ -7,11 +7,13 @@ is the conjugate of the other by a permutation of the states that fixes
 the zero state.  One backtracking search over vertex matchings, pruned
 by iterated in/out enumerator-multiset color refinement, lists every
 witness in lexicographic order; `gen_adj_equal` certifies its first by a
-full conjugation check, after the identity, the least witness whenever
-the two matrices agree cell for cell, is tried by that same check, in
-O(cells).  Both read the rows as they are plus one transpose per matrix,
-a state's row and column entries in one list, and a key table per local
-cell id whose enumerators are interned across both tables once per call.
+full conjugation check, which looks each mapped row up in a dict of the
+other matrix's row, after the identity, the least witness whenever the
+two matrices agree cell for cell, is tried by that same check, in
+O(cells).  The refinement and the search read the rows as they are plus
+one transpose per matrix, a state's row and column entries in one list,
+and a key table per local cell id whose enumerators are interned across
+both tables once per call.
 So the first refinement round sorts one int per neighbour, O(nonzero
 cells) in all, and a later round only the ints from the states of the
 parts that split off a class in the round before, the largest part of
@@ -31,19 +33,32 @@ automorphism of both, and its colors are constant on orbits.  First-seen
 ids run in index order and a representative is its orbit's smallest
 member, so even the color ids come out the same.
 
+For k = 1, state x moves to (u, x[0..gamma-2]) on input u, so the support
+of Lambda is the shift graph on F_q^gamma, the (gamma-1)-fold line digraph
+of the looped complete digraph on F_q, and a witness is one of its
+zero-fixing automorphisms.  A line digraph's arcs with one head share
+their successors, so its automorphisms come from the digraph below: each
+applies one permutation sigma of F_q, sigma(0) = 0, to every register
+cell, and Lemma A.1 is the case q = 2.  For q <= 5 `code_witness` hands
+`gen_adj_equal` these (q - 1)! maps in lexicographic order instead of the
+orbits, and the first that the conjugation check certifies is the least.
+
 On top of that sit: `code_witness`, the one comparison of two codes'
-Lambda and the one caller that hands the search those orbits; recovery
-of the code dimension and row degrees from the matrix alone; the
-monomial-equivalence decision for generator matrices, which refuses a
-minimal pair through `code_witness` when their Lambda are not conjugate;
-the closed-form dual transform for binary codes with unit constraint
-length; and Lemma A.1 as a count of the shift graph's automorphisms.
+Lambda and the one caller that hands the search those orbits or the
+alphabet maps; recovery of the code dimension and row degrees from the
+matrix alone; the monomial-equivalence decision for generator matrices,
+which refuses a minimal pair through `code_witness` when their Lambda are
+not conjugate; the closed-form dual transform for binary codes with unit
+constraint length; and Lemma A.1 as a count of the shift graph's
+automorphisms.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
+from collections.abc import Iterator
 from typing import Callable, Optional, Sequence
 
 from . import encoder, polyalg, spectrum, statediag
@@ -57,6 +72,18 @@ MonomialWitness = tuple  # (column permutation, column scalars)
 SEARCH_STATES = 256  # bound on the states of the conjugation search
 DEFAULT_BUDGET = 1 << 24  # bound on the candidates of the monomial_equiv search
 ADJACENCY_ENTRIES = 1 << 24  # bound on the edges tallied into Lambda, 16x the F16 example
+ALPHABET_FIELDS = 5  # k = 1 codes over F_q, q at most this, try the (q - 1)! alphabet maps
+
+
+def check_adjacency(g: PolyMatrix, *, lumped: bool = False) -> None:
+    """LimitError above the state ceiling, or when the sources times q^k
+    edges each pass ADJACENCY_ENTRIES; the sources are the q^gamma states,
+    or the (q^gamma - 1) / (q - 1) + 1 orbits of Q with `lumped`."""
+    q, k = g.field.q, g.k
+    states = statediag.check_states(q, g.info.delta)
+    sources = (states - 1) // (q - 1) + 1 if lumped else states
+    check_limit(ADJACENCY_ENTRIES, "{count} adjacency entries exceed the ceiling {bound}",
+                [sources, *itertools.repeat(q, k)])
 
 
 def code_adjacency(g: PolyMatrix, *, lumped: bool = False) -> AdjMatrix:
@@ -64,16 +91,9 @@ def code_adjacency(g: PolyMatrix, *, lumped: bool = False) -> AdjMatrix:
 
     The one route from G to Lambda; g must be minimal.  `lumped` gives the
     matrix Q of the F_q^* orbit quotient instead, which has the same
-    (Q^l)_{0,0} and serves only the series.  LimitError, before the form
-    is built, above the state ceiling or when its sources times q^k edges
-    each pass ADJACENCY_ENTRIES; the sources are the q^gamma states, or
-    the (q^gamma - 1) / (q - 1) + 1 orbits of Q.
+    (Q^l)_{0,0} and serves only the series.  `check_adjacency` runs first.
     """
-    q, k = g.field.q, g.k
-    states = statediag.check_states(q, g.info.delta)
-    sources = (states - 1) // (q - 1) + 1 if lumped else states
-    check_limit(ADJACENCY_ENTRIES, "{count} adjacency entries exceed the ceiling {bound}",
-                [sources, *itertools.repeat(q, k)])
+    check_adjacency(g, lumped=lumped)
     cf = encoder.controller_form(g)
     return spectrum.adjacency(statediag.build(cf, lumped=lumped))
 
@@ -135,12 +155,8 @@ def _refined_colors(graphs, classes=None):
     increasing order), partitions the states into orbits of zero-fixing
     automorphisms of both matrices; only the least members are signed,
     from the entries to them alone, and the rest of each class takes its
-    color.  Each round's coloring is a function of the previous coloring
-    and the two matrices, so by induction it is invariant under every
-    zero-fixing automorphism of both, and its colors are constant on
-    orbits.  First-seen ids run in index order and a representative is its
-    orbit's smallest member, so even the color ids come out the same.
-    Without `classes` every state is signed, from its list as it is.
+    color, the very colors of signing every state (see the module
+    docstring).  Without `classes` every state is signed, from its list.
     """
     s = len(graphs[0][0])
     cls, reps = classes or (range(s), range(s))
@@ -180,20 +196,29 @@ def _refined_colors(graphs, classes=None):
 
 
 def _conjugates(a: AdjMatrix, b: AdjMatrix, pi: Sequence[int]) -> bool:
-    """Whether b[pi(i)][pi(j)] == a[i][j] for every cell, with pi(0) == 0.
+    """Whether b[pi(i)][pi(j)] == a[i][j] for every cell, with pi a
+    permutation of the states and pi(0) == 0.
 
     A table entry takes the id of a's first entry with its terms() once
-    WeightEnum == confirms the match (b's others get -1); the rows are then
-    compared as (destination, id) tuples, up to the first that differs."""
+    WeightEnum == confirms the match (b's others get -1); each row of a,
+    mapped by pi, is then looked up in a {destination: id} dict of b's row
+    of one length, up to the first difference."""
     first: dict[tuple, int] = {}
     ids_a = [first.setdefault(e.terms(), t) for t, e in enumerate(a.cells)]
     ids_a = [u if a.cells[u] == e else t for t, (u, e) in enumerate(zip(ids_a, a.cells))]
     ids_b = [first.get(e.terms(), -1) for e in b.cells]
     ids_b = [u if u >= 0 and a.cells[u] == e else -1 for u, e in zip(ids_b, b.cells)]
-    return pi[0] == 0 and all(
-        sorted([(pi[j], ids_a[t]) for j, t in row]) == [(j, ids_b[t]) for j, t in b.rows[p]]
-        for row, p in zip(a.rows, pi)
-    )
+    if pi[0] != 0 or len(pi) != a.size or set(pi) != set(range(a.size)):
+        return False
+    for row, p in zip(a.rows, pi):
+        look = dict(b.rows[p])
+        if len(look) != len(row):
+            return False
+        for j, t in row:
+            u = look.get(pi[j])
+            if u is None or ids_b[u] != ids_a[t]:
+                return False
+    return True
 
 
 def check_search_size(q: int, gamma: int = 1) -> None:
@@ -268,26 +293,61 @@ def _witnesses(a: AdjMatrix, b: AdjMatrix, classes=None):
 
 
 def gen_adj_equal(
-    a: AdjMatrix, b: AdjMatrix, classes: Optional[Callable[[], tuple]] = None
+    a: AdjMatrix, b: AdjMatrix, classes: Optional[Callable[[], object]] = None
 ) -> Optional[PermWitness]:
     """The least zero-fixing permutation pi with b[pi(i)][pi(j)] == a[i][j],
     or None: the identity, tried first, or the first of `_witnesses` over at
     most SEARCH_STATES states, either one certified by `_conjugates`.
     `classes`, called only once the identity is refused, gives the orbits
     of zero-fixing automorphisms shared by a and b, as `_refined_colors`
-    takes them; without it the refinement signs every state."""
+    takes them, or an iterator of candidates holding every witness in
+    lexicographic order, which replaces the search; without it the
+    refinement signs every state."""
     if (a.size, a.q, a.n, a.extended) != (b.size, b.q, b.n, b.extended):
         raise ValueError("adjacency matrices have mismatched dimensions")
     check_search_size(a.size)
     identity = tuple(range(a.size))
     if _conjugates(a, b, identity):
         return identity
-    pi = next(_witnesses(a, b, classes and classes()), None)
-    if pi is None:
-        return None
-    if not _conjugates(a, b, pi):
-        raise InternalError("conjugation witness failed re-verification")
-    return pi
+    given = classes and classes()
+    searched = not isinstance(given, Iterator)
+    for pi in _witnesses(a, b, given) if searched else given:
+        if not _conjugates(a, b, pi):
+            if not searched:
+                continue  # a candidate that is no witness
+            raise InternalError("conjugation witness failed re-verification")
+        return pi
+    return None
+
+
+def _shift_graph(q: int, gamma: int) -> AdjMatrix:
+    """The shift graph on F_q^gamma, x -> (u, x[0..gamma-2]) for every u,
+    the zero self-loop dropped: the support of the Lambda of every k = 1
+    code of constraint length gamma >= 1."""
+    top = q ** (gamma - 1)
+    rows = [[(x // q + u * top, 0) for u in range(q)] for x in range(q**gamma)]
+    rows[0] = rows[0][1:]
+    return AdjMatrix(rows, [WeightEnum.one()], q=q, n=1)
+
+
+@functools.cache
+def _alphabet_maps(q: int) -> tuple[PermWitness, ...]:
+    """Every sigma of F_q with sigma(0) == 0, in lexicographic order: the
+    zero-fixing automorphisms of the shift graph at gamma = 1."""
+    graph = _shift_graph(q, 1)
+    return tuple(_witnesses(graph, graph))
+
+
+def _alphabet_images(q: int, gamma: int) -> Iterator[PermWitness]:
+    """pi_sigma on F_q^gamma for every sigma of `_alphabet_maps`, in order:
+    sigma applied to every register cell, off a table filled digit by
+    digit.  State c < q is the register (0, ..., 0, c), so pi_sigma(c) =
+    sigma(c) and the pi_sigma ascend as the sigma do."""
+    for sigma in _alphabet_maps(q):
+        image = [0]
+        for _ in range(gamma):
+            image = [x * q + sigma[d] for x in image for d in range(q)]
+        yield tuple(image)
 
 
 def code_witness(g: PolyMatrix, h: PolyMatrix) -> Optional[PermWitness]:
@@ -296,12 +356,16 @@ def code_witness(g: PolyMatrix, h: PolyMatrix) -> Optional[PermWitness]:
     conjugacy class is an invariant of the code.  Both are the diagrams of
     linear codes on one register, so x -> lambda x, lambda in F_q^*, is a
     zero-fixing automorphism of each, and the search is handed those
-    orbits.  LimitError above SEARCH_STATES states, before either Lambda
-    is built."""
+    orbits, or for k = 1 and q <= ALPHABET_FIELDS the alphabet maps, which
+    hold every witness.  LimitError above SEARCH_STATES states, before
+    either Lambda is built."""
     fld, delta = g.field, g.info.delta
     check_search_size(fld.q, delta)
-    orbits = lambda: statediag._orbits(fld, delta)
-    return gen_adj_equal(code_adjacency(g), code_adjacency(h), orbits)
+    if g.k == h.k == 1 and fld.q <= ALPHABET_FIELDS:
+        classes = lambda: _alphabet_images(fld.q, delta)
+    else:
+        classes = lambda: statediag._orbits(fld, delta)
+    return gen_adj_equal(code_adjacency(g), code_adjacency(h), classes)
 
 
 def apply_witness(a: AdjMatrix, pi: Sequence[int]) -> AdjMatrix:
@@ -500,8 +564,5 @@ def verify_shift_permutation_lemma(gamma: int) -> bool:
     if gamma < 2:
         raise ValueError("the lemma needs gamma >= 2")
     check_search_size(2, gamma)
-    s, half = 2**gamma, 2 ** (gamma - 1)
-    rows = [[(x >> 1, 0), ((x >> 1) + half, 0)] for x in range(s)]
-    rows[0] = [(half, 0)]  # the zero self-loop is dropped
-    shift = AdjMatrix(rows, [WeightEnum.one()], q=2, n=1)
-    return list(itertools.islice(_witnesses(shift, shift), 2)) == [tuple(range(s))]
+    shift = _shift_graph(2, gamma)
+    return list(itertools.islice(_witnesses(shift, shift), 2)) == [tuple(range(2**gamma))]

@@ -8,11 +8,13 @@ table of its cells: per source state, the (destination, cell id) pairs of
 its nonzero cells, and per cell id one WeightEnum.  A diagram has far
 fewer distinct enumerators than nonzero cells (the F16 example: 4 for
 1,048,575), so every per-cell step of a consumer (packing, interning,
-rendering) runs once per table entry.  `adjacency` builds the rows of
-the sources whose destinations `statediag._transitions` marks distinct by
-C-level passes, with no Python step per edge, and tallies the others one
-packed integer per cell; equal (destination, id) entries are shared.  A
-dense s x s view is expanded, one row at a time, only for display and JSON.
+rendering) runs once per table entry.  `adjacency` builds the Lambda of
+a spread full diagram in C-level passes over the edge streams of
+`statediag._blocks`, with no Python step per source or edge, Q and every
+other diagram source by source, and tallies one packed integer per cell
+only where a source's destinations repeat; equal (destination, id)
+entries are shared.  A dense s x s view is expanded, one row at a time,
+only for display and JSON.
 
 Powers of Lambda count paths; the generating series
 
@@ -34,10 +36,10 @@ active burst distances are read off Omega and Phi.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
-from itertools import chain, compress, groupby, islice, repeat
+from collections import deque
+from itertools import chain, compress, groupby, islice
 from typing import Iterator, Optional, Sequence
 
 from . import statediag
@@ -199,30 +201,57 @@ class AdjMatrix:
 
 
 def adjacency(sd: StateDiagram) -> AdjMatrix:
-    """Lambda, or Q of a lumped diagram, off the rows of `_transitions`.
+    """Lambda, or Q of a lumped diagram, off the edges of `statediag`.
 
-    A source whose destinations `_transitions` marks distinct has the
-    single monomial W^wt(xC + uD) in each cell, so such sources are read in
-    blocks of C-level passes: one lookup per packed output gives wt(v) * s,
-    which added to the destination keys a table of the shared (destination,
-    id) pairs of monomial cells, each made when first met; Q's rows are
-    sorted, as orbit ids need not ascend.  Every other source (block codes,
-    codes with a degree-0 row, Q's sources with xA = 0) is tallied edge by
-    edge, a cell as one integer, an edge of weight w adding 2^(w*b): no
-    source has more edges than there are inputs, so b = bitlen(inputs)
-    bits hold any count.  The zero self-transition is never counted.  Each
-    distinct enumerator gets one id, and equal (destination, id) entries
-    are one tuple whichever route made them.
+    A source whose destinations are distinct has the monomial
+    W^wt(xC + uD) in each cell: one lookup per packed output gives
+    wt(v) * s, which added to the destination keys a table of the shared
+    (destination, id) pairs, those of the keys not met before made in
+    C-level passes.  A full `spread` diagram's rows are all such, so Lambda
+    is built over the streams of `statediag._blocks`, with no Python step
+    per source or per first-met key.  Otherwise the rows come source by
+    source off `statediag._transitions`: Q's rows of distinct destinations
+    are sorted, as orbit ids need not ascend, and the others (every source
+    of a block code or of a code with a degree-0 row, Q's sources with
+    xA = 0) are tallied edge by edge, a cell as one integer, an edge of
+    weight w adding 2^(w*b): no source has more edges than there are
+    inputs, so b = bitlen(inputs) bits hold any count.  The zero
+    self-transition is never counted.  Each distinct enumerator gets one
+    id, and equal (destination, id) entries are one tuple.
     """
-    s, inputs, states = sd.num_states, len(sd.tables[3]), sd.field.q**sd.gamma
+    s, inputs = sd.num_states, len(sd.tables[3])
     b = inputs.bit_length()
     offset = statediag._weigher(sd.field.q, sd.n, s)  # v -> wt(v) * s
+    ids: dict[int, int] = {}  # packed enumerator -> cell id
+    table: list = [None] * (s * (sd.n + 1))  # key j + wt * s -> the pair of W^wt at j
+    index = list(range(s))  # one int object per destination, shared by its pairs
+    monomial = [None] * (sd.n + 1)  # the cell id of W^w, once it occurs
+
+    def met(keys: list[int]) -> list[int]:
+        """`keys`, once the pair of each key not met before is in the table."""
+        kept = set(keys)
+        fresh = list(compress(kept, map(operator.not_, map(table.__getitem__, kept))))
+        weights = list(map(s.__rfloordiv__, fresh))
+        for w in sorted(set(weights)):
+            if monomial[w] is None:
+                monomial[w] = ids.setdefault(1 << (w * b), len(ids))
+        pairs = zip(map(index.__getitem__, map(s.__rmod__, fresh)), map(monomial.__getitem__, weights))
+        deque(map(table.__setitem__, fresh, pairs), maxlen=0)
+        return keys
+
+    rows = []
+    per_block = (1 << 11) // inputs + 1  # about 2048 edges: small beside Lambda
+    if sd.spread and not sd.lumped:
+        for block, dsts, outputs in statediag._blocks(sd, per_block):
+            flat = map(table.__getitem__, met(list(map(
+                operator.add, chain.from_iterable(dsts), map(offset, outputs)))))
+            if not block[0]:  # the zero state lacks input 0
+                rows.append(tuple(islice(flat, inputs - 1)))
+            rows.extend(zip(*[flat] * inputs))
+        return AdjMatrix(rows, [_unpack(v, b) for v in ids], q=sd.field.q, n=sd.n)
     unit = {w * s: 1 << (w * b) for w in range(sd.n + 1)}  # offset -> packed W^w
     offset_of = {v: o for o, v in unit.items()}
-    ids: dict[int, int] = {}  # packed enumerator -> cell id
-    table: list = [None] * (s * (sd.n + 1))  # key j + wt * s -> the pair of a monomial
-    shared: dict[tuple[int, int], tuple[int, int]] = {}  # the pairs of other cells
-    index = list(range(s))  # one int object per destination, shared by its pairs
+    shared: dict[tuple[int, int], tuple[int, int]] = {}  # the pairs of cells not monomials
 
     def tallied(j: int, v: int) -> tuple[int, int]:
         """The shared (j, id) pair of the packed enumerator v at destination j."""
@@ -231,37 +260,25 @@ def adjacency(sd: StateDiagram) -> AdjMatrix:
             p = (index[j], ids.setdefault(v, len(ids)))
             return shared.setdefault(p, p)
         if table[j + o] is None:
-            table[j + o] = (index[j], ids.setdefault(v, len(ids)))
+            met([j + o])
         return table[j + o]
 
-    rows = []
     sources = statediag._transitions(sd)
-    # a block has about q^gamma edges and at most sqrt(q^gamma (n + 1))
-    # sources, so its transient lists stay small beside Lambda
-    per_block = min(states // inputs, math.isqrt(states * (sd.n + 1))) + 1
     while block := list(islice(sources, per_block)):
         for distinct, run in groupby(block, operator.itemgetter(4)):
-            run = list(run)
-            if not distinct:
-                for src, _, dsts, outputs, _ in run:
-                    acc: dict[int, int] = {}
-                    for j, o in zip(dsts, map(offset, outputs)):
-                        acc[j] = acc.get(j, 0) + unit[o]
-                    if not src and 0 in acc:
-                        acc[0] &= -1 << b
-                    rows.append(tuple([tallied(j, v) for j, v in sorted(acc.items()) if v]))
+            if distinct:  # never the zero state, which lacks input 0
+                run = list(run)
+                keys = met(list(map(operator.add, chain.from_iterable([t[2] for t in run]),
+                                    map(offset, chain.from_iterable([t[3] for t in run])))))
+                rows.extend(map(tuple, map(sorted, zip(*[map(table.__getitem__, keys)] * inputs))))
                 continue
-            keys = list(map(operator.add, chain.from_iterable([t[2] for t in run]),
-                            map(offset, chain.from_iterable([t[3] for t in run]))))
-            met = set(keys)
-            for key in compress(met, map(operator.not_, map(table.__getitem__, met))):
-                j = key % s  # a pair first met here, made once
-                table[key] = (index[j], ids.setdefault(unit[key - j], len(ids)))
-            flat = map(table.__getitem__, keys)
-            if not run[0][0]:  # the zero state lacks input 0
-                rows.append(tuple(islice(flat, inputs - 1)))
-            parts = zip(*[flat] * inputs)
-            rows.extend(map(tuple, map(sorted, parts)) if sd.lumped else parts)
+            for src, _, dsts, outputs, _ in run:
+                acc: dict[int, int] = {}
+                for j, o in zip(dsts, map(offset, outputs)):
+                    acc[j] = acc.get(j, 0) + unit[o]
+                if not src and 0 in acc:
+                    acc[0] &= -1 << b
+                rows.append(tuple([tallied(j, v) for j, v in sorted(acc.items()) if v]))
     return AdjMatrix(rows, [_unpack(v, b) for v in ids], q=sd.field.q, n=sd.n)
 
 

@@ -15,14 +15,17 @@ edge is two vector sums, dst = xA + uB and v = xC + uD, and a table
 lookup of wt(v).  A shifts each register block and B writes the block's
 first cell, so xA and uB occupy disjoint cells and dst is their integer
 sum; v is an XOR over F_{2^m}, else the field's addition table per
-element.  `_transitions` is the one
-enumeration of the sources and their inputs, and alone turns a source
-into its destinations; every edge view replays it when it is read, and
-`spectrum.adjacency` builds Lambda's rows from its destination rows and
-the output tables.  The labelled views (`labelled_transitions`, read by
-the DOT text and the JSON edge list) make the label of each packed input
-and output once; `edges_by_source` serves the demos, the benchmark's
-counters and the tests.
+element.  `_blocks` is the one enumeration of the sources and their
+destinations: per run of sources, one destination tuple per xA, made in
+C-level passes (xA repeated once per input plus uB cycled), and a stream
+of the run's outputs xC + uD.  `spectrum.adjacency` reads a run whole
+when the full diagram is `spread` (no two inputs share uB), and
+`_transitions` gives every other reader the same sources and
+destinations source by source, with each source's outputs; every edge
+view replays them when it is read.  The labelled views
+(`labelled_transitions`, read by the DOT text and the JSON edge list)
+make the label of each packed input and output once; `edges_by_source`
+serves the demos, the benchmark's counters and the tests.
 
 The code is F_q-linear and wt(lambda v) = wt(v), so for every lambda != 0
 the map x -> lambda x (edge (x, u) -> (lambda x, lambda u)) is a
@@ -49,8 +52,8 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Callable, Iterator, Optional
+from itertools import chain, cycle, repeat
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import polyalg
 from .encoder import ControllerForm
@@ -96,6 +99,11 @@ class StateDiagram:
     def lumped(self) -> bool:
         """True for the orbit quotient of a diagram, which has fewer states."""
         return self.num_states < self.field.q**self.gamma
+
+    @property
+    def spread(self) -> bool:
+        """No two inputs share uB, so a full diagram's sources have distinct destinations."""
+        return all(map(operator.lt, self.tables[3], self.tables[3][1:]))
 
     @property
     def edges_by_source(self) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -203,32 +211,51 @@ def _tables(cf: ControllerForm) -> Tables:
     )
 
 
-def _transitions(sd: StateDiagram) -> Iterator[tuple[int, range, tuple, Iterator[int], bool]]:
-    """(src, inputs, dsts, outputs, distinct) per source index, every transition but (0, 0).
+def _blocks(sd: StateDiagram, size: int) -> Iterator[tuple[Sequence[int], list[tuple], Iterator[int]]]:
+    """(sources, dsts, outputs) per run of at most `size` sources, in order,
+    over every transition but (0, 0): the one enumeration of the edges.
 
     The sources are every packed state, or a lumped diagram's orbit
-    representatives.  `inputs` is the range of packed inputs u in order,
-    `outputs` yields their packed outputs v, and `dsts` holds their
-    destinations xA + uB, orbit ids if lumped: one tuple per xA, shared by
-    its sources, sliced past input 0 for the zero state.  `distinct`, found
-    once per xA, says no two are equal: no two inputs share uB (the full
-    diagram's then ascend), and xA != 0 if lumped, as u and lambda u meet
-    in one orbit where xA = 0.
+    representatives.  `dsts` holds each source's destinations xA + uB in
+    input order (orbit ids if lumped), one tuple per xA, shared by its
+    sources and made in C-level passes, xA repeated once per input plus uB
+    cycled; `outputs` streams the run's packed outputs xC + uD alike.
     """
     add, xa, xc, ub, ud = sd.tables
-    orbit, every = sd.orbit, range(len(ub))
-    spread = all(map(operator.lt, ub, ub[1:]))  # no two inputs share uB
     sources = range(len(xa)) if sd.reps is None else sd.reps
-    rows = {}
-    for a in set(map(xa.__getitem__, sources)):
-        dsts = map(a.__add__, ub)  # xA and uB occupy disjoint cells
-        rows[a] = (tuple(dsts), spread) if orbit is None else (
-            tuple(map(orbit.__getitem__, dsts)), spread and a > 0)
-    items = zip(sources, map(rows.__getitem__, map(xa.__getitem__, sources)))
-    i, (dsts, distinct) = next(items)  # the zero state, where (0, 0) is left out
-    yield i, every[1:], dsts[1:], map(add, repeat(xc[i]), ud[1:]), distinct
-    for i, (dsts, distinct) in items:
-        yield i, every, dsts, map(add, repeat(xc[i]), ud), distinct
+    if sd.reps is not None:  # xA and xC per source
+        xa, xc = list(map(xa.__getitem__, sources)), list(map(xc.__getitem__, sources))
+    each = lambda table: chain.from_iterable(map(repeat, table, repeat(len(ub))))
+    starts = list(set(xa))
+    dsts = map(operator.add, each(starts), cycle(ub))  # xA and uB occupy disjoint cells
+    if sd.orbit is not None:
+        dsts = map(sd.orbit.__getitem__, dsts)
+    rows = dict(zip(starts, zip(*[dsts] * len(ub))))
+    for lo in range(0, len(sources), size):
+        block = list(map(rows.__getitem__, xa[lo:lo + size]))
+        outputs = map(add, each(xc[lo:lo + size]), cycle(ud))
+        if not lo:  # the zero state, where (0, 0) is left out
+            block[0] = block[0][1:]
+            next(outputs)
+        yield sources[lo:lo + size], block, outputs
+
+
+def _transitions(sd: StateDiagram) -> Iterator[tuple[int, range, tuple, Iterator[int], bool]]:
+    """(src, inputs, dsts, outputs, distinct) per source, the sources and
+    destinations of `_blocks`.
+
+    `inputs` is the range of packed inputs u, `outputs` yields their packed
+    outputs v = xC + uD and `dsts` holds their destinations.  `distinct`
+    says no two are equal: the diagram is `spread` (the full diagram's then
+    ascend), and xA != 0 if lumped, as u and lambda u meet in one orbit
+    where xA = 0.
+    """
+    add, xa, xc, ub, ud = sd.tables
+    every, full, spread = range(len(ub)), sd.orbit is None, sd.spread
+    block, rows, _ = next(_blocks(sd, len(xa)))
+    for src, dsts in zip(block, rows):
+        outputs = map(add, repeat(xc[src]), ud if src else ud[1:])
+        yield src, every if src else every[1:], dsts, outputs, spread and (full or xa[src] > 0)
 
 
 def labelled_transitions(

@@ -561,6 +561,23 @@ def test_diagram_rendering_guard_comes_before_the_controller_form(
     assert err == "limit: 531441 vertices exceed the rendering guard 4096\n"
 
 
+def test_adjacency_rendering_guard_comes_before_the_diagram(capsys, monkeypatch, tmp_path):
+    # the binary memory-16 code: its 65,536 states pass the state ceiling
+    # and its 131,071 entries the adjacency bound, but its dense text runs
+    # to 12.9 GB; --force lifts the guard and goes on to build the diagram
+    path = tmp_path / "memory16.gm"
+    path.write_text(
+        "field p=2 m=1\nk=1 n=2\n1 1 0 1 0 1 0 0 1 1 0 0 1 1 0 1 1 ; "
+        "1 0 1 0 0 1 1 1 0 0 0 1 1 1 0 0 1\n"
+    )
+    monkeypatch.setattr(statediag, "build", _refused)
+    for flags in ([], ["--json"]):
+        err = _assert_fast_limit(capsys, ["adjacency", str(path), *flags])
+        assert err == "limit: 65536 vertices exceed the rendering guard 4096\n"
+    with pytest.raises(AssertionError, match="refused work"):
+        main(["adjacency", str(path), "--force"])
+
+
 @pytest.mark.parametrize("argv", [["adjacency"], ["recover"], ["spectrum", "--trunc", "4"]],
                          ids=["adjacency", "recover", "spectrum"])
 def test_adjacency_entries_are_bounded_before_the_controller_form(monkeypatch, tmp_path, argv):

@@ -13,11 +13,11 @@ CODES = pathlib.Path(__file__).resolve().parent.parent / "demos" / "codes"
 # digit, an entry separator and keys that repeat one on the field or size line
 ADVERSARIAL = ["-1", "q", str(2**64), "+1", "0_1", "\u0663", ";", "p=2", "k=1"]
 
-# `adjacency` is left out: its dense text has no size guard yet
 COMMANDS = [
     ["info"],
     ["ccf"],
     ["diagram"],
+    ["adjacency"],
     ["spectrum", "--trunc", "3"],
     ["distances", "--trunc", "3"],
     ["recover"],

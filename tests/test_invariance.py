@@ -978,7 +978,7 @@ def test_k1_witnesses_are_alphabet_permutations():
     assert len(pairs) > 60 and moved > 1
 
 
-@pytest.mark.parametrize("q, gamma", [(2, 1), (2, 5), (3, 1), (3, 4), (4, 2), (5, 2)])
+@pytest.mark.parametrize("q, gamma", [(2, 1), (2, 5), (3, 1), (3, 4), (4, 2), (4, 3), (5, 2)])
 def test_shift_graph_automorphisms_are_the_alphabet_permutations(q, gamma):
     # x -> (u, x[0..gamma-2]) with the zero loop dropped, states packed first
     # coordinate most significant: (q-1)! zero-fixing automorphisms
@@ -990,3 +990,119 @@ def test_shift_graph_automorphisms_are_the_alphabet_permutations(q, gamma):
     sigmas = {alphabet_permutation(q, gamma, pi) for pi in found}
     assert sigmas == {(0, *rest) for rest in itertools.permutations(range(1, q))}
     assert len(found) == math.factorial(q - 1)
+
+
+def k1_route_pairs():
+    """Seeded (kind, g, h) pairs of k = 1 codes over F2, F3, F4 and F5 with
+    delta <= 3: each code against a row-scaled, column-monomial image
+    ("image") and against another code of its shape ("other"), the F5 pair
+    ("f5"), and F4 codes against their coefficient-wise Frobenius images
+    ("frobenius"), whose Lambda are conjugate by a -> a^2 on every cell."""
+    rng = random.Random(36)
+    pairs = [("f5", *f5_pair())]
+    for p, m in ((2, 1), (3, 1), (2, 2), (5, 1)):
+        fld = field_make(p, m)
+        code = lambda: genutil.random_minimal_code(rng, fld, n_max=3, k_max=1, gamma_max=3)
+        for _ in range(8):
+            g = code()
+            scaled = pm(fld, [[polyalg.poly_scale(fld, rng.choice(fld.units()), e) for e in g.rows[0]]])
+            cols = rng.sample(range(g.n), g.n)
+            pairs.append(("image", g, apply_monomial(scaled, cols, [rng.choice(fld.units()) for _ in cols])))
+            other = code()
+            while (other.n, other.info.delta) != (g.n, g.info.delta):
+                other = code()
+            pairs.append(("other", g, other))
+            if fld.q == 4:
+                pairs.append(("frobenius", g, pm(fld, [[[fld.mul(c, c) for c in e] for e in g.rows[0]]])))
+    return pairs
+
+
+def test_k1_route_matches_the_orbit_search(monkeypatch):
+    # every witness between two k = 1 codes is an alphabet map, so trying
+    # the (q - 1)! of them in order gives the orbit search's answer
+    pairs = k1_route_pairs()
+    assert all(g.k == h.k == 1 and g.info.delta == h.info.delta <= 3 for _, g, h in pairs)
+    routed = [invariance.code_witness(g, h) for _, g, h in pairs]
+    monkeypatch.setattr(invariance, "ALPHABET_FIELDS", 1)  # every pair goes to the search
+    assert routed == [invariance.code_witness(g, h) for _, g, h in pairs]
+    kinds = Counter(
+        (kind, "none" if w is None else "identity" if w == tuple(range(len(w))) else "moved")
+        for (kind, _, _), w in zip(pairs, routed)
+    )
+    assert all(w is not None for (kind, _, _), w in zip(pairs, routed) if kind != "other")
+    assert len(pairs) == 73 and kinds["other", "none"] >= 20, kinds
+    assert sum(count for (_, found), count in kinds.items() if found == "moved") >= 6, kinds
+
+
+def test_k1_route_runs_no_search_over_the_register(monkeypatch):
+    # for k = 1 and q <= 5 the cell graphs, the refinement and the search
+    # run on the q-state alphabet graph at most, never on the q^delta states
+    # of Lambda; for k = 2, and for k = 1 over F7, they run on Lambda
+    sizes = []
+
+    def spy(name, size):
+        inner = getattr(invariance, name)
+        monkeypatch.setattr(invariance, name, lambda *args: sizes.append(size(args)) or inner(*args))
+
+    spy("_cell_graphs", lambda args: args[0].size)
+    spy("_refined_colors", lambda args: len(args[0][0][0]))
+    spy("_witnesses", lambda args: args[0].size)
+    rng = random.Random(37)
+    shapes = [(field_make(2), 1, 3), (field_make(3), 1, 2), (field_make(2, 2), 1, 2), (field_make(5), 1, 2),
+              (field_make(2, 2), 2, 2), (field_make(7), 1, 2)]
+    for fld, k, delta in shapes:
+        searched = []
+        for _ in range(3):
+            while True:
+                g, h = (genutil.random_minimal_code(rng, fld, n_max=3, k_max=k, gamma_min=delta, gamma_max=delta)
+                        for _ in range(2))
+                if g.k == h.k == k and g.n == h.n and lam_of(g) != lam_of(h):
+                    break
+            sizes.clear()
+            invariance.code_witness(g, h)
+            searched.append(fld.q**delta in sizes)
+        assert searched == [k == 2 or fld.q == 7] * 3, (fld.q, k)
+
+
+def sorting_conjugates(a, b, pi):
+    """The reference of `_conjugates`: every row of a, mapped by pi and
+    sorted, equals b's row pi(i) as (destination, joint id) pairs."""
+    first = {}
+    ids_a = [first.setdefault(e.terms(), t) for t, e in enumerate(a.cells)]
+    ids_b = [first.get(e.terms(), -1) for e in b.cells]
+    return pi[0] == 0 and all(
+        sorted([(pi[j], ids_a[t]) for j, t in row]) == [(j, ids_b[u]) for j, u in b.rows[p]]
+        for row, p in zip(a.rows, pi)
+    )
+
+
+def test_lookup_reverification_matches_the_sorting_reference(g213):
+    # conjugate pairs whose cell tables list equal enumerators in another
+    # order or twice, and k = 1 pairs, each with its witness and with
+    # adversarial permutations: pi(0) != 0, one transposition away from the
+    # witness, and b with one extra nonzero cell in a row
+    rng = random.Random(39)
+    pairs = retabled_conjugate_pairs(g213)
+    pairs += [(lam_of(g), lam_of(h)) for kind, g, h in k1_route_pairs()[::3] if kind != "other"]
+    cases = []
+    for a, b in pairs:
+        wit = gen_adj_equal(a, b)
+        s = a.size
+        cases.append(("witness", a, b, wit))
+        cases.append(("zero moved", a, b, (wit[1], wit[0], *wit[2:])))
+        i, j = rng.sample(range(1, s), 2)
+        moved = list(wit)
+        moved[i], moved[j] = moved[j], moved[i]
+        cases.append(("transposed", a, b, tuple(moved)))
+        r = rng.randrange(s)
+        free = sorted(set(range(s)) - {j for j, _ in b.rows[r]})
+        if free:
+            extra = sorted(b.rows[r] + ((rng.choice(free), rng.randrange(len(b.cells))),))
+            rows = b.rows[:r] + (extra,) + b.rows[r + 1:]
+            cases.append(("extra cell", a, AdjMatrix(rows, b.cells, q=b.q, n=b.n, extended=b.extended), wit))
+    answers = [invariance._conjugates(a, b, pi) for _, a, b, pi in cases]
+    assert answers == [sorting_conjugates(a, b, pi) for _, a, b, pi in cases]
+    by_kind = Counter((kind, answer) for (kind, *_), answer in zip(cases, answers))
+    assert by_kind["witness", True] == len(pairs) == 27, by_kind
+    assert by_kind["zero moved", True] == by_kind["extra cell", True] == 0, by_kind
+    assert by_kind["transposed", False] >= 20 and by_kind["extra cell", False] >= 20, by_kind

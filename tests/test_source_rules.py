@@ -206,18 +206,28 @@ def test_polyalg_divides_in_the_gcd_and_the_one_row_step_only():
 
 
 def test_rendering_guard_is_checked_once_by_the_cli():
-    # `diagram` checks the rendering guard before the controller form, for
-    # --dot and --json alike, so dot_chunks neither checks it nor takes a
-    # switch to skip it
+    # the CLI's _check_rendering holds the one rendering guard, and `diagram`
+    # (--dot and --json alike) and `adjacency` call it before the controller
+    # form, so dot_chunks neither checks it nor takes a switch to skip it
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(PACKAGE.rglob("*.py"))
         for node in _calls(ast.parse(path.read_text(), filename=str(path)), "check_limit")
         if "rendering guard" in ast.unparse(node) or "DOT_CEILING" in ast.unparse(node)
     ]
-    guard = _calls(_function("cli.py", "_cmd_diagram"), "check_limit")
+    guard = _calls(_function("cli.py", "_check_rendering"), "check_limit")
     assert found == [f"cli.py:{node.lineno}" for node in guard if "DOT_CEILING" in ast.unparse(node)]
     assert len(found) == 1
+    callers = [
+        fn.name for fn in ast.parse((PACKAGE / "cli.py").read_text()).body
+        if isinstance(fn, ast.FunctionDef) and _calls(fn, "_check_rendering")
+    ]
+    assert sorted(callers) == ["_cmd_adjacency", "_cmd_diagram"]
+    for caller in callers:
+        body = _function("cli.py", caller)
+        guards = [node.lineno for node in _calls(body, "_check_rendering")]
+        later = [node.lineno for node in _calls(body, "controller_form") + _calls(body, "code_adjacency")]
+        assert len(guards) == 1 and later and guards[0] < min(later)
     args = _function("statediag.py", "dot_chunks").args
     assert [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)] == ["sd"]
 
@@ -544,3 +554,29 @@ def test_no_function_calls_itself_but_the_minor_expansion():
             ):
                 found.append(f"{path.name}:{fn.name}")
     assert found == ["polyalg.py:_det"]
+
+
+def test_alphabet_candidates_are_handed_on_for_small_k1_codes_only():
+    # code_witness alone hands gen_adj_equal the alphabet maps, and only
+    # under k == 1 and q <= 5; the sigma are listed by the conjugation
+    # search on the alphabet graph, not by itertools; and a candidate leaves
+    # gen_adj_equal only once `_conjugates` has certified it
+    assert convcode.invariance.ALPHABET_FIELDS == 5
+    tree = ast.parse((PACKAGE / "invariance.py").read_text())
+    named = lambda node, name: any(getattr(n, "id", None) == name for n in ast.walk(node))
+    users = [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef) and named(fn, "_alphabet_images")]
+    assert users == ["code_witness"]
+    branches = [n for n in ast.walk(_function("invariance.py", "code_witness"))
+                if isinstance(n, ast.If) and named(n, "_alphabet_images")]
+    assert len(branches) == 1 and not named(ast.Module(branches[0].orelse, []), "_alphabet_images")
+    assert ast.unparse(branches[0].test) == "g.k == h.k == 1 and fld.q <= ALPHABET_FIELDS"
+    maps, images = (_function("invariance.py", fn) for fn in ("_alphabet_maps", "_alphabet_images"))
+    assert _calls(maps, "_witnesses") and _calls(images, "_alphabet_maps")
+    assert not named(maps, "itertools") and not named(images, "itertools")
+    fn = _function("invariance.py", "gen_adj_equal")
+    loops = [n for n in ast.walk(fn) if isinstance(n, (ast.For, ast.While))]
+    assert len(loops) == 1 and named(loops[0].iter, "given")
+    guard, leave = loops[0].body
+    assert ast.unparse(guard.test) == "not _conjugates(a, b, pi)" and isinstance(guard.body[-1], ast.Raise)
+    assert not any(isinstance(n, ast.Return) for n in ast.walk(guard))
+    assert ast.unparse(leave) == "return pi"
