@@ -10,11 +10,10 @@ fewer distinct enumerators than nonzero cells (the F16 example: 4 for
 1,048,575), so every per-cell step of a consumer (packing, interning,
 rendering) runs once per table entry.  `adjacency` builds the Lambda of
 a spread full diagram in C-level passes over the edge streams of
-`statediag._blocks`, with no Python step per source or edge, Q and every
-other diagram source by source, and tallies one packed integer per cell
-only where a source's destinations repeat; equal (destination, id)
-entries are shared.  A dense s x s view is expanded, one row at a time,
-only for display and JSON.
+`statediag._blocks`, with no Python step per source or edge, and tallies
+Q and every other diagram one packed integer per cell; equal
+(destination, id) entries are shared.  A dense s x s view is expanded,
+one row at a time, only for display and JSON.
 
 Powers of Lambda count paths; the generating series
 
@@ -37,9 +36,9 @@ active burst distances are read off Omega and Phi.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from collections import deque
-from itertools import chain, compress, groupby, islice
+from dataclasses import dataclass
+from itertools import chain, compress, islice, repeat
 from typing import Iterator, Optional, Sequence
 
 from . import statediag
@@ -203,82 +202,56 @@ class AdjMatrix:
 def adjacency(sd: StateDiagram) -> AdjMatrix:
     """Lambda, or Q of a lumped diagram, off the edges of `statediag`.
 
-    A source whose destinations are distinct has the monomial
-    W^wt(xC + uD) in each cell: one lookup per packed output gives
-    wt(v) * s, which added to the destination keys a table of the shared
-    (destination, id) pairs, those of the keys not met before made in
-    C-level passes.  A full `spread` diagram's rows are all such, so Lambda
-    is built over the streams of `statediag._blocks`, with no Python step
-    per source or per first-met key.  Otherwise the rows come source by
-    source off `statediag._transitions`: Q's rows of distinct destinations
-    are sorted, as orbit ids need not ascend, and the others (every source
-    of a block code or of a code with a degree-0 row, Q's sources with
-    xA = 0) are tallied edge by edge, a cell as one integer, an edge of
-    weight w adding 2^(w*b): no source has more edges than there are
-    inputs, so b = bitlen(inputs) bits hold any count.  The zero
-    self-transition is never counted.  Each distinct enumerator gets one
-    id, and equal (destination, id) entries are one tuple.
+    A full `spread` diagram's sources have distinct destinations, so each
+    cell holds the monomial W^wt(xC + uD): Lambda is read off the runs of
+    `statediag._blocks` in C-level passes, one lookup per packed output
+    giving wt(v) * s, which added to the destination keys a table of the
+    shared (destination, id) pairs, those of keys not met before made in
+    one `zip` per run.  Q and every other diagram (block codes, codes with
+    a degree-0 row) are tallied source by source off
+    `statediag._transitions`, a cell as one integer, an edge of weight w
+    adding 2^(w*b): no source has more edges than there are inputs, so
+    b = bitlen(inputs) bits hold any count, and the rows ascend by
+    destination.  The zero self-transition is never counted.  Each
+    distinct enumerator gets one id, and equal (destination, id) entries
+    are one tuple.
     """
     s, inputs = sd.num_states, len(sd.tables[3])
     b = inputs.bit_length()
-    offset = statediag._weigher(sd.field.q, sd.n, s)  # v -> wt(v) * s
     ids: dict[int, int] = {}  # packed enumerator -> cell id
-    table: list = [None] * (s * (sd.n + 1))  # key j + wt * s -> the pair of W^wt at j
     index = list(range(s))  # one int object per destination, shared by its pairs
-    monomial = [None] * (sd.n + 1)  # the cell id of W^w, once it occurs
-
-    def met(keys: list[int]) -> list[int]:
-        """`keys`, once the pair of each key not met before is in the table."""
-        kept = set(keys)
-        fresh = list(compress(kept, map(operator.not_, map(table.__getitem__, kept))))
-        weights = list(map(s.__rfloordiv__, fresh))
-        for w in sorted(set(weights)):
-            if monomial[w] is None:
-                monomial[w] = ids.setdefault(1 << (w * b), len(ids))
-        pairs = zip(map(index.__getitem__, map(s.__rmod__, fresh)), map(monomial.__getitem__, weights))
-        deque(map(table.__setitem__, fresh, pairs), maxlen=0)
-        return keys
-
+    unit = [1 << (w * b) for w in range(sd.n + 1)]  # wt -> packed W^wt
     rows = []
-    per_block = (1 << 11) // inputs + 1  # about 2048 edges: small beside Lambda
     if sd.spread and not sd.lumped:
+        offset = statediag._weigher(sd.field.q, sd.n, s)  # v -> wt(v) * s
+        table: list = [None] * (s * (sd.n + 1))  # key j + wt * s -> the pair of W^wt at j
+        # about 2048 edges a block keeps its transient lists small; blocks of
+        # q^gamma edges made a 64-state Lambda 8% slower and a 256-state one
+        # 18%, at the same peak on 2^16 states
+        per_block = (1 << 11) // inputs + 1
         for block, dsts, outputs in statediag._blocks(sd, per_block):
-            flat = map(table.__getitem__, met(list(map(
-                operator.add, chain.from_iterable(dsts), map(offset, outputs)))))
+            keys = list(map(operator.add, chain.from_iterable(dsts), map(offset, outputs)))
+            kept = set(keys)
+            fresh = list(compress(kept, map(operator.not_, map(table.__getitem__, kept))))
+            cells = map(ids.setdefault, map(unit.__getitem__, map(s.__rfloordiv__, fresh)),
+                        map(len, repeat(ids)))  # len(ids) read as each key's id is set
+            pairs = zip(map(index.__getitem__, map(s.__rmod__, fresh)), cells)
+            deque(map(table.__setitem__, fresh, pairs), maxlen=0)
+            flat = map(table.__getitem__, keys)
             if not block[0]:  # the zero state lacks input 0
                 rows.append(tuple(islice(flat, inputs - 1)))
             rows.extend(zip(*[flat] * inputs))
         return AdjMatrix(rows, [_unpack(v, b) for v in ids], q=sd.field.q, n=sd.n)
-    unit = {w * s: 1 << (w * b) for w in range(sd.n + 1)}  # offset -> packed W^w
-    offset_of = {v: o for o, v in unit.items()}
-    shared: dict[tuple[int, int], tuple[int, int]] = {}  # the pairs of cells not monomials
-
-    def tallied(j: int, v: int) -> tuple[int, int]:
-        """The shared (j, id) pair of the packed enumerator v at destination j."""
-        o = offset_of.get(v)
-        if o is None:
-            p = (index[j], ids.setdefault(v, len(ids)))
-            return shared.setdefault(p, p)
-        if table[j + o] is None:
-            met([j + o])
-        return table[j + o]
-
-    sources = statediag._transitions(sd)
-    while block := list(islice(sources, per_block)):
-        for distinct, run in groupby(block, operator.itemgetter(4)):
-            if distinct:  # never the zero state, which lacks input 0
-                run = list(run)
-                keys = met(list(map(operator.add, chain.from_iterable([t[2] for t in run]),
-                                    map(offset, chain.from_iterable([t[3] for t in run])))))
-                rows.extend(map(tuple, map(sorted, zip(*[map(table.__getitem__, keys)] * inputs))))
-                continue
-            for src, _, dsts, outputs, _ in run:
-                acc: dict[int, int] = {}
-                for j, o in zip(dsts, map(offset, outputs)):
-                    acc[j] = acc.get(j, 0) + unit[o]
-                if not src and 0 in acc:
-                    acc[0] &= -1 << b
-                rows.append(tuple([tallied(j, v) for j, v in sorted(acc.items()) if v]))
+    weight = statediag._weigher(sd.field.q, sd.n)
+    shared: dict[tuple[int, int], tuple[int, int]] = {}  # (destination, id) -> its one tuple
+    for src, _, dsts, outputs, _ in statediag._transitions(sd):
+        acc: dict[int, int] = {}
+        for j, u in zip(dsts, map(unit.__getitem__, map(weight, outputs))):
+            acc[j] = acc.get(j, 0) + u
+        if not src and 0 in acc:
+            acc[0] &= -1 << b
+        row = [(index[j], ids.setdefault(v, len(ids))) for j, v in sorted(acc.items()) if v]
+        rows.append(tuple(map(shared.setdefault, row, row)))
     return AdjMatrix(rows, [_unpack(v, b) for v in ids], q=sd.field.q, n=sd.n)
 
 

@@ -21,8 +21,8 @@ C-level passes (xA repeated once per input plus uB cycled), and a stream
 of the run's outputs xC + uD.  `spectrum.adjacency` reads a run whole
 when the full diagram is `spread` (no two inputs share uB), and
 `_transitions` gives every other reader the same sources and
-destinations source by source, with each source's outputs; every edge
-view replays them when it is read.  The labelled views
+destinations source by source, read lazily in runs, with each source's
+outputs; every edge view replays them when it is read.  The labelled views
 (`labelled_transitions`, read by the DOT text and the JSON edge list)
 make the label of each packed input and output once; `edges_by_source`
 serves the demos, the benchmark's counters and the tests.
@@ -155,15 +155,24 @@ def _linear_table(
     return table
 
 
+def _cellwise(digits: Sequence[int], cells: int, base: int) -> list[int]:
+    """For every packed x of F_q^cells, q = len(digits), in index order, the
+    digits[c] of its cells c read as a base-`base` number, filled digit by
+    digit: x with c -> digits[c] applied to every cell when base == q, the
+    sum of its digits[c] when base == 1."""
+    table = [0]
+    for _ in range(cells):
+        table = [x * base + d for x in table for d in digits]
+    return table
+
+
 def _weigher(q: int, n: int, scale: int = 1) -> Callable[[int], int]:
     """wt(v) * scale for a packed vector v of F_q^n, from a table of digit
     chunks; a single lookup when q^n <= 2^16."""
     width = n
     while q**width > 1 << 16:
         width -= 1
-    table = [0]
-    for _ in range(width):
-        table = [w + scale * (d != 0) for w in table for d in range(q)]
+    table = _cellwise([0] + [scale] * (q - 1), width, 1)
     if width == n:
         return table.__getitem__
     size = q**width
@@ -182,14 +191,11 @@ def _orbits(fld: FieldSpec, gamma: int) -> tuple[list[int], list[int]]:
     """(orbit id of every packed state, smallest member of every orbit) of F_q^*.
 
     Walks the cycles of x -> alpha x for alpha = `fld.generator`, read
-    off a table filled digit by digit like `_weigher`'s; scanning in index
-    order meets each orbit first at its smallest member.  Orbit 0 is {0}.
+    off a `_cellwise` table; scanning in index order meets each orbit
+    first at its smallest member.  Orbit 0 is {0}.
     """
-    q = fld.q
-    times = [fld.mul(fld.generator, d) for d in range(q)]
-    scaled = [0]
-    for _ in range(gamma):
-        scaled = [x * q + times[d] for x in scaled for d in range(q)]
+    times = [fld.mul(fld.generator, d) for d in range(fld.q)]
+    scaled = _cellwise(times, gamma, fld.q)
     orbit, reps = [0] * len(scaled), [0]
     for start in range(1, len(scaled)):
         if not orbit[start]:
@@ -242,7 +248,7 @@ def _blocks(sd: StateDiagram, size: int) -> Iterator[tuple[Sequence[int], list[t
 
 def _transitions(sd: StateDiagram) -> Iterator[tuple[int, range, tuple, Iterator[int], bool]]:
     """(src, inputs, dsts, outputs, distinct) per source, the sources and
-    destinations of `_blocks`.
+    destinations of `_blocks`, read lazily in runs of 1024 sources.
 
     `inputs` is the range of packed inputs u, `outputs` yields their packed
     outputs v = xC + uD and `dsts` holds their destinations.  `distinct`
@@ -252,10 +258,10 @@ def _transitions(sd: StateDiagram) -> Iterator[tuple[int, range, tuple, Iterator
     """
     add, xa, xc, ub, ud = sd.tables
     every, full, spread = range(len(ub)), sd.orbit is None, sd.spread
-    block, rows, _ = next(_blocks(sd, len(xa)))
-    for src, dsts in zip(block, rows):
-        outputs = map(add, repeat(xc[src]), ud if src else ud[1:])
-        yield src, every if src else every[1:], dsts, outputs, spread and (full or xa[src] > 0)
+    for block, rows, _ in _blocks(sd, 1024):
+        for src, dsts in zip(block, rows):
+            outputs = map(add, repeat(xc[src]), ud if src else ud[1:])
+            yield src, every if src else every[1:], dsts, outputs, spread and (full or xa[src] > 0)
 
 
 def labelled_transitions(

@@ -570,9 +570,8 @@ def test_alphabet_candidates_are_handed_on_for_small_k1_codes_only():
                 if isinstance(n, ast.If) and named(n, "_alphabet_images")]
     assert len(branches) == 1 and not named(ast.Module(branches[0].orelse, []), "_alphabet_images")
     assert ast.unparse(branches[0].test) == "g.k == h.k == 1 and fld.q <= ALPHABET_FIELDS"
-    maps, images = (_function("invariance.py", fn) for fn in ("_alphabet_maps", "_alphabet_images"))
-    assert _calls(maps, "_witnesses") and _calls(images, "_alphabet_maps")
-    assert not named(maps, "itertools") and not named(images, "itertools")
+    images = _function("invariance.py", "_alphabet_images")
+    assert _calls(images, "_witnesses") and not named(images, "itertools")
     fn = _function("invariance.py", "gen_adj_equal")
     loops = [n for n in ast.walk(fn) if isinstance(n, (ast.For, ast.While))]
     assert len(loops) == 1 and named(loops[0].iter, "given")
