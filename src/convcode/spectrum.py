@@ -8,12 +8,10 @@ table of its cells: per source state, the (destination, cell id) pairs of
 its nonzero cells, and per cell id one WeightEnum.  A diagram has far
 fewer distinct enumerators than nonzero cells (the F16 example: 4 for
 1,048,575), so every per-cell step of a consumer (packing, interning,
-rendering) runs once per table entry.  `adjacency` builds the Lambda of
-a spread full diagram in C-level passes over the edge streams of
-`statediag._blocks`, with no Python step per source or edge, and tallies
-Q and every other diagram one packed integer per cell; equal
-(destination, id) entries are shared.  A dense s x s view is expanded,
-one row at a time, only for display and JSON.
+rendering) runs once per table entry.  `adjacency` makes the cells of
+Lambda and Q in C-level passes over the runs of `statediag._blocks`,
+tallying in Python only the rows that repeat a destination.  A dense
+s x s view is expanded, one row at a time, only for display and JSON.
 
 Powers of Lambda count paths; the generating series
 
@@ -27,18 +25,19 @@ to R); with a source's cells grouped by (shift, quotient), a step costs
 one shifted multiple per group and one add per nonzero cell reached, and
 no matrix power is ever materialized.  Only (Lambda^l)_{0,0} is read, so
 Phi may iterate the lumped matrix Q of the diagram's F_q^* orbit quotient
-(`statediag.build(cf, lumped=True)`) in place of Lambda: `adjacency`
-tallies either.  Omega runs Omega_l = Phi_l - sum_{0<j<l} Omega_j Phi_{l-j}
-on the same packed integers.  Free distance, extended row distances and
-active burst distances are read off Omega and Phi.
+(`statediag.build(cf, lumped=True)`) in place of Lambda.  Omega runs
+Omega_l = Phi_l - sum_{0<j<l} Omega_j Phi_{l-j} on the same packed
+integers.  Free distance, extended row distances and active burst
+distances are read off Omega and Phi.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from typing import Iterator, Optional, Sequence
 
 from . import statediag
@@ -200,58 +199,64 @@ class AdjMatrix:
 
 
 def adjacency(sd: StateDiagram) -> AdjMatrix:
-    """Lambda, or Q of a lumped diagram, off the edges of `statediag`.
+    """Lambda, or Q of a lumped diagram, off the runs of `statediag._blocks`.
 
-    A full `spread` diagram's sources have distinct destinations, so each
-    cell holds the monomial W^wt(xC + uD): Lambda is read off the runs of
-    `statediag._blocks` in C-level passes, one lookup per packed output
-    giving wt(v) * s, which added to the destination keys a table of the
-    shared (destination, id) pairs, those of keys not met before made in
-    one `zip` per run.  Q and every other diagram (block codes, codes with
-    a degree-0 row) are tallied source by source off
-    `statediag._transitions`, a cell as one integer, an edge of weight w
-    adding 2^(w*b): no source has more edges than there are inputs, so
-    b = bitlen(inputs) bits hold any count, and the rows ascend by
-    destination.  The zero self-transition is never counted.  Each
-    distinct enumerator gets one id, and equal (destination, id) entries
-    are one tuple.
+    An edge's key is its destination j plus wt(v) * s, one lookup per
+    packed output, and one table maps each key to the shared (j, id) pair
+    of W^wt, the pairs of new keys made in one `zip` per run.  A full
+    `spread` diagram's rows are the runs of pairs.  Any other's are sorted,
+    and row 0 and the rows that repeat a destination (in Q those with
+    xA = 0, in a non-spread diagram all) are merged instead: an edge of
+    weight w adds 2^(w*b) to its cell, b = bitlen(inputs) bits holding any
+    count, and the zero self-transition is never counted.  A merged cell
+    counts q - 1 edges or sits at 0, so only merged rows share its pair.
+    Each distinct enumerator gets one id; equal pairs are one tuple.
     """
     s, inputs = sd.num_states, len(sd.tables[3])
     b = inputs.bit_length()
     ids: dict[int, int] = {}  # packed enumerator -> cell id
     index = list(range(s))  # one int object per destination, shared by its pairs
     unit = [1 << (w * b) for w in range(sd.n + 1)]  # wt -> packed W^wt
+    offset = statediag._weigher(sd.field.q, sd.n, s)  # v -> wt(v) * s
+    table: list = [None] * (s * (sd.n + 1))  # key j + wt * s -> the pair of W^wt at j
+    merged: dict[int, tuple[int, int]] = {}  # j + v * s -> the pair of merged cell v at j
+    fix = sd.lumped or not sd.spread
+    # about 2048 edges a block keeps its transient lists small; blocks of q^gamma
+    # edges made a 64-state Lambda 8% and a 256-state one 18% slower, at the same
+    # peak on 2^16 states
+    per_block = (1 << 11) // inputs + 1
     rows = []
-    if sd.spread and not sd.lumped:
-        offset = statediag._weigher(sd.field.q, sd.n, s)  # v -> wt(v) * s
-        table: list = [None] * (s * (sd.n + 1))  # key j + wt * s -> the pair of W^wt at j
-        # about 2048 edges a block keeps its transient lists small; blocks of
-        # q^gamma edges made a 64-state Lambda 8% slower and a 256-state one
-        # 18%, at the same peak on 2^16 states
-        per_block = (1 << 11) // inputs + 1
-        for block, dsts, outputs in statediag._blocks(sd, per_block):
-            keys = list(map(operator.add, chain.from_iterable(dsts), map(offset, outputs)))
-            kept = set(keys)
-            fresh = list(compress(kept, map(operator.not_, map(table.__getitem__, kept))))
-            cells = map(ids.setdefault, map(unit.__getitem__, map(s.__rfloordiv__, fresh)),
-                        map(len, repeat(ids)))  # len(ids) read as each key's id is set
-            pairs = zip(map(index.__getitem__, map(s.__rmod__, fresh)), cells)
-            deque(map(table.__setitem__, fresh, pairs), maxlen=0)
-            flat = map(table.__getitem__, keys)
+    for block, dsts, outputs in statediag._blocks(sd, per_block):
+        keys = list(map(operator.add, chain.from_iterable(dsts), map(offset, outputs)))
+        if fix:  # row 0 drops its keys 0, the weight-0 edges 0 -> 0
+            flat = iter(keys)
+            chunks = [tuple(filter(None, islice(flat, inputs - 1)))] if not block[0] else []
+            chunks += zip(*[flat] * inputs)
+            merge = list(map(operator.lt, map(len, map(set, dsts)), map(len, dsts)))
+            merge[0] |= not block[0]
+            plain = compress(chunks, map(operator.not_, merge))
+            keys = list(chain.from_iterable(map(functools.partial(sorted, key=s.__rmod__), plain)))
+        kept = set(keys)
+        fresh = list(compress(kept, map(operator.not_, map(table.__getitem__, kept))))
+        cells = map(ids.setdefault, map(unit.__getitem__, map(s.__rfloordiv__, fresh)),
+                    map(len, repeat(ids)))  # len(ids) read as each key's id is set
+        pairs = zip(map(index.__getitem__, map(s.__rmod__, fresh)), cells)
+        deque(map(table.__setitem__, fresh, pairs), maxlen=0)
+        flat = map(table.__getitem__, keys)
+        if not fix:
             if not block[0]:  # the zero state lacks input 0
                 rows.append(tuple(islice(flat, inputs - 1)))
             rows.extend(zip(*[flat] * inputs))
-        return AdjMatrix(rows, [_unpack(v, b) for v in ids], q=sd.field.q, n=sd.n)
-    weight = statediag._weigher(sd.field.q, sd.n)
-    shared: dict[tuple[int, int], tuple[int, int]] = {}  # (destination, id) -> its one tuple
-    for src, _, dsts, outputs, _ in statediag._transitions(sd):
-        acc: dict[int, int] = {}
-        for j, u in zip(dsts, map(unit.__getitem__, map(weight, outputs))):
-            acc[j] = acc.get(j, 0) + u
-        if not src and 0 in acc:
-            acc[0] &= -1 << b
-        row = [(index[j], ids.setdefault(v, len(ids))) for j, v in sorted(acc.items()) if v]
-        rows.append(tuple(map(shared.setdefault, row, row)))
+            continue
+        made = list(zip(*[flat] * inputs))
+        for at in compress(count(), merge):
+            acc: dict[int, int] = {}
+            for w, j in map(divmod, chunks[at], repeat(s)):
+                acc[j] = acc.get(j, 0) + unit[w]
+            row = [merged.setdefault(j + v * s, (index[j], ids.setdefault(v, len(ids))))
+                   for j, v in sorted(acc.items())]
+            made.insert(at, tuple(row))
+        rows += made
     return AdjMatrix(rows, [_unpack(v, b) for v in ids], q=sd.field.q, n=sd.n)
 
 

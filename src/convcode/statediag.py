@@ -18,11 +18,10 @@ sum; v is an XOR over F_{2^m}, else the field's addition table per
 element.  `_blocks` is the one enumeration of the sources and their
 destinations: per run of sources, one destination tuple per xA, made in
 C-level passes (xA repeated once per input plus uB cycled), and a stream
-of the run's outputs xC + uD.  `spectrum.adjacency` reads a run whole
-when the full diagram is `spread` (no two inputs share uB), and
-`_transitions` gives every other reader the same sources and
-destinations source by source, read lazily in runs, with each source's
-outputs; every edge view replays them when it is read.  The labelled views
+of the run's outputs xC + uD.  `spectrum.adjacency` reads every run
+whole, for Lambda and Q alike; `_transitions` gives the edge views the
+same sources and destinations source by source, with each source's
+outputs, replayed whenever a view is read.  The labelled views
 (`labelled_transitions`, read by the DOT text and the JSON edge list)
 make the label of each packed input and output once; `edges_by_source`
 serves the demos, the benchmark's counters and the tests.
@@ -110,7 +109,7 @@ class StateDiagram:
         """One tuple of (dst, weight) pairs per source, in input order; the
         destinations of a lumped diagram are orbit ids."""
         weight = _weigher(self.field.q, self.n)
-        for _, _, dsts, outputs, _ in _transitions(self):
+        for _, _, dsts, outputs in _transitions(self):
             yield tuple(zip(dsts, map(weight, outputs)))
 
 
@@ -246,22 +245,18 @@ def _blocks(sd: StateDiagram, size: int) -> Iterator[tuple[Sequence[int], list[t
         yield sources[lo:lo + size], block, outputs
 
 
-def _transitions(sd: StateDiagram) -> Iterator[tuple[int, range, tuple, Iterator[int], bool]]:
-    """(src, inputs, dsts, outputs, distinct) per source, the sources and
-    destinations of `_blocks`, read lazily in runs of 1024 sources.
+def _transitions(sd: StateDiagram) -> Iterator[tuple[int, range, tuple, Iterator[int]]]:
+    """(src, inputs, dsts, outputs) per source, the sources and destinations
+    of `_blocks`, read lazily in runs of 1024 sources.
 
     `inputs` is the range of packed inputs u, `outputs` yields their packed
-    outputs v = xC + uD and `dsts` holds their destinations.  `distinct`
-    says no two are equal: the diagram is `spread` (the full diagram's then
-    ascend), and xA != 0 if lumped, as u and lambda u meet in one orbit
-    where xA = 0.
+    outputs v = xC + uD and `dsts` holds their destinations.
     """
-    add, xa, xc, ub, ud = sd.tables
-    every, full, spread = range(len(ub)), sd.orbit is None, sd.spread
+    add, _, xc, ub, ud = sd.tables
     for block, rows, _ in _blocks(sd, 1024):
         for src, dsts in zip(block, rows):
             outputs = map(add, repeat(xc[src]), ud if src else ud[1:])
-            yield src, every if src else every[1:], dsts, outputs, spread and (full or xa[src] > 0)
+            yield src, range(not src, len(ub)), dsts, outputs
 
 
 def labelled_transitions(
@@ -277,7 +272,7 @@ def labelled_transitions(
     weight = _weigher(q, n)
     us = [u_label(state_vector(q, sd.k, u)) for u in range(q**sd.k)]
     vs = functools.cache(lambda v: v_label(state_vector(q, n, v), weight(v)))
-    for src, inputs, dsts, outputs, _ in _transitions(sd):
+    for src, inputs, dsts, outputs in _transitions(sd):
         yield src, dsts, map(us.__getitem__, inputs), map(vs, outputs)
 
 

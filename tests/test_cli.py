@@ -736,14 +736,14 @@ def test_f16_series_expand_only_orbit_representatives(capsys, monkeypatch):
     # spectrum and distances read Phi from the F_16^* orbit quotient: the
     # 1 + (16^3 - 1) / 15 smallest orbit members, not all 4096 states
     sources = []
-    transitions = statediag._transitions
+    blocks = statediag._blocks
 
-    def counted(cf, *args):
-        for item in transitions(cf, *args):
-            sources.append(item[0])
+    def counted(sd, *args):
+        for item in blocks(sd, *args):
+            sources.extend(item[0])
             yield item
 
-    monkeypatch.setattr(statediag, "_transitions", counted)
+    monkeypatch.setattr(statediag, "_blocks", counted)
     rc, out, _ = run(capsys, "spectrum", F16)
     assert rc == 0 and out.startswith("Omega = ")
     assert len(sources) == 274 and sources == sorted(set(sources))

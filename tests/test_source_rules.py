@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -174,6 +175,18 @@ def _calls(tree, name: str) -> list:
         if isinstance(node, ast.Call)
         and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
+
+
+def test_adjacency_makes_every_cell_in_one_pass_over_the_blocks():
+    # Lambda, Q and the diagrams of block codes and of codes with a degree-0
+    # row take their cells from the one key table over statediag._blocks:
+    # spectrum never names the per-source view, and adjacency has one loop
+    # over the blocks and makes one AdjMatrix
+    assert re.search(r"\b_transitions\b", (PACKAGE / "spectrum.py").read_text()) is None
+    fn = _function("spectrum.py", "adjacency")
+    loops = [node for node in ast.walk(fn) if isinstance(node, ast.For) and _calls(node.iter, "_blocks")]
+    assert len(loops) == len(_calls(fn, "_blocks")) == 1
+    assert len(_calls(fn, "AdjMatrix")) == 1
 
 
 def test_two_codes_lambda_are_compared_in_one_place():

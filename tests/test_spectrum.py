@@ -384,7 +384,7 @@ def test_cell_table_matches_reference_tally(p, m):
     # lumped diagrams, and with weight-0 and weight-1 edges 0 -> 0 planted;
     # every row ascends by destination, and equal pairs are one tuple;
     # _transitions yields one destination tuple per xA, xA + uB or its orbit
-    # id, the zero state's past input 0, and whether they are distinct
+    # id, the zero state's past input 0
     fld = field_make(p, m)
     rng = random.Random(1400 + 10 * p + m)
     forms = [cf for group in genutil.reference_corpus(fld, rng).values() for cf in group]
@@ -403,14 +403,12 @@ def test_cell_table_matches_reference_tally(p, m):
                 ) and all(first.setdefault(p, p) is p for row in lam.rows for p in row)
                 _, xa, _, ub, _ = diagram.tables
                 orbit = diagram.orbit or range(len(xa))
-                spread = all(x < y for x, y in zip(ub, ub[1:]))
                 row_of: dict = {}  # the first tuple met of each xA
-                for src, inputs, dsts, _, distinct in statediag._transitions(diagram):
+                for src, inputs, dsts, _ in statediag._transitions(diagram):
                     a, zero = xa[src], not src
                     assert dsts == tuple(orbit[a + u] for u in ub)[zero:]
                     assert inputs == range(zero, len(ub)) and max(dsts) < diagram.num_states
                     assert zero or row_of.setdefault(a, dsts) is dsts
-                    assert distinct == (spread and (diagram.orbit is None or a > 0))
 
 
 def test_adjacency_entries_cost_about_one_slot_each(f16):
