@@ -202,15 +202,15 @@ def adjacency(sd: StateDiagram) -> AdjMatrix:
     """Lambda, or Q of a lumped diagram, off the runs of `statediag._blocks`.
 
     An edge's key is its destination j plus wt(v) * s, one lookup per
-    packed output, and one table maps each key to the shared (j, id) pair
-    of W^wt, the pairs of new keys made in one `zip` per run.  A full
-    `spread` diagram's rows are the runs of pairs.  Any other's are sorted,
-    and row 0 and the rows that repeat a destination (in Q those with
-    xA = 0, in a non-spread diagram all) are merged instead: an edge of
-    weight w adds 2^(w*b) to its cell, b = bitlen(inputs) bits holding any
-    count, and the zero self-transition is never counted.  A merged cell
-    counts q - 1 edges or sits at 0, so only merged rows share its pair.
-    Each distinct enumerator gets one id; equal pairs are one tuple.
+    packed output; one table maps each key to the shared (j, id) pair of
+    W^wt, the pairs of new keys made in one `zip` per run.  A full `spread`
+    diagram's rows are these runs of pairs.  Other diagrams sort their rows
+    and merge row 0 and the rows that repeat a destination (in Q those with
+    xA = 0, in a non-spread diagram all): an edge of weight w adds 2^(w*b)
+    to its cell, b = bitlen(inputs) bits holding any count, and the zero
+    self-transition is never counted.  A merged cell counts q - 1 edges or
+    sits at 0, so only merged rows share its pair.  Each distinct
+    enumerator gets one id; equal pairs are one tuple.
     """
     s, inputs = sd.num_states, len(sd.tables[3])
     b = inputs.bit_length()
