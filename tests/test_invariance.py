@@ -1017,6 +1017,65 @@ def k1_route_pairs():
     return pairs
 
 
+EQUAL_DEGREE_SHAPES = (
+    (2, 1, 2, 1), (2, 1, 2, 2), (2, 1, 2, 3), (3, 1, 2, 1), (3, 1, 2, 2), (2, 2, 2, 1), (2, 2, 2, 2),
+    (2, 3, 2, 1), (2, 2, 1, 3), (5, 1, 1, 3), (7, 1, 1, 2), (2, 3, 1, 2), (2, 4, 1, 2),
+)  # (p, m, k, row degree) with n = 3: at most 256 states
+
+
+def equal_degree_code(rng, fld, k, degree):
+    """A seeded minimal code over fld, n = 3, whose k rows all have `degree`."""
+    while True:
+        g = genutil.random_matrix(rng, fld, k, 3, degree)
+        try:
+            if not g.info.is_basic:
+                continue
+        except ValueError:  # rank deficient
+            continue
+        g, _ = minimize(g)
+        if g.info.row_degrees == (degree,) * k:
+            return g
+
+
+def equal_degree_pairs():
+    """Seeded (kind, g, h) pairs of codes whose rows all have one degree:
+    each code against a row-transformed, column-monomial image ("image"),
+    against another code of its shape ("other") and, over F4 and F8,
+    against its coefficient-wise a -> a^2 image ("frobenius"); and the F5
+    pair ("f5")."""
+    rng = random.Random(38)
+    pairs = [("f5", *f5_pair())]
+    for p, m, k, degree in EQUAL_DEGREE_SHAPES:
+        fld = field_make(p, m)
+        for _ in range(3):
+            g = equal_degree_code(rng, fld, k, degree)
+            h, _ = genutil.elementary_ops(rng, g, 4)
+            cols = rng.sample(range(3), 3)
+            pairs.append(("image", g, apply_monomial(h, cols, [rng.choice(fld.units()) for _ in cols])))
+            pairs.append(("other", g, equal_degree_code(rng, fld, k, degree)))
+            if fld.q in (4, 8):
+                frobenius = [[[fld.mul(c, c) for c in e] for e in row] for row in g.rows]
+                pairs.append(("frobenius", g, pm(fld, frobenius)))
+    return pairs
+
+
+def test_equal_degree_witnesses_are_pinned():
+    # code_witness's answers, None included, on codes whose rows share one
+    # degree: a route that searches fewer states must return the same
+    # lexicographically least witnesses
+    pairs = equal_degree_pairs()
+    results = [invariance.code_witness(g, h) for _, g, h in pairs]
+    assert all(w is not None for (kind, _, _), w in zip(pairs, results) if kind != "other")
+    kinds = Counter(
+        (kind, "none" if w is None else "identity" if w == tuple(range(len(w))) else "moved")
+        for (kind, _, _), w in zip(pairs, results)
+    )
+    assert len(pairs) == 94 and kinds["other", "none"] >= 30, kinds
+    assert kinds["image", "moved"] >= 15 and kinds["frobenius", "moved"] >= 15, kinds
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == "29311bd9269ba62bdbcdc283384358b0882dca12acea576371d8a5de499534d8"
+
+
 def test_k1_route_matches_the_orbit_search(monkeypatch):
     # every witness between two k = 1 codes is an alphabet map, so trying
     # the (q - 1)! of them in order gives the orbit search's answer
