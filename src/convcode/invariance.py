@@ -33,15 +33,15 @@ automorphism of both, and its colors are constant on orbits.  First-seen
 ids run in index order and a representative is its orbit's smallest
 member, so even the color ids come out the same.
 
-For k = 1, state x moves to (u, x[0..gamma-2]) on input u, so the support
-of Lambda is the shift graph on F_q^gamma, the (gamma-1)-fold line digraph
-of the looped complete digraph on F_q, and a witness is one of its
-zero-fixing automorphisms.  A line digraph's arcs with one head share
-their successors, so its automorphisms come from the digraph below: each
-applies one permutation sigma of F_q, sigma(0) = 0, to every register
-cell, and Lemma A.1 is the case q = 2.  For q <= 5 `code_witness` hands
-`gen_adj_equal` these (q - 1)! maps in lexicographic order instead of the
-orbits, and the first that the conjugation check certifies is the least.
+When every row of G has one degree m >= 1 (every k = 1 code among them),
+the register holds m columns of letters of F_q^k and input u enters the
+first column as the others shift on, so the support of Lambda is the de
+Bruijn graph on F_q^k with m columns, the (m-1)-fold line digraph of the
+looped complete digraph on F_q^k.  A line digraph's arcs with one head
+share their successors, so its zero-fixing automorphisms, which hold
+every witness, each apply one permutation sigma of F_q^k, sigma(0) = 0,
+to every column; Lemma A.1 is the case q = 2, k = 1.  `code_witness`
+then searches the q^k letters, not the states (`_alphabet_maps`).
 
 On top of that sit: `code_witness`, the one comparison of two codes'
 Lambda and the one caller that hands the search those orbits or the
@@ -55,7 +55,6 @@ automorphisms.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import Counter
 from collections.abc import Iterator
@@ -72,10 +71,6 @@ MonomialWitness = tuple  # (column permutation, column scalars)
 SEARCH_STATES = 256  # bound on the states of the conjugation search
 DEFAULT_BUDGET = 1 << 24  # bound on the candidates of the monomial_equiv search
 ADJACENCY_ENTRIES = 1 << 24  # bound on the edges tallied into Lambda, 16x the F16 example
-# k = 1 codes over F_q, q at most this, try the (q - 1)! alphabet maps: on
-# pairs of unlike Lambda they took 3.0 ms to the search's 3.2 over F5^3, and
-# 16 ms to its 1.8 over F7^2, where 720 maps each fail one conjugation check
-ALPHABET_FIELDS = 5
 
 
 def check_adjacency(g: PolyMatrix, *, lumped: bool = False) -> None:
@@ -96,9 +91,15 @@ def code_adjacency(g: PolyMatrix, *, lumped: bool = False) -> AdjMatrix:
     matrix Q of the F_q^* orbit quotient instead, which has the same
     (Q^l)_{0,0} and serves only the series.  `check_adjacency` runs first.
     """
+    return _code_diagram(g, lumped)[1]
+
+
+def _code_diagram(g: PolyMatrix, lumped: bool = False) -> tuple[statediag.StateDiagram, AdjMatrix]:
+    """(diagram, its adjacency matrix) of g after `check_adjacency`: the body
+    of `code_adjacency`, and `code_witness`'s one build of each code."""
     check_adjacency(g, lumped=lumped)
-    cf = encoder.controller_form(g)
-    return spectrum.adjacency(statediag.build(cf, lumped=lumped))
+    sd = statediag.build(encoder.controller_form(g), lumped=lumped)
+    return sd, spectrum.adjacency(sd)
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +309,13 @@ def gen_adj_equal(
     refinement signs every state."""
     if (a.size, a.q, a.n, a.extended) != (b.size, b.q, b.n, b.extended):
         raise ValueError("adjacency matrices have mismatched dimensions")
-    check_search_size(a.size)
     identity = tuple(range(a.size))
     if _conjugates(a, b, identity):
         return identity
     given = classes and classes()
     searched = not isinstance(given, Iterator)
+    if searched:
+        check_search_size(a.size)
     for pi in _witnesses(a, b, given) if searched else given:
         if not _conjugates(a, b, pi):
             if not searched:
@@ -333,33 +335,54 @@ def _shift_graph(q: int, gamma: int) -> AdjMatrix:
     return AdjMatrix(rows, [WeightEnum.one()], q=q, n=1)
 
 
-@functools.cache
-def _alphabet_images(q: int, gamma: int) -> tuple[PermWitness, ...]:
-    """pi_sigma on F_q^gamma, sigma applied to every register cell, for
-    every sigma of F_q with sigma(0) == 0, in the lexicographic order in
-    which `_witnesses` lists them as the zero-fixing automorphisms of the
-    shift graph at gamma = 1.  State c < q is the register (0, ..., 0, c),
-    so pi_sigma(c) = sigma(c) and the pi_sigma ascend as the sigma do."""
-    graph = _shift_graph(q, 1)
-    return tuple(tuple(statediag._cellwise(sigma, gamma, q)) for sigma in _witnesses(graph, graph))
+def _alphabet_maps(sd: statediag.StateDiagram, lams, classes) -> Iterator[PermWitness]:
+    """pi_sigma, sigma applied to every register column, for each sigma that
+    `_witnesses` lists, in order, on M[c][d] = Lambda[last(c)][first(d)] of
+    two codes whose k rows all have one degree m; sd is either's diagram.
+    first(d) = dB holds letter d alone in the first column, last(c) =
+    cBA^(m-1) holds c alone in the last, and pi_sigma maps them to
+    first(sigma d) and last(sigma c), so a witness pi_sigma of Lambda makes
+    sigma one of M.  Both ascend with the packed letter, and a state below
+    last(c) holds only letters below c, so pi_sigma ascends as sigma does.
+    `classes` are the F_q^* orbits of F_q^k."""
+    _, xa, _, ub, _ = sd.tables  # A and B are those of both codes
+    m = sd.gamma // sd.k
+    last = ub
+    for _ in range(m - 1):
+        last = list(map(xa.__getitem__, last))
+    letter = {first: d for d, first in enumerate(ub)}
+    rows = lambda lam: [[(letter[j], t) for j, t in lam.rows[x]] for x in last]
+    mat_g, mat_h = (AdjMatrix(rows(lam), lam.cells, q=lam.q, n=lam.n) for lam in lams)
+    fill = [0]  # the states by their letters d_1 .. d_m, in `_cellwise` order
+    for _ in range(m):
+        fill = [a + u for a in map(xa.__getitem__, fill) for u in ub]
+    where = sorted(range(len(fill)), key=fill.__getitem__)  # the fill position of every state
+    for sigma in _witnesses(mat_g, mat_h, classes):
+        moved = statediag._cellwise(sigma, m, len(ub))
+        yield tuple(map(fill.__getitem__, map(moved.__getitem__, where)))
 
 
 def code_witness(g: PolyMatrix, h: PolyMatrix) -> Optional[PermWitness]:
     """`gen_adj_equal` on the Lambda of g and h, minimal matrices of one
     constraint length: the one comparison of two codes' Lambda, whose
-    conjugacy class is an invariant of the code.  Both are the diagrams of
-    linear codes on one register, so x -> lambda x, lambda in F_q^*, is a
-    zero-fixing automorphism of each, and the search is handed those
-    orbits, or for k = 1 and q <= ALPHABET_FIELDS the alphabet maps, which
-    hold every witness.  LimitError above SEARCH_STATES states, before
-    either Lambda is built."""
-    fld, delta = g.field, g.info.delta
-    check_search_size(fld.q, delta)
-    if g.k == h.k == 1 and fld.q <= ALPHABET_FIELDS:
-        classes = lambda: iter(_alphabet_images(fld.q, delta))
-    else:
-        classes = lambda: statediag._orbits(fld, delta)
-    return gen_adj_equal(code_adjacency(g), code_adjacency(h), classes)
+    conjugacy class is an invariant of the code and fixes its Forney
+    indices, so unlike indices are refused before either Lambda is built.
+    Both are the diagrams of linear codes on one register, so x -> lambda
+    x, lambda in F_q^*, is a zero-fixing automorphism of each, and the
+    search is handed those orbits or, when every row has one degree m >= 1,
+    the alphabet maps of `_alphabet_maps`, which hold every witness.
+    LimitError, before either Lambda is built, when the search would run
+    over more than SEARCH_STATES states: q^k letters or q^delta states."""
+    fld, delta, degrees = g.field, g.info.delta, g.info.row_degrees
+    if sorted(degrees) != sorted(h.info.row_degrees):
+        return None
+    alphabet = delta and len(set(degrees)) == 1
+    cells = g.k if alphabet else delta  # F_q^cells holds what the search runs over
+    check_search_size(fld.q, cells)
+    (sd, a), (_, b) = _code_diagram(g), _code_diagram(h)
+    orbits = lambda: statediag._orbits(fld, cells)
+    classes = (lambda: _alphabet_maps(sd, (a, b), orbits())) if alphabet else orbits
+    return gen_adj_equal(a, b, classes)
 
 
 def apply_witness(a: AdjMatrix, pi: Sequence[int]) -> AdjMatrix:

@@ -65,6 +65,21 @@ def random_minimal_code(
     raise RuntimeError("sampling budget exhausted")
 
 
+def code_with_degrees(rng: random.Random, fld, degrees) -> PolyMatrix:
+    """Rejection-sample a minimal code with n = k + 1 and these row degrees,
+    in any order."""
+    while True:
+        g = pm(fld, [[random_poly(rng, fld, d) for _ in range(len(degrees) + 1)] for d in degrees])
+        try:
+            if not encoder_info(g).is_basic:
+                continue
+        except ValueError:  # rank deficient
+            continue
+        g, _ = minimize(g)
+        if sorted(encoder_info(g).row_degrees) == sorted(degrees):
+            return g
+
+
 def random_nonbasic_fullrank(
     rng: random.Random, fld, *, n_max: int = 4, k_max: int = 2, tries: int = 5000
 ) -> PolyMatrix:

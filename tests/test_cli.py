@@ -459,6 +459,33 @@ def test_f16_equal_refuses_before_building_lambda(capsys, monkeypatch, tmp_path)
     )
 
 
+def test_equal_answers_equal_degree_pairs_past_the_search_bound(capsys, tmp_path):
+    # when every row has one degree the search runs over the q^k letters,
+    # so 4096-state pairs are answered, not refused: a binary memory-12 code
+    # against its column swap, and an F4 code with indices (3, 3) against a
+    # row-transformed, column-monomial image, whose witness moves states
+    rng = random.Random(12)
+    binary = parse_gm("field p=2 m=1\nk=1 n=2\n1 0 1 0 0 0 0 0 0 0 0 1 1 ; 1 1 0 0 0 0 1 1 0 1 1 0 1\n")
+    f4 = genutil.code_with_degrees(rng, field_make(2, 2), (3, 3))
+    image, _ = genutil.elementary_ops(rng, f4, 4)
+    pairs = {
+        "binary": (binary, invariance.apply_monomial(binary, (1, 0), (1, 1))),
+        "f4": (f4, invariance.apply_monomial(image, (2, 0, 1), (1, 2, 3))),
+    }
+    for name, (g, h) in pairs.items():
+        assert g.info.is_minimal and g.field.q ** g.info.delta == 4096
+        paths = [tmp_path / f"{name}_{x}.gm" for x in "gh"]
+        for path, code in zip(paths, (g, h)):
+            path.write_text(format_gm(code))
+        start = time.perf_counter()
+        rc, payload, err = run_json(capsys, "equal", *map(str, paths))
+        assert time.perf_counter() - start < 2.0, name
+        assert (rc, err, payload["found"]) == (1, "", False), name
+        pi = payload["perm"]
+        assert invariance.apply_witness(invariance.code_adjacency(g), pi) == invariance.code_adjacency(h)
+        assert (pi == list(range(4096))) == (name == "binary"), name
+
+
 def _deep_code(tmp_path, delta):
     # binary k = 1, n = 2: (1 + z^delta, 1), minimal with constraint length
     # delta; the gcd of its minors takes one step, so g.info is cheap

@@ -4,6 +4,7 @@ import math
 import pathlib
 import random
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -703,10 +704,12 @@ def test_monomial_transform_leaves_adjacency_unchanged(f2, g_mixed, g1):
             assert lam_of(h) == lam_of(g)
 
 
-def test_search_size_guard(g1, monkeypatch):
+def test_search_size_guard(g1, g2, monkeypatch):
+    # the bound is checked once the identity is refused, before the search
     monkeypatch.setattr(invariance, "SEARCH_STATES", 1)
+    assert gen_adj_equal(lam_of(g1), lam_of(g1)) == tuple(range(lam_of(g1).size))
     with pytest.raises(LimitError):
-        gen_adj_equal(lam_of(g1), lam_of(g1))
+        gen_adj_equal(lam_of(g1), lam_of(g2))
 
 
 def test_unimodular_random_products(f2, f3):
@@ -1076,51 +1079,112 @@ def test_equal_degree_witnesses_are_pinned():
     assert digest == "29311bd9269ba62bdbcdc283384358b0882dca12acea576371d8a5de499534d8"
 
 
-def test_k1_route_matches_the_orbit_search(monkeypatch):
-    # every witness between two k = 1 codes is an alphabet map, so trying
-    # the (q - 1)! of them in order gives the orbit search's answer
-    pairs = k1_route_pairs()
-    assert all(g.k == h.k == 1 and g.info.delta == h.info.delta <= 3 for _, g, h in pairs)
+def test_alphabet_route_matches_the_orbit_search():
+    # every witness between two codes whose rows share one degree is an
+    # alphabet map, so the candidates of the alphabet search give the
+    # answer of the orbit search over the q^delta states of Lambda
+    pairs = equal_degree_pairs() + k1_route_pairs()
+    assert all(len(set(g.info.row_degrees + h.info.row_degrees)) == 1 for _, g, h in pairs)
     routed = [invariance.code_witness(g, h) for _, g, h in pairs]
-    monkeypatch.setattr(invariance, "ALPHABET_FIELDS", 1)  # every pair goes to the search
-    assert routed == [invariance.code_witness(g, h) for _, g, h in pairs]
+    searched = [
+        gen_adj_equal(lam_of(g), lam_of(h), lambda: statediag._orbits(g.field, g.info.delta))
+        for _, g, h in pairs
+    ]
+    assert routed == searched
     kinds = Counter(
-        (kind, "none" if w is None else "identity" if w == tuple(range(len(w))) else "moved")
-        for (kind, _, _), w in zip(pairs, routed)
+        (kind, g.k, "none" if w is None else "identity" if w == tuple(range(len(w))) else "moved")
+        for (kind, g, _), w in zip(pairs, routed)
     )
     assert all(w is not None for (kind, _, _), w in zip(pairs, routed) if kind != "other")
-    assert len(pairs) == 73 and kinds["other", "none"] >= 20, kinds
-    assert sum(count for (_, found), count in kinds.items() if found == "moved") >= 6, kinds
+    assert len(pairs) == 94 + 73, kinds
+    assert kinds["other", 1, "none"] >= 40 and kinds["other", 2, "none"] >= 15, kinds
+    assert kinds["image", 2, "moved"] >= 15 and kinds["frobenius", 1, "moved"] >= 10, kinds
 
 
-def test_k1_route_runs_no_search_over_the_register(monkeypatch):
-    # for k = 1 and q <= 5 the cell graphs, the refinement and the search
-    # run on the q-state alphabet graph at most, never on the q^delta states
-    # of Lambda; for k = 2, and for k = 1 over F7, they run on Lambda
-    sizes = []
+def test_alphabet_route_runs_no_search_over_the_register(monkeypatch):
+    # for codes whose rows share one degree the cell graphs, the refinement
+    # and the search see the q^k letters alone, never the q^delta states of
+    # Lambda, and each code's diagram is built once; an F4 pair with indices
+    # (1, 2) still searches Lambda
+    sizes, built = [], []
 
-    def spy(name, size):
-        inner = getattr(invariance, name)
-        monkeypatch.setattr(invariance, name, lambda *args: sizes.append(size(args)) or inner(*args))
+    def spy(owner, name, record):
+        inner = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, **kw: record(args) or inner(*args, **kw))
 
-    spy("_cell_graphs", lambda args: args[0].size)
-    spy("_refined_colors", lambda args: len(args[0][0][0]))
-    spy("_witnesses", lambda args: args[0].size)
+    spy(invariance, "_cell_graphs", lambda args: sizes.append(args[0].size))
+    spy(invariance, "_refined_colors", lambda args: sizes.append(len(args[0][0][0])))
+    spy(invariance, "_witnesses", lambda args: sizes.append(args[0].size))
+    spy(statediag, "build", built.append)
     rng = random.Random(37)
-    shapes = [(field_make(2), 1, 3), (field_make(3), 1, 2), (field_make(2, 2), 1, 2), (field_make(5), 1, 2),
-              (field_make(2, 2), 2, 2), (field_make(7), 1, 2)]
-    for fld, k, delta in shapes:
-        searched = []
+    shapes = [(2, 1, (3,)), (3, 1, (2,)), (2, 2, (2,)), (5, 1, (2,)), (7, 1, (2,)), (2, 4, (2,)),
+              (2, 1, (2, 2)), (2, 2, (2, 2)), (2, 3, (2, 2)), (2, 2, (1, 2))]
+    for p, m, degrees in shapes:
+        fld = field_make(p, m)
         for _ in range(3):
-            while True:
-                g, h = (genutil.random_minimal_code(rng, fld, n_max=3, k_max=k, gamma_min=delta, gamma_max=delta)
-                        for _ in range(2))
-                if g.k == h.k == k and g.n == h.n and lam_of(g) != lam_of(h):
-                    break
+            g = genutil.code_with_degrees(rng, fld, degrees)
+            h = genutil.code_with_degrees(rng, fld, degrees)
+            while lam_of(g) == lam_of(h):  # the identity would answer
+                h = genutil.code_with_degrees(rng, fld, degrees)
             sizes.clear()
+            built.clear()
             invariance.code_witness(g, h)
-            searched.append(fld.q**delta in sizes)
-        assert searched == [k == 2 or fld.q == 7] * 3, (fld.q, k)
+            assert len(built) == 2 and sizes, (fld.q, degrees)
+            letters = fld.q ** len(degrees)
+            if len(set(degrees)) == 1:
+                assert max(sizes) == letters < fld.q ** sum(degrees), (fld.q, degrees)
+            else:
+                assert sizes == [fld.q ** sum(degrees)] * 3, (fld.q, degrees)
+
+
+def test_alphabet_route_answers_the_f16_frobenius_pair():
+    # a 256-state k = 1 F16 code against its coefficient-wise a -> a^2 image:
+    # the orbit search over the states of Lambda did not end within 600 s on
+    # a 2-CPU Xeon host, the search over the 16 letters takes milliseconds;
+    # the least witness applies a -> a^2 to both register cells
+    f16 = field_make(2, 4)
+    g = pm(f16, [[[11, 10, 11], [13, 10, 6], [13, 6, 10]]])
+    h = pm(f16, [[[f16.mul(c, c) for c in e] for e in row] for row in g.rows])
+    start = time.perf_counter()
+    wit = invariance.code_witness(g, h)
+    assert time.perf_counter() - start < 1.0
+    assert wit == tuple(statediag._cellwise([f16.mul(c, c) for c in range(16)], 2, 16))
+    assert apply_witness(lam_of(g), wit) == lam_of(h)
+
+
+def forney_pairs():
+    """Seeded pairs of minimal codes of one shape and one constraint length
+    whose Forney indices differ, of at most 256 states."""
+    rng = random.Random(39)
+    shapes = [(2, 1, (1, 2), (0, 3)), (2, 1, (2, 2), (1, 3)), (2, 1, (1, 1, 1), (0, 1, 2)),
+              (3, 1, (1, 1), (0, 2)), (2, 2, (1, 2), (0, 3)), (2, 2, (2, 2), (1, 3)), (2, 3, (1, 1), (0, 2))]
+    pairs = []
+    for p, m, mine, theirs in shapes:
+        fld = field_make(p, m)
+        for _ in range(3):
+            pairs.append(tuple(genutil.code_with_degrees(rng, fld, degrees) for degrees in (mine, theirs)))
+    return pairs
+
+
+def test_unlike_forney_indices_are_refused_before_lambda(monkeypatch):
+    # Lambda fixes the Forney indices, so code_witness refuses unlike ones
+    # before either diagram is built, and the orbit search over Lambda
+    # agrees that no witness exists
+    pairs = forney_pairs()
+    searched = [
+        gen_adj_equal(lam_of(g), lam_of(h), lambda: statediag._orbits(g.field, g.info.delta))
+        for g, h in pairs
+    ]
+    assert len(pairs) == 21 and searched == [None] * 21
+    monkeypatch.setattr(statediag, "build", _refused)
+    for g, h in pairs:
+        assert g.info.delta == h.info.delta and (g.k, g.n) == (h.k, h.n)
+        assert invariance.code_witness(g, h) is None
+        assert invariance.code_witness(h, g) is None
+
+
+def _refused(*args, **kwargs):
+    raise AssertionError("a diagram was built")
 
 
 def sorting_conjugates(a, b, pi):

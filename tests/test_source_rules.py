@@ -298,14 +298,16 @@ def test_oracle_reads_neither_the_diagram_nor_the_series():
 
 
 def test_one_route_from_g_to_lambda_and_no_info_parameters():
-    # invariance.code_adjacency alone turns a generator matrix into Lambda,
-    # and encoder_info is read off the matrix as g.info, never handed on
+    # invariance._code_diagram alone turns a generator matrix into Lambda,
+    # for code_adjacency and for code_witness, which also reads the diagram;
+    # encoder_info is read off the matrix as g.info, never handed on
+    assert len(_calls(_function("invariance.py", "code_adjacency"), "_code_diagram")) == 1
     calls, params = [], []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         allowed = set()
         if path.name == "invariance.py":
-            route = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "code_adjacency")
+            route = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_code_diagram")
             allowed = {id(n) for n in ast.walk(route)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and id(node) not in allowed:
@@ -514,8 +516,9 @@ def test_bijections_are_enumerated_only_by_monomial_equiv():
 def test_code_witness_alone_passes_classes_to_the_search():
     # the F_q^* orbits are automorphisms of the Lambda of codes only, so the
     # classes enter the search at code_witness and are only handed on below
-    # it; the orbits are made by statediag._orbits alone, for the lumped Q
-    # and for code_witness, which hands them on uncalled
+    # it, to gen_adj_equal or, those of the letters, to the alphabet search;
+    # the orbits are made by statediag._orbits alone, for the lumped Q and
+    # for code_witness, which hands them on uncalled
     search = ("gen_adj_equal", "_witnesses", "_refined_colors")
     passed, made = [], []
     for path in sorted(PACKAGE.rglob("*.py")):
@@ -532,6 +535,7 @@ def test_code_witness_alone_passes_classes_to_the_search():
     assert passed == [
         ("_witnesses", "_refined_colors"),
         ("gen_adj_equal", "_witnesses"),
+        ("_alphabet_maps", "_witnesses"),
         ("code_witness", "gen_adj_equal"),
     ]
     assert sorted(made) == [("invariance.py", "code_witness"), ("statediag.py", "build")]
@@ -569,22 +573,26 @@ def test_no_function_calls_itself_but_the_minor_expansion():
     assert found == ["polyalg.py:_det"]
 
 
-def test_alphabet_candidates_are_handed_on_for_small_k1_codes_only():
+def test_alphabet_candidates_are_handed_on_for_equal_degree_codes_only():
     # code_witness alone hands gen_adj_equal the alphabet maps, and only
-    # under k == 1 and q <= 5; the sigma are listed by the conjugation
-    # search on the alphabet graph, not by itertools; and a candidate leaves
-    # gen_adj_equal only once `_conjugates` has certified it
-    assert convcode.invariance.ALPHABET_FIELDS == 5
+    # when every row has one degree m >= 1; the sigma are listed by the
+    # conjugation search on the alphabet matrices, not by itertools, and no
+    # field size picks the route; a candidate leaves gen_adj_equal only once
+    # `_conjugates` has certified it, and the search bound is checked only
+    # before gen_adj_equal's own search
+    assert not hasattr(convcode.invariance, "ALPHABET_FIELDS")
     tree = ast.parse((PACKAGE / "invariance.py").read_text())
     named = lambda node, name: any(getattr(n, "id", None) == name for n in ast.walk(node))
-    users = [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef) and named(fn, "_alphabet_images")]
+    users = [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef) and named(fn, "_alphabet_maps")]
     assert users == ["code_witness"]
-    branches = [n for n in ast.walk(_function("invariance.py", "code_witness"))
-                if isinstance(n, ast.If) and named(n, "_alphabet_images")]
-    assert len(branches) == 1 and not named(ast.Module(branches[0].orelse, []), "_alphabet_images")
-    assert ast.unparse(branches[0].test) == "g.k == h.k == 1 and fld.q <= ALPHABET_FIELDS"
-    images = _function("invariance.py", "_alphabet_images")
-    assert _calls(images, "_witnesses") and not named(images, "itertools")
+    witness = _function("invariance.py", "code_witness")
+    branches = [n for n in ast.walk(witness) if isinstance(n, ast.IfExp) and named(n, "_alphabet_maps")]
+    assert len(branches) == 1 and not named(branches[0].orelse, "_alphabet_maps")
+    assert ast.unparse(branches[0].test) == "alphabet"
+    routes = [n for n in ast.walk(witness) if isinstance(n, ast.Assign) and named(n.targets[0], "alphabet")]
+    assert [ast.unparse(n.value) for n in routes] == ["delta and len(set(degrees)) == 1"]
+    maps = _function("invariance.py", "_alphabet_maps")
+    assert _calls(maps, "_witnesses") and not named(maps, "itertools")
     fn = _function("invariance.py", "gen_adj_equal")
     loops = [n for n in ast.walk(fn) if isinstance(n, (ast.For, ast.While))]
     assert len(loops) == 1 and named(loops[0].iter, "given")
@@ -592,3 +600,6 @@ def test_alphabet_candidates_are_handed_on_for_small_k1_codes_only():
     assert ast.unparse(guard.test) == "not _conjugates(a, b, pi)" and isinstance(guard.body[-1], ast.Raise)
     assert not any(isinstance(n, ast.Return) for n in ast.walk(guard))
     assert ast.unparse(leave) == "return pi"
+    checks = [n for n in fn.body if _calls(n, "check_search_size")]
+    assert len(checks) == 1 and ast.unparse(checks[0].test) == "searched"
+    assert fn.body.index(checks[0]) == fn.body.index(loops[0]) - 1
