@@ -69,6 +69,8 @@ PermWitness = tuple  # index array pi with pi[0] == 0
 MonomialWitness = tuple  # (column permutation, column scalars)
 
 SEARCH_STATES = 256  # bound on the states of the conjugation search
+REFUSED_STATES = 1 << 20  # bound on the states of the handed candidates refused, summed
+WITNESS_ENTRIES = 1 << 20  # bound on each Lambda of the alphabet route, 16 entries a state at least
 DEFAULT_BUDGET = 1 << 24  # bound on the candidates of the monomial_equiv search
 ADJACENCY_ENTRIES = 1 << 24  # bound on the edges tallied into Lambda, 16x the F16 example
 
@@ -305,7 +307,8 @@ def gen_adj_equal(
     `classes`, called only once the identity is refused, gives the orbits
     of zero-fixing automorphisms shared by a and b, as `_refined_colors`
     takes them, or an iterator of candidates holding every witness in
-    lexicographic order, which replaces the search; without it the
+    lexicographic order, which replaces the search; LimitError once the
+    candidates refused pass REFUSED_STATES states in all.  Without it the
     refinement signs every state."""
     if (a.size, a.q, a.n, a.extended) != (b.size, b.q, b.n, b.extended):
         raise ValueError("adjacency matrices have mismatched dimensions")
@@ -314,12 +317,15 @@ def gen_adj_equal(
         return identity
     given = classes and classes()
     searched = not isinstance(given, Iterator)
+    refused = 0  # states of the handed candidates refused so far
     if searched:
         check_search_size(a.size)
     for pi in _witnesses(a, b, given) if searched else given:
         if not _conjugates(a, b, pi):
-            if not searched:
-                continue  # a candidate that is no witness
+            if not searched:  # a candidate that is no witness
+                refused += a.size
+                check_limit(REFUSED_STATES, "{count} states of refused maps exceed the bound {bound}", [refused])
+                continue
             raise InternalError("conjugation witness failed re-verification")
         return pi
     return None
@@ -347,16 +353,13 @@ def _alphabet_maps(sd: statediag.StateDiagram, lams, classes) -> Iterator[PermWi
     `classes` are the F_q^* orbits of F_q^k."""
     _, xa, _, ub, _ = sd.tables  # A and B are those of both codes
     m = sd.gamma // sd.k
-    last = ub
-    for _ in range(m - 1):
-        last = list(map(xa.__getitem__, last))
-    letter = {first: d for d, first in enumerate(ub)}
-    rows = lambda lam: [[(letter[j], t) for j, t in lam.rows[x]] for x in last]
-    mat_g, mat_h = (AdjMatrix(rows(lam), lam.cells, q=lam.q, n=lam.n) for lam in lams)
-    fill = [0]  # the states by their letters d_1 .. d_m, in `_cellwise` order
+    fill = [0]  # the states by their letters d_1 .. d_m, last column first, in `_cellwise` order
     for _ in range(m):
         fill = [a + u for a in map(xa.__getitem__, fill) for u in ub]
     where = sorted(range(len(fill)), key=fill.__getitem__)  # the fill position of every state
+    letter = {first: d for d, first in enumerate(ub)}
+    rows = lambda lam: [[(letter[j], t) for j, t in lam.rows[x]] for x in fill[:: len(fill) // len(ub)]]
+    mat_g, mat_h = (AdjMatrix(rows(lam), lam.cells, q=lam.q, n=lam.n) for lam in lams)
     for sigma in _witnesses(mat_g, mat_h, classes):
         moved = statediag._cellwise(sigma, m, len(ub))
         yield tuple(map(fill.__getitem__, map(moved.__getitem__, where)))
@@ -372,13 +375,17 @@ def code_witness(g: PolyMatrix, h: PolyMatrix) -> Optional[PermWitness]:
     search is handed those orbits or, when every row has one degree m >= 1,
     the alphabet maps of `_alphabet_maps`, which hold every witness.
     LimitError, before either Lambda is built, when the search would run
-    over more than SEARCH_STATES states: q^k letters or q^delta states."""
+    over more than SEARCH_STATES states, q^k letters or q^delta states, or
+    past WITNESS_ENTRIES on the alphabet route (a state counts 16 at least)."""
     fld, delta, degrees = g.field, g.info.delta, g.info.row_degrees
     if sorted(degrees) != sorted(h.info.row_degrees):
         return None
     alphabet = delta and len(set(degrees)) == 1
     cells = g.k if alphabet else delta  # F_q^cells holds what the search runs over
     check_search_size(fld.q, cells)
+    if alphabet:
+        check_limit(WITNESS_ENTRIES, "{count} adjacency entries, 16 a state at least, exceed the bound {bound}",
+                    [*itertools.repeat(fld.q, delta), max(fld.q**g.k, 16)])
     (sd, a), (_, b) = _code_diagram(g), _code_diagram(h)
     orbits = lambda: statediag._orbits(fld, cells)
     classes = (lambda: _alphabet_maps(sd, (a, b), orbits())) if alphabet else orbits

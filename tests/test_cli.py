@@ -486,6 +486,33 @@ def test_equal_answers_equal_degree_pairs_past_the_search_bound(capsys, tmp_path
         assert (pi == list(range(4096))) == (name == "binary"), name
 
 
+def test_equal_bounds_the_work_of_the_alphabet_route(capsys, monkeypatch, tmp_path):
+    # (1 + z + z^2, z + z^3) over F16 against (1 + z + z^2, a z + z^3): the
+    # alphabet matrices see only G_0 = (1, 0) and G_3 = (0, 1), so every sigma
+    # of the 15 nonzero letters passes them and is refused on Lambda; `equal`
+    # stops once the refused candidates pass REFUSED_STATES states, and
+    # mono-equiv falls back to its column search.  A binary memory-17 code
+    # is refused by WITNESS_ENTRIES before either diagram is built
+    paths = []
+    for name, a in (("g", 1), ("h", 2)):
+        paths.append(tmp_path / f"{name}.gm")
+        paths[-1].write_text(f"field p=2 m=4 modulus=19\nk=1 n=2\n1 1 1 ; 0 {a} 0 1\n")
+    for argv, expected in (
+        (["equal"], (3, "", "limit: 1052672 states of refused maps exceed the bound 1048576\n")),
+        (["mono-equiv"], (1, "codes are not monomially equivalent\n", "")),
+    ):
+        start = time.perf_counter()
+        assert run(capsys, *argv, *map(str, paths)) == expected
+        assert time.perf_counter() - start < 2.0, argv
+    deep = _deep_code(tmp_path, 17)
+    swapped = tmp_path / "swapped.gm"
+    swapped.write_text(format_gm(invariance.apply_monomial(parse_gm(pathlib.Path(deep).read_text()), (1, 0), (1, 1))))
+    monkeypatch.setattr(statediag, "build", _refused)
+    assert run(capsys, "equal", deep, str(swapped)) == (
+        3, "", "limit: 2097152 adjacency entries, 16 a state at least, exceed the bound 1048576\n"
+    )
+
+
 def _deep_code(tmp_path, delta):
     # binary k = 1, n = 2: (1 + z^delta, 1), minimal with constraint length
     # delta; the gcd of its minors takes one step, so g.info is cheap
