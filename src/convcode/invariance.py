@@ -6,23 +6,16 @@ Two adjacency matrices represent the same generalized invariant when one
 is the conjugate of the other by a permutation of the states that fixes
 the zero state.  One backtracking search over vertex matchings, pruned
 by iterated in/out enumerator-multiset color refinement, lists every
-witness in lexicographic order; `gen_adj_equal` certifies its first by a
-full conjugation check, which looks each mapped row up in a dict of the
-other matrix's row, after the identity, the least witness whenever the
-two matrices agree cell for cell, is tried by that same check, in
-O(cells).  The refinement and the search read the rows as they are plus
-one transpose per matrix, a state's row and column entries in one list,
-and a key table per local cell id whose enumerators are interned across
-both tables once per call.
-So the first refinement round sorts one int per neighbour, O(nonzero
-cells) in all, and a later round only the ints from the states of the
-parts that split off a class in the round before, the largest part of
-each class aside (Hopcroft's rule), exact since counts into that part
-are counts into the class less those into the others.  The search, which
-runs on an explicit stack, tests a candidate against the state's
-neighbours alone, O(degree): it looks up a's placed neighbours in b's
-rows, one dict per row, then counts b's neighbours there to rule out a
-nonzero b cell over a zero a cell.
+witness in lexicographic order.  `gen_adj_equal` tries the identity, the
+least witness whenever the two matrices agree cell for cell, then the
+search's first, and certifies either by one conjugation check, which
+looks each mapped row up in a dict of the other matrix's row, in
+O(cells).  The refinement and the search read the rows plus one
+transpose per matrix (`_cell_graphs`).  A refinement round after the
+first sorts only the ints pushed from the parts that split off a class,
+the largest part of each class aside (Hopcroft's rule), and the search,
+on an explicit stack, tests a candidate against the state's neighbours
+alone, O(degree).
 
 The Lambda of a linear code has x -> lambda x, lambda in F_q^*, as a
 zero-fixing automorphism, so for two codes the refinement signs one state
@@ -36,28 +29,30 @@ member, so even the color ids come out the same.
 When every row of G has one degree m >= 1 (every k = 1 code among them),
 the register holds m columns of letters of F_q^k and input u enters the
 first column as the others shift on, so the support of Lambda is the de
-Bruijn graph on F_q^k with m columns, the (m-1)-fold line digraph of the
-looped complete digraph on F_q^k.  A line digraph's arcs with one head
-share their successors, so its zero-fixing automorphisms, which hold
-every witness, each apply one permutation sigma of F_q^k, sigma(0) = 0,
-to every column; Lemma A.1 is the case q = 2, k = 1.  `code_witness`
-then searches the q^k letters, not the states (`_alphabet_maps`).
+Bruijn graph on F_q^k with m columns, a line digraph, whose arcs with one
+head share their successors.  So its zero-fixing automorphisms, which
+hold every witness, each apply one permutation sigma of F_q^k, sigma(0)
+= 0, to every column; Lemma A.1 is the case q = 2, k = 1.  Each cell of
+Lambda is then W^wt(xC + uD) of one edge (x, u), which pi_sigma maps to
+(pi_sigma x, sigma u), so conjugation by pi_sigma is wt_h(pi_sigma x,
+sigma u) = wt_g(x, u) on every edge: `code_witness` searches the q^k
+letters for sigma, certifies pi_sigma on the edge weights and builds no
+Lambda.
 
 On top of that sit: `code_witness`, the one comparison of two codes'
-Lambda and the one caller that hands the search those orbits or the
-alphabet maps; recovery of the code dimension and row degrees from the
-matrix alone; the monomial-equivalence decision for generator matrices,
-which refuses a minimal pair through `code_witness` when their Lambda are
-not conjugate; the closed-form dual transform for binary codes with unit
-constraint length; and Lemma A.1 as a count of the shift graph's
+Lambda, which alone hands the search the F_q^* orbits; recovery of the
+code dimension and row degrees from the matrix alone; the monomial
+equivalence of generator matrices, which refuses a minimal pair through
+`code_witness`; the closed-form dual transform for binary codes with
+unit constraint length; and Lemma A.1 as a count of the shift graph's
 automorphisms.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
-from collections.abc import Iterator
 from typing import Callable, Optional, Sequence
 
 from . import encoder, polyalg, spectrum, statediag
@@ -69,8 +64,8 @@ PermWitness = tuple  # index array pi with pi[0] == 0
 MonomialWitness = tuple  # (column permutation, column scalars)
 
 SEARCH_STATES = 256  # bound on the states of the conjugation search
-REFUSED_STATES = 1 << 20  # bound on the states of the handed candidates refused, summed
-WITNESS_ENTRIES = 1 << 20  # bound on each Lambda of the alphabet route, 16 entries a state at least
+REFUSED_STATES = 1 << 20  # bound on the states of the refused alphabet maps, summed
+WITNESS_ENTRIES = 1 << 20  # bound on each edge-weight table of the alphabet route, 16 entries a state at least
 DEFAULT_BUDGET = 1 << 24  # bound on the candidates of the monomial_equiv search
 ADJACENCY_ENTRIES = 1 << 24  # bound on the edges tallied into Lambda, 16x the F16 example
 
@@ -93,15 +88,14 @@ def code_adjacency(g: PolyMatrix, *, lumped: bool = False) -> AdjMatrix:
     matrix Q of the F_q^* orbit quotient instead, which has the same
     (Q^l)_{0,0} and serves only the series.  `check_adjacency` runs first.
     """
-    return _code_diagram(g, lumped)[1]
+    return spectrum.adjacency(_code_diagram(g, lumped))
 
 
-def _code_diagram(g: PolyMatrix, lumped: bool = False) -> tuple[statediag.StateDiagram, AdjMatrix]:
-    """(diagram, its adjacency matrix) of g after `check_adjacency`: the body
-    of `code_adjacency`, and `code_witness`'s one build of each code."""
+def _code_diagram(g: PolyMatrix, lumped: bool = False) -> statediag.StateDiagram:
+    """g's diagram after `check_adjacency`: the one build of a code, for
+    `code_adjacency` and for `code_witness`'s alphabet route."""
     check_adjacency(g, lumped=lumped)
-    sd = statediag.build(encoder.controller_form(g), lumped=lumped)
-    return sd, spectrum.adjacency(sd)
+    return statediag.build(encoder.controller_form(g), lumped=lumped)
 
 
 # ---------------------------------------------------------------------------
@@ -306,90 +300,92 @@ def gen_adj_equal(
     most SEARCH_STATES states, either one certified by `_conjugates`.
     `classes`, called only once the identity is refused, gives the orbits
     of zero-fixing automorphisms shared by a and b, as `_refined_colors`
-    takes them, or an iterator of candidates holding every witness in
-    lexicographic order, which replaces the search; LimitError once the
-    candidates refused pass REFUSED_STATES states in all.  Without it the
-    refinement signs every state."""
+    takes them; without it the refinement signs every state."""
     if (a.size, a.q, a.n, a.extended) != (b.size, b.q, b.n, b.extended):
         raise ValueError("adjacency matrices have mismatched dimensions")
     identity = tuple(range(a.size))
     if _conjugates(a, b, identity):
         return identity
-    given = classes and classes()
-    searched = not isinstance(given, Iterator)
-    refused = 0  # states of the handed candidates refused so far
-    if searched:
-        check_search_size(a.size)
-    for pi in _witnesses(a, b, given) if searched else given:
+    check_search_size(a.size)
+    for pi in _witnesses(a, b, classes and classes()):
         if not _conjugates(a, b, pi):
-            if not searched:  # a candidate that is no witness
-                refused += a.size
-                check_limit(REFUSED_STATES, "{count} states of refused maps exceed the bound {bound}", [refused])
-                continue
             raise InternalError("conjugation witness failed re-verification")
         return pi
     return None
 
 
-def _shift_graph(q: int, gamma: int) -> AdjMatrix:
-    """The shift graph on F_q^gamma, x -> (u, x[0..gamma-2]) for every u,
-    the zero self-loop dropped: the support of the Lambda of every k = 1
-    code of constraint length gamma >= 1."""
-    top = q ** (gamma - 1)
-    rows = [[(x // q + u * top, 0) for u in range(q)] for x in range(q**gamma)]
-    rows[0] = rows[0][1:]
-    return AdjMatrix(rows, [WeightEnum.one()], q=q, n=1)
+def _edge_weights(sd: statediag.StateDiagram) -> list[int]:
+    """wt(xC + uD) at x q^k + u for every state x and input u, (0, 0) among
+    them, in one C-level pass over the form's tables."""
+    add, _, xc, _, ud = sd.tables
+    return list(map(statediag._weigher(sd.field.q, sd.n), itertools.starmap(add, itertools.product(xc, ud))))
 
 
-def _alphabet_maps(sd: statediag.StateDiagram, lams, classes) -> Iterator[PermWitness]:
-    """pi_sigma, sigma applied to every register column, for each sigma that
-    `_witnesses` lists, in order, on M[c][d] = Lambda[last(c)][first(d)] of
-    two codes whose k rows all have one degree m; sd is either's diagram.
-    first(d) = dB holds letter d alone in the first column, last(c) =
-    cBA^(m-1) holds c alone in the last, and pi_sigma maps them to
-    first(sigma d) and last(sigma c), so a witness pi_sigma of Lambda makes
-    sigma one of M.  Both ascend with the packed letter, and a state below
-    last(c) holds only letters below c, so pi_sigma ascends as sigma does.
-    `classes` are the F_q^* orbits of F_q^k."""
-    _, xa, _, ub, _ = sd.tables  # A and B are those of both codes
-    m = sd.gamma // sd.k
+def _carries(w_g: list[int], w_h: list[int], pi: Sequence[int], sigma: Sequence[int]) -> bool:
+    """Whether w_h[pi(x) q^k + sigma(u)] == w_g[x q^k + u] for every state x
+    and input u, read up to the first difference, with no table permuted."""
+    moved = itertools.starmap(operator.add, itertools.product(map(len(sigma).__mul__, pi), sigma))
+    return all(map(operator.eq, map(w_h.__getitem__, moved), w_g))
+
+
+def _alphabet_witness(sd_g: statediag.StateDiagram, sd_h: statediag.StateDiagram,
+                      orbits: Callable[[], object]) -> Optional[PermWitness]:
+    """The least witness of two codes whose k rows have one degree m, or
+    None, off their `_edge_weights`: the identity if they agree, else the
+    first pi_sigma that `_carries` certifies, sigma applied to every column,
+    for each sigma that `_witnesses` lists with `orbits()`, those of F_q^k,
+    on M[c][d] = W^wt(last(c)C + dD).  first(d) = dB holds letter d alone
+    in the first column, last(c) = cBA^(m-1) c alone in the last; pi_sigma
+    maps them to first(sigma d) and last(sigma c), so a witness pi_sigma
+    makes sigma one of M.  Both ascend with the packed letter, and a state
+    below last(c) holds only letters below c, so pi_sigma ascends as sigma
+    does.  LimitError once the refused pass REFUSED_STATES states in all."""
+    w_g, w_h = _edge_weights(sd_g), _edge_weights(sd_h)
+    _, xa, _, ub, _ = sd_g.tables  # A and B are those of both codes
+    if w_g == w_h:
+        return tuple(range(len(xa)))
+    letters, m = len(ub), sd_g.gamma // sd_g.k
     fill = [0]  # the states by their letters d_1 .. d_m, last column first, in `_cellwise` order
     for _ in range(m):
         fill = [a + u for a in map(xa.__getitem__, fill) for u in ub]
     where = sorted(range(len(fill)), key=fill.__getitem__)  # the fill position of every state
-    letter = {first: d for d, first in enumerate(ub)}
-    rows = lambda lam: [[(letter[j], t) for j, t in lam.rows[x]] for x in fill[:: len(fill) // len(ub)]]
-    mat_g, mat_h = (AdjMatrix(rows(lam), lam.cells, q=lam.q, n=lam.n) for lam in lams)
-    for sigma in _witnesses(mat_g, mat_h, classes):
-        moved = statediag._cellwise(sigma, m, len(ub))
-        yield tuple(map(fill.__getitem__, map(moved.__getitem__, where)))
+    cells = [WeightEnum({w: 1}) for w in range(sd_g.n + 1)]  # W^w has id w
+    rows = lambda w: [[(d, w[x * letters + d]) for d in range(not x, letters)] for x in fill[:: len(fill) // letters]]
+    mat_g, mat_h = (AdjMatrix(rows(w), cells, q=sd_g.field.q, n=sd_g.n) for w in (w_g, w_h))
+    refused = 0  # states of the refused pi_sigma so far
+    for sigma in _witnesses(mat_g, mat_h, orbits()):
+        moved = statediag._cellwise(sigma, m, letters)
+        pi = tuple(map(fill.__getitem__, map(moved.__getitem__, where)))
+        if _carries(w_g, w_h, pi, sigma):
+            return pi
+        refused += len(pi)
+        check_limit(REFUSED_STATES, "{count} states of refused maps exceed the bound {bound}", [refused])
+    return None
 
 
 def code_witness(g: PolyMatrix, h: PolyMatrix) -> Optional[PermWitness]:
-    """`gen_adj_equal` on the Lambda of g and h, minimal matrices of one
-    constraint length: the one comparison of two codes' Lambda, whose
-    conjugacy class is an invariant of the code and fixes its Forney
-    indices, so unlike indices are refused before either Lambda is built.
-    Both are the diagrams of linear codes on one register, so x -> lambda
-    x, lambda in F_q^*, is a zero-fixing automorphism of each, and the
-    search is handed those orbits or, when every row has one degree m >= 1,
-    the alphabet maps of `_alphabet_maps`, which hold every witness.
-    LimitError, before either Lambda is built, when the search would run
-    over more than SEARCH_STATES states, q^k letters or q^delta states, or
+    """The least witness that the Lambda of g and h, minimal matrices of one
+    constraint length, are conjugate, or None: the one comparison of two
+    codes' Lambda.  Its conjugacy class is a code invariant and fixes the
+    Forney indices, so unlike ones are refused first.  The orbits of x ->
+    lambda x, lambda in F_q^*, zero-fixing automorphisms of both, go to
+    `_alphabet_witness` when every row has one degree m >= 1, else to
+    `gen_adj_equal` on both Lambda.  LimitError, before either diagram is
+    built, past SEARCH_STATES states, q^k letters or q^delta states, or
     past WITNESS_ENTRIES on the alphabet route (a state counts 16 at least)."""
+    polyalg.check_same_shape(g, h)
     fld, delta, degrees = g.field, g.info.delta, g.info.row_degrees
     if sorted(degrees) != sorted(h.info.row_degrees):
         return None
     alphabet = delta and len(set(degrees)) == 1
     cells = g.k if alphabet else delta  # F_q^cells holds what the search runs over
     check_search_size(fld.q, cells)
+    orbits = lambda: statediag._orbits(fld, cells)
     if alphabet:
         check_limit(WITNESS_ENTRIES, "{count} adjacency entries, 16 a state at least, exceed the bound {bound}",
                     [*itertools.repeat(fld.q, delta), max(fld.q**g.k, 16)])
-    (sd, a), (_, b) = _code_diagram(g), _code_diagram(h)
-    orbits = lambda: statediag._orbits(fld, cells)
-    classes = (lambda: _alphabet_maps(sd, (a, b), orbits())) if alphabet else orbits
-    return gen_adj_equal(a, b, classes)
+        return _alphabet_witness(_code_diagram(g), _code_diagram(h), orbits)
+    return gen_adj_equal(code_adjacency(g), code_adjacency(h), orbits)
 
 
 def apply_witness(a: AdjMatrix, pi: Sequence[int]) -> AdjMatrix:
@@ -588,5 +584,8 @@ def verify_shift_permutation_lemma(gamma: int) -> bool:
     if gamma < 2:
         raise ValueError("the lemma needs gamma >= 2")
     check_search_size(2, gamma)
-    shift = _shift_graph(2, gamma)
+    top = 2 ** (gamma - 1)
+    rows = [[(x // 2 + u * top, 0) for u in (0, 1)] for x in range(2**gamma)]
+    rows[0] = rows[0][1:]  # the zero self-loop
+    shift = AdjMatrix(rows, [WeightEnum.one()], q=2, n=1)
     return list(itertools.islice(_witnesses(shift, shift), 2)) == [tuple(range(2**gamma))]

@@ -24,7 +24,7 @@ from convcode import (
     recover_forney,
     verify_shift_permutation_lemma,
 )
-from convcode import invariance, polyalg, statediag
+from convcode import invariance, polyalg, spectrum, statediag
 from convcode.cli import parse_gm
 from convcode.errors import InternalError, LimitError
 from convcode.galois import field_make
@@ -1150,6 +1150,88 @@ def test_alphabet_route_answers_the_f16_frobenius_pair():
     assert time.perf_counter() - start < 1.0
     assert wit == tuple(statediag._cellwise([f16.mul(c, c) for c in range(16)], 2, 16))
     assert apply_witness(lam_of(g), wit) == lam_of(h)
+
+
+EDGE_WEIGHT_SHAPES = (
+    (2, 1, 1, 3), (2, 1, 2, 2), (3, 1, 1, 2), (3, 1, 2, 1), (2, 2, 1, 2), (2, 2, 2, 1), (5, 1, 1, 2),
+    (5, 1, 2, 1), (7, 1, 1, 1), (7, 1, 2, 1), (2, 3, 1, 1), (2, 3, 2, 1), (3, 2, 1, 1), (3, 2, 2, 1),
+)  # (p, m, k, row degree) with n = 3 over F2, F3, F4, F5, F7, F8 and F9
+
+
+def test_edge_weights_are_the_cells_of_lambda():
+    # when every row has one degree m >= 1, every edge (x, u) != (0, 0) has
+    # a destination of its own in row x, so Lambda is the alphabet route's
+    # table of edge weights: Lambda[x][xA + uB] == W^w[x q^k + u], and no
+    # row holds another cell
+    rng = random.Random(39)
+    for p, m, k, degree in EDGE_WEIGHT_SHAPES:
+        fld = field_make(p, m)
+        for _ in range(2):
+            sd = build(controller_form(equal_degree_code(rng, fld, k, degree)))
+            lam, w = adjacency(sd), invariance._edge_weights(sd)
+            _, xa, _, ub, _ = sd.tables
+            letters = len(ub)
+            assert len(w) == lam.size * letters and w[0] == 0
+            for x, row in enumerate(lam.rows):
+                cells = {j: lam.cells[t] for j, t in row}
+                edges = {xa[x] + ub[u]: WeightEnum({w[x * letters + u]: 1}) for u in range(not x, letters)}
+                assert cells == edges, (fld.q, k, degree, x)
+
+
+def test_alphabet_route_builds_no_lambda(monkeypatch):
+    # on codes whose rows share one degree code_witness reads each code's
+    # diagram, built once, and neither builds Lambda nor re-checks a
+    # witness on it; a pair with indices (1, 2) still compares both Lambda
+    calls = Counter()
+
+    def spy(owner, name):
+        inner = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, **kw: calls.update([name]) or inner(*args, **kw))
+
+    for owner, name in ((spectrum, "adjacency"), (invariance, "_conjugates"), (statediag, "build")):
+        spy(owner, name)
+    for kind, g, h in equal_degree_pairs():
+        calls.clear()
+        invariance.code_witness(g, h)
+        assert calls == Counter(build=2), kind
+    rng = random.Random(39)
+    f4 = field_make(2, 2)
+    for _ in range(3):
+        g, h = (genutil.code_with_degrees(rng, f4, (1, 2)) for _ in "gh")
+        calls.clear()
+        invariance.code_witness(g, h)
+        assert calls["adjacency"] == calls["build"] == 2 and calls["_conjugates"] >= 1
+
+
+def test_certification_refuses_a_changed_edge_weight(monkeypatch):
+    # negative control of the alphabet route's check: each witness that
+    # moves states passes `_carries` on the two codes' weight tables and is
+    # refused once one entry of either table changes, and so code_witness
+    # gives another answer when one entry of h's table is changed
+    rng = random.Random(40)
+    moved = 0
+    for kind, g, h in equal_degree_pairs():
+        pi = invariance.code_witness(g, h)
+        if pi is None or pi == tuple(range(len(pi))):
+            continue
+        sd_g, sd_h = (build(controller_form(f)) for f in (g, h))
+        w_g, w_h = invariance._edge_weights(sd_g), invariance._edge_weights(sd_h)
+        letter = {first: d for d, first in enumerate(sd_g.tables[3])}
+        sigma = [letter[pi[first]] for first in sd_g.tables[3]]
+        other = lambda w: (w + 1) % (g.n + 1)  # another weight of F_q^n
+        assert invariance._carries(w_g, w_h, pi, sigma), kind
+        for at in {0, len(w_g) - 1, *rng.sample(range(len(w_g)), 8)}:
+            for table in (w_g, w_h):
+                kept, table[at] = table[at], other(table[at])
+                assert not invariance._carries(w_g, w_h, pi, sigma), (kind, at)
+                table[at] = kept
+        at = rng.randrange(len(w_h))
+        tables = iter([w_g, [*w_h[:at], other(w_h[at]), *w_h[at + 1:]]])
+        monkeypatch.setattr(invariance, "_edge_weights", lambda sd: next(tables))
+        assert invariance.code_witness(g, h) != pi, (kind, at)
+        monkeypatch.undo()
+        moved += 1
+    assert moved >= 30
 
 
 def forney_pairs():

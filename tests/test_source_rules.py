@@ -298,8 +298,8 @@ def test_oracle_reads_neither_the_diagram_nor_the_series():
 
 
 def test_one_route_from_g_to_lambda_and_no_info_parameters():
-    # invariance._code_diagram alone turns a generator matrix into Lambda,
-    # for code_adjacency and for code_witness, which also reads the diagram;
+    # invariance.code_adjacency alone turns a generator matrix into Lambda,
+    # off the diagram of _code_diagram, which code_witness also reads;
     # encoder_info is read off the matrix as g.info, never handed on
     assert len(_calls(_function("invariance.py", "code_adjacency"), "_code_diagram")) == 1
     calls, params = [], []
@@ -307,7 +307,7 @@ def test_one_route_from_g_to_lambda_and_no_info_parameters():
         tree = ast.parse(path.read_text(), filename=str(path))
         allowed = set()
         if path.name == "invariance.py":
-            route = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_code_diagram")
+            route = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "code_adjacency")
             allowed = {id(n) for n in ast.walk(route)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and id(node) not in allowed:
@@ -335,12 +335,18 @@ def test_benchmark_tracer_patches_and_restores(capsys, tmp_path):
         patched = list(tracer._saved)
         assert patched and all(getattr(o, a) is not orig for o, a, orig in patched)
         # the stats hooks read the results, so they must run here too
+        # memory3's pair takes the alphabet route, mixed_rows's (row degrees
+        # (0, 1)) the search over Lambda
         memory3 = ROOT / "demos" / "codes" / "memory3.gm"
         swapped = tmp_path / "swapped.gm"  # columns swapped: conjugate Lambda
         swapped.write_text("field p=2 m=1\nk=1 n=2\n1 0 1 1 ; 1 1 1 1\n")
+        mixed = ROOT / "demos" / "codes" / "mixed_rows.gm"
+        moved = tmp_path / "mixed_moved.gm"  # columns (0, 2, 1)
+        moved.write_text("field p=2 m=1\nk=2 n=3\n1 ; 0 ; 1\n0 ; 0 1 ; 1 1\n")
         assert convcode.cli.main(["adjacency", str(memory3)]) == 0
-        assert convcode.cli.main(["equal", str(memory3), str(swapped)]) == 1
-        assert "coincide" in capsys.readouterr().out
+        for pair in ((memory3, swapped), (mixed, moved)):
+            assert convcode.cli.main(["equal", *map(str, pair)]) == 1
+            assert "coincide" in capsys.readouterr().out
         assert tracer.counts["spectrum.adjacency.nonzero_cells"] > 0
         assert tracer.counts["invariance.gen_adj_equal.calls"] == 1
     finally:
@@ -516,10 +522,11 @@ def test_bijections_are_enumerated_only_by_monomial_equiv():
 def test_code_witness_alone_passes_classes_to_the_search():
     # the F_q^* orbits are automorphisms of the Lambda of codes only, so the
     # classes enter the search at code_witness and are only handed on below
-    # it, to gen_adj_equal or, those of the letters, to the alphabet search;
-    # the orbits are made by statediag._orbits alone, for the lumped Q and
-    # for code_witness, which hands them on uncalled
-    search = ("gen_adj_equal", "_witnesses", "_refined_colors")
+    # it, to gen_adj_equal, or, those of the letters, to _alphabet_witness,
+    # and both call them only as they reach _witnesses; so `classes` means
+    # orbits alone.  The orbits are made by statediag._orbits alone, for the
+    # lumped Q and for code_witness, which hands them on uncalled
+    search = ("gen_adj_equal", "_alphabet_witness", "_witnesses", "_refined_colors")
     passed, made = [], []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -527,16 +534,17 @@ def test_code_witness_alone_passes_classes_to_the_search():
             for name in search:
                 for node in _calls(fn, name):
                     if len(node.args) > (1 if name == "_refined_colors" else 2) or node.keywords:
-                        passed.append((fn.name, name))
+                        passed.append((fn.name, name, ast.unparse(node.args[-1])))
             made += [
                 (path.name, fn.name) for node in ast.walk(fn)
                 if "_orbits" in (getattr(node, "id", None), getattr(node, "attr", None))
             ]
     assert passed == [
-        ("_witnesses", "_refined_colors"),
-        ("gen_adj_equal", "_witnesses"),
-        ("_alphabet_maps", "_witnesses"),
-        ("code_witness", "gen_adj_equal"),
+        ("_witnesses", "_refined_colors", "classes"),
+        ("gen_adj_equal", "_witnesses", "classes and classes()"),
+        ("_alphabet_witness", "_witnesses", "orbits()"),
+        ("code_witness", "gen_adj_equal", "orbits"),
+        ("code_witness", "_alphabet_witness", "orbits"),
     ]
     assert sorted(made) == [("invariance.py", "code_witness"), ("statediag.py", "build")]
 
@@ -574,32 +582,44 @@ def test_no_function_calls_itself_but_the_minor_expansion():
 
 
 def test_alphabet_candidates_are_handed_on_for_equal_degree_codes_only():
-    # code_witness alone hands gen_adj_equal the alphabet maps, and only
-    # when every row has one degree m >= 1; the sigma are listed by the
-    # conjugation search on the alphabet matrices, not by itertools, and no
-    # field size picks the route; a candidate leaves gen_adj_equal only once
-    # `_conjugates` has certified it, and the search bound is checked only
-    # before gen_adj_equal's own search
+    # code_witness alone calls the alphabet route, and only when every row
+    # has one degree m >= 1; the route lists sigma by the conjugation search
+    # on the alphabet matrices alone, not by itertools, and no field size
+    # picks it; it certifies pi_sigma by `_carries` on the edge weights and
+    # never builds or re-checks Lambda, and it alone bounds the refused
+    # candidates.  gen_adj_equal then runs its own search alone: one loop
+    # over `_witnesses(a, b, ...)`, whose every witness passes `_conjugates`
+    # or raises, right after the search bound
     assert not hasattr(convcode.invariance, "ALPHABET_FIELDS")
     tree = ast.parse((PACKAGE / "invariance.py").read_text())
-    named = lambda node, name: any(getattr(n, "id", None) == name for n in ast.walk(node))
-    users = [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef) and named(fn, "_alphabet_maps")]
-    assert users == ["code_witness"]
+    names = lambda node: {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)} - {None}
+    functions = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+    assert [fn.name for fn in functions if "_alphabet_witness" in names(fn)] == ["code_witness"]
+    assert [fn.name for fn in functions if "REFUSED_STATES" in names(fn)] == ["_alphabet_witness"]
     witness = _function("invariance.py", "code_witness")
-    branches = [n for n in ast.walk(witness) if isinstance(n, ast.IfExp) and named(n, "_alphabet_maps")]
-    assert len(branches) == 1 and not named(branches[0].orelse, "_alphabet_maps")
-    assert ast.unparse(branches[0].test) == "alphabet"
-    routes = [n for n in ast.walk(witness) if isinstance(n, ast.Assign) and named(n.targets[0], "alphabet")]
+    branches = [n for n in ast.walk(witness) if isinstance(n, ast.If) and "_alphabet_witness" in names(n)]
+    assert len(branches) == 1 and ast.unparse(branches[0].test) == "alphabet"
+    assert "_alphabet_witness" not in set().union(*map(names, branches[0].orelse))
+    routes = [n for n in ast.walk(witness) if isinstance(n, ast.Assign) and "alphabet" in names(n.targets[0])]
     assert [ast.unparse(n.value) for n in routes] == ["delta and len(set(degrees)) == 1"]
-    maps = _function("invariance.py", "_alphabet_maps")
-    assert _calls(maps, "_witnesses") and not named(maps, "itertools")
+    route = _function("invariance.py", "_alphabet_witness")
+    assert not names(route) & {"adjacency", "_code_diagram", "_conjugates", "itertools", "permutations"}
+    loops = [n for n in ast.walk(route) if isinstance(n, (ast.For, ast.While))]
+    assert [ast.unparse(n.iter) for n in loops if names(n.target) == {"sigma"}] == [
+        "_witnesses(mat_g, mat_h, orbits())"
+    ]
+    assert all(names(n.target) == {"_"} for n in loops if names(n.target) != {"sigma"})
+    (checked,) = [n for n in ast.walk(route) if isinstance(n, ast.If) and "_carries" in names(n.test)]
+    assert [ast.unparse(n) for n in checked.body] == ["return pi"]
     fn = _function("invariance.py", "gen_adj_equal")
+    assert not names(fn) & {"isinstance", "Iterator", "REFUSED_STATES", "check_limit"}
     loops = [n for n in ast.walk(fn) if isinstance(n, (ast.For, ast.While))]
-    assert len(loops) == 1 and named(loops[0].iter, "given")
+    assert len(loops) == 1 and ast.unparse(loops[0].iter).startswith("_witnesses(a, b, ")
     guard, leave = loops[0].body
     assert ast.unparse(guard.test) == "not _conjugates(a, b, pi)" and isinstance(guard.body[-1], ast.Raise)
+    assert ast.unparse(guard.body[-1].exc.func) == "InternalError"
     assert not any(isinstance(n, ast.Return) for n in ast.walk(guard))
     assert ast.unparse(leave) == "return pi"
     checks = [n for n in fn.body if _calls(n, "check_search_size")]
-    assert len(checks) == 1 and ast.unparse(checks[0].test) == "searched"
+    assert [ast.unparse(n) for n in checks] == ["check_search_size(a.size)"]
     assert fn.body.index(checks[0]) == fn.body.index(loops[0]) - 1
