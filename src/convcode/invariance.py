@@ -11,11 +11,10 @@ least witness whenever the two matrices agree cell for cell, then the
 search's first, and certifies either by one conjugation check, which
 looks each mapped row up in a dict of the other matrix's row, in
 O(cells).  The refinement and the search read the rows plus one
-transpose per matrix (`_cell_graphs`).  A refinement round after the
-first sorts only the ints pushed from the parts that split off a class,
-the largest part of each class aside (Hopcroft's rule), and the search,
-on an explicit stack, tests a candidate against the state's neighbours
-alone, O(degree).
+transpose per matrix (`_cell_graphs`).  A refinement round signs each
+state from its own neighbour list, and the search, on an explicit stack,
+tests a candidate against the state's neighbours alone, O(degree), and
+stops once it has placed SEARCH_WORK states.
 
 The Lambda of a linear code has x -> lambda x, lambda in F_q^*, as a
 zero-fixing automorphism, so for two codes the refinement signs one state
@@ -52,7 +51,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections import Counter
 from typing import Callable, Optional, Sequence
 
 from . import encoder, polyalg, spectrum, statediag
@@ -64,7 +62,7 @@ PermWitness = tuple  # index array pi with pi[0] == 0
 MonomialWitness = tuple  # (column permutation, column scalars)
 
 SEARCH_STATES = 256  # bound on the states of the conjugation search
-REFUSED_STATES = 1 << 20  # bound on the states of the refused alphabet maps, summed
+SEARCH_WORK = 1 << 20  # bound on the states one search places, and on those of the refused alphabet maps
 WITNESS_ENTRIES = 1 << 20  # bound on each edge-weight table of the alphabet route, 16 entries a state at least
 DEFAULT_BUDGET = 1 << 24  # bound on the candidates of the monomial_equiv search
 ADJACENCY_ENTRIES = 1 << 24  # bound on the edges tallied into Lambda, 16x the F16 example
@@ -134,64 +132,37 @@ def _refined_colors(graphs, classes=None):
     """Stable joint color refinement of `_cell_graphs(a, b)`; None when
     histograms separate.
 
-    A state j pushes keys[t] + color(j) along each entry (i, t) of its own
-    list to i, which sees that key with its direction swapped, a bijection
-    that splits alike; a signature is a state's color and the sorted run
-    of ints pushed to it, its nonzero row and column cells only.  A round
-    runs only when both matrices share one color histogram, which fixes
-    the colors of a row's zero cells from its nonzero ones, so the sparse
-    signatures split the states exactly as the dense rows would.
-
-    Round 1 pushes from every state.  After round r, each class has the
-    same per-key counts into every class of round r - 1, among them its
-    parent, its color in round r - 1 and so its signature's first item.
-    So round r + 1 pushes only from the parts that split off their parent,
-    one largest part of each parent aside, whose counts are the parent's
-    less the other parts'.  Each round makes the partition that pushes
-    from every state would, and first-seen signature ids, a's states
-    before b's, give it the same colors.
+    Each round, a state r signs itself with its color and the sorted ints
+    keys[t] + color(j) over the entries (j, t) of its own list, its nonzero
+    row and column cells only.  A round runs only when both matrices share
+    one color histogram, which fixes the colors of a row's zero cells from
+    its nonzero ones, so the sparse signatures split the states exactly as
+    the dense rows would.  First-seen signature ids, a's states before b's,
+    are the colors of the next round.
 
     `classes`, (class of every state, least member of every class in
     increasing order), partitions the states into orbits of zero-fixing
-    automorphisms of both matrices; only the least members are signed,
-    from the entries to them alone, and the rest of each class takes its
-    color, the very colors of signing every state (see the module
-    docstring).  Without `classes` every state is signed, from its list.
+    automorphisms of both matrices; only the least members are signed, and
+    the rest of each class takes its color, the very colors of signing
+    every state (see the module docstring).  Without `classes` every state
+    is signed.
     """
     s = len(graphs[0][0])
     cls, reps = classes or (range(s), range(s))
-    if len(reps) < s:  # the entries to a representative only
-        signed = [False] * s
-        for r in reps:
-            signed[r] = True
-        graphs = [([[e for e in nb if signed[e[0]]] for nb in nbrs], keys) for nbrs, keys in graphs]
     col_a = [0 if i else -1 for i in range(s)]  # state 0 is pinned
     col_b = list(col_a)
-    pushers = (range(s), range(s))
     while True:
         sig_ids: dict[tuple, int] = {}
-        new_a = []
-        new_b = []
-        for (nbrs, keys), colors, push, target in zip(graphs, (col_a, col_b), pushers, (new_a, new_b)):
-            runs = [[] for _ in range(s)]
-            for j in push:
-                c = colors[j]
-                for i, t in nbrs[j]:
-                    runs[i].append(keys[t] + c)
-            ids = []
-            for r in reps:
-                run = runs[r]
-                run.sort()
-                ids.append(sig_ids.setdefault((colors[r], *run), len(sig_ids)))
-            target.extend(map(ids.__getitem__, cls))
+        new = []
+        for (nbrs, keys), colors in zip(graphs, (col_a, col_b)):
+            ids = [sig_ids.setdefault((colors[r], *sorted([keys[t] + colors[j] for j, t in nbrs[r]])),
+                                      len(sig_ids)) for r in reps]
+            new.append(list(map(ids.__getitem__, cls)))
+        new_a, new_b = new
         if sorted(new_a) != sorted(new_b):
             return None
         if new_a == col_a and new_b == col_b:
             return col_a, col_b
-        parent = dict(zip(new_a, col_a))
-        size = Counter(new_a)
-        largest = {parent[c]: c for c in sorted(parent, key=size.__getitem__)}
-        pushers = [[j for j, c in enumerate(new) if largest[parent[c]] != c] for new in (new_a, new_b)]
         col_a, col_b = new_a, new_b
 
 
@@ -232,7 +203,7 @@ def _witnesses(a: AdjMatrix, b: AdjMatrix, classes=None):
     lexicographic order: states are assigned in index order on an explicit
     stack, candidates in increasing order, and after a full mapping the
     search backtracks one level and carries on.  `classes` goes to the
-    refinement."""
+    refinement.  LimitError once the states placed pass SEARCH_WORK."""
     s = a.size
     graphs = _cell_graphs(a, b)
     refined = _refined_colors(graphs, classes)
@@ -248,6 +219,7 @@ def _witnesses(a: AdjMatrix, b: AdjMatrix, classes=None):
     rows_b = [dict(row) for row in b.rows]
     mapping = [-1] * s
     used = [False] * s
+    work = 0  # states placed so far
 
     def feasible(i: int, j: int) -> bool:
         """b[j][pi(i2)] == a[i][i2] and b[pi(i2)][j] == a[i2][i] for all
@@ -282,6 +254,8 @@ def _witnesses(a: AdjMatrix, b: AdjMatrix, classes=None):
                 mapping[i] = j
                 used[j] = True
                 i += 1
+                work += 1
+                check_limit(SEARCH_WORK, "{count} states placed by the search exceed the bound {bound}", [work])
                 break
         else:
             if i == s:
@@ -339,7 +313,7 @@ def _alphabet_witness(sd_g: statediag.StateDiagram, sd_h: statediag.StateDiagram
     maps them to first(sigma d) and last(sigma c), so a witness pi_sigma
     makes sigma one of M.  Both ascend with the packed letter, and a state
     below last(c) holds only letters below c, so pi_sigma ascends as sigma
-    does.  LimitError once the refused pass REFUSED_STATES states in all."""
+    does.  LimitError once the refused pass SEARCH_WORK states in all."""
     w_g, w_h = _edge_weights(sd_g), _edge_weights(sd_h)
     _, xa, _, ub, _ = sd_g.tables  # A and B are those of both codes
     if w_g == w_h:
@@ -359,7 +333,7 @@ def _alphabet_witness(sd_g: statediag.StateDiagram, sd_h: statediag.StateDiagram
         if _carries(w_g, w_h, pi, sigma):
             return pi
         refused += len(pi)
-        check_limit(REFUSED_STATES, "{count} states of refused maps exceed the bound {bound}", [refused])
+        check_limit(SEARCH_WORK, "{count} states of refused maps exceed the bound {bound}", [refused])
     return None
 
 

@@ -490,7 +490,7 @@ def test_equal_bounds_the_work_of_the_alphabet_route(capsys, monkeypatch, tmp_pa
     # (1 + z + z^2, z + z^3) over F16 against (1 + z + z^2, a z + z^3): the
     # alphabet matrices see only G_0 = (1, 0) and G_3 = (0, 1), so every sigma
     # of the 15 nonzero letters passes them and is refused on Lambda; `equal`
-    # stops once the refused candidates pass REFUSED_STATES states, and
+    # stops once the refused candidates pass SEARCH_WORK states, and
     # mono-equiv falls back to its column search.  A binary memory-17 code
     # is refused by WITNESS_ENTRIES before either diagram is built
     paths = []
@@ -511,6 +511,28 @@ def test_equal_bounds_the_work_of_the_alphabet_route(capsys, monkeypatch, tmp_pa
     assert run(capsys, "equal", deep, str(swapped)) == (
         3, "", "limit: 2097152 adjacency entries, 16 a state at least, exceed the bound 1048576\n"
     )
+
+
+def test_equal_bounds_the_states_the_search_places(tmp_path):
+    # an F16 code with row degrees (0, 2), 256 states, against its
+    # coefficient-wise a -> a^2 image: the orbit search over the states of
+    # Lambda ran past 30 s for `equal` and 60 s for mono-equiv; it now stops
+    # once it has placed SEARCH_WORK states, and mono-equiv falls back to
+    # its column search
+    f16 = field_make(2, 4)
+    g = genutil.code_with_degrees(random.Random(7), f16, (0, 2))
+    h = polyalg.pm(f16, [[[f16.mul(c, c) for c in e] for e in row] for row in g.rows])
+    paths = [tmp_path / "g.gm", tmp_path / "h.gm"]
+    for path, code in zip(paths, (g, h)):
+        path.write_text(format_gm(code))
+    env = {**os.environ, "PYTHONPATH": str(CODES.parent.parent / "src")}
+    for command, expected in (
+        ("equal", (3, "", "limit: 1048577 states placed by the search exceed the bound 1048576\n")),
+        ("mono-equiv", (1, "codes are not monomially equivalent\n", "")),
+    ):
+        proc = subprocess.run([sys.executable, "-m", "convcode", command, *map(str, paths)],
+                              env=env, capture_output=True, text=True, timeout=30)
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected, command
 
 
 def _deep_code(tmp_path, delta):

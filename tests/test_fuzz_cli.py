@@ -24,6 +24,7 @@ COMMANDS = [
     ["dual"],
     ["macwilliams"],
     ["oracle", "--trunc", "3", "--budget", "4096"],
+    ["equal"],
     ["mono-equiv"],
 ]
 MUTANTS = 400
@@ -62,7 +63,7 @@ def test_mutated_codes_end_in_a_handled_exit(capsys, tmp_path):
         path = tmp_path / f"mutant{m}.gm"
         path.write_text(_mutate(rng, seed.read_text()), encoding="utf-8")
         for command in COMMANDS:
-            files = [str(path), str(seed)] if command[0] == "mono-equiv" else [str(path)]
+            files = [str(path), str(seed)] if command[0] in ("equal", "mono-equiv") else [str(path)]
             argv = [command[0], *files, *command[1:]]
             start = time.perf_counter()
             rc = main(argv)

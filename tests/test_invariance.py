@@ -262,15 +262,21 @@ def counted_graphs(a, b):
     return graphs, reads
 
 
-def test_refinement_reads_only_the_states_of_split_parts():
-    # 4 rounds over 512 joint states read 2,048 neighbour lists when every
-    # round re-signs every state; after round 1 only the states of the
-    # parts that split off, the largest part of each split class aside,
-    # carry new counts
-    for a, b in states_256_pairs()[:2]:
+def test_refinement_reads_each_representative_list_once_a_round():
+    # a round signs each representative from its own neighbour list alone:
+    # the 4 rounds over 2 x 256 states read 2,048 lists, and with the 86
+    # F4^* orbits of the row-transformed pair 2 x 86 lists a round, 688
+    pairs = states_256_pairs()
+    for a, b in pairs[:2]:
         graphs, reads = counted_graphs(a, b)
         assert _refined_colors(graphs) == dense_refined_colors(a, b)
-        assert reads[0] <= 1300, reads[0]
+        assert reads[0] == 4 * 2 * 256, reads[0]
+    a, b = pairs[1]
+    orbits = statediag._orbits(field_make(2, 2), 4)
+    assert len(orbits[1]) == 86
+    graphs, reads = counted_graphs(a, b)
+    assert _refined_colors(graphs, orbits) == dense_refined_colors(a, b)
+    assert reads[0] == 4 * 2 * 86, reads[0]
 
 
 def random_digraph_pairs(count):
@@ -304,7 +310,7 @@ def random_digraph_pairs(count):
 
 
 def test_refinement_is_exact_on_random_digraphs():
-    # multi-way splits and largest parts of equal size, beyond code graphs
+    # multi-way splits and classes of equal size, beyond code graphs
     found = []
     for a, b in random_digraph_pairs(1200):
         assert _refined_colors(_cell_graphs(a, b)) == dense_refined_colors(a, b)

@@ -586,8 +586,9 @@ def test_alphabet_candidates_are_handed_on_for_equal_degree_codes_only():
     # has one degree m >= 1; the route lists sigma by the conjugation search
     # on the alphabet matrices alone, not by itertools, and no field size
     # picks it; it certifies pi_sigma by `_carries` on the edge weights and
-    # never builds or re-checks Lambda, and it alone bounds the refused
-    # candidates.  gen_adj_equal then runs its own search alone: one loop
+    # never builds or re-checks Lambda.  SEARCH_WORK bounds its refused
+    # candidates and the states the search places, and nothing else names
+    # it.  gen_adj_equal then runs its own search alone: one loop
     # over `_witnesses(a, b, ...)`, whose every witness passes `_conjugates`
     # or raises, right after the search bound
     assert not hasattr(convcode.invariance, "ALPHABET_FIELDS")
@@ -595,7 +596,7 @@ def test_alphabet_candidates_are_handed_on_for_equal_degree_codes_only():
     names = lambda node: {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)} - {None}
     functions = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)]
     assert [fn.name for fn in functions if "_alphabet_witness" in names(fn)] == ["code_witness"]
-    assert [fn.name for fn in functions if "REFUSED_STATES" in names(fn)] == ["_alphabet_witness"]
+    assert [fn.name for fn in functions if "SEARCH_WORK" in names(fn)] == ["_witnesses", "_alphabet_witness"]
     witness = _function("invariance.py", "code_witness")
     branches = [n for n in ast.walk(witness) if isinstance(n, ast.If) and "_alphabet_witness" in names(n)]
     assert len(branches) == 1 and ast.unparse(branches[0].test) == "alphabet"
@@ -612,7 +613,7 @@ def test_alphabet_candidates_are_handed_on_for_equal_degree_codes_only():
     (checked,) = [n for n in ast.walk(route) if isinstance(n, ast.If) and "_carries" in names(n.test)]
     assert [ast.unparse(n) for n in checked.body] == ["return pi"]
     fn = _function("invariance.py", "gen_adj_equal")
-    assert not names(fn) & {"isinstance", "Iterator", "REFUSED_STATES", "check_limit"}
+    assert not names(fn) & {"isinstance", "Iterator", "SEARCH_WORK", "check_limit"}
     loops = [n for n in ast.walk(fn) if isinstance(n, (ast.For, ast.While))]
     assert len(loops) == 1 and ast.unparse(loops[0].iter).startswith("_witnesses(a, b, ")
     guard, leave = loops[0].body
