@@ -4,26 +4,29 @@
 
 Two adjacency matrices represent the same generalized invariant when one
 is the conjugate of the other by a permutation of the states that fixes
-the zero state.  One backtracking search over vertex matchings, pruned
-by iterated in/out enumerator-multiset color refinement, lists every
-witness in lexicographic order.  `gen_adj_equal` tries the identity, the
-least witness whenever the two matrices agree cell for cell, then the
-search's first, and certifies either by one conjugation check, which
-looks each mapped row up in a dict of the other matrix's row, in
-O(cells).  The refinement and the search read the rows plus one
-transpose per matrix (`_cell_graphs`).  A refinement round signs each
-state from its own neighbour list, and the search, on an explicit stack,
-tests a candidate against the state's neighbours alone, O(degree), and
-stops once it has placed SEARCH_WORK states.
+the zero state.  One search, individualisation and refinement (McKay and
+Piperno, J. Symb. Comput. 2014), lists every witness in lexicographic
+order: iterated in/out enumerator-multiset color refinement, then, one
+state of each matrix at a time, a fresh color and refinement again, until
+the coloring is discrete and names the witness.  `gen_adj_equal` tries
+the identity, the least witness whenever the two matrices agree cell for
+cell, then the search's first, and certifies either by one conjugation
+check, which looks each mapped row up in a dict of the other matrix's
+row, in O(cells).  The refinement reads the rows plus one transpose per
+matrix (`_cell_graphs`), and a round signs each state from its own
+neighbour list.  The search keeps its nodes on an explicit stack, charges
+each one refinement round's list entries, and stops once they pass
+SEARCH_WORK: states times degree times nodes.
 
 The Lambda of a linear code has x -> lambda x, lambda in F_q^*, as a
-zero-fixing automorphism, so for two codes the refinement signs one state
-per orbit, its smallest member, and copies its color to the rest.  Each
-round's coloring is a function of the previous coloring and the two
+zero-fixing automorphism, so for two codes the root refinement signs one
+state per orbit, its smallest member, and copies its color to the rest.
+Each round's coloring is a function of the previous coloring and the two
 matrices, so by induction it is invariant under every zero-fixing
 automorphism of both, and its colors are constant on orbits.  First-seen
 ids run in index order and a representative is its orbit's smallest
-member, so even the color ids come out the same.
+member, so even the color ids come out the same.  An individualised state
+is not fixed by those maps, so below the root every state is signed.
 
 When every row of G has one degree m >= 1 (every k = 1 code among them),
 the register holds m columns of letters of F_q^k and input u enters the
@@ -51,6 +54,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter
 from typing import Callable, Optional, Sequence
 
 from . import encoder, polyalg, spectrum, statediag
@@ -62,7 +66,7 @@ PermWitness = tuple  # index array pi with pi[0] == 0
 MonomialWitness = tuple  # (column permutation, column scalars)
 
 SEARCH_STATES = 256  # bound on the states of the conjugation search
-SEARCH_WORK = 1 << 20  # bound on the states one search places, and on those of the refused alphabet maps
+SEARCH_WORK = 1 << 20  # bound on a search's nodes times a round's list entries, and on refused alphabet maps' states
 WITNESS_ENTRIES = 1 << 20  # bound on each edge-weight table of the alphabet route, 16 entries a state at least
 DEFAULT_BUDGET = 1 << 24  # bound on the candidates of the monomial_equiv search
 ADJACENCY_ENTRIES = 1 << 24  # bound on the edges tallied into Lambda, 16x the F16 example
@@ -128,7 +132,7 @@ def _cell_graphs(a: AdjMatrix, b: AdjMatrix):
     return graphs
 
 
-def _refined_colors(graphs, classes=None):
+def _refined_colors(graphs, classes=None, start=None):
     """Stable joint color refinement of `_cell_graphs(a, b)`; None when
     histograms separate.
 
@@ -145,12 +149,13 @@ def _refined_colors(graphs, classes=None):
     automorphisms of both matrices; only the least members are signed, and
     the rest of each class takes its color, the very colors of signing
     every state (see the module docstring).  Without `classes` every state
-    is signed.
+    is signed.  `start`, the colors of a and b to refine, each from -1 to
+    s - 1, defaults to state 0 pinned at -1 and the rest at 0.
     """
     s = len(graphs[0][0])
     cls, reps = classes or (range(s), range(s))
-    col_a = [0 if i else -1 for i in range(s)]  # state 0 is pinned
-    col_b = list(col_a)
+    pinned = [0 if i else -1 for i in range(s)]
+    col_a, col_b = start or (pinned, pinned)
     while True:
         sig_ids: dict[tuple, int] = {}
         new = []
@@ -200,70 +205,46 @@ def check_search_size(q: int, gamma: int = 1) -> None:
 
 def _witnesses(a: AdjMatrix, b: AdjMatrix, classes=None):
     """Every zero-fixing permutation pi with b[pi(i)][pi(j)] == a[i][j], in
-    lexicographic order: states are assigned in index order on an explicit
-    stack, candidates in increasing order, and after a full mapping the
-    search backtracks one level and carries on.  `classes` goes to the
-    refinement.  LimitError once the states placed pass SEARCH_WORK."""
+    lexicographic order, by individualisation and refinement (McKay and
+    Piperno): at a node, the least state i of `a` in a color class of
+    several, and each candidate j of `b` in that class in increasing order,
+    take a fresh color and are refined again; a discrete stable coloring is
+    a leaf, and pi maps each state of `a` to the state of `b` of its color.
+    The states below i are singletons, so leaves come in lexicographic
+    order; a witness carries each coloring of `a` onto that of `b` on the
+    path that gives i and pi(i) the fresh color, so it is exactly one
+    leaf.  `classes` goes to the root refinement alone.  Each node is
+    charged one round's list entries; LimitError once they pass
+    SEARCH_WORK."""
     s = a.size
     graphs = _cell_graphs(a, b)
-    refined = _refined_colors(graphs, classes)
-    if refined is None:
-        return
-    col_a, col_b = refined
-    # equal histograms leave every color of a with candidates in b
-    by_color: dict[int, list[int]] = {}
-    for j, c in enumerate(col_b):
-        by_color.setdefault(c, []).append(j)
-    (nbrs_a, keys_a), (nbrs_b, keys_b) = graphs
-    la = len(a.cells)
-    rows_b = [dict(row) for row in b.rows]
-    mapping = [-1] * s
-    used = [False] * s
-    work = 0  # states placed so far
+    cost = sum(len(entries) for nbrs, _ in graphs for entries in nbrs)
+    nodes = itertools.count(1)
 
-    def feasible(i: int, j: int) -> bool:
-        """b[j][pi(i2)] == a[i][i2] and b[pi(i2)][j] == a[i2][i] for all
-        i2 <= i, with pi(i) = j: the entries of a's neighbour list with
-        i2 <= i are looked up in b's rows, then the count of b's neighbour
-        entries between j and the images rules out a nonzero b cell over
-        a zero a cell."""
-        row = rows_b[j]
-        placed = 0
-        for i2, t in nbrs_a[i]:
-            if i2 > i:
-                continue
-            j2 = j if i2 == i else mapping[i2]
-            if t < la:
-                u = row.get(j2)
-            else:
-                u = rows_b[j2].get(j)
-                t -= la
-            if u is None or keys_b[u] != keys_a[t]:
-                return False
-            placed += 1
-        return sum(1 for j2, _ in nbrs_b[j] if used[j2] or j2 == j) == placed
+    def children(col_a, col_b):
+        """The refined colorings with i and each candidate j individualised:
+        the fresh color is the count of colors, at most s - 1, so it packs
+        with the keys of `_cell_graphs`."""
+        sizes = Counter(col_a)
+        i = next(i for i, c in enumerate(col_a) if sizes[c] > 1)
+        fresh = len(sizes)
+        start_a = col_a[:i] + [fresh] + col_a[i + 1 :]
+        for j, c in enumerate(col_b):
+            if c == col_a[i]:
+                check_limit(SEARCH_WORK, "{count} list entries signed by the search exceed the bound {bound}",
+                            [next(nodes), cost])
+                yield _refined_colors(graphs, start=(start_a, col_b[:j] + [fresh] + col_b[j + 1 :]))
 
-    nxt = [0] * (s + 1)  # per level, the next candidate position to try
-    i = 0
-    while i >= 0:
-        cands = by_color[col_a[i]] if i < s else ()
-        for pos in range(nxt[i], len(cands)):
-            j = cands[pos]
-            if not used[j] and feasible(i, j):
-                nxt[i] = pos + 1
-                mapping[i] = j
-                used[j] = True
-                i += 1
-                work += 1
-                check_limit(SEARCH_WORK, "{count} states placed by the search exceed the bound {bound}", [work])
-                break
-        else:
-            if i == s:
-                yield tuple(mapping)
-            nxt[i] = 0
-            i -= 1
-            if i >= 0:
-                used[mapping[i]] = False
+    stack = [iter([_refined_colors(graphs, classes)])]  # per node, the iterator of its children
+    while stack:
+        node = next(stack[-1], False)
+        if node is False:
+            stack.pop()
+        elif node and len(set(node[0])) < s:
+            stack.append(children(*node))
+        elif node:
+            where = dict(zip(node[1], range(s)))
+            yield tuple(map(where.__getitem__, node[0]))
 
 
 def gen_adj_equal(

@@ -513,12 +513,12 @@ def test_equal_bounds_the_work_of_the_alphabet_route(capsys, monkeypatch, tmp_pa
     )
 
 
-def test_equal_bounds_the_states_the_search_places(tmp_path):
+def test_equal_answers_the_mixed_degree_frobenius_pair(tmp_path):
     # an F16 code with row degrees (0, 2), 256 states, against its
-    # coefficient-wise a -> a^2 image: the orbit search over the states of
-    # Lambda ran past 30 s for `equal` and 60 s for mono-equiv; it now stops
-    # once it has placed SEARCH_WORK states, and mono-equiv falls back to
-    # its column search
+    # coefficient-wise a -> a^2 image: refinement alone finds only the F16^*
+    # orbits here, so the search individualises states and refines again;
+    # the witness `equal` prints is checked on both Lambda, and mono-equiv
+    # finds no column map
     f16 = field_make(2, 4)
     g = genutil.code_with_degrees(random.Random(7), f16, (0, 2))
     h = polyalg.pm(f16, [[[f16.mul(c, c) for c in e] for e in row] for row in g.rows])
@@ -526,13 +526,20 @@ def test_equal_bounds_the_states_the_search_places(tmp_path):
     for path, code in zip(paths, (g, h)):
         path.write_text(format_gm(code))
     env = {**os.environ, "PYTHONPATH": str(CODES.parent.parent / "src")}
-    for command, expected in (
-        ("equal", (3, "", "limit: 1048577 states placed by the search exceed the bound 1048576\n")),
-        ("mono-equiv", (1, "codes are not monomially equivalent\n", "")),
-    ):
+    outputs = {}
+    for command in ("equal", "mono-equiv"):
         proc = subprocess.run([sys.executable, "-m", "convcode", command, *map(str, paths)],
-                              env=env, capture_output=True, text=True, timeout=30)
-        assert (proc.returncode, proc.stdout, proc.stderr) == expected, command
+                              env=env, capture_output=True, text=True, timeout=5)
+        outputs[command] = proc.returncode, proc.stdout, proc.stderr
+    assert outputs["mono-equiv"] == (1, "codes are not monomially equivalent\n", "")
+    rc, out, err = outputs["equal"]
+    coincide = r"codes differ; generalized adjacency matrices coincide \(state permutation (\[[\d, ]+\])\)\n"
+    found = re.fullmatch(coincide, out)
+    assert (rc, err) == (1, "") and found, out
+    pi = json.loads(found.group(1))
+    lam_g, lam_h = invariance.code_adjacency(g), invariance.code_adjacency(h)
+    assert pi[0] == 0 and sorted(pi) == list(range(256)) and pi != list(range(256))
+    assert invariance.apply_witness(lam_g, pi) == lam_h
 
 
 def _deep_code(tmp_path, delta):

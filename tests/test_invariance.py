@@ -110,9 +110,10 @@ def dense_refined_colors(a, b):
         col_a, col_b = new_a, new_b
 
 
-def dense_gen_adj_equal(a, b):
+def dense_gen_adj_equal(a, b, refined=False):
     s = a.size
-    refined = dense_refined_colors(a, b)
+    if refined is False:
+        refined = dense_refined_colors(a, b)
     if refined is None:
         return None
     col_a, col_b = refined
@@ -225,6 +226,30 @@ def cycle_pairs():
     return pairs
 
 
+MIXED_SHAPES = (
+    (3, 1, (0, 2)), (3, 1, (1, 2)), (3, 1, (0, 1, 2)), (2, 2, (0, 2)), (2, 2, (1, 2)), (2, 2, (0, 3)),
+    (5, 1, (0, 2)), (5, 1, (0, 1, 1)), (2, 3, (0, 1)), (2, 3, (0, 2)),
+)  # (p, m, row degrees) with n = k + 1: at most 64 states
+
+
+def mixed_degree_pairs():
+    """Seeded (kind, g, h) pairs of codes whose rows have more than one
+    degree, 0 among them, over F3, F4, F5 and F8: each code against a row
+    transform of its coefficient-wise a -> a^p image ("frobenius", the
+    identity map over a prime field), whose Lambda are conjugate, and
+    against another code of its degrees ("other")."""
+    rng = random.Random(41)
+    pairs = []
+    for p, m, degrees in MIXED_SHAPES:
+        fld = field_make(p, m)
+        for _ in range(2):
+            g = genutil.code_with_degrees(rng, fld, degrees)
+            frobenius = pm(fld, [[[fld.pow(c, p) for c in e] for e in row] for row in g.rows])
+            pairs.append(("frobenius", g, genutil.elementary_ops(rng, frobenius, 3)[0]))
+            pairs.append(("other", g, genutil.code_with_degrees(rng, fld, degrees)))
+    return pairs
+
+
 def test_sparse_search_matches_dense_reference():
     pairs = reference_pairs()
     kinds = {"found": 0, "none": 0, "k2": 0}
@@ -236,16 +261,32 @@ def test_sparse_search_matches_dense_reference():
         kinds["k2"] += recover_dimension(a) == 2
     assert len(pairs) >= 200
     assert min(kinds.values()) >= 20, kinds
+    # a hexagon against itself plus one chord, forward, then backward: one
+    # extra cell, which the dense rows see in one direction alone
+    hexagon = [list(range(1, 7))]
+    chords = [
+        (cycles_matrix(7, hexagon), cycles_matrix(7, hexagon, [chord]))
+        for chord in ((1, 3), (3, 1))
+    ]
     found = []
-    for a, b in states_256_pairs() + cycle_pairs():
+    for a, b in states_256_pairs() + cycle_pairs() + chords:
         colors = _refined_colors(_cell_graphs(a, b))
         assert colors == dense_refined_colors(a, b)
         wit = gen_adj_equal(a, b)
-        assert wit == dense_gen_adj_equal(a, b)
+        assert wit == dense_gen_adj_equal(a, b, colors)
         found.append(wit is not None)
-        if a.size < 256:
+        if a.size < 256 and (a, b) not in chords:
             assert colors is not None and sorted(colors[0]) == sorted(colors[1])
-    assert found == [True, True, False] + [False] * 4
+    assert found == [True, True, False] + [False] * 6
+    # codes of mixed degrees, where the F_q^* orbits hand code_witness the
+    # root classes and the search individualises below them
+    mixed = Counter()
+    for kind, g, h in mixed_degree_pairs():
+        a, b = lam_of(g), lam_of(h)
+        wit = gen_adj_equal(a, b)
+        assert wit == dense_gen_adj_equal(a, b) == invariance.code_witness(g, h)
+        mixed[kind, "none" if wit is None else "identity" if wit == tuple(range(a.size)) else "moved"] += 1
+    assert mixed == {("frobenius", "identity"): 4, ("frobenius", "moved"): 16, ("other", "none"): 20}, mixed
 
 
 def counted_graphs(a, b):
@@ -492,25 +533,38 @@ def test_search_matches_dense_reference_on_retabled_conjugates(g213):
         assert wit is not None and wit == dense_gen_adj_equal(a, b)
 
 
-def test_search_refines_once_per_non_identity_pair(g1, g2, g213, monkeypatch):
-    # the tests that patch _refined_colors bite only while gen_adj_equal
-    # calls it: once on every pair the identity check refuses, whether the
-    # colors, the search or neither refutes it, and never on the identity
+def test_search_hands_classes_to_the_root_refinement_alone(g1, g2, g213, monkeypatch):
+    # the orbits are automorphisms of both matrices only until a state is
+    # individualised: each search refines first with the classes it was
+    # given, or none, then only from individualised start colors without
+    # classes; the identity path refines nothing
     refined = invariance._refined_colors
     calls = []
-    counted = lambda graphs, classes=None: calls.append(1) or refined(graphs, classes)
-    monkeypatch.setattr(invariance, "_refined_colors", counted)
-    pairs = retabled_conjugate_pairs(g213) + cycle_pairs() + [(lam_of(g1), lam_of(g2))]
-    results = []
-    for a, b in pairs:
-        before = len(calls)
-        results.append(gen_adj_equal(a, b))
-        assert len(calls) == before + 1
-    assert None in results and any(results)
+
+    def spied(graphs, classes=None, start=None):
+        calls.append((classes is not None, start is not None))
+        return refined(graphs, classes, start)
+
+    monkeypatch.setattr(invariance, "_refined_colors", spied)
+    lists = Counter()
+    for kind, g, h in mixed_degree_pairs():
+        calls.clear()
+        invariance.code_witness(g, h)
+        if lam_of(g) == lam_of(h):
+            assert calls == []
+        else:
+            assert calls[0] == (True, False) and set(calls[1:]) <= {(False, True)}
+        lists[kind, len(calls) > 1] += 1
+    for a, b in retabled_conjugate_pairs(g213) + cycle_pairs() + [(lam_of(g1), lam_of(g2))]:
+        calls.clear()
+        gen_adj_equal(a, b)
+        assert calls[:1] == [(False, False)] and set(calls[1:]) <= {(False, True)}
+        lists["plain", len(calls) > 1] += 1
     for lam in identity_path_matrices(g213):
+        calls.clear()
         twins = retabled(lam, range(len(lam.cells))[::-1], twins=True)
-        assert gen_adj_equal(lam, twins) == tuple(range(lam.size))
-    assert len(calls) == len(pairs) == 15
+        assert gen_adj_equal(lam, twins) == tuple(range(lam.size)) and calls == []
+    assert lists["frobenius", True] >= 10 and lists["plain", True] >= 4, lists
 
 
 def test_conjugation_check_pins_the_zero_state():
@@ -520,28 +574,6 @@ def test_conjugation_check_pins_the_zero_state():
     m = genutil.adj_from_dense([[one, one], [one, one]], q=2, n=2)
     assert invariance._conjugates(m, m, (0, 1))
     assert not invariance._conjugates(m, m, (1, 0))
-
-
-def test_search_is_exact_under_the_trivial_coloring(monkeypatch):
-    # with every state but 0 in one color, the search alone must keep b's
-    # zero cells zero: the lookups of a's nonzero cells are not enough
-    def trivial(graphs, classes=None):
-        s = len(graphs[0][0])
-        colors = [0 if i else -1 for i in range(s)]
-        return colors, list(colors)
-
-    # b is a plus one chord from a state to a later one, then to an
-    # earlier one: only the in-count, then only the out-count, sees it
-    hexagon = [list(range(1, 7))]
-    chords = [
-        (cycles_matrix(7, hexagon), cycles_matrix(7, hexagon, [chord]))
-        for chord in ((1, 3), (3, 1))
-    ]
-    pairs = [(a, b) for a, b in reference_pairs() if a.size <= 9] + cycle_pairs() + chords
-    expected = [dense_gen_adj_equal(a, b) for a, b in pairs]
-    monkeypatch.setattr(invariance, "_refined_colors", trivial)
-    assert [gen_adj_equal(a, b) for a, b in pairs] == expected
-    assert None in expected and any(expected)
 
 
 def test_search_depth_does_not_grow_with_the_states():
@@ -987,18 +1019,38 @@ def test_k1_witnesses_are_alphabet_permutations():
     assert len(pairs) > 60 and moved > 1
 
 
-@pytest.mark.parametrize("q, gamma", [(2, 1), (2, 5), (3, 1), (3, 4), (4, 2), (4, 3), (5, 2)])
-def test_shift_graph_automorphisms_are_the_alphabet_permutations(q, gamma):
-    # x -> (u, x[0..gamma-2]) with the zero loop dropped, states packed first
-    # coordinate most significant: (q-1)! zero-fixing automorphisms
+def shift_graph(q, gamma):
+    """x -> (u, x[0..gamma-2]) with the zero loop dropped, states packed
+    first coordinate most significant."""
     top = q ** (gamma - 1)
     rows = [[(x // q + u * top, 0) for u in range(q)] for x in range(q**gamma)]
     rows[0] = rows[0][1:]
-    shift = AdjMatrix(rows, [WeightEnum.one()], q=q, n=1)
+    return AdjMatrix(rows, [WeightEnum.one()], q=q, n=1)
+
+
+@pytest.mark.parametrize("q, gamma", [(2, 1), (2, 5), (3, 1), (3, 4), (4, 2), (4, 3), (5, 2), (5, 3)])
+def test_shift_graph_automorphisms_are_the_alphabet_permutations(q, gamma):
+    # (q-1)! zero-fixing automorphisms, listed in strictly ascending order;
+    # refinement alone leaves the F_q^* orbits, so the search individualises
+    shift = shift_graph(q, gamma)
     found = list(invariance._witnesses(shift, shift))
+    assert found == sorted(set(found)) and all(apply_witness(shift, pi) == shift for pi in found)
     sigmas = {alphabet_permutation(q, gamma, pi) for pi in found}
     assert sigmas == {(0, *rest) for rest in itertools.permutations(range(1, q))}
     assert len(found) == math.factorial(q - 1)
+
+
+def test_search_refuses_a_large_group_at_the_node_bound():
+    # a support with many automorphisms, every cell of an F3 Lambda with row
+    # degrees (2, 1) made one enumerator, is refused once the search's
+    # nodes, each charged one refinement round's list entries, pass
+    # SEARCH_WORK, so the bound tracks states times degree times nodes
+    lam = lam_of(genutil.code_with_degrees(random.Random(1), field_make(3), (2, 1)))
+    support = AdjMatrix([[(j, 0) for j, _ in row] for row in lam.rows], [WeightEnum.one()], q=3, n=lam.n)
+    start = time.perf_counter()
+    with pytest.raises(LimitError, match="list entries signed by the search exceed the bound 1048576"):
+        list(invariance._witnesses(support, support))
+    assert time.perf_counter() - start < 3.0
 
 
 def k1_route_pairs():

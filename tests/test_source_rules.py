@@ -524,8 +524,11 @@ def test_code_witness_alone_passes_classes_to_the_search():
     # classes enter the search at code_witness and are only handed on below
     # it, to gen_adj_equal, or, those of the letters, to _alphabet_witness,
     # and both call them only as they reach _witnesses; so `classes` means
-    # orbits alone.  The orbits are made by statediag._orbits alone, for the
-    # lumped Q and for code_witness, which hands them on uncalled
+    # orbits alone.  They hold only until a state is individualised, so
+    # _witnesses hands them to its root refinement alone, and each node
+    # below it refines from its start colors.  The orbits are made by
+    # statediag._orbits alone, for the lumped Q and for code_witness, which
+    # hands them on uncalled
     search = ("gen_adj_equal", "_alphabet_witness", "_witnesses", "_refined_colors")
     passed, made = [], []
     for path in sorted(PACKAGE.rglob("*.py")):
@@ -533,29 +536,37 @@ def test_code_witness_alone_passes_classes_to_the_search():
         for fn in (n for n in tree.body if isinstance(n, ast.FunctionDef)):
             for name in search:
                 for node in _calls(fn, name):
-                    if len(node.args) > (1 if name == "_refined_colors" else 2) or node.keywords:
-                        passed.append((fn.name, name, ast.unparse(node.args[-1])))
+                    extra = node.args[1 if name == "_refined_colors" else 2 :]
+                    if extra or node.keywords:
+                        passed.append((fn.name, name, *map(ast.unparse, extra), *(k.arg for k in node.keywords)))
             made += [
                 (path.name, fn.name) for node in ast.walk(fn)
                 if "_orbits" in (getattr(node, "id", None), getattr(node, "attr", None))
             ]
     assert passed == [
         ("_witnesses", "_refined_colors", "classes"),
+        ("_witnesses", "_refined_colors", "start"),
         ("gen_adj_equal", "_witnesses", "classes and classes()"),
         ("_alphabet_witness", "_witnesses", "orbits()"),
         ("code_witness", "gen_adj_equal", "orbits"),
         ("code_witness", "_alphabet_witness", "orbits"),
     ]
+    witnesses = _function("invariance.py", "_witnesses")
+    (children,) = [n for n in ast.walk(witnesses) if isinstance(n, ast.FunctionDef) and n is not witnesses]
+    assert [n.keywords[0].arg for n in _calls(children, "_refined_colors")] == ["start"]
     assert sorted(made) == [("invariance.py", "code_witness"), ("statediag.py", "build")]
 
 
 def test_the_search_signs_every_state_by_default():
     # gen_adj_equal on arbitrary matrices, and the lemma through _witnesses,
-    # get no classes: every state is its own representative
+    # get no classes: every state is its own representative, and the
+    # refinement starts from state 0 pinned unless it is given start colors
     for fn in ("gen_adj_equal", "_witnesses", "_refined_colors"):
         args = _function("invariance.py", fn).args
-        assert [a.arg for a in args.args][-1] == "classes"
-        assert len(args.defaults) == 1 and ast.unparse(args.defaults[0]) == "None"
+        defaults = dict(zip([a.arg for a in args.args][::-1], args.defaults[::-1]))
+        assert {name: ast.unparse(d) for name, d in defaults.items()} == (
+            {"classes": "None", "start": "None"} if fn == "_refined_colors" else {"classes": "None"}
+        )
     lemma = _calls(_function("invariance.py", "verify_shift_permutation_lemma"), "_witnesses")
     assert [(len(node.args), node.keywords) for node in lemma] == [(2, [])]
 
@@ -587,8 +598,8 @@ def test_alphabet_candidates_are_handed_on_for_equal_degree_codes_only():
     # on the alphabet matrices alone, not by itertools, and no field size
     # picks it; it certifies pi_sigma by `_carries` on the edge weights and
     # never builds or re-checks Lambda.  SEARCH_WORK bounds its refused
-    # candidates and the states the search places, and nothing else names
-    # it.  gen_adj_equal then runs its own search alone: one loop
+    # candidates and the list entries the search's nodes sign, and nothing
+    # else names it.  gen_adj_equal then runs its own search alone: one loop
     # over `_witnesses(a, b, ...)`, whose every witness passes `_conjugates`
     # or raises, right after the search bound
     assert not hasattr(convcode.invariance, "ALPHABET_FIELDS")
