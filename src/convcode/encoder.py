@@ -58,7 +58,7 @@ def controller_form(g: PolyMatrix, *, require_minimal: bool = True) -> Controlle
     """Assemble (A, B, C, D) from a generator matrix.
 
     With `require_minimal` (the default) the input must be basic and
-    minimal; the relaxed form serves catastrophicity diagnostics on
+    minimal; the relaxed form is used for catastrophicity diagnostics on
     arbitrary full-rank matrices.
     """
     info = g.info

@@ -264,7 +264,7 @@ def field_make(p: int, m: int = 1, modulus: Optional[Iterable[int]] = None) -> F
     """Construct F_{p^m}, or return the one already built for these arguments.
 
     `modulus` is a coefficient list of a monic degree-m polynomial over F_p,
-    low degree first; omitted, the documented default applies.  Rejected:
+    low degree first; omitted, the documented default is used.  Rejected:
     non-prime p, q above MAX_ORDER, reducible or non-monic moduli.  The
     argument checks run on every call; only the irreducibility test and the
     tables are interned, keyed by (p, m, resolved modulus).

@@ -14,9 +14,10 @@ cell, then the search's first, and certifies either by one conjugation
 check, which looks each mapped row up in a dict of the other matrix's
 row, in O(cells).  The refinement reads the rows plus one transpose per
 matrix (`_cell_graphs`), and a round signs each state from its own
-neighbour list.  The search keeps its nodes on an explicit stack, charges
-each one refinement round's list entries, and stops once they pass
-SEARCH_WORK: states times degree times nodes.
+neighbour list.  The search keeps its nodes on an explicit stack and
+stops once the states its refinements sign below the root pass
+SEARCH_WORK; each signature reads at most 2s list entries, s at most
+SEARCH_STATES, so the bound does not depend on how dense the matrices are.
 
 The Lambda of a linear code has x -> lambda x, lambda in F_q^*, as a
 zero-fixing automorphism, so for two codes the root refinement signs one
@@ -66,7 +67,7 @@ PermWitness = tuple  # index array pi with pi[0] == 0
 MonomialWitness = tuple  # (column permutation, column scalars)
 
 SEARCH_STATES = 256  # bound on the states of the conjugation search
-SEARCH_WORK = 1 << 20  # bound on a search's nodes times a round's list entries, and on refused alphabet maps' states
+SEARCH_WORK = 1 << 20  # bound on the states a search signs below its root, and on refused alphabet maps' states
 WITNESS_ENTRIES = 1 << 20  # bound on each edge-weight table of the alphabet route, 16 entries a state at least
 DEFAULT_BUDGET = 1 << 24  # bound on the candidates of the monomial_equiv search
 ADJACENCY_ENTRIES = 1 << 24  # bound on the edges tallied into Lambda, 16x the F16 example
@@ -132,7 +133,7 @@ def _cell_graphs(a: AdjMatrix, b: AdjMatrix):
     return graphs
 
 
-def _refined_colors(graphs, classes=None, start=None):
+def _refined_colors(graphs, classes=None, start=None, rounds=None):
     """Stable joint color refinement of `_cell_graphs(a, b)`; None when
     histograms separate.
 
@@ -142,7 +143,9 @@ def _refined_colors(graphs, classes=None, start=None):
     one color histogram, which fixes the colors of a row's zero cells from
     its nonzero ones, so the sparse signatures split the states exactly as
     the dense rows would.  First-seen signature ids, a's states before b's,
-    are the colors of the next round.
+    are the colors of the next round.  A state's signature holds its color,
+    so a round only splits classes, and a round that splits none ends the
+    refinement: the next would name the same classes by the same ids.
 
     `classes`, (class of every state, least member of every class in
     increasing order), partitions the states into orbits of zero-fixing
@@ -150,13 +153,15 @@ def _refined_colors(graphs, classes=None, start=None):
     the rest of each class takes its color, the very colors of signing
     every state (see the module docstring).  Without `classes` every state
     is signed.  `start`, the colors of a and b to refine, each from -1 to
-    s - 1, defaults to state 0 pinned at -1 and the rest at 0.
+    s - 1, defaults to state 0 pinned at -1 and the rest at 0.  `rounds`,
+    if given, is drawn from once before each round, so it can bound them.
     """
     s = len(graphs[0][0])
     cls, reps = classes or (range(s), range(s))
     pinned = [0 if i else -1 for i in range(s)]
     col_a, col_b = start or (pinned, pinned)
-    while True:
+    count = len(set(col_a) | set(col_b))
+    for _ in rounds or itertools.count():
         sig_ids: dict[tuple, int] = {}
         new = []
         for (nbrs, keys), colors in zip(graphs, (col_a, col_b)):
@@ -166,9 +171,9 @@ def _refined_colors(graphs, classes=None, start=None):
         new_a, new_b = new
         if sorted(new_a) != sorted(new_b):
             return None
-        if new_a == col_a and new_b == col_b:
-            return col_a, col_b
-        col_a, col_b = new_a, new_b
+        if len(sig_ids) == count:
+            return new_a, new_b
+        col_a, col_b, count = new_a, new_b, len(sig_ids)
 
 
 def _conjugates(a: AdjMatrix, b: AdjMatrix, pi: Sequence[int]) -> bool:
@@ -213,13 +218,13 @@ def _witnesses(a: AdjMatrix, b: AdjMatrix, classes=None):
     The states below i are singletons, so leaves come in lexicographic
     order; a witness carries each coloring of `a` onto that of `b` on the
     path that gives i and pi(i) the fresh color, so it is exactly one
-    leaf.  `classes` goes to the root refinement alone.  Each node is
-    charged one round's list entries; LimitError once they pass
-    SEARCH_WORK."""
+    leaf.  `classes` goes to the root refinement alone.  Below the root,
+    each round signs the 2s states of both matrices; LimitError once they
+    pass SEARCH_WORK."""
     s = a.size
     graphs = _cell_graphs(a, b)
-    cost = sum(len(entries) for nbrs, _ in graphs for entries in nbrs)
-    nodes = itertools.count(1)
+    template = "{count} states signed by the search exceed the bound {bound}"
+    rounds = (check_limit(SEARCH_WORK, template, [signed]) for signed in itertools.count(2 * s, 2 * s))
 
     def children(col_a, col_b):
         """The refined colorings with i and each candidate j individualised:
@@ -231,9 +236,7 @@ def _witnesses(a: AdjMatrix, b: AdjMatrix, classes=None):
         start_a = col_a[:i] + [fresh] + col_a[i + 1 :]
         for j, c in enumerate(col_b):
             if c == col_a[i]:
-                check_limit(SEARCH_WORK, "{count} list entries signed by the search exceed the bound {bound}",
-                            [next(nodes), cost])
-                yield _refined_colors(graphs, start=(start_a, col_b[:j] + [fresh] + col_b[j + 1 :]))
+                yield _refined_colors(graphs, start=(start_a, col_b[:j] + [fresh] + col_b[j + 1 :]), rounds=rounds)
 
     stack = [iter([_refined_colors(graphs, classes)])]  # per node, the iterator of its children
     while stack:

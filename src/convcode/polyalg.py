@@ -319,7 +319,7 @@ def row_degrees(a: PolyMatrix) -> tuple:
 
 
 def _det(fld: FieldSpec, rows: list[list[Poly]]) -> Poly:
-    """Cofactor-expansion determinant; fine for the small k it meets."""
+    """Cofactor-expansion determinant; fine for the small k used here."""
     size = len(rows)
     if size == 1:
         return rows[0][0]

@@ -343,14 +343,14 @@ def phi_series(lam: AdjMatrix, trunc: int) -> LSeries:
     coeffs = [WeightEnum.one()]
     vec = [1] + [0] * (lam.size - 1)
     for _ in range(trunc):
-        step = [0] * lam.size
+        nxt = [0] * lam.size
         for x, groups in zip(vec, packed):
             if x:
                 for (shift, w), dsts in groups:
                     y = x << shift if w == 1 else (x * w) << shift
                     for j in dsts:
-                        step[j] += y
-        vec = step
+                        nxt[j] += y
+        vec = nxt
         coeffs.append(_unpack(vec[0], width))
     return LSeries(trunc, coeffs)
 

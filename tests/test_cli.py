@@ -542,6 +542,49 @@ def test_equal_answers_the_mixed_degree_frobenius_pair(tmp_path):
     assert invariance.apply_witness(lam_g, pi) == lam_h
 
 
+
+def test_equal_answers_a_dense_256_letter_frobenius_pair(capsys, tmp_path):
+    # an F16 code with row degrees (1, 1) against its row-transformed
+    # coefficient-wise a -> a^2 image: the alphabet matrix M holds all 256
+    # letters, each row reaching every letter, so the search's bound must
+    # not shrink with the list entries of a round; the witness `equal`
+    # prints is checked on both Lambda
+    f16 = field_make(2, 4)
+    rng = random.Random(5)
+    g = genutil.code_with_degrees(rng, f16, (1, 1))
+    h, _ = genutil.elementary_ops(rng, g, 4)
+    h = polyalg.pm(f16, [[[f16.mul(c, c) for c in e] for e in row] for row in h.rows])
+    paths = [tmp_path / "g.gm", tmp_path / "h.gm"]
+    for path, code in zip(paths, (g, h)):
+        path.write_text(format_gm(code))
+    rc, out, err = run(capsys, "equal", *map(str, paths))
+    coincide = r"codes differ; generalized adjacency matrices coincide \(state permutation (\[[\d, ]+\])\)\n"
+    found = re.fullmatch(coincide, out)
+    assert (rc, err) == (1, "") and found, out
+    pi = json.loads(found.group(1))
+    assert pi[0] == 0 and sorted(pi) == list(range(256)) and pi != list(range(256))
+    assert invariance.apply_witness(invariance.code_adjacency(g), pi) == invariance.code_adjacency(h)
+
+
+def test_equal_refuses_the_delta_2_alphabet_pair_at_the_refused_maps(capsys, tmp_path):
+    # (1 + z + z^2, z + z^2) over F16 against (1 + z + z^2, a z + z^2): the
+    # alphabet matrices see only G_0 = (1, 0) and G_2 = (1, 1), so every
+    # sigma of the 15 nonzero letters passes them and is refused on the edge
+    # weights; the 7,049 refinements below the root sign 225,568 states,
+    # under SEARCH_WORK, so `equal` stops, as the search that placed states
+    # did, once 4,097 refused maps of 256 states pass it
+    paths = []
+    for name, a in (("g", 1), ("h", 2)):
+        paths.append(tmp_path / f"{name}.gm")
+        paths[-1].write_text(f"field p=2 m=4 modulus=19\nk=1 n=2\n1 1 1 ; 0 {a} 1\n")
+    for argv, expected in (
+        (["equal"], (3, "", "limit: 1048832 states of refused maps exceed the bound 1048576\n")),
+        (["mono-equiv"], (1, "codes are not monomially equivalent\n", "")),
+    ):
+        start = time.perf_counter()
+        assert run(capsys, *argv, *map(str, paths)) == expected
+        assert time.perf_counter() - start < 8.0, argv
+
 def _deep_code(tmp_path, delta):
     # binary k = 1, n = 2: (1 + z^delta, 1), minimal with constraint length
     # delta; the gcd of its minors takes one step, so g.info is cheap

@@ -536,14 +536,15 @@ def test_search_matches_dense_reference_on_retabled_conjugates(g213):
 def test_search_hands_classes_to_the_root_refinement_alone(g1, g2, g213, monkeypatch):
     # the orbits are automorphisms of both matrices only until a state is
     # individualised: each search refines first with the classes it was
-    # given, or none, then only from individualised start colors without
-    # classes; the identity path refines nothing
+    # given, or none, and unbounded, then only from individualised start
+    # colors without classes, drawing its rounds from the search's budget;
+    # the identity path refines nothing
     refined = invariance._refined_colors
     calls = []
 
-    def spied(graphs, classes=None, start=None):
-        calls.append((classes is not None, start is not None))
-        return refined(graphs, classes, start)
+    def spied(graphs, classes=None, start=None, rounds=None):
+        calls.append((classes is not None, start is not None, rounds is not None))
+        return refined(graphs, classes, start, rounds)
 
     monkeypatch.setattr(invariance, "_refined_colors", spied)
     lists = Counter()
@@ -553,12 +554,12 @@ def test_search_hands_classes_to_the_root_refinement_alone(g1, g2, g213, monkeyp
         if lam_of(g) == lam_of(h):
             assert calls == []
         else:
-            assert calls[0] == (True, False) and set(calls[1:]) <= {(False, True)}
+            assert calls[0] == (True, False, False) and set(calls[1:]) <= {(False, True, True)}
         lists[kind, len(calls) > 1] += 1
     for a, b in retabled_conjugate_pairs(g213) + cycle_pairs() + [(lam_of(g1), lam_of(g2))]:
         calls.clear()
         gen_adj_equal(a, b)
-        assert calls[:1] == [(False, False)] and set(calls[1:]) <= {(False, True)}
+        assert calls[:1] == [(False, False, False)] and set(calls[1:]) <= {(False, True, True)}
         lists["plain", len(calls) > 1] += 1
     for lam in identity_path_matrices(g213):
         calls.clear()
@@ -1040,17 +1041,37 @@ def test_shift_graph_automorphisms_are_the_alphabet_permutations(q, gamma):
     assert len(found) == math.factorial(q - 1)
 
 
-def test_search_refuses_a_large_group_at_the_node_bound():
+def test_search_refuses_a_large_group_at_the_work_bound():
     # a support with many automorphisms, every cell of an F3 Lambda with row
-    # degrees (2, 1) made one enumerator, is refused once the search's
-    # nodes, each charged one refinement round's list entries, pass
-    # SEARCH_WORK, so the bound tracks states times degree times nodes
+    # degrees (2, 1) made one enumerator, is refused once the states that
+    # the refinements below the root sign, both matrices' 27 a round, pass
+    # SEARCH_WORK: after about 19,400 refinements of one round each, about
+    # 3 s on a 2-CPU Xeon host, where the search that placed states one at a
+    # time took 9.6 s
     lam = lam_of(genutil.code_with_degrees(random.Random(1), field_make(3), (2, 1)))
     support = AdjMatrix([[(j, 0) for j, _ in row] for row in lam.rows], [WeightEnum.one()], q=3, n=lam.n)
     start = time.perf_counter()
-    with pytest.raises(LimitError, match="list entries signed by the search exceed the bound 1048576"):
+    with pytest.raises(LimitError, match="^1048626 states signed by the search exceed the bound 1048576$"):
         list(invariance._witnesses(support, support))
-    assert time.perf_counter() - start < 3.0
+    assert time.perf_counter() - start < 6.0
+
+
+def test_search_bound_does_not_depend_on_density(monkeypatch):
+    # the Lambda of an F16 code with row degrees (1, 1) is dense, 256 states
+    # each reaching every state, and has the 15 scalings x -> lambda x as
+    # zero-fixing automorphisms; the search lists the first 5 in ascending
+    # order through 6 refinements, where a bound that charged each node the
+    # list entries of a round, 4 x 65,535 here, refused the fifth node
+    f16 = field_make(2, 4)
+    lam = lam_of(genutil.code_with_degrees(random.Random(0), f16, (1, 1)))
+    assert all(len(row) == 256 - (not x) for x, row in enumerate(lam.rows))
+    refined, calls = invariance._refined_colors, []
+    monkeypatch.setattr(invariance, "_refined_colors", lambda *args, **kw: calls.append(1) or refined(*args, **kw))
+    found = list(itertools.islice(invariance._witnesses(lam, lam), 5))
+    assert found == sorted(set(found)) and all(apply_witness(lam, pi) == lam for pi in found)
+    scalings = {tuple(state_index(16, [f16.mul(c, x) for x in state_vector(16, 2, i)]) for i in range(256))
+                for c in f16.units()}
+    assert len(found) == 5 and set(found) <= scalings and len(calls) == 6
 
 
 def k1_route_pairs():

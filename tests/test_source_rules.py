@@ -526,7 +526,8 @@ def test_code_witness_alone_passes_classes_to_the_search():
     # and both call them only as they reach _witnesses; so `classes` means
     # orbits alone.  They hold only until a state is individualised, so
     # _witnesses hands them to its root refinement alone, and each node
-    # below it refines from its start colors.  The orbits are made by
+    # below it refines from its start colors, its rounds drawn from the
+    # search's one budget.  The orbits are made by
     # statediag._orbits alone, for the lumped Q and for code_witness, which
     # hands them on uncalled
     search = ("gen_adj_equal", "_alphabet_witness", "_witnesses", "_refined_colors")
@@ -545,27 +546,28 @@ def test_code_witness_alone_passes_classes_to_the_search():
             ]
     assert passed == [
         ("_witnesses", "_refined_colors", "classes"),
-        ("_witnesses", "_refined_colors", "start"),
+        ("_witnesses", "_refined_colors", "start", "rounds"),
         ("gen_adj_equal", "_witnesses", "classes and classes()"),
         ("_alphabet_witness", "_witnesses", "orbits()"),
         ("code_witness", "gen_adj_equal", "orbits"),
         ("code_witness", "_alphabet_witness", "orbits"),
     ]
     witnesses = _function("invariance.py", "_witnesses")
-    (children,) = [n for n in ast.walk(witnesses) if isinstance(n, ast.FunctionDef) and n is not witnesses]
-    assert [n.keywords[0].arg for n in _calls(children, "_refined_colors")] == ["start"]
+    (children,) = [n for n in ast.walk(witnesses) if isinstance(n, ast.FunctionDef) and n.name == "children"]
+    assert [[k.arg for k in n.keywords] for n in _calls(children, "_refined_colors")] == [["start", "rounds"]]
     assert sorted(made) == [("invariance.py", "code_witness"), ("statediag.py", "build")]
 
 
 def test_the_search_signs_every_state_by_default():
     # gen_adj_equal on arbitrary matrices, and the lemma through _witnesses,
     # get no classes: every state is its own representative, and the
-    # refinement starts from state 0 pinned unless it is given start colors
+    # refinement starts from state 0 pinned unless it is given start colors,
+    # and runs unbounded rounds unless it is given a budget
     for fn in ("gen_adj_equal", "_witnesses", "_refined_colors"):
         args = _function("invariance.py", fn).args
         defaults = dict(zip([a.arg for a in args.args][::-1], args.defaults[::-1]))
         assert {name: ast.unparse(d) for name, d in defaults.items()} == (
-            {"classes": "None", "start": "None"} if fn == "_refined_colors" else {"classes": "None"}
+            {"classes": "None", "start": "None", "rounds": "None"} if fn == "_refined_colors" else {"classes": "None"}
         )
     lemma = _calls(_function("invariance.py", "verify_shift_permutation_lemma"), "_witnesses")
     assert [(len(node.args), node.keywords) for node in lemma] == [(2, [])]
@@ -598,7 +600,7 @@ def test_alphabet_candidates_are_handed_on_for_equal_degree_codes_only():
     # on the alphabet matrices alone, not by itertools, and no field size
     # picks it; it certifies pi_sigma by `_carries` on the edge weights and
     # never builds or re-checks Lambda.  SEARCH_WORK bounds its refused
-    # candidates and the list entries the search's nodes sign, and nothing
+    # candidates and the states the search signs below its root, and nothing
     # else names it.  gen_adj_equal then runs its own search alone: one loop
     # over `_witnesses(a, b, ...)`, whose every witness passes `_conjugates`
     # or raises, right after the search bound
