@@ -355,6 +355,13 @@ def _edges_chunks(sd: statediag.StateDiagram) -> Iterator[str]:
     return _block(sources, 1)
 
 
+def _at_least_one(value: int, name: str) -> int:
+    """An option's value, refused as an input error below 1."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return value
+
+
 def _trunc(args, g: PolyMatrix) -> int:
     if args.trunc is not None:
         return args.trunc
@@ -369,9 +376,7 @@ def _series_pair(args, needs: str):
     """
     g = _load(args.file)
     _require_minimal(g, needs)
-    trunc = _trunc(args, g)
-    if trunc < 1:
-        raise ValueError("truncation must be >= 1")
+    trunc = _at_least_one(_trunc(args, g), "truncation")
     phi = spectrum.phi_series(invariance.code_adjacency(g, lumped=True), trunc)
     return g, trunc, spectrum.omega_series(phi), phi
 
@@ -442,7 +447,7 @@ def _check_rendering(args, q: int, gamma: int) -> None:
 def _cmd_diagram(args) -> int:
     g = _load(args.file)  # may be non-minimal: gamma is the sum of its row degrees
     q, gamma = g.field.q, sum(g.info.row_degrees)
-    statediag.check_states(q, gamma, args.max_states)
+    statediag.check_states(q, gamma, _at_least_one(args.max_states, "state ceiling"))
     if args.dot or args.json:
         _check_rendering(args, q, gamma)
     cf = encoder.controller_form(g, require_minimal=False)
@@ -573,7 +578,7 @@ def _cmd_equal(args) -> int:
 def _cmd_mono_equiv(args) -> int:
     g = _load(args.file)
     h = _load(args.file2)
-    witness = invariance.monomial_equiv(g, h, budget=args.budget)
+    witness = invariance.monomial_equiv(g, h, budget=_at_least_one(args.budget, "budget"))
     if args.json:
         payload = {"found": witness is not None}
         if witness:
@@ -607,7 +612,7 @@ def _cmd_recover(args) -> int:
 def _cmd_oracle(args) -> int:
     g = _load(args.file)
     l_max = _trunc(args, g)
-    result = oracle.survey(g, l_max, budget=args.budget)
+    result = oracle.survey(g, l_max, budget=_at_least_one(args.budget, "budget"))
 
     def table_json(table):
         by_l: dict[int, dict[str, int]] = {}

@@ -16,8 +16,7 @@ the state returns to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import polyalg
 from .errors import InternalError
@@ -29,8 +28,7 @@ MOLECULAR_TIGHT = "molecular-tight"
 CONCATENATED_LOOSE = "concatenated-loose"
 
 
-@dataclass(frozen=True)
-class ControllerForm:
+class ControllerForm(NamedTuple):
     field: FieldSpec
     A: tuple[tuple[int, ...], ...]
     B: tuple[tuple[int, ...], ...]
@@ -151,8 +149,7 @@ def state_sequence(cf: ControllerForm, u: Sequence[Poly]):
     return tuple(states[: n_deg + 2]), tuple(outputs[: n_deg + 1])
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     kind: str
     concat_times: tuple[int, ...]
     tight_times: tuple[int, ...]

@@ -19,7 +19,7 @@ touches the controller form, the adjacency matrix or the series machinery.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import polyalg
 from .errors import InternalError, check_limit
@@ -43,8 +43,7 @@ def _max_zero_run(word: tuple[tuple[int, ...], ...]) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class OracleSurvey:
+class OracleSurvey(NamedTuple):
     l_max: int
     atomic: Table
     molecular: Table

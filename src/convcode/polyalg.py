@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InternalError, check_limit
 from .galois import FieldSpec
@@ -229,10 +228,15 @@ def mat_left_kernel_vector(fld: FieldSpec, a: Sequence[Sequence[int]]) -> Option
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolyMatrix:
+class _PolyMatrixFields(NamedTuple):
     field: FieldSpec
     rows: tuple[tuple[Poly, ...], ...]
+
+
+class PolyMatrix(_PolyMatrixFields):
+    # no __slots__, so `info` is cached in the instance's __dict__
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a PolyMatrix is immutable")
 
     @property
     def k(self) -> int:
@@ -358,8 +362,7 @@ def highest_coeff_matrix(g: PolyMatrix) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@dataclass(frozen=True)
-class EncoderInfo:
+class EncoderInfo(NamedTuple):
     row_degrees: tuple[int, ...]
     delta: int
     is_basic: bool

@@ -36,9 +36,8 @@ from __future__ import annotations
 import functools
 import operator
 from collections import deque
-from dataclasses import dataclass
 from itertools import chain, compress, count, islice, repeat
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import statediag
 from .errors import LimitError, check_limit
@@ -418,8 +417,7 @@ def omega_series(phi: LSeries) -> LSeries:
     return LSeries(trunc, [_unpack(x, width) for x in omega])
 
 
-@dataclass(frozen=True)
-class FreeDistance:
+class FreeDistance(NamedTuple):
     value: int
     certified: bool
 

@@ -50,9 +50,8 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
 from itertools import chain, cycle, repeat
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import polyalg
 from .encoder import ControllerForm
@@ -78,8 +77,7 @@ def state_vector(q: int, gamma: int, index: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class StateDiagram:
+class StateDiagram(NamedTuple):
     """A diagram as its form's tables, (add, xA, xC, uB, uD) from `_tables`;
     a lumped one also keeps the orbit id of every packed state and the
     representative of every orbit.  Edges are views replayed on every read."""

@@ -1,6 +1,5 @@
 """Seeded random generators for codes and unimodular transformations."""
 
-import dataclasses
 import itertools
 import random
 from typing import Iterator, NamedTuple
@@ -227,7 +226,7 @@ def planted_diagram(sd, extra):
     add, xa, xc, ub, ud = sd.tables
     q = sd.field.q
     planted = [sum(q**i for i in range(w)) for _, w in extra]
-    return dataclasses.replace(sd, tables=(add, xa, xc, ub + [0] * len(planted), ud + planted))
+    return sd._replace(tables=(add, xa, xc, ub + [0] * len(planted), ud + planted))
 
 
 def adj_from_dense(cells, q: int, n: int, extended: bool = False) -> AdjMatrix:

@@ -1,4 +1,3 @@
-import dataclasses
 import errno
 import hashlib
 import io
@@ -963,8 +962,8 @@ def _overstated_degrees(path):
     # each row degree one too many, and the oracle's register criterion sees
     # every input linger a step longer than its splitting search does
     g = parse_gm(pathlib.Path(path).read_text())
-    g.__dict__["info"] = dataclasses.replace(
-        g.info, row_degrees=tuple(d + 1 for d in g.info.row_degrees)
+    g.__dict__["info"] = g.info._replace(
+        row_degrees=tuple(d + 1 for d in g.info.row_degrees)
     )
     return g
 
@@ -1024,6 +1023,26 @@ def test_block_code_truncation_is_checked(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 2 and out == ""
     assert "truncation must be >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["oracle", G1, "--budget", "-5"], "budget"),
+        (["oracle", G1, "--budget", "0"], "budget"),
+        (["mono-equiv", G1, G2, "--budget", "0"], "budget"),
+        (["diagram", MEMORY3, "--max-states", "-1"], "state ceiling"),
+        (["diagram", MEMORY3, "--max-states", "0"], "state ceiling"),
+    ],
+    ids=["oracle-negative", "oracle-zero", "mono-equiv-zero", "diagram-negative", "diagram-zero"],
+)
+def test_ceilings_below_one_are_input_errors(capsys, argv, name):
+    # a ceiling below 1 is refused as --trunc is, not reported as a count
+    # that exceeds it
+    assert run(capsys, *argv) == (2, "", f"error: {name} must be >= 1\n")
+    argv[-1] = "1"
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (3, "") and err.startswith("limit: ")
 
 
 def test_distances_refuses_nonminimal(capsys, tmp_path):

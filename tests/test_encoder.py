@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -87,7 +86,7 @@ def test_minimal_forms_have_full_observer_rank(f2, f3, g213, g_mixed, g16):
 def test_realization_check_detects_corruption(g213):
     cf = controller_form(g213)
     assert realization_check(cf)
-    broken = dataclasses.replace(cf, C=tuple(tuple(0 for _ in row) for row in cf.C))
+    broken = cf._replace(C=tuple(tuple(0 for _ in row) for row in cf.C))
     assert not realization_check(broken)
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import pathlib
 import random
@@ -130,7 +129,7 @@ def test_classifier_disagreement_is_fatal(monkeypatch, f2, g_mixed):
             survey(g_mixed, 5)
     # g.info is a cached property, so the instance's dict holds its value
     g = pm(f2, [[[1, 1, 1, 1], [1, 0, 1, 1]]])
-    g.__dict__["info"] = dataclasses.replace(g.info, row_degrees=(4,))
+    g.__dict__["info"] = g.info._replace(row_degrees=(4,))
     with pytest.raises(RuntimeError, match="disagree"):
         survey(g, 9)
 

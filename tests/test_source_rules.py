@@ -4,6 +4,7 @@ import ast
 import importlib.util
 import json
 import math
+import os
 import pathlib
 import re
 import subprocess
@@ -637,3 +638,39 @@ def test_alphabet_candidates_are_handed_on_for_equal_degree_codes_only():
     checks = [n for n in fn.body if _calls(n, "check_search_size")]
     assert [ast.unparse(n) for n in checks] == ["check_search_size(a.size)"]
     assert fn.body.index(checks[0]) == fn.body.index(loops[0]) - 1
+
+
+STDLIB_IMPORTS = {"__future__", "argparse", "collections", "functools", "itertools",
+                  "json", "operator", "os", "sys", "typing"}
+
+
+def test_package_imports_only_the_stdlib_allow_list():
+    # zero runtime dependencies: every absolute import names a module from an
+    # explicit list of standard-library modules; relative imports stay inside
+    found = [
+        f"{path.name}:{node.lineno} {name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0
+            else []
+        )
+        if name.partition(".")[0] not in STDLIB_IMPORTS
+    ]
+    assert found == []
+
+
+def test_cold_import_pulls_in_no_introspection_modules():
+    # `import convcode.cli` in a fresh interpreter, against that interpreter's
+    # own modules before it (site may preload re, typing and enum): the
+    # dataclasses -> inspect chain costs about a fifth of the import
+    code = ("import sys; bare = set(sys.modules); import convcode.cli; "
+            "print(' '.join(sorted(set(sys.modules) - bare)))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "convcode.cli" in added
+    assert added & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
