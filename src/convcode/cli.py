@@ -611,7 +611,8 @@ def _cmd_recover(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = _load(args.file)
-    l_max = _trunc(args, g)
+    _require_minimal(g, "the codeword oracle requires")
+    l_max = _at_least_one(_trunc(args, g), "truncation")
     result = oracle.survey(g, l_max, budget=_at_least_one(args.budget, "budget"))
 
     def table_json(table):

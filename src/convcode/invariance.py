@@ -40,7 +40,11 @@ Lambda is then W^wt(xC + uD) of one edge (x, u), which pi_sigma maps to
 (pi_sigma x, sigma u), so conjugation by pi_sigma is wt_h(pi_sigma x,
 sigma u) = wt_g(x, u) on every edge: `code_witness` searches the q^k
 letters for sigma, certifies pi_sigma on the edge weights and builds no
-Lambda.
+Lambda.  The weight of (x, u) depends on x through xC alone, so each code
+keeps one row of q^k weights per distinct xC, at most min(q^delta, q^n)
+rows that the states with that xC share, and pi_sigma is certified a
+state at a time: h's row at pi_sigma x, read in sigma order, against g's
+row at x.
 
 On top of that sit: `code_witness`, the one comparison of two codes'
 Lambda, which alone hands the search the F_q^* orbits; recovery of the
@@ -68,7 +72,8 @@ MonomialWitness = tuple  # (column permutation, column scalars)
 
 SEARCH_STATES = 256  # bound on the states of the conjugation search
 SEARCH_WORK = 1 << 20  # bound on the states a search signs below its root, and on refused alphabet maps' states
-WITNESS_ENTRIES = 1 << 20  # bound on each edge-weight table of the alphabet route, 16 entries a state at least
+# the alphabet route holds a row reference a state and one row of q^k weights per distinct xC
+WITNESS_ENTRIES = 1 << 20  # bound on the alphabet route's states times max(q^k, 16)
 DEFAULT_BUDGET = 1 << 24  # bound on the candidates of the monomial_equiv search
 ADJACENCY_ENTRIES = 1 << 24  # bound on the edges tallied into Lambda, 16x the F16 example
 
@@ -272,33 +277,44 @@ def gen_adj_equal(
     return None
 
 
-def _edge_weights(sd: statediag.StateDiagram) -> list[int]:
-    """wt(xC + uD) at x q^k + u for every state x and input u, (0, 0) among
-    them, in one C-level pass over the form's tables."""
+def _edge_weights(sd: statediag.StateDiagram, weight: Callable[[int], int]) -> list[tuple[int, ...]]:
+    """The row (wt(xC + uD) for every input u) of every state x, (0, 0)
+    among them, with `weight` the `statediag._weigher` of sd's q and n.
+    States with one xC share one row, and the at most min(q^delta, q^n)
+    rows are made in one C-level pass over the distinct xC, q^k weights
+    each.  x -> xC is linear, so states share an xC only when one besides
+    0 maps to 0; else the rows are made in state order and no dict is
+    built."""
     add, _, xc, _, ud = sd.tables
-    return list(map(statediag._weigher(sd.field.q, sd.n), itertools.starmap(add, itertools.product(xc, ud))))
+    shared = xc.count(0) > 1
+    distinct = dict.fromkeys(xc) if shared else xc
+    rows = list(zip(*[map(weight, itertools.starmap(add, itertools.product(distinct, ud)))] * len(ud)))
+    return list(map(dict(zip(distinct, rows)).__getitem__, xc)) if shared else rows
 
 
-def _carries(w_g: list[int], w_h: list[int], pi: Sequence[int], sigma: Sequence[int]) -> bool:
-    """Whether w_h[pi(x) q^k + sigma(u)] == w_g[x q^k + u] for every state x
-    and input u, read up to the first difference, with no table permuted."""
-    moved = itertools.starmap(operator.add, itertools.product(map(len(sigma).__mul__, pi), sigma))
-    return all(map(operator.eq, map(w_h.__getitem__, moved), w_g))
+def _carries(w_g: list[tuple], w_h: list[tuple], pi: Sequence[int], sigma: Sequence[int]) -> bool:
+    """Whether w_h[pi(x)][sigma(u)] == w_g[x][u] for every state x and input
+    u: h's row at pi(x), read in sigma order, against g's row at x, a row
+    at a time up to the first difference, with no table permuted."""
+    return all(map(operator.eq, map(operator.itemgetter(*sigma), map(w_h.__getitem__, pi)), w_g))
 
 
 def _alphabet_witness(sd_g: statediag.StateDiagram, sd_h: statediag.StateDiagram,
                       orbits: Callable[[], object]) -> Optional[PermWitness]:
     """The least witness of two codes whose k rows have one degree m, or
-    None, off their `_edge_weights`: the identity if they agree, else the
-    first pi_sigma that `_carries` certifies, sigma applied to every column,
-    for each sigma that `_witnesses` lists with `orbits()`, those of F_q^k,
-    on M[c][d] = W^wt(last(c)C + dD).  first(d) = dB holds letter d alone
-    in the first column, last(c) = cBA^(m-1) c alone in the last; pi_sigma
-    maps them to first(sigma d) and last(sigma c), so a witness pi_sigma
-    makes sigma one of M.  Both ascend with the packed letter, and a state
-    below last(c) holds only letters below c, so pi_sigma ascends as sigma
-    does.  LimitError once the refused pass SEARCH_WORK states in all."""
-    w_g, w_h = _edge_weights(sd_g), _edge_weights(sd_h)
+    None, off their `_edge_weights` rows, made with one weigher: the
+    identity if they agree, else the first pi_sigma that `_carries`
+    certifies, sigma applied to every column, for each sigma that
+    `_witnesses` lists with `orbits()`, those of F_q^k, on M[c][d] =
+    W^wt(last(c)C + dD), the rows of the states last(c).  first(d) = dB
+    holds letter d alone in the first column, last(c) = cBA^(m-1) c alone
+    in the last; pi_sigma maps them to first(sigma d) and last(sigma c), so
+    a witness pi_sigma makes sigma one of M.  Both ascend with the packed
+    letter, and a state below last(c) holds only letters below c, so
+    pi_sigma ascends as sigma does.  LimitError once the refused pass
+    SEARCH_WORK states in all."""
+    weight = statediag._weigher(sd_g.field.q, sd_g.n)
+    w_g, w_h = _edge_weights(sd_g, weight), _edge_weights(sd_h, weight)
     _, xa, _, ub, _ = sd_g.tables  # A and B are those of both codes
     if w_g == w_h:
         return tuple(range(len(xa)))
@@ -308,7 +324,7 @@ def _alphabet_witness(sd_g: statediag.StateDiagram, sd_h: statediag.StateDiagram
         fill = [a + u for a in map(xa.__getitem__, fill) for u in ub]
     where = sorted(range(len(fill)), key=fill.__getitem__)  # the fill position of every state
     cells = [WeightEnum({w: 1}) for w in range(sd_g.n + 1)]  # W^w has id w
-    rows = lambda w: [[(d, w[x * letters + d]) for d in range(not x, letters)] for x in fill[:: len(fill) // letters]]
+    rows = lambda w: [[*enumerate(w[x])][not x :] for x in fill[:: len(fill) // letters]]
     mat_g, mat_h = (AdjMatrix(rows(w), cells, q=sd_g.field.q, n=sd_g.n) for w in (w_g, w_h))
     refused = 0  # states of the refused pi_sigma so far
     for sigma in _witnesses(mat_g, mat_h, orbits()):

@@ -516,3 +516,13 @@ def reference_shift_permutation_lemma(gamma: int) -> bool:
         if all(pi[(u,) + x[:-1]][1:] == pi[x][:-1] for x in vecs for u in (0, 1)):
             satisfying.append(pi)
     return satisfying == [{v: v for v in vecs}]
+
+
+def carries(w_g, w_h, pi, sigma) -> bool:
+    """Per-edge reference of `invariance._carries`: with the rows of each
+    table laid end to end, w_h[pi(x) q^k + sigma(u)] == w_g[x q^k + u] on
+    every edge (x, u), one lookup each."""
+    flat_g, flat_h = (list(itertools.chain.from_iterable(w)) for w in (w_g, w_h))
+    letters = len(sigma)
+    return all(flat_h[pi[x] * letters + sigma[u]] == flat_g[x * letters + u]
+               for x in range(len(pi)) for u in range(letters))

@@ -1026,6 +1026,24 @@ def test_block_code_truncation_is_checked(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "command, message",
+    [
+        ("spectrum", "the weight distribution requires a minimal generator matrix"),
+        ("distances", "distance profiles require a minimal generator matrix"),
+        ("oracle", "the codeword oracle requires a minimal generator matrix"),
+    ],
+    ids=["spectrum", "distances", "oracle"],
+)
+def test_truncation_below_one_is_refused_alike(capsys, tmp_path, command, message):
+    # the three commands that take --trunc refuse 0 with one message, and a
+    # non-minimal file for the file before its truncation is read
+    assert run(capsys, command, G1, "--trunc", "0") == (2, "", "error: truncation must be >= 1\n")
+    path = tmp_path / "nonminimal.gm"
+    path.write_text("field p=2 m=1\nk=1 n=2\n1 1 ; 1 1\n")
+    assert run(capsys, command, str(path), "--trunc", "0") == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv, name",
     [
         (["oracle", G1, "--budget", "-5"], "budget"),

@@ -1237,23 +1237,28 @@ EDGE_WEIGHT_SHAPES = (
 )  # (p, m, k, row degree) with n = 3 over F2, F3, F4, F5, F7, F8 and F9
 
 
+def edge_weights(sd):
+    """The alphabet route's rows of sd, made with a weigher of its own."""
+    return invariance._edge_weights(sd, statediag._weigher(sd.field.q, sd.n))
+
+
 def test_edge_weights_are_the_cells_of_lambda():
     # when every row has one degree m >= 1, every edge (x, u) != (0, 0) has
     # a destination of its own in row x, so Lambda is the alphabet route's
-    # table of edge weights: Lambda[x][xA + uB] == W^w[x q^k + u], and no
-    # row holds another cell
+    # rows of edge weights: Lambda[x][xA + uB] == W^w[x][u], and no row
+    # holds another cell
     rng = random.Random(39)
     for p, m, k, degree in EDGE_WEIGHT_SHAPES:
         fld = field_make(p, m)
         for _ in range(2):
             sd = build(controller_form(equal_degree_code(rng, fld, k, degree)))
-            lam, w = adjacency(sd), invariance._edge_weights(sd)
+            lam, w = adjacency(sd), edge_weights(sd)
             _, xa, _, ub, _ = sd.tables
             letters = len(ub)
-            assert len(w) == lam.size * letters and w[0] == 0
+            assert len(w) == lam.size and {len(row) for row in w} == {letters} and w[0][0] == 0
             for x, row in enumerate(lam.rows):
                 cells = {j: lam.cells[t] for j, t in row}
-                edges = {xa[x] + ub[u]: WeightEnum({w[x * letters + u]: 1}) for u in range(not x, letters)}
+                edges = {xa[x] + ub[u]: WeightEnum({w[x][u]: 1}) for u in range(not x, letters)}
                 assert cells == edges, (fld.q, k, degree, x)
 
 
@@ -1282,35 +1287,102 @@ def test_alphabet_route_builds_no_lambda(monkeypatch):
         assert calls["adjacency"] == calls["build"] == 2 and calls["_conjugates"] >= 1
 
 
+def changed_edge(w, x, u, n):
+    """The rows w with the weight of edge (x, u) moved to another weight of
+    F_q^n for state x alone: a row that other states share stays theirs."""
+    return [*w[:x], (*w[x][:u], (w[x][u] + 1) % (n + 1), *w[x][u + 1 :]), *w[x + 1 :]]
+
+
 def test_certification_refuses_a_changed_edge_weight(monkeypatch):
     # negative control of the alphabet route's check: each witness that
-    # moves states passes `_carries` on the two codes' weight tables and is
-    # refused once one entry of either table changes, and so code_witness
-    # gives another answer when one entry of h's table is changed
+    # moves states passes `_carries` on the two codes' rows and is refused
+    # once the weight of one edge of either table changes, also when it
+    # changes for one state of a row that other states share, and so
+    # code_witness gives another answer when one edge of h's table changes
     rng = random.Random(40)
-    moved = 0
+    moved = shared = 0
     for kind, g, h in equal_degree_pairs():
         pi = invariance.code_witness(g, h)
         if pi is None or pi == tuple(range(len(pi))):
             continue
         sd_g, sd_h = (build(controller_form(f)) for f in (g, h))
-        w_g, w_h = invariance._edge_weights(sd_g), invariance._edge_weights(sd_h)
+        w_g, w_h = edge_weights(sd_g), edge_weights(sd_h)
         letter = {first: d for d, first in enumerate(sd_g.tables[3])}
         sigma = [letter[pi[first]] for first in sd_g.tables[3]]
-        other = lambda w: (w + 1) % (g.n + 1)  # another weight of F_q^n
+        letters = len(sigma)
         assert invariance._carries(w_g, w_h, pi, sigma), kind
-        for at in {0, len(w_g) - 1, *rng.sample(range(len(w_g)), 8)}:
-            for table in (w_g, w_h):
-                kept, table[at] = table[at], other(table[at])
-                assert not invariance._carries(w_g, w_h, pi, sigma), (kind, at)
-                table[at] = kept
-        at = rng.randrange(len(w_h))
-        tables = iter([w_g, [*w_h[:at], other(w_h[at]), *w_h[at + 1:]]])
-        monkeypatch.setattr(invariance, "_edge_weights", lambda sd: next(tables))
-        assert invariance.code_witness(g, h) != pi, (kind, at)
+        edges = {divmod(at, letters) for at in {0, len(w_g) * letters - 1, *rng.sample(range(len(w_g) * letters), 8)}}
+        for w in (w_g, w_h):
+            sharing = Counter(map(id, w))
+            states = [x for x, row in enumerate(w) if sharing[id(row)] > 1]
+            if states:
+                edges.add((rng.choice(states), rng.randrange(letters)))
+                shared += 1
+        for x, u in edges:
+            assert not invariance._carries(changed_edge(w_g, x, u, g.n), w_h, pi, sigma), (kind, x, u)
+            assert not invariance._carries(w_g, changed_edge(w_h, x, u, g.n), pi, sigma), (kind, x, u)
+        x, u = rng.randrange(len(w_h)), rng.randrange(letters)
+        tables = iter([w_g, changed_edge(w_h, x, u, g.n)])
+        monkeypatch.setattr(invariance, "_edge_weights", lambda sd, weight: next(tables))
+        assert invariance.code_witness(g, h) != pi, (kind, x, u)
         monkeypatch.undo()
         moved += 1
-    assert moved >= 30
+    assert moved >= 30 and shared >= 20, (moved, shared)
+
+
+def test_carries_matches_the_per_edge_reference(monkeypatch):
+    # every pi_sigma the alphabet route lists on seeded pairs over F2 to F9
+    # gets the same answer from `_carries` and from the per-edge flat
+    # formula, on the two codes' rows and on them swapped, and so does each
+    # with one edge of either table changed, which both refuse when the
+    # unchanged tables passed
+    rng = random.Random(43)
+    calls = []
+    inner = invariance._carries
+    monkeypatch.setattr(invariance, "_carries", lambda *args: calls.append(args) or inner(*args))
+    for p, m, k, degree in EDGE_WEIGHT_SHAPES:
+        fld = field_make(p, m)
+        for _ in range(2):
+            g = equal_degree_code(rng, fld, k, degree)
+            h, _ = genutil.elementary_ops(rng, g, 4)
+            cols = rng.sample(range(3), 3)
+            image = apply_monomial(h, cols, [rng.choice(fld.units()) for _ in cols])
+            frobenius = pm(fld, [[[fld.pow(c, p) for c in e] for e in row] for row in g.rows])
+            for other in (image, frobenius, equal_degree_code(rng, fld, k, degree)):
+                invariance.code_witness(g, other)
+    verdicts = Counter()
+    for w_g, w_h, pi, sigma in calls:
+        for w_a, w_b in ((w_g, w_h), (w_h, w_g)):
+            verdict = inner(w_a, w_b, pi, sigma)
+            assert verdict == genutil.carries(w_a, w_b, pi, sigma)
+            verdicts[verdict] += 1
+            for _ in range(3):
+                x, u = rng.randrange(len(w_a)), rng.randrange(len(sigma))
+                for pair in ((changed_edge(w_a, x, u, 3), w_b), (w_a, changed_edge(w_b, x, u, 3))):
+                    changed = inner(*pair, pi, sigma)
+                    assert changed == genutil.carries(*pair, pi, sigma) and not (verdict and changed)
+    assert verdicts[True] >= 10 and verdicts[False] >= 10, verdicts
+
+
+def test_edge_weights_weigh_each_distinct_xc_once():
+    # the rows cost (distinct xC) x q^k weight lookups, not q^delta x q^k,
+    # and states with one xC share one row object; the seeded codes cover
+    # x -> xC one-to-one and not, the 256-state F4 k = 2 shape among them
+    rng = random.Random(43)
+    kinds = Counter()
+    for p, m, k, degree in (*EDGE_WEIGHT_SHAPES, (2, 2, 2, 2)):
+        fld = field_make(p, m)
+        for _ in range(2):
+            sd = build(controller_form(equal_degree_code(rng, fld, k, degree)))
+            _, _, xc, _, ud = sd.tables
+            inner, looked = statediag._weigher(fld.q, sd.n), []
+            w = invariance._edge_weights(sd, lambda v: looked.append(v) or inner(v))
+            assert len(looked) == len(set(xc)) * len(ud) <= fld.q ** (sd.n + k), (fld.q, k, degree)
+            rows = {}
+            assert all(rows.setdefault(c, row) is row for c, row in zip(xc, w)), (fld.q, k, degree)
+            assert len(set(map(id, w))) == len(rows)
+            kinds[len(rows) < len(xc)] += 1
+    assert kinds[True] and kinds[False], kinds
 
 
 def forney_pairs():
