@@ -5,6 +5,9 @@ code, stdout and stderr of every call in `calls()`.  A refactor must
 reproduce them exactly.  After a deliberate output change, re-record with
 
     PYTHONPATH=src python tests/test_golden_cli.py
+
+which prints the argv of every record whose rc, stdout or stderr changed,
+and of every record added or removed, then the count.
 """
 
 import contextlib
@@ -47,6 +50,15 @@ def calls() -> list[list[str]]:
     out += [["equal", *f5], ["equal", *f5, "--json"],
             ["mono-equiv", *f5], ["mono-equiv", *f5, "--json"]]
     out += [["lemma-a1", "8"], ["lemma-a1", "9", "--json"]]
+    # flag combinations that pick what is written: --dot wins over --json,
+    # --force lifts the rendering guard in both modes
+    g1, g2 = "demos/codes/g1.gm", "demos/codes/g2.gm"
+    out += [["diagram", g1, "--dot", "--json"], ["diagram", g1, "--json", "--force"],
+            ["adjacency", g1, "--force"], ["adjacency", g1, "--json", "--force"]]
+    # one refusal of each kind, in both modes
+    for argv in (["spectrum", g1, "--trunc", "0"], ["lemma-a1", "1"],
+                 ["mono-equiv", g1, g2, "--budget", "1"]):
+        out += [argv, [*argv, "--json"]]
     return out
 
 
@@ -68,6 +80,14 @@ def test_cli_outputs_match_recording(monkeypatch):
 if __name__ == "__main__":
     os.chdir(ROOT)
     GOLDEN.parent.mkdir(exist_ok=True)
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else []
+    before = {json.dumps(r["argv"]): r for r in old}
     records = [run(argv) for argv in calls()]
+    after = {json.dumps(r["argv"]): r for r in records}
+    moved = [f"added   {key}" if key not in before else f"changed {key}"
+             for key, record in after.items() if before.get(key) != record]
+    moved += [f"removed {key}" for key in before if key not in after]
+    for line in moved:
+        print(line)
     GOLDEN.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
-    print(f"recorded {len(records)} calls to {GOLDEN.relative_to(ROOT)}")
+    print(f"{len(moved)} records moved; recorded {len(records)} calls to {GOLDEN.relative_to(ROOT)}")
