@@ -209,7 +209,7 @@ def _conjugates(a: AdjMatrix, b: AdjMatrix, pi: Sequence[int]) -> bool:
 
 def check_search_size(q: int, gamma: int = 1) -> None:
     """LimitError when a conjugation search over q^gamma states exceeds SEARCH_STATES."""
-    check_limit(SEARCH_STATES, "backtracking over {count} states exceeds the bound {bound}",
+    check_limit(SEARCH_STATES, "conjugation search over {count} states exceeds the bound {bound}",
                 itertools.repeat(q, gamma))
 
 

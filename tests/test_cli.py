@@ -454,7 +454,7 @@ def test_f16_equal_refuses_before_building_lambda(capsys, monkeypatch, tmp_path)
     permuted.write_text(format_gm(invariance.apply_monomial(g, (1, 0, 2), (1, 1, 1))))
     monkeypatch.setattr(statediag, "build", refused)
     assert run(capsys, "equal", F16, str(permuted)) == (
-        3, "", "limit: backtracking over 4096 states exceeds the bound 256\n"
+        3, "", "limit: conjugation search over 4096 states exceeds the bound 256\n"
     )
 
 
@@ -627,7 +627,7 @@ def test_counts_past_printable_ints_are_refused_fast(capsys, monkeypatch, tmp_pa
     err = _assert_fast_limit(capsys, argv)
     if case.startswith("lemma"):
         count = "18446744073709551616" if case == "lemma-64" else "more than 2^14000"
-        assert err == f"limit: backtracking over {count} states exceeds the bound 256\n"
+        assert err == f"limit: conjugation search over {count} states exceeds the bound 256\n"
 
 
 def test_oracle_budget_check_builds_no_huge_power():
