@@ -363,38 +363,50 @@ def test_f16_pipeline(capsys):
     assert payload["C"] == [[2, 2, 2], [1, 7, 6], [1, 6, 7]]
 
 
-def test_f16_adjacency_text_is_unchanged(capsys):
-    # the 52 MB dense rendering of the 4096-state Lambda is too large for the
-    # golden record, so its digest stands in for it
-    rc, out, err = run(capsys, "adjacency", F16)
-    assert (rc, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "78c047e75a3d14efea14234edf4d1e47e6a7213e0f95c2b5024472289b0ca3c0"
-    )
-
-
-def test_f16_dot_labelled_edges_are_unchanged(capsys):
-    # the 43 MB DOT text labels all 1,048,575 edges
-    rc, out, err = run(capsys, "diagram", F16, "--dot", "--force")
-    assert (rc, err) == (0, "")
-    assert len(out) == 43_442_608
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "88098cb343cbf1e263a01e51c0d8ad8269339939bbf83790cfa9c13947bb38e7"
-    )
-
-
 class _HashingStdout(io.StringIO):
-    """A stdout that keeps only the sha256 and the byte count of what is written."""
+    """A stdout that keeps only the sha256, the byte count and the largest
+    single write of what is written."""
 
     def __init__(self):
         super().__init__()
-        self.sha, self.size = hashlib.sha256(), 0
+        self.sha, self.size, self.largest = hashlib.sha256(), 0, 0
 
     def write(self, text):
         data = text.encode()
         self.sha.update(data)
         self.size += len(data)
+        self.largest = max(self.largest, len(data))
         return len(text)
+
+
+def _hashed(capsys, monkeypatch, *argv) -> _HashingStdout:
+    """The f16 outputs of 43-191 MB are hashed as they are written and never
+    held; each must stay streamed, no single write above 1 MB."""
+    out = _HashingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    rc = main(list(argv))
+    monkeypatch.undo()
+    assert (rc, capsys.readouterr().err) == (0, "")
+    assert out.largest <= 1 << 20
+    return out
+
+
+def test_f16_adjacency_text_is_unchanged(capsys, monkeypatch):
+    # the 52 MB dense rendering of the 4096-state Lambda is too large for the
+    # golden record, so its digest stands in for it
+    out = _hashed(capsys, monkeypatch, "adjacency", F16)
+    assert out.sha.hexdigest() == (
+        "78c047e75a3d14efea14234edf4d1e47e6a7213e0f95c2b5024472289b0ca3c0"
+    )
+
+
+def test_f16_dot_labelled_edges_are_unchanged(capsys, monkeypatch):
+    # the 43 MB DOT text labels all 1,048,575 edges
+    out = _hashed(capsys, monkeypatch, "diagram", F16, "--dot", "--force")
+    assert out.size == 43_442_608
+    assert out.sha.hexdigest() == (
+        "88098cb343cbf1e263a01e51c0d8ad8269339939bbf83790cfa9c13947bb38e7"
+    )
 
 
 @pytest.mark.parametrize("argv, size, digest", [
@@ -404,14 +416,35 @@ class _HashingStdout(io.StringIO):
      "390f90638b617c6971827eb722e8a5dfd6722da8bfe17d2f3a9beb6b4d9152c1"),
 ], ids=["adjacency", "diagram"])
 def test_f16_json_outputs_are_unchanged(capsys, monkeypatch, argv, size, digest):
-    # Lambda and the labelled diagram of 4096 states run to 170-190 MB of
-    # JSON, so the text is hashed as it is written and never held
-    out = _HashingStdout()
-    monkeypatch.setattr(sys, "stdout", out)
-    rc = main(list(argv))
-    monkeypatch.undo()
-    assert (rc, capsys.readouterr().err) == (0, "")
+    # Lambda and the labelled diagram of 4096 states run to 170-190 MB of JSON
+    out = _hashed(capsys, monkeypatch, *argv)
     assert (out.size, out.sha.hexdigest()) == (size, digest)
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", MEMORY3), ("adjacency", MEMORY3), ("macwilliams", G1), ("diagram", MEMORY3),
+    ("diagram", G1, "--dot", "--json"),
+], ids=["spectrum", "adjacency", "macwilliams", "diagram", "dot-json"])
+def test_text_mode_renders_no_json(capsys, monkeypatch, argv):
+    # the JSON of the series, Lambda and the labelled edges grows with the
+    # code; text mode, and --dot over --json, renders none of it
+    expected = run(capsys, *argv)
+    for name in ("_text", "_terms_text", "_write_json"):
+        monkeypatch.setattr(cli, name, _refused)
+    assert run(capsys, *argv) == expected and expected[0] == 0 and expected[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", MEMORY3), ("adjacency", MEMORY3), ("macwilliams", G1), ("diagram", MEMORY3),
+], ids=["spectrum", "adjacency", "macwilliams", "diagram"])
+def test_json_mode_renders_no_text(capsys, monkeypatch, argv):
+    # the text of the series, Lambda and the DOT grows with the code; --json
+    # renders none of it
+    expected = run(capsys, *argv, "--json")
+    monkeypatch.setattr(spectrum, "format_series", _refused)
+    monkeypatch.setattr(spectrum.AdjMatrix, "lines", _refused)
+    monkeypatch.setattr(statediag, "dot_chunks", _refused)
+    assert run(capsys, *argv, "--json") == expected and expected[0] == 0 and expected[1]
 
 
 def test_f16_diagram_text_builds_no_edge_list(capsys, monkeypatch):
