@@ -11,7 +11,8 @@ Coefficients are field elements encoded as integers 0..q-1 (base-p digit
 encoding of the polynomial basis).  Exit codes: 0 success, 1 negative
 decision (codes differ, no witness), 2 input error, 3 budget or limit
 exceeded, 4 internal error (a result failed its own re-check), 141 stdout
-closed by its reader (128 + SIGPIPE).
+closed by its reader (128 + SIGPIPE).  Each subcommand returns its exit code,
+its --json payload and its text; main() alone writes one of the two.
 """
 
 from __future__ import annotations
@@ -321,26 +322,29 @@ def _terms_text(e: spectrum.WeightEnum, depth: int) -> str:
 
 
 def _series_chunks(ls: spectrum.LSeries) -> Iterator[str]:
-    return _block([[
+    yield from _block([[
         _text([f'"l": {l}', '"terms": ' + _terms_text(e, 3)], 2, "{}")
         for l, e in enumerate(ls.coeffs)
     ]], 1)
 
 
-def _print_adjacency(lam: spectrum.AdjMatrix, as_json: bool) -> None:
-    """Lambda a row at a time, as text or as JSON with each distinct cell
-    rendered once."""
-    if not as_json:
-        sys.stdout.writelines(line + "\n" for line in lam.lines())
-        return
-    cells = [_terms_text(e, 3) for e in lam.cells]
-    _write_json("adjacency", {
+def _adjacency_result(lam: spectrum.AdjMatrix) -> tuple:
+    """(0, payload, text) of Lambda, a row at a time, each distinct cell rendered once."""
+    def entries():
+        cells = [_terms_text(e, 3) for e in lam.cells]
+        yield from _block(([_text(row, 2)] for row in lam.dense(cells, "{}")), 1)
+
+    def text():
+        for line in lam.lines():
+            yield line + "\n"
+
+    return 0, {
         "size": lam.size,
         "q": lam.q,
         "n": lam.n,
         "extended": lam.extended,
-        "entries": _block(([_text(row, 2)] for row in lam.dense(cells, "{}")), 1),
-    })
+        "entries": entries(),
+    }, text()
 
 
 def _edges_chunks(sd: statediag.StateDiagram) -> Iterator[str]:
@@ -363,9 +367,9 @@ def _at_least_one(value: int, name: str) -> int:
 
 
 def _trunc(args, g: PolyMatrix) -> int:
-    if args.trunc is not None:
-        return args.trunc
-    return spectrum.default_truncation(g.info.delta)
+    """--trunc, or the default for g; an input error below 1."""
+    trunc = spectrum.default_truncation(g.info.delta) if args.trunc is None else args.trunc
+    return _at_least_one(trunc, "truncation")
 
 
 def _series_pair(args, needs: str):
@@ -374,66 +378,52 @@ def _series_pair(args, needs: str):
     Every code, a block code (delta = 0, one state) included, goes through
     the state diagram; `needs` opens the refusal, as in _require_minimal.
     """
-    g = _load(args.file)
-    _require_minimal(g, needs)
-    trunc = _at_least_one(_trunc(args, g), "truncation")
+    g = _require_minimal(_load(args.file), needs)
+    trunc = _trunc(args, g)
     phi = spectrum.phi_series(invariance.code_adjacency(g, lumped=True), trunc)
     return g, trunc, spectrum.omega_series(phi), phi
 
 
-def _require_minimal(g: PolyMatrix, needs: str) -> None:
-    """Refuse a non-minimal matrix; `needs` opens the message, e.g. "... requires"."""
+def _require_minimal(g: PolyMatrix, needs: str) -> PolyMatrix:
+    """g, refused when not minimal; `needs` opens the message, e.g. "... requires"."""
     if not g.info.is_minimal:
         raise ValueError(f"{needs} a minimal generator matrix")
+    return g
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (exit code, payload, text) and main writes one
 # ---------------------------------------------------------------------------
 
 
-def _cmd_info(args) -> int:
+def _cmd_info(args) -> tuple:
     g = _load(args.file)
     info = g.info
-    if args.json:
-        _write_json("info", {
-            "n": g.n,
-            "k": g.k,
-            "delta": info.delta,
-            "indices": sorted(info.row_degrees),
-            "basic": info.is_basic,
-            "minimal": info.is_minimal,
-            "memory": info.memory,
-        })
-    else:
-        yesno = lambda b: "yes" if b else "no"
-        print(
-            f"n={g.n} k={g.k} delta={info.delta} "
-            f"indices={sorted(info.row_degrees)} basic={yesno(info.is_basic)} "
-            f"minimal={yesno(info.is_minimal)} memory={info.memory}"
-        )
-    return 0
+    return 0, {
+        "n": g.n,
+        "k": g.k,
+        "delta": info.delta,
+        "indices": sorted(info.row_degrees),
+        "basic": info.is_basic,
+        "minimal": info.is_minimal,
+        "memory": info.memory,
+    }, [
+        f"n={g.n} k={g.k} delta={info.delta} "
+        f"indices={sorted(info.row_degrees)} basic={'yes' if info.is_basic else 'no'} "
+        f"minimal={'yes' if info.is_minimal else 'no'} memory={info.memory}\n"
+    ]
 
 
-def _cmd_ccf(args) -> int:
-    g = _load(args.file)
-    _require_minimal(g, "the controller canonical form requires")
+def _cmd_ccf(args) -> tuple:
+    g = _require_minimal(_load(args.file), "the controller canonical form requires")
     cf = encoder.controller_form(g)
-    if args.json:
-        _write_json("ccf", {
-            "A": [list(r) for r in cf.A],
-            "B": [list(r) for r in cf.B],
-            "C": [list(r) for r in cf.C],
-            "D": [list(r) for r in cf.D],
-            "block_degrees": list(cf.block_degrees),
-        })
-    else:
-        for name, mat in (("A", cf.A), ("B", cf.B), ("C", cf.C), ("D", cf.D)):
-            print(f"{name} =" if mat else f"{name} = []")  # a block code's register is empty
-            for row in mat:
-                print("  " + (" ".join(str(c) for c in row) or "[]"))
-        print(f"block degrees: {list(cf.block_degrees)}")
-    return 0
+    mats = {"A": cf.A, "B": cf.B, "C": cf.C, "D": cf.D}
+    text = []
+    for name, mat in mats.items():
+        text.append(f"{name} =\n" if mat else f"{name} = []\n")  # a block code's register is empty
+        text += ["  " + (" ".join(str(c) for c in row) or "[]") + "\n" for row in mat]
+    text.append(f"block degrees: {list(cf.block_degrees)}\n")
+    return 0, {**mats, "block_degrees": cf.block_degrees}, text
 
 
 def _check_rendering(args, q: int, gamma: int) -> None:
@@ -444,7 +434,7 @@ def _check_rendering(args, q: int, gamma: int) -> None:
                     "{count} vertices exceed the rendering guard {bound}", repeat(q, gamma))
 
 
-def _cmd_diagram(args) -> int:
+def _cmd_diagram(args) -> tuple:
     g = _load(args.file)  # may be non-minimal: gamma is the sum of its row degrees
     q, gamma = g.field.q, sum(g.info.row_degrees)
     statediag.check_states(q, gamma, _at_least_one(args.max_states, "state ceiling"))
@@ -453,166 +443,129 @@ def _cmd_diagram(args) -> int:
     cf = encoder.controller_form(g, require_minimal=False)
     sd = statediag.build(cf, max_states=args.max_states)
     if args.dot:
-        sys.stdout.writelines(statediag.dot_chunks(sd))
-        return 0
+        return 0, None, statediag.dot_chunks(sd)
     delay_free = statediag.delay_free_check(sd)
     zero_cycle = statediag.zero_weight_cycle_exists(sd)
-    if args.json:
-        _write_json("diagram", {
-            "states": sd.num_states,
-            "edges": _edges_chunks(sd),
-            "delay_free": delay_free,
-            "zero_weight_cycle": zero_cycle,
-        })
-    else:
+    return 0, {
+        "states": sd.num_states,
+        "edges": _edges_chunks(sd),
+        "delay_free": delay_free,
+        "zero_weight_cycle": zero_cycle,
+    }, [
+        f"states: {sd.num_states}\n",
         # every state has q^k transitions, and (0, 0) is left out
-        print(f"states: {sd.num_states}")
-        print(f"edges: {sd.num_states * cf.field.q**cf.k - 1}")
-        print(f"delay-free: {'yes' if delay_free else 'no'}")
-        print(f"zero-weight cycle: {'yes' if zero_cycle else 'no'}")
-    return 0
+        f"edges: {sd.num_states * cf.field.q**cf.k - 1}\n",
+        f"delay-free: {'yes' if delay_free else 'no'}\n",
+        f"zero-weight cycle: {'yes' if zero_cycle else 'no'}\n",
+    ]
 
 
-def _cmd_adjacency(args) -> int:
-    g = _load(args.file)
-    _require_minimal(g, "the adjacency matrix requires")
+def _cmd_adjacency(args) -> tuple:
+    g = _require_minimal(_load(args.file), "the adjacency matrix requires")
     invariance.check_adjacency(g)  # a matrix too large to build is refused as such
     _check_rendering(args, g.field.q, g.info.delta)
-    _print_adjacency(invariance.code_adjacency(g), args.json)
-    return 0
+    return _adjacency_result(invariance.code_adjacency(g))
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args) -> tuple:
     _, trunc, omega, phi = _series_pair(args, "the weight distribution requires")
-    if args.json:
-        _write_json("series", {
-            "trunc": trunc,
-            "omega": _series_chunks(omega),
-            "phi": _series_chunks(phi),
-        })
-    else:
-        print(f"Omega = {spectrum.format_series(omega)} + O(L^{trunc + 1})")
-        print(f"Phi   = {spectrum.format_series(phi)} + O(L^{trunc + 1})")
-    return 0
+    return 0, {
+        "trunc": trunc,
+        "omega": _series_chunks(omega),
+        "phi": _series_chunks(phi),
+    }, (
+        f"{name} = {spectrum.format_series(ls)} + O(L^{trunc + 1})\n"
+        for name, ls in (("Omega", omega), ("Phi  ", phi))
+    )
 
 
-def _cmd_distances(args) -> int:
+def _cmd_distances(args) -> tuple:
     g, trunc, omega, phi = _series_pair(args, "distance profiles require")
     _, mhat = polyalg.right_inverse(g)
     fd = spectrum.free_distance(omega, atomic_gap=g.info.memory + mhat)
     row_d = spectrum.extended_row_distances(omega)
     burst_d = spectrum.active_burst_distances(phi)
-    if args.json:
-        _write_json("distances", {
-            "free_distance": fd.value,
-            "certified": fd.certified,
-            "extended_row": list(row_d),
-            "active_burst": list(burst_d),
-        })
-    else:
-        cert = "certified" if fd.certified else f"upper bound at truncation {trunc}"
-        print(f"free distance: {fd.value} ({cert})")
-        fmt = lambda d: "inf" if d is None else str(d)
-        print("extended row distances: " + " ".join(fmt(d) for d in row_d))
-        print("active burst distances: " + " ".join(fmt(d) for d in burst_d))
-    return 0
+    cert = "certified" if fd.certified else f"upper bound at truncation {trunc}"
+    fmt = lambda ds: " ".join("inf" if d is None else str(d) for d in ds)
+    return 0, {
+        "free_distance": fd.value,
+        "certified": fd.certified,
+        "extended_row": list(row_d),
+        "active_burst": list(burst_d),
+    }, [
+        f"free distance: {fd.value} ({cert})\n",
+        f"extended row distances: {fmt(row_d)}\n",
+        f"active burst distances: {fmt(burst_d)}\n",
+    ]
 
 
-def _cmd_dual(args) -> int:
-    g = _load(args.file)
-    h = polyalg.dual_basis(g)
-    if args.json:
-        fld = h.field
-        _write_json("gm", {
-            "field": {"p": fld.p, "m": fld.m, "modulus": fld.modulus_encoding},
-            "k": h.k,
-            "n": h.n,
-            "rows": [[list(e) for e in row] for row in h.rows],
-        })
-    else:
-        sys.stdout.write(format_gm(h))
-    return 0
+def _cmd_dual(args) -> tuple:
+    h = polyalg.dual_basis(_load(args.file))
+    fld = h.field
+    return 0, {
+        "field": {"p": fld.p, "m": fld.m, "modulus": fld.modulus_encoding},
+        "k": h.k,
+        "n": h.n,
+        "rows": [[list(e) for e in row] for row in h.rows],
+    }, [format_gm(h)]
 
 
-def _cmd_macwilliams(args) -> int:
-    g = _load(args.file)
-    _require_minimal(g, "the duality transform requires")
+def _cmd_macwilliams(args) -> tuple:
+    g = _require_minimal(_load(args.file), "the duality transform requires")
     if g.info.delta != 1:
         raise ValueError("the closed-form transform needs constraint length 1")
     lam = spectrum.extend(invariance.code_adjacency(g))
-    _print_adjacency(invariance.macwilliams_delta1(lam, g.n, g.k), args.json)
-    return 0
+    return _adjacency_result(invariance.macwilliams_delta1(lam, g.n, g.k))
 
 
-def _cmd_equal(args) -> int:
+def _cmd_equal(args) -> tuple:
     g = _load(args.file)
     h = _load(args.file2)
     polyalg.check_same_shape(g, h)
     info_g, info_h = g.info, h.info  # either rank deficiency before codes_equal's basic check
     same = polyalg.codes_equal(g, h)
     witness = None
-    verdicts = []
-    if same:
-        verdicts.append("codes are equal")
-    else:
-        verdicts.append("codes differ")
-        if info_g.is_minimal and info_h.is_minimal and info_g.delta == info_h.delta:
-            witness = invariance.code_witness(g, h)
-            if witness is None:
-                verdicts.append("generalized adjacency matrices differ")
-            else:
-                verdicts.append(
-                    "generalized adjacency matrices coincide "
-                    f"(state permutation {list(witness)})"
-                )
-    if args.json:
-        _write_json("witness", {
-            "found": same,
-            **({"perm": list(witness)} if witness else {}),
-        })
-    else:
-        print("; ".join(verdicts))
-    return 0 if same else 1
+    verdicts = ["codes are equal" if same else "codes differ"]
+    if not same and info_g.is_minimal and info_h.is_minimal and info_g.delta == info_h.delta:
+        witness = invariance.code_witness(g, h)
+        verdicts.append(
+            "generalized adjacency matrices differ" if witness is None
+            else f"generalized adjacency matrices coincide (state permutation {list(witness)})"
+        )
+    return 0 if same else 1, {
+        "found": same,
+        **({"perm": list(witness)} if witness else {}),
+    }, ["; ".join(verdicts) + "\n"]
 
 
-def _cmd_mono_equiv(args) -> int:
+def _cmd_mono_equiv(args) -> tuple:
     g = _load(args.file)
     h = _load(args.file2)
     witness = invariance.monomial_equiv(g, h, budget=_at_least_one(args.budget, "budget"))
-    if args.json:
-        payload = {"found": witness is not None}
-        if witness:
-            payload["perm"] = list(witness[0])
-            payload["scale"] = list(witness[1])
-        _write_json("witness", payload)
-    else:
-        if witness is None:
-            print("codes are not monomially equivalent")
-        else:
-            print(f"monomial witness: perm={list(witness[0])} scale={list(witness[1])}")
-    return 0 if witness is not None else 1
+    if witness is None:
+        return 1, {"found": False}, ["codes are not monomially equivalent\n"]
+    perm, scale = map(list, witness)
+    return 0, {
+        "found": True,
+        "perm": perm,
+        "scale": scale,
+    }, [f"monomial witness: perm={perm} scale={scale}\n"]
 
 
-def _cmd_recover(args) -> int:
-    g = _load(args.file)
-    _require_minimal(g, "invariant recovery requires")
+def _cmd_recover(args) -> tuple:
+    g = _require_minimal(_load(args.file), "invariant recovery requires")
     lam = invariance.code_adjacency(g)
     k = invariance.recover_dimension(lam)
-    indices = invariance.recover_forney(lam)
-    if args.json:
-        _write_json("recover", {
-            "k": k,
-            "indices": list(indices),
-        })
-    else:
-        print(f"k={k} indices={list(indices)}")
-    return 0
+    indices = list(invariance.recover_forney(lam))
+    return 0, {
+        "k": k,
+        "indices": indices,
+    }, [f"k={k} indices={indices}\n"]
 
 
-def _cmd_oracle(args) -> int:
-    g = _load(args.file)
-    _require_minimal(g, "the codeword oracle requires")
-    l_max = _at_least_one(_trunc(args, g), "truncation")
+def _cmd_oracle(args) -> tuple:
+    g = _require_minimal(_load(args.file), "the codeword oracle requires")
+    l_max = _trunc(args, g)
     result = oracle.survey(g, l_max, budget=_at_least_one(args.budget, "budget"))
 
     def table_json(table):
@@ -621,45 +574,72 @@ def _cmd_oracle(args) -> int:
             by_l.setdefault(l, {})[str(a)] = c
         return [{"l": l, "terms": by_l[l]} for l in sorted(by_l)]
 
-    if args.json:
-        _write_json("oracle", {
-            "l_max": l_max,
-            "atomic": table_json(result.atomic),
-            "molecular": table_json(result.molecular),
-            "gap_bound_ok": result.gap_bound_ok,
-        })
-    else:
-        print(f"inputs enumerated: {result.words}")
-        for name, table in (("atomic", result.atomic), ("molecular", result.molecular)):
-            terms = " + ".join(
-                f"{c if c > 1 else ''}L^{l}W^{a}" for (l, a), c in sorted(table.items())
-            )
-            print(f"{name}: {terms or '0'}")
-        print(f"zero-run bound respected: {'yes' if result.gap_bound_ok else 'no'}")
-    return 0
+    def table_text(table):
+        terms = " + ".join(f"{c if c > 1 else ''}L^{l}W^{a}" for (l, a), c in sorted(table.items()))
+        return terms or "0"
+
+    return 0, {
+        "l_max": l_max,
+        "atomic": table_json(result.atomic),
+        "molecular": table_json(result.molecular),
+        "gap_bound_ok": result.gap_bound_ok,
+    }, [
+        f"inputs enumerated: {result.words}\n",
+        f"atomic: {table_text(result.atomic)}\n",
+        f"molecular: {table_text(result.molecular)}\n",
+        f"zero-run bound respected: {'yes' if result.gap_bound_ok else 'no'}\n",
+    ]
 
 
-def _cmd_lemma_a1(args) -> int:
+def _cmd_lemma_a1(args) -> tuple:
     holds = invariance.verify_shift_permutation_lemma(args.gamma)
-    if args.json:
-        _write_json("lemma", {
-            "gamma": args.gamma,
-            "holds": holds,
-        })
-    else:
-        if holds:
-            print(
-                f"gamma={args.gamma}: only the identity map satisfies "
-                "the shift condition"
-            )
-        else:
-            print(f"gamma={args.gamma}: a non-identity map satisfies the condition")
-    return 0 if holds else 1
+    verdict = ("only the identity map satisfies the shift condition" if holds
+               else "a non-identity map satisfies the condition")
+    return 0 if holds else 1, {
+        "gamma": args.gamma,
+        "holds": holds,
+    }, [f"gamma={args.gamma}: {verdict}\n"]
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
+
+
+_JSON = ("--json", {"action": "store_true", "help": "machine-readable output"})
+_GM = (("file", {"help": "generator matrix file (.gm)"}), _JSON)
+_GM_PAIR = (_GM[0], ("file2", {"help": "second generator matrix file (.gm)"}), _JSON)
+_TRUNC = ("--trunc", {"type": int, "help": "series truncation order (default 4*delta + 8)"})
+_FORCE = ("--force", {"action": "store_true", "help": "override the rendering size guard"})
+_BUDGET = {"type": int, "help": "evaluation/search budget"}
+
+# name, handler, schema of its --json payload, help, positionals and options
+_COMMANDS = (
+    ("info", _cmd_info, "info", "row degrees, constraint length, basic/minimal flags", _GM),
+    ("ccf", _cmd_ccf, "ccf", "controller canonical form (A, B, C, D)", _GM),
+    ("diagram", _cmd_diagram, "diagram", "state diagram, catastrophicity diagnostics",
+     [*_GM, _FORCE, ("--dot", {"action": "store_true", "help": "emit Graphviz text"}),
+      ("--max-states", {"type": int, "default": statediag.DEFAULT_STATE_CEILING,
+                        "help": "state space ceiling"})]),
+    ("adjacency", _cmd_adjacency, "adjacency", "adjacency matrix of the state diagram",
+     [*_GM, _FORCE]),
+    ("spectrum", _cmd_spectrum, "series", "weight distribution series Omega and Phi",
+     [*_GM, _TRUNC]),
+    ("distances", _cmd_distances, "distances", "free distance and distance profiles",
+     [*_GM, _TRUNC]),
+    ("dual", _cmd_dual, "gm", "minimal generator matrix of the dual code", _GM),
+    ("macwilliams", _cmd_macwilliams, "adjacency", "dual adjacency matrix (binary, delta=1)", _GM),
+    ("equal", _cmd_equal, "witness", "decide code equality (exit 1 when codes differ)", _GM_PAIR),
+    ("mono-equiv", _cmd_mono_equiv, "witness", "search a monomial equivalence witness",
+     [*_GM_PAIR, ("--budget", {**_BUDGET, "default": invariance.DEFAULT_BUDGET})]),
+    ("recover", _cmd_recover, "recover", "recover k and row degrees from the adjacency matrix",
+     _GM),
+    ("oracle", _cmd_oracle, "oracle", "brute-force atomic/molecular tallies",
+     [*_GM, ("--budget", {**_BUDGET, "default": oracle.DEFAULT_BUDGET}), _TRUNC]),
+    ("lemma-a1", _cmd_lemma_a1, "lemma", "exhaustively verify the shift-rigidity lemma",
+     [("gamma", {"type": int, "help": "register length (2 to 8)"}),
+      ("--json", {"action": "store_true"})]),
+)
 
 
 @functools.cache
@@ -670,53 +650,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Analysis of convolutional codes over small finite fields.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, *, file2=False):
-        sp.add_argument("file", help="generator matrix file (.gm)")
-        if file2:
-            sp.add_argument("file2", help="second generator matrix file (.gm)")
-        sp.add_argument("--json", action="store_true", help="machine-readable output")
-
-    handlers = {}
-    for name, handler, help_text, file2 in (
-        ("info", _cmd_info, "row degrees, constraint length, basic/minimal flags", False),
-        ("ccf", _cmd_ccf, "controller canonical form (A, B, C, D)", False),
-        ("diagram", _cmd_diagram, "state diagram, catastrophicity diagnostics", False),
-        ("adjacency", _cmd_adjacency, "adjacency matrix of the state diagram", False),
-        ("spectrum", _cmd_spectrum, "weight distribution series Omega and Phi", False),
-        ("distances", _cmd_distances, "free distance and distance profiles", False),
-        ("dual", _cmd_dual, "minimal generator matrix of the dual code", False),
-        ("macwilliams", _cmd_macwilliams, "dual adjacency matrix (binary, delta=1)", False),
-        ("equal", _cmd_equal, "decide code equality (exit 1 when codes differ)", True),
-        ("mono-equiv", _cmd_mono_equiv, "search a monomial equivalence witness", True),
-        ("recover", _cmd_recover, "recover k and row degrees from the adjacency matrix", False),
-        ("oracle", _cmd_oracle, "brute-force atomic/molecular tallies", False),
-    ):
+    for name, handler, schema, help_text, arguments in _COMMANDS:
         sp = sub.add_parser(name, help=help_text)
-        common(sp, file2=file2)
-        if name in ("mono-equiv", "oracle"):
-            budget = (oracle if name == "oracle" else invariance).DEFAULT_BUDGET
-            sp.add_argument("--budget", type=int, default=budget,
-                            help="evaluation/search budget")
-        if name in ("spectrum", "distances", "oracle"):
-            sp.add_argument("--trunc", type=int, default=None,
-                            help="series truncation order (default 4*delta + 8)")
-        if name in ("diagram", "adjacency"):
-            sp.add_argument("--force", action="store_true",
-                            help="override the rendering size guard")
-        if name == "diagram":
-            sp.add_argument("--dot", action="store_true", help="emit Graphviz text")
-            sp.add_argument("--max-states", type=int,
-                            default=statediag.DEFAULT_STATE_CEILING,
-                            help="state space ceiling")
-        handlers[name] = handler
-
-    sp = sub.add_parser("lemma-a1", help="exhaustively verify the shift-rigidity lemma")
-    sp.add_argument("gamma", type=int, help="register length (2 to 8)")
-    sp.add_argument("--json", action="store_true")
-    handlers["lemma-a1"] = _cmd_lemma_a1
-
-    parser.set_defaults(_handlers=handlers)
+        for flag, options in arguments:
+            sp.add_argument(flag, **options)
+        sp.set_defaults(_run=handler, _schema=schema)
     return parser
 
 
@@ -735,11 +673,13 @@ def _silence_stdout() -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handler = args._handlers[args.command]
+    args = _build_parser().parse_args(argv)
     try:
-        rc = handler(args)
+        rc, payload, text = args._run(args)
+        if args.json and payload is not None:  # diagram --dot has none: DOT wins
+            _write_json(args._schema, payload)
+        else:
+            sys.stdout.writelines(text)
         sys.stdout.flush()  # a closed pipe must surface here, not at interpreter exit
         return rc
     except BrokenPipeError:

@@ -829,6 +829,11 @@ def _series_text(capsys, trunc, omega, phi) -> str:
     })
 
 
+def _adjacency_text(capsys, lam) -> str:
+    _, payload, _ = cli._adjacency_result(lam)
+    return _written(capsys, cli._write_json, "adjacency", payload)
+
+
 def test_json_writers_print_what_json_dumps_prints(capsys, tmp_path):
     # each streamed writer must give, byte for byte, the text of json.dumps on
     # the payload dicts it replaced, kept in genutil as references; every
@@ -852,8 +857,7 @@ def test_json_writers_print_what_json_dumps_prints(capsys, tmp_path):
         if g.info.delta == 1 and g.field.q == 2:
             matrices.append(invariance.macwilliams_delta1(spectrum.extend(lam), g.n, g.k))
         for mat in matrices:
-            text = _written(capsys, cli._print_adjacency, mat, True)
-            assert text == dumps(genutil.adjacency_json(mat)), name
+            assert _adjacency_text(capsys, mat) == dumps(genutil.adjacency_json(mat)), name
         sd = statediag.build(encoder.controller_form(g))
         assert _written(capsys, cli._write_json, "diagram", {
             "states": sd.num_states, "edges": cli._edges_chunks(sd),
@@ -884,7 +888,7 @@ def test_json_writers_order_weights_as_strings(capsys):
     assert text.index('"10": 3') < text.index('"11": 1') < text.index('"2": 1')
     assert '"terms": {}' in text
     lam = genutil.adj_from_dense([cells, cells[::-1], [W()] * 3], q=2, n=12)
-    assert _written(capsys, cli._print_adjacency, lam, True) == json.dumps(
+    assert _adjacency_text(capsys, lam) == json.dumps(
         genutil.adjacency_json(lam), sort_keys=True, indent=2) + "\n"
     assert "".join(cli._block([[], iter(["1"]), [], ["2", "3"]], 0)) == "[\n  1,\n  2,\n  3\n]"
     assert ["".join(cli._block([[]], d, b)) for d, b in ((0, "[]"), (3, "{}"))] == ["[]", "{}"]

@@ -387,8 +387,7 @@ def test_field_operations_are_lookups_and_statediag_adds_off_the_field():
 
 def test_every_json_payload_goes_through_one_writer():
     # _write_json alone encodes JSON: no second writer, no json.dumps outside
-    # it, and every --json branch of a command calls it, directly or through
-    # _print_adjacency
+    # it, and main alone names it
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -403,29 +402,65 @@ def test_every_json_payload_goes_through_one_writer():
         ]
     assert found == []
     tree = ast.parse((PACKAGE / "cli.py").read_text())
-    writers = ("_write_json", "_print_adjacency")
-    calls = lambda nodes, names: [
-        n.func.id for node in nodes for n in ast.walk(node)
-        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id in names
+    named = [
+        fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn) if isinstance(node, ast.Name) and node.id == "_write_json"
     ]
-    adjacency = next(n for n in tree.body if getattr(n, "name", None) == "_print_adjacency")
-    assert calls([adjacency], writers[:1]) == ["_write_json"]
-    commands = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name.startswith("_cmd_")]
-    branches = [
-        (fn.name, calls(node.body if isinstance(node, ast.If) else [node], writers))
-        for fn in commands
-        for node in ast.walk(fn)
-        if isinstance(node, ast.If) and getattr(node.test, "attr", None) == "json"
-        or isinstance(node, ast.Call) and any(getattr(a, "attr", None) == "json" for a in node.args)
+    assert named == ["main"]
+
+
+def _own_nodes(fn: ast.FunctionDef) -> list:
+    """The nodes of `fn` outside the functions and lambdas nested in it."""
+    nodes, todo = [], [fn]
+    while todo:
+        nodes.append(todo.pop())
+        todo += [n for n in ast.iter_child_nodes(nodes[-1])
+                 if not isinstance(n, (ast.FunctionDef, ast.Lambda))]
+    return nodes
+
+
+def test_commands_return_their_output_and_main_writes_it():
+    # each command returns (exit code, payload, text) and writes nothing:
+    # no function of cli.py but main, _write_json and _silence_stdout prints
+    # or names sys.stdout, and main alone reads args.json to choose what is
+    # written; diagram reads it for its rendering guard only
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    functions = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+    writers = [
+        fn.name for fn in functions for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+        or isinstance(node, ast.Attribute) and node.attr == "stdout"
     ]
-    assert sorted({name for name, _ in branches}) == sorted(fn.name for fn in commands)
-    assert [name for name, writes in branches if not writes] == []
+    assert sorted(set(writers)) == ["_silence_stdout", "_write_json", "main"]
+    readers = [
+        (fn.name, node) for fn in functions for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr == "json"
+        and getattr(node.value, "id", None) == "args"
+    ]
+    assert sorted({name for name, _ in readers}) == ["_cmd_diagram", "main"]
+    diagram = next(fn for fn in functions if fn.name == "_cmd_diagram")
+    guarded = [
+        node for branch in ast.walk(diagram) if isinstance(branch, ast.If)
+        and any(_calls(stmt, "_check_rendering") for stmt in branch.body)
+        for node in ast.walk(branch.test)
+    ]
+    assert [node for name, node in readers if name == "_cmd_diagram" and node not in guarded] == []
+    commands = [fn for fn in functions if fn.name.startswith("_cmd_")]
+    assert len(commands) == len(convcode.cli._COMMANDS) == 13
+    for fn in commands + [_function("cli.py", "_adjacency_result")]:
+        returns = [node.value for node in _own_nodes(fn) if isinstance(node, ast.Return)]
+        assert returns and all(
+            isinstance(value, ast.Tuple) and len(value.elts) == 3
+            or _calls(value, "_adjacency_result") and fn.name != "_adjacency_result"
+            for value in returns
+        ), fn.name
 
 
 def test_json_schemas_state_each_member_list_once():
     # a payload's members are listed once, in its properties, and _object
     # derives the required list from them, so no dict literal in cli.py
-    # states one; every schema has a writer and every payload a schema
+    # states one; the command table names every schema, and each command's
+    # payload has one
     tree = ast.parse((PACKAGE / "cli.py").read_text())
     found = [
         node.lineno
@@ -435,14 +470,13 @@ def test_json_schemas_state_each_member_list_once():
     ]
     assert found == []
     written = {}
-    for fn in tree.body:
-        if isinstance(fn, ast.FunctionDef):
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_write_json":
-                    written.setdefault(node.args[0].value, []).append(fn.name)
+    for name, handler, schema, *_ in convcode.cli._COMMANDS:
+        assert handler.__name__ == "_cmd_" + name.replace("-", "_")
+        written.setdefault(schema, []).append(name)
     assert sorted(written) == sorted(convcode.cli.JSON_SCHEMAS)
     assert len(written) == 11
-    assert sorted(written["witness"]) == ["_cmd_equal", "_cmd_mono_equiv"]
+    assert sorted(written["witness"]) == ["equal", "mono-equiv"]
+    assert sorted(written["adjacency"]) == ["adjacency", "macwilliams"]
 
 
 def test_gen_adj_equal_returns_witnesses_only_through_one_check():
