@@ -435,6 +435,8 @@ def _check_rendering(args, q: int, gamma: int) -> None:
 
 
 def _cmd_diagram(args) -> tuple:
+    if args.dot and args.json:
+        raise ValueError("--dot and --json cannot be combined")
     g = _load(args.file)  # may be non-minimal: gamma is the sum of its row degrees
     q, gamma = g.field.q, sum(g.info.row_degrees)
     statediag.check_states(q, gamma, _at_least_one(args.max_states, "state ceiling"))
@@ -676,7 +678,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         rc, payload, text = args._run(args)
-        if args.json and payload is not None:  # diagram --dot has none: DOT wins
+        if args.json:
             _write_json(args._schema, payload)
         else:
             sys.stdout.writelines(text)

@@ -427,7 +427,12 @@ def test_f16_json_outputs_are_unchanged(capsys, monkeypatch, argv, size, digest)
 ], ids=["spectrum", "adjacency", "macwilliams", "diagram", "dot-json"])
 def test_text_mode_renders_no_json(capsys, monkeypatch, argv):
     # the JSON of the series, Lambda and the labelled edges grows with the
-    # code; text mode, and --dot over --json, renders none of it
+    # code; text mode renders none of it, and --dot with --json is refused
+    # as an input error before the file is read
+    if "--dot" in argv:
+        monkeypatch.setattr(cli, "_load", _refused)
+        assert run(capsys, *argv) == (2, "", "error: --dot and --json cannot be combined\n")
+        return
     expected = run(capsys, *argv)
     for name in ("_text", "_terms_text", "_write_json"):
         monkeypatch.setattr(cli, name, _refused)

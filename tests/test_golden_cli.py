@@ -50,8 +50,8 @@ def calls() -> list[list[str]]:
     out += [["equal", *f5], ["equal", *f5, "--json"],
             ["mono-equiv", *f5], ["mono-equiv", *f5, "--json"]]
     out += [["lemma-a1", "8"], ["lemma-a1", "9", "--json"]]
-    # flag combinations that pick what is written: --dot wins over --json,
-    # --force lifts the rendering guard in both modes
+    # flag combinations that pick what is written: --dot with --json is
+    # refused, --force lifts the rendering guard in both modes
     g1, g2 = "demos/codes/g1.gm", "demos/codes/g2.gm"
     out += [["diagram", g1, "--dot", "--json"], ["diagram", g1, "--json", "--force"],
             ["adjacency", g1, "--force"], ["adjacency", g1, "--json", "--force"]]

@@ -423,7 +423,8 @@ def test_commands_return_their_output_and_main_writes_it():
     # each command returns (exit code, payload, text) and writes nothing:
     # no function of cli.py but main, _write_json and _silence_stdout prints
     # or names sys.stdout, and main alone reads args.json to choose what is
-    # written; diagram reads it for its rendering guard only
+    # written; diagram reads it for its rendering guard and, once, to refuse
+    # --dot with --json
     tree = ast.parse((PACKAGE / "cli.py").read_text())
     functions = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)]
     writers = [
@@ -444,7 +445,13 @@ def test_commands_return_their_output_and_main_writes_it():
         and any(_calls(stmt, "_check_rendering") for stmt in branch.body)
         for node in ast.walk(branch.test)
     ]
-    assert [node for name, node in readers if name == "_cmd_diagram" and node not in guarded] == []
+    refusals = [
+        node for branch in ast.walk(diagram) if isinstance(branch, ast.If)
+        and any(isinstance(stmt, ast.Raise) for stmt in branch.body)
+        for node in ast.walk(branch.test)
+    ]
+    unguarded = [node for name, node in readers if name == "_cmd_diagram" and node not in guarded]
+    assert len(unguarded) == 1 and unguarded[0] in refusals
     commands = [fn for fn in functions if fn.name.startswith("_cmd_")]
     assert len(commands) == len(convcode.cli._COMMANDS) == 13
     for fn in commands + [_function("cli.py", "_adjacency_result")]:
