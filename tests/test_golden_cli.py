@@ -7,7 +7,9 @@ reproduce them exactly.  After a deliberate output change, re-record with
     PYTHONPATH=src python tests/test_golden_cli.py
 
 which prints the argv of every record whose rc, stdout or stderr changed,
-and of every record added or removed, then the count.
+and of every record added or removed, then the count.  With `--check` it
+replays the records without pytest, prints the same lines, writes nothing
+and exits 1 if any record moved.
 """
 
 import contextlib
@@ -16,6 +18,7 @@ import itertools
 import json
 import os
 import pathlib
+import sys
 
 from convcode.cli import main
 
@@ -79,7 +82,6 @@ def test_cli_outputs_match_recording(monkeypatch):
 
 if __name__ == "__main__":
     os.chdir(ROOT)
-    GOLDEN.parent.mkdir(exist_ok=True)
     old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else []
     before = {json.dumps(r["argv"]): r for r in old}
     records = [run(argv) for argv in calls()]
@@ -89,5 +91,9 @@ if __name__ == "__main__":
     moved += [f"removed {key}" for key in before if key not in after]
     for line in moved:
         print(line)
+    if sys.argv[1:] == ["--check"]:
+        print(f"{len(moved)} of {len(records)} records moved")
+        raise SystemExit(1 if moved else 0)
+    GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     print(f"{len(moved)} records moved; recorded {len(records)} calls to {GOLDEN.relative_to(ROOT)}")
