@@ -223,3 +223,21 @@ def test_equal_indices_zero_window_criterion(f2, g213):
                         for t in range(L - m, L)
                     )
                 assert (not any(states[L])) == window_zero
+
+
+def test_controller_form_refuses_a_non_minimal_matrix(f2):
+    # [[1, z, 0], [z, z^2, 1]] is basic with row degrees (1, 2), but its
+    # minors have degree at most 1
+    g = pm(f2, [[[1], [0, 1], [0]], [[0, 1], [0, 0, 1], [1]]])
+    assert g.info.is_basic and not g.info.is_minimal
+    with pytest.raises(ValueError, match="generator matrix is not minimal"):
+        controller_form(g)
+    assert controller_form(g, require_minimal=False).gamma == 3
+
+
+def test_state_sequence_refuses_malformed_input(g1):
+    cf = controller_form(g1)
+    with pytest.raises(ValueError, match="input needs 1 component polynomials"):
+        state_sequence(cf, [(1,), (1,)])
+    with pytest.raises(ValueError, match="input coefficient out of field range"):
+        state_sequence(cf, [(1, 2)])

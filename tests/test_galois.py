@@ -317,3 +317,11 @@ def test_field_make_accepts_exactly_the_irreducible_moduli(p, m):
 def test_default_modulus_refuses_degree_zero():
     with pytest.raises(ValueError):
         default_modulus(2, 0)
+
+
+def test_zero_to_the_zero_is_one():
+    for p, m in ((2, 1), (3, 1), (2, 4)):
+        fld = field_make(p, m)
+        assert fld.pow(0, 0) == 1 and fld.pow(0, 3) == 0
+        with pytest.raises(ZeroDivisionError):
+            fld.pow(0, -1)

@@ -1462,3 +1462,36 @@ def test_lookup_reverification_matches_the_sorting_reference(g213):
     assert by_kind["witness", True] == len(pairs) == 27, by_kind
     assert by_kind["zero moved", True] == by_kind["extra cell", True] == 0, by_kind
     assert by_kind["transposed", False] >= 20 and by_kind["extra cell", False] >= 20, by_kind
+
+
+def test_macwilliams_refuses_a_weight_above_n_and_a_negative_count(f2):
+    # Gamma of [1, z, 1 + z] is [[1, W^2], [W^2, W^2]]; the transform checks
+    # every entry against n and every count it yields
+    w2 = WeightEnum({2: 1})
+    gam = extend(invariance.code_adjacency(pm(f2, [[[1], [0, 1], [1, 1]]])))
+    assert [[gam.cells[t] for _, t in row] for row in gam.rows] == [[WeightEnum.one(), w2], [w2, w2]]
+    refusals = (
+        ([WeightEnum({4: 1}), WeightEnum.one()], "entry weight exceeds the block length"),
+        ([w2, WeightEnum({0: -7})], "transform yields a negative count"),
+    )
+    for cells, message in refusals:
+        with pytest.raises(ValueError, match=message):
+            macwilliams_delta1(AdjMatrix(gam.rows, cells, q=2, n=3, extended=True), 3, 1)
+
+
+def test_recover_forney_refuses_inconsistent_reachability():
+    # malformed matrices whose cells pass the count check: state 0 reaches
+    # 2 of 4 states; reaches 1 and then all 8 at once, ranks 1 and 3 with
+    # k = 1, which no row-degree multiset gives; and an extended matrix
+    # without the zero self-loop, whose first row reaches more states
+    # than its counts allow (rank 1 > k = 0)
+    w = [WeightEnum({1: 1})]
+    cases = (
+        ([[(1, 0)], [(0, 0)], [(0, 0)], [(0, 0)]], False, "stable rank differs from the state-space dimension"),
+        ([[(1, 0)], [(j, 0) for j in range(2, 8)], *[[]] * 6], False,
+         "recovered degrees do not sum to the state dimension"),
+        ([[(1, 0)], [(0, 0)]], True, "inconsistent reachability counts"),
+    )
+    for rows, extended, message in cases:
+        with pytest.raises(ValueError, match=message):
+            recover_forney(AdjMatrix(rows, w, q=2, n=3, extended=extended))

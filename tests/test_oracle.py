@@ -209,3 +209,23 @@ def test_deep_register_costs_nothing_per_cell(capsys, tmp_path):
         "",
     ))
     assert elapsed < 1.0
+
+
+def test_survey_refuses_zero_length(g1):
+    with pytest.raises(ValueError, match="l_max must be >= 1"):
+        survey(g1, 0)
+
+
+def test_zero_run_violation_is_reported(monkeypatch, capsys):
+    # with m-hat patched so that the bound is 0, an atomic word of memory3
+    # with an all-zero step violates it, and survey and the CLI say so
+    path = CODES / "memory3.gm"
+    g = parse_gm(path.read_text())
+    assert survey(g, 6).gap_bound_ok
+    real = oracle_mod.polyalg.right_inverse
+    monkeypatch.setattr(oracle_mod.polyalg, "right_inverse", lambda g: (real(g)[0], 1 - g.info.memory))
+    res = survey(g, 6)
+    assert res.gap_bound == 0 and not res.gap_bound_ok
+    assert _max_zero_run(res.gap_violation) > 0
+    assert main(["oracle", str(path), "--trunc", "6"]) == 0
+    assert capsys.readouterr().out.endswith("zero-run bound respected: no\n")

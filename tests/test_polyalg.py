@@ -25,6 +25,7 @@ from convcode.polyalg import (
     poly_divmod,
     poly_gcd,
     poly_mul,
+    poly_str,
     row_degrees,
 )
 
@@ -301,3 +302,31 @@ def test_diagonalize_gives_unimodular_transforms_of_a_diagonal_form():
         for m in (u, v):
             (det,) = k_minors(m)
             assert deg(det) == 0
+
+
+def test_pm_refuses_ragged_out_of_range_and_empty_input(f2):
+    with pytest.raises(ValueError, match="ragged matrix rows"):
+        pm(f2, [[[1], [1]], [[1]]])
+    with pytest.raises(ValueError, match="coefficient 2 out of range for F2"):
+        pm(f2, [[[1, 2]]])
+    for rows in ([], [[]]):
+        with pytest.raises(ValueError, match="empty matrix"):
+            pm(f2, rows)
+
+
+def test_pm_mul_refuses_mismatched_operands(f2, f3, g1):
+    with pytest.raises(ValueError, match="field mismatch"):
+        pm_mul(g1, pm(f3, [[[1]], [[1]], [[1]]]))
+    with pytest.raises(ValueError, match="inner dimensions differ"):
+        pm_mul(g1, g1)
+
+
+def test_highest_coeff_matrix_refuses_a_zero_row(f2):
+    with pytest.raises(ValueError, match="zero row"):
+        highest_coeff_matrix(PolyMatrix(f2, (((1,), (1,)), (ZERO, ZERO))))
+
+
+def test_polynomials_and_matrices_print_in_z():
+    f4 = field_make(2, 2)
+    assert [poly_str(a) for a in (ZERO, (0, 1, 3), (2, 0, 1), (1,))] == ["0", "z + 3*z^2", "2 + z^2", "1"]
+    assert str(pm(f4, [[[1, 2], [0, 1, 3]], [[0], [1]]])) == "[1 + 2*z, z + 3*z^2; 0, 1]"

@@ -24,7 +24,7 @@ from convcode.errors import LimitError
 from convcode.galois import field_make
 from convcode.invariance import code_adjacency
 from convcode.polyalg import mat_rank, pm_eval0, vec_mat
-from convcode.spectrum import format_series, row_iterate
+from convcode.spectrum import AdjMatrix, format_series, row_iterate
 
 import genutil
 
@@ -473,3 +473,31 @@ def test_packed_omega_refusals():
         omega_series(LSeries(2, [one, w(1), WeightEnum({1: 5, 3: 1})]))
     ok = LSeries(2, [one, w(1), WeightEnum({2: 1, 3: 4})])
     assert omega_series(ok) == genutil.series_sub(genutil.series_one(2), genutil.series_inverse(ok))
+
+
+def test_lseries_refuses_a_wrong_coefficient_count():
+    with pytest.raises(ValueError, match="coefficient list does not match the truncation order"):
+        LSeries(2, [WeightEnum.one()])
+
+
+def test_enumerators_series_and_matrices_print_as_text(g1):
+    lam = code_adjacency(g1)
+    assert str(WeightEnum.zero()) == "0" and str(WeightEnum({0: 2, 1: 1, 3: 4})) == "2 + W + 4W^3"
+    assert str(lam) == "[0, W^2]\n[W^2, W^2]"
+    phi = phi_series(lam, 3)
+    assert str(phi) == repr(phi) == format_series(phi) == "1 + L^2 W^4 + L^3 W^6"
+
+
+def test_extend_refuses_an_extended_matrix(g1):
+    gam = extend(code_adjacency(g1))
+    with pytest.raises(ValueError, match="matrix is already extended"):
+        extend(gam)
+
+
+def test_phi_series_refuses_zero_truncation_and_negative_counts(g1):
+    with pytest.raises(ValueError, match="truncation must be >= 1"):
+        phi_series(code_adjacency(g1), 0)
+    cells = [WeightEnum({1: -1}), WeightEnum({2: 1})]
+    lam = AdjMatrix([[(1, 0)], [(0, 1), (1, 0)]], cells, q=2, n=3)
+    with pytest.raises(ValueError, match="adjacency counts must be nonnegative"):
+        phi_series(lam, 2)
