@@ -41,10 +41,10 @@ Lambda is then W^wt(xC + uD) of one edge (x, u), which pi_sigma maps to
 sigma u) = wt_g(x, u) on every edge: `code_witness` searches the q^k
 letters for sigma, certifies pi_sigma on the edge weights and builds no
 Lambda.  The weight of (x, u) depends on x through xC alone, so each code
-keeps one row of q^k weights per distinct xC, at most min(q^delta, q^n)
-rows that the states with that xC share, and pi_sigma is certified a
-state at a time: h's row at pi_sigma x, read in sigma order, against g's
-row at x.
+keeps one row of q^k weights per distinct xC (`statediag._edge_weights`),
+at most min(q^delta, q^n) rows that the states with that xC share, and
+pi_sigma is certified a state at a time: h's row at pi_sigma x, read in
+sigma order, against g's row at x.
 
 On top of that sit: `code_witness`, the one comparison of two codes'
 Lambda, which alone hands the search the F_q^* orbits; recovery of the
@@ -277,21 +277,6 @@ def gen_adj_equal(
     return None
 
 
-def _edge_weights(sd: statediag.StateDiagram, weight: Callable[[int], int]) -> list[tuple[int, ...]]:
-    """The row (wt(xC + uD) for every input u) of every state x, (0, 0)
-    among them, with `weight` the `statediag._weigher` of sd's q and n.
-    States with one xC share one row, and the at most min(q^delta, q^n)
-    rows are made in one C-level pass over the distinct xC, q^k weights
-    each.  x -> xC is linear, so states share an xC only when one besides
-    0 maps to 0; else the rows are made in state order and no dict is
-    built."""
-    add, _, xc, _, ud = sd.tables
-    shared = xc.count(0) > 1
-    distinct = dict.fromkeys(xc) if shared else xc
-    rows = list(zip(*[map(weight, itertools.starmap(add, itertools.product(distinct, ud)))] * len(ud)))
-    return list(map(dict(zip(distinct, rows)).__getitem__, xc)) if shared else rows
-
-
 def _carries(w_g: list[tuple], w_h: list[tuple], pi: Sequence[int], sigma: Sequence[int]) -> bool:
     """Whether w_h[pi(x)][sigma(u)] == w_g[x][u] for every state x and input
     u: h's row at pi(x), read in sigma order, against g's row at x, a row
@@ -302,8 +287,8 @@ def _carries(w_g: list[tuple], w_h: list[tuple], pi: Sequence[int], sigma: Seque
 def _alphabet_witness(sd_g: statediag.StateDiagram, sd_h: statediag.StateDiagram,
                       orbits: Callable[[], object]) -> Optional[PermWitness]:
     """The least witness of two codes whose k rows have one degree m, or
-    None, off their `_edge_weights` rows, made with one weigher: the
-    identity if they agree, else the first pi_sigma that `_carries`
+    None, off their `statediag._edge_weights` rows, made with one weigher:
+    the identity if they agree, else the first pi_sigma that `_carries`
     certifies, sigma applied to every column, for each sigma that
     `_witnesses` lists with `orbits()`, those of F_q^k, on M[c][d] =
     W^wt(last(c)C + dD), the rows of the states last(c).  first(d) = dB
@@ -314,14 +299,11 @@ def _alphabet_witness(sd_g: statediag.StateDiagram, sd_h: statediag.StateDiagram
     pi_sigma ascends as sigma does.  LimitError once the refused pass
     SEARCH_WORK states in all."""
     weight = statediag._weigher(sd_g.field.q, sd_g.n)
-    w_g, w_h = _edge_weights(sd_g, weight), _edge_weights(sd_h, weight)
-    _, xa, _, ub, _ = sd_g.tables  # A and B are those of both codes
+    w_g, w_h = statediag._edge_weights(sd_g, weight), statediag._edge_weights(sd_h, weight)
     if w_g == w_h:
-        return tuple(range(len(xa)))
-    letters, m = len(ub), sd_g.gamma // sd_g.k
-    fill = [0]  # the states by their letters d_1 .. d_m, last column first, in `_cellwise` order
-    for _ in range(m):
-        fill = [a + u for a in map(xa.__getitem__, fill) for u in ub]
+        return tuple(range(sd_g.num_states))
+    letters, m = sd_g.field.q**sd_g.k, sd_g.gamma // sd_g.k
+    fill = statediag._letter_states(sd_g)  # A and B are those of both codes
     where = sorted(range(len(fill)), key=fill.__getitem__)  # the fill position of every state
     cells = [WeightEnum({w: 1}) for w in range(sd_g.n + 1)]  # W^w has id w
     rows = lambda w: [[*enumerate(w[x])][not x :] for x in fill[:: len(fill) // letters]]

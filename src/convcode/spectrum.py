@@ -211,7 +211,7 @@ def adjacency(sd: StateDiagram) -> AdjMatrix:
     sits at 0, so only merged rows share its pair.  Each distinct
     enumerator gets one id; equal pairs are one tuple.
     """
-    s, inputs = sd.num_states, len(sd.tables[3])
+    s, inputs = sd.num_states, sd.field.q**sd.k
     b = inputs.bit_length()
     ids: dict[int, int] = {}  # packed enumerator -> cell id
     index = list(range(s))  # one int object per destination, shared by its pairs

@@ -5,26 +5,27 @@ number, first register coordinate most significant; index 0 is the zero
 state.  Every vertex has q^k outgoing edges except vertex 0, which lacks
 the all-zero transition and has q^k - 1.
 
-A diagram is the packed tables of its form; no edge is stored.  Inputs u
-and outputs v are packed like states.  Since F_q = F_p^m with base-p
-element digits, a packed vector is a base-p number and x -> xA is
-F_p-linear, so `build` fills the tables xA, xC (per state) and uB, uD
-(per input) by a prefix recursion over the F_p basis from (gamma + k) * m
-images, each a matrix row times a power of p, in O(q^gamma + q^k).  An
-edge is two vector sums, dst = xA + uB and v = xC + uD, and a table
-lookup of wt(v).  A shifts each register block and B writes the block's
-first cell, so xA and uB occupy disjoint cells and dst is their integer
-sum; v is an XOR over F_{2^m}, else the field's addition table per
-element.  `_blocks` is the one enumeration of the sources and their
-destinations: per run of sources, one destination tuple per xA, made in
-C-level passes (xA repeated once per input plus uB cycled), and a stream
-of the run's outputs xC + uD.  `spectrum.adjacency` reads every run
-whole, for Lambda and Q alike; `_transitions` gives the edge views the
-same sources and destinations source by source, with each source's
-outputs, replayed whenever a view is read.  The labelled views
-(`labelled_transitions`, read by the DOT text and the JSON edge list)
-make the label of each packed input and output once; `edges_by_source`
-serves the demos, the benchmark's counters and the tests.
+A diagram is the packed tables of its form, the fields xa, xc (per
+state) and ub, ud (per input) with the vector sum `add`; no edge is
+stored, and no other module reads the four tables.  Inputs u and outputs
+v are packed like states.  Since F_q = F_p^m with base-p element digits,
+a packed vector is a base-p number and x -> xA is F_p-linear, so `build`
+fills each table by a prefix recursion over the F_p basis from
+(gamma + k) * m images, each a matrix row times a power of p, in
+O(q^gamma + q^k).  An edge is two vector sums, dst = xA + uB and
+v = xC + uD, and a table lookup of wt(v).  A shifts each register block
+and B writes the block's first cell, so xA and uB occupy disjoint cells
+and dst is their integer sum; v is an XOR over F_{2^m}, else the field's
+addition table per element.  `_blocks` is the one enumeration of the
+edges: per run of sources, one destination tuple per xA, made in C-level
+passes (xA repeated once per input plus uB cycled), and a stream of the
+run's outputs xC + uD.  `spectrum.adjacency` reads every run whole, for
+Lambda and Q alike; the edge views, `edges_by_source` (for the demos,
+the benchmark's counters and the tests) and `labelled_transitions` (for
+the DOT text and the JSON edge list, each label made once), read the runs
+source by source, each source's outputs taken off the stream and held.
+The alphabet route reads `_edge_weights`, the q^k weights wt(xC + uD)
+per distinct xC, and `_letter_states`, the states in letter order.
 
 The code is F_q-linear and wt(lambda v) = wt(v), so for every lambda != 0
 the map x -> lambda x (edge (x, u) -> (lambda x, lambda u)) is a
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from itertools import chain, cycle, repeat
+from itertools import chain, cycle, islice, product, repeat, starmap
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import polyalg
@@ -60,7 +61,6 @@ from .galois import FieldSpec
 
 DEFAULT_STATE_CEILING = 1 << 20
 DEFAULT_DOT_CEILING = 4096
-Tables = tuple[Callable[[int, int], int], list[int], list[int], list[int], list[int]]
 
 
 def state_index(q: int, vec) -> int:
@@ -78,9 +78,10 @@ def state_vector(q: int, gamma: int, index: int) -> tuple[int, ...]:
 
 
 class StateDiagram(NamedTuple):
-    """A diagram as its form's tables, (add, xA, xC, uB, uD) from `_tables`;
-    a lumped one also keeps the orbit id of every packed state and the
-    representative of every orbit.  Edges are views replayed on every read."""
+    """A diagram as its form's tables: the vector sum `add` of F_q and the
+    packed xA, xC per state and uB, uD per input; a lumped one also keeps
+    the orbit id of every packed state and the representative of every
+    orbit.  Edges are views replayed on every read."""
 
     field: FieldSpec
     gamma: int
@@ -88,7 +89,11 @@ class StateDiagram(NamedTuple):
     n: int
     num_states: int
     form: ControllerForm
-    tables: Tables
+    add: Callable[[int, int], int]
+    xa: list[int]
+    xc: list[int]
+    ub: list[int]
+    ud: list[int]
     orbit: Optional[list[int]]
     reps: Optional[list[int]]
 
@@ -100,15 +105,16 @@ class StateDiagram(NamedTuple):
     @property
     def spread(self) -> bool:
         """No two inputs share uB, so a full diagram's sources have distinct destinations."""
-        return all(map(operator.lt, self.tables[3], self.tables[3][1:]))
+        return all(map(operator.lt, self.ub, self.ub[1:]))
 
     @property
     def edges_by_source(self) -> Iterator[tuple[tuple[int, int], ...]]:
         """One tuple of (dst, weight) pairs per source, in input order; the
         destinations of a lumped diagram are orbit ids."""
         weight = _weigher(self.field.q, self.n)
-        for _, _, dsts, outputs in _transitions(self):
-            yield tuple(zip(dsts, map(weight, outputs)))
+        for _, rows, outputs in _blocks(self, 1024):
+            for dsts in rows:
+                yield tuple(zip(dsts, map(weight, islice(outputs, len(dsts)))))
 
 
 def _vector_add(fld: FieldSpec) -> Callable[[int, int], int]:
@@ -131,16 +137,16 @@ def _vector_add(fld: FieldSpec) -> Callable[[int, int], int]:
 
 
 def _linear_table(
-    fld: FieldSpec, mat: tuple[tuple[int, ...], ...], rows: int, add: Callable[[int, int], int]
+    fld: FieldSpec, mat: tuple[tuple[int, ...], ...], add: Callable[[int, int], int]
 ) -> list[int]:
-    """Packed xM for every packed x in F_q^rows, in index order.
+    """Packed xM for every packed x in F_q^rows, rows = len(M), in index order.
 
     Index digit j (base p, least significant first) is the basis vector
     p^(j mod m) at coordinate rows - 1 - j // m, so its image is that row
     of M times p^(j mod m); each digit multiplies the table by p, appending
     the previous entries shifted by 1..p-1 times its image.
     """
-    q, p, m = fld.q, fld.p, fld.m
+    q, p, m, rows = fld.q, fld.p, fld.m, len(mat)
     table = [0]
     for j in range(rows * m):
         scale = p ** (j % m)
@@ -204,16 +210,6 @@ def _orbits(fld: FieldSpec, gamma: int) -> tuple[list[int], list[int]]:
     return orbit, reps
 
 
-def _tables(cf: ControllerForm) -> Tables:
-    """(add, xA, xC, uB, uD): the vector sum and the packed linear tables of a form."""
-    fld = cf.field
-    add = _vector_add(fld)
-    return add, *(
-        _linear_table(fld, mat, rows, add)
-        for mat, rows in ((cf.A, cf.gamma), (cf.C, cf.gamma), (cf.B, cf.k), (cf.D, cf.k))
-    )
-
-
 def _blocks(sd: StateDiagram, size: int) -> Iterator[tuple[Sequence[int], list[tuple], Iterator[int]]]:
     """(sources, dsts, outputs) per run of at most `size` sources, in order,
     over every transition but (0, 0): the one enumeration of the edges.
@@ -224,7 +220,7 @@ def _blocks(sd: StateDiagram, size: int) -> Iterator[tuple[Sequence[int], list[t
     sources and made in C-level passes, xA repeated once per input plus uB
     cycled; `outputs` streams the run's packed outputs xC + uD alike.
     """
-    add, xa, xc, ub, ud = sd.tables
+    xa, xc, ub, ud = sd.xa, sd.xc, sd.ub, sd.ud
     sources = range(len(xa)) if sd.reps is None else sd.reps
     if sd.reps is not None:  # xA and xC per source
         xa, xc = list(map(xa.__getitem__, sources)), list(map(xc.__getitem__, sources))
@@ -236,25 +232,30 @@ def _blocks(sd: StateDiagram, size: int) -> Iterator[tuple[Sequence[int], list[t
     rows = dict(zip(starts, zip(*[dsts] * len(ub))))
     for lo in range(0, len(sources), size):
         block = list(map(rows.__getitem__, xa[lo:lo + size]))
-        outputs = map(add, each(xc[lo:lo + size]), cycle(ud))
+        outputs = map(sd.add, each(xc[lo:lo + size]), cycle(ud))
         if not lo:  # the zero state, where (0, 0) is left out
             block[0] = block[0][1:]
             next(outputs)
         yield sources[lo:lo + size], block, outputs
 
 
-def _transitions(sd: StateDiagram) -> Iterator[tuple[int, range, tuple, Iterator[int]]]:
-    """(src, inputs, dsts, outputs) per source, the sources and destinations
-    of `_blocks`, read lazily in runs of 1024 sources.
+def _edge_weights(sd: StateDiagram, weight: Callable[[int], int]) -> list[tuple[int, ...]]:
+    """The row (wt(xC + uD) for every input u) of every state x, (0, 0)
+    among them, with `weight` the `_weigher` of sd's q and n.  States with
+    one xC share one row, and the at most min(q^delta, q^n) rows are made
+    in one C-level pass over the distinct xC, q^k weights each."""
+    distinct = dict.fromkeys(sd.xc)
+    rows = zip(*[map(weight, starmap(sd.add, product(distinct, sd.ud)))] * len(sd.ud))
+    return list(map(dict(zip(distinct, rows)).__getitem__, sd.xc))
 
-    `inputs` is the range of packed inputs u, `outputs` yields their packed
-    outputs v = xC + uD and `dsts` holds their destinations.
-    """
-    add, _, xc, ub, ud = sd.tables
-    for block, rows, _ in _blocks(sd, 1024):
-        for src, dsts in zip(block, rows):
-            outputs = map(add, repeat(xc[src]), ud if src else ud[1:])
-            yield src, range(not src, len(ub)), dsts, outputs
+
+def _letter_states(sd: StateDiagram) -> list[int]:
+    """The states of a code whose k rows have one degree m, by their letters
+    d_1 .. d_m of F_q^k, last column first, in `_cellwise` order."""
+    fill = [0]
+    for _ in range(sd.gamma // sd.k):
+        fill = [a + u for a in map(sd.xa.__getitem__, fill) for u in sd.ub]
+    return fill
 
 
 def labelled_transitions(
@@ -263,15 +264,19 @@ def labelled_transitions(
 ) -> Iterator[tuple[int, tuple[int, ...], Iterator, Iterator]]:
     """(src, dsts, u labels, v labels) per source, the edges in the order of
     edges_by_source; the labels are u_label(u) and v_label(v, wt(v)) of the
-    input and output vectors, each made once per packed u and v."""
+    input and output vectors, each made once per packed u and v.  Each
+    source's outputs are taken off the run's stream and held, so a source
+    whose labels are left unread leaves the next sources' labels right."""
     if sd.lumped:
         raise ValueError("the lumped diagram has no labelled edges")
     q, n = sd.field.q, sd.n
     weight = _weigher(q, n)
     us = [u_label(state_vector(q, sd.k, u)) for u in range(q**sd.k)]
     vs = functools.cache(lambda v: v_label(state_vector(q, n, v), weight(v)))
-    for src, inputs, dsts, outputs in _transitions(sd):
-        yield src, dsts, map(us.__getitem__, inputs), map(vs, outputs)
+    for sources, rows, outputs in _blocks(sd, 1024):
+        for src, dsts in zip(sources, rows):
+            held = tuple(islice(outputs, len(dsts)))
+            yield src, dsts, islice(us, not src, None), map(vs, held)
 
 
 def check_states(q: int, gamma: int, max_states: int = DEFAULT_STATE_CEILING) -> int:
@@ -294,9 +299,11 @@ def build(
     fld = cf.field
     s = check_states(fld.q, cf.gamma, max_states)
     orbit, reps = _orbits(fld, cf.gamma) if lumped and fld.q > 2 else (None, None)
+    add = _vector_add(fld)
+    xa, xc, ub, ud = (_linear_table(fld, mat, add) for mat in (cf.A, cf.C, cf.B, cf.D))
     return StateDiagram(
         field=fld, gamma=cf.gamma, k=cf.k, n=cf.n, num_states=s if reps is None else len(reps),
-        form=cf, tables=_tables(cf), orbit=orbit, reps=reps,
+        form=cf, add=add, xa=xa, xc=xc, ub=ub, ud=ud, orbit=orbit, reps=reps,
     )
 
 
@@ -307,12 +314,11 @@ def zero_weight_edges(sd: StateDiagram) -> list[list[int]]:
     are grouped by packed -uD once, and state x takes the group of its xC.
     Over F_{2^m}, -uD = uD; otherwise u(-D) is one more table of q^k entries,
     the only use of the field's vector sum here.  Destinations are the
-    integer sums xA + uB, as in `_transitions`.
+    integer sums xA + uB, as in `_blocks`.
     """
-    fld = sd.field
-    add, xa, xc, ub, ud = sd.tables
+    fld, xa, xc, ub, ud = sd.field, sd.xa, sd.xc, sd.ub, sd.ud
     if fld.p != 2:
-        ud = _linear_table(fld, tuple(tuple(map(fld.neg, row)) for row in sd.form.D), sd.k, add)
+        ud = _linear_table(fld, tuple(tuple(map(fld.neg, row)) for row in sd.form.D), sd.add)
     by_output: dict[int, list[int]] = {}
     for u, v in enumerate(ud):
         by_output.setdefault(v, []).append(u)
@@ -349,7 +355,7 @@ def delay_free_check(sd: StateDiagram) -> bool:
     alone in O(q^k).  Equivalent to G(0) having full row rank; both
     criteria are evaluated and must agree.
     """
-    edge_clean = 0 not in sd.tables[4][1:]
+    edge_clean = 0 not in sd.ud[1:]
     rank_full = polyalg.mat_rank(sd.field, sd.form.D) == sd.k
     if edge_clean != rank_full:
         raise InternalError("delay-free criteria disagree: edges vs rank of G(0)")

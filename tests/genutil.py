@@ -217,16 +217,21 @@ def reference_diagram(cf) -> tuple[tuple, list[tuple]]:
 
 
 def planted_diagram(sd, extra):
-    """The diagram `sd` with one input planted after its last per (0, weight)
-    pair of `extra`: its uB is 0 and its uD has that weight, so it adds an
-    edge 0 -> 0 of that weight at the zero state, and an edge x -> xA at
-    every other state x, and two inputs share a destination everywhere."""
+    """The diagram `sd` with q^(k+1) inputs: its own q^k, then one input
+    planted per (0, weight) pair of `extra`, then its own again up to
+    q^(k+1).  A planted input's uB is 0 and its uD has that weight, so it
+    adds an edge 0 -> 0 of that weight at the zero state, and an edge
+    x -> xA at every other state x, and two inputs share a destination
+    everywhere."""
     if any(dst for dst, _ in extra):
         raise ValueError("an edge planted at state 0 leads to state 0")
-    add, xa, xc, ub, ud = sd.tables
-    q = sd.field.q
+    q, size = sd.field.q, sd.field.q ** (sd.k + 1)
     planted = [sum(q**i for i in range(w)) for _, w in extra]
-    return sd._replace(tables=(add, xa, xc, ub + [0] * len(planted), ud + planted))
+    if len(sd.ub) + len(planted) > size:
+        raise ValueError("more planted inputs than q^(k+1) - q^k")
+    ub = (sd.ub + [0] * len(planted) + sd.ub * q)[:size]
+    ud = (sd.ud + planted + sd.ud * q)[:size]
+    return sd._replace(k=sd.k + 1, ub=ub, ud=ud)
 
 
 def adj_from_dense(cells, q: int, n: int, extended: bool = False) -> AdjMatrix:

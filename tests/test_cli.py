@@ -454,11 +454,11 @@ def test_json_mode_renders_no_text(capsys, monkeypatch, argv):
 
 def test_f16_diagram_text_builds_no_edge_list(capsys, monkeypatch):
     # the text screens read the weight-0 edges off the transition tables and
-    # replay none of the 1M transitions
+    # enumerate none of the 1M transitions
     def refused(*args, **kwargs):
-        raise AssertionError("statediag._transitions was called")
+        raise AssertionError("statediag._blocks was called")
 
-    monkeypatch.setattr(statediag, "_transitions", refused)
+    monkeypatch.setattr(statediag, "_blocks", refused)
     expected = "states: 4096\nedges: 1048575\ndelay-free: yes\nzero-weight cycle: no\n"
     assert run(capsys, "diagram", F16) == (0, expected, "")
     assert run(capsys, "diagram", F16, "--max-states", "100") == (
@@ -470,15 +470,15 @@ def test_f16_diagram_text_builds_no_edge_list(capsys, monkeypatch):
 def test_diagram_builds_the_tables_once(capsys, monkeypatch, mode):
     # build fills the four tables of the form once, and the screens and the
     # edge views all read them: no second table, no table of the screens' own
-    calls = {"_tables": 0, "_linear_table": 0}
+    calls = {"build": 0, "_linear_table": 0}
     for name in calls:
-        def counted(*args, _name=name, _orig=getattr(statediag, name)):
+        def counted(*args, _name=name, _orig=getattr(statediag, name), **kwargs):
             calls[_name] += 1
-            return _orig(*args)
+            return _orig(*args, **kwargs)
         monkeypatch.setattr(statediag, name, counted)
     rc, out, err = run(capsys, "diagram", MEMORY3, *mode)
     assert (rc, err) == (0, "") and out
-    assert calls == {"_tables": 1, "_linear_table": 4}
+    assert calls == {"build": 1, "_linear_table": 4}
 
 
 def test_f16_equal_refuses_before_building_lambda(capsys, monkeypatch, tmp_path):

@@ -1239,7 +1239,7 @@ EDGE_WEIGHT_SHAPES = (
 
 def edge_weights(sd):
     """The alphabet route's rows of sd, made with a weigher of its own."""
-    return invariance._edge_weights(sd, statediag._weigher(sd.field.q, sd.n))
+    return statediag._edge_weights(sd, statediag._weigher(sd.field.q, sd.n))
 
 
 def test_edge_weights_are_the_cells_of_lambda():
@@ -1253,7 +1253,7 @@ def test_edge_weights_are_the_cells_of_lambda():
         for _ in range(2):
             sd = build(controller_form(equal_degree_code(rng, fld, k, degree)))
             lam, w = adjacency(sd), edge_weights(sd)
-            _, xa, _, ub, _ = sd.tables
+            xa, ub = sd.xa, sd.ub
             letters = len(ub)
             assert len(w) == lam.size and {len(row) for row in w} == {letters} and w[0][0] == 0
             for x, row in enumerate(lam.rows):
@@ -1307,8 +1307,8 @@ def test_certification_refuses_a_changed_edge_weight(monkeypatch):
             continue
         sd_g, sd_h = (build(controller_form(f)) for f in (g, h))
         w_g, w_h = edge_weights(sd_g), edge_weights(sd_h)
-        letter = {first: d for d, first in enumerate(sd_g.tables[3])}
-        sigma = [letter[pi[first]] for first in sd_g.tables[3]]
+        letter = {first: d for d, first in enumerate(sd_g.ub)}
+        sigma = [letter[pi[first]] for first in sd_g.ub]
         letters = len(sigma)
         assert invariance._carries(w_g, w_h, pi, sigma), kind
         edges = {divmod(at, letters) for at in {0, len(w_g) * letters - 1, *rng.sample(range(len(w_g) * letters), 8)}}
@@ -1323,7 +1323,7 @@ def test_certification_refuses_a_changed_edge_weight(monkeypatch):
             assert not invariance._carries(w_g, changed_edge(w_h, x, u, g.n), pi, sigma), (kind, x, u)
         x, u = rng.randrange(len(w_h)), rng.randrange(letters)
         tables = iter([w_g, changed_edge(w_h, x, u, g.n)])
-        monkeypatch.setattr(invariance, "_edge_weights", lambda sd, weight: next(tables))
+        monkeypatch.setattr(statediag, "_edge_weights", lambda sd, weight: next(tables))
         assert invariance.code_witness(g, h) != pi, (kind, x, u)
         monkeypatch.undo()
         moved += 1
@@ -1374,9 +1374,9 @@ def test_edge_weights_weigh_each_distinct_xc_once():
         fld = field_make(p, m)
         for _ in range(2):
             sd = build(controller_form(equal_degree_code(rng, fld, k, degree)))
-            _, _, xc, _, ud = sd.tables
+            xc, ud = sd.xc, sd.ud
             inner, looked = statediag._weigher(fld.q, sd.n), []
-            w = invariance._edge_weights(sd, lambda v: looked.append(v) or inner(v))
+            w = statediag._edge_weights(sd, lambda v: looked.append(v) or inner(v))
             assert len(looked) == len(set(xc)) * len(ud) <= fld.q ** (sd.n + k), (fld.q, k, degree)
             rows = {}
             assert all(rows.setdefault(c, row) is row for c, row in zip(xc, w)), (fld.q, k, degree)

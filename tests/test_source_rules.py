@@ -123,7 +123,8 @@ def test_edge_groups_are_read_by_adjacency_only_and_never_stored():
     statediag = ast.parse((PACKAGE / "statediag.py").read_text())
     cls = next(n for n in statediag.body if isinstance(n, ast.ClassDef) and n.name == "StateDiagram")
     fields = [n.target.id for n in cls.body if isinstance(n, ast.AnnAssign)]
-    assert fields == ["field", "gamma", "k", "n", "num_states", "form", "tables", "orbit", "reps"]
+    assert fields == ["field", "gamma", "k", "n", "num_states", "form", "add", "xa", "xc", "ub", "ud",
+                      "orbit", "reps"]
     view = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "edges_by_source")
     assert [getattr(d, "id", None) for d in view.decorator_list] == ["property"]
     found = []
@@ -139,9 +140,10 @@ def test_edge_groups_are_read_by_adjacency_only_and_never_stored():
 
 
 def test_destinations_are_formed_by_transitions_only():
-    # statediag._transitions alone turns a source into its destinations, so
-    # no other module reads a diagram's orbit map, and spectrum reads the
-    # tables only for their lengths: it has no xA and forms no xA + uB row
+    # statediag._blocks alone turns a source into its destinations, so no
+    # other module reads a diagram's orbit map, and in statediag only
+    # _blocks does; spectrum reads no table of the diagram at all: it has
+    # no xA and forms no xA + uB row
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(PACKAGE.rglob("*.py"))
@@ -150,17 +152,30 @@ def test_destinations_are_formed_by_transitions_only():
         if isinstance(node, ast.Attribute) and node.attr == "orbit"
         or isinstance(node, ast.Name) and node.id == "orbit"
     ]
-    tree = ast.parse((PACKAGE / "spectrum.py").read_text())
-    sized = {
-        id(node.args[0].value)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "len"
-        and isinstance(node.args[0], ast.Subscript)
+    tree = ast.parse((PACKAGE / "statediag.py").read_text())
+    readers = {
+        fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn) if isinstance(node, ast.Attribute) and node.attr == "orbit"
     }
+    assert readers == {"_blocks"}
     found += [
         f"spectrum.py:{node.lineno}"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "tables" and id(node) not in sized
+        for node in ast.walk(ast.parse((PACKAGE / "spectrum.py").read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("tables", "xa", "xc", "ub", "ud")
+    ]
+    assert found == []
+
+
+def test_only_statediag_reads_the_diagram_tables():
+    # a diagram's packed tables xA, xC, uB and uD are read in statediag
+    # alone, which serves Lambda, Q, the edge views and the alphabet route;
+    # `add` is not named here, as FieldSpec.add shares the name
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "statediag.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in ("xa", "xc", "ub", "ud")
     ]
     assert found == []
 
@@ -181,9 +196,10 @@ def _calls(tree, name: str) -> list:
 def test_adjacency_makes_every_cell_in_one_pass_over_the_blocks():
     # Lambda, Q and the diagrams of block codes and of codes with a degree-0
     # row take their cells from the one key table over statediag._blocks:
-    # spectrum never names the per-source view, and adjacency has one loop
+    # spectrum never names the per-source views, and adjacency has one loop
     # over the blocks and makes one AdjMatrix
-    assert re.search(r"\b_transitions\b", (PACKAGE / "spectrum.py").read_text()) is None
+    views = r"\b(edges_by_source|labelled_transitions)\b"
+    assert re.search(views, (PACKAGE / "spectrum.py").read_text()) is None
     fn = _function("spectrum.py", "adjacency")
     loops = [node for node in ast.walk(fn) if isinstance(node, ast.For) and _calls(node.iter, "_blocks")]
     assert len(loops) == len(_calls(fn, "_blocks")) == 1
@@ -248,7 +264,7 @@ def test_rendering_guard_is_checked_once_by_the_cli():
 
 def test_weight_zero_destinations_are_integer_sums():
     # xA and uB occupy disjoint cells, so a destination is their integer sum,
-    # the rule of _transitions; the field's vector sum has no uB operand
+    # the rule of _blocks; the field's vector sum has no uB operand
     fn = _function("statediag.py", "zero_weight_edges")
     found = [
         node.lineno

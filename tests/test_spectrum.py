@@ -383,8 +383,9 @@ def test_cell_table_matches_reference_tally(p, m):
     # with one table entry per distinct nonzero enumerator, on full and
     # lumped diagrams, and with weight-0 and weight-1 edges 0 -> 0 planted;
     # every row ascends by destination, and equal pairs are one tuple;
-    # _transitions yields one destination tuple per xA, xA + uB or its orbit
-    # id, the zero state's past input 0
+    # _blocks yields one destination tuple per xA, xA + uB or its orbit id,
+    # the zero state's past input 0, and streams each source's outputs
+    # xC + uD in the same order
     fld = field_make(p, m)
     rng = random.Random(1400 + 10 * p + m)
     forms = [cf for group in genutil.reference_corpus(fld, rng).values() for cf in group]
@@ -401,14 +402,18 @@ def test_cell_table_matches_reference_tally(p, m):
                 assert all(
                     a[0] < b[0] for row in lam.rows for a, b in zip(row, row[1:])
                 ) and all(first.setdefault(p, p) is p for row in lam.rows for p in row)
-                _, xa, _, ub, _ = diagram.tables
+                add, xa, xc, ub, ud = diagram.add, diagram.xa, diagram.xc, diagram.ub, diagram.ud
                 orbit = diagram.orbit or range(len(xa))
                 row_of: dict = {}  # the first tuple met of each xA
-                for src, inputs, dsts, _ in statediag._transitions(diagram):
-                    a, zero = xa[src], not src
-                    assert dsts == tuple(orbit[a + u] for u in ub)[zero:]
-                    assert inputs == range(zero, len(ub)) and max(dsts) < diagram.num_states
-                    assert zero or row_of.setdefault(a, dsts) is dsts
+                for sources, rows, outputs in statediag._blocks(diagram, 5):
+                    assert len(sources) == len(rows) <= 5
+                    for src, dsts in zip(sources, rows):
+                        a, zero = xa[src], not src
+                        assert dsts == tuple(orbit[a + u] for u in ub)[zero:]
+                        assert max(dsts) < diagram.num_states
+                        assert zero or row_of.setdefault(a, dsts) is dsts
+                    want = [add(xc[src], v) for src in sources for v in ud][not sources[0]:]
+                    assert list(outputs) == want
 
 
 def test_adjacency_entries_cost_about_one_slot_each(f16):

@@ -191,6 +191,20 @@ def test_edge_view_matches_stored_pairs(p, m):
     assert any(zero_weight_cycle_exists(sd) for sd in diagrams)
 
 
+def test_labels_stay_right_when_sources_are_left_unread(g213, g16):
+    # each source's outputs are held for it, so a consumer that leaves the
+    # first source's label iterators unread, and every other source's
+    # after it, still reads the labels of the rest as genutil.edges does
+    for g in (g213, g16):
+        sd = build(controller_form(g))
+        read = []
+        for src, dsts, us, vws in statediag.labelled_transitions(sd, tuple, lambda v, w: (v, w)):
+            if src % 2:
+                read += [genutil.Edge(src, dst, u, v, w) for dst, u, (v, w) in zip(dsts, us, vws)]
+        assert read == [e for e in genutil.edges(sd) if e.src % 2]
+        assert len({e.src for e in read}) == sd.num_states // 2 >= 4
+
+
 @pytest.mark.parametrize("p, m", [(3, 2), (3, 3)], ids=["F9", "F27"])
 def test_vector_add_matches_elementwise_field_add(p, m):
     # packed vectors of length 1..4, summed element by element with fld.add
@@ -262,11 +276,11 @@ def test_build_replays_no_transition(monkeypatch, lumped):
     def refused(*args):
         raise AssertionError("an edge view was read")
 
-    monkeypatch.setattr(statediag, "_transitions", refused)
+    monkeypatch.setattr(statediag, "_blocks", refused)
     monkeypatch.setattr(statediag, "_weigher", refused)
     sd = build(cf, lumped=lumped)
     assert sd.num_states == (274 if lumped else 4096) and sd.lumped == lumped
-    assert len(sd.tables[1]) == 4096 and len(sd.tables[3]) == 256
+    assert len(sd.xa) == len(sd.xc) == 4096 and len(sd.ub) == len(sd.ud) == 256
 
 
 @pytest.mark.parametrize("p, m", genutil.QUOTIENT_FIELDS[1:],
