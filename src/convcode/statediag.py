@@ -78,10 +78,9 @@ def state_vector(q: int, gamma: int, index: int) -> tuple[int, ...]:
 
 
 class StateDiagram(NamedTuple):
-    """A diagram as its form's tables: the vector sum `add` of F_q and the
-    packed xA, xC per state and uB, uD per input; a lumped one also keeps
-    the orbit id of every packed state and the representative of every
-    orbit.  Edges are views replayed on every read."""
+    """A diagram as its form's tables, (add, xa, xc, ub, ud) from `build`;
+    a lumped one also keeps the orbit id of every packed state and the
+    representative of every orbit.  Edges are views replayed on every read."""
 
     field: FieldSpec
     gamma: int
@@ -243,10 +242,12 @@ def _edge_weights(sd: StateDiagram, weight: Callable[[int], int]) -> list[tuple[
     """The row (wt(xC + uD) for every input u) of every state x, (0, 0)
     among them, with `weight` the `_weigher` of sd's q and n.  States with
     one xC share one row, and the at most min(q^delta, q^n) rows are made
-    in one C-level pass over the distinct xC, q^k weights each."""
-    distinct = dict.fromkeys(sd.xc)
-    rows = zip(*[map(weight, starmap(sd.add, product(distinct, sd.ud)))] * len(sd.ud))
-    return list(map(dict(zip(distinct, rows)).__getitem__, sd.xc))
+    in one C-level pass over the distinct xC, q^k weights each.  x -> xC
+    is linear, so states share an xC only when one besides 0 maps to 0;
+    else the rows are made in state order and no dict is built."""
+    distinct = dict.fromkeys(sd.xc) if sd.xc.count(0) > 1 else sd.xc
+    rows = list(zip(*[map(weight, starmap(sd.add, product(distinct, sd.ud)))] * len(sd.ud)))
+    return rows if distinct is sd.xc else list(map(dict(zip(distinct, rows)).__getitem__, sd.xc))
 
 
 def _letter_states(sd: StateDiagram) -> list[int]:
@@ -264,9 +265,8 @@ def labelled_transitions(
 ) -> Iterator[tuple[int, tuple[int, ...], Iterator, Iterator]]:
     """(src, dsts, u labels, v labels) per source, the edges in the order of
     edges_by_source; the labels are u_label(u) and v_label(v, wt(v)) of the
-    input and output vectors, each made once per packed u and v.  Each
-    source's outputs are taken off the run's stream and held, so a source
-    whose labels are left unread leaves the next sources' labels right."""
+    input and output vectors, each made once per packed u and v; a source's
+    outputs are held for it, so labels left unread leave the rest right."""
     if sd.lumped:
         raise ValueError("the lumped diagram has no labelled edges")
     q, n = sd.field.q, sd.n

@@ -227,8 +227,6 @@ def planted_diagram(sd, extra):
         raise ValueError("an edge planted at state 0 leads to state 0")
     q, size = sd.field.q, sd.field.q ** (sd.k + 1)
     planted = [sum(q**i for i in range(w)) for _, w in extra]
-    if len(sd.ub) + len(planted) > size:
-        raise ValueError("more planted inputs than q^(k+1) - q^k")
     ub = (sd.ub + [0] * len(planted) + sd.ub * q)[:size]
     ud = (sd.ud + planted + sd.ud * q)[:size]
     return sd._replace(k=sd.k + 1, ub=ub, ud=ud)

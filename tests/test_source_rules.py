@@ -161,7 +161,7 @@ def test_destinations_are_formed_by_transitions_only():
     found += [
         f"spectrum.py:{node.lineno}"
         for node in ast.walk(ast.parse((PACKAGE / "spectrum.py").read_text()))
-        if isinstance(node, ast.Attribute) and node.attr in ("tables", "xa", "xc", "ub", "ud")
+        if isinstance(node, ast.Attribute) and node.attr in ("xa", "xc", "ub", "ud")
     ]
     assert found == []
 
