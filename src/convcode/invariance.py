@@ -10,10 +10,9 @@ order: iterated in/out enumerator-multiset color refinement, then, one
 state of each matrix at a time, a fresh color and refinement again, until
 the coloring is discrete and names the witness.  `gen_adj_equal` tries
 the identity, the least witness whenever the two matrices agree cell for
-cell, then the search's first, and certifies either by one conjugation
-check, which looks each mapped row up in a dict of the other matrix's
-row, in O(cells).  The refinement reads the rows plus one transpose per
-matrix (`_cell_graphs`), and a round signs each state from its own
+cell (a == b), then the search's first, and certifies either by
+`spectrum.conjugates`.  The refinement reads the rows plus one transpose
+per matrix (`_cell_graphs`), and a round signs each state from its own
 neighbour list.  The search keeps its nodes on an explicit stack and
 stops once the states its refinements sign below the root pass
 SEARCH_WORK; each signature reads at most 2s list entries, s at most
@@ -40,11 +39,10 @@ Lambda is then W^wt(xC + uD) of one edge (x, u), which pi_sigma maps to
 (pi_sigma x, sigma u), so conjugation by pi_sigma is wt_h(pi_sigma x,
 sigma u) = wt_g(x, u) on every edge: `code_witness` searches the q^k
 letters for sigma, certifies pi_sigma on the edge weights and builds no
-Lambda.  The weight of (x, u) depends on x through xC alone, so each code
-keeps one row of q^k weights per distinct xC (`statediag._edge_weights`),
-at most min(q^delta, q^n) rows that the states with that xC share, and
-pi_sigma is certified a state at a time: h's row at pi_sigma x, read in
-sigma order, against g's row at x.
+Lambda.  `statediag` packs both: `_letters` lifts sigma to pi_sigma, and
+`_edge_weights` holds one row of q^k weights per distinct xC, so pi_sigma
+is certified a state at a time, h's row at pi_sigma x, read in sigma
+order, against g's row at x.
 
 On top of that sit: `code_witness`, the one comparison of two codes'
 Lambda, which alone hands the search the F_q^* orbits; recovery of the
@@ -181,32 +179,6 @@ def _refined_colors(graphs, classes=None, start=None, rounds=None):
         col_a, col_b, count = new_a, new_b, len(sig_ids)
 
 
-def _conjugates(a: AdjMatrix, b: AdjMatrix, pi: Sequence[int]) -> bool:
-    """Whether b[pi(i)][pi(j)] == a[i][j] for every cell, with pi a
-    permutation of the states and pi(0) == 0.
-
-    A table entry takes the id of a's first entry with its terms() once
-    WeightEnum == confirms the match (b's others get -1); each row of a,
-    mapped by pi, is then looked up in a {destination: id} dict of b's row
-    of one length, up to the first difference."""
-    first: dict[tuple, int] = {}
-    ids_a = [first.setdefault(e.terms(), t) for t, e in enumerate(a.cells)]
-    ids_a = [u if a.cells[u] == e else t for t, (u, e) in enumerate(zip(ids_a, a.cells))]
-    ids_b = [first.get(e.terms(), -1) for e in b.cells]
-    ids_b = [u if u >= 0 and a.cells[u] == e else -1 for u, e in zip(ids_b, b.cells)]
-    if pi[0] != 0 or len(pi) != a.size or set(pi) != set(range(a.size)):
-        return False
-    for row, p in zip(a.rows, pi):
-        look = dict(b.rows[p])
-        if len(look) != len(row):
-            return False
-        for j, t in row:
-            u = look.get(pi[j])
-            if u is None or ids_b[u] != ids_a[t]:
-                return False
-    return True
-
-
 def check_search_size(q: int, gamma: int = 1) -> None:
     """LimitError when a conjugation search over q^gamma states exceeds SEARCH_STATES."""
     check_limit(SEARCH_STATES, "conjugation search over {count} states exceeds the bound {bound}",
@@ -259,19 +231,18 @@ def gen_adj_equal(
     a: AdjMatrix, b: AdjMatrix, classes: Optional[Callable[[], object]] = None
 ) -> Optional[PermWitness]:
     """The least zero-fixing permutation pi with b[pi(i)][pi(j)] == a[i][j],
-    or None: the identity, tried first, or the first of `_witnesses` over at
-    most SEARCH_STATES states, either one certified by `_conjugates`.
+    or None: the identity if a == b, else the first of `_witnesses` over at
+    most SEARCH_STATES states, certified by `spectrum.conjugates`.
     `classes`, called only once the identity is refused, gives the orbits
     of zero-fixing automorphisms shared by a and b, as `_refined_colors`
     takes them; without it the refinement signs every state."""
     if (a.size, a.q, a.n, a.extended) != (b.size, b.q, b.n, b.extended):
         raise ValueError("adjacency matrices have mismatched dimensions")
-    identity = tuple(range(a.size))
-    if _conjugates(a, b, identity):
-        return identity
+    if a == b:
+        return tuple(range(a.size))
     check_search_size(a.size)
     for pi in _witnesses(a, b, classes and classes()):
-        if not _conjugates(a, b, pi):
+        if not spectrum.conjugates(a, b, pi):
             raise InternalError("conjugation witness failed re-verification")
         return pi
     return None
@@ -287,31 +258,23 @@ def _carries(w_g: list[tuple], w_h: list[tuple], pi: Sequence[int], sigma: Seque
 def _alphabet_witness(sd_g: statediag.StateDiagram, sd_h: statediag.StateDiagram,
                       orbits: Callable[[], object]) -> Optional[PermWitness]:
     """The least witness of two codes whose k rows have one degree m, or
-    None, off their `statediag._edge_weights` rows, made with one weigher:
-    the identity if they agree, else the first pi_sigma that `_carries`
-    certifies, sigma applied to every column, for each sigma that
-    `_witnesses` lists with `orbits()`, those of F_q^k, on M[c][d] =
-    W^wt(last(c)C + dD), the rows of the states last(c).  first(d) = dB
-    holds letter d alone in the first column, last(c) = cBA^(m-1) c alone
-    in the last; pi_sigma maps them to first(sigma d) and last(sigma c), so
-    a witness pi_sigma makes sigma one of M.  Both ascend with the packed
-    letter, and a state below last(c) holds only letters below c, so
-    pi_sigma ascends as sigma does.  LimitError once the refused pass
-    SEARCH_WORK states in all."""
-    weight = statediag._weigher(sd_g.field.q, sd_g.n)
-    w_g, w_h = statediag._edge_weights(sd_g, weight), statediag._edge_weights(sd_h, weight)
+    None, off their `statediag._edge_weights` rows: the identity if they
+    agree, else the first pi_sigma that `_carries` certifies, for each
+    sigma that `_witnesses` lists with `orbits()`, those of F_q^k, on
+    M[c][d] = W^wt(last(c)C + dD), the rows of the states last(c).  The
+    lift pi_sigma maps last(c) and first(d) to last(sigma c) and first(sigma
+    d), so a witness makes sigma one of M, and it ascends as sigma does.
+    LimitError once the refused pass SEARCH_WORK states in all."""
+    w_g, w_h = statediag._edge_weights(sd_g), statediag._edge_weights(sd_h)
     if w_g == w_h:
         return tuple(range(sd_g.num_states))
-    letters, m = sd_g.field.q**sd_g.k, sd_g.gamma // sd_g.k
-    fill = statediag._letter_states(sd_g)  # A and B are those of both codes
-    where = sorted(range(len(fill)), key=fill.__getitem__)  # the fill position of every state
+    last, lift = statediag._letters(sd_g)  # A and B are those of both codes
     cells = [WeightEnum({w: 1}) for w in range(sd_g.n + 1)]  # W^w has id w
-    rows = lambda w: [[*enumerate(w[x])][not x :] for x in fill[:: len(fill) // letters]]
+    rows = lambda w: [[*enumerate(w[x])][not x :] for x in last]
     mat_g, mat_h = (AdjMatrix(rows(w), cells, q=sd_g.field.q, n=sd_g.n) for w in (w_g, w_h))
     refused = 0  # states of the refused pi_sigma so far
     for sigma in _witnesses(mat_g, mat_h, orbits()):
-        moved = statediag._cellwise(sigma, m, letters)
-        pi = tuple(map(fill.__getitem__, map(moved.__getitem__, where)))
+        pi = lift(sigma)
         if _carries(w_g, w_h, pi, sigma):
             return pi
         refused += len(pi)
@@ -381,27 +344,27 @@ def recover_forney(lam: AdjMatrix) -> tuple[int, ...]:
     exceeding each threshold.  Counts are nonnegative and Gamma has the
     zero self-loop, so that support is the set of states reached from 0
     in at most r steps, grown here one layer of the sparse rows at a time.
+    A layer that reaches a new state raises the rank, so the ranks rise
+    strictly within 0..gamma, the walk stops within gamma + 2 layers and
+    every rank difference is positive.
     """
     q = lam.q
     gamma = _power_of(q, lam.size)
     k = recover_dimension(lam)
     if not all(e and e.is_nonnegative() for e in lam.cells):
         raise ValueError("adjacency cells must be nonzero with nonnegative counts")
-    rhos = []
-    reached = layer = {0}
-    for _ in range(gamma + 2):
+    if not all(0 <= j < lam.size for row in lam.rows for j, _ in row):
+        raise ValueError("adjacency destinations must be states of the matrix")
+    rhos, reached, layer = [], {0}, {0}
+    while layer:  # a rank per layer that reaches a new state, and the first
         layer = {j for i in layer for j, _ in lam.rows[i]} - reached
         reached |= layer
-        rho = _power_of(q, len(reached))
-        if rhos and rho == rhos[-1]:
-            break
-        rhos.append(rho)
-    else:
-        raise ValueError("reachability ranks failed to stabilize")
+        if layer or not rhos:
+            rhos.append(_power_of(q, len(reached)))
     if rhos[-1] != gamma:
         raise ValueError("stable rank differs from the state-space dimension")
     exceed = [rhos[0]] + [rhos[r] - rhos[r - 1] for r in range(1, len(rhos))] + [0]
-    if any(c < 0 for c in exceed) or rhos[0] > k:
+    if rhos[0] > k:
         raise ValueError("inconsistent reachability counts")
     indices = [0] * (k - rhos[0])
     for t in range(1, len(exceed)):
@@ -434,8 +397,8 @@ def monomial_equiv(
     witness (permutations in lex order, scalings in value order).  A global
     unit c keeps the code, as c G = (cI) G, so scale[0] is 1.  A column
     permutation and rescaling keeps every edge weight and so Lambda, and a
-    minimal pair of unequal constraint lengths, or whose Lambda
-    `code_witness` finds not conjugate, is answered None before the search.
+    minimal pair whose Lambda `code_witness` finds not conjugate, unequal
+    row degrees first, before any limit, is answered None before the search.
     A rank-deficient g or h raises ValueError."""
     polyalg.check_same_shape(g, h)
     fld = g.field
@@ -446,7 +409,7 @@ def monomial_equiv(
     info_g, info_h = g.info, h.info  # raises on a rank-deficient g, so g's images have full rank
     if info_g.is_minimal and info_h.is_minimal:
         try:
-            if info_g.delta != info_h.delta or code_witness(g, h) is None:
+            if code_witness(g, h) is None:
                 return None
         except LimitError:  # a refused Lambda leaves the decision to the search
             pass

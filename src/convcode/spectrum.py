@@ -12,6 +12,8 @@ rendering) runs once per table entry.  `adjacency` makes the cells of
 Lambda and Q in C-level passes over the runs of `statediag._blocks`,
 tallying in Python only the rows that repeat a destination.  A dense
 s x s view is expanded, one row at a time, only for display and JSON.
+`conjugates` is the one comparison of two matrices' cells, in O(cells),
+for `AdjMatrix.__eq__` and `invariance.gen_adj_equal` alike.
 
 Powers of Lambda count paths; the generating series
 
@@ -144,9 +146,13 @@ class AdjMatrix:
     of cell id t; the constructor takes them in that form, and they are the
     only stored form; equal (destination, id) entries may be shared.  Equal
     cells may share an id, so a consumer does its per-cell work once per
-    entry of `cells`.  Ids are local to one matrix: equality compares the
-    enumerators they resolve to.  `entries`, a dense view rebuilt on every
-    access, serves tests and counters; rendering reads `dense`.
+    entry of `cells`.  Ids are local to one matrix: `==` is `conjugates`
+    with the identity once size, q, n and `extended` agree.  On rows that
+    break this form, row i of `self` matches when it has one entry per
+    destination of `other`'s row i, each with the enumerator of its last
+    entry there, in any order, so `==` need not be symmetric.  `entries`, a
+    dense view rebuilt on every access, serves tests and counters;
+    rendering reads `dense`.
     """
 
     __slots__ = ("rows", "cells", "q", "n", "extended")
@@ -177,14 +183,9 @@ class AdjMatrix:
         return tuple(map(tuple, self.dense(self.cells, WeightEnum.zero())))
 
     def __eq__(self, other: object) -> bool:
-        def resolved(m: AdjMatrix) -> list:
-            return [[(j, m.cells[t]) for j, t in row] for row in m.rows]
-
-        return (
-            isinstance(other, AdjMatrix)
-            and (self.q, self.n, self.extended) == (other.q, other.n, other.extended)
-            and resolved(self) == resolved(other)
-        )
+        key = lambda m: (m.size, m.q, m.n, m.extended)
+        return (isinstance(other, AdjMatrix) and key(self) == key(other)
+                and conjugates(self, other, range(self.size)))
 
     def lines(self) -> Iterator[str]:
         """The lines of str(self), one per row, each joined from the text of
@@ -195,6 +196,31 @@ class AdjMatrix:
 
     def __str__(self) -> str:
         return "\n".join(self.lines())
+
+
+def conjugates(a: AdjMatrix, b: AdjMatrix, pi: Sequence[int]) -> bool:
+    """Whether b[pi(i)][pi(j)] == a[i][j] for every cell, with pi a
+    permutation of the states and pi(0) == 0, in O(cells).  A table entry
+    takes the id of a's first entry with its terms() once WeightEnum ==
+    confirms the match (b's others get -1); each row of a, mapped by pi, is
+    then looked up in a {destination: id} dict of b's row of one length, up
+    to the first difference."""
+    first: dict[tuple, int] = {}
+    ids_a = [first.setdefault(e.terms(), t) for t, e in enumerate(a.cells)]
+    ids_a = [u if a.cells[u] == e else t for t, (u, e) in enumerate(zip(ids_a, a.cells))]
+    ids_b = [first.get(e.terms(), -1) for e in b.cells]
+    ids_b = [u if u >= 0 and a.cells[u] == e else -1 for u, e in zip(ids_b, b.cells)]
+    if pi[0] != 0 or len(pi) != a.size or set(pi) != set(range(a.size)):
+        return False
+    for row, p in zip(a.rows, pi):
+        look = dict(b.rows[p])
+        if len(look) != len(row):
+            return False
+        for j, t in row:
+            u = look.get(pi[j])
+            if u is None or ids_b[u] != ids_a[t]:
+                return False
+    return True
 
 
 def adjacency(sd: StateDiagram) -> AdjMatrix:

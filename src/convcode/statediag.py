@@ -23,9 +23,16 @@ run's outputs xC + uD.  `spectrum.adjacency` reads every run whole, for
 Lambda and Q alike; the edge views, `edges_by_source` (for the demos,
 the benchmark's counters and the tests) and `labelled_transitions` (for
 the DOT text and the JSON edge list, each label made once), read the runs
-source by source, each source's outputs taken off the stream and held.
-The alphabet route reads `_edge_weights`, the q^k weights wt(xC + uD)
-per distinct xC, and `_letter_states`, the states in letter order.
+source by source, each source's outputs taken off the stream and held;
+all weigh outputs through `_weigher`, which builds each table once.
+
+The alphabet route of `invariance.code_witness`, for codes whose k rows
+share one degree m, reads `_edge_weights` and `_letters`.  The register
+holds m columns of letters of F_q^k: first(d) = dB holds d alone in the
+first column, last(c) = cBA^(m-1) c alone in the last.  `_letters` lifts
+sigma, sigma(0) = 0, to pi_sigma, sigma applied to every column.  first(d)
+and last(c) ascend with the packed letter, and a state below last(c)
+holds only letters below c, so pi_sigma ascends as sigma does.
 
 The code is F_q-linear and wt(lambda v) = wt(v), so for every lambda != 0
 the map x -> lambda x (edge (x, u) -> (lambda x, lambda u)) is a
@@ -168,9 +175,11 @@ def _cellwise(digits: Sequence[int], cells: int, base: int) -> list[int]:
     return table
 
 
+@functools.cache
 def _weigher(q: int, n: int, scale: int = 1) -> Callable[[int], int]:
     """wt(v) * scale for a packed vector v of F_q^n, from a table of digit
-    chunks; a single lookup when q^n <= 2^16."""
+    chunks; a single lookup when q^n <= 2^16.  Cached, it holds one weigher
+    and table of at most 2^16 entries per (q, n, scale) the process asks for."""
     width = n
     while q**width > 1 << 16:
         width -= 1
@@ -238,25 +247,28 @@ def _blocks(sd: StateDiagram, size: int) -> Iterator[tuple[Sequence[int], list[t
         yield sources[lo:lo + size], block, outputs
 
 
-def _edge_weights(sd: StateDiagram, weight: Callable[[int], int]) -> list[tuple[int, ...]]:
+def _edge_weights(sd: StateDiagram) -> list[tuple[int, ...]]:
     """The row (wt(xC + uD) for every input u) of every state x, (0, 0)
-    among them, with `weight` the `_weigher` of sd's q and n.  States with
+    among them, weighed by the `_weigher` of sd's q and n.  States with
     one xC share one row, and the at most min(q^delta, q^n) rows are made
     in one C-level pass over the distinct xC, q^k weights each.  x -> xC
     is linear, so states share an xC only when one besides 0 maps to 0;
     else the rows are made in state order and no dict is built."""
     distinct = dict.fromkeys(sd.xc) if sd.xc.count(0) > 1 else sd.xc
-    rows = list(zip(*[map(weight, starmap(sd.add, product(distinct, sd.ud)))] * len(sd.ud)))
+    rows = list(zip(*[map(_weigher(sd.field.q, sd.n), starmap(sd.add, product(distinct, sd.ud)))] * len(sd.ud)))
     return rows if distinct is sd.xc else list(map(dict(zip(distinct, rows)).__getitem__, sd.xc))
 
 
-def _letter_states(sd: StateDiagram) -> list[int]:
-    """The states of a code whose k rows have one degree m, by their letters
-    d_1 .. d_m of F_q^k, last column first, in `_cellwise` order."""
-    fill = [0]
-    for _ in range(sd.gamma // sd.k):
+def _letters(sd: StateDiagram) -> tuple[list[int], Callable[[Sequence[int]], tuple[int, ...]]]:
+    """(the states last(c) in letter order, lift) of a code whose k rows
+    have one degree m, lift(sigma) = pi_sigma (see the module docstring)."""
+    letters, m = len(sd.ub), sd.gamma // sd.k
+    fill = [0]  # the states by their letters d_1 .. d_m, last column first, in `_cellwise` order
+    for _ in range(m):
         fill = [a + u for a in map(sd.xa.__getitem__, fill) for u in sd.ub]
-    return fill
+    where = sorted(range(len(fill)), key=fill.__getitem__)  # the fill position of every state
+    lift = lambda sigma: tuple(map(fill.__getitem__, map(_cellwise(sigma, m, letters).__getitem__, where)))
+    return fill[:: len(fill) // letters], lift
 
 
 def labelled_transitions(
@@ -270,9 +282,8 @@ def labelled_transitions(
     if sd.lumped:
         raise ValueError("the lumped diagram has no labelled edges")
     q, n = sd.field.q, sd.n
-    weight = _weigher(q, n)
     us = [u_label(state_vector(q, sd.k, u)) for u in range(q**sd.k)]
-    vs = functools.cache(lambda v: v_label(state_vector(q, n, v), weight(v)))
+    vs = functools.cache(lambda v: v_label(state_vector(q, n, v), _weigher(q, n)(v)))
     for sources, rows, outputs in _blocks(sd, 1024):
         for src, dsts in zip(sources, rows):
             held = tuple(islice(outputs, len(dsts)))

@@ -529,3 +529,30 @@ def carries(w_g, w_h, pi, sigma) -> bool:
     letters = len(sigma)
     return all(flat_h[pi[x] * letters + sigma[u]] == flat_g[x * letters + u]
                for x in range(len(pi)) for u in range(letters))
+
+
+def resolved_equal(a: AdjMatrix, b: AdjMatrix) -> bool:
+    """Reference of `AdjMatrix.__eq__` on well-formed rows: size, q, n and
+    `extended` agree, and every row lists the same (destination,
+    enumerator) pairs, each id resolved through its own matrix's table."""
+    def resolved(m: AdjMatrix) -> list:
+        return [[(j, m.cells[t]) for j, t in row] for row in m.rows]
+
+    return (a.size, a.q, a.n, a.extended) == (b.size, b.q, b.n, b.extended) and resolved(a) == resolved(b)
+
+
+def lifted(sd, sigma) -> tuple:
+    """Reference of `statediag._letters`' lift: the states by their letters
+    d_1 .. d_m, last column first, in `_cellwise` order (m inputs from 0,
+    each x -> xA + dB), and pi_sigma[fill[i]] = fill[i with sigma applied
+    to every letter]."""
+    fill = [0]
+    for _ in range(sd.gamma // sd.k):
+        fill = [sd.xa[a] + u for a in fill for u in sd.ub]
+    moved = [0]
+    for _ in range(sd.gamma // sd.k):
+        moved = [x * len(sigma) + s for x in moved for s in sigma]
+    pi = [None] * len(fill)
+    for x, y in zip(fill, moved):
+        pi[x] = fill[y]
+    return tuple(pi)

@@ -498,8 +498,8 @@ def test_identity_refused_on_one_cell_of_the_last_row(g213):
             rows = lam.rows[:-1] + (lam.rows[-1][:-1] + ((j, u),),)
             b = AdjMatrix(rows, cells, q=lam.q, n=lam.n, extended=lam.extended)
             identity = tuple(range(lam.size))
-            assert not invariance._conjugates(lam, b, identity)
-            assert not invariance._conjugates(b, lam, identity)
+            assert not spectrum.conjugates(lam, b, identity)
+            assert not spectrum.conjugates(b, lam, identity)
             assert gen_adj_equal(lam, b) == dense_gen_adj_equal(lam, b)
             assert gen_adj_equal(b, lam) == dense_gen_adj_equal(b, lam)
 
@@ -527,7 +527,7 @@ def test_search_matches_dense_reference_on_retabled_conjugates(g213):
     pairs = retabled_conjugate_pairs(g213)
     assert len(pairs) == 10 and sum(a.size == 256 for a, _ in pairs) == 4
     for a, b in pairs:
-        assert not invariance._conjugates(a, b, tuple(range(a.size)))
+        assert not spectrum.conjugates(a, b, tuple(range(a.size)))
         assert _refined_colors(_cell_graphs(a, b)) == dense_refined_colors(a, b)
         wit = gen_adj_equal(a, b)
         assert wit is not None and wit == dense_gen_adj_equal(a, b)
@@ -573,8 +573,8 @@ def test_conjugation_check_pins_the_zero_state():
     # but a witness must fix state 0
     one = WeightEnum({1: 1})
     m = genutil.adj_from_dense([[one, one], [one, one]], q=2, n=2)
-    assert invariance._conjugates(m, m, (0, 1))
-    assert not invariance._conjugates(m, m, (1, 0))
+    assert spectrum.conjugates(m, m, (0, 1))
+    assert not spectrum.conjugates(m, m, (1, 0))
 
 
 def test_search_depth_does_not_grow_with_the_states():
@@ -1237,11 +1237,6 @@ EDGE_WEIGHT_SHAPES = (
 )  # (p, m, k, row degree) with n = 3 over F2, F3, F4, F5, F7, F8 and F9
 
 
-def edge_weights(sd):
-    """The alphabet route's rows of sd, made with a weigher of its own."""
-    return statediag._edge_weights(sd, statediag._weigher(sd.field.q, sd.n))
-
-
 def test_edge_weights_are_the_cells_of_lambda():
     # when every row has one degree m >= 1, every edge (x, u) != (0, 0) has
     # a destination of its own in row x, so Lambda is the alphabet route's
@@ -1252,7 +1247,7 @@ def test_edge_weights_are_the_cells_of_lambda():
         fld = field_make(p, m)
         for _ in range(2):
             sd = build(controller_form(equal_degree_code(rng, fld, k, degree)))
-            lam, w = adjacency(sd), edge_weights(sd)
+            lam, w = adjacency(sd), statediag._edge_weights(sd)
             xa, ub = sd.xa, sd.ub
             letters = len(ub)
             assert len(w) == lam.size and {len(row) for row in w} == {letters} and w[0][0] == 0
@@ -1272,7 +1267,7 @@ def test_alphabet_route_builds_no_lambda(monkeypatch):
         inner = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args, **kw: calls.update([name]) or inner(*args, **kw))
 
-    for owner, name in ((spectrum, "adjacency"), (invariance, "_conjugates"), (statediag, "build")):
+    for owner, name in ((spectrum, "adjacency"), (spectrum, "conjugates"), (statediag, "build")):
         spy(owner, name)
     for kind, g, h in equal_degree_pairs():
         calls.clear()
@@ -1284,7 +1279,7 @@ def test_alphabet_route_builds_no_lambda(monkeypatch):
         g, h = (genutil.code_with_degrees(rng, f4, (1, 2)) for _ in "gh")
         calls.clear()
         invariance.code_witness(g, h)
-        assert calls["adjacency"] == calls["build"] == 2 and calls["_conjugates"] >= 1
+        assert calls["adjacency"] == calls["build"] == 2 and calls["conjugates"] >= 1
 
 
 def changed_edge(w, x, u, n):
@@ -1306,7 +1301,7 @@ def test_certification_refuses_a_changed_edge_weight(monkeypatch):
         if pi is None or pi == tuple(range(len(pi))):
             continue
         sd_g, sd_h = (build(controller_form(f)) for f in (g, h))
-        w_g, w_h = edge_weights(sd_g), edge_weights(sd_h)
+        w_g, w_h = statediag._edge_weights(sd_g), statediag._edge_weights(sd_h)
         letter = {first: d for d, first in enumerate(sd_g.ub)}
         sigma = [letter[pi[first]] for first in sd_g.ub]
         letters = len(sigma)
@@ -1323,7 +1318,7 @@ def test_certification_refuses_a_changed_edge_weight(monkeypatch):
             assert not invariance._carries(w_g, changed_edge(w_h, x, u, g.n), pi, sigma), (kind, x, u)
         x, u = rng.randrange(len(w_h)), rng.randrange(letters)
         tables = iter([w_g, changed_edge(w_h, x, u, g.n)])
-        monkeypatch.setattr(statediag, "_edge_weights", lambda sd, weight: next(tables))
+        monkeypatch.setattr(statediag, "_edge_weights", lambda sd: next(tables))
         assert invariance.code_witness(g, h) != pi, (kind, x, u)
         monkeypatch.undo()
         moved += 1
@@ -1376,13 +1371,75 @@ def test_edge_weights_weigh_each_distinct_xc_once():
             sd = build(controller_form(equal_degree_code(rng, fld, k, degree)))
             xc, ud = sd.xc, sd.ud
             inner, looked = statediag._weigher(fld.q, sd.n), []
-            w = statediag._edge_weights(sd, lambda v: looked.append(v) or inner(v))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(statediag, "_weigher", lambda q, n: lambda v: looked.append(v) or inner(v))
+                w = statediag._edge_weights(sd)
             assert len(looked) == len(set(xc)) * len(ud) <= fld.q ** (sd.n + k), (fld.q, k, degree)
             rows = {}
             assert all(rows.setdefault(c, row) is row for c, row in zip(xc, w)), (fld.q, k, degree)
             assert len(set(map(id, w))) == len(rows)
             kinds[len(rows) < len(xc)] += 1
     assert kinds[True] and kinds[False], kinds
+
+
+def test_lift_matches_the_cellwise_reference():
+    # over F2 to F9, `_letters` gives the states last(c) and lifts each
+    # sigma to the reference pi_sigma: a zero-fixing permutation mapping
+    # every edge (x, u) onto (pi_sigma x, sigma u), which ascends as sigma
+    # does
+    rng = random.Random(47)
+    checked = 0
+    for p, m, k, degree in EDGE_WEIGHT_SHAPES:
+        fld = field_make(p, m)
+        sd = build(controller_form(equal_degree_code(rng, fld, k, degree)))
+        letters, s = len(sd.ub), sd.num_states
+        last, lift = statediag._letters(sd)
+        expected = list(sd.ub)  # last(c) = cBA^(m-1)
+        for _ in range(sd.gamma // sd.k - 1):
+            expected = [sd.xa[x] for x in expected]
+        assert last == expected, (fld.q, k, degree)
+        identity = tuple(range(letters))
+        assert lift(identity) == tuple(range(s)) == genutil.lifted(sd, identity)
+        sigmas = sorted({(0, *rng.sample(range(1, letters), letters - 1)) for _ in range(4)})
+        pis = [lift(sigma) for sigma in sigmas]
+        assert pis == sorted(pis), (fld.q, k, degree)
+        for sigma, pi in zip(sigmas, pis):
+            assert pi == genutil.lifted(sd, sigma) and sorted(pi) == list(range(s)) and pi[0] == 0
+            assert all(pi[sd.xa[x] + sd.ub[u]] == sd.xa[pi[x]] + sd.ub[sigma[u]]
+                       for x in range(s) for u in range(letters)), (fld.q, k, degree, sigma)
+            assert [pi[c] for c in last] == [last[sigma[c]] for c in range(letters)]
+            checked += 1
+    assert checked >= 30, checked
+
+
+def test_one_weight_table_per_field_and_length(monkeypatch):
+    # the weight table of a (q, n), a `_cellwise` sum table, is built once
+    # in the process: two code_witness calls on the alphabet route and the
+    # edge views of a diagram of that (q, n) build it once between them
+    statediag._weigher.cache_clear()
+    inner, built = statediag._cellwise, []
+    monkeypatch.setattr(statediag, "_cellwise",
+                        lambda digits, cells, base: (base == 1 and built.append(len(digits))) or inner(digits, cells, base))
+    rng = random.Random(48)
+    f4 = field_make(2, 2)
+    g, h = (equal_degree_code(rng, f4, 1, 2) for _ in "gh")
+    for _ in range(2):
+        invariance.code_witness(g, h)
+    sd = build(controller_form(g))
+    list(sd.edges_by_source)
+    list(statediag.labelled_transitions(sd, str, lambda v, w: w))
+    assert built == [4]
+
+
+def test_recover_forney_refuses_a_destination_outside_the_states():
+    # a destination past the last state, or below 0, names no state; the
+    # matrix is refused as an input error, not an IndexError or a wrapped
+    # index
+    w = [WeightEnum({1: 1})]
+    for bad in (2, 5, -1):
+        rows = [[(1, 0)], [(0, 0), (bad, 0)]]
+        with pytest.raises(ValueError, match="destinations must be states"):
+            recover_forney(AdjMatrix(rows, w, q=2, n=3))
 
 
 def forney_pairs():
@@ -1421,7 +1478,7 @@ def _refused(*args, **kwargs):
 
 
 def sorting_conjugates(a, b, pi):
-    """The reference of `_conjugates`: every row of a, mapped by pi and
+    """The reference of `spectrum.conjugates`: every row of a, mapped by pi and
     sorted, equals b's row pi(i) as (destination, joint id) pairs."""
     first = {}
     ids_a = [first.setdefault(e.terms(), t) for t, e in enumerate(a.cells)]
@@ -1456,7 +1513,7 @@ def test_lookup_reverification_matches_the_sorting_reference(g213):
             extra = sorted(b.rows[r] + ((rng.choice(free), rng.randrange(len(b.cells))),))
             rows = b.rows[:r] + (extra,) + b.rows[r + 1:]
             cases.append(("extra cell", a, AdjMatrix(rows, b.cells, q=b.q, n=b.n, extended=b.extended), wit))
-    answers = [invariance._conjugates(a, b, pi) for _, a, b, pi in cases]
+    answers = [spectrum.conjugates(a, b, pi) for _, a, b, pi in cases]
     assert answers == [sorting_conjugates(a, b, pi) for _, a, b, pi in cases]
     by_kind = Counter((kind, answer) for (kind, *_), answer in zip(cases, answers))
     assert by_kind["witness", True] == len(pairs) == 27, by_kind

@@ -504,14 +504,18 @@ def test_json_schemas_state_each_member_list_once():
 
 def test_gen_adj_equal_returns_witnesses_only_through_one_check():
     # the identity and the search's witness alike leave gen_adj_equal only
-    # inside `if _conjugates(a, b, w):` or after `if not _conjugates(a, b, w):
-    # raise ...`, and that raise is the package's one re-verification failure
+    # inside `if a == b:`, which is `spectrum.conjugates` with the identity,
+    # or after `if not spectrum.conjugates(a, b, w): raise ...`, and that
+    # raise is the package's one re-verification failure
     tree = ast.parse((PACKAGE / "invariance.py").read_text())
     fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "gen_adj_equal")
 
     def witness(test):
-        """w when the test is `_conjugates(a, b, w)`, else None."""
-        if isinstance(test, ast.Call) and getattr(test.func, "id", None) == "_conjugates":
+        """w when the test is `spectrum.conjugates(a, b, w)`, the identity
+        when it is `a == b`, else None."""
+        if ast.unparse(test) == "a == b":
+            return "tuple(range(a.size))"
+        if isinstance(test, ast.Call) and ast.unparse(test.func) == "spectrum.conjugates":
             names = [getattr(x, "id", None) for x in test.args]
             if len(names) == 3 and names[:2] == ["a", "b"]:
                 return names[2]
@@ -543,8 +547,8 @@ def test_gen_adj_equal_returns_witnesses_only_through_one_check():
     found = returns(fn.body, frozenset())
     assert len(found) == sum(isinstance(n, ast.Return) and id(n) not in nested for n in ast.walk(fn))
     assert sorted((value, ok) for value, ok in found if value != "None") == [
-        ("identity", True),
         ("pi", True),
+        ("tuple(range(a.size))", True),
     ]
     guards = [n for n in ast.walk(fn) if isinstance(n, ast.If) and refused(n)]
     raised = [
@@ -555,6 +559,34 @@ def test_gen_adj_equal_returns_witnesses_only_through_one_check():
         and any(isinstance(c, ast.Constant) and "re-verification" in str(c.value) for c in ast.walk(node))
     ]
     assert raised == [("invariance.py", g.body[-1].lineno) for g in guards]
+
+
+def test_invariance_decides_and_the_layers_below_it_represent():
+    # invariance defines no comparison of two matrices' cells and reads no
+    # packing or weight table of statediag: `spectrum.conjugates` is the one
+    # comparison, which AdjMatrix.__eq__ runs with the identity and
+    # gen_adj_equal runs through `a == b` and on the search's witness
+    tree = ast.parse((PACKAGE / "invariance.py").read_text())
+    names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(tree)}
+    assert not names & {"_conjugates", "_weigher", "_cellwise", "_letter_states"}
+    two_matrices = [
+        fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        and [ast.unparse(a.annotation) for a in fn.args.args if a.annotation].count("AdjMatrix") >= 2
+        and fn.returns is not None and ast.unparse(fn.returns) == "bool"
+    ]
+    assert two_matrices == []
+    spectrum = ast.parse((PACKAGE / "spectrum.py").read_text())
+    matrix = next(n for n in spectrum.body if isinstance(n, ast.ClassDef) and n.name == "AdjMatrix")
+    (eq,) = [n for n in matrix.body if isinstance(n, ast.FunctionDef) and n.name == "__eq__"]
+    assert [ast.unparse(n) for n in _calls(eq, "conjugates")] == ["conjugates(self, other, range(self.size))"]
+    compared = [n.name for n in spectrum.body if isinstance(n, ast.FunctionDef) and n.name == "conjugates"]
+    assert compared == ["conjugates"]
+    fn = _function("invariance.py", "gen_adj_equal")
+    tests = [ast.unparse(n.test) for n in ast.walk(fn) if isinstance(n, ast.If)]
+    assert "a == b" in tests and "not spectrum.conjugates(a, b, pi)" in tests
+    assert [ast.unparse(n.func) for n in ast.walk(fn) if isinstance(n, ast.Call) and "conjugates" in ast.unparse(n.func)] == [
+        "spectrum.conjugates"
+    ]
 
 
 def test_bijections_are_enumerated_only_by_monomial_equiv():
@@ -660,8 +692,8 @@ def test_alphabet_candidates_are_handed_on_for_equal_degree_codes_only():
     # never builds or re-checks Lambda.  SEARCH_WORK bounds its refused
     # candidates and the states the search signs below its root, and nothing
     # else names it.  gen_adj_equal then runs its own search alone: one loop
-    # over `_witnesses(a, b, ...)`, whose every witness passes `_conjugates`
-    # or raises, right after the search bound
+    # over `_witnesses(a, b, ...)`, whose every witness passes
+    # `spectrum.conjugates` or raises, right after the search bound
     assert not hasattr(convcode.invariance, "ALPHABET_FIELDS")
     tree = ast.parse((PACKAGE / "invariance.py").read_text())
     names = lambda node: {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)} - {None}
@@ -675,7 +707,7 @@ def test_alphabet_candidates_are_handed_on_for_equal_degree_codes_only():
     routes = [n for n in ast.walk(witness) if isinstance(n, ast.Assign) and "alphabet" in names(n.targets[0])]
     assert [ast.unparse(n.value) for n in routes] == ["delta and len(set(degrees)) == 1"]
     route = _function("invariance.py", "_alphabet_witness")
-    assert not names(route) & {"adjacency", "_code_diagram", "_conjugates", "itertools", "permutations"}
+    assert not names(route) & {"adjacency", "_code_diagram", "conjugates", "itertools", "permutations"}
     loops = [n for n in ast.walk(route) if isinstance(n, (ast.For, ast.While))]
     assert [ast.unparse(n.iter) for n in loops if names(n.target) == {"sigma"}] == [
         "_witnesses(mat_g, mat_h, orbits())"
@@ -688,7 +720,7 @@ def test_alphabet_candidates_are_handed_on_for_equal_degree_codes_only():
     loops = [n for n in ast.walk(fn) if isinstance(n, (ast.For, ast.While))]
     assert len(loops) == 1 and ast.unparse(loops[0].iter).startswith("_witnesses(a, b, ")
     guard, leave = loops[0].body
-    assert ast.unparse(guard.test) == "not _conjugates(a, b, pi)" and isinstance(guard.body[-1], ast.Raise)
+    assert ast.unparse(guard.test) == "not spectrum.conjugates(a, b, pi)" and isinstance(guard.body[-1], ast.Raise)
     assert ast.unparse(guard.body[-1].exc.func) == "InternalError"
     assert not any(isinstance(n, ast.Return) for n in ast.walk(guard))
     assert ast.unparse(leave) == "return pi"

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 import tracemalloc
 
 import pytest
@@ -22,7 +23,7 @@ from convcode import (
 )
 from convcode.errors import LimitError
 from convcode.galois import field_make
-from convcode.invariance import code_adjacency
+from convcode.invariance import apply_witness, code_adjacency
 from convcode.polyalg import mat_rank, pm_eval0, vec_mat
 from convcode.spectrum import AdjMatrix, format_series, row_iterate
 
@@ -506,3 +507,52 @@ def test_phi_series_refuses_zero_truncation_and_negative_counts(g1):
     lam = AdjMatrix([[(1, 0)], [(0, 1), (1, 0)]], cells, q=2, n=3)
     with pytest.raises(ValueError, match="adjacency counts must be nonnegative"):
         phi_series(lam, 2)
+
+
+def equality_cases(rng):
+    """(kind, a, b) per seeded pair of Lambda, Q and Gamma over F2 to F4:
+    the same matrix with its cell table reversed and listed twice, copies
+    differing in size, q, n or `extended` alone, conjugated copies, and
+    copies with one cell changed, added or dropped."""
+    cases = []
+    for fld in (field_make(2, 1), field_make(3, 1), field_make(2, 2)):
+        for _ in range(3):
+            g = genutil.random_minimal_code(rng, fld, n_max=3, gamma_max=3)
+            other = genutil.random_minimal_code(rng, fld, n_max=3, gamma_max=3)
+            for lam in (code_adjacency(g), extend(code_adjacency(g)), code_adjacency(g, lumped=True)):
+                order = list(range(len(lam.cells)))[::-1]
+                cells = [lam.cells[t] for t in order] * 2
+                new_id = {t: u for u, t in enumerate(order)}
+                rows = [[(j, new_id[t] + len(order) * (i % 2)) for j, t in row] for i, row in enumerate(lam.rows)]
+                cases.append(("retabled", lam, AdjMatrix(rows, cells, q=lam.q, n=lam.n, extended=lam.extended)))
+                for field, value in (("q", lam.q + 1), ("n", lam.n + 1), ("extended", not lam.extended)):
+                    shape = {**dict(q=lam.q, n=lam.n, extended=lam.extended), field: value}
+                    cases.append((field, lam, AdjMatrix(lam.rows, lam.cells, **shape)))
+                cases.append(("size", lam, code_adjacency(other)))
+                if lam.size > 2:
+                    perm = [0] + rng.sample(range(1, lam.size), lam.size - 1)
+                    cases.append(("conjugated", lam, apply_witness(lam, perm)))
+                i = rng.randrange(lam.size)
+                row = list(lam.rows[i])
+                fresh = lam.cells + (WeightEnum({lam.n + 1: 1}),)
+                free = sorted(set(range(lam.size)) - {j for j, _ in row})
+                changes = [row[:-1] + [(row[-1][0], len(lam.cells))], row[:-1]] if row else []
+                changes += [sorted(row + [(rng.choice(free), 0)])] if free else []
+                for changed in changes:
+                    rows = lam.rows[:i] + (tuple(changed),) + lam.rows[i + 1:]
+                    cases.append(("one cell", lam, AdjMatrix(rows, fresh, q=lam.q, n=lam.n, extended=lam.extended)))
+    return cases
+
+
+def test_equality_matches_the_resolving_reference():
+    # `==` runs `conjugates` with the identity; on well-formed rows it gives
+    # the answer of resolving every entry through its own table, both ways
+    verdicts = Counter()
+    for kind, a, b in equality_cases(random.Random(71)):
+        for x, y in ((a, b), (b, a)):
+            assert (x == y) == genutil.resolved_equal(x, y), kind
+        assert a == a
+        verdicts[kind, a == b] += 1
+    assert verdicts["retabled", True] == 27 and verdicts["one cell", True] == 0, verdicts
+    assert all(verdicts[kind, True] == 0 and verdicts[kind, False] == 27 for kind in ("q", "n", "extended"))
+    assert verdicts["conjugated", False] >= 10 and verdicts["one cell", False] >= 40, verdicts
