@@ -18,6 +18,7 @@ import itertools
 import json
 import os
 import pathlib
+import subprocess
 import sys
 
 from convcode.cli import main
@@ -78,6 +79,15 @@ def test_cli_outputs_match_recording(monkeypatch):
     assert [r["argv"] for r in recorded] == calls()
     for expected in recorded:
         assert run(expected["argv"]) == expected
+
+
+def test_records_replay_unchanged_without_asserts():
+    # no result may depend on `assert`: every record replays under python -O
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    argv = [sys.executable, "-O", "tests/test_golden_cli.py", "--check"]
+    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert proc.stdout.endswith(" records moved\n") and proc.stdout.startswith("0 of ")
 
 
 if __name__ == "__main__":

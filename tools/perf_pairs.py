@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Alternated A/B runs of the benchmark on two checkouts.
+
+    python3 tools/perf_pairs.py PARENT CHANGE --workload W [--pairs 10] [--seed 1]
+
+PARENT and CHANGE are the roots of two checkouts.  Each pair runs
+`python3 perfbench/run.py --workload W --seed S --trace 0` once in each,
+the parent first in even pairs and the change first in odd ones, and every
+`__pycache__` under both checkouts is deleted before each run, so no run
+reads bytecode compiled from another source or by the other side's run.
+The script exits 1 on any run that fails, is not `correct` or has `failed`
+above 0.  Otherwise it prints, per end-to-end metric, the medians of both
+sides, the parent's interquartile range and in how many pairs the change
+read lower, and exits 0.  It uses the standard library alone and imports
+nothing from the checkouts.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+
+
+def clear_bytecode(root: str) -> None:
+    """Delete every __pycache__ directory under `root`."""
+    for top, dirs, _ in os.walk(root):
+        if "__pycache__" in dirs:
+            shutil.rmtree(os.path.join(top, "__pycache__"))
+            dirs.remove("__pycache__")
+
+
+def run(root: str, workload: str, seed: int) -> dict:
+    """The metrics of one benchmark run in `root`; exits 1 unless it is correct."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        result = None
+    if proc.returncode or not result or not result["correct"] or result["failed"]:
+        sys.stdout.write(proc.stdout[-2000:] + proc.stderr[-2000:])
+        sys.exit(f"run in {root} failed: exit {proc.returncode}, result {result}")
+    return {name: value["value"] for name, value in result["metrics"].items()}
+
+
+def quartiles(values: list[float]) -> tuple[float, float]:
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args()
+    if args.pairs < 2:
+        ap.error("--pairs must be >= 2")
+    sides = {"parent": [], "change": []}
+    for pair in range(args.pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            root = getattr(args, side)
+            for checkout in (args.parent, args.change):
+                clear_bytecode(checkout)
+            sides[side].append(run(root, args.workload, args.seed))
+        print(f"# pair {pair + 1}/{args.pairs} done, {order[0]} first", flush=True)
+    print(f"{args.workload} seed {args.seed}, {args.pairs} alternated pairs")
+    print(f"{'metric':<16} {'parent':>12} {'change':>12} {'parent IQR':>12} {'change lower':>13}")
+    for name in sides["parent"][0]:  # the end-to-end metrics run.py reports
+        old = [m[name] for m in sides["parent"]]
+        new = [m[name] for m in sides["change"]]
+        q1, q3 = quartiles(old)
+        wins = sum(b < a for a, b in zip(old, new))
+        print(f"{name:<16} {statistics.median(old):12.4f} {statistics.median(new):12.4f} "
+              f"{q3 - q1:12.4f} {wins:>9}/{args.pairs}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
