@@ -322,8 +322,10 @@ def _terms_text(e: spectrum.WeightEnum, depth: int) -> str:
 
 
 def _series_chunks(ls: spectrum.LSeries) -> Iterator[str]:
-    yield from _block([[
-        _text([f'"l": {l}', '"terms": ' + _terms_text(e, 3)], 2, "{}")
+    """The {"l", "terms"} objects, each one join laid out as by _block and _terms_text."""
+    return _block([[
+        f'{{\n      "l": {l},\n      "terms": ' + ("{\n        " + ",\n        ".join(
+            sorted([f'"{a}": {c}' for a, c in e.terms()])) + "\n      }" if e else "{}") + "\n    }"
         for l, e in enumerate(ls.coeffs)
     ]], 1)
 

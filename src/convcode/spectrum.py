@@ -22,14 +22,17 @@ Powers of Lambda count paths; the generating series
 
 are truncated series in L with WeightEnum coefficients.  Phi iterates
 the first row of Lambda^l as a list by state, every enumerator packed
-into one integer (W -> 2^b, b = T * bitlen(R - 1) + 1 for row counts up
-to R); with a source's cells grouped by (shift, quotient), a step costs
-one shifted multiple per group and one add per nonzero cell reached, and
-no matrix power is ever materialized.  Only (Lambda^l)_{0,0} is read, so
-Phi may iterate the lumped matrix Q of the diagram's F_q^* orbit quotient
-(`statediag.build(cf, lumped=True)`) in place of Lambda.  Omega runs
-Omega_l = Phi_l - sum_{0<j<l} Omega_j Phi_{l-j} on the same packed
-integers.  Free distance, extended row distances and active burst
+into one integer (W -> 2^b); with a source's cells grouped by (shift,
+quotient), a step costs one shifted multiple per group and one add per
+nonzero cell reached, and no matrix power is ever materialized.  Only
+(Lambda^l)_{0,0} is read, so Phi may iterate the lumped matrix Q of the
+diagram's F_q^* orbit quotient (`statediag.build(cf, lumped=True)`) in
+place of Lambda.  Omega runs Omega_l = Phi_l - sum_{0<j<l} Omega_j
+Phi_{l-j} on the integers Phi hands over with its series, at one width:
+for row counts up to R a slot of Phi_l is at most R^l, and while every
+Omega_j >= 0 a slot of the sum is at most (l - 1) R^l < 2^(bitlen(T) +
+T * bitlen(R - 1)), so one guard bit on top makes b = T * bitlen(R - 1)
++ bitlen(T) + 1.  Free distance, extended row distances and active burst
 distances are read off Omega and Phi.
 """
 
@@ -147,10 +150,8 @@ class AdjMatrix:
     only stored form; equal (destination, id) entries may be shared.  Equal
     cells may share an id, so a consumer does its per-cell work once per
     entry of `cells`.  Ids are local to one matrix: `==` is `conjugates`
-    with the identity once size, q, n and `extended` agree.  On rows that
-    break this form, row i of `self` matches when it has one entry per
-    destination of `other`'s row i, each with the enumerator of its last
-    entry there, in any order, so `==` need not be symmetric.  `entries`, a
+    with the identity once size, q, n and `extended` agree, and is False
+    when either matrix has a row that repeats a destination.  `entries`, a
     dense view rebuilt on every access, serves tests and counters;
     rendering reads `dense`.
     """
@@ -203,8 +204,9 @@ def conjugates(a: AdjMatrix, b: AdjMatrix, pi: Sequence[int]) -> bool:
     permutation of the states and pi(0) == 0, in O(cells).  A table entry
     takes the id of a's first entry with its terms() once WeightEnum ==
     confirms the match (b's others get -1); each row of a, mapped by pi, is
-    then looked up in a {destination: id} dict of b's row of one length, up
-    to the first difference."""
+    then taken out of a {destination: id} dict of b's row of one length,
+    entry by entry up to the first difference, so a destination repeated in
+    either row is a difference."""
     first: dict[tuple, int] = {}
     ids_a = [first.setdefault(e.terms(), t) for t, e in enumerate(a.cells)]
     ids_a = [u if a.cells[u] == e else t for t, (u, e) in enumerate(zip(ids_a, a.cells))]
@@ -213,11 +215,11 @@ def conjugates(a: AdjMatrix, b: AdjMatrix, pi: Sequence[int]) -> bool:
     if pi[0] != 0 or len(pi) != a.size or set(pi) != set(range(a.size)):
         return False
     for row, p in zip(a.rows, pi):
-        look = dict(b.rows[p])
-        if len(look) != len(row):
+        if len(b.rows[p]) != len(row):
             return False
+        look = dict(b.rows[p])
         for j, t in row:
-            u = look.get(pi[j])
+            u = look.pop(pi[j], None)
             if u is None or ids_b[u] != ids_a[t]:
                 return False
     return True
@@ -310,15 +312,17 @@ def row_iterate(row: Sequence[WeightEnum], lam: AdjMatrix) -> tuple[WeightEnum, 
 
 
 class LSeries:
-    """Truncated power series in L with WeightEnum coefficients."""
+    """Truncated power series in L with WeightEnum coefficients; `_packed` is
+    None, or (width, packed coefficients) as phi_series hands them on."""
 
-    __slots__ = ("trunc", "coeffs")
+    __slots__ = ("trunc", "coeffs", "_packed")
 
     def __init__(self, trunc: int, coeffs: Sequence[WeightEnum]):
         if len(coeffs) != trunc + 1:
             raise ValueError("coefficient list does not match the truncation order")
         self.trunc = trunc
         self.coeffs = tuple(coeffs)
+        self._packed = None
 
     def coeff(self, l: int) -> WeightEnum:
         return self.coeffs[l]
@@ -342,10 +346,11 @@ def phi_series(lam: AdjMatrix, trunc: int) -> LSeries:
     Enumerators are packed by Kronecker substitution, W^a -> 2^(a*b), and
     the first row of Lambda^l is iterated as a list of packed integers by
     state.  A slot counts paths of length l <= T, at most R^T <=
-    2^(T * bitlen(R - 1)) for the largest row count R, so
-    b = T * bitlen(R - 1) + 1 bits keep slots apart.  LimitError, before
-    anything is packed, when a vector of weights up to n*T would pass
-    SERIES_BITS.
+    2^(T * bitlen(R - 1)) for the largest row count R; the bitlen(T) + 1
+    more bits of b hold `omega_series`' sum under its guard (module
+    docstring), so the packed (Lambda^l)_{0,0} go to it with the series.
+    LimitError, before anything is packed, when a vector of weights up to
+    n*T would pass SERIES_BITS.
     """
     if lam.extended:
         raise ValueError("use the plain adjacency matrix, not the extended one")
@@ -353,7 +358,7 @@ def phi_series(lam: AdjMatrix, trunc: int) -> LSeries:
         raise ValueError("truncation must be >= 1")
     counts = [e.count() for e in lam.cells]
     most = max(sum(counts[t] for _, t in row) for row in lam.rows)
-    width = trunc * (most - 1).bit_length() + 1
+    width = trunc * (most - 1).bit_length() + trunc.bit_length() + 1
     check_limit(SERIES_BITS, "a packed series of {count} bits exceeds the ceiling {bound}",
                 [lam.size, lam.n * trunc + 1, width])
     packs = [_pack(e, width) for e in lam.cells]
@@ -365,8 +370,8 @@ def phi_series(lam: AdjMatrix, trunc: int) -> LSeries:
         for j, t in row:
             groups.setdefault(packs[t], []).append(j)
         packed.append(tuple(groups.items()))
-    coeffs = [WeightEnum.one()]
     vec = [1] + [0] * (lam.size - 1)
+    firsts = [1]
     for _ in range(trunc):
         nxt = [0] * lam.size
         for x, groups in zip(vec, packed):
@@ -376,8 +381,10 @@ def phi_series(lam: AdjMatrix, trunc: int) -> LSeries:
                     for j in dsts:
                         nxt[j] += y
         vec = nxt
-        coeffs.append(_unpack(vec[0], width))
-    return LSeries(trunc, coeffs)
+        firsts.append(vec[0])
+    phi = LSeries(trunc, [_unpack(x, width) for x in firsts])
+    phi._packed = (width, firsts)
+    return phi
 
 
 def _pack(e: WeightEnum, width: int) -> tuple[int, int]:
@@ -396,9 +403,11 @@ def _pack(e: WeightEnum, width: int) -> tuple[int, int]:
 
 
 def _unpack(value: int, width: int) -> WeightEnum:
+    """The enumerator packed in `value`, read from its lowest nonzero slot up."""
     mask = (1 << width) - 1
     terms = {}
-    a = 0
+    a = ((value & -value).bit_length() - 1) // width if value else 0
+    value >>= a * width
     while value:
         c = value & mask
         if c:
@@ -414,25 +423,28 @@ def omega_series(phi: LSeries) -> LSeries:
     """Atomic weight distribution Omega = 1 - Phi^{-1}.
 
     Phi = 1 + Omega * Phi gives Omega_l = Phi_l - sum_{0<j<l} Omega_j Phi_{l-j},
-    run on enumerators packed as in `phi_series`.  While every Omega_j is
-    nonnegative, so is every term, and 0 <= Omega_j <= Phi_j slot by slot;
-    a slot of the sum is then at most sum_j Phi_j(1) Phi_{l-j}(1), the
-    totals at W = 1, which sets the width.  The subtraction runs with a
-    guard bit on top of every slot, so a slot that would go negative clears
-    its guard instead of borrowing from its neighbour, and is refused.
+    run on packed enumerators with a guard bit on top of every slot, so a
+    slot that would go negative clears its guard instead of borrowing from
+    its neighbour, and is refused.  While every Omega_j is nonnegative, so
+    is every term, and 0 <= Omega_j <= Phi_j slot by slot.  A series from
+    `phi_series` brings its packed integers, whose width holds the sum; any
+    other is checked and packed here at a width set by the totals at W = 1,
+    as a slot of the sum is at most sum_j Phi_j(1) Phi_{l-j}(1).
     """
-    if phi.coeffs[0] != WeightEnum.one():
-        raise ValueError("series inverse requires constant coefficient 1")
-    if not all(c.is_nonnegative() for c in phi.coeffs):
-        raise ValueError("Phi has a negative coefficient")
     trunc = phi.trunc
-    totals = [c.count() for c in phi.coeffs]
-    top = max(
-        [*totals, *(sum(totals[j] * totals[l - j] for j in range(1, l)) for l in range(trunc + 1))]
-    )
-    width = top.bit_length() + 1
-    packed = [sum(c << (a * width) for a, c in e._terms.items()) for e in phi.coeffs]
-    slots = 2 * max(e.max_weight() or 0 for e in phi.coeffs) + 1  # covers any product
+    if phi._packed is not None:
+        width, packed = phi._packed
+    else:
+        if phi.coeffs[0] != WeightEnum.one():
+            raise ValueError("series inverse requires constant coefficient 1")
+        if not all(c.is_nonnegative() for c in phi.coeffs):
+            raise ValueError("Phi has a negative coefficient")
+        totals = [c.count() for c in phi.coeffs]
+        top = max([*totals, *(sum(totals[j] * totals[l - j] for j in range(1, l))
+                               for l in range(trunc + 1))])
+        width = top.bit_length() + 1
+        packed = [sum(c << (a * width) for a, c in e._terms.items()) for e in phi.coeffs]
+    slots = 2 * ((max(packed).bit_length() - 1) // width) + 1  # covers any product
     guards = ((1 << (slots * width)) - 1) // ((1 << width) - 1) << (width - 1)
     omega = [0] * (trunc + 1)
     for l in range(1, trunc + 1):

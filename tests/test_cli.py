@@ -899,6 +899,30 @@ def test_json_writers_order_weights_as_strings(capsys):
     assert ["".join(cli._block([[]], d, b)) for d, b in ((0, "[]"), (3, "{}"))] == ["[]", "{}"]
 
 
+def test_series_writer_matches_json_dumps_at_any_weight_count_and_truncation(capsys):
+    # each {"l", "terms"} object is made in one join; it must match json.dumps
+    # where weights reach 10 ("10" sorts before "2"), where a coefficient is
+    # zero ("terms": {}), at T = 1, and where counts pass 2^64
+    W = spectrum.WeightEnum
+    cases = [(invariance.code_adjacency(parse_gm(pathlib.Path(path).read_text()), lumped=True), trunc)
+             for path in (MEMORY3, G1) for trunc in (1, 12)]
+    cases.append((invariance.code_adjacency(polyalg.pm(field_make(2, 4), [[[1], [1]]])), 20))
+    cases.append((spectrum.AdjMatrix([[(0, 0)]], [W({3: 1 << 40, 12: 5})], q=2, n=12), 3))
+    texts = []
+    for lam, trunc in cases:
+        phi = spectrum.phi_series(lam, trunc)
+        omega = spectrum.omega_series(phi)
+        texts.append(_series_text(capsys, trunc, omega, phi))
+        assert texts[-1] == json.dumps({
+            "schema": "convcode.series/1", "trunc": trunc,
+            "omega": genutil.series_json(omega), "phi": genutil.series_json(phi),
+        }, sort_keys=True, indent=2) + "\n", trunc
+    assert '"terms": {}' in texts[0] and '"trunc": 1' in texts[0]
+    assert re.search(r'"1\d": \d+,\n {8}"[2-9]": ', texts[1])  # a key of 10 or more, then 2 to 9
+    assert '"40": 332525673007965087890625' in texts[4]  # 15^20 > 2^64
+    assert f'"9": {1 << 120}' in texts[5]  # (2^40 W^3)^3
+
+
 def test_f16_series_expand_only_orbit_representatives(capsys, monkeypatch):
     # spectrum and distances read Phi from the F_16^* orbit quotient: the
     # 1 + (16^3 - 1) / 15 smallest orbit members, not all 4096 states

@@ -371,6 +371,22 @@ def test_benchmark_tracer_patches_and_restores(capsys, tmp_path):
     assert all(getattr(o, a) is orig for o, a, orig in patched)
 
 
+def test_series_pair_calls_phi_and_omega_through_the_module():
+    # the tracer wraps spectrum.phi_series and spectrum.omega_series as module
+    # attributes, so _series_pair must look both up there on every call for
+    # the benchmark's spans and series_terms to see them
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_series_pair")
+    called = {
+        node.func.attr for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "spectrum"
+    }
+    assert {"phi_series", "omega_series"} <= called
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert not names & {"phi_series", "omega_series"}
+
+
 def test_equal_pairs_benchmark_run_is_correct():
     # the run checks every output against the stored digest and the planted
     # faults, so a witness that changes anywhere in its corpus fails here

@@ -25,6 +25,7 @@ from convcode.errors import LimitError
 from convcode.galois import field_make
 from convcode.invariance import apply_witness, code_adjacency
 from convcode.polyalg import mat_rank, pm_eval0, vec_mat
+from convcode import spectrum
 from convcode.spectrum import AdjMatrix, format_series, row_iterate
 
 import genutil
@@ -481,6 +482,64 @@ def test_packed_omega_refusals():
     assert omega_series(ok) == genutil.series_sub(genutil.series_one(2), genutil.series_inverse(ok))
 
 
+def _handoff_codes():
+    """Seeded minimal codes over F2 to F16 with k = 1 and k = 2, and over
+    each field the k = 1 and k = 2 block codes (one state)."""
+    codes = []
+    for p, m in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)):
+        fld = field_make(p, m)
+        rng = random.Random(4700 + 10 * p + m)
+        codes += [pm(fld, [[[1], [1]]]), pm(fld, [[[1], [0], [1]], [[0], [1], [1]]])]
+        for k in (1, 2):
+            g = genutil.random_minimal_code(rng, fld, n_max=3, k_max=k, gamma_max=2)
+            while g.k != k:
+                g = genutil.random_minimal_code(rng, fld, n_max=3, k_max=k, gamma_max=2)
+            codes.append(g)
+    return codes
+
+
+def _cycle(length, count):
+    """A hand-built Lambda: a cycle through `length` states, each step
+    `count` parallel edges of weight 1, so every path from 0 returns first
+    at `length` and (Lambda^length)_{0,0} = count^length W^length."""
+    rows = [[((i + 1) % length, 0)] for i in range(length)]
+    return AdjMatrix(rows, [WeightEnum({1: count})], q=2, n=1)
+
+
+def test_omega_runs_on_the_integers_phi_hands_over():
+    # omega_series(phi) takes phi_series' packed values; a series rebuilt by
+    # hand is checked and packed again at its own width; both must give the
+    # WeightEnum reference 1 - Phi^{-1}.  The cycles put count^T paths of
+    # one weight in one slot at L^T, the largest a slot of Phi may hold, so
+    # a width without bitlen(T) (or, at T = 1, without the guard bit) makes
+    # the guard refuse them
+    cases = []
+    for g in _handoff_codes():
+        lam = code_adjacency(g, lumped=True)
+        cases += [(lam, trunc) for trunc in (1, 2, default_truncation(g.info.delta))]
+    cases += [(_cycle(length, count), length) for length in (1, 2, 3, 5) for count in (1, 2, 4)]
+    for lam, trunc in cases:
+        phi = phi_series(lam, trunc)
+        assert phi._packed is not None
+        rebuilt = LSeries(phi.trunc, phi.coeffs)
+        assert rebuilt == phi and rebuilt._packed is None
+        omega = omega_series(phi)
+        assert omega == omega_series(rebuilt), (lam.size, trunc)
+        assert omega == genutil.series_sub(genutil.series_one(trunc), genutil.series_inverse(phi))
+    phi = phi_series(_cycle(3, 4), 3)
+    assert phi.coeffs[3] == WeightEnum({3: 64}) and omega_series(phi).coeffs[3] == phi.coeffs[3]
+
+
+def test_unpack_reads_every_slot_from_the_lowest_set_one():
+    assert spectrum._unpack(0, 1) == spectrum._unpack(0, 9) == WeightEnum()
+    for width in (1, 2, 5, 8, 33):
+        top, full = (1 << (width - 1)) - 1 or 1, (1 << width) - 1
+        for slots in ({0: 1}, {7: top}, {40: full}, {3: 1 << (width - 1)},
+                      {0: top, 1: top, 2: top}, {5: full, 9: 1, 10: top}):
+            value = sum(c << (a * width) for a, c in slots.items())
+            assert spectrum._unpack(value, width) == WeightEnum(slots), (width, slots)
+
+
 def test_lseries_refuses_a_wrong_coefficient_count():
     with pytest.raises(ValueError, match="coefficient list does not match the truncation order"):
         LSeries(2, [WeightEnum.one()])
@@ -556,3 +615,15 @@ def test_equality_matches_the_resolving_reference():
     assert verdicts["retabled", True] == 27 and verdicts["one cell", True] == 0, verdicts
     assert all(verdicts[kind, True] == 0 and verdicts[kind, False] == 27 for kind in ("q", "n", "extended"))
     assert verdicts["conjugated", False] >= 10 and verdicts["one cell", False] >= 40, verdicts
+
+
+def test_equality_is_false_both_ways_on_a_repeated_destination():
+    # a row that repeats a destination stands for no row of the other
+    # matrix, whichever side it is on: each destination is taken out of the
+    # other's row once, so its second look-up fails
+    cells = [WeightEnum({1: 1})]
+    a = AdjMatrix([[(1, 0), (1, 0)], [(0, 0)]], cells, q=2, n=2)
+    b = AdjMatrix([[(1, 0), (0, 0)], [(0, 0)]], cells, q=2, n=2)
+    c = AdjMatrix([[(1, 0), (1, 0), (0, 0)], [(0, 0)]], cells, q=2, n=2)
+    assert (a == b, b == a, b == c, c == b) == (False,) * 4
+    assert not spectrum.conjugates(a, b, [0, 1]) and not spectrum.conjugates(b, a, [0, 1])

@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
 """Alternated A/B runs of the benchmark on two checkouts.
 
-    python3 tools/perf_pairs.py PARENT CHANGE --workload W [--pairs 10] [--seed 1]
+    python3 tools/perf_pairs.py PARENT CHANGE [--workload W ...] [--pairs 10] [--seed 1]
 
-PARENT and CHANGE are the roots of two checkouts.  Each pair runs
+PARENT and CHANGE are the roots of two checkouts.  `--workload` may be
+given more than once; without it every workload named in CHANGE's
+BENCHMARK.json runs, one after another.  Each pair runs
 `python3 perfbench/run.py --workload W --seed S --trace 0` once in each,
 the parent first in even pairs and the change first in odd ones, and every
 `__pycache__` under both checkouts is deleted before each run, so no run
 reads bytecode compiled from another source or by the other side's run.
 The script exits 1 on any run that fails, is not `correct` or has `failed`
-above 0.  Otherwise it prints, per end-to-end metric, the medians of both
-sides, the parent's interquartile range and in how many pairs the change
-read lower, and exits 0.  It uses the standard library alone and imports
-nothing from the checkouts.
+above 0.  Otherwise it prints, per workload and end-to-end metric, the
+medians of both sides, their ratio change/parent, the parent's
+interquartile range and in how many pairs the change read lower, and
+exits 0.  It uses the standard library alone and imports nothing from the
+checkouts.
 """
 
 from __future__ import annotations
@@ -54,34 +57,47 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def summary(parent: list[dict], change: list[dict]) -> list[str]:
+    """The table of one workload's pairs, a line per end-to-end metric of the
+    parent's runs: both medians, change/parent, the parent's IQR and the
+    pairs in which the change read lower."""
+    lines = [f"{'metric':<16} {'parent':>12} {'change':>12} {'ratio':>7} {'parent IQR':>12} {'change lower':>13}"]
+    for name in parent[0]:  # the end-to-end metrics run.py reports
+        old = [m[name] for m in parent]
+        new = [m[name] for m in change]
+        q1, q3 = quartiles(old)
+        wins = sum(b < a for a, b in zip(old, new))
+        before, after = statistics.median(old), statistics.median(new)
+        ratio = f"{after / before:7.3f}" if before else f"{'-':>7}"
+        lines.append(f"{name:<16} {before:12.4f} {after:12.4f} {ratio} "
+                     f"{q3 - q1:12.4f} {wins:>9}/{len(parent)}")
+    return lines
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent")
     ap.add_argument("change")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", action="append", help="repeatable; default: every workload in BENCHMARK.json")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
     if args.pairs < 2:
         ap.error("--pairs must be >= 2")
-    sides = {"parent": [], "change": []}
-    for pair in range(args.pairs):
-        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-        for side in order:
-            root = getattr(args, side)
-            for checkout in (args.parent, args.change):
-                clear_bytecode(checkout)
-            sides[side].append(run(root, args.workload, args.seed))
-        print(f"# pair {pair + 1}/{args.pairs} done, {order[0]} first", flush=True)
-    print(f"{args.workload} seed {args.seed}, {args.pairs} alternated pairs")
-    print(f"{'metric':<16} {'parent':>12} {'change':>12} {'parent IQR':>12} {'change lower':>13}")
-    for name in sides["parent"][0]:  # the end-to-end metrics run.py reports
-        old = [m[name] for m in sides["parent"]]
-        new = [m[name] for m in sides["change"]]
-        q1, q3 = quartiles(old)
-        wins = sum(b < a for a, b in zip(old, new))
-        print(f"{name:<16} {statistics.median(old):12.4f} {statistics.median(new):12.4f} "
-              f"{q3 - q1:12.4f} {wins:>9}/{args.pairs}")
+    if not args.workload:
+        with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
+            args.workload = [w["name"] for w in json.load(fh)["workloads"]]
+    for workload in args.workload:
+        sides = {"parent": [], "change": []}
+        for pair in range(args.pairs):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                for checkout in (args.parent, args.change):
+                    clear_bytecode(checkout)
+                sides[side].append(run(getattr(args, side), workload, args.seed))
+            print(f"# {workload}: pair {pair + 1}/{args.pairs} done, {order[0]} first", flush=True)
+        print(f"{workload} seed {args.seed}, {args.pairs} alternated pairs")
+        print("\n".join(summary(sides["parent"], sides["change"])), flush=True)
     return 0
 
 
