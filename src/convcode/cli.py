@@ -298,7 +298,10 @@ def _block(members: Iterable, depth: int, brackets: str = "[]") -> Iterator[str]
 
 
 def _text(members: list[str], depth: int, brackets: str = "[]") -> str:
-    return "".join(_block([members], depth, brackets))
+    if not members:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)  # the one chunk _block makes of `members`
+    return brackets[0] + pad + ("," + pad).join(members) + pad[:-2] + brackets[1]
 
 
 def _write_json(name: str, payload: dict) -> None:
@@ -322,11 +325,9 @@ def _terms_text(e: spectrum.WeightEnum, depth: int) -> str:
 
 
 def _series_chunks(ls: spectrum.LSeries) -> Iterator[str]:
-    """The {"l", "terms"} objects, each one join laid out as by _block and _terms_text."""
-    return _block([[
-        f'{{\n      "l": {l},\n      "terms": ' + ("{\n        " + ",\n        ".join(
-            sorted([f'"{a}": {c}' for a, c in e.terms()])) + "\n      }" if e else "{}") + "\n    }"
-        for l, e in enumerate(ls.coeffs)
+    yield from _block([[
+        f'{{\n      "l": {l},\n      "terms": {_terms_text(e, 3)}\n    }}'
+        for l, e in enumerate(ls.coeffs)  # as _text(..., 2, "{}") lays it out, with no call
     ]], 1)
 
 
