@@ -1,11 +1,13 @@
 """Weight enumerators, the adjacency matrix and the weight distribution.
 
-A WeightEnum is a polynomial in the weight marker W with arbitrary
-precision integer coefficients.  The adjacency matrix Lambda of a state
-diagram counts edges by (source, destination, output weight), the zero
-self-transition at the zero state excluded.  It is stored sparse, with a
-table of its cells: per source state, the (destination, cell id) pairs of
-its nonzero cells, and per cell id one WeightEnum.  A diagram has far
+A WeightEnum, a polynomial in the weight marker W, is stored in one
+canonical form, the tuple of its nonzero (weight, count) pairs by
+increasing weight, made once and read as it is by every comparison, key
+and rendering.  The adjacency matrix Lambda of a state diagram counts
+edges by (source, destination, output weight), the zero self-transition
+at the zero state excluded.  It is stored sparse, with a table of its
+cells: per source state, the (destination, cell id) pairs of its nonzero
+cells, and per cell id one WeightEnum.  A diagram has far
 fewer distinct enumerators than nonzero cells (the F16 example: 4 for
 1,048,575), so every per-cell step of a consumer (packing, interning,
 rendering) runs once per table entry.  `adjacency` makes the cells of
@@ -38,7 +40,6 @@ distances are read off Omega and Phi.
 
 from __future__ import annotations
 
-import functools
 import operator
 from collections import deque
 from itertools import chain, compress, count, islice, repeat
@@ -56,15 +57,12 @@ def default_truncation(gamma: int) -> int:
 
 
 class WeightEnum:
-    """Integer-coefficient polynomial in W, stored sparsely by weight."""
+    """Integer-coefficient polynomial in W, stored as its nonzero (weight, count) pairs by weight."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        if terms is None:
-            self._terms = {}
-        else:
-            self._terms = {a: c for a, c in dict(terms).items() if c}
+        self._terms = tuple(sorted((a, c) for a, c in dict(terms).items() if c)) if terms else ()
 
     @classmethod
     def zero(cls) -> "WeightEnum":
@@ -75,11 +73,11 @@ class WeightEnum:
         return cls({0: 1})
 
     def coeff(self, alpha: int) -> int:
-        return self._terms.get(alpha, 0)
+        return dict(self._terms).get(alpha, 0)
 
     def terms(self) -> tuple[tuple[int, int], ...]:
-        """Sorted (weight, count) pairs; usable as a canonical key."""
-        return tuple(sorted(self._terms.items()))
+        """The stored (weight, count) pairs; usable as a canonical key."""
+        return self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -88,55 +86,50 @@ class WeightEnum:
         return isinstance(other, WeightEnum) and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(self.terms())
+        return hash(self._terms)
 
     def __add__(self, other: "WeightEnum") -> "WeightEnum":
         out = dict(self._terms)
-        for a, c in other._terms.items():
+        for a, c in other._terms:
             out[a] = out.get(a, 0) + c
         return WeightEnum(out)
 
     def __sub__(self, other: "WeightEnum") -> "WeightEnum":
-        out = dict(self._terms)
-        for a, c in other._terms.items():
-            out[a] = out.get(a, 0) - c
-        return WeightEnum(out)
+        return self + WeightEnum({a: -c for a, c in other._terms})
 
     def __mul__(self, other: "WeightEnum") -> "WeightEnum":
         out: dict[int, int] = {}
-        for a, c in self._terms.items():
-            for b, d in other._terms.items():
+        for a, c in self._terms:
+            for b, d in other._terms:
                 key = a + b
                 out[key] = out.get(key, 0) + c * d
         return WeightEnum(out)
 
     def min_weight(self) -> Optional[int]:
-        return min(self._terms) if self._terms else None
+        return self._terms[0][0] if self._terms else None
 
     def max_weight(self) -> Optional[int]:
-        return max(self._terms) if self._terms else None
+        return self._terms[-1][0] if self._terms else None
 
     def count(self) -> int:
         """Sum of all coefficients (number of counted objects)."""
-        return sum(self._terms.values())
+        return sum(c for _, c in self._terms)
 
     def nonzero_terms(self) -> int:
         return len(self._terms)
 
     def is_nonnegative(self) -> bool:
-        return all(c >= 0 for c in self._terms.values())
+        return all(c >= 0 for _, c in self._terms)
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
         parts = []
-        for a, c in self.terms():
+        for a, c in self._terms:
             if a == 0:
                 parts.append(str(c))
             else:
                 w = "W" if a == 1 else f"W^{a}"
                 parts.append(w if c == 1 else f"{c}{w}")
-        return " + ".join(parts)
+        return " + ".join(parts) or "0"
 
     __repr__ = __str__
 
@@ -201,19 +194,17 @@ class AdjMatrix:
 
 def conjugates(a: AdjMatrix, b: AdjMatrix, pi: Sequence[int]) -> bool:
     """Whether b[pi(i)][pi(j)] == a[i][j] for every cell, with pi a
-    permutation of the states and pi(0) == 0, in O(cells).  A table entry
-    takes the id of a's first entry with its terms() once WeightEnum ==
-    confirms the match (b's others get -1); each row of a, mapped by pi, is
-    then taken out of a {destination: id} dict of b's row of one length,
-    entry by entry up to the first difference, so a destination repeated in
-    either row is a difference."""
+    permutation of the states and pi(0) == 0, in O(cells); False when the
+    sizes differ.  A table entry takes the id of a's first entry with its
+    terms(), the canonical key (b's others get -1); each row of a, mapped
+    by pi, is then taken out of a {destination: id} dict of b's row of one
+    length, entry by entry up to the first difference, so a destination
+    repeated in either row is a difference."""
+    if a.size != b.size or pi[0] != 0 or len(pi) != a.size or set(pi) != set(range(a.size)):
+        return False
     first: dict[tuple, int] = {}
     ids_a = [first.setdefault(e.terms(), t) for t, e in enumerate(a.cells)]
-    ids_a = [u if a.cells[u] == e else t for t, (u, e) in enumerate(zip(ids_a, a.cells))]
     ids_b = [first.get(e.terms(), -1) for e in b.cells]
-    ids_b = [u if u >= 0 and a.cells[u] == e else -1 for u, e in zip(ids_b, b.cells)]
-    if pi[0] != 0 or len(pi) != a.size or set(pi) != set(range(a.size)):
-        return False
     for row, p in zip(a.rows, pi):
         if len(b.rows[p]) != len(row):
             return False
@@ -228,12 +219,14 @@ def conjugates(a: AdjMatrix, b: AdjMatrix, pi: Sequence[int]) -> bool:
 def adjacency(sd: StateDiagram) -> AdjMatrix:
     """Lambda, or Q of a lumped diagram, off the runs of `statediag._blocks`.
 
-    An edge's key is its destination j plus wt(v) * s, one lookup per
-    packed output; one table maps each key to the shared (j, id) pair of
-    W^wt, the pairs of new keys made in one `zip` per run.  A full `spread`
-    diagram's rows are these runs of pairs.  Other diagrams sort their rows
-    and merge row 0 and the rows that repeat a destination (in Q those with
-    xA = 0, in a non-spread diagram all): an edge of weight w adds 2^(w*b)
+    An edge's key is j * (n + 1) + wt(v): `_blocks` scales the shared
+    destination rows, and wt(v) is one lookup per packed output in the
+    (q, n) table of `_weigher`.  One table maps each key to the shared
+    (j, id) pair of W^wt, the pairs of new keys made in one `zip` per run.
+    A full `spread` diagram's rows are these runs of pairs.  Other diagrams
+    sort their rows' keys, so by destination, and merge row 0 and the rows
+    that repeat a destination (in Q those with xA = 0, in a non-spread
+    diagram all): an edge of weight w adds 2^(w*b)
     to its cell, b = bitlen(inputs) bits holding any count, and the zero
     self-transition is never counted.  A merged cell counts q - 1 edges or
     sits at 0, so only merged rows share its pair.  Each distinct
@@ -243,9 +236,10 @@ def adjacency(sd: StateDiagram) -> AdjMatrix:
     b = inputs.bit_length()
     ids: dict[int, int] = {}  # packed enumerator -> cell id
     index = list(range(s))  # one int object per destination, shared by its pairs
-    unit = [1 << (w * b) for w in range(sd.n + 1)]  # wt -> packed W^wt
-    offset = statediag._weigher(sd.field.q, sd.n, s)  # v -> wt(v) * s
-    table: list = [None] * (s * (sd.n + 1))  # key j + wt * s -> the pair of W^wt at j
+    m = sd.n + 1
+    unit = [1 << (w * b) for w in range(m)]  # wt -> packed W^wt
+    weight = statediag._weigher(sd.field.q, sd.n)
+    table: list = [None] * (s * m)  # key j * m + wt -> the pair of W^wt at j
     merged: dict[int, tuple[int, int]] = {}  # j + v * s -> the pair of merged cell v at j
     fix = sd.lumped or not sd.spread
     # about 2048 edges a block keeps its transient lists small; blocks of q^gamma
@@ -253,8 +247,8 @@ def adjacency(sd: StateDiagram) -> AdjMatrix:
     # peak on 2^16 states
     per_block = (1 << 11) // inputs + 1
     rows = []
-    for block, dsts, outputs in statediag._blocks(sd, per_block):
-        keys = list(map(operator.add, chain.from_iterable(dsts), map(offset, outputs)))
+    for block, dsts, outputs in statediag._blocks(sd, per_block, m):
+        keys = list(map(operator.add, chain.from_iterable(dsts), map(weight, outputs)))
         if fix:  # row 0 drops its keys 0, the weight-0 edges 0 -> 0
             flat = iter(keys)
             chunks = [tuple(filter(None, islice(flat, inputs - 1)))] if not block[0] else []
@@ -262,12 +256,12 @@ def adjacency(sd: StateDiagram) -> AdjMatrix:
             merge = list(map(operator.lt, map(len, map(set, dsts)), map(len, dsts)))
             merge[0] |= not block[0]
             plain = compress(chunks, map(operator.not_, merge))
-            keys = list(chain.from_iterable(map(functools.partial(sorted, key=s.__rmod__), plain)))
+            keys = list(chain.from_iterable(map(sorted, plain)))
         kept = set(keys)
         fresh = list(compress(kept, map(operator.not_, map(table.__getitem__, kept))))
-        cells = map(ids.setdefault, map(unit.__getitem__, map(s.__rfloordiv__, fresh)),
+        cells = map(ids.setdefault, map(unit.__getitem__, map(m.__rmod__, fresh)),
                     map(len, repeat(ids)))  # len(ids) read as each key's id is set
-        pairs = zip(map(index.__getitem__, map(s.__rmod__, fresh)), cells)
+        pairs = zip(map(index.__getitem__, map(m.__rfloordiv__, fresh)), cells)
         deque(map(table.__setitem__, fresh, pairs), maxlen=0)
         flat = map(table.__getitem__, keys)
         if not fix:
@@ -278,7 +272,7 @@ def adjacency(sd: StateDiagram) -> AdjMatrix:
         made = list(zip(*[flat] * inputs))
         for at in compress(count(), merge):
             acc: dict[int, int] = {}
-            for w, j in map(divmod, chunks[at], repeat(s)):
+            for j, w in map(divmod, chunks[at], repeat(m)):
                 acc[j] = acc.get(j, 0) + unit[w]
             row = [merged.setdefault(j + v * s, (index[j], ids.setdefault(v, len(ids))))
                    for j, v in sorted(acc.items())]
@@ -395,7 +389,7 @@ def _pack(e: WeightEnum, width: int) -> tuple[int, int]:
     """
     low = e.min_weight()
     out = 0
-    for a, c in e._terms.items():
+    for a, c in e._terms:
         if c < 0:
             raise ValueError("adjacency counts must be nonnegative")
         out += c << ((a - low) * width)
@@ -403,19 +397,20 @@ def _pack(e: WeightEnum, width: int) -> tuple[int, int]:
 
 
 def _unpack(value: int, width: int) -> WeightEnum:
-    """The enumerator packed in `value`, read from its lowest nonzero slot up."""
+    """The enumerator packed in `value`, its pairs read and stored in weight
+    order, from the lowest nonzero slot up."""
     mask = (1 << width) - 1
-    terms = {}
+    terms = []
     a = ((value & -value).bit_length() - 1) // width if value else 0
     value >>= a * width
     while value:
         c = value & mask
         if c:
-            terms[a] = c
+            terms.append((a, c))
         value >>= width
         a += 1
     out = WeightEnum()
-    out._terms = terms  # has no zero counts, so not copied
+    out._terms = tuple(terms)
     return out
 
 
@@ -443,7 +438,7 @@ def omega_series(phi: LSeries) -> LSeries:
         top = max([*totals, *(sum(totals[j] * totals[l - j] for j in range(1, l))
                                for l in range(trunc + 1))])
         width = top.bit_length() + 1
-        packed = [sum(c << (a * width) for a, c in e._terms.items()) for e in phi.coeffs]
+        packed = [sum(c << (a * width) for a, c in e._terms) for e in phi.coeffs]
     slots = 2 * ((max(packed).bit_length() - 1) // width) + 1  # covers any product
     guards = ((1 << (slots * width)) - 1) // ((1 << width) - 1) << (width - 1)
     omega = [0] * (trunc + 1)
@@ -506,8 +501,7 @@ def format_series(ls: LSeries) -> str:
     parts = []
     for alpha in sorted(by_weight):
         lterms = []
-        for l in sorted(by_weight[alpha]):
-            cnt = by_weight[alpha][l]
+        for l, cnt in by_weight[alpha].items():  # filled in increasing l
             lpow = "1" if l == 0 else ("L" if l == 1 else f"L^{l}")
             lterms.append(lpow if cnt == 1 else f"{cnt}{lpow}")
         inner = " + ".join(lterms)

@@ -176,14 +176,14 @@ def _cellwise(digits: Sequence[int], cells: int, base: int) -> list[int]:
 
 
 @functools.cache
-def _weigher(q: int, n: int, scale: int = 1) -> Callable[[int], int]:
-    """wt(v) * scale for a packed vector v of F_q^n, from a table of digit
-    chunks; a single lookup when q^n <= 2^16.  Cached, it holds one weigher
-    and table of at most 2^16 entries per (q, n, scale) the process asks for."""
+def _weigher(q: int, n: int) -> Callable[[int], int]:
+    """wt(v) for a packed vector v of F_q^n, from a table of digit chunks; a
+    single lookup when q^n <= 2^16.  Cached, it holds one weigher and table
+    of at most 2^16 entries per (q, n) the process asks for."""
     width = n
     while q**width > 1 << 16:
         width -= 1
-    table = _cellwise([0] + [scale] * (q - 1), width, 1)
+    table = _cellwise([0] + [1] * (q - 1), width, 1)
     if width == n:
         return table.__getitem__
     size = q**width
@@ -218,15 +218,16 @@ def _orbits(fld: FieldSpec, gamma: int) -> tuple[list[int], list[int]]:
     return orbit, reps
 
 
-def _blocks(sd: StateDiagram, size: int) -> Iterator[tuple[Sequence[int], list[tuple], Iterator[int]]]:
+def _blocks(sd: StateDiagram, size: int,
+            scale: int = 1) -> Iterator[tuple[Sequence[int], list[tuple], Iterator[int]]]:
     """(sources, dsts, outputs) per run of at most `size` sources, in order,
     over every transition but (0, 0): the one enumeration of the edges.
 
     The sources are every packed state, or a lumped diagram's orbit
     representatives.  `dsts` holds each source's destinations xA + uB in
-    input order (orbit ids if lumped), one tuple per xA, shared by its
-    sources and made in C-level passes, xA repeated once per input plus uB
-    cycled; `outputs` streams the run's packed outputs xC + uD alike.
+    input order (orbit ids if lumped) times `scale`, one tuple per xA,
+    shared by its sources and made in C-level passes, xA repeated once per
+    input plus uB cycled; `outputs` streams the run's outputs xC + uD.
     """
     xa, xc, ub, ud = sd.xa, sd.xc, sd.ub, sd.ud
     sources = range(len(xa)) if sd.reps is None else sd.reps
@@ -237,7 +238,7 @@ def _blocks(sd: StateDiagram, size: int) -> Iterator[tuple[Sequence[int], list[t
     dsts = map(operator.add, each(starts), cycle(ub))  # xA and uB occupy disjoint cells
     if sd.orbit is not None:
         dsts = map(sd.orbit.__getitem__, dsts)
-    rows = dict(zip(starts, zip(*[dsts] * len(ub))))
+    rows = dict(zip(starts, zip(*[map(scale.__mul__, dsts)] * len(ub))))
     for lo in range(0, len(sources), size):
         block = list(map(rows.__getitem__, xa[lo:lo + size]))
         outputs = map(sd.add, each(xc[lo:lo + size]), cycle(ud))

@@ -605,6 +605,25 @@ def test_invariance_decides_and_the_layers_below_it_represent():
     ]
 
 
+def test_weight_enumerators_are_read_in_their_stored_order():
+    # a WeightEnum keeps its terms as one tuple sorted by weight, so its
+    # readers neither sort nor search them: no sorted/min/max in the methods
+    # that read the tuple, no == re-comparison of cells in `conjugates`, and
+    # the JSON writer sorts only the rendered strings, as JSON key order needs
+    spectrum = ast.parse((PACKAGE / "spectrum.py").read_text())
+    enum = next(n for n in spectrum.body if isinstance(n, ast.ClassDef) and n.name == "WeightEnum")
+    readers = [n for n in enum.body if isinstance(n, ast.FunctionDef)
+               and n.name in ("terms", "__eq__", "__hash__", "min_weight", "max_weight")]
+    assert len(readers) == 5
+    assert [ast.unparse(c) for fn in readers for name in ("sorted", "min", "max") for c in _calls(fn, name)] == []
+    fn = _function("spectrum.py", "conjugates")
+    assert not [n for n in ast.walk(fn) if isinstance(n, ast.Compare) and isinstance(n.ops[0], ast.Eq)]
+    terms_text = _function("cli.py", "_terms_text")
+    assert [ast.unparse(c.args[0]) for c in _calls(terms_text, "sorted")] == [
+        "[f'\"{a}\": {c}' for a, c in e.terms()]"
+    ]
+
+
 def test_bijections_are_enumerated_only_by_monomial_equiv():
     # the conjugation search decides Lemma A.1 as it decides `equal`, so the
     # column search of monomial_equiv is the one place that lists permutations

@@ -149,6 +149,37 @@ def test_weight_enum_basics():
     assert b.min_weight() == 1 and b.max_weight() == 3 and b.count() == 3
 
 
+def _is_canonical(e):
+    # strictly increasing weights, no zero count, and one stored tuple
+    weights = [a for a, _ in e.terms()]
+    return (all(c for _, c in e.terms()) and weights == sorted(set(weights))
+            and e.terms() is e.terms() and isinstance(e.terms(), tuple))
+
+
+def test_weight_enum_keeps_one_sorted_tuple():
+    made = [
+        WeightEnum({5: 2, 0: 0, 3: -1, 1: 4}),
+        WeightEnum([(7, 1), (2, 0), (4, -3), (0, 5)]),
+        WeightEnum({9: 0}), WeightEnum([]), WeightEnum(), WeightEnum({12: 1 << 70, 2: -(1 << 65)}),
+    ]
+    assert [e.terms() for e in made] == [
+        ((1, 4), (3, -1), (5, 2)), ((0, 5), (4, -3), (7, 1)), (), (), (), ((2, -(1 << 65)), (12, 1 << 70)),
+    ]
+    assert all(map(_is_canonical, made))
+    assert [(e.min_weight(), e.max_weight()) for e in made[:3]] == [(1, 5), (0, 7), (None, None)]
+    # unpacked slot by slot, at several widths, counts above 2^64 included:
+    # the same tuple, so == and hash agree with the constructed enumerator
+    for width in (1, 3, 8, 64, 65, 72):
+        full = (1 << width) - 1
+        for slots in ({0: 1}, {4: full, 1: 1}, {30: full, 0: full, 11: 1 << (width - 1)},
+                      {2: 1, 3: 0, 6: full}):
+            value = sum(c << (a * width) for a, c in slots.items())
+            got, want = spectrum._unpack(value, width), WeightEnum(slots)
+            assert _is_canonical(got) and got == want and hash(got) == hash(want), (width, slots)
+            assert got.terms() == want.terms() and str(got) == str(want)
+    assert max(c for _, c in spectrum._unpack((1 << 72) - 1, 72).terms()) > 1 << 64
+
+
 def test_adjacency_mixed_degrees(g_mixed):
     assert grid(lam_of(g_mixed)) == (
         ({2: 1}, {1: 2}),
@@ -627,3 +658,27 @@ def test_equality_is_false_both_ways_on_a_repeated_destination():
     c = AdjMatrix([[(1, 0), (1, 0), (0, 0)], [(0, 0)]], cells, q=2, n=2)
     assert (a == b, b == a, b == c, c == b) == (False,) * 4
     assert not spectrum.conjugates(a, b, [0, 1]) and not spectrum.conjugates(b, a, [0, 1])
+
+
+def test_conjugates_is_false_both_ways_on_matrices_of_different_sizes():
+    # b's first two rows are a's, and its third state is never read by a
+    # permutation of a's two states: the sizes alone tell them apart
+    cells = [WeightEnum({1: 1}), WeightEnum({2: 1})]
+    a = AdjMatrix([[(1, 0)], [(0, 1)]], cells, q=2, n=2)
+    b = AdjMatrix([[(1, 0)], [(0, 1)], [(2, 0)]], cells, q=2, n=2)
+    assert not spectrum.conjugates(a, b, (0, 1)) and not spectrum.conjugates(b, a, (0, 1))
+    assert not spectrum.conjugates(b, a, (0, 1, 2)) and (a == b, b == a) == (False, False)
+    assert spectrum.conjugates(a, AdjMatrix(b.rows[:2], cells, q=2, n=2), (0, 1))
+
+
+def test_adjacency_keeps_one_weight_table_per_field_and_length():
+    # Lambda and Q of F256 n = 2 codes of 256, 2 and 258 states weigh their
+    # outputs through one table of q^n = 65,536 entries, whatever the states
+    f256 = field_make(2, 8)
+    statediag._weigher.cache_clear()
+    one, two = (controller_form(pm(f256, [row])) for row in ([[1, 1], [1, 2]], [[1, 1, 1], [1, 2, 3]]))
+    sizes = [adjacency(build(one)).size, adjacency(build(one, lumped=True)).size,
+             adjacency(build(two, lumped=True)).size]
+    list(build(one).edges_by_source)
+    assert sizes == [256, 2, 258]
+    assert statediag._weigher.cache_info().currsize == 1

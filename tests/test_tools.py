@@ -23,3 +23,19 @@ def test_perf_pairs_summary_reads_medians_ratio_iqr_and_wins():
     assert wall.split() == ["wall_ref_s", "0.4400", "0.4000", "0.909", "0.0400", "4/5"]
     # a parent median of 0 has no ratio, and no pair is lower
     assert setup.split() == ["setup_s", "0.0000", "0.0000", "-", "0.0000", "0/5"]
+
+
+def test_perf_pairs_counts_the_lines_and_bytes_of_each_package(tmp_path):
+    # two canned trees: only src/convcode/*.py counts, as `wc -l` and `wc -c`
+    # count them, so bytecode and files of other directories are left out
+    for side, texts in (("parent", ["a = 1\nb = 2\n", "c = 3\n"]), ("change", ["a = 1\n", "x"])):
+        package = tmp_path / side / "src" / "convcode"
+        (package / "__pycache__").mkdir(parents=True)
+        for i, text in enumerate(texts):
+            (package / f"m{i}.py").write_text(text)
+        (package / "__pycache__" / "m0.cpython-311.pyc").write_bytes(b"\n" * 50)
+        (package / "notes.txt").write_text("\n" * 7)
+        (tmp_path / side / "README.md").write_text("\n" * 9)
+    size = _perf_pairs().source_size
+    assert size(str(tmp_path / "parent")) == "3 lines, 18 bytes"
+    assert size(str(tmp_path / "change")) == "1 lines, 7 bytes"

@@ -13,9 +13,10 @@ reads bytecode compiled from another source or by the other side's run.
 The script exits 1 on any run that fails, is not `correct` or has `failed`
 above 0.  Otherwise it prints, per workload and end-to-end metric, the
 medians of both sides, their ratio change/parent, the parent's
-interquartile range and in how many pairs the change read lower, and
-exits 0.  It uses the standard library alone and imports nothing from the
-checkouts.
+interquartile range and in how many pairs the change read lower, then,
+under the last table, the lines and bytes of both checkouts'
+`src/convcode/*.py` (what `wc -l` and `wc -c` count), and exits 0.  It
+uses the standard library alone and imports nothing from the checkouts.
 """
 
 from __future__ import annotations
@@ -74,6 +75,18 @@ def summary(parent: list[dict], change: list[dict]) -> list[str]:
     return lines
 
 
+def source_size(root: str) -> str:
+    """'<lines> lines, <bytes> bytes' of the .py files in root/src/convcode."""
+    package = os.path.join(root, "src", "convcode")
+    lines = size = 0
+    for name in os.listdir(package):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                data = fh.read()
+            lines, size = lines + data.count(b"\n"), size + len(data)
+    return f"{lines} lines, {size} bytes"
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent")
@@ -98,6 +111,7 @@ def main() -> int:
             print(f"# {workload}: pair {pair + 1}/{args.pairs} done, {order[0]} first", flush=True)
         print(f"{workload} seed {args.seed}, {args.pairs} alternated pairs")
         print("\n".join(summary(sides["parent"], sides["change"])), flush=True)
+    print(f"src/convcode: parent {source_size(args.parent)}, change {source_size(args.change)}")
     return 0
 
 
