@@ -58,7 +58,7 @@ def main():
             print("    " + line)
         om = omega_series(phi_series(code_adjacency(h), 5))
         print(f"  dual atomic distribution: {format_series(om)}")
-        transformed = macwilliams_delta1(extend(code_adjacency(g)), g.n, g.k)
+        transformed = macwilliams_delta1(extend(code_adjacency(g)))
         direct = extend(code_adjacency(h))
         print(f"  closed-form transform equals the dual's matrix: {transformed == direct}")
         print()
@@ -70,9 +70,9 @@ def main():
     for _ in range(20):
         g = random_unit_memory_code(rng, f2)
         gam = extend(code_adjacency(g))
-        fwd = macwilliams_delta1(gam, g.n, g.k)
+        fwd = macwilliams_delta1(gam)
         assert fwd == extend(code_adjacency(dual_basis(g)))
-        assert macwilliams_delta1(fwd, g.n, g.n - g.k) == gam
+        assert macwilliams_delta1(fwd) == gam
         checked += 1
     print(f"  verified on {checked} random codes with one memory cell")
 

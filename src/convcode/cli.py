@@ -520,7 +520,7 @@ def _cmd_macwilliams(args) -> tuple:
     if g.info.delta != 1:
         raise ValueError("the closed-form transform needs constraint length 1")
     lam = spectrum.extend(invariance.code_adjacency(g))
-    return _adjacency_result(invariance.macwilliams_delta1(lam, g.n, g.k))
+    return _adjacency_result(invariance.macwilliams_delta1(lam))
 
 
 def _cmd_equal(args) -> tuple:

@@ -426,16 +426,18 @@ def monomial_equiv(
 # ---------------------------------------------------------------------------
 
 
-def macwilliams_delta1(gam: AdjMatrix, n: int, k: int) -> AdjMatrix:
+def macwilliams_delta1(gam: AdjMatrix) -> AdjMatrix:
     """Extended adjacency matrix of the dual of a binary code with a
     two-state diagram:
 
         Gamma_dual = 2^(-k-1) (1+W)^n M^T |_{W <- (1-W)/(1+W)},
-        M = [[1,1],[1,-1]] Gamma [[1,1],[1,-1]].
+        M = [[1,1],[1,-1]] Gamma [[1,1],[1,-1]],
 
-    Carried out in exact integer arithmetic; the final division must be
-    exact and the result's coefficients nonnegative, otherwise the input
-    was not a valid extended adjacency matrix.
+    with Gamma's n and k read off its first row (`recover_dimension`), so
+    the result transforms back alone.  Carried out in exact integer
+    arithmetic; the final division must be exact and the result's
+    coefficients nonnegative, otherwise the input was not a valid extended
+    adjacency matrix.
     """
     if gam.q != 2:
         raise ValueError("the transform applies to binary codes only")
@@ -443,6 +445,7 @@ def macwilliams_delta1(gam: AdjMatrix, n: int, k: int) -> AdjMatrix:
         raise ValueError("the transform applies to two-state diagrams only")
     if not gam.extended:
         raise ValueError("pass the extended matrix (zero self-loop included)")
+    n, k = gam.n, recover_dimension(gam)
     zero = WeightEnum.zero()
     e = [[gam.cells[row[j]] if j in row else zero for j in (0, 1)] for row in map(dict, gam.rows)]
     srows = ((e[0][0] + e[1][0], e[0][1] + e[1][1]),

@@ -30,12 +30,12 @@ nonzero cell reached, and no matrix power is ever materialized.  Only
 (Lambda^l)_{0,0} is read, so Phi may iterate the lumped matrix Q of the
 diagram's F_q^* orbit quotient (`statediag.build(cf, lumped=True)`) in
 place of Lambda.  Omega runs Omega_l = Phi_l - sum_{0<j<l} Omega_j
-Phi_{l-j} on the integers Phi hands over with its series, at one width:
-for row counts up to R a slot of Phi_l is at most R^l, and while every
-Omega_j >= 0 a slot of the sum is at most (l - 1) R^l < 2^(bitlen(T) +
-T * bitlen(R - 1)), so one guard bit on top makes b = T * bitlen(R - 1)
-+ bitlen(T) + 1.  Free distance, extended row distances and active burst
-distances are read off Omega and Phi.
+Phi_{l-j} on the integers `phi_series` alone hands over, in `_packed`, at
+its one width: for row counts up to R a slot of Phi_l is at most R^l, and
+while every Omega_j >= 0 a slot of the sum is at most (l - 1) R^l <
+2^(bitlen(T) + T * bitlen(R - 1)), so one guard bit on top makes b =
+T * bitlen(R - 1) + bitlen(T) + 1.  Free distance, extended row distances
+and active burst distances are read off Omega and Phi.
 """
 
 from __future__ import annotations
@@ -46,10 +46,11 @@ from itertools import chain, compress, count, islice, repeat
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import statediag
-from .errors import LimitError, check_limit
+from .errors import InternalError, LimitError, check_limit
 from .statediag import StateDiagram
 
 SERIES_BITS = 1 << 33  # bits of phi_series' packed state vector, ~1 GB
+OMEGA_BITS = 1 << 32  # operand bits of omega_series' products, a few seconds
 
 
 def default_truncation(gamma: int) -> int:
@@ -307,7 +308,8 @@ def row_iterate(row: Sequence[WeightEnum], lam: AdjMatrix) -> tuple[WeightEnum, 
 
 class LSeries:
     """Truncated power series in L with WeightEnum coefficients; `_packed` is
-    None, or (width, packed coefficients) as phi_series hands them on."""
+    None, or the (width, packed coefficients) that phi_series alone sets, at
+    its one width b = T * bitlen(R - 1) + bitlen(T) + 1 (module docstring)."""
 
     __slots__ = ("trunc", "coeffs", "_packed")
 
@@ -342,9 +344,10 @@ def phi_series(lam: AdjMatrix, trunc: int) -> LSeries:
     state.  A slot counts paths of length l <= T, at most R^T <=
     2^(T * bitlen(R - 1)) for the largest row count R; the bitlen(T) + 1
     more bits of b hold `omega_series`' sum under its guard (module
-    docstring), so the packed (Lambda^l)_{0,0} go to it with the series.
+    docstring), so the packed (Lambda^l)_{0,0} go to it in `_packed`.
     LimitError, before anything is packed, when a vector of weights up to
-    n*T would pass SERIES_BITS.
+    n*T would pass SERIES_BITS, or Omega's T^2/2 products, T^2 (n*T + 1) b
+    operand bits at most, would pass OMEGA_BITS.
     """
     if lam.extended:
         raise ValueError("use the plain adjacency matrix, not the extended one")
@@ -355,6 +358,8 @@ def phi_series(lam: AdjMatrix, trunc: int) -> LSeries:
     width = trunc * (most - 1).bit_length() + trunc.bit_length() + 1
     check_limit(SERIES_BITS, "a packed series of {count} bits exceeds the ceiling {bound}",
                 [lam.size, lam.n * trunc + 1, width])
+    check_limit(OMEGA_BITS, "Omega's products of {count} operand bits exceed the ceiling {bound}",
+                [trunc, trunc, lam.n * trunc + 1, width])
     packs = [_pack(e, width) for e in lam.cells]
     # per source, destinations grouped by their cell's (shift, quotient), so
     # one shifted copy of the source's value serves the whole group
@@ -415,39 +420,28 @@ def _unpack(value: int, width: int) -> WeightEnum:
 
 
 def omega_series(phi: LSeries) -> LSeries:
-    """Atomic weight distribution Omega = 1 - Phi^{-1}.
+    """Atomic weight distribution Omega = 1 - Phi^{-1}, Phi from `phi_series`.
 
     Phi = 1 + Omega * Phi gives Omega_l = Phi_l - sum_{0<j<l} Omega_j Phi_{l-j},
-    run on packed enumerators with a guard bit on top of every slot, so a
-    slot that would go negative clears its guard instead of borrowing from
-    its neighbour, and is refused.  While every Omega_j is nonnegative, so
-    is every term, and 0 <= Omega_j <= Phi_j slot by slot.  A series from
-    `phi_series` brings its packed integers, whose width holds the sum; any
-    other is checked and packed here at a width set by the totals at W = 1,
-    as a slot of the sum is at most sum_j Phi_j(1) Phi_{l-j}(1).
+    run on `phi._packed`, at the width b phi_series chose (module docstring),
+    with a guard bit on top of every slot, so a slot that would go negative
+    clears its guard instead of borrowing from its neighbour.  Omega of a
+    nonnegative Lambda counts first-return walks, so a cleared guard is a
+    fault of the package, InternalError; a series phi_series did not make
+    is a ValueError.
     """
-    trunc = phi.trunc
-    if phi._packed is not None:
-        width, packed = phi._packed
-    else:
-        if phi.coeffs[0] != WeightEnum.one():
-            raise ValueError("series inverse requires constant coefficient 1")
-        if not all(c.is_nonnegative() for c in phi.coeffs):
-            raise ValueError("Phi has a negative coefficient")
-        totals = [c.count() for c in phi.coeffs]
-        top = max([*totals, *(sum(totals[j] * totals[l - j] for j in range(1, l))
-                               for l in range(trunc + 1))])
-        width = top.bit_length() + 1
-        packed = [sum(c << (a * width) for a, c in e._terms) for e in phi.coeffs]
+    if phi._packed is None:
+        raise ValueError("omega_series takes the series phi_series returns")
+    width, packed = phi._packed
     slots = 2 * ((max(packed).bit_length() - 1) // width) + 1  # covers any product
     guards = ((1 << (slots * width)) - 1) // ((1 << width) - 1) << (width - 1)
-    omega = [0] * (trunc + 1)
-    for l in range(1, trunc + 1):
+    omega = [0] * len(packed)
+    for l in range(1, len(packed)):
         rest = packed[l] + guards - sum(omega[j] * packed[l - j] for j in range(1, l))
         if rest & guards != guards:
-            raise ValueError(f"Omega = 1 - 1/Phi has a negative coefficient at L^{l}")
+            raise InternalError(f"Omega = 1 - 1/Phi has a negative coefficient at L^{l}")
         omega[l] = rest - guards
-    return LSeries(trunc, [_unpack(x, width) for x in omega])
+    return LSeries(phi.trunc, [_unpack(x, width) for x in omega])
 
 
 class FreeDistance(NamedTuple):

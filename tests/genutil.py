@@ -423,6 +423,33 @@ def quotient_corpus(fld, rng: random.Random, *, budget: int = 1 << 13, count: in
     return forms
 
 
+def reference_macwilliams(gam: AdjMatrix, n: int, k: int) -> AdjMatrix:
+    """The closed form Gamma_dual = 2^(-k-1) (1+W)^n M^T |_{W <- (1-W)/(1+W)},
+    M = [[1,1],[1,-1]] Gamma [[1,1],[1,-1]], by WeightEnum products on the
+    dense 2 x 2 grid, with n and k given: the reference for
+    `macwilliams_delta1`, which reads them off Gamma."""
+    e = [[WeightEnum.zero()] * 2 for _ in range(2)]
+    for i, row in enumerate(gam.rows):
+        for j, t in row:
+            e[i][j] = gam.cells[t]
+    h = lambda a, b, sign: a + b if sign > 0 else a - b
+    m = [[h(h(e[0][0], e[1][0], x), h(e[0][1], e[1][1], x), y) for y in (1, -1)] for x in (1, -1)]
+    down, up = WeightEnum({0: 1, 1: -1}), WeightEnum({0: 1, 1: 1})
+    mix = [[None] * 2 for _ in range(2)]
+    for i, j in itertools.product(range(2), repeat=2):
+        acc = WeightEnum.zero()
+        for a, c in m[j][i].terms():  # M^T
+            term = WeightEnum({0: c})
+            for _ in range(a):
+                term = term * down
+            for _ in range(n - a):
+                term = term * up
+            acc = acc + term
+        assert all(c % (1 << (k + 1)) == 0 for _, c in acc.terms())
+        mix[i][j] = WeightEnum({a: c >> (k + 1) for a, c in acc.terms()})
+    return adj_from_dense(mix, q=2, n=n, extended=True)
+
+
 def series_inverse(ls: LSeries) -> LSeries:
     """Phi^{-1} by the schoolbook recurrence on WeightEnum products, the
     reference for the packed Omega = 1 - Phi^{-1}."""

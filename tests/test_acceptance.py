@@ -152,7 +152,7 @@ def test_criterion_04_same_distribution_different_invariant(g1, g2):
 def test_criterion_05_macwilliams_unit_memory(g1, g2):
     start = time.perf_counter()
     for g in (g1, g2):
-        transformed = macwilliams_delta1(extend(lam_of(g)), g.n, g.k)
+        transformed = macwilliams_delta1(extend(lam_of(g)))
         assert transformed == extend(lam_of(dual_basis(g)))
     rng = random.Random(505)
     count = 0
@@ -160,7 +160,7 @@ def test_criterion_05_macwilliams_unit_memory(g1, g2):
         g = genutil.random_minimal_code(
             rng, F2, n_max=5, k_max=4, gamma_min=1, gamma_max=1
         )
-        transformed = macwilliams_delta1(extend(lam_of(g)), g.n, g.k)
+        transformed = macwilliams_delta1(extend(lam_of(g)))
         assert transformed == extend(lam_of(dual_basis(g)))
         count += 1
     report(5, 5.0, start, "duality transform matches direct duals on 52 codes")

@@ -708,6 +708,39 @@ def test_series_truncation_is_bounded_before_packing(command, trunc):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("command", ["spectrum", "distances"])
+def test_atomic_series_work_is_bounded_before_packing(command):
+    # at T = 1000 Phi's vector stays far below SERIES_BITS, but Omega's
+    # T^2/2 products, T^2 (n*T + 1) b operand bits with b = T + bitlen(T)
+    # + 1, would take minutes: refused before anything is packed
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+    env = {**os.environ, "PYTHONPATH": str(CODES.parent.parent / "src")}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "convcode", command, MEMORY3, "--trunc", "1000"],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    elapsed = time.perf_counter() - start
+    count = 1000 * 1000 * (2 * 1000 + 1) * (1000 + 10 + 1)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (f"limit: Omega's products of {count} operand bits exceed "
+                           f"the ceiling {spectrum.OMEGA_BITS}\n")
+    assert elapsed < 1.0
+
+
+def test_atomic_series_ceiling_admits_memory3_up_to_212(capsys):
+    lam = invariance.code_adjacency(parse_gm(pathlib.Path(MEMORY3).read_text()), lumped=True)
+    assert spectrum.phi_series(lam, 212).trunc == 212
+    with pytest.raises(LimitError, match="Omega's products of 4300708986 operand bits"):
+        spectrum.phi_series(lam, 213)
+    rc, out, err = run(capsys, "distances", MEMORY3, "--trunc", "200")
+    lines = out.splitlines()
+    assert (rc, err, lines[0]) == (0, "", "free distance: 6 (certified)")
+    assert len(lines[1].split()) == len(lines[2].split()) == 3 + 200  # a distance per degree
+
+
 @pytest.mark.parametrize("mode", ["--json", "--dot"])
 def test_diagram_rendering_guard_comes_before_the_controller_form(
     capsys, monkeypatch, tmp_path, mode
@@ -860,7 +893,7 @@ def test_json_writers_print_what_json_dumps_prints(capsys, tmp_path):
         lam = invariance.code_adjacency(g)
         matrices = [lam, spectrum.extend(lam)]
         if g.info.delta == 1 and g.field.q == 2:
-            matrices.append(invariance.macwilliams_delta1(spectrum.extend(lam), g.n, g.k))
+            matrices.append(invariance.macwilliams_delta1(spectrum.extend(lam)))
         for mat in matrices:
             assert _adjacency_text(capsys, mat) == dumps(genutil.adjacency_json(mat)), name
         sd = statediag.build(encoder.controller_form(g))

@@ -935,8 +935,10 @@ def test_macwilliams_classic_pair(g1, g2):
         (g1, (({0: 1, 3: 1}, {1: 1, 2: 1}), ({1: 1, 2: 1}, {1: 1, 2: 1}))),
         (g2, (({0: 1, 2: 1}, {1: 2}), ({2: 2}, {1: 1, 3: 1}))),
     ):
-        out = macwilliams_delta1(extend(lam_of(g)), g.n, g.k)
+        gam = extend(lam_of(g))
+        out = macwilliams_delta1(gam)
         assert tuple(tuple(dict(e.terms()) for e in row) for row in out.entries) == expected
+        assert out.entries == genutil.reference_macwilliams(gam, g.n, g.k).entries
         from convcode import dual_basis
         dual_gamma = extend(lam_of(dual_basis(g)))
         assert out == dual_gamma
@@ -949,30 +951,40 @@ def test_macwilliams_involution(f2):
             rng, f2, n_max=5, k_max=4, gamma_min=1, gamma_max=1
         )
         gam = extend(lam_of(g))
-        fwd = macwilliams_delta1(gam, g.n, g.k)
-        back = macwilliams_delta1(fwd, g.n, g.n - g.k)
+        fwd = macwilliams_delta1(gam)
+        back = macwilliams_delta1(fwd)
         assert back == gam
+        # n and k come from Gamma, and they are the ones the code has
+        assert fwd.entries == genutil.reference_macwilliams(gam, g.n, g.k).entries
+        assert back.entries == genutil.reference_macwilliams(fwd, g.n, g.n - g.k).entries
 
 
 def test_macwilliams_guards(g213, g1, f3):
     with pytest.raises(ValueError):
-        macwilliams_delta1(extend(lam_of(g213)), 2, 1)  # 8 states
+        macwilliams_delta1(extend(lam_of(g213)))  # 8 states
     with pytest.raises(ValueError):
-        macwilliams_delta1(lam_of(g1), 3, 1)  # not extended
+        macwilliams_delta1(lam_of(g1))  # not extended
     fake = genutil.adj_from_dense(
         [[WeightEnum.one(), WeightEnum({1: 1})],
          [WeightEnum({1: 1}), WeightEnum({1: 1})]],
         q=3, n=2, extended=True,
     )
     with pytest.raises(ValueError):
-        macwilliams_delta1(fake, 2, 1)  # non-binary
+        macwilliams_delta1(fake)  # non-binary
     corrupt = genutil.adj_from_dense(
         [[WeightEnum({0: 1, 1: 1}), WeightEnum({2: 1})],
          [WeightEnum({2: 1}), WeightEnum({2: 1})]],
         q=2, n=3, extended=True,
     )
-    with pytest.raises(ValueError):
-        macwilliams_delta1(corrupt, 3, 1)  # does not clear
+    with pytest.raises(ValueError, match="count 3 is not a power of q = 2"):
+        macwilliams_delta1(corrupt)  # its first row gives no dimension k
+    corrupt = genutil.adj_from_dense(
+        [[WeightEnum({0: 1}), WeightEnum({2: 1})],
+         [WeightEnum({2: 1}), WeightEnum({1: 1})]],
+        q=2, n=3, extended=True,
+    )
+    with pytest.raises(ValueError, match="does not clear"):
+        macwilliams_delta1(corrupt)
 
 
 def test_shift_permutation_lemma():
@@ -1528,13 +1540,15 @@ def test_macwilliams_refuses_a_weight_above_n_and_a_negative_count(f2):
     w2 = WeightEnum({2: 1})
     gam = extend(invariance.code_adjacency(pm(f2, [[[1], [0, 1], [1, 1]]])))
     assert [[gam.cells[t] for _, t in row] for row in gam.rows] == [[WeightEnum.one(), w2], [w2, w2]]
-    refusals = (
-        ([WeightEnum({4: 1}), WeightEnum.one()], "entry weight exceeds the block length"),
-        ([w2, WeightEnum({0: -7})], "transform yields a negative count"),
-    )
-    for cells, message in refusals:
-        with pytest.raises(ValueError, match=message):
-            macwilliams_delta1(AdjMatrix(gam.rows, cells, q=2, n=3, extended=True), 3, 1)
+    # every count of a first row sums to 2^k, so k = 1 is read before the
+    # refusal: [[1, W^4], [W^4, W^4]], and [[1, W^2], [W^2, -7]]
+    cells = [WeightEnum({4: 1}), WeightEnum.one()]
+    with pytest.raises(ValueError, match="entry weight exceeds the block length"):
+        macwilliams_delta1(AdjMatrix(gam.rows, cells, q=2, n=3, extended=True))
+    rows = [[(0, 0), (1, 1)], [(0, 1), (1, 2)]]
+    cells = [WeightEnum.one(), w2, WeightEnum({0: -7})]
+    with pytest.raises(ValueError, match="transform yields a negative count"):
+        macwilliams_delta1(AdjMatrix(rows, cells, q=2, n=3, extended=True))
 
 
 def test_recover_forney_refuses_inconsistent_reachability():
