@@ -49,16 +49,18 @@ which signs one state per orbit.
 
 The catastrophicity and delay-freeness screens read only the weight-0
 edges, the transitions (x, u) != (0, 0) with xC = -uD, looked up in the
-tables in O(q^gamma + q^k), not the q^(gamma + k) of every edge.  A cycle
-among them is found by peeling off the states no weight-0 edge enters
-until none is left, linear in the states and those edges, with no stack.
+tables, not the q^(gamma + k) of every edge: one C-level scan of the
+q^gamma states finds those with a weight-0 edge, and the Python work is
+per input and per weight-0 edge.  A cycle among them is found by peeling
+off, in reverse, the states whose weight-0 edges all lead to peeled ones
+or to states with none, linear in those states and edges, with no stack.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from itertools import chain, cycle, islice, product, repeat, starmap
+from itertools import chain, compress, cycle, islice, product, repeat, starmap
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import polyalg
@@ -319,44 +321,53 @@ def build(
     )
 
 
-def zero_weight_edges(sd: StateDiagram) -> list[list[int]]:
-    """Destinations of the weight-0 edges per packed state, in input order.
+def zero_weight_edges(sd: StateDiagram) -> dict[int, list[int]]:
+    """Destinations of the weight-0 edges per state that has one, keys
+    ascending, each list in input order; (0, 0) is left out.
 
-    These are the transitions (x, u) != (0, 0) with xC + uD = 0: the inputs
-    are grouped by packed -uD once, and state x takes the group of its xC.
-    Over F_{2^m}, -uD = uD; otherwise u(-D) is one more table of q^k entries,
-    the only use of the field's vector sum here.  Destinations are the
-    integer sums xA + uB, as in `_blocks`.
+    These are the transitions with xC + uD = 0.  The inputs are grouped by
+    packed -uD once (over odd p, uD at the packed -u, a `_cellwise` table
+    of the field's negation), and one C-level scan of xC finds the states
+    whose xC has a group: Python work per input and per weight-0 edge.
+    Destinations are the integer sums xA + uB, as in `_blocks`.
     """
     fld, xa, xc, ub, ud = sd.field, sd.xa, sd.xc, sd.ub, sd.ud
     if fld.p != 2:
-        ud = _linear_table(fld, tuple(tuple(map(fld.neg, row)) for row in sd.form.D), sd.add)
+        ud = list(map(ud.__getitem__, _cellwise(list(map(fld.neg, range(fld.q))), sd.k, fld.q)))
     by_output: dict[int, list[int]] = {}
     for u, v in enumerate(ud):
         by_output.setdefault(v, []).append(u)
-    succ = [[a + ub[u] for u in by_output.get(c, ())] for a, c in zip(xa, xc)]
-    del succ[0][0]  # (0, 0), the first input of the group of 0
+    found = compress(range(len(xc)), map(by_output.__contains__, xc))
+    succ = {x: [xa[x] + ub[u] for u in by_output[xc[x]]] for x in found}
+    del succ[0][0]  # (0, 0), the first input of the group of 0, which state 0 always takes
+    if not succ[0]:
+        del succ[0]
     return succ
 
 
 def zero_weight_cycle_exists(sd: StateDiagram) -> bool:
     """Directed cycle using only weight-0 edges; flags catastrophic encoders.
 
-    The states no weight-0 edge enters are peeled off, with their edges,
-    until none is left (Kahn, 1962): the states never peeled are exactly
-    those on or downstream of a cycle.
+    Only states with a weight-0 edge can lie on one.  They are peeled off
+    in reverse (Kahn, 1962): a state goes once its every weight-0 edge
+    leads to a peeled state or to one with none, so the states never
+    peeled, self-loops included, are those on or upstream of a cycle.
+    With the lookup, one C-level scan of the q^gamma states and Python
+    work per input and per weight-0 edge.
     """
     succ = zero_weight_edges(sd)
-    entering = [0] * len(succ)
-    for dsts in succ:
-        for dst in dsts:
-            entering[dst] += 1
-    peeled = [x for x, count in enumerate(entering) if not count]
+    entering: dict[int, list[int]] = {x: [] for x in succ}  # the reversed subgraph
+    waiting = dict.fromkeys(succ, 0)  # per state, its edges to states not yet peeled
+    for x, dsts in succ.items():
+        for dst in filter(entering.__contains__, dsts):
+            entering[dst].append(x)
+            waiting[x] += 1
+    peeled = [x for x, count in waiting.items() if not count]
     for x in peeled:  # grows while it is read
-        for dst in succ[x]:
-            entering[dst] -= 1
-            if not entering[dst]:
-                peeled.append(dst)
+        for src in entering[x]:
+            waiting[src] -= 1
+            if not waiting[src]:
+                peeled.append(src)
     return len(peeled) < len(succ)
 
 

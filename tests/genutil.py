@@ -165,16 +165,24 @@ def zero_label_cycle_exists(sd) -> bool:
     """Cycle whose labelled edges all carry u = 0 and v = 0.
 
     Never present: with u = 0 the register only shifts toward the zero
-    state, and the (0, 0) transition is left out of the diagram.  Peels
-    off vertices without zero-label successors (Kahn's algorithm), a
+    state, and the (0, 0) transition is left out of the diagram.  A
     detector independent of the one in statediag.
     """
     succ = [[] for _ in range(sd.num_states)]
-    indegree = [0] * sd.num_states
     for e in edges(sd):
         if not any(e.u) and not any(e.v):
             succ[e.src].append(e.dst)
-            indegree[e.dst] += 1
+    return dense_cycle_exists(succ)
+
+
+def dense_cycle_exists(succ: list[list[int]]) -> bool:
+    """Cycle in the graph of successor lists `succ`, one per state: peels off
+    every state no edge enters, forward and over all states (Kahn's
+    algorithm), the opposite direction to statediag's peel."""
+    indegree = [0] * len(succ)
+    for dsts in succ:
+        for j in dsts:
+            indegree[j] += 1
     ready = [i for i, d in enumerate(indegree) if not d]
     peeled = 0
     while ready:
@@ -184,7 +192,7 @@ def zero_label_cycle_exists(sd) -> bool:
             indegree[j] -= 1
             if not indegree[j]:
                 ready.append(j)
-    return peeled < sd.num_states
+    return peeled < len(succ)
 
 
 def reference_diagram(cf) -> tuple[tuple, list[tuple]]:

@@ -1,5 +1,6 @@
 import pathlib
 import random
+import sys
 
 import pytest
 
@@ -115,8 +116,8 @@ def test_planted_zero_weight_cycle_is_detected(g213, monkeypatch):
     assert not zero_weight_cycle_exists(sd)
     succ = statediag.zero_weight_edges(sd)
     i = next(i for i, g in enumerate(sd.edges_by_source) for dst, w in g if i == dst and w > 0)
-    assert i not in succ[i]
-    succ[i].append(i)
+    assert i not in succ.get(i, [])
+    succ.setdefault(i, []).append(i)
     monkeypatch.setattr(statediag, "zero_weight_edges", lambda _: succ)
     assert zero_weight_cycle_exists(sd)
 
@@ -224,7 +225,8 @@ def test_vector_add_matches_elementwise_field_add(p, m):
 def test_packed_transitions_match_reference(p, m):
     # the packed tables must give the tuple arithmetic's diagram exactly:
     # stored (dst, weight) pairs and every (src, dst, u, v, weight) label;
-    # the weight-0 successor lists are those pairs filtered, in input order
+    # the weight-0 successor lists are those pairs filtered, in input order,
+    # kept for the states that have one, in state order
     fld = field_make(p, m)
     kinds = genutil.reference_corpus(fld, random.Random(700 + 10 * p + m), per_kind=1 if fld.q > 16 else 2)
     assert all(kinds.values())
@@ -238,8 +240,10 @@ def test_packed_transitions_match_reference(p, m):
         assert tuple(sd.edges_by_source) == pairs
         assert list(genutil.edges(sd)) == labelled
         zero = statediag.zero_weight_edges(sd)
-        assert zero == [[d for d, w in g if not w] for g in sd.edges_by_source]
-        assert delay_free_check(sd) == (not zero[0])
+        dense = [[d for d, w in g if not w] for g in sd.edges_by_source]
+        assert zero == {x: d for x, d in enumerate(dense) if d}
+        assert list(zero) == sorted(zero)
+        assert delay_free_check(sd) == (0 not in zero)
         catastrophic += zero_weight_cycle_exists(sd)
     assert catastrophic
 
@@ -360,3 +364,101 @@ def test_zero_weight_cycle_iff_minors_share_a_non_monomial_factor():
         total += made
     assert seen["catastrophic"] * 3 >= total
     assert min(seen.values()) >= 10, seen
+
+
+def _with_edges(succ, planted):
+    """The weight-0 successor dict `succ` with the edges (x, y) of `planted`
+    added, keys ascending as `zero_weight_edges` gives them."""
+    out = {x: list(dsts) for x, dsts in succ.items()}
+    for x, y in planted:
+        out.setdefault(x, []).append(y)
+    return dict(sorted(out.items()))
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 4), (2, 8)],
+                         ids=["F2", "F3", "F4", "F9", "F16", "F256"])
+def test_sparse_peel_matches_a_dense_peel(p, m, monkeypatch):
+    # the screen peels only the states a weight-0 edge leaves, in reverse;
+    # the reference peels every state forward, over the weight-0 edges of
+    # the tuple arithmetic's diagram, and Massey & Sain's minors decide too
+    fld = field_make(p, m)
+    rng = random.Random(1962 + 10 * p + m)
+    budget = max(1 << 12, fld.q**2)
+    forms = [cf for group in genutil.reference_corpus(fld, rng, per_kind=1).values() for cf in group]
+    catastrophic = 0
+    while catastrophic < 2:  # a row times c + z, c != 0, a factor of every maximal minor
+        k = rng.randint(1, 2)
+        n = rng.randint(k + 1, 3)
+        rows = [[genutil.random_poly(rng, fld, rng.randint(0, 1)) for _ in range(n)] for _ in range(k)]
+        factor = (rng.randrange(1, fld.q), 1)
+        rows = [[poly_mul(fld, factor, e) for e in rows[0]], *rows[1:]]
+        try:
+            cf = controller_form(pm(fld, rows), require_minimal=False)
+        except ValueError:  # rank deficient
+            continue
+        if fld.q ** (cf.gamma + k) <= budget:
+            forms.append(cf)
+            catastrophic += 1
+    seen = dict.fromkeys(["catastrophic", "not delay-free", "planted"], 0)
+    for cf in forms:
+        sd = build(cf)
+        dense = [[d for d, w in g if not w] for g in genutil.reference_diagram(cf)[0]]
+        succ = statediag.zero_weight_edges(sd)
+        assert succ == {x: d for x, d in enumerate(dense) if d}
+        verdict = zero_weight_cycle_exists(sd)
+        assert verdict == genutil.dense_cycle_exists(dense) == catastrophic_by_minors(cf.generator)
+        seen["catastrophic"] += verdict
+        seen["not delay-free"] += 0 in succ
+        entered = {d for dsts in dense for d in dsts}
+        bare = [x for x in range(1, sd.num_states) if x not in succ and x not in entered]  # no weight-0 edge
+        if verdict or len(bare) < 2:
+            continue
+        a, b = bare[:2]
+        plants = [
+            ([(a, a)], True),  # a self-loop
+            ([(a, b), (b, a)], True),  # a 2-cycle between states that had no weight-0 edge
+            ([(0, a), (a, b), (b, a)], True),  # a cycle reachable only from state 0
+            ([(0, a), (a, b)], False),  # a path, no cycle
+        ]
+        for planted, cyclic in plants:
+            mutated = _with_edges(succ, planted)
+            monkeypatch.setattr(statediag, "zero_weight_edges", lambda _: mutated)
+            assert zero_weight_cycle_exists(sd) is cyclic
+            assert genutil.dense_cycle_exists([mutated.get(x, []) for x in range(sd.num_states)]) is cyclic
+            monkeypatch.undo()
+        seen["planted"] += 1
+    assert seen["catastrophic"] >= 2 and seen["not delay-free"] and seen["planted"], seen
+
+
+def test_screen_work_is_per_input_and_weight_zero_edge():
+    # no timing: the Python line events of the two screen functions (their
+    # comprehensions included) on the paper's F16 example, 4096 states, 256
+    # inputs and 255 weight-0 edges, stay below a bound in the inputs and
+    # those edges, itself below the states, so no Python loop runs per state
+    path = pathlib.Path(__file__).resolve().parent.parent / "demos" / "codes" / "f16.gm"
+    sd = build(controller_form(parse_gm(path.read_text())))
+    edges = sum(map(len, statediag.zero_weight_edges(sd).values()))
+
+    def nested(code):
+        yield code
+        for const in code.co_consts:
+            if hasattr(const, "co_code"):
+                yield from nested(const)
+
+    screen = {c for f in (statediag.zero_weight_edges, zero_weight_cycle_exists) for c in nested(f.__code__)}
+    lines = 0
+
+    def count(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return count
+
+    before = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count if frame.f_code in screen else None)
+    try:
+        assert not zero_weight_cycle_exists(sd)
+    finally:
+        sys.settrace(before)
+    bound = 50 + 2 * len(sd.ud) + 10 * edges
+    assert (len(sd.ud), edges) == (256, 255) and bound < sd.num_states
+    assert 0 < lines < bound

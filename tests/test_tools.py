@@ -42,6 +42,35 @@ def test_perf_pairs_counts_the_lines_and_bytes_of_each_package(tmp_path):
     assert size(str(tmp_path / "change")) == "1 lines, 7 bytes"
 
 
+def test_perf_pairs_runs_every_workload_at_every_seed_given(tmp_path, monkeypatch, capsys):
+    # runs are canned: each workload at seed 1, then each at seed 2, with
+    # the two sides alternating first, and one table per seed and workload
+    tool = _tool("perf_pairs")
+    calls = []
+
+    def canned(root, workload, seed):
+        calls.append((pathlib.Path(root).name, workload, seed))
+        return {"wall_ref_s": 1.0 if root.endswith("parent") else 0.5}
+
+    monkeypatch.setattr(tool, "run", canned)
+    for side in ("parent", "change"):
+        (tmp_path / side / "src" / "convcode").mkdir(parents=True)
+    argv = ["perf_pairs.py", str(tmp_path / "parent"), str(tmp_path / "change"), "--pairs", "2",
+            "--workload", "a", "--workload", "b", "--seed", "1", "--seed", "2"]
+    monkeypatch.setattr("sys.argv", argv)
+    assert tool.main() == 0
+    pairs = [("parent", "change"), ("change", "parent")]
+    assert calls == [(side, workload, seed) for seed in (1, 2) for workload in "ab"
+                     for order in pairs for side in order]
+    titles = [line for line in capsys.readouterr().out.splitlines() if "alternated pairs" in line]
+    assert titles == [f"{w} seed {s}, 2 alternated pairs" for s in (1, 2) for w in "ab"]
+    # without --seed, seed 1 alone
+    calls.clear()
+    monkeypatch.setattr("sys.argv", argv[:-4])
+    assert tool.main() == 0
+    assert {seed for _, _, seed in calls} == {1} and len(calls) == 8
+
+
 def test_reach_reports_the_lines_no_call_ran():
     # one `info` call runs every statement of cli._cmd_info and none of
     # cli._cmd_oracle; the relative path is read from the checkout root

@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
 """Alternated A/B runs of the benchmark on two checkouts.
 
-    python3 tools/perf_pairs.py PARENT CHANGE [--workload W ...] [--pairs 10] [--seed 1]
+    python3 tools/perf_pairs.py PARENT CHANGE [--workload W ...] [--pairs 10] [--seed S ...]
 
-PARENT and CHANGE are the roots of two checkouts.  `--workload` may be
-given more than once; without it every workload named in CHANGE's
-BENCHMARK.json runs, one after another.  Each pair runs
+PARENT and CHANGE are the roots of two checkouts.  `--workload` and
+`--seed` may each be given more than once; without `--workload` every
+workload named in CHANGE's BENCHMARK.json runs, and without `--seed` seed
+1.  The workloads run one after another at the first seed, then again at
+the next, each with its own table.  Each pair runs
 `python3 perfbench/run.py --workload W --seed S --trace 0` once in each,
 the parent first in even pairs and the change first in odd ones, and every
 `__pycache__` under both checkouts is deleted before each run, so no run
 reads bytecode compiled from another source or by the other side's run.
 The script exits 1 on any run that fails, is not `correct` or has `failed`
-above 0.  Otherwise it prints, per workload and end-to-end metric, the
+above 0.  Otherwise it prints, per seed, workload and end-to-end metric, the
 medians of both sides, their ratio change/parent, the parent's
 interquartile range and in how many pairs the change read lower, then,
 under the last table, the lines and bytes of both checkouts'
@@ -22,6 +24,7 @@ uses the standard library alone and imports nothing from the checkouts.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import shutil
@@ -93,23 +96,23 @@ def main() -> int:
     ap.add_argument("change")
     ap.add_argument("--workload", action="append", help="repeatable; default: every workload in BENCHMARK.json")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seed", type=int, action="append", help="repeatable; default: 1")
     args = ap.parse_args()
     if args.pairs < 2:
         ap.error("--pairs must be >= 2")
     if not args.workload:
         with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
             args.workload = [w["name"] for w in json.load(fh)["workloads"]]
-    for workload in args.workload:
+    for seed, workload in itertools.product(args.seed or [1], args.workload):
         sides = {"parent": [], "change": []}
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
                 for checkout in (args.parent, args.change):
                     clear_bytecode(checkout)
-                sides[side].append(run(getattr(args, side), workload, args.seed))
-            print(f"# {workload}: pair {pair + 1}/{args.pairs} done, {order[0]} first", flush=True)
-        print(f"{workload} seed {args.seed}, {args.pairs} alternated pairs")
+                sides[side].append(run(getattr(args, side), workload, seed))
+            print(f"# {workload} seed {seed}: pair {pair + 1}/{args.pairs} done, {order[0]} first", flush=True)
+        print(f"{workload} seed {seed}, {args.pairs} alternated pairs")
         print("\n".join(summary(sides["parent"], sides["change"])), flush=True)
     print(f"src/convcode: parent {source_size(args.parent)}, change {source_size(args.change)}")
     return 0
