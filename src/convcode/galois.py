@@ -24,7 +24,7 @@ is chosen.  These defaults are fixed so serialized matrices stay portable:
 Every field, prime or not, holds the same tables: the addition table
 add_table[a * q + b] = a + b and the negation table, both bytes filled base-p
 digit by digit, and the exp/log tables of its smallest multiplicative
-generator.  add, neg, sub, mul, inv and pow check their operands and then
+generator.  add, neg, sub, mul and inv check their operands and then
 read the tables; none of them branches on p or m.
 
 All operations are pure; a FieldSpec is immutable after construction and
@@ -217,16 +217,6 @@ class FieldSpec:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self._exp[(self.q - 1) - self._log[a]]
-
-    def pow(self, a: int, e: int) -> int:
-        self._check(a)
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("0 has no multiplicative inverse")
-            return 0
-        return self._exp[(self._log[a] * e) % (self.q - 1)]
 
     # -- dunder --------------------------------------------------------------
 

@@ -39,7 +39,13 @@ Lambda is then W^wt(xC + uD) of one edge (x, u), which pi_sigma maps to
 (pi_sigma x, sigma u), so conjugation by pi_sigma is wt_h(pi_sigma x,
 sigma u) = wt_g(x, u) on every edge: `code_witness` searches the q^k
 letters for sigma, certifies pi_sigma on the edge weights and builds no
-Lambda.  `statediag` packs both: `_letters` lifts sigma to pi_sigma, and
+Lambda.  It places sigma(1), sigma(2), ... in turn, each trying its class
+of the root refinement of M[c][d] = W^wt(last(c)C + dD) in increasing
+order, while every edge whose nonzero letters, at most two, are placed
+weighs the same in g and, under sigma, in h; a witness passes, and
+pi_sigma ascends as sigma does, so the first sigma certified is the least
+witness.  `statediag` packs it all: `_pair_table` zips those edges'
+weights into one table of tuples, `_letters` lifts sigma to pi_sigma, and
 `_edge_weights` holds one row of q^k weights per distinct xC, so pi_sigma
 is certified a state at a time, h's row at pi_sigma x, read in sigma
 order, against g's row at x.
@@ -69,7 +75,7 @@ PermWitness = tuple  # index array pi with pi[0] == 0
 MonomialWitness = tuple  # (column permutation, column scalars)
 
 SEARCH_STATES = 256  # bound on the states of the conjugation search
-SEARCH_WORK = 1 << 20  # bound on the states a search signs below its root, and on refused alphabet maps' states
+SEARCH_WORK = 1 << 20  # bound on the states a search signs below its root, letters placements compare, refused maps' states
 # the alphabet route holds a row reference a state and one row of q^k weights per distinct xC
 WITNESS_ENTRIES = 1 << 20  # bound on the alphabet route's states times max(q^k, 16)
 DEFAULT_BUDGET = 1 << 24  # bound on the candidates of the monomial_equiv search
@@ -255,16 +261,49 @@ def _carries(w_g: list[tuple], w_h: list[tuple], pi: Sequence[int], sigma: Seque
     return all(map(operator.eq, map(operator.itemgetter(*sigma), map(w_h.__getitem__, pi)), w_g))
 
 
+def _placements(table_g: list[tuple], table_h: list[tuple], colors: tuple[list[int], list[int]]):
+    """Every sigma, sigma(0) = 0 and colors[1][sigma(c)] == colors[0][c],
+    with table_h[sigma b][sigma a] == table_g[b][a] for all letters a, b,
+    in lexicographic order: sigma(c) = d, each c in turn and each d of its
+    color in increasing order, stands when g's row c up to letter c is h's
+    row d read at sigma(0..c).  LimitError once the letters that placements
+    compare pass SEARCH_WORK."""
+    members: dict[int, list[int]] = {}
+    for d, color in enumerate(colors[1]):
+        members.setdefault(color, []).append(d)
+    candidates = list(map(members.__getitem__, colors[0]))
+    rows_g = [row[: c + 1] for c, row in enumerate(table_g)]
+    sigma, stack, compared = [0], [iter(candidates[1])], 0  # per letter placed, its untried candidates
+    while stack:
+        d = next(stack[-1], None)
+        if d is None:
+            stack.pop()
+            sigma.pop()
+        elif d not in sigma:
+            c = len(sigma)
+            compared = check_limit(SEARCH_WORK, "{count} letters compared by placements exceed the bound {bound}",
+                                   [compared + c + 1])
+            sigma.append(d)
+            if rows_g[c] != operator.itemgetter(*sigma)(table_h[d]):
+                sigma.pop()
+            elif c + 1 < len(rows_g):
+                stack.append(iter(candidates[c + 1]))
+            else:
+                yield tuple(sigma)
+                sigma.pop()
+
+
 def _alphabet_witness(sd_g: statediag.StateDiagram, sd_h: statediag.StateDiagram,
                       orbits: Callable[[], object]) -> Optional[PermWitness]:
     """The least witness of two codes whose k rows have one degree m, or
     None, off their `statediag._edge_weights` rows: the identity if they
-    agree, else the first pi_sigma that `_carries` certifies, for each
-    sigma that `_witnesses` lists with `orbits()`, those of F_q^k, on
-    M[c][d] = W^wt(last(c)C + dD), the rows of the states last(c).  The
-    lift pi_sigma maps last(c) and first(d) to last(sigma c) and first(sigma
-    d), so a witness makes sigma one of M, and it ascends as sigma does.
-    LimitError once the refused pass SEARCH_WORK states in all."""
+    agree, else the first pi_sigma that `_carries` certifies among the
+    sigma that `_placements` lists on their `statediag._pair_table`, each
+    letter within its class of the root refinement, with `orbits()`, those
+    of F_q^k, of M[c][d] = W^wt(last(c)C + dD), the rows of the states
+    last(c).  pi_sigma maps the edge of letters a and b in two positions to
+    that of sigma(a) and sigma(b), so a witness keeps M's classes and passes
+    the tables.  LimitError once the refused pass SEARCH_WORK states in all."""
     w_g, w_h = statediag._edge_weights(sd_g), statediag._edge_weights(sd_h)
     if w_g == w_h:
         return tuple(range(sd_g.num_states))
@@ -272,8 +311,12 @@ def _alphabet_witness(sd_g: statediag.StateDiagram, sd_h: statediag.StateDiagram
     cells = [WeightEnum({w: 1}) for w in range(sd_g.n + 1)]  # W^w has id w
     rows = lambda w: [[*enumerate(w[x])][not x :] for x in last]
     mat_g, mat_h = (AdjMatrix(rows(w), cells, q=sd_g.field.q, n=sd_g.n) for w in (w_g, w_h))
+    colors = _refined_colors(_cell_graphs(mat_g, mat_h), orbits())
+    if colors is None:
+        return None
+    table_g, table_h = (statediag._pair_table(sd_g, w) for w in (w_g, w_h))
     refused = 0  # states of the refused pi_sigma so far
-    for sigma in _witnesses(mat_g, mat_h, orbits()):
+    for sigma in _placements(table_g, table_h, colors):
         pi = lift(sigma)
         if _carries(w_g, w_h, pi, sigma):
             return pi

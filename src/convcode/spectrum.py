@@ -73,9 +73,6 @@ class WeightEnum:
     def one(cls) -> "WeightEnum":
         return cls({0: 1})
 
-    def coeff(self, alpha: int) -> int:
-        return dict(self._terms).get(alpha, 0)
-
     def terms(self) -> tuple[tuple[int, int], ...]:
         """The stored (weight, count) pairs; usable as a canonical key."""
         return self._terms

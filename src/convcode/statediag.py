@@ -27,12 +27,13 @@ source by source, each source's outputs taken off the stream and held;
 all weigh outputs through `_weigher`, which builds each table once.
 
 The alphabet route of `invariance.code_witness`, for codes whose k rows
-share one degree m, reads `_edge_weights` and `_letters`.  The register
-holds m columns of letters of F_q^k: first(d) = dB holds d alone in the
-first column, last(c) = cBA^(m-1) c alone in the last.  `_letters` lifts
-sigma, sigma(0) = 0, to pi_sigma, sigma applied to every column.  first(d)
-and last(c) ascend with the packed letter, and a state below last(c)
-holds only letters below c, so pi_sigma ascends as sigma does.
+share one degree m, reads `_edge_weights`, `_letters` and `_pair_table`.
+The register holds m columns of letters of F_q^k: first(d) = dB holds d
+alone in the first column, last(c) = cBA^(m-1) c alone in the last.
+`_letters` lifts sigma, sigma(0) = 0, to pi_sigma, sigma applied to every
+column.  first(d) and last(c) ascend with the packed letter, and a state
+below last(c) holds only letters below c, so pi_sigma ascends as sigma
+does.
 
 The code is F_q-linear and wt(lambda v) = wt(v), so for every lambda != 0
 the map x -> lambda x (edge (x, u) -> (lambda x, lambda u)) is a
@@ -272,6 +273,28 @@ def _letters(sd: StateDiagram) -> tuple[list[int], Callable[[Sequence[int]], tup
     where = sorted(range(len(fill)), key=fill.__getitem__)  # the fill position of every state
     lift = lambda sigma: tuple(map(fill.__getitem__, map(_cellwise(sigma, m, letters).__getitem__, where)))
     return fill[:: len(fill) // letters], lift
+
+
+def _pair_table(sd: StateDiagram, w: list[tuple]) -> list[tuple[tuple[int, ...], ...]]:
+    """The weight of every edge whose letters are 0 but at two positions,
+    among the input and the register columns 1..m of a code whose k rows
+    have one degree m, off the rows w of `_edge_weights`: t[b][a] holds,
+    per pair of positions, that of the edge with b at the later position
+    and a at the earlier, then that with a and b swapped.  The state with
+    a alone in column i is first(a)A^(i-1), one with letters in two columns
+    the integer sum of two such, as columns occupy disjoint cells, and the
+    swaps are C-level transposes."""
+    columns = [sd.ub]
+    for _ in range(1, sd.gamma // sd.k):
+        columns.append(list(map(sd.xa.__getitem__, columns[-1])))
+    tables = [list(map(w.__getitem__, high)) for high in columns]  # the input and a column
+    letters, first = len(sd.ub), operator.itemgetter(0)
+    for j, high in enumerate(columns):
+        for low in columns[:j]:  # the states high[b] + low[a], in rows of b
+            sums = map(operator.add, chain.from_iterable(map(repeat, high, repeat(letters))), cycle(low))
+            tables.append(list(zip(*[map(first, map(w.__getitem__, sums))] * letters)))
+    tables += [list(zip(*table)) for table in tables]
+    return [tuple(zip(*rows)) for rows in zip(*tables)]
 
 
 def labelled_transitions(

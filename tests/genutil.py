@@ -21,7 +21,7 @@ from convcode.polyalg import (
     vec_mat,
 )
 from convcode.spectrum import AdjMatrix, LSeries, WeightEnum, extend
-from convcode.statediag import labelled_transitions, state_index
+from convcode.statediag import labelled_transitions, state_index, state_vector
 
 
 def random_poly(rng: random.Random, fld, max_deg: int):
@@ -476,6 +476,45 @@ def series_inverse(ls: LSeries) -> LSeries:
 # ---------------------------------------------------------------------------
 # test references: helpers only the tests use
 # ---------------------------------------------------------------------------
+
+
+def field_pow(fld, a: int, e: int) -> int:
+    """a^e in fld by repeated fld.mul, a negative e through fld.inv, which
+    raises ZeroDivisionError on 0; 0^0 is 1.  A unit's exponent is taken
+    mod q - 1."""
+    base = fld.inv(a) if e < 0 else fld.mul(a, 1)
+    power = 1
+    for _ in range(abs(e) % (fld.q - 1) if base else abs(e)):
+        power = fld.mul(power, base)
+    return power
+
+
+def enum_coeff(e: WeightEnum, alpha: int) -> int:
+    """The count of weight alpha in the enumerator e."""
+    return dict(e.terms()).get(alpha, 0)
+
+
+def pair_weights(g: PolyMatrix) -> dict:
+    """Reference of the pair tables of a code whose k rows have one degree
+    m: per positions s < t of 0..m, table[a][b] = wt(u_a G_s + u_b G_t),
+    off the coefficients of g, with u_d the input vector of packed letter d
+    and G_s the coefficient matrix of z^s."""
+    fld, k = g.field, g.k
+    m = g.info.row_degrees[0]
+    letters = [state_vector(fld.q, k, d) for d in range(fld.q**k)]
+
+    def image(u, s):
+        out = [0] * g.n
+        for ui, row in zip(u, g.rows):
+            for j, entry in enumerate(row):
+                out[j] = fld.add(out[j], fld.mul(ui, entry[s] if s < len(entry) else 0))
+        return out
+
+    images = [[image(u, s) for u in letters] for s in range(m + 1)]
+    return {
+        (s, t): [[sum(map(bool, map(fld.add, x, y))) for y in images[t]] for x in images[s]]
+        for s, t in itertools.combinations(range(m + 1), 2)
+    }
 
 
 def monomial(alpha: int, c: int = 1) -> WeightEnum:

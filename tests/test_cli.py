@@ -524,23 +524,37 @@ def test_equal_answers_equal_degree_pairs_past_the_search_bound(capsys, tmp_path
 
 
 def test_equal_bounds_the_work_of_the_alphabet_route(capsys, monkeypatch, tmp_path):
-    # (1 + z + z^2, z + z^3) over F16 against (1 + z + z^2, a z + z^3): the
-    # alphabet matrices see only G_0 = (1, 0) and G_3 = (0, 1), so every sigma
-    # of the 15 nonzero letters passes them and is refused on Lambda; `equal`
-    # stops once the refused candidates pass SEARCH_WORK states, and
-    # mono-equiv falls back to its column search.  A binary memory-17 code
-    # is refused by WITNESS_ENTRIES before either diagram is built
+    # (1 + z + z^2, z + z^3) over F16 against (1 + z + z^2, a z + z^3): M
+    # sees only G_0 = (1, 0) and G_3 = (0, 1), so every sigma passes M, but
+    # the edges with two nonzero letters refuse every placement, and `equal`
+    # answers "differ" where the listing of M's maps stopped at SEARCH_WORK;
+    # mono-equiv falls back to its column search.  An F16 memory-3 code
+    # against its coefficient-wise a -> a^7 image passes those edges under
+    # sigma = a -> a^7 and the 14 scalings of it, which `_carries` refuses:
+    # 15 maps of 4,096 states under SEARCH_WORK, so with the bound patched
+    # to 20,000 `equal` stops at the fifth.  A binary memory-17 code is
+    # refused by WITNESS_ENTRIES before either diagram is built
     paths = []
     for name, a in (("g", 1), ("h", 2)):
         paths.append(tmp_path / f"{name}.gm")
         paths[-1].write_text(f"field p=2 m=4 modulus=19\nk=1 n=2\n1 1 1 ; 0 {a} 0 1\n")
     for argv, expected in (
-        (["equal"], (3, "", "limit: 1052672 states of refused maps exceed the bound 1048576\n")),
+        (["equal"], (1, "codes differ; generalized adjacency matrices differ\n", "")),
         (["mono-equiv"], (1, "codes are not monomially equivalent\n", "")),
     ):
         start = time.perf_counter()
         assert run(capsys, *argv, *map(str, paths)) == expected
-        assert time.perf_counter() - start < 2.0, argv
+        assert time.perf_counter() - start < 0.5, argv
+    powers = []
+    for name, rows in (("g", "7 4 11 15 ; 2 0 15 8"), ("h", "7 9 3 10 ; 11 0 10 12")):
+        powers.append(tmp_path / f"power_{name}.gm")
+        powers[-1].write_text(f"field p=2 m=4 modulus=19\nk=1 n=2\n{rows}\n")
+    assert run(capsys, "equal", *map(str, powers)) == (1, "codes differ; generalized adjacency matrices differ\n", "")
+    monkeypatch.setattr(invariance, "SEARCH_WORK", 20000)
+    assert run(capsys, "equal", *map(str, powers)) == (
+        3, "", "limit: 20480 states of refused maps exceed the bound 20000\n"
+    )
+    monkeypatch.undo()
     deep = _deep_code(tmp_path, 17)
     swapped = tmp_path / "swapped.gm"
     swapped.write_text(format_gm(invariance.apply_monomial(parse_gm(pathlib.Path(deep).read_text()), (1, 0), (1, 1))))
@@ -603,24 +617,48 @@ def test_equal_answers_a_dense_256_letter_frobenius_pair(capsys, tmp_path):
     assert invariance.apply_witness(invariance.code_adjacency(g), pi) == invariance.code_adjacency(h)
 
 
-def test_equal_refuses_the_delta_2_alphabet_pair_at_the_refused_maps(capsys, tmp_path):
-    # (1 + z + z^2, z + z^2) over F16 against (1 + z + z^2, a z + z^2): the
-    # alphabet matrices see only G_0 = (1, 0) and G_2 = (1, 1), so every
-    # sigma of the 15 nonzero letters passes them and is refused on the edge
-    # weights; the 7,049 refinements below the root sign 225,568 states,
-    # under SEARCH_WORK, so `equal` stops, as the search that placed states
-    # did, once 4,097 refused maps of 256 states pass it
-    paths = []
-    for name, a in (("g", 1), ("h", 2)):
-        paths.append(tmp_path / f"{name}.gm")
-        paths[-1].write_text(f"field p=2 m=4 modulus=19\nk=1 n=2\n1 1 1 ; 0 {a} 1\n")
+def test_equal_answers_the_delta_2_alphabet_pair_by_placements(capsys, monkeypatch):
+    # (1 + z + z^2, z + z^2) over F16 against (1 + z + z^2, a z + z^2): M
+    # sees only G_0 = (1, 0) and G_2 = (1, 1), so every sigma passes M, but
+    # no placement of sigma(1) passes the edges with two nonzero letters,
+    # and `equal` answers "differ" where the listing of M's maps stopped at
+    # SEARCH_WORK.  The orbit route over the 256 states of both Lambda finds
+    # no witness either, and Phi differs at T = 6.  The placements compare
+    # 30 letters in all, so with SEARCH_WORK patched to 20 `equal` stops
+    paths = [str(CODES / "d2a.gm"), str(CODES / "d2b.gm")]
     for argv, expected in (
-        (["equal"], (3, "", "limit: 1048832 states of refused maps exceed the bound 1048576\n")),
+        (["equal"], (1, "codes differ; generalized adjacency matrices differ\n", "")),
         (["mono-equiv"], (1, "codes are not monomially equivalent\n", "")),
     ):
         start = time.perf_counter()
-        assert run(capsys, *argv, *map(str, paths)) == expected
-        assert time.perf_counter() - start < 8.0, argv
+        assert run(capsys, *argv, *paths) == expected
+        assert time.perf_counter() - start < 0.5, argv
+    g, h = (parse_gm(pathlib.Path(path).read_text()) for path in paths)
+    assert invariance.gen_adj_equal(invariance.code_adjacency(g), invariance.code_adjacency(h)) is None
+    phi_g, phi_h = (spectrum.phi_series(invariance.code_adjacency(c, lumped=True), 6) for c in (g, h))
+    assert phi_g.coeffs != phi_h.coeffs
+    monkeypatch.setattr(invariance, "SEARCH_WORK", 20)
+    assert run(capsys, "equal", *paths) == (3, "", "limit: 22 letters compared by placements exceed the bound 20\n")
+
+
+def test_equal_answers_the_delta_2_frobenius_pair_with_a_witness(capsys):
+    # (1 + z + z^2, a z + z^2) over F16 against (1 + z + z^2, a^2 z + z^2),
+    # conjugate by a -> a^2 on both register cells: the placements reach
+    # the Frobenius map, which `_carries` certifies, where the listing of
+    # M's maps stopped at SEARCH_WORK; the witness is checked on both Lambda
+    # and mono-equiv finds no column map
+    paths = [str(CODES / "d2b.gm"), str(CODES / "d2c.gm")]
+    g, h = (parse_gm(pathlib.Path(path).read_text()) for path in paths)
+    start = time.perf_counter()
+    pi = invariance.code_witness(g, h)
+    assert time.perf_counter() - start < 0.2
+    f16 = g.field
+    assert pi == tuple(statediag._cellwise([f16.mul(c, c) for c in range(16)], 2, 16))
+    assert invariance.apply_witness(invariance.code_adjacency(g), pi) == invariance.code_adjacency(h)
+    rc, payload, err = run_json(capsys, "equal", *paths)
+    assert (rc, err, payload["found"], payload["perm"]) == (1, "", False, list(pi))
+    assert run(capsys, "mono-equiv", *paths) == (1, "codes are not monomially equivalent\n", "")
+
 
 def _deep_code(tmp_path, delta):
     # binary k = 1, n = 2: (1 + z^delta, 1), minimal with constraint length

@@ -13,6 +13,8 @@ from convcode import field_make
 from convcode.cli import parse_gm
 from convcode.galois import MAX_ORDER, FieldSpec, default_modulus, is_prime
 
+import genutil
+
 
 def brute_log_table(fld):
     """Discrete-log table built by exhaustive repeated multiplication,
@@ -43,7 +45,7 @@ def test_prime_field_basics():
     assert f5.add(3, 4) == 2
     assert f5.mul(3, 4) == 2
     assert f5.inv(3) == 2
-    assert f5.pow(2, 4) == 1
+    assert genutil.field_pow(f5, 2, 4) == 1
 
 
 def test_f16_matches_documented_generator_relation():
@@ -69,8 +71,8 @@ def test_f16_pow_against_exhaustive_log_oracle():
             total = (e * exp) % 15
             for _ in range(total):
                 expected = f16._mul_raw(expected, g)
-            assert f16.pow(a, exp) == expected
-    assert f16.pow(2, 5) == 6  # a^5 = a^2 + a
+            assert genutil.field_pow(f16, a, exp) == expected
+    assert genutil.field_pow(f16, 2, 5) == 6  # a^5 = a^2 + a
 
 
 def test_f16_inverse_by_exhaustive_search():
@@ -129,8 +131,8 @@ def test_tables_match_table_free_product(p, m, monkeypatch):
         assert fld._mul_raw(a, fld.inv(a)) == 1
         power = 1
         for e in range(fld.q if fld.q < 256 else 8):
-            assert fld.pow(a, e) == power
-            assert fld.pow(a, -e) == fld.inv(power)
+            assert genutil.field_pow(fld, a, e) == power
+            assert genutil.field_pow(fld, a, -e) == fld.inv(power)
             power = fld._mul_raw(power, a)
 
 
@@ -167,7 +169,7 @@ def test_units_and_bijection(p, m):
     fld = field_make(p, m)
     for a in fld.units():
         assert fld.mul(a, fld.inv(a)) == 1
-        assert fld.pow(a, fld.q - 1) == 1
+        assert genutil.field_pow(fld, a, fld.q - 1) == 1
         image = {fld.mul(x, a) for x in fld.elements()}
         assert image == set(fld.elements())
 
@@ -259,7 +261,7 @@ def test_operand_range_checks():
     with pytest.raises(ZeroDivisionError):
         f4.inv(0)
     with pytest.raises(ZeroDivisionError):
-        f4.pow(0, -1)
+        genutil.field_pow(f4, 0, -1)
 
 
 def test_is_prime():
@@ -322,6 +324,6 @@ def test_default_modulus_refuses_degree_zero():
 def test_zero_to_the_zero_is_one():
     for p, m in ((2, 1), (3, 1), (2, 4)):
         fld = field_make(p, m)
-        assert fld.pow(0, 0) == 1 and fld.pow(0, 3) == 0
+        assert genutil.field_pow(fld, 0, 0) == 1 and genutil.field_pow(fld, 0, 3) == 0
         with pytest.raises(ZeroDivisionError):
-            fld.pow(0, -1)
+            genutil.field_pow(fld, 0, -1)

@@ -63,6 +63,12 @@ def calls() -> list[list[str]]:
     for argv in (["spectrum", g1, "--trunc", "0"], ["lemma-a1", "1"],
                  ["mono-equiv", g1, g2, "--budget", "1"]):
         out += [argv, [*argv, "--json"]]
+    # the delta = 2 pair, whose Lambda differ, and the delta = 2 Frobenius
+    # pair, conjugate by a -> a^2, over F16; and a diagram over odd p
+    d2a, d2b, d2c = (f"demos/codes/d2{x}.gm" for x in "abc")
+    for a, b in ((d2a, d2b), (d2b, d2c)):
+        out += [["equal", a, b], ["equal", a, b, "--json"]]
+    out += [["diagram", "demos/codes/f3.gm"]]
     return out
 
 

@@ -245,7 +245,7 @@ def mixed_degree_pairs():
         fld = field_make(p, m)
         for _ in range(2):
             g = genutil.code_with_degrees(rng, fld, degrees)
-            frobenius = pm(fld, [[[fld.pow(c, p) for c in e] for e in row] for row in g.rows])
+            frobenius = pm(fld, [[[genutil.field_pow(fld, c, p) for c in e] for e in row] for row in g.rows])
             pairs.append(("frobenius", g, genutil.elementary_ops(rng, frobenius, 3)[0]))
             pairs.append(("other", g, genutil.code_with_degrees(rng, fld, degrees)))
     return pairs
@@ -1244,6 +1244,61 @@ def test_alphabet_route_answers_the_f16_frobenius_pair():
     assert apply_witness(lam_of(g), wit) == lam_of(h)
 
 
+PLACEMENT_SHAPES = (
+    (2, 1, (3,)), (2, 1, (1, 1)), (2, 1, (2, 2)), (2, 1, (1, 1, 1)), (3, 1, (2,)), (2, 2, (2,)),
+    (2, 2, (3,)), (5, 1, (2,)), (7, 1, (1,)), (7, 1, (2,)),
+)  # (p, m, row degrees) with q^k <= 8 and n = k + 1
+
+
+def test_placements_match_the_brute_force_filter_and_the_listing_of_m():
+    # on seeded pairs with at most 8 letters, each code against itself, a
+    # row-transformed, column-monomial image, its coefficient-wise a -> a^e
+    # image for a unit exponent e other than 1 (a -> a^2 over F4, which
+    # conjugates Lambda; a -> a^3 and a -> a^5 over F5 and F7, which pass
+    # the pair tables and fail on Lambda) and another code of its shape:
+    # `_placements` lists exactly the sigma, sigma(0) = 0, that a filter
+    # over every permutation accepts on the pair tables made off the
+    # coefficients of g and h, in the same order, and code_witness gives
+    # the first pi_sigma that `_carries` certifies among the maps of the
+    # alphabet matrices M that `_witnesses` lists
+    rng = random.Random(51)
+    kinds = Counter()
+    for p, m, degrees in PLACEMENT_SHAPES:
+        fld = field_make(p, m)
+        exponent = next(e for e in range(2, fld.q) if math.gcd(e, fld.q - 1) == 1) if fld.q > 3 else 1
+        for _ in range(2):
+            g = genutil.code_with_degrees(rng, fld, degrees)
+            image, _ = genutil.elementary_ops(rng, g, 3)
+            cols = rng.sample(range(g.n), g.n)
+            image = apply_monomial(image, cols, [rng.choice(fld.units()) for _ in cols])
+            power = pm(fld, [[[genutil.field_pow(fld, c, exponent) for c in e] for e in row] for row in g.rows])
+            for kind, h in (("self", g), ("image", image), ("power", power),
+                            ("other", genutil.code_with_degrees(rng, fld, degrees))):
+                sd_g, sd_h = build(controller_form(g)), build(controller_form(h))
+                w_g, w_h = statediag._edge_weights(sd_g), statediag._edge_weights(sd_h)
+                last, lift = statediag._letters(sd_g)
+                cells = [WeightEnum({w: 1}) for w in range(g.n + 1)]
+                mat_g, mat_h = (AdjMatrix([[*enumerate(w[x])][not x :] for x in last], cells, q=fld.q, n=g.n)
+                                for w in (w_g, w_h))
+                orbits = statediag._orbits(fld, g.k)
+                colors = _refined_colors(_cell_graphs(mat_g, mat_h), orbits)
+                listed = [] if colors is None else list(invariance._placements(
+                    statediag._pair_table(sd_g, w_g), statediag._pair_table(sd_g, w_h), colors))
+                ref_g, ref_h = genutil.pair_weights(g), genutil.pair_weights(h)
+                letters = fld.q**g.k
+                filtered = [
+                    sigma for sigma in ((0, *rest) for rest in itertools.permutations(range(1, letters)))
+                    if all([ref_h[st][sigma[a]][sigma[b]] for b in range(letters)] == ref_g[st][a]
+                           for st in ref_g for a in range(letters))
+                ]
+                assert listed == filtered, (fld.q, degrees, kind)
+                old = next((pi for sigma in invariance._witnesses(mat_g, mat_h, orbits) for pi in [lift(sigma)]
+                            if invariance._carries(w_g, w_h, pi, sigma)), None)
+                assert invariance.code_witness(g, h) == old, (fld.q, degrees, kind)
+                kinds[kind, len(listed) > 1, old is not None] += 1
+    assert kinds["self", True, True] >= 5 and kinds["power", True, False] >= 2, kinds
+
+
 EDGE_WEIGHT_SHAPES = (
     (2, 1, 1, 3), (2, 1, 2, 2), (3, 1, 1, 2), (3, 1, 2, 1), (2, 2, 1, 2), (2, 2, 2, 1), (5, 1, 1, 2),
     (5, 1, 2, 1), (7, 1, 1, 1), (7, 1, 2, 1), (2, 3, 1, 1), (2, 3, 2, 1), (3, 2, 1, 1), (3, 2, 2, 1),
@@ -1355,7 +1410,7 @@ def test_carries_matches_the_per_edge_reference(monkeypatch):
             h, _ = genutil.elementary_ops(rng, g, 4)
             cols = rng.sample(range(3), 3)
             image = apply_monomial(h, cols, [rng.choice(fld.units()) for _ in cols])
-            frobenius = pm(fld, [[[fld.pow(c, p) for c in e] for e in row] for row in g.rows])
+            frobenius = pm(fld, [[[genutil.field_pow(fld, c, p) for c in e] for e in row] for row in g.rows])
             for other in (image, frobenius, equal_degree_code(rng, fld, k, degree)):
                 invariance.code_witness(g, other)
     verdicts = Counter()

@@ -190,7 +190,7 @@ def test_surveys_are_pinned():
         record = (sorted(res.atomic.items()), sorted(res.molecular.items()),
                   res.gap_violation, res.words)
         digest.update(repr(record).encode())
-    assert digest.hexdigest() == "d37e01f4be156dd5750638fec04aab6510faa6f6eca48b824bf6d241664f79ca"
+    assert digest.hexdigest() == "2c48ab1efc42f13cb3f51bec2b1e0a45769751238e394eb799b1866c68762682"
 
 
 def test_deep_register_costs_nothing_per_cell(capsys, tmp_path):

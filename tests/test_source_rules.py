@@ -405,7 +405,7 @@ def test_field_operations_are_lookups_and_statediag_adds_off_the_field():
     methods = {n.name: n for n in cls.body if isinstance(n, ast.FunctionDef)}
     found = [
         f"{name}:{node.lineno}"
-        for name in ("add", "neg", "sub", "mul", "inv", "pow")
+        for name in ("add", "neg", "sub", "mul", "inv")
         for node in ast.walk(methods[name])
         if isinstance(node, ast.Attribute) and node.attr in ("p", "m")
     ]
@@ -647,15 +647,16 @@ def test_bijections_are_enumerated_only_by_monomial_equiv():
 def test_code_witness_alone_passes_classes_to_the_search():
     # the F_q^* orbits are automorphisms of the Lambda of codes only, so the
     # classes enter the search at code_witness and are only handed on below
-    # it, to gen_adj_equal, or, those of the letters, to _alphabet_witness,
-    # and both call them only as they reach _witnesses; so `classes` means
-    # orbits alone.  They hold only until a state is individualised, so
-    # _witnesses hands them to its root refinement alone, and each node
-    # below it refines from its start colors, its rounds drawn from the
-    # search's one budget.  The orbits are made by
-    # statediag._orbits alone, for the lumped Q and for code_witness, which
-    # hands them on uncalled
-    search = ("gen_adj_equal", "_alphabet_witness", "_witnesses", "_refined_colors")
+    # it, to gen_adj_equal, which calls them only as it reaches _witnesses,
+    # or, those of the letters, to _alphabet_witness, which calls them only
+    # as it reaches the root refinement of M; so `classes` means orbits
+    # alone.  They hold only until a state is individualised, so _witnesses
+    # hands them to its root refinement alone, and each node below it
+    # refines from its start colors, its rounds drawn from the search's one
+    # budget; the placements of sigma get the root colors, not the orbits.
+    # The orbits are made by statediag._orbits alone, for the lumped Q and
+    # for code_witness, which hands them on uncalled
+    search = ("gen_adj_equal", "_alphabet_witness", "_witnesses", "_refined_colors", "_placements")
     passed, made = [], []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -673,7 +674,8 @@ def test_code_witness_alone_passes_classes_to_the_search():
         ("_witnesses", "_refined_colors", "classes"),
         ("_witnesses", "_refined_colors", "start", "rounds"),
         ("gen_adj_equal", "_witnesses", "classes and classes()"),
-        ("_alphabet_witness", "_witnesses", "orbits()"),
+        ("_alphabet_witness", "_refined_colors", "orbits()"),
+        ("_alphabet_witness", "_placements", "colors"),
         ("code_witness", "gen_adj_equal", "orbits"),
         ("code_witness", "_alphabet_witness", "orbits"),
     ]
@@ -721,12 +723,14 @@ def test_no_function_calls_itself_but_the_minor_expansion():
 
 def test_alphabet_candidates_are_handed_on_for_equal_degree_codes_only():
     # code_witness alone calls the alphabet route, and only when every row
-    # has one degree m >= 1; the route lists sigma by the conjugation search
-    # on the alphabet matrices alone, not by itertools, and no field size
-    # picks it; it certifies pi_sigma by `_carries` on the edge weights and
-    # never builds or re-checks Lambda.  SEARCH_WORK bounds its refused
-    # candidates and the states the search signs below its root, and nothing
-    # else names it.  gen_adj_equal then runs its own search alone: one loop
+    # has one degree m >= 1; the route lists sigma by placing it letter by
+    # letter on the pair tables, within the classes of the root refinement
+    # of the alphabet matrices, not by itertools, and no field size picks
+    # it; it certifies pi_sigma by `_carries` on the edge weights and never
+    # builds or re-checks Lambda.  SEARCH_WORK bounds its refused
+    # candidates, the letters its placements compare and the states the
+    # search signs below its root, and nothing else names it; the route
+    # refines M once, at its root.  gen_adj_equal then runs its own search alone: one loop
     # over `_witnesses(a, b, ...)`, whose every witness passes
     # `spectrum.conjugates` or raises, right after the search bound
     assert not hasattr(convcode.invariance, "ALPHABET_FIELDS")
@@ -734,7 +738,9 @@ def test_alphabet_candidates_are_handed_on_for_equal_degree_codes_only():
     names = lambda node: {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)} - {None}
     functions = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)]
     assert [fn.name for fn in functions if "_alphabet_witness" in names(fn)] == ["code_witness"]
-    assert [fn.name for fn in functions if "SEARCH_WORK" in names(fn)] == ["_witnesses", "_alphabet_witness"]
+    assert [fn.name for fn in functions if "SEARCH_WORK" in names(fn)] == [
+        "_witnesses", "_placements", "_alphabet_witness"
+    ]
     witness = _function("invariance.py", "code_witness")
     branches = [n for n in ast.walk(witness) if isinstance(n, ast.If) and "_alphabet_witness" in names(n)]
     assert len(branches) == 1 and ast.unparse(branches[0].test) == "alphabet"
@@ -742,10 +748,13 @@ def test_alphabet_candidates_are_handed_on_for_equal_degree_codes_only():
     routes = [n for n in ast.walk(witness) if isinstance(n, ast.Assign) and "alphabet" in names(n.targets[0])]
     assert [ast.unparse(n.value) for n in routes] == ["delta and len(set(degrees)) == 1"]
     route = _function("invariance.py", "_alphabet_witness")
-    assert not names(route) & {"adjacency", "_code_diagram", "conjugates", "itertools", "permutations"}
+    assert not names(route) & {"adjacency", "_code_diagram", "conjugates", "itertools", "permutations", "_witnesses"}
+    assert [ast.unparse(n) for n in _calls(route, "_refined_colors")] == [
+        "_refined_colors(_cell_graphs(mat_g, mat_h), orbits())"
+    ]
     loops = [n for n in ast.walk(route) if isinstance(n, (ast.For, ast.While))]
     assert [ast.unparse(n.iter) for n in loops if names(n.target) == {"sigma"}] == [
-        "_witnesses(mat_g, mat_h, orbits())"
+        "_placements(table_g, table_h, colors)"
     ]
     assert all(names(n.target) == {"_"} for n in loops if names(n.target) != {"sigma"})
     (checked,) = [n for n in ast.walk(route) if isinstance(n, ast.If) and "_carries" in names(n.test)]
