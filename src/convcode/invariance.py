@@ -39,20 +39,20 @@ Lambda is then W^wt(xC + uD) of one edge (x, u), which pi_sigma maps to
 (pi_sigma x, sigma u), so conjugation by pi_sigma is wt_h(pi_sigma x,
 sigma u) = wt_g(x, u) on every edge: `code_witness` searches the q^k
 letters for sigma, certifies pi_sigma on the edge weights and builds no
-Lambda.  It places sigma(1), sigma(2), ... in turn, each trying its class
-of the root refinement of M[c][d] = W^wt(last(c)C + dD) in increasing
-order, while every edge whose nonzero letters, at most two, are placed
-weighs the same in g and, under sigma, in h; a witness passes, and
-pi_sigma ascends as sigma does, so the first sigma certified is the least
-witness.  `statediag` packs it all: `_pair_table` zips those edges'
-weights into one table of tuples, `_letters` lifts sigma to pi_sigma, and
-`_edge_weights` holds one row of q^k weights per distinct xC, so pi_sigma
-is certified a state at a time, h's row at pi_sigma x, read in sigma
-order, against g's row at x.
+Lambda.  It places sigma(1), sigma(2), ... in turn, each trying in
+increasing order its class, the multiset of its row of the pair tables,
+while every edge whose nonzero letters, at most two, are placed weighs
+the same in g and, under sigma, in h; a witness keeps the classes and
+passes, and pi_sigma ascends as sigma does, so the first sigma certified
+is the least witness.  `statediag` packs it all: `_pair_table` zips
+those edges' weights into one table of tuples, `_letters` lifts sigma to
+pi_sigma, and `_edge_weights` holds one row of q^k weights per distinct
+xC, so pi_sigma is certified a state at a time, h's row at pi_sigma x,
+read in sigma order, against g's row at x.
 
 On top of that sit: `code_witness`, the one comparison of two codes'
-Lambda, which alone hands the search the F_q^* orbits; recovery of the
-code dimension and row degrees from the matrix alone; the monomial
+Lambda, which alone hands the orbit search the F_q^* orbits; recovery of
+the code dimension and row degrees from the matrix alone; the monomial
 equivalence of generator matrices, which refuses a minimal pair through
 `code_witness`; the closed-form dual transform for binary codes with
 unit constraint length; and Lemma A.1 as a count of the shift graph's
@@ -261,17 +261,23 @@ def _carries(w_g: list[tuple], w_h: list[tuple], pi: Sequence[int], sigma: Seque
     return all(map(operator.eq, map(operator.itemgetter(*sigma), map(w_h.__getitem__, pi)), w_g))
 
 
-def _placements(table_g: list[tuple], table_h: list[tuple], colors: tuple[list[int], list[int]]):
-    """Every sigma, sigma(0) = 0 and colors[1][sigma(c)] == colors[0][c],
-    with table_h[sigma b][sigma a] == table_g[b][a] for all letters a, b,
-    in lexicographic order: sigma(c) = d, each c in turn and each d of its
-    color in increasing order, stands when g's row c up to letter c is h's
-    row d read at sigma(0..c).  LimitError once the letters that placements
-    compare pass SEARCH_WORK."""
+def _placements(table_g: list[tuple], table_h: list[tuple]):
+    """Every sigma, sigma(0) = 0, with table_h[sigma b][sigma a] ==
+    table_g[b][a] for all letters a, b, in lexicographic order: sigma(c) =
+    d, each c in turn and each d of its class in increasing order, stands
+    when g's row c up to letter c is h's row d read at sigma(0..c).  Such a
+    sigma keeps each letter's class, the multiset of its row, so none is
+    listed when the classes' histograms differ.  LimitError once the
+    letters that placements compare pass SEARCH_WORK."""
+    ids: dict[tuple, int] = {}
+    colors_g, colors_h = ([ids.setdefault(tuple(sorted(row)), len(ids)) for row in table]
+                          for table in (table_g, table_h))
+    if sorted(colors_g) != sorted(colors_h):
+        return
     members: dict[int, list[int]] = {}
-    for d, color in enumerate(colors[1]):
+    for d, color in enumerate(colors_h):
         members.setdefault(color, []).append(d)
-    candidates = list(map(members.__getitem__, colors[0]))
+    candidates = list(map(members.__getitem__, colors_g))
     rows_g = [row[: c + 1] for c, row in enumerate(table_g)]
     sigma, stack, compared = [0], [iter(candidates[1])], 0  # per letter placed, its untried candidates
     while stack:
@@ -293,30 +299,21 @@ def _placements(table_g: list[tuple], table_h: list[tuple], colors: tuple[list[i
                 sigma.pop()
 
 
-def _alphabet_witness(sd_g: statediag.StateDiagram, sd_h: statediag.StateDiagram,
-                      orbits: Callable[[], object]) -> Optional[PermWitness]:
+def _alphabet_witness(sd_g: statediag.StateDiagram, sd_h: statediag.StateDiagram) -> Optional[PermWitness]:
     """The least witness of two codes whose k rows have one degree m, or
     None, off their `statediag._edge_weights` rows: the identity if they
     agree, else the first pi_sigma that `_carries` certifies among the
-    sigma that `_placements` lists on their `statediag._pair_table`, each
-    letter within its class of the root refinement, with `orbits()`, those
-    of F_q^k, of M[c][d] = W^wt(last(c)C + dD), the rows of the states
-    last(c).  pi_sigma maps the edge of letters a and b in two positions to
-    that of sigma(a) and sigma(b), so a witness keeps M's classes and passes
-    the tables.  LimitError once the refused pass SEARCH_WORK states in all."""
+    sigma that `_placements` lists on their `statediag._pair_table`.
+    pi_sigma maps the edge of letters a and b in two positions to that of
+    sigma(a) and sigma(b), so a witness passes the tables.  LimitError once
+    the refused pass SEARCH_WORK states in all."""
     w_g, w_h = statediag._edge_weights(sd_g), statediag._edge_weights(sd_h)
     if w_g == w_h:
         return tuple(range(sd_g.num_states))
-    last, lift = statediag._letters(sd_g)  # A and B are those of both codes
-    cells = [WeightEnum({w: 1}) for w in range(sd_g.n + 1)]  # W^w has id w
-    rows = lambda w: [[*enumerate(w[x])][not x :] for x in last]
-    mat_g, mat_h = (AdjMatrix(rows(w), cells, q=sd_g.field.q, n=sd_g.n) for w in (w_g, w_h))
-    colors = _refined_colors(_cell_graphs(mat_g, mat_h), orbits())
-    if colors is None:
-        return None
-    table_g, table_h = (statediag._pair_table(sd_g, w) for w in (w_g, w_h))
+    table_g, table_h = (statediag._pair_table(sd_g, w) for w in (w_g, w_h))  # A and B are those of both codes
+    lift = statediag._letters(sd_g)
     refused = 0  # states of the refused pi_sigma so far
-    for sigma in _placements(table_g, table_h, colors):
+    for sigma in _placements(table_g, table_h):
         pi = lift(sigma)
         if _carries(w_g, w_h, pi, sigma):
             return pi
@@ -329,25 +326,23 @@ def code_witness(g: PolyMatrix, h: PolyMatrix) -> Optional[PermWitness]:
     """The least witness that the Lambda of g and h, minimal matrices of one
     constraint length, are conjugate, or None: the one comparison of two
     codes' Lambda.  Its conjugacy class is a code invariant and fixes the
-    Forney indices, so unlike ones are refused first.  The orbits of x ->
-    lambda x, lambda in F_q^*, zero-fixing automorphisms of both, go to
-    `_alphabet_witness` when every row has one degree m >= 1, else to
-    `gen_adj_equal` on both Lambda.  LimitError, before either diagram is
-    built, past SEARCH_STATES states, q^k letters or q^delta states, or
+    Forney indices, so unlike ones are refused first.  When every row has
+    one degree m >= 1 `_alphabet_witness` answers, else `gen_adj_equal` on
+    both Lambda, with the orbits of x -> lambda x, lambda in F_q^*,
+    zero-fixing automorphisms of both.  LimitError, before either diagram
+    is built, past SEARCH_STATES states, q^k letters or q^delta states, or
     past WITNESS_ENTRIES on the alphabet route (a state counts 16 at least)."""
     polyalg.check_same_shape(g, h)
     fld, delta, degrees = g.field, g.info.delta, g.info.row_degrees
     if sorted(degrees) != sorted(h.info.row_degrees):
         return None
     alphabet = delta and len(set(degrees)) == 1
-    cells = g.k if alphabet else delta  # F_q^cells holds what the search runs over
-    check_search_size(fld.q, cells)
-    orbits = lambda: statediag._orbits(fld, cells)
+    check_search_size(fld.q, g.k if alphabet else delta)  # F_q^k holds the letters, F_q^delta the states
     if alphabet:
         check_limit(WITNESS_ENTRIES, "{count} adjacency entries, 16 a state at least, exceed the bound {bound}",
                     [*itertools.repeat(fld.q, delta), max(fld.q**g.k, 16)])
-        return _alphabet_witness(_code_diagram(g), _code_diagram(h), orbits)
-    return gen_adj_equal(code_adjacency(g), code_adjacency(h), orbits)
+        return _alphabet_witness(_code_diagram(g), _code_diagram(h))
+    return gen_adj_equal(code_adjacency(g), code_adjacency(h), lambda: statediag._orbits(fld, delta))
 
 
 def apply_witness(a: AdjMatrix, pi: Sequence[int]) -> AdjMatrix:

@@ -27,13 +27,13 @@ source by source, each source's outputs taken off the stream and held;
 all weigh outputs through `_weigher`, which builds each table once.
 
 The alphabet route of `invariance.code_witness`, for codes whose k rows
-share one degree m, reads `_edge_weights`, `_letters` and `_pair_table`.
-The register holds m columns of letters of F_q^k: first(d) = dB holds d
-alone in the first column, last(c) = cBA^(m-1) c alone in the last.
-`_letters` lifts sigma, sigma(0) = 0, to pi_sigma, sigma applied to every
-column.  first(d) and last(c) ascend with the packed letter, and a state
-below last(c) holds only letters below c, so pi_sigma ascends as sigma
-does.
+share one degree m, reads `_edge_weights`, `_pair_table`, whose row
+multisets are the letters' classes, and `_letters`.  The register holds
+m columns of letters of F_q^k: first(d) = dB holds d alone in the first
+column, last(c) = cBA^(m-1) c alone in the last.  `_letters` lifts
+sigma, sigma(0) = 0, to pi_sigma, sigma applied to every column.
+last(c) ascends with the packed letter, and a state below last(c) holds
+only letters below c, so pi_sigma ascends as sigma does.
 
 The code is F_q-linear and wt(lambda v) = wt(v), so for every lambda != 0
 the map x -> lambda x (edge (x, u) -> (lambda x, lambda u)) is a
@@ -45,8 +45,8 @@ keeps the orbit map, and its edges leave only the representatives, 0 and
 the states whose first nonzero coordinate is 1 (the smallest member of
 each orbit in index order): about q^gamma / (q - 1) sources, not q^gamma.
 The same orbits, from the one `_orbits`, serve Q and the conjugation
-search: `invariance.code_witness` hands them to the color refinement,
-which signs one state per orbit.
+search over the states: `invariance.code_witness` hands them to
+`gen_adj_equal`, whose root refinement signs one state per orbit.
 
 The catastrophicity and delay-freeness screens read only the weight-0
 edges, the transitions (x, u) != (0, 0) with xC = -uD, looked up in the
@@ -263,16 +263,15 @@ def _edge_weights(sd: StateDiagram) -> list[tuple[int, ...]]:
     return rows if distinct is sd.xc else list(map(dict(zip(distinct, rows)).__getitem__, sd.xc))
 
 
-def _letters(sd: StateDiagram) -> tuple[list[int], Callable[[Sequence[int]], tuple[int, ...]]]:
-    """(the states last(c) in letter order, lift) of a code whose k rows
-    have one degree m, lift(sigma) = pi_sigma (see the module docstring)."""
+def _letters(sd: StateDiagram) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """lift(sigma) = pi_sigma of a code whose k rows have one degree m (see
+    the module docstring)."""
     letters, m = len(sd.ub), sd.gamma // sd.k
     fill = [0]  # the states by their letters d_1 .. d_m, last column first, in `_cellwise` order
     for _ in range(m):
         fill = [a + u for a in map(sd.xa.__getitem__, fill) for u in sd.ub]
     where = sorted(range(len(fill)), key=fill.__getitem__)  # the fill position of every state
-    lift = lambda sigma: tuple(map(fill.__getitem__, map(_cellwise(sigma, m, letters).__getitem__, where)))
-    return fill[:: len(fill) // letters], lift
+    return lambda sigma: tuple(map(fill.__getitem__, map(_cellwise(sigma, m, letters).__getitem__, where)))
 
 
 def _pair_table(sd: StateDiagram, w: list[tuple]) -> list[tuple[tuple[int, ...], ...]]:

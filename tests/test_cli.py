@@ -569,10 +569,11 @@ def test_equal_answers_the_mixed_degree_frobenius_pair(tmp_path):
     # coefficient-wise a -> a^2 image: refinement alone finds only the F16^*
     # orbits here, so the search individualises states and refines again;
     # the witness `equal` prints is checked on both Lambda, and mono-equiv
-    # finds no column map
+    # finds no column map.  The pair is bundled as f16_02a.gm and f16_02b.gm
     f16 = field_make(2, 4)
     g = genutil.code_with_degrees(random.Random(7), f16, (0, 2))
     h = polyalg.pm(f16, [[[f16.mul(c, c) for c in e] for e in row] for row in g.rows])
+    assert [parse_gm((CODES / f"f16_02{x}.gm").read_text()) for x in "ab"] == [g, h]
     paths = [tmp_path / "g.gm", tmp_path / "h.gm"]
     for path, code in zip(paths, (g, h)):
         path.write_text(format_gm(code))
@@ -618,13 +619,15 @@ def test_equal_answers_a_dense_256_letter_frobenius_pair(capsys, tmp_path):
 
 
 def test_equal_answers_the_delta_2_alphabet_pair_by_placements(capsys, monkeypatch):
-    # (1 + z + z^2, z + z^2) over F16 against (1 + z + z^2, a z + z^2): M
-    # sees only G_0 = (1, 0) and G_2 = (1, 1), so every sigma passes M, but
-    # no placement of sigma(1) passes the edges with two nonzero letters,
-    # and `equal` answers "differ" where the listing of M's maps stopped at
-    # SEARCH_WORK.  The orbit route over the 256 states of both Lambda finds
-    # no witness either, and Phi differs at T = 6.  The placements compare
-    # 30 letters in all, so with SEARCH_WORK patched to 20 `equal` stops
+    # (1 + z + z^2, z + z^2) over F16 against (1 + z + z^2, a z + z^2): the
+    # alphabet matrix M[c][d] = W^wt(last(c)C + dD) sees only G_0 = (1, 0)
+    # and G_2 = (1, 1), so every sigma passed M, and the listing of M's
+    # maps stopped at SEARCH_WORK; the multisets of the pair tables' rows
+    # differ, so `equal` answers "differ" before any letter is placed, even
+    # with SEARCH_WORK patched to 20.  The orbit route over the 256 states
+    # of both Lambda finds no witness either, and Phi differs at T = 6.
+    # The Frobenius pair d2b/d2c shares its classes and places 26 letters,
+    # so there `equal` stops at the patched bound
     paths = [str(CODES / "d2a.gm"), str(CODES / "d2b.gm")]
     for argv, expected in (
         (["equal"], (1, "codes differ; generalized adjacency matrices differ\n", "")),
@@ -638,7 +641,11 @@ def test_equal_answers_the_delta_2_alphabet_pair_by_placements(capsys, monkeypat
     phi_g, phi_h = (spectrum.phi_series(invariance.code_adjacency(c, lumped=True), 6) for c in (g, h))
     assert phi_g.coeffs != phi_h.coeffs
     monkeypatch.setattr(invariance, "SEARCH_WORK", 20)
-    assert run(capsys, "equal", *paths) == (3, "", "limit: 22 letters compared by placements exceed the bound 20\n")
+    assert run(capsys, "equal", *paths) == (1, "codes differ; generalized adjacency matrices differ\n", "")
+    frobenius = [str(CODES / "d2b.gm"), str(CODES / "d2c.gm")]
+    assert run(capsys, "equal", *frobenius) == (
+        3, "", "limit: 26 letters compared by placements exceed the bound 20\n"
+    )
 
 
 def test_equal_answers_the_delta_2_frobenius_pair_with_a_witness(capsys):

@@ -69,6 +69,12 @@ def calls() -> list[list[str]]:
     for a, b in ((d2a, d2b), (d2b, d2c)):
         out += [["equal", a, b], ["equal", a, b, "--json"]]
     out += [["diagram", "demos/codes/f3.gm"]]
+    # the orbit search's witness, on the F16 pair with row degrees (0, 2),
+    # and the chunked weight table of a binary code with n = 17, kept under
+    # tests/codes
+    f02a, f02b = "demos/codes/f16_02a.gm", "demos/codes/f16_02b.gm"
+    out += [["equal", f02a, f02b], ["equal", f02a, f02b, "--json"], ["mono-equiv", f02a, f02b]]
+    out += [["spectrum", "tests/codes/n17.gm"]]
     return out
 
 

@@ -1171,11 +1171,29 @@ def test_equal_degree_witnesses_are_pinned():
     assert digest == "29311bd9269ba62bdbcdc283384358b0882dca12acea576371d8a5de499534d8"
 
 
+def f16_letter_pairs():
+    """Seeded (kind, g, h) pairs of F16 codes with row degrees (1, 1), 256
+    letters and 256 states: a code against a row-transformed,
+    column-monomial image ("image"), against its coefficient-wise a -> a^2
+    image ("frobenius") and against another code ("other")."""
+    f16 = field_make(2, 4)
+    rng = random.Random(1)
+    g = genutil.code_with_degrees(rng, f16, (1, 1))
+    h, _ = genutil.elementary_ops(rng, g, 4)
+    cols = rng.sample(range(3), 3)
+    image = apply_monomial(h, cols, [rng.choice(f16.units()) for _ in cols])
+    frobenius = pm(f16, [[[f16.mul(c, c) for c in e] for e in row] for row in g.rows])
+    return [("image", g, image), ("frobenius", g, frobenius),
+            ("other", g, genutil.code_with_degrees(rng, f16, (1, 1)))]
+
+
 def test_alphabet_route_matches_the_orbit_search():
     # every witness between two codes whose rows share one degree is an
     # alphabet map, so the candidates of the alphabet search give the
-    # answer of the orbit search over the q^delta states of Lambda
-    pairs = equal_degree_pairs() + k1_route_pairs()
+    # answer of the orbit search over the q^delta states of Lambda; the
+    # F16 pairs have 256 letters, each class the multiset of a pair-table
+    # row
+    pairs = equal_degree_pairs() + k1_route_pairs() + f16_letter_pairs()
     assert all(len(set(g.info.row_degrees + h.info.row_degrees)) == 1 for _, g, h in pairs)
     routed = [invariance.code_witness(g, h) for _, g, h in pairs]
     searched = [
@@ -1188,26 +1206,30 @@ def test_alphabet_route_matches_the_orbit_search():
         for (kind, g, _), w in zip(pairs, routed)
     )
     assert all(w is not None for (kind, _, _), w in zip(pairs, routed) if kind != "other")
-    assert len(pairs) == 94 + 73, kinds
+    assert len(pairs) == 94 + 73 + 3, kinds
+    assert [w is None for w in routed[-3:]] == [False, False, True]
     assert kinds["other", 1, "none"] >= 40 and kinds["other", 2, "none"] >= 15, kinds
     assert kinds["image", 2, "moved"] >= 15 and kinds["frobenius", 1, "moved"] >= 10, kinds
 
 
 def test_alphabet_route_runs_no_search_over_the_register(monkeypatch):
-    # for codes whose rows share one degree the cell graphs, the refinement
-    # and the search see the q^k letters alone, never the q^delta states of
-    # Lambda, and each code's diagram is built once; an F4 pair with indices
-    # (1, 2) still searches Lambda
-    sizes, built = [], []
+    # for codes whose rows share one degree the route reads the pair tables
+    # alone: no AdjMatrix, cell graph, refinement, search or orbit is made,
+    # and each code's diagram is built once; an F4 pair with indices (1, 2)
+    # still searches Lambda, its q^delta states in the cell graphs, the
+    # refinements and the search, from the orbits of the register
+    calls, built = [], []
 
     def spy(owner, name, record):
         inner = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *args, **kw: record(args) or inner(*args, **kw))
+        monkeypatch.setattr(owner, name, lambda *args, **kw: record(name, args) or inner(*args, **kw))
 
-    spy(invariance, "_cell_graphs", lambda args: sizes.append(args[0].size))
-    spy(invariance, "_refined_colors", lambda args: sizes.append(len(args[0][0][0])))
-    spy(invariance, "_witnesses", lambda args: sizes.append(args[0].size))
-    spy(statediag, "build", built.append)
+    spy(invariance, "_cell_graphs", lambda name, args: calls.append((name, args[0].size)))
+    spy(invariance, "_refined_colors", lambda name, args: calls.append((name, len(args[0][0][0]))))
+    spy(invariance, "_witnesses", lambda name, args: calls.append((name, args[0].size)))
+    spy(invariance, "AdjMatrix", lambda name, args: calls.append((name, len(args[0]))))
+    spy(statediag, "_orbits", lambda name, args: calls.append((name, args[0].q ** args[1])))
+    spy(statediag, "build", lambda name, args: built.append(args))
     rng = random.Random(37)
     shapes = [(2, 1, (3,)), (3, 1, (2,)), (2, 2, (2,)), (5, 1, (2,)), (7, 1, (2,)), (2, 4, (2,)),
               (2, 1, (2, 2)), (2, 2, (2, 2)), (2, 3, (2, 2)), (2, 2, (1, 2))]
@@ -1218,15 +1240,15 @@ def test_alphabet_route_runs_no_search_over_the_register(monkeypatch):
             h = genutil.code_with_degrees(rng, fld, degrees)
             while lam_of(g) == lam_of(h):  # the identity would answer
                 h = genutil.code_with_degrees(rng, fld, degrees)
-            sizes.clear()
+            calls.clear()
             built.clear()
             invariance.code_witness(g, h)
-            assert len(built) == 2 and sizes, (fld.q, degrees)
-            letters = fld.q ** len(degrees)
+            states = fld.q ** sum(degrees)
             if len(set(degrees)) == 1:
-                assert max(sizes) == letters < fld.q ** sum(degrees), (fld.q, degrees)
+                assert len(built) == 2 and calls == [], (fld.q, degrees)
             else:
-                assert sizes == [fld.q ** sum(degrees)] * 3, (fld.q, degrees)
+                route = ["_orbits", "_witnesses", "_cell_graphs", "_refined_colors"]
+                assert calls == [(name, states) for name in route], (fld.q, degrees)
 
 
 def test_alphabet_route_answers_the_f16_frobenius_pair():
@@ -1259,8 +1281,10 @@ def test_placements_match_the_brute_force_filter_and_the_listing_of_m():
     # `_placements` lists exactly the sigma, sigma(0) = 0, that a filter
     # over every permutation accepts on the pair tables made off the
     # coefficients of g and h, in the same order, and code_witness gives
-    # the first pi_sigma that `_carries` certifies among the maps of the
-    # alphabet matrices M that `_witnesses` lists
+    # the first pi_sigma that `_carries` certifies among the maps that
+    # `_witnesses` lists of the alphabet matrices M[c][d] =
+    # W^wt(last(c)C + dD), refined from the orbits of F_q^k: the reference
+    # route, whose classes came from M
     rng = random.Random(51)
     kinds = Counter()
     for p, m, degrees in PLACEMENT_SHAPES:
@@ -1276,14 +1300,16 @@ def test_placements_match_the_brute_force_filter_and_the_listing_of_m():
                             ("other", genutil.code_with_degrees(rng, fld, degrees))):
                 sd_g, sd_h = build(controller_form(g)), build(controller_form(h))
                 w_g, w_h = statediag._edge_weights(sd_g), statediag._edge_weights(sd_h)
-                last, lift = statediag._letters(sd_g)
+                lift = statediag._letters(sd_g)
+                last = list(sd_g.ub)  # last(c) = cBA^(m-1)
+                for _ in range(sd_g.gamma // g.k - 1):
+                    last = list(map(sd_g.xa.__getitem__, last))
                 cells = [WeightEnum({w: 1}) for w in range(g.n + 1)]
                 mat_g, mat_h = (AdjMatrix([[*enumerate(w[x])][not x :] for x in last], cells, q=fld.q, n=g.n)
                                 for w in (w_g, w_h))
                 orbits = statediag._orbits(fld, g.k)
-                colors = _refined_colors(_cell_graphs(mat_g, mat_h), orbits)
-                listed = [] if colors is None else list(invariance._placements(
-                    statediag._pair_table(sd_g, w_g), statediag._pair_table(sd_g, w_h), colors))
+                listed = list(invariance._placements(statediag._pair_table(sd_g, w_g),
+                                                     statediag._pair_table(sd_g, w_h)))
                 ref_g, ref_h = genutil.pair_weights(g), genutil.pair_weights(h)
                 letters = fld.q**g.k
                 filtered = [
@@ -1451,21 +1477,20 @@ def test_edge_weights_weigh_each_distinct_xc_once():
 
 
 def test_lift_matches_the_cellwise_reference():
-    # over F2 to F9, `_letters` gives the states last(c) and lifts each
-    # sigma to the reference pi_sigma: a zero-fixing permutation mapping
-    # every edge (x, u) onto (pi_sigma x, sigma u), which ascends as sigma
-    # does
+    # over F2 to F9, `_letters` lifts each sigma to the reference pi_sigma:
+    # a zero-fixing permutation mapping every edge (x, u) onto (pi_sigma x,
+    # sigma u), and every state last(c) = cBA^(m-1) onto last(sigma c),
+    # which ascends as sigma does
     rng = random.Random(47)
     checked = 0
     for p, m, k, degree in EDGE_WEIGHT_SHAPES:
         fld = field_make(p, m)
         sd = build(controller_form(equal_degree_code(rng, fld, k, degree)))
         letters, s = len(sd.ub), sd.num_states
-        last, lift = statediag._letters(sd)
-        expected = list(sd.ub)  # last(c) = cBA^(m-1)
+        lift = statediag._letters(sd)
+        last = list(sd.ub)  # last(c) = cBA^(m-1)
         for _ in range(sd.gamma // sd.k - 1):
-            expected = [sd.xa[x] for x in expected]
-        assert last == expected, (fld.q, k, degree)
+            last = [sd.xa[x] for x in last]
         identity = tuple(range(letters))
         assert lift(identity) == tuple(range(s)) == genutil.lifted(sd, identity)
         sigmas = sorted({(0, *rng.sample(range(1, letters), letters - 1)) for _ in range(4)})

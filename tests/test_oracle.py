@@ -190,7 +190,7 @@ def test_surveys_are_pinned():
         record = (sorted(res.atomic.items()), sorted(res.molecular.items()),
                   res.gap_violation, res.words)
         digest.update(repr(record).encode())
-    assert digest.hexdigest() == "2c48ab1efc42f13cb3f51bec2b1e0a45769751238e394eb799b1866c68762682"
+    assert digest.hexdigest() == "9669d5a8b9fa7d30f3b79837384f506657d2b3a8f34f1ccc2e7b6ed3a145ced7"
 
 
 def test_deep_register_costs_nothing_per_cell(capsys, tmp_path):

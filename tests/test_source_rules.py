@@ -647,13 +647,12 @@ def test_bijections_are_enumerated_only_by_monomial_equiv():
 def test_code_witness_alone_passes_classes_to_the_search():
     # the F_q^* orbits are automorphisms of the Lambda of codes only, so the
     # classes enter the search at code_witness and are only handed on below
-    # it, to gen_adj_equal, which calls them only as it reaches _witnesses,
-    # or, those of the letters, to _alphabet_witness, which calls them only
-    # as it reaches the root refinement of M; so `classes` means orbits
-    # alone.  They hold only until a state is individualised, so _witnesses
-    # hands them to its root refinement alone, and each node below it
-    # refines from its start colors, its rounds drawn from the search's one
-    # budget; the placements of sigma get the root colors, not the orbits.
+    # it, to gen_adj_equal alone, which calls them only as it reaches
+    # _witnesses; so `classes` means orbits alone.  They hold only until a
+    # state is individualised, so _witnesses hands them to its root
+    # refinement alone, and each node below it refines from its start
+    # colors, its rounds drawn from the search's one budget.  The alphabet
+    # route gets no orbits: its placements read the pair tables alone.
     # The orbits are made by statediag._orbits alone, for the lumped Q and
     # for code_witness, which hands them on uncalled
     search = ("gen_adj_equal", "_alphabet_witness", "_witnesses", "_refined_colors", "_placements")
@@ -674,10 +673,7 @@ def test_code_witness_alone_passes_classes_to_the_search():
         ("_witnesses", "_refined_colors", "classes"),
         ("_witnesses", "_refined_colors", "start", "rounds"),
         ("gen_adj_equal", "_witnesses", "classes and classes()"),
-        ("_alphabet_witness", "_refined_colors", "orbits()"),
-        ("_alphabet_witness", "_placements", "colors"),
-        ("code_witness", "gen_adj_equal", "orbits"),
-        ("code_witness", "_alphabet_witness", "orbits"),
+        ("code_witness", "gen_adj_equal", "lambda: statediag._orbits(fld, delta)"),
     ]
     witnesses = _function("invariance.py", "_witnesses")
     (children,) = [n for n in ast.walk(witnesses) if isinstance(n, ast.FunctionDef) and n.name == "children"]
@@ -724,13 +720,13 @@ def test_no_function_calls_itself_but_the_minor_expansion():
 def test_alphabet_candidates_are_handed_on_for_equal_degree_codes_only():
     # code_witness alone calls the alphabet route, and only when every row
     # has one degree m >= 1; the route lists sigma by placing it letter by
-    # letter on the pair tables, within the classes of the root refinement
-    # of the alphabet matrices, not by itertools, and no field size picks
-    # it; it certifies pi_sigma by `_carries` on the edge weights and never
-    # builds or re-checks Lambda.  SEARCH_WORK bounds its refused
-    # candidates, the letters its placements compare and the states the
-    # search signs below its root, and nothing else names it; the route
-    # refines M once, at its root.  gen_adj_equal then runs its own search alone: one loop
+    # letter on the pair tables, within the classes of the tables' rows,
+    # not by itertools, and no field size picks it; it certifies pi_sigma
+    # by `_carries` on the edge weights and never builds or re-checks
+    # Lambda, nor any matrix, cell graph or refinement.  SEARCH_WORK bounds
+    # its refused candidates, the letters its placements compare and the
+    # states the search signs below its root, and nothing else names it.
+    # gen_adj_equal then runs its own search alone: one loop
     # over `_witnesses(a, b, ...)`, whose every witness passes
     # `spectrum.conjugates` or raises, right after the search bound
     assert not hasattr(convcode.invariance, "ALPHABET_FIELDS")
@@ -748,14 +744,14 @@ def test_alphabet_candidates_are_handed_on_for_equal_degree_codes_only():
     routes = [n for n in ast.walk(witness) if isinstance(n, ast.Assign) and "alphabet" in names(n.targets[0])]
     assert [ast.unparse(n.value) for n in routes] == ["delta and len(set(degrees)) == 1"]
     route = _function("invariance.py", "_alphabet_witness")
-    assert not names(route) & {"adjacency", "_code_diagram", "conjugates", "itertools", "permutations", "_witnesses"}
-    assert [ast.unparse(n) for n in _calls(route, "_refined_colors")] == [
-        "_refined_colors(_cell_graphs(mat_g, mat_h), orbits())"
-    ]
+    assert not names(route) & {"adjacency", "_code_diagram", "conjugates", "itertools", "permutations", "_witnesses",
+                               "AdjMatrix", "WeightEnum", "_cell_graphs", "_refined_colors", "_orbits"}
+    assert [a.arg for a in route.args.args] == ["sd_g", "sd_h"]
     loops = [n for n in ast.walk(route) if isinstance(n, (ast.For, ast.While))]
     assert [ast.unparse(n.iter) for n in loops if names(n.target) == {"sigma"}] == [
-        "_placements(table_g, table_h, colors)"
+        "_placements(table_g, table_h)"
     ]
+    assert not names(_function("invariance.py", "_placements")) & {"_cell_graphs", "_refined_colors", "AdjMatrix"}
     assert all(names(n.target) == {"_"} for n in loops if names(n.target) != {"sigma"})
     (checked,) = [n for n in ast.walk(route) if isinstance(n, ast.If) and "_carries" in names(n.test)]
     assert [ast.unparse(n) for n in checked.body] == ["return pi"]

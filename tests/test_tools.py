@@ -82,3 +82,11 @@ def test_reach_reports_the_lines_no_call_ran():
     info, oracle = (reach.statements(cli) & body[name] for name in ("_cmd_info", "_cmd_oracle"))
     assert info and oracle
     assert not info & unreached and oracle <= unreached
+
+
+def test_reach_summary_ends_with_the_total_of_the_modules():
+    # a canned report: one line per module, in its order, then the sum
+    summary = _tool("reach").summary({"a.py": [3, 9], "b.py": [], "c.py": [5]})
+    assert summary == ["a.py: 2 unreached: 3 9", "b.py: 0 unreached", "c.py: 1 unreached: 5", "total: 3 unreached"]
+    counts = [int(line.split()[1]) for line in summary]
+    assert counts[-1] == sum(counts[:-1])

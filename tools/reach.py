@@ -10,9 +10,9 @@ Run from the root of a checkout.  In one process, with that checkout's
 item of the seed-1 corpus of each workload in `BENCHMARK.json`, which
 `perfbench/workloads.build` writes into a temporary directory.  It then
 prints, per module, the executable statement lines (docstrings excluded)
-that none of them reached: the candidates for deletion, each of which
-only tests, or nothing, still runs.  It uses the standard library alone
-and writes nothing in the checkout.
+that none of them reached, and their total: the candidates for deletion,
+each of which only tests, or nothing, still runs.  It uses the standard
+library alone and writes nothing in the checkout.
 """
 
 from __future__ import annotations
@@ -112,9 +112,15 @@ def main() -> int:
         for name in names:
             argvs += [item.argv for item in workloads.build(name, 1, os.path.join(tmp, name))]
         report = unreached(argvs, sorted((ROOT / "demos").glob("0*.py")))
-    for name, lines in report.items():
-        print(f"{name}: {len(lines)} unreached" + (": " + " ".join(map(str, lines)) if lines else ""))
+    print("\n".join(summary(report)))
     return 0
+
+
+def summary(report: dict[str, list[int]]) -> list[str]:
+    """One line per module, its unreached count and lines, then the total."""
+    rows = [f"{name}: {len(lines)} unreached" + (": " + " ".join(map(str, lines)) if lines else "")
+            for name, lines in report.items()]
+    return rows + [f"total: {sum(map(len, report.values()))} unreached"]
 
 
 if __name__ == "__main__":
