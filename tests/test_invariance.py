@@ -1213,11 +1213,11 @@ def test_alphabet_route_matches_the_orbit_search():
 
 
 def test_alphabet_route_runs_no_search_over_the_register(monkeypatch):
-    # for codes whose rows share one degree the route reads the pair tables
-    # alone: no AdjMatrix, cell graph, refinement, search or orbit is made,
-    # and each code's diagram is built once; an F4 pair with indices (1, 2)
-    # still searches Lambda, its q^delta states in the cell graphs, the
-    # refinements and the search, from the orbits of the register
+    # on both routes each code's diagram is built once; for codes whose rows
+    # share one degree the route reads the pair tables alone: no AdjMatrix,
+    # cell graph, refinement, search or orbit is made; an F4 pair with
+    # indices (1, 2) still searches Lambda, its q^delta states in the cell
+    # graphs, the refinements and the search, from the orbits of the register
     calls, built = [], []
 
     def spy(owner, name, record):
@@ -1244,8 +1244,9 @@ def test_alphabet_route_runs_no_search_over_the_register(monkeypatch):
             built.clear()
             invariance.code_witness(g, h)
             states = fld.q ** sum(degrees)
+            assert len(built) == 2, (fld.q, degrees)
             if len(set(degrees)) == 1:
-                assert len(built) == 2 and calls == [], (fld.q, degrees)
+                assert calls == [], (fld.q, degrees)
             else:
                 route = ["_orbits", "_witnesses", "_cell_graphs", "_refined_colors"]
                 assert calls == [(name, states) for name in route], (fld.q, degrees)
@@ -1284,7 +1285,8 @@ def test_placements_match_the_brute_force_filter_and_the_listing_of_m():
     # the first pi_sigma that `_carries` certifies among the maps that
     # `_witnesses` lists of the alphabet matrices M[c][d] =
     # W^wt(last(c)C + dD), refined from the orbits of F_q^k: the reference
-    # route, whose classes came from M
+    # route, whose classes came from M, and every listed sigma keeps the
+    # stable colours of M
     rng = random.Random(51)
     kinds = Counter()
     for p, m, degrees in PLACEMENT_SHAPES:
@@ -1318,6 +1320,9 @@ def test_placements_match_the_brute_force_filter_and_the_listing_of_m():
                            for st in ref_g for a in range(letters))
                 ]
                 assert listed == filtered, (fld.q, degrees, kind)
+                colors = _refined_colors(_cell_graphs(mat_g, mat_h), orbits)
+                assert all(colors and all(colors[1][d] == colors[0][c] for c, d in enumerate(sigma))
+                           for sigma in listed), (fld.q, degrees, kind)
                 old = next((pi for sigma in invariance._witnesses(mat_g, mat_h, orbits) for pi in [lift(sigma)]
                             if invariance._carries(w_g, w_h, pi, sigma)), None)
                 assert invariance.code_witness(g, h) == old, (fld.q, degrees, kind)
